@@ -44,17 +44,9 @@ from typing import TYPE_CHECKING
 from repro.access.scan import IndexProbe, IndexRangeScan, fetch_visible
 from repro.access.tuples import TID, HeapTuple
 from repro.compress.base import Compressor
-from repro.errors import (
-    LargeObjectError,
-    NoActiveTransaction,
-    ReadOnlyObject,
-)
-from repro.lo import metadata
-from repro.lo.interface import LargeObject
+from repro.lo.chunked import ChunkedObject
 from repro.storage.constants import CHUNK_PAYLOAD
-from repro.txn.locks import LockMode
 from repro.txn.manager import Transaction
-from repro.txn.rangelock import IntervalSet, lo_range, lo_whole
 from repro.txn.snapshot import Snapshot
 
 if TYPE_CHECKING:
@@ -90,199 +82,58 @@ def chunk_index_name(oid: int) -> str:
     return f"lo_{oid}_seq"
 
 
-class FChunkObject(LargeObject):
+class FChunkObject(ChunkedObject):
     """An open f-chunk large object."""
 
     impl = "fchunk"
+    _unit = "chunk"
 
     def __init__(self, db: "Database", oid: int, compressor: Compressor,
                  txn: Transaction | None, writable: bool,
                  as_of: float | None = None,
                  chunk_payload: int = CHUNK_PAYLOAD):
-        if writable and txn is None:
-            raise NoActiveTransaction(
-                f"opening large object {oid} for writing requires a "
-                f"transaction")
-        if writable and as_of is not None:
-            raise LargeObjectError(
-                "historical (as-of) opens are read-only")
-        super().__init__(f"lo:{oid}", writable)
-        self.db = db
-        self.oid = oid
-        self.txn = txn
-        self.as_of = as_of
-        self.compressor = compressor
+        super().__init__(db, oid, compressor, txn, writable, as_of,
+                         chunk_class_name(oid), chunk_index_name(oid))
         self.chunk_payload = chunk_payload
-        self.relation = db.get_class(chunk_class_name(oid))
-        self.index = db.get_index(chunk_index_name(oid))
         # Write-buffer state (writable descriptors only).
         self._buf_seqno: int | None = None
         self._buf_data = bytearray()
         self._buf_dirty = False
-        self._pending_size: int | None = None
-        #: Highest byte-end this transaction itself has written (or the
-        #: exact size its own truncate set).  The committed size can move
-        #: *down* under us (a neighbour's committed truncate), so the
-        #: pending size is re-derived as max(committed, own) — never
-        #: ratcheted monotonically, which would resurrect the pre-cut
-        #: extent and land appends past the new EOF.
-        self._own_high = 0
         # Descriptor-level LRU of decompressed chunks, so streaming reads
         # uncompress each chunk once ("just-in-time" conversion without
         # repeating work for every frame in a chunk) and backward seeks
         # within the window never re-inflate.
         self._read_cache: OrderedDict[int, bytes] = OrderedDict()
-        self._cache_stats = db.lo.cache_stats
-        # -- model-fidelity gate -------------------------------------------
-        # The fast paths below (known-TID map, epoch-keyed size cache)
-        # skip B-tree probes and pin sequences the simulated cost model
-        # charges for, so they engage only when the database runs in
-        # wall-clock mode (``charge_cpu=False`` → ``bufmgr.cpu is None``).
-        # Figure runs therefore execute the identical operation stream
-        # they always did; see docs/performance.md.
-        self._fast = db.bufmgr.cpu is None
-        #: Writer-only map seqno -> TID (or None = known absent).  Safe
-        #: under range locking because every entry is invalidated (and
-        #: the absence baseline re-anchored to the committed size) by
-        #: ``_refresh_committed`` whenever any transaction commits or
-        #: aborts — see the visibility-epoch gate there.
+        #: Writer-only map seqno -> TID (or None = known absent), in
+        #: wall-clock mode only (see ``_fast``).  Safe under range
+        #: locking because every entry is invalidated (and the "chunks at
+        #: or past here never existed" absence baseline re-anchored to
+        #: the committed size) by ``_committed_moved`` whenever any
+        #: transaction commits or aborts.
         self._known_tids: dict[int, TID | None] | None = None
         self._baseline_chunks = 0
-        #: Read-only size memo: (size, clog.visibility_epoch).  Reusable
-        #: while nothing commits or aborts — and only for descriptors
-        #: outside a transaction, whose snapshots see committed state
-        #: only (an in-transaction descriptor also sees its own writes,
-        #: which the epoch cannot witness).
-        self._size_cache: tuple[int, int] | None = None
-        #: Read-only index memo: (epoch, seqno -> [TIDs of all entries]).
-        #: One leaf-chain walk replaces one range scan per read(); the
-        #: TIDs are re-checked for visibility on every use, so the memo
-        #: only trusts the epoch for *index membership* (vacuum bumps
-        #: the epoch when it prunes entries).
-        self._ro_entries: tuple[int, dict[int, list[TID]]] | None = None
-        #: Byte spans this descriptor has EXCLUSIVE range locks on
-        #: (writable only); re-locking a covered span is a no-op.
-        self._locked = IntervalSet()
-        self._whole_locked = False
-        self._commit_epoch = db.clog.visibility_epoch
-        if writable:
-            self._pending_size = self._read_size(self._snapshot())
-            txn.before_commit.append(self.flush)
-            if self._fast:
-                self._known_tids = {}
-                payload = self.chunk_payload
-                self._baseline_chunks = (
-                    (self._pending_size + payload - 1) // payload)
+        if writable and self._fast:
+            self._known_tids = {}
+            self._baseline_chunks = self._chunks_in(self._pending_size)
 
-    # -- snapshots ----------------------------------------------------------------
+    # -- protocol hooks -------------------------------------------------------------
 
-    def _snapshot(self) -> Snapshot:
-        return self.db.snapshot(self.txn, as_of=self.as_of)
+    def _chunks_in(self, size: int) -> int:
+        return (size + self.chunk_payload - 1) // self.chunk_payload
 
-    # -- range locking / concurrent-commit refresh --------------------------------
+    def _lock_bounds(self, start: int, end: int) -> tuple[int, int]:
+        grain = self.chunk_payload * LOCK_GRAIN_CHUNKS
+        return ((start // grain) * grain,
+                ((max(end, start + 1) + grain - 1) // grain) * grain)
 
-    def _refresh_committed(self, force: bool = False) -> None:
-        """Fold size changes committed by *other* transactions into this
-        writable descriptor's view.
-
-        Gated on ``CommitLog.visibility_epoch``: while nothing commits or
-        aborts anywhere, this is one integer compare (so single-writer
-        runs — including the simulated figure workloads — never pay an
-        extra size probe).  When the epoch has moved, the committed size
-        is re-read: the pending size becomes max(committed, own writes)
-        — both directions, since a neighbour's committed *truncate*
-        legitimately shrinks it — the known-TID map and read cache drop
-        entries that a concurrent committer may have retired, and the
-        "chunks at or past here never existed" absence baseline
-        re-anchors to the new committed extent.
-
-        Once this descriptor holds the whole-object lock, no other
-        transaction can commit a size change (every write path locks a
-        sub-range of ``[0, inf)``), so the fold is skipped and the
-        descriptor's own pending size is authoritative — refreshing
-        would clobber its own in-flight truncate with the stale
-        committed size.  ``force`` is the one-time fold performed while
-        *acquiring* that lock.
-        """
-        if self._pending_size is None:  # read-only: epoch-keyed memos
-            return
-        if self._whole_locked and not force:
-            return
-        epoch = self.db.clog.visibility_epoch
-        if epoch == self._commit_epoch and not force:
-            return
-        self._commit_epoch = epoch
-        committed = self._read_size(self._snapshot())
-        self._pending_size = max(committed, self._own_high)
+    def _committed_moved(self, committed: int) -> None:
         if self._known_tids is not None:
             self._known_tids.clear()
-            payload = self.chunk_payload
-            self._baseline_chunks = max(
-                self._baseline_chunks,
-                (committed + payload - 1) // payload)
+            self._baseline_chunks = max(self._baseline_chunks,
+                                        self._chunks_in(committed))
         self._read_cache.clear()
 
-    def _lock_span(self, offset: int, end: int) -> None:
-        """EXCLUSIVE range lock covering ``[offset, end)``, grain-aligned.
-
-        Writers declare the byte range they are about to mutate; disjoint
-        declarations are granted in parallel, overlapping ones block
-        until the holder's transaction ends (strict 2PL).
-        """
-        if self._whole_locked:
-            return
-        grain = self.chunk_payload * LOCK_GRAIN_CHUNKS
-        lo = (offset // grain) * grain
-        hi = ((max(end, offset + 1) + grain - 1) // grain) * grain
-        if self._locked.covers(lo, hi):
-            return
-        self.db.locks.acquire(self.txn.xid, lo_range(self.oid, lo, hi),
-                              LockMode.EXCLUSIVE)
-        self._locked.add(lo, hi)
-        self._refresh_committed()
-
-    def _lock_whole(self) -> None:
-        """The whole-object ``[0, inf)`` range (truncate): conflicts with
-        every concurrent writer, and makes the flushed size *exact*."""
-        if self._whole_locked:
-            return
-        self.db.locks.acquire(self.txn.xid, lo_whole(self.oid),
-                              LockMode.EXCLUSIVE)
-        self._locked.add(0, None)
-        # Fold the committed size one last time, then freeze: while the
-        # whole lock is held nobody else can commit a size change.
-        self._refresh_committed(force=True)
-        self._whole_locked = True
-
-    # -- size row ------------------------------------------------------------------
-
-    def _read_size(self, snapshot: Snapshot) -> int:
-        return metadata.read_size(self.db, self.oid, snapshot)
-
-    def _size(self) -> int:
-        if self._pending_size is not None:
-            # Another transaction's committed append may have grown the
-            # object past what this writer last saw (epoch-gated no-op
-            # in the common single-writer case).
-            self._refresh_committed()
-            return self._pending_size
-        if self._fast and self.txn is None:
-            epoch = self.db.clog.visibility_epoch
-            cached = self._size_cache
-            if cached is not None and cached[1] == epoch:
-                return cached[0]
-            size = self._read_size(self._snapshot())
-            self._size_cache = (size, epoch)
-            return size
-        return self._read_size(self._snapshot())
-
     # -- chunk access -----------------------------------------------------------------
-
-    def _chunk_anomaly(self, key, count: int) -> LargeObjectError:
-        """Anomaly diagnostic for the scan layer's ``unique`` mode."""
-        return LargeObjectError(
-            f"large object {self.oid}: {count} visible versions of "
-            f"chunk {key[0]} (snapshot anomaly)")
 
     def _chunk_tuple(self, seqno: int,
                      snapshot: Snapshot | None = None) -> HeapTuple | None:
@@ -315,7 +166,7 @@ class FChunkObject(LargeObject):
             snapshot = self._snapshot()
         candidates = IndexProbe(
             self.db, self.index, self.relation, (seqno,),
-            unique=True, anomaly=self._chunk_anomaly).tuples(snapshot)
+            unique=True, anomaly=self._anomaly).tuples(snapshot)
         tup = candidates[0] if candidates else None
         if known is not None:
             known[seqno] = None if tup is None else tup.tid
@@ -328,21 +179,6 @@ class FChunkObject(LargeObject):
         if tup is None:
             return None
         return self.compressor.decompress(tup.values[1])
-
-    def _chunk_bytes(self, seqno: int, snapshot: Snapshot) -> bytes | None:
-        """Chunk contents, honouring this descriptor's buffers."""
-        if seqno == self._buf_seqno:
-            return bytes(self._buf_data)
-        cached = self._read_cache.get(seqno)
-        if cached is not None:
-            self._cache_stats.read_cache_hits += 1
-            self._read_cache.move_to_end(seqno)
-            return cached
-        self._cache_stats.read_cache_misses += 1
-        data = self._stored_chunk_bytes(seqno, snapshot)
-        if data is not None:
-            self._cache_chunk(seqno, data)
-        return data
 
     def _cache_chunk(self, seqno: int, data: bytes) -> None:
         self._read_cache[seqno] = data
@@ -364,38 +200,32 @@ class FChunkObject(LargeObject):
         scan = IndexRangeScan(
             self.db, self.index, self.relation,
             (min(seqnos),), (max(seqnos),),
-            unique=True, anomaly=self._chunk_anomaly)
+            unique=True, anomaly=self._anomaly)
         wanted = {(seqno,) for seqno in seqnos}
         return {key[0]: tup
                 for key, tup in scan.visible(snapshot, wanted=wanted)}
 
-    def _ro_entry_map(self) -> dict[int, list[TID]]:
-        """Raw index entries by seqno, epoch-cached (fast mode only).
-
-        Entries only — no heap fetch or decode — so building the memo
-        costs one leaf-chain walk, not a pass over the object's data.
+    def _index_entries(self) -> dict[int, list[TID]]:
+        """Raw index entries by seqno: one leaf-chain walk, no heap fetch
+        or decode, so memoizing it costs no pass over the object's data.
         """
-        epoch = self.db.clog.visibility_epoch
-        cached = self._ro_entries
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
         entries: dict[int, list[TID]] = {}
         scan = IndexRangeScan(self.db, self.index, self.relation,
                               None, None)
         for key, tid in scan.entries():
             entries.setdefault(key[0], []).append(tid)
-        self._ro_entries = (epoch, entries)
         return entries
 
     def _ro_chunk_tuples(self, seqnos: list[int],
                          snapshot: Snapshot) -> dict[int, HeapTuple]:
         """Fast-mode twin of :meth:`_visible_chunk_tuples`.
 
-        Resolves each seqno through the memoized entry map and fetches
-        only those TIDs; visibility (and the unique-visible-version
-        invariant) is still checked per fetch against *snapshot*.
+        Resolves each seqno through the epoch-memoized entry map —
+        trusted for *index membership* only — and fetches only those
+        TIDs; visibility (and the unique-visible-version invariant) is
+        still checked per fetch against *snapshot*.
         """
-        entries = self._ro_entry_map()
+        entries = self._memo("entries", self._index_entries)
         out: dict[int, HeapTuple] = {}
         for seqno in seqnos:
             visible = None
@@ -404,7 +234,7 @@ class FChunkObject(LargeObject):
                 if tup is None:
                     continue
                 if visible is not None:
-                    raise self._chunk_anomaly((seqno,), 2)
+                    raise self._anomaly((seqno,), 2)
                 visible = tup
             if visible is not None:
                 out[seqno] = visible
@@ -412,18 +242,8 @@ class FChunkObject(LargeObject):
 
     # -- write buffer ------------------------------------------------------------------
 
-    def flush(self) -> None:
-        """Materialize the buffered chunk and the pending size.
-
-        Called automatically on chunk switch, close, and transaction
-        commit; harmless to call at any other time.
-        """
-        if self._closed:
-            return
-        self._flush_chunk()
-        self._flush_size()
-
-    def _flush_chunk(self) -> None:
+    def _flush_data(self) -> None:
+        """Materialize the buffered chunk (also on every chunk switch)."""
         if self._buf_seqno is None or not self._buf_dirty:
             return
         self._refresh_committed()
@@ -457,20 +277,12 @@ class FChunkObject(LargeObject):
             known[seqno] = new_tid
         self._buf_dirty = False
 
-    def _flush_size(self) -> None:
-        if self._pending_size is None:
-            return
-        # Holding [0, inf) (truncate) is the only case where the size may
-        # legitimately shrink; everyone else max-merges (see write_size).
-        metadata.write_size(self.db, self.txn, self.oid,
-                            self._pending_size, exact=self._whole_locked)
-
     def _switch_buffer(self, seqno: int,
                        snapshot: Snapshot | None = None) -> None:
         """Point the write buffer at *seqno*, flushing the previous chunk."""
         if self._buf_seqno == seqno:
             return
-        self._flush_chunk()
+        self._flush_data()
         # The write buffer supersedes any cached copy of this chunk.
         stored = self._read_cache.pop(seqno, None)
         if stored is None:
@@ -478,17 +290,6 @@ class FChunkObject(LargeObject):
         self._buf_seqno = seqno
         self._buf_data = bytearray(stored if stored is not None else b"")
         self._buf_dirty = False
-
-    def _close(self) -> None:
-        if self.writable:
-            self.flush()
-            # A closed descriptor has nothing left to flush; leaving the
-            # hook registered would pin this object (and every other
-            # descriptor opened by a long transaction) until commit.
-            try:
-                self.txn.before_commit.remove(self.flush)
-            except ValueError:
-                pass
 
     # -- reads ----------------------------------------------------------------------------
 
@@ -530,7 +331,7 @@ class FChunkObject(LargeObject):
                     self._cache_stats.read_cache_misses += 1
                     missing.append(seqno)
         if missing:
-            if self._fast and self.txn is None:
+            if self._memoizing:
                 fetched = self._ro_chunk_tuples(missing, self._snapshot())
             else:
                 fetched = self._visible_chunk_tuples(missing,
@@ -586,8 +387,7 @@ class FChunkObject(LargeObject):
                     bytes(chunk_offset - len(self._buf_data)))
             self._buf_data[chunk_offset:chunk_offset + len(piece)] = piece
             self._buf_dirty = True
-        self._own_high = max(self._own_high, end)
-        self._pending_size = max(self._pending_size, end)
+        self._note_write(end)
 
     def _truncate(self, size: int) -> None:
         self.txn.require_active()
@@ -598,8 +398,7 @@ class FChunkObject(LargeObject):
         current = self._size()
         if size >= current:
             # Sparse extension: reads zero-fill short/missing chunks.
-            self._own_high = size
-            self._pending_size = size
+            self._note_truncate(size)
             return
         payload = self.chunk_payload
         cut = size % payload
@@ -626,56 +425,4 @@ class FChunkObject(LargeObject):
                 if self._known_tids is not None:
                     self._known_tids[seqno] = None
         self._read_cache.clear()
-        self._own_high = size
-        self._pending_size = size
-
-    # -- append ----------------------------------------------------------------------------
-
-    def append(self, data: bytes) -> int:
-        """Write *data* at end-of-file, atomically under concurrency.
-
-        ``seek(0, SEEK_END)`` + ``write`` computes the EOF before taking
-        any lock, so two appenders that both read the same committed size
-        would overwrite each other after serializing.  This re-resolves
-        the EOF *under* the range lock (see :meth:`_reserve_eof`), so
-        concurrent appends land exactly once, in lock-grant order.
-        """
-        self._check_open()
-        if not self.writable:
-            raise ReadOnlyObject(
-                f"large object {self.designator!r} is open read-only")
-        data = bytes(data)
-        if not data:
-            return 0
-        self.txn.require_active()
-        offset = self._reserve_eof(len(data))
-        self._write_at(offset, data)
-        self._pos = offset + len(data)
-        return len(data)
-
-    def _reserve_eof(self, length: int) -> int:
-        """A stable EOF to append *length* bytes at.
-
-        Lock the grain the current EOF lands in, then re-check: if
-        granting the lock waited out another appender's commit, the EOF
-        has moved and the loop locks the new target.  Once the EOF grain
-        is held, later appenders block on it, so the size is frozen and
-        the loop exits — each retry implies another transaction committed
-        an extension, so progress is guaranteed.
-        """
-        while True:
-            self._refresh_committed()
-            start = self._size()
-            self._lock_span(start, start + length)
-            self._refresh_committed()
-            if self._size() == start:
-                return start
-
-    # -- storage accounting (Figure 1) ---------------------------------------------------------
-
-    def storage_breakdown(self) -> dict[str, int]:
-        """Bytes occupied on the device: chunk data and B-tree index."""
-        return {
-            "data": self.relation.byte_size(),
-            "btree": self.index.byte_size(),
-        }
+        self._note_truncate(size)

@@ -76,10 +76,7 @@ class LargeObject(ABC):
 
     def write(self, data: bytes) -> int:
         """Write *data* at the current position; returns bytes written."""
-        self._check_open()
-        if not self.writable:
-            raise ReadOnlyObject(
-                f"large object {self.designator!r} is open read-only")
+        self._check_writable()
         data = bytes(data)
         if data:
             self._write_at(self._pos, data)
@@ -118,10 +115,7 @@ class LargeObject(ABC):
         size.  (An extension beyond the paper's §4 interface, which had no
         truncate; POSTGRES gained ``lo_truncate`` much later.)
         """
-        self._check_open()
-        if not self.writable:
-            raise ReadOnlyObject(
-                f"large object {self.designator!r} is open read-only")
+        self._check_writable()
         if size is None:
             size = self._pos
         if size < 0:
@@ -138,9 +132,10 @@ class LargeObject(ABC):
         """Write *data* at end-of-file; returns the bytes written.
 
         The base implementation is ``seek(0, SEEK_END)`` + ``write``.
-        The chunked implementations override it to re-resolve the EOF
-        *under* their write range lock, so concurrent appenders land
-        exactly once instead of overwriting each other at a stale EOF.
+        :class:`~repro.lo.chunked.ChunkedObject` overrides it to
+        re-resolve the EOF *under* the write range lock, so concurrent
+        appenders land exactly once instead of overwriting each other at
+        a stale EOF.
         """
         self._check_open()
         self.seek(0, SEEK_END)
@@ -163,6 +158,12 @@ class LargeObject(ABC):
         if self._closed:
             raise ObjectClosedError(
                 f"large object {self.designator!r} is closed")
+
+    def _check_writable(self) -> None:
+        self._check_open()
+        if not self.writable:
+            raise ReadOnlyObject(
+                f"large object {self.designator!r} is open read-only")
 
     # -- conveniences ----------------------------------------------------------------
 

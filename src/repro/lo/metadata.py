@@ -92,10 +92,13 @@ def write_size(db: "Database", txn: "Transaction", oid: int,
     (truncate), where a shrink is legitimate and no concurrent writer can
     exist.
     """
+    # Sampled *before* the row read: a neighbour that commits its size
+    # replace between the two must be noticed under the lock, or we
+    # would replace a row version that is already dead.
+    epoch = db.clog.visibility_epoch
     row = size_row(db, oid, db.snapshot(txn))
     if not exact and row.values[1] >= size:
         return  # our high-water mark is already (or about to be) merged
-    epoch = db.clog.visibility_epoch
     db.locks.acquire(txn.xid, ("losize", oid), LockMode.EXCLUSIVE)
     if db.clog.visibility_epoch != epoch:
         # The lock waited out another committer; re-read under the lock.

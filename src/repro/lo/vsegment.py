@@ -32,17 +32,10 @@ from typing import TYPE_CHECKING
 from repro.access.scan import IndexRangeScan
 from repro.access.tuples import TID, HeapTuple
 from repro.compress.base import Compressor
-from repro.errors import (
-    LargeObjectError,
-    NoActiveTransaction,
-    ReadOnlyObject,
-)
-from repro.lo import metadata
+from repro.errors import LargeObjectError
+from repro.lo.chunked import ChunkedObject
 from repro.lo.fchunk import FChunkObject
-from repro.lo.interface import LargeObject
-from repro.txn.locks import LockMode
 from repro.txn.manager import Transaction
-from repro.txn.rangelock import IntervalSet, lo_range, lo_whole
 from repro.txn.snapshot import Snapshot
 
 if TYPE_CHECKING:
@@ -77,163 +70,45 @@ def segment_index_name(oid: int) -> str:
     return f"lo_{oid}_segidx"
 
 
-class VSegmentObject(LargeObject):
+class VSegmentObject(ChunkedObject):
     """An open v-segment large object."""
 
     impl = "vsegment"
+    _unit = "segment"
 
     def __init__(self, db: "Database", oid: int, compressor: Compressor,
                  store: FChunkObject, txn: Transaction | None,
                  writable: bool, as_of: float | None = None):
-        if writable and txn is None:
-            raise NoActiveTransaction(
-                f"opening large object {oid} for writing requires a "
-                f"transaction")
-        if writable and as_of is not None:
-            raise LargeObjectError("historical (as-of) opens are read-only")
-        super().__init__(f"lo:{oid}", writable)
-        self.db = db
-        self.oid = oid
-        self.txn = txn
-        self.as_of = as_of
-        self.compressor = compressor
+        super().__init__(db, oid, compressor, txn, writable, as_of,
+                         segment_class_name(oid), segment_index_name(oid))
         self.store = store
-        self.relation = db.get_class(segment_class_name(oid))
-        self.index = db.get_index(segment_index_name(oid))
-        # Deferred size: materialized at close/commit, like f-chunk's.
-        self._pending_size: int | None = None
-        #: Highest byte-end this transaction itself has written (or the
-        #: size its own truncate set) — see f-chunk's ``_own_high``.
-        self._own_high = 0
         # Descriptor-level LRU of decompressed segments (see
-        # SEGMENT_CACHE_ENTRIES for why TID keys are safe).
+        # SEGMENT_CACHE_ENTRIES for why TID keys are safe — and why
+        # there is no ``_committed_moved`` here).
         self._segment_cache: OrderedDict[TID, bytes] = OrderedDict()
-        self._cache_stats = db.lo.cache_stats
-        # Model-fidelity gate (same rule as f-chunk): segment-map and
-        # size memos skip index scans the cost model charges for, so
-        # they engage only in wall-clock mode and only for descriptors
-        # outside a transaction (the visibility epoch cannot witness a
-        # transaction's own writes).
-        self._fast = db.bufmgr.cpu is None
-        self._size_cache: tuple[int, int] | None = None
-        #: (epoch, records sorted by locn, their locns) — the whole
-        #: visible segment map, fetched with one range scan and then
-        #: answered with bisect until something commits.
-        self._segmap_cache: tuple[int, list[HeapTuple],
-                                  list[int]] | None = None
-        #: Byte spans this descriptor holds EXCLUSIVE range locks on
-        #: (writable only).
-        self._locked = IntervalSet()
-        self._whole_locked = False
-        self._commit_epoch = db.clog.visibility_epoch
-        if writable:
-            self._pending_size = metadata.read_size(
-                db, oid, self._snapshot())
-            txn.before_commit.append(self.flush)
 
-    # -- snapshots / size ---------------------------------------------------------
+    # -- protocol hooks -------------------------------------------------------------
 
-    def _snapshot(self) -> Snapshot:
-        return self.db.snapshot(self.txn, as_of=self.as_of)
-
-    # -- range locking / concurrent-commit refresh --------------------------------
-
-    def _refresh_committed(self, force: bool = False) -> None:
-        """Re-derive the pending size from the committed size.
-
-        Epoch-gated like f-chunk's: free while nothing commits anywhere,
-        one size probe when something has.  Without this, a writer whose
-        neighbour committed an extension would see a stale EOF and
-        zero-fill a "gap" right over the neighbour's committed bytes.
-        The fold is max(committed, own writes) in *both* directions — a
-        neighbour's committed truncate legitimately shrinks the size,
-        and ratcheting up only would land appends past the new EOF.
-        Skipped once the whole-object lock is held (nobody else can
-        commit a size change then, and the descriptor's own in-flight
-        truncate must not be clobbered); ``force`` is the one-time fold
-        done while acquiring that lock.
-        """
-        if self._pending_size is None:
-            return
-        if self._whole_locked and not force:
-            return
-        epoch = self.db.clog.visibility_epoch
-        if epoch == self._commit_epoch and not force:
-            return
-        self._commit_epoch = epoch
-        committed = metadata.read_size(self.db, self.oid, self._snapshot())
-        self._pending_size = max(committed, self._own_high)
-
-    def _lock_span(self, start: int, end: int) -> None:
-        """EXCLUSIVE range lock on ``[start, end)`` padded by SEGMENT_MAX
-        (edge-segment merges) and rounded out to LOCK_GRAIN_BYTES."""
-        if self._whole_locked:
-            return
+    def _lock_bounds(self, start: int, end: int) -> tuple[int, int]:
         grain = LOCK_GRAIN_BYTES
-        lo = (max(0, start - SEGMENT_MAX) // grain) * grain
-        hi = ((max(end, start + 1) + SEGMENT_MAX + grain - 1)
-              // grain) * grain
-        if self._locked.covers(lo, hi):
-            return
-        self.db.locks.acquire(self.txn.xid, lo_range(self.oid, lo, hi),
-                              LockMode.EXCLUSIVE)
-        self._locked.add(lo, hi)
-        self._refresh_committed()
+        return ((max(0, start - SEGMENT_MAX) // grain) * grain,
+                ((max(end, start + 1) + SEGMENT_MAX + grain - 1)
+                 // grain) * grain)
 
-    def _lock_whole(self) -> None:
-        if self._whole_locked:
-            return
-        self.db.locks.acquire(self.txn.xid, lo_whole(self.oid),
-                              LockMode.EXCLUSIVE)
-        self._locked.add(0, None)
-        # Fold the committed size one last time, then freeze: while the
-        # whole lock is held nobody else can commit a size change.
-        self._refresh_committed(force=True)
-        self._whole_locked = True
-
-    def _size(self) -> int:
-        if self._pending_size is not None:
-            self._refresh_committed()
-            return self._pending_size
-        if self._fast and self.txn is None:
-            epoch = self.db.clog.visibility_epoch
-            cached = self._size_cache
-            if cached is not None and cached[0] == epoch:
-                return cached[1]
-            size = metadata.read_size(self.db, self.oid, self._snapshot())
-            self._size_cache = (epoch, size)
-            return size
-        return metadata.read_size(self.db, self.oid, self._snapshot())
-
-    def flush(self) -> None:
-        """Materialize the pending size row (and the store's buffer)."""
-        if self._closed or self._pending_size is None:
-            return
+    def _flush_data(self) -> None:
         self.store.flush()
-        metadata.write_size(self.db, self.txn, self.oid,
-                            self._pending_size,
-                            exact=self._whole_locked)
+
+    def _close_data(self) -> None:
+        self.store.close()
 
     # -- segment lookup --------------------------------------------------------------
-
-    def _segment_anomaly(self, key, count: int) -> LargeObjectError:
-        """Anomaly diagnostic for the scan layer's ``unique`` mode.
-
-        Two visible versions of the segment at one ``locn`` would mean
-        ``_read_at`` lets whichever sorts later silently overwrite the
-        other's bytes — that is a snapshot anomaly, diagnosed exactly as
-        f-chunk diagnoses duplicate chunk versions.
-        """
-        return LargeObjectError(
-            f"large object {self.oid}: {count} visible versions of "
-            f"segment {key[0]} (snapshot anomaly)")
 
     def _segments_overlapping(self, start: int, end: int,
                               snapshot: Snapshot | None = None
                               ) -> list[HeapTuple]:
         """Visible segment records intersecting ``[start, end)``, sorted."""
-        if self._fast and self.txn is None:
-            records, locns = self._segment_map()
+        if self._memoizing:
+            records, locns = self._memo("segmap", self._segment_map)
             # Segments never exceed SEGMENT_MAX, so an overlapping one
             # starts at locn in [start - SEGMENT_MAX, end).
             i = bisect_left(locns, start - SEGMENT_MAX)
@@ -245,7 +120,7 @@ class VSegmentObject(LargeObject):
         lo_key = max(0, start - SEGMENT_MAX)
         scan = IndexRangeScan(self.db, self.index, self.relation,
                               (lo_key,), (end - 1,),
-                              unique=True, anomaly=self._segment_anomaly)
+                              unique=True, anomaly=self._anomaly)
         found = [tup for _key, tup in scan.visible(snapshot)
                  if tup.values[0] + tup.values[1] > start
                  and tup.values[0] < end]
@@ -253,25 +128,15 @@ class VSegmentObject(LargeObject):
         return found
 
     def _segment_map(self) -> tuple[list[HeapTuple], list[int]]:
-        """The whole visible segment map, epoch-cached (fast mode only).
-
-        One range scan over the entire index replaces one scan per read;
-        the memo stays valid until any transaction commits or aborts
-        (the epoch token), at which point it is rebuilt.  Only read-only
-        descriptors outside a transaction qualify — see ``_fast``.
-        """
-        epoch = self.db.clog.visibility_epoch
-        cached = self._segmap_cache
-        if cached is not None and cached[0] == epoch:
-            return cached[1], cached[2]
+        """The whole visible segment map (records sorted by locn, their
+        locns): memoized, one range scan over the entire index replaces
+        one scan per read and is then answered with bisect."""
         scan = IndexRangeScan(self.db, self.index, self.relation,
                               None, None,
-                              unique=True, anomaly=self._segment_anomaly)
+                              unique=True, anomaly=self._anomaly)
         records = [tup for _key, tup in scan.visible(self._snapshot())]
         records.sort(key=lambda t: t.values[0])
-        locns = [t.values[0] for t in records]
-        self._segmap_cache = (epoch, records, locns)
-        return records, locns
+        return records, [t.values[0] for t in records]
 
     def _segment_bytes(self, record: HeapTuple) -> bytes:
         """Decompressed contents of one segment (LRU-cached)."""
@@ -327,18 +192,9 @@ class VSegmentObject(LargeObject):
     def _write_at(self, offset: int, data: bytes) -> None:
         self.txn.require_active()
         # Lock a span covering the write *and* any gap it will zero-fill
-        # from the current EOF.  The gap start depends on the size, which
-        # can shrink while the lock request waits (a committing truncate
-        # holds [0, inf)) — so re-check after the grant and widen if the
-        # locked span no longer reaches the new, lower EOF.
-        while True:
-            self._refresh_committed()
-            size = self._size()
-            start = min(offset, size)
-            self._lock_span(start, offset + len(data))
-            self._refresh_committed()
-            if min(offset, self._size()) >= start:
-                break
+        # from the current EOF (which can shrink while the lock request
+        # waits out a committing truncate — hence the retry helper).
+        self._lock_from_eof(len(data), offset)
         size = self._size()
         if offset > size:
             # Zero-fill the gap so the object is dense.
@@ -369,8 +225,7 @@ class VSegmentObject(LargeObject):
 
         merged = head + data + tail
         self._append_segments(new_start, merged)
-        self._own_high = max(self._own_high, end)
-        self._pending_size = max(self._pending_size, end)
+        self._note_write(end)
 
     def _append_segments(self, locn: int, data: bytes) -> None:
         """Compress *data* into fresh segments appended to the store.
@@ -399,8 +254,7 @@ class VSegmentObject(LargeObject):
         self._lock_whole()
         current = self._size()
         if size >= current:
-            self._own_high = size
-            self._pending_size = size  # sparse: reads zero-fill holes
+            self._note_truncate(size)  # sparse: reads zero-fill holes
             return
         # Delete every segment record past the cut; re-append the trimmed
         # prefix of the boundary segment as a fresh segment.  The store
@@ -413,56 +267,4 @@ class VSegmentObject(LargeObject):
             self.db.delete(self.txn, self.relation.name, record.tid)
             if keep:
                 self._append_segments(locn, keep)
-        self._own_high = size
-        self._pending_size = size
-
-    # -- append ----------------------------------------------------------------------------
-
-    def append(self, data: bytes) -> int:
-        """Write *data* at end-of-file, atomically under concurrency.
-
-        Same protocol as f-chunk's: resolve the EOF *under* the range
-        lock, retrying if granting the lock waited out another appender's
-        committed extension.
-        """
-        self._check_open()
-        if not self.writable:
-            raise ReadOnlyObject(
-                f"large object {self.designator!r} is open read-only")
-        data = bytes(data)
-        if not data:
-            return 0
-        self.txn.require_active()
-        while True:
-            self._refresh_committed()
-            start = self._size()
-            self._lock_span(start, start + len(data))
-            self._refresh_committed()
-            if self._size() == start:
-                break
-        self._write_at(start, data)
-        self._pos = start + len(data)
-        return len(data)
-
-    def _close(self) -> None:
-        if self.writable:
-            self.flush()
-            # Mirror f-chunk: a closed descriptor must not stay pinned by
-            # the transaction's before-commit hook list.
-            try:
-                self.txn.before_commit.remove(self.flush)
-            except ValueError:
-                pass
-        self.store.close()
-
-    # -- storage accounting (Figure 1) -----------------------------------------------------
-
-    def storage_breakdown(self) -> dict[str, int]:
-        """Bytes on the device: compressed data, segment map, B-trees."""
-        store_sizes = self.store.storage_breakdown()
-        return {
-            "data": store_sizes["data"],
-            "segment_map": self.relation.byte_size(),
-            "btree": self.index.byte_size(),
-            "store_btree": store_sizes["btree"],
-        }
+        self._note_truncate(size)

@@ -6,14 +6,15 @@ Serve one database over the repro wire protocol::
     repro-server --port 5435          # fixed port
     repro-server --path ./data        # persistent database directory
 
-The process runs until interrupted (Ctrl-C); every connected client's
-open transaction is rolled back on shutdown, exactly as if the client
-had disconnected.
+The process runs until interrupted (Ctrl-C or SIGTERM); every connected
+client's open transaction is rolled back on shutdown, exactly as if the
+client had disconnected.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import threading
 
@@ -40,6 +41,8 @@ def main(argv: list[str] | None = None) -> int:
     server = ReproServer(db, host=args.host, port=args.port)
     host, port = server.start()
     print(f"repro-server listening on {host}:{port}", flush=True)
+    # SIGTERM (a supervisor's stop) takes the same path as Ctrl-C.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         # Nothing to do on the main thread: connection threads carry the
         # work.  Park until the user interrupts.

@@ -95,6 +95,12 @@ class ReproServer:
             return
         self._stopping.set()
         listener, self._listener = self._listener, None
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() does (and is refused on some platforms).
+        try:
+            listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=10.0)

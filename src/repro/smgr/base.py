@@ -104,6 +104,9 @@ class MemoryBlockStore(BlockStore):
 
     def __init__(self) -> None:
         self._files: dict[str, dict[int, bytearray]] = {}
+        #: Per-file :meth:`nblocks`, kept as a high-water mark so the
+        #: once-per-block callers never pay a pass over the whole file.
+        self._nblocks: dict[str, int] = {}
 
     def _blocks(self, fileid: str) -> dict[int, bytearray]:
         if fileid not in self._files:
@@ -113,16 +116,18 @@ class MemoryBlockStore(BlockStore):
 
     def create(self, fileid: str) -> None:
         self._files.setdefault(fileid, {})
+        self._nblocks.setdefault(fileid, 0)
 
     def exists(self, fileid: str) -> bool:
         return fileid in self._files
 
     def unlink(self, fileid: str) -> None:
         self._files.pop(fileid, None)
+        self._nblocks.pop(fileid, None)
 
     def nblocks(self, fileid: str) -> int:
-        blocks = self._blocks(fileid)
-        return max(blocks) + 1 if blocks else 0
+        self._blocks(fileid)  # validate existence
+        return self._nblocks[fileid]
 
     def read(self, fileid: str, blockno: int) -> bytearray:
         block = self._blocks(fileid).get(blockno)
@@ -132,6 +137,8 @@ class MemoryBlockStore(BlockStore):
 
     def write(self, fileid: str, blockno: int, data: bytes) -> None:
         self._blocks(fileid)[blockno] = bytearray(data)
+        if blockno >= self._nblocks[fileid]:
+            self._nblocks[fileid] = blockno + 1
 
     def discard(self, fileid: str, blockno: int) -> None:
         self._files.get(fileid, {}).pop(blockno, None)

@@ -396,34 +396,22 @@ class TestDurabilityBugfixes:
 class TestDescriptorHookDeregistration:
     """Closed LO descriptors must not stay pinned by before_commit."""
 
-    def test_fchunk_close_deregisters_flush_hook(self):
+    @pytest.mark.parametrize("impl", ["fchunk", "vsegment"])
+    def test_close_deregisters_flush_hooks(self, impl):
         db = Database()
         txn = db.begin()
-        designator = db.lo.create(txn, "fchunk")
+        designator = db.lo.create(txn, impl)
         baseline = len(txn.before_commit)
         for i in range(25):
             with db.lo.open(designator, txn, "rw") as obj:
                 obj.seek(0)
                 obj.write(bytes([i + 1]) * 16)
+        # A v-segment open registers two hooks (descriptor + its byte
+        # store); each close must remove every one it added.
         assert len(txn.before_commit) == baseline
         txn.commit()
         with db.lo.open(designator) as obj:
             assert obj.read() == bytes([25]) * 16
-        db.close()
-
-    def test_vsegment_close_deregisters_both_hooks(self):
-        db = Database()
-        txn = db.begin()
-        designator = db.lo.create(txn, "vsegment")
-        baseline = len(txn.before_commit)
-        for i in range(10):
-            with db.lo.open(designator, txn, "rw") as obj:
-                obj.seek(0)
-                obj.write(bytes([i + 1]) * 16)
-        # Each open registers two hooks (descriptor + its byte store);
-        # each close must remove both.
-        assert len(txn.before_commit) == baseline
-        txn.commit()
         db.close()
 
     def test_open_descriptor_still_flushed_at_commit(self):

@@ -8,6 +8,7 @@ acceptance-criteria scenario for the server plus range-lock PR.
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -243,6 +244,20 @@ def _verify_appends(db, designator, n_clients, count):
         per_client[int(record[1:3])].append(int(record[4:8]))
     for client_no, seqs in per_client.items():
         assert seqs == list(range(count)), f"client {client_no}: {seqs}"
+
+
+def test_stop_of_idle_server_is_prompt(served):
+    """stop() must wake the accept thread itself, not wait out the join
+    timeout: close() alone leaves accept() blocked on Linux."""
+    _db, server = served
+    with ServerClient(*server.address):
+        pass  # one accept() has returned...
+    time.sleep(0.1)  # ...and the loop is parked in the next
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < 1.0
+    assert not [t.name for t in threading.enumerate()
+                if t.name.startswith("repro-server")]
 
 
 def test_four_concurrent_clients_smoke(served):

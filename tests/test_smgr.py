@@ -100,6 +100,28 @@ class TestCommonBehaviour:
         assert stats["writes"] >= 1
 
 
+@pytest.mark.parametrize("kind", ["disk", "memory"])
+def test_block_store_sparse_write_sets_nblocks(kind, tmp_path):
+    """The store contract under the managers: one past the highest block
+    written, holes read as zeros, unlink forgets the length."""
+    from repro.smgr.base import DiskBlockStore, MemoryBlockStore
+    store = (DiskBlockStore(str(tmp_path)) if kind == "disk"
+             else MemoryBlockStore())
+    store.create("t")
+    assert store.nblocks("t") == 0
+    store.write("t", 5, block(5))
+    assert store.nblocks("t") == 6
+    store.write("t", 2, block(2))  # below the mark: no change
+    store.write("t", 5, block(9))  # overwrite: no change
+    assert store.nblocks("t") == 6
+    assert bytes(store.read("t", 3)) == bytes(PAGE_SIZE)
+    assert bytes(store.read("t", 5)) == block(9)
+    store.unlink("t")
+    store.create("t")
+    assert store.nblocks("t") == 0
+    store.close()
+
+
 class TestDiskSpecific:
     def test_survives_reopen(self, tmp_path):
         clock = SimClock()

@@ -138,12 +138,14 @@ def _mixed_workload(db, designator, tid_box, n_threads, txns_per_thread,
 
 
 @pytest.fixture
-def arena():
+def arena(request):
+    """One database, one counter row, one shared large object — f-chunk
+    unless the test asks for another implementation (indirect param)."""
     db = Database(charge_cpu=False)
     db.create_class("counters", [("value", "int4")])
     with db.begin() as txn:
         tid = db.insert(txn, "counters", (0,))
-        designator = db.lo.create(txn, "fchunk")
+        designator = db.lo.create(txn, getattr(request, "param", "fchunk"))
     yield db, designator, [tid]
     db.close()
 
@@ -191,8 +193,12 @@ def _disjoint_range_workload(db, designator, n_threads, span, timeout=120.0):
 
     # The tentpole claim: disjoint-range writers never queue on the
     # object's range lock — the per-object serialization of the old
-    # whole-object EXCLUSIVE lock is gone.
-    assert db.locks.stats.range_waits == waits_before
+    # whole-object EXCLUSIVE lock is gone.  F-chunk only: v-segment
+    # writers gap-fill from the EOF and share one byte store whose
+    # reserved extents are adjacent, so their range locks legitimately
+    # collide; for them only the byte-exactness below is claimed.
+    if db.lo.implementation(designator) == "fchunk":
+        assert db.locks.stats.range_waits == waits_before
 
     with db.lo.open(designator) as obj:
         for i in range(n_threads):
@@ -213,6 +219,44 @@ def test_disjoint_range_writers_stress(arena):
     db, designator, _ = arena
     _disjoint_range_workload(db, designator, n_threads=8, span=40000,
                              timeout=300.0)
+
+
+def test_size_row_replaced_between_row_read_and_size_lock(arena,
+                                                          monkeypatch):
+    """The disjoint-range race above, made deterministic: a neighbour
+    commits its extension after ``write_size`` read the size row and
+    before it holds the ``losize`` lock.  The committer must notice and
+    re-read, not replace a row version that is already dead."""
+    from repro.lo import metadata
+    from repro.lo.fchunk import LOCK_GRAIN_CHUNKS
+    from repro.storage.constants import CHUNK_PAYLOAD
+    db, designator, _ = arena
+    grain = CHUNK_PAYLOAD * LOCK_GRAIN_CHUNKS
+    size_row = metadata.size_row
+    armed = []
+
+    def size_row_then_neighbour_commits(*args):
+        row = size_row(*args)
+        if armed:
+            armed.clear()
+            with db.begin() as neighbour:
+                with db.lo.open(designator, neighbour, "rw") as obj:
+                    obj.seek(grain)
+                    obj.write(b"N" * 10)
+        return row
+
+    monkeypatch.setattr(metadata, "size_row",
+                        size_row_then_neighbour_commits)
+    with db.begin() as txn:
+        with db.lo.open(designator, txn, "rw") as obj:
+            obj.write(b"V" * 100)
+            armed.append(True)  # next size-row read: this close's flush
+    assert not armed
+    with db.lo.open(designator) as obj:
+        assert obj.size() == grain + 10
+        assert obj.read(100) == b"V" * 100
+        obj.seek(grain)
+        assert obj.read() == b"N" * 10
 
 
 def test_overlapping_writers_conflict(arena):
@@ -273,6 +317,17 @@ def test_overlapping_writers_conflict(arena):
     with db.lo.open(designator) as obj:
         data = obj.read()
     assert data == b"A" * 50 + b"B" * 100
+
+
+@pytest.mark.parametrize("arena", ["vsegment"], indirect=True)
+@pytest.mark.parametrize("case", [test_threaded_mixed_workload_smoke,
+                                  test_disjoint_range_writers_do_not_wait,
+                                  test_overlapping_writers_conflict],
+                         ids=lambda case: case.__name__)
+def test_vsegment_arena(arena, case):
+    """One protocol, both inputs: the tier-1 cases above, unchanged, on a
+    v-segment object."""
+    case(arena)
 
 
 @pytest.mark.stress
