@@ -65,6 +65,30 @@ class TestBTreeMicro:
         assert result == [(2500, 0)]
 
 
+@pytest.mark.perf
+class TestTupleCodecMicro:
+    """Batch schema codecs (``encode_many``/``decode_many``): the per-row
+    cost under every scan and heap insert."""
+
+    @pytest.mark.parametrize("direction", ["encode", "decode"])
+    def test_tuple_codec_batch(self, benchmark, direction):
+        from repro.access.schema import Attribute, Schema
+        schema = Schema([
+            Attribute("id", "int4"), Attribute("oid", "oid"),
+            Attribute("weight", "float8"), Attribute("live", "bool"),
+            Attribute("label", "text"), Attribute("payload", "bytea"),
+        ])
+        rows = [(i, i * 7, i * 0.5, i % 2 == 0,
+                 None if i % 17 == 0 else f"row-{i}",
+                 bytes((i + j) & 0xFF for j in range(120)))
+                for i in range(512)]
+        images = schema.encode_many(rows)
+        if direction == "encode":
+            assert benchmark(schema.encode_many, rows) == images
+        else:
+            assert benchmark(schema.decode_many, images) == rows
+
+
 class TestCompressionMicro:
     @pytest.mark.parametrize("name", ["zero-rle", "zlib"])
     def test_compress_frame(self, benchmark, name):

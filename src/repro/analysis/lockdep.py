@@ -1,6 +1,6 @@
 """Interprocedural lock-order analysis: rules R008 and R009.
 
-The per-module rules (R001–R007) judge one file at a time; a lock
+The per-module rules (R001, R003–R007) judge one file at a time; a lock
 hierarchy cannot be checked that way, because the function that takes
 the mutex and the function that blocks under it are usually in
 different files.  This pass builds a lightweight whole-program view of

@@ -1,4 +1,4 @@
-"""The project-specific invariant rules (R001–R007).
+"""The project-specific invariant rules (R001, R003–R007).
 
 Each rule encodes one discipline the engine's correctness rests on; the
 prose catalogue (with the reasoning and the suppression policy) is
@@ -106,65 +106,6 @@ class RawAccessRule(Rule):
                 f" outside the scan layer — use the descriptors in "
                 f"repro.access.scan (IndexProbe/IndexRangeScan/SeqScan), "
                 f"which own latching and visibility")
-
-
-# -- R002: heavyweight locks are taken before the latch, never under it -------------
-
-
-@register
-class LatchOrderRule(Rule):
-    """No heavyweight-lock acquisition lexically inside a latch block.
-
-    DESIGN.md §5c: heavyweight locks are always acquired *before* the
-    engine latch and never while holding it — a transaction parked on
-    an unbounded lock queue while holding the latch stalls every reader
-    in the system.  Flags ``*.locks.acquire(...)`` (and
-    ``lock_manager`` / ``LockManager`` spellings) inside any
-    ``with <...>latch<...>:`` or ``with EngineLatch():`` block.
-    """
-
-    id = "R002"
-    name = "latch-order"
-    summary = ("heavyweight locks (LockManager) must be acquired before "
-               "the engine latch, never inside a `with ...latch:` block")
-
-    LOCK_OWNERS = frozenset({"locks", "lock_manager", "lock_mgr",
-                             "LockManager"})
-
-    def _is_latch_expr(self, expr: ast.AST) -> bool:
-        chain = dotted(expr)
-        if chain is not None and "latch" in chain.rsplit(".", 1)[-1].lower():
-            return True
-        if isinstance(expr, ast.Call):
-            name = dotted(expr.func)
-            if name is not None and name.rsplit(".", 1)[-1] == "EngineLatch":
-                return True
-        return False
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.With, ast.AsyncWith)):
-                continue
-            if not any(self._is_latch_expr(item.context_expr)
-                       for item in node.items):
-                continue
-            for inner in node.body:
-                for call in ast.walk(inner):
-                    if not (isinstance(call, ast.Call)
-                            and isinstance(call.func, ast.Attribute)
-                            and call.func.attr == "acquire"):
-                        continue
-                    chain = dotted(call.func)
-                    if chain is None:
-                        continue
-                    owners = chain.split(".")[:-1]
-                    if any(part in self.LOCK_OWNERS for part in owners):
-                        yield self.finding(
-                            module, call,
-                            f"`{chain}` inside a latch block — heavyweight "
-                            f"locks may block indefinitely and must be "
-                            f"acquired before the engine latch "
-                            f"(DESIGN.md §5c)")
 
 
 # -- R003: block I/O flows through the storage-manager switch -----------------------

@@ -6,7 +6,6 @@ Examples::
     repro-bench fig1 fig3 --scale 1  # full 51.2 MB object
     repro-bench all --scale 0.05     # quick smoke of every figure
     repro-bench claims               # paper-claim checklist (see below)
-    repro-bench trajectory --out BENCH_7.json --compare BENCH_6.json
     repro-bench topology             # sharded throughput vs node count
 """
 
@@ -23,12 +22,8 @@ from repro.bench.report import render_table
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # The trajectory suite has its own option set (modes, snapshot
-    # comparison) orthogonal to the figure knobs, so it dispatches before
-    # the figure parser sees the arguments.
-    if argv and argv[0] == "trajectory":
-        from repro.bench.trajectory import main as trajectory_main
-        return trajectory_main(argv[1:])
+    # The topology sweep has its own option set, orthogonal to the figure
+    # knobs, so it dispatches before the figure parser sees the arguments.
     if argv and argv[0] == "topology":
         from repro.bench.topology import main as topology_main
         return topology_main(argv[1:])

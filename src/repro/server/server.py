@@ -141,6 +141,10 @@ class ReproServer:
                 thread = threading.Thread(
                     target=self._serve_connection, args=(conn, conn_id),
                     name=f"repro-server-conn-{conn_id}", daemon=True)
+                # Forget handlers that have returned, so the list is
+                # bounded by live connections, not connections ever served.
+                self._conn_threads = [t for t in self._conn_threads
+                                      if t.is_alive()]
                 self._conn_threads.append(thread)
             thread.start()
 

@@ -3,9 +3,8 @@
 The engine has five interacting synchronization layers — strict-2PL
 heavyweight locks, byte-range LO locks, the engine latch, Inversion
 path locks, and a handful of short-critical-section mutexes.  Their
-ordering rules have so far lived as prose in DESIGN.md §"Locking
-discipline" and as one lexical lint rule (R002).  This module turns
-them into data:
+ordering rules used to live only as prose in DESIGN.md §"Locking
+discipline".  This module turns them into data:
 
 * :data:`HIERARCHY` declares every lock *class* with a rank and a
   domain.  Lower rank = acquired earlier (outermost).  The static

@@ -47,8 +47,8 @@ def lint(tmp_path: Path, rel: str, source: str, rule_id: str):
 class TestRegistry:
     def test_all_rules_registered(self):
         ids = [rule.id for rule in all_rules()]
-        for expected in ("R001", "R002", "R003", "R004", "R005", "R006",
-                         "R007"):
+        for expected in ("R001", "R003", "R004", "R005", "R006", "R007",
+                         "R008", "R009"):
             assert expected in ids
 
     def test_unknown_rule_raises(self):
@@ -103,57 +103,6 @@ class TestR001RawAccess:
         """
         report = lint(tmp_path, "inversion/filesystem.py", source, "R001")
         assert [f.rule for f in report.findings] == ["R001"]
-
-
-class TestR002LatchOrder:
-    VIOLATION = """\
-        def insert(db, txn, name):
-            with db.latch:
-                db.locks.acquire(txn.xid, ("relation", name), "shared")
-    """
-
-    def test_fires_inside_latch_block(self, tmp_path):
-        report = lint(tmp_path, "db.py", self.VIOLATION, "R002")
-        assert [f.rule for f in report.findings] == ["R002"]
-        assert "before the engine latch" in report.findings[0].message
-
-    def test_suppressed(self, tmp_path):
-        source = self.VIOLATION.replace(
-            '"shared")', '"shared")  # repro: allow(R002)')
-        report = lint(tmp_path, "db.py", source, "R002")
-        assert report.findings == []
-        assert report.suppressed == 1
-
-    def test_lock_before_latch_is_clean(self, tmp_path):
-        source = """\
-            def insert(db, txn, name):
-                db.locks.acquire(txn.xid, ("relation", name), "shared")
-                with db.latch:
-                    db.get_class(name).insert(txn, ())
-        """
-        report = lint(tmp_path, "db.py", source, "R002")
-        assert report.findings == []
-
-    def test_private_latch_spelling_and_engine_latch_call(self, tmp_path):
-        source = """\
-            def bad(self, txn):
-                with self._latch:
-                    self.lock_manager.acquire(txn.xid, "r", "x")
-            def also_bad(db, txn):
-                with EngineLatch():
-                    db.locks.acquire(txn.xid, "r", "x")
-        """
-        report = lint(tmp_path, "db.py", source, "R002")
-        assert [f.rule for f in report.findings] == ["R002", "R002"]
-
-    def test_unrelated_acquire_inside_latch_is_clean(self, tmp_path):
-        source = """\
-            def fine(self):
-                with self._latch:
-                    self._mutex.acquire()
-        """
-        report = lint(tmp_path, "storage/buffer.py", source, "R002")
-        assert report.findings == []
 
 
 class TestR003SmgrOnlyIO:
@@ -485,7 +434,7 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R001", "R002", "R003", "R004", "R005", "R006"):
+        for rule_id in ("R001", "R003", "R004", "R005", "R006", "R009"):
             assert rule_id in out
 
     def test_json_format(self, tmp_path, capsys):
@@ -614,6 +563,56 @@ class TestR008LockOrderInversion:
 
 
 class TestR009BlockingUnderMutex:
+    # Lexical case: `with <latch>:` and `*.locks.acquire` in one function.
+    LATCH_VIOLATION = """\
+        def insert(db, txn, name):
+            with db.latch:
+                db.locks.acquire(txn.xid, ("relation", name), "shared")
+    """
+
+    def test_fires_inside_latch_block(self, tmp_path):
+        report = lint(tmp_path, "db.py", self.LATCH_VIOLATION, "R009")
+        assert [f.rule for f in report.findings] == ["R009"]
+        assert "holds latch" in report.findings[0].message
+
+    def test_suppressed(self, tmp_path):
+        source = self.LATCH_VIOLATION.replace(
+            '"shared")', '"shared")  # repro: allow(R009)')
+        report = lint(tmp_path, "db.py", source, "R009")
+        assert report.findings == []
+        assert report.suppressed == 1
+
+    def test_lock_before_latch_is_clean(self, tmp_path):
+        source = """\
+            def insert(db, txn, name):
+                db.locks.acquire(txn.xid, ("relation", name), "shared")
+                with db.latch:
+                    db.get_class(name).insert(txn, ())
+        """
+        report = lint(tmp_path, "db.py", source, "R009")
+        assert report.findings == []
+
+    def test_private_latch_spelling_and_engine_latch_call(self, tmp_path):
+        source = """\
+            def bad(self, txn):
+                with self._latch:
+                    self.lock_manager.acquire(txn.xid, "r", "x")
+            def also_bad(db, txn):
+                with EngineLatch():
+                    db.locks.acquire(txn.xid, "r", "x")
+        """
+        report = lint(tmp_path, "db.py", source, "R009")
+        assert [f.rule for f in report.findings] == ["R009", "R009"]
+
+    def test_unrelated_acquire_inside_latch_is_clean(self, tmp_path):
+        source = """\
+            def fine(self):
+                with self._latch:
+                    self._mutex.acquire()
+        """
+        report = lint(tmp_path, "storage/buffer.py", source, "R009")
+        assert report.findings == []
+
     def test_heavy_acquire_under_mutex_fires(self, tmp_path):
         source = """\
             from repro.txn.lockdep import LockdepMutex

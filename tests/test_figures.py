@@ -1,8 +1,13 @@
-"""Tests for the figure-harness plumbing (small scale, fast)."""
+"""Tests for the figure-harness plumbing (small scale, fast), and the
+exact pin of the simulated Figures 1-3 at scale 0.1."""
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench.figures import (
+    ALL_FIGURES,
     BenchConfig,
     _fresh_db,
     cool_down,
@@ -132,3 +137,31 @@ class TestConfigScaling:
     def test_worm_cache_scales(self):
         assert BenchConfig(scale=1.0).scaled_worm_cache() == 3200
         assert BenchConfig(scale=0.1).scaled_worm_cache() == 320
+
+
+GOLDEN = Path(__file__).parent / "golden" / "figures_scale_0.1.json"
+
+
+def test_simulated_figures_match_the_golden_file_exactly():
+    """Every Figure 1-3 cell at scale 0.1, compared at full float
+    precision: simulated numbers move only with the cost model, and a
+    cost-model change must be deliberate."""
+    config = BenchConfig(scale=0.1)
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == ["fig1", "fig2", "fig3"]
+    drift = []
+    for key, rows in golden.items():
+        cells = ALL_FIGURES[key](config).cells
+        pinned = {(row, col): value for row, cols in rows.items()
+                  for col, value in cols.items()}
+        for row, col in sorted(pinned.keys() | cells.keys()):
+            want, got = pinned.get((row, col)), cells.get((row, col))
+            if want != got:
+                drift.append(f"{key} / {row} / {col} / {want!r} -> {got!r}")
+    assert not drift, (
+        f"{len(drift)} simulated cell(s) differ from {GOLDEN.name} "
+        "(figure / row / column / pinned -> got):\n  "
+        + "\n  ".join(drift)
+        + "\nThe simulated figures move only when the cost model does. "
+        "Regenerate the golden file only in a PR that names the "
+        "cost-model change; otherwise find the charged path that moved.")

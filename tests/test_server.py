@@ -260,6 +260,21 @@ def test_stop_of_idle_server_is_prompt(served):
                 if t.name.startswith("repro-server")]
 
 
+def test_finished_connection_threads_are_forgotten(served):
+    """A long-lived server keeps one Thread per *live* connection, not
+    one per connection ever served."""
+    _db, server = served
+    for _ in range(50):
+        with ServerClient(*server.address):
+            pass
+        # Wait for the handler to notice the hang-up, so each cycle
+        # leaves a finished thread behind for the next accept to drop.
+        deadline = time.monotonic() + 5.0
+        while server._connections and time.monotonic() < deadline:
+            time.sleep(0.001)
+    assert len(server._conn_threads) <= 2
+
+
 def test_four_concurrent_clients_smoke(served):
     """Tier-1 sized acceptance check: 4 socket clients, one object."""
     db, server = served
