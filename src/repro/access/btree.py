@@ -97,7 +97,7 @@ class BTree:
         # Soft node-size ceiling: leave room for one more max-size entry.
         self._node_limit = MAX_TUPLE_SIZE - 64
         #: Debug tripwire (see :mod:`repro.access.scan`): when the owning
-        #: Database runs with ``debug_latch=True`` it points this at the
+        #: Database is built with lockdep armed it points this at the
         #: engine latch's ``held()``, and lookups verify the latch is
         #: taken.  ``None`` (standalone use) disables the check.
         self.latch_probe: Callable[[], bool] | None = None

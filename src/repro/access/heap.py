@@ -59,7 +59,7 @@ class HeapRelation:
         self.fileid = fileid or f"heap_{name}"
         self.fsm = FreeSpaceMap()
         #: Debug tripwire (see :mod:`repro.access.scan`): when the owning
-        #: Database runs with ``debug_latch=True`` it points this at the
+        #: Database is built with lockdep armed it points this at the
         #: engine latch's ``held()``, and visibility reads verify the
         #: latch is taken.  ``None`` (standalone use, tests over a raw
         #: stack) disables the check.

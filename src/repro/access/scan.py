@@ -29,8 +29,8 @@ snapshot-anomaly error instead of silently letting one version shadow
 the other.
 
 The layer is backed by a debug tripwire: when a :class:`~repro.db.Database`
-is constructed with ``debug_latch=True`` (the default under pytest — see
-``tests/conftest.py``), the raw access methods
+is constructed while the lockdep validator is armed (``REPRO_LOCKDEP=1``,
+the default under pytest — see ``tests/conftest.py``), the raw access methods
 (``HeapRelation.fetch``/``fetch_many``, ``BTree.search``/``range_scan``)
 verify the engine latch is held, so any future call site that bypasses
 this layer fails loudly in CI instead of racing in production.

@@ -4,10 +4,10 @@ The concurrency and recovery work (PRs 2–4) made the engine safe by
 *convention*: heavyweight locks before the engine latch, raw heap/index
 access only inside the scan layer, block I/O only through the storage
 manager switch, wall-clock time only from the simulated clock.  Until
-now those conventions were enforced by a runtime tripwire
-(``REPRO_DEBUG_LATCH=1``) that fires only on paths a test happens to
-execute.  This package enforces them *statically*, on every path, as
-part of CI.
+now those conventions were enforced by a runtime tripwire (the latch
+probe, armed with ``REPRO_LOCKDEP=1``) that fires only on paths a test
+happens to execute.  This package enforces them *statically*, on every
+path, as part of CI.
 
 Usage::
 

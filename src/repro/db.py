@@ -45,7 +45,6 @@ from repro.sim.faults import FaultPlan, parse_plan
 from repro.smgr.base import StorageManager, StorageManagerSwitch
 from repro.smgr.cache import CachedStorageManager
 from repro.smgr.disk import DiskStorageManager
-from repro.smgr.faulty import FaultInjector
 from repro.smgr.memory import MemoryStorageManager
 from repro.smgr.sharded import sharded_disk_manager, sharded_memory_manager
 from repro.smgr.worm import WormStorageManager
@@ -73,18 +72,10 @@ class Database:
                  mips: float = 15.0, worm_cache_blocks: int = 1024,
                  charge_cpu: bool = True, no_wait: bool = False,
                  lock_timeout: float | None = None,
-                 debug_latch: bool | None = None,
-                 faulty_base: str = "disk",
                  shard_nodes: int = 4, shard_replication: int = 3,
                  shard_quorum: int | None = None,
                  shard_placement: str = "range"):
         self.path = path
-        #: Which manager the ``"faulty"`` injector wraps — ``"disk"`` by
-        #: default, ``"sharded"`` to run the crash matrix over the
-        #: replicated backend.  A constructor parameter (not post-hoc
-        #: re-registration) because ``__init__`` itself may open
-        #: large-object relations through the switch (orphan recovery).
-        self._faulty_base = faulty_base
         #: Default ``"sharded"`` topology: N nodes, R-of-N replication
         #: (quorum defaults to a majority of R), banded range/hash
         #: placement.  Reopening a durable database must use the same
@@ -118,16 +109,13 @@ class Database:
         #: batches) maintained by the scan descriptors in
         #: :mod:`repro.access.scan`; see ``statistics()["access"]``.
         self.access_stats = AccessStats()
-        #: Debug tripwire: when on, relations and indexes opened through
-        #: this Database assert the engine latch is held on raw reads
-        #: (``fetch``/``fetch_many``/``search``/``range_scan``), so code
-        #: bypassing the scan layer fails loudly instead of racing.
-        #: ``None`` defers to the REPRO_DEBUG_LATCH environment variable
-        #: (armed by tests/conftest.py for the whole suite).
-        if debug_latch is None:
-            debug_latch = os.environ.get(
-                "REPRO_DEBUG_LATCH", "") not in ("", "0")
-        self.debug_latch = debug_latch
+        #: Latch tripwire, armed with the lockdep validator (one runtime
+        #: switch): relations and indexes opened through this Database then
+        #: assert the engine latch is held on raw reads (``fetch``/
+        #: ``fetch_many``/``search``/``range_scan``), so code bypassing the
+        #: scan layer fails loudly instead of racing.
+        self._latch_probe = (self._latch.held if lockdep.VALIDATOR.armed
+                             else None)
 
         if path is not None:
             os.makedirs(path, exist_ok=True)
@@ -159,38 +147,30 @@ class Database:
             self.lo.recover_orphans()
 
     def _register_default_smgrs(self, worm_cache_blocks: int) -> None:
+        # "sharded" is the scale-out backend: blocks striped over N nodes
+        # (each priced as its own magnetic disk), R-of-N quorum replication.
         if self.path is not None:
             base = os.path.join(self.path, "base")
+            shard_dir = os.path.join(self.path, "shard")
             self.switch.register(
                 "disk", lambda: DiskStorageManager(base, self.clock))
+            self.switch.register(
+                "sharded", lambda: sharded_disk_manager(
+                    shard_dir, self.clock, **self._shard_config))
         else:
             # In-memory blocks priced as a magnetic disk: the benchmark mode.
             self.switch.register(
                 "disk", lambda: MemoryStorageManager(
                     self.clock, model=magnetic_disk_device()))
+            self.switch.register(
+                "sharded", lambda: sharded_memory_manager(
+                    self.clock, **self._shard_config))
         self.switch.register(
             "memory", lambda: MemoryStorageManager(self.clock))
         self.switch.register(
             "worm", lambda: CachedStorageManager(
                 WormStorageManager(self.clock), self.clock,
                 capacity_blocks=worm_cache_blocks))
-        # Scale-out backend: blocks striped over N nodes (each priced as
-        # its own magnetic disk) with R-of-N quorum replication.
-        if self.path is not None:
-            shard_dir = os.path.join(self.path, "shard")
-            self.switch.register(
-                "sharded", lambda: sharded_disk_manager(
-                    shard_dir, self.clock, **self._shard_config))
-        else:
-            self.switch.register(
-                "sharded", lambda: sharded_memory_manager(
-                    self.clock, **self._shard_config))
-        # Scripted fault injection over a durable manager: relations
-        # created "with storage manager 'faulty'" behave exactly like the
-        # wrapped base until a plan is armed (Database.inject_faults).
-        self.switch.register(
-            "faulty",
-            lambda: FaultInjector(self.switch.get(self._faulty_base)))
 
     def _bootstrap(self) -> None:
         """Create system classes on first open."""
@@ -283,17 +263,10 @@ class Database:
         with self._latch:
             schema = self._build_schema(columns)
             smgr_name = smgr or self.default_smgr_name
-            manager = self.storage_manager(smgr_name)
-            fileid = f"heap_{name}"
-            self.catalog.add_relation(name, schema, smgr_name, fileid)
-            relation = HeapRelation(name, schema, manager, self.bufmgr,
-                                    self.clog, self.catalog.allocate_oid,
-                                    fileid=fileid)
-            if self.debug_latch:
-                relation.latch_probe = self._latch.held
-            relation.create_storage()
-            self._relations[name] = relation
-            return relation
+            self.storage_manager(smgr_name)  # unknown manager: fail first
+            self.catalog.add_relation(name, schema, smgr_name,
+                                      f"heap_{name}")
+            return self.get_class(name)
 
     def get_class(self, name: str) -> HeapRelation:
         """The (cached) heap relation for class *name*."""
@@ -306,8 +279,7 @@ class Database:
                     self.storage_manager(entry.smgr_name), self.bufmgr,
                     self.clog, self.catalog.allocate_oid,
                     fileid=entry.fileid)
-                if self.debug_latch:
-                    relation.latch_probe = self._latch.held
+                relation.latch_probe = self._latch_probe
                 relation.create_storage()
                 self._relations[name] = relation
             return relation
@@ -336,21 +308,15 @@ class Database:
                 raise SchemaError(
                     f"can only index integer attributes, {attribute!r} "
                     f"is {attr.type_name}")
-            entry = self.catalog.get_relation(relation_name)
-            fileid = f"btree_{name}"
-            self.catalog.add_index(name, relation_name, attribute, fileid)
-            index = BTree(name, self.storage_manager(entry.smgr_name),
-                          self.bufmgr, key_arity=1, fileid=fileid)
-            if self.debug_latch:
-                index.latch_probe = self._latch.held
-            index.create_storage()
+            self.catalog.add_index(name, relation_name, attribute,
+                                   f"btree_{name}")
+            index = self.get_index(name)
             # Index any rows that already exist.
             position = relation.schema.position(attribute)
             for tup in relation.scan_versions():
                 key = tup.values[position]
                 if key is not None:
                     index.insert((key,), (tup.tid.blockno, tup.tid.slot))
-            self._indexes[name] = index
             return index
 
     def get_index(self, name: str) -> BTree:
@@ -364,8 +330,7 @@ class Database:
                 index = BTree(name,
                               self.storage_manager(relation_entry.smgr_name),
                               self.bufmgr, key_arity=1, fileid=entry.fileid)
-                if self.debug_latch:
-                    index.latch_probe = self._latch.held
+                index.latch_probe = self._latch_probe
                 index.create_storage()
                 self._indexes[name] = index
             return index
@@ -611,31 +576,23 @@ class Database:
 
     def inject_faults(self, plan) -> "FaultPlan":
         """Arm a fault plan (a :class:`~repro.sim.faults.FaultPlan` or plan
-        DSL text) over the ``"faulty"`` storage manager and ``pg_log``.
+        DSL text) over the storage-manager switch and ``pg_log``.
 
-        ``on node <k> [after N]: down|slow|flaky|up`` rules additionally
-        drive node health in the ``"sharded"`` manager, whether it is the
-        faulty wrapper's base or addressed directly.
-
-        Returns the armed plan so callers can inspect ``plan.fired``.
+        Block-level rules reach every relation on every manager, ``on node
+        <k> [after N]: down|slow|flaky|up`` rules every storage node; no
+        manager is constructed.  Returns the armed plan so callers can
+        inspect ``plan.fired``.
         """
         if isinstance(plan, str):
             plan = parse_plan(plan)
-        self.switch.get("faulty").arm(plan)
+        self.switch.set_fault_plan(plan)
         self.clog.set_fault_plan(plan)
-        if plan.has_node_rules():
-            self.switch.get("sharded").set_node_plan(plan)
         return plan
 
     def clear_faults(self) -> None:
-        """Disarm any fault plan; injected managers become transparent
-        and every storage node returns to healthy."""
-        self.switch.get("faulty").disarm()
+        """Disarm any fault plan; every storage node returns to healthy."""
+        self.switch.set_fault_plan(None)
         self.clog.set_fault_plan(None)
-        for _name, smgr in list(self.switch.items()):
-            clear_node_plan = getattr(smgr, "clear_node_plan", None)
-            if clear_node_plan is not None:
-                clear_node_plan()
 
     def check_integrity(self) -> list[str]:
         """Read-only consistency sweep over every layer.

@@ -142,13 +142,17 @@ class LargeObject(ABC):
         return self.write(data)
 
     def close(self) -> None:
-        """Release the descriptor.  Idempotent."""
+        """Release the descriptor.  Idempotent.  A failing final flush
+        propagates, but still leaves the descriptor closed and its
+        ``on_close`` callbacks run (e.g. the open-descriptor registry)."""
         if not self._closed:
-            self._close()
-            self._closed = True
-            callbacks, self.on_close = self.on_close, []
-            for callback in callbacks:
-                callback()
+            try:
+                self._close()
+            finally:
+                self._closed = True
+                callbacks, self.on_close = self.on_close, []
+                for callback in callbacks:
+                    callback()
 
     @property
     def closed(self) -> bool:

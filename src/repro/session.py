@@ -76,11 +76,11 @@ class Session:
         recovers: abort releases its locks, letting the survivors run.
         """
         txn = self.require_transaction()
-        self.close_objects()
         try:
-            txn.abort()
+            self.close_objects()
         finally:
             self.txn = None
+            txn.abort()
 
     def require_transaction(self) -> Transaction:
         if not self.in_transaction:
@@ -147,10 +147,17 @@ class Session:
         self.db.lo.unlink(self.require_transaction(), designator)
 
     def close_objects(self) -> None:
-        """Close every large object opened through this session."""
+        """Close every large object opened through this session — all of
+        them even if a final flush fails; the first error is re-raised."""
         objects, self._objects = self._objects, []
+        first_error = None
         for handle in objects:
-            handle.close()
+            try:
+                handle.close()
+            except Exception as exc:
+                first_error = first_error or exc
+        if first_error is not None:
+            raise first_error
 
     # -- lifecycle ----------------------------------------------------------------
 

@@ -3,9 +3,12 @@
 The crash-recovery harness needs faults at exact points in the commit
 pipeline — "tear the second page write to the chunk file", "die after the
 pages are forced but before the ``pg_log`` append".  A :class:`FaultPlan`
-scripts those points declaratively; the consumers are
-:class:`repro.smgr.faulty.FaultInjector` (block I/O and sync) and
-:class:`repro.txn.xlog.CommitLog` (commit-record appends).
+scripts those points declaratively.  The storage-manager switch holds
+the armed plan and stamps it on every manager it hands out, so
+``read``/``write``/``sync`` rules reach every relation on every manager
+(the ``pg_largeobject`` size rows and Inversion system classes included)
+and ``node`` rules every :class:`~repro.smgr.base.StorageNode`;
+:class:`repro.txn.xlog.CommitLog` consults the same plan for ``append``.
 
 Plans are built from :class:`FaultRule` objects or parsed from a one-line
 -per-rule DSL::
@@ -16,9 +19,10 @@ Plans are built from :class:`FaultRule` objects or parsed from a one-line
     on append pg_log:                    crash
     on node   node1            after 40: down
 
-* ``op`` is one of ``read`` / ``write`` / ``sync`` (storage-manager calls),
+* ``op`` is one of ``read`` / ``write`` / ``sync`` (one *logical*
+  storage-manager call, however many replicas it fans out to),
   ``append`` (a ``pg_log`` record write), or ``node`` (a health transition
-  of one storage node in a multi-node manager).
+  of one storage node).
 * the file pattern is an :mod:`fnmatch` glob over the relation file id
   (``pg_log`` for appends, the node id for ``node`` rules).
 * ``after N`` lets the first *N* matching operations through unharmed
@@ -39,6 +43,10 @@ guarded operation raises :class:`SimulatedCrash` immediately, because a
 dead process performs no further I/O.  The test harness catches the
 exception, discards the in-memory database object, and reopens the
 directory from disk.
+
+Every consulted operation is appended to :attr:`FaultPlan.trace` — a cheap
+protocol checker: the force-at-commit tests arm an empty plan and assert
+that a ``sync`` for each touched file follows its writes.
 """
 
 from __future__ import annotations
@@ -117,14 +125,20 @@ class FaultPlan:
         self.halted = False
         #: Human-readable record of every fault delivered, oldest first.
         self.fired: list[str] = []
+        #: Every (operation, fileid) consulted while this plan was armed.
+        self.trace: list[tuple[str, str]] = []
 
     def check(self, op: str, fileid: str) -> FaultRule | None:
         """The rule firing for this operation, or ``None`` to proceed.
 
         Counts the operation against every matching rule, so ``after``
         budgets keep ticking even while another rule is firing first.
+        The first eligible rule wins — except among ``node`` rules (*fileid*
+        is the node id), where the *last* does, so ``on node n0: down`` then
+        ``on node n0 after 6: up`` scripts a transition sequence.
         Raises :class:`SimulatedCrash` outright when the plan is halted.
         """
+        self.trace.append((op, fileid))
         if self.halted:
             raise SimulatedCrash(
                 f"{op} of {fileid!r} after a simulated crash "
@@ -134,38 +148,15 @@ class FaultPlan:
             if not rule.matches(op, fileid):
                 continue
             rule.seen += 1
-            if firing is None and rule.seen > rule.after:
+            if rule.seen > rule.after and (firing is None or op == "node"):
                 firing = rule
         return firing
 
-    def check_node(self, node_id: str) -> FaultRule | None:
-        """The node rule governing this node access, or ``None``.
-
-        Unlike :meth:`check`, the *last* eligible rule wins: a plan can
-        script a transition sequence — ``on node n0: down`` followed by
-        ``on node n0 after 6: up`` — and the later rule overrides the
-        earlier one once its budget is spent.
-        """
-        if self.halted:
-            raise SimulatedCrash(
-                f"node {node_id!r} access after a simulated crash "
-                f"(the harness should have reopened the database)")
-        firing = None
-        for rule in self.rules:
-            if rule.op != "node" or not rule.matches("node", node_id):
-                continue
-            rule.seen += 1
-            if rule.seen > rule.after:
-                firing = rule
-        return firing
-
-    def has_node_rules(self) -> bool:
-        """Whether any rule targets storage-node health (``on node …``)."""
-        return any(rule.op == "node" for rule in self.rules)
-
-    def note(self, detail: str) -> None:
-        """Record a fault delivered without raising (node transitions)."""
-        self.fired.append(detail)
+    def op_count(self, op: str, fileid: str | None = None) -> int:
+        """How many *op* calls (optionally on *fileid*) were consulted."""
+        return sum(1 for seen_op, seen_file in self.trace
+                   if seen_op == op
+                   and (fileid is None or seen_file == fileid))
 
     def fire(self, rule: FaultRule, detail: str) -> None:
         """Deliver *rule*'s fault (always raises).

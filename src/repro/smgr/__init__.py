@@ -18,10 +18,12 @@ reproduction:
   magnetic-disk block cache (see :mod:`repro.smgr.cache`);
 * ``"sharded"`` — blocks striped across N simulated nodes with R-of-N
   quorum replication, read-repair, and rebalancing
-  (:mod:`repro.smgr.sharded`);
-* ``"faulty"`` (:mod:`repro.smgr.faulty`) — wraps another manager with
-  scripted fault injection; the crash-recovery harness routes relations
-  through it to break commits at exact points.
+  (:mod:`repro.smgr.sharded`).
+
+Scripted fault injection is not a manager: the switch holds the armed
+:class:`~repro.sim.faults.FaultPlan` (``Database.inject_faults``) and
+stamps it on every manager it hands out, so — by the same §10 argument —
+a plan reaches every relation, large object and Inversion file.
 """
 
 from repro.smgr.base import (BlockStore, DiskBlockStore, HashPlacement,
@@ -31,7 +33,6 @@ from repro.smgr.base import (BlockStore, DiskBlockStore, HashPlacement,
                              StorageManagerSwitch, StorageNode)
 from repro.smgr.cache import CachedStorageManager
 from repro.smgr.disk import DiskStorageManager
-from repro.smgr.faulty import FaultInjector
 from repro.smgr.memory import MemoryStorageManager
 from repro.smgr.raw import RawWormDevice
 from repro.smgr.sharded import (ShardedStorageManager, sharded_disk_manager,
@@ -57,6 +58,5 @@ __all__ = [
     "ShardedStorageManager",
     "sharded_memory_manager",
     "sharded_disk_manager",
-    "FaultInjector",
     "RawWormDevice",
 ]

@@ -40,6 +40,7 @@ from typing import Callable, Iterator
 from repro.errors import NodeDownError, StorageManagerError
 from repro.sim.clock import SimClock
 from repro.sim.devices import DeviceModel, DevicePort
+from repro.sim.faults import NODE_ACTIONS, FaultPlan
 from repro.storage.constants import PAGE_SIZE
 
 #: Monotone source for per-instance manager identities (never reused, so a
@@ -244,10 +245,6 @@ class DiskBlockStore(BlockStore):
 # Storage nodes
 # ---------------------------------------------------------------------------
 
-#: Failure states a node can be put in (the fault DSL's node actions).
-NODE_STATES = ("up", "down", "slow", "flaky")
-
-
 class StorageNode:
     """One storage node: a block store, its own device, its own health.
 
@@ -272,6 +269,9 @@ class StorageNode:
         self.clock = clock
         self.port = port if port is not None else DevicePort(model, clock)
         self.state = "up"
+        #: The armed fault plan, stamped by the owning manager; a firing
+        #: ``node`` rule moves :attr:`state` just before an access is gated.
+        self.fault_plan: FaultPlan | None = None
         self.slow_factor = slow_factor
         self.flaky_every = max(1, flaky_every)
         self._ops = 0
@@ -280,14 +280,19 @@ class StorageNode:
 
     def set_state(self, state: str) -> bool:
         """Set the failure state; returns True when it actually changed."""
-        if state not in NODE_STATES:
+        if state not in NODE_ACTIONS:
             raise ValueError(
-                f"unknown node state {state!r} (have: {NODE_STATES})")
+                f"unknown node state {state!r} (have: {NODE_ACTIONS})")
         changed = state != self.state
         self.state = state
         return changed
 
     def _gate(self, op: str, fileid: str, blockno: int) -> None:
+        plan = self.fault_plan
+        if plan is not None:
+            rule = plan.check("node", self.node_id)
+            if rule is not None and self.set_state(rule.action):
+                plan.fired.append(f"node {self.node_id}: {rule.action}")
         if self.state == "down":
             self.errors += 1
             raise NodeDownError(
@@ -444,6 +449,44 @@ class StorageManager(ABC):
         #: The switch re-stamps it with the registration name on
         #: construction.
         self.smgr_id = f"{type(self).name}#{next(_SMGR_SEQ)}"
+        #: The armed fault plan, stamped by the switch like ``smgr_id``;
+        #: ``None`` (the default) makes every guard one attribute test.
+        self.fault_plan: FaultPlan | None = None
+
+    # -- fault injection ---------------------------------------------------
+
+    def set_fault_plan(self, plan: FaultPlan | None) -> None:
+        """Arm (or with ``None`` disarm) *plan* over this manager's I/O."""
+        self.fault_plan = plan
+
+    def _inject(self, op: str, fileid: str, blockno: int | None = None,
+                data: bytes | None = None) -> None:
+        """Consult the armed plan for one logical read/write/sync.
+
+        Every concrete ``read_block``/``write_block``/``sync`` calls this
+        first, behind ``if self.fault_plan is not None``.  A firing rule
+        always raises; a ``torn`` write first persists what stable storage
+        would hold — the new prefix over the block's old bytes (zeros for a
+        fresh block) — through the manager's own path, so a replicated
+        manager tears every replica identically.
+        """
+        plan = self.fault_plan
+        rule = plan.check(op, fileid)
+        if rule is None:
+            return
+        if rule.action == "torn":
+            keep = rule.keep_bytes
+            self.fault_plan = None  # the tear itself is not a guarded op
+            try:
+                old = (bytes(self.read_block(fileid, blockno))
+                       if 0 <= blockno < self.nblocks(fileid)
+                       else bytes(PAGE_SIZE))
+                self.write_block(fileid, blockno,
+                                 bytes(data)[:keep] + old[keep:])
+            finally:
+                self.fault_plan = plan
+        where = "" if blockno is None else f" block {blockno}"
+        plan.fire(rule, f"{op} {fileid!r}{where}")
 
     # -- file lifecycle ----------------------------------------------------
 
@@ -534,6 +577,15 @@ class NodeAddressedManager(StorageManager):
         """Indices into :attr:`nodes` holding this block, primary first."""
         return self.placement.replicas(fileid, blockno, len(self.nodes))
 
+    def set_fault_plan(self, plan: FaultPlan | None) -> None:
+        """Stamp *plan* on the manager and on every node (for ``node``
+        rules); disarming also returns every node to healthy."""
+        super().set_fault_plan(plan)
+        for node in self.nodes:
+            node.fault_plan = plan
+            if plan is None:
+                node.set_state("up")
+
     # -- file lifecycle (every node's store knows every file) ---------------
 
     def create(self, fileid: str) -> None:
@@ -561,6 +613,8 @@ class NodeAddressedManager(StorageManager):
     # -- block I/O ----------------------------------------------------------
 
     def read_block(self, fileid: str, blockno: int) -> bytearray:
+        if self.fault_plan is not None:
+            self._inject("read", fileid, blockno)
         total = self.nblocks(fileid)
         if blockno < 0 or blockno >= total:
             raise StorageManagerError(
@@ -569,6 +623,8 @@ class NodeAddressedManager(StorageManager):
         return self.nodes[replicas[0]].read(fileid, blockno)
 
     def write_block(self, fileid: str, blockno: int, data: bytes) -> None:
+        if self.fault_plan is not None:
+            self._inject("write", fileid, blockno, data)
         self._check_block(data)
         current = self.nblocks(fileid)
         if blockno < 0 or blockno > current:
@@ -579,6 +635,8 @@ class NodeAddressedManager(StorageManager):
             self.nodes[idx].write(fileid, blockno, data)
 
     def sync(self, fileid: str) -> None:
+        if self.fault_plan is not None:
+            self._inject("sync", fileid)
         for node in self.nodes:
             node.store.sync(fileid)
 
@@ -592,12 +650,21 @@ class StorageManagerSwitch:
 
     The switch owns the instances so that every relation routed to, say,
     ``"worm"`` shares one device (and therefore one head position and one
-    cache), just as in POSTGRES.
+    cache), just as in POSTGRES.  It is also the storage tier's one
+    fault-injection point: the armed plan lives here.
     """
 
     def __init__(self) -> None:
         self._factories: dict[str, Callable[[], StorageManager]] = {}
         self._instances: dict[str, StorageManager] = {}
+        self.fault_plan: FaultPlan | None = None
+
+    def set_fault_plan(self, plan: FaultPlan | None) -> None:
+        """Arm (or with ``None`` disarm) *plan* over every manager: live
+        instances are re-stamped, later ones stamped by :meth:`get`."""
+        self.fault_plan = plan
+        for instance in self._instances.values():
+            instance.set_fault_plan(plan)
 
     def register(self, name: str,
                  factory: Callable[[], StorageManager]) -> None:
@@ -616,6 +683,7 @@ class StorageManagerSwitch:
             # Fresh, never-reused identity per construction: frames keyed
             # by a replaced instance can never be served to its successor.
             instance.smgr_id = f"{name}#{next(_SMGR_SEQ)}"
+            instance.set_fault_plan(self.fault_plan)
             self._instances[name] = instance
         return self._instances[name]
 

@@ -143,6 +143,8 @@ class CachedStorageManager(StorageManager):
         (:meth:`migrate` / :meth:`sync_all`), as in the POSTGRES jukebox
         manager.
         """
+        if self.fault_plan is not None:
+            self._inject("sync", fileid)
         self.nblocks(fileid)  # validate existence
 
     # -- archival ------------------------------------------------------------------
@@ -183,6 +185,8 @@ class CachedStorageManager(StorageManager):
     # -- block I/O -------------------------------------------------------------------
 
     def read_block(self, fileid: str, blockno: int) -> bytearray:
+        if self.fault_plan is not None:
+            self._inject("read", fileid, blockno)
         key = (fileid, blockno)
         block = self._lru.get(key)
         if block is not None:
@@ -202,6 +206,8 @@ class CachedStorageManager(StorageManager):
         return data
 
     def write_block(self, fileid: str, blockno: int, data: bytes) -> None:
+        if self.fault_plan is not None:
+            self._inject("write", fileid, blockno, data)
         self._check_block(data)
         current = self.nblocks(fileid)
         base_blocks = self.base.nblocks(fileid)

@@ -27,12 +27,5 @@ class DiskStorageManager(NodeAddressedManager):
                  model: DeviceModel | None = None):
         model = model or magnetic_disk_device()
         super().__init__(model, clock)
-        store = DiskBlockStore(directory)
-        self.nodes = [StorageNode("disk0", store, model, clock,
-                                  port=self.port)]
-        self.directory = directory
-        #: Cached OS file handles (owned by the store; aliased for tests).
-        self._handles = store._handles
-
-    def _path(self, fileid: str) -> str:
-        return self.nodes[0].store._path(fileid)
+        self.nodes = [StorageNode("disk0", DiskBlockStore(directory), model,
+                                  clock, port=self.port)]

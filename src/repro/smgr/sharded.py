@@ -23,9 +23,10 @@ while physically spreading every file over a set of
   every existing block to its current location, re-target placement, and
   let :meth:`ShardedStorageManager.rebalance` migrate blocks in bounded
   steps while reads and writes keep flowing.
-* **node fault hooks** — ``on node <k> [after N]: down|slow|flaky|up``
-  rules in the PR-2 fault DSL transition node health mid-workload; the
-  quorum machinery absorbs what it can and surfaces the rest.
+* **node faults** — ``on node <k> [after N]: down|slow|flaky|up`` rules
+  of the armed fault plan transition node health mid-workload (each
+  :class:`~repro.smgr.base.StorageNode` consults the plan in its own
+  gate); the quorum machinery absorbs what it can and surfaces the rest.
 
 Throughput accounting: every node owns a
 :class:`~repro.sim.devices.DevicePort`, so ``busy_s`` per node measures
@@ -38,12 +39,10 @@ benchmark charts against node count and replica factor.
 from __future__ import annotations
 
 import os
-import threading
 
 from repro.errors import StorageManagerError
 from repro.sim.clock import SimClock
 from repro.sim.devices import DeviceModel, magnetic_disk_device
-from repro.sim.faults import FaultPlan
 from repro.smgr.base import (DiskBlockStore, HashPlacement,
                              MemoryBlockStore, NodeAddressedManager,
                              PlacementPolicy, RangePlacement, StorageNode)
@@ -85,34 +84,9 @@ class ShardedStorageManager(NodeAddressedManager):
         #: Manager-level file lengths (global blocks, dense by contract).
         self._lengths: dict[str, int] = {}
         self._lock = LockdepMutex("mutex:smgr", reentrant=True)
-        self._node_plan: FaultPlan | None = None
         self.quorum_failures = 0
         self.repairs = 0
         self.rebalanced = 0
-
-    # -- fault-plan wiring ---------------------------------------------------
-
-    def set_node_plan(self, plan: FaultPlan | None) -> None:
-        """Install a fault plan whose ``node`` rules drive node health."""
-        with self._lock:
-            self._node_plan = plan
-
-    def clear_node_plan(self) -> None:
-        """Drop the plan and return every node to healthy."""
-        with self._lock:
-            self._node_plan = None
-            for node in self.nodes:
-                node.set_state("up")
-
-    def _consult_plan(self, node: StorageNode) -> None:
-        """Apply any firing ``node`` rule to *node* before an access."""
-        plan = self._node_plan
-        if plan is None:
-            return
-        rule = plan.check_node(node.node_id)
-        if rule is not None:
-            if node.set_state(rule.action):
-                plan.note(f"node {node.node_id}: {rule.action}")
 
     # -- placement resolution ------------------------------------------------
 
@@ -170,6 +144,8 @@ class ShardedStorageManager(NodeAddressedManager):
     # -- block I/O -----------------------------------------------------------
 
     def write_block(self, fileid: str, blockno: int, data: bytes) -> None:
+        if self.fault_plan is not None:
+            self._inject("write", fileid, blockno, data)
         self._check_block(data)
         with self._lock:
             current = self.nblocks(fileid)
@@ -181,10 +157,8 @@ class ShardedStorageManager(NodeAddressedManager):
             written = 0
             failures: list[tuple[int, StorageManagerError]] = []
             for idx in replicas:
-                node = self.nodes[idx]
-                self._consult_plan(node)
                 try:
-                    node.write(fileid, blockno, data)
+                    self.nodes[idx].write(fileid, blockno, data)
                 except StorageManagerError as exc:
                     failures.append((idx, exc))
                 else:
@@ -202,6 +176,8 @@ class ShardedStorageManager(NodeAddressedManager):
             self._lengths[fileid] = max(current, blockno + 1)
 
     def read_block(self, fileid: str, blockno: int) -> bytearray:
+        if self.fault_plan is not None:
+            self._inject("read", fileid, blockno)
         with self._lock:
             total = self.nblocks(fileid)
             if blockno < 0 or blockno >= total:
@@ -215,10 +191,8 @@ class ShardedStorageManager(NodeAddressedManager):
                      if (fileid, blockno, idx) in self._stale]
             errors: list[StorageManagerError] = []
             for idx in fresh:
-                node = self.nodes[idx]
-                self._consult_plan(node)
                 try:
-                    data = node.read(fileid, blockno)
+                    data = self.nodes[idx].read(fileid, blockno)
                 except StorageManagerError as exc:
                     errors.append(exc)
                     continue
@@ -246,6 +220,8 @@ class ShardedStorageManager(NodeAddressedManager):
             self.repairs += 1
 
     def sync(self, fileid: str) -> None:
+        if self.fault_plan is not None:
+            self._inject("sync", fileid)
         for node in self.nodes:
             if node.state == "down":
                 continue
@@ -331,6 +307,7 @@ class ShardedStorageManager(NodeAddressedManager):
             self._pin_current_locations()
             for fileid in self._all_files():
                 node.store.create(fileid)
+            node.fault_plan = self.fault_plan
             self.nodes.append(node)
             self._active.append(len(self.nodes) - 1)
             return len(self._pending)
@@ -399,10 +376,8 @@ class ShardedStorageManager(NodeAddressedManager):
         for idx in current:
             if (fileid, blockno, idx) in self._stale:
                 continue
-            node = self.nodes[idx]
-            self._consult_plan(node)
             try:
-                return node.read(fileid, blockno)
+                return self.nodes[idx].read(fileid, blockno)
             except StorageManagerError as exc:
                 errors.append(exc)
         detail = f"; last error: {errors[-1]}" if errors else ""

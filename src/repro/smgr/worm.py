@@ -71,6 +71,8 @@ class WormStorageManager(StorageManager):
     # -- block I/O -----------------------------------------------------------
 
     def read_block(self, fileid: str, blockno: int) -> bytearray:
+        if self.fault_plan is not None:
+            self._inject("read", fileid, blockno)
         if blockno < 0 or blockno >= self.nblocks(fileid):
             raise StorageManagerError(
                 f"read past end of {fileid!r}: block {blockno} "
@@ -81,6 +83,8 @@ class WormStorageManager(StorageManager):
         return bytearray(self._media[media_block])
 
     def write_block(self, fileid: str, blockno: int, data: bytes) -> None:
+        if self.fault_plan is not None:
+            self._inject("write", fileid, blockno, data)
         self._check_block(data)
         current = self.nblocks(fileid)
         if (fileid, blockno) in self._placement:
@@ -99,6 +103,8 @@ class WormStorageManager(StorageManager):
                                PAGE_SIZE)
 
     def sync(self, fileid: str) -> None:
+        if self.fault_plan is not None:
+            self._inject("sync", fileid)
         self.nblocks(fileid)  # validate existence; media writes are final
 
     def media_blocks_used(self) -> int:

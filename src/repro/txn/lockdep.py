@@ -469,7 +469,8 @@ class LockdepValidator:
 
 
 #: The process-wide validator.  Armed explicitly (tests/conftest.py) or
-#: by the environment at import time, mirroring REPRO_DEBUG_LATCH.
+#: by the environment at import time.  ``Database`` arms its engine-latch
+#: tripwire off the same switch.
 VALIDATOR = LockdepValidator()
 
 if os.environ.get("REPRO_LOCKDEP", "") not in ("", "0"):

@@ -6,18 +6,16 @@ import threading
 
 import pytest
 
-# Arm the engine-latch tripwire for the whole suite: every Database the
-# tests construct asserts that raw page reads (relation.fetch, B-tree
-# search/range_scan) happen under the engine latch — i.e. through the
-# scan layer in repro.access.scan.  setdefault, so a caller can still
-# run with REPRO_DEBUG_LATCH=0 to measure without the checks.
-os.environ.setdefault("REPRO_DEBUG_LATCH", "1")
-
-# Arm the lockdep runtime validator the same way: every instrumented
-# acquisition (heavy locks, engine latch, the LockdepMutex classes) is
-# checked against the declared hierarchy in repro/txn/lockdep.py and
-# recorded into the observed-edge graph surfaced by
-# db.statistics()["lockdep"].  REPRO_LOCKDEP=0 disables it.
+# Arm the lockdep runtime validator for the whole suite: every
+# instrumented acquisition (heavy locks, engine latch, the LockdepMutex
+# classes) is checked against the declared hierarchy in
+# repro/txn/lockdep.py and recorded into the observed-edge graph surfaced
+# by db.statistics()["lockdep"].  The engine-latch tripwire rides on the
+# same switch: every Database the tests construct asserts that raw page
+# reads (relation.fetch, B-tree search/range_scan) happen under the
+# engine latch — i.e. through the scan layer in repro.access.scan.
+# setdefault, so a caller can still run with REPRO_LOCKDEP=0 to measure
+# without the checks.
 os.environ.setdefault("REPRO_LOCKDEP", "1")
 
 from repro.sim import SimClock

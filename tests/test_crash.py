@@ -9,17 +9,21 @@ transaction into scripted faults at every interesting point:
 * **mid-flush** — die with some of the transaction's pages forced;
 * **torn-page** — a page write persists only a 512-byte prefix;
 * **pre-log** — every page forced, die before the ``pg_log`` append;
-* **torn-log** — the commit record itself persists only a prefix.
+* **torn-log** — the commit record itself persists only a prefix;
+* **size-row** — die writing the shared ``pg_largeobject`` page that holds
+  the object's size row (reachable because the plan lives in the switch,
+  so it covers system classes too, not only the object's own files).
 
 After each crash the database directory is reopened cold and the same
 invariants must hold: committed large-object bytes intact byte for byte,
 the crashed transaction invisible, time travel unaffected, and the
 crashed xid never reissued.
 
-The smaller classes below cover the plan DSL, the injector wrapper, and
-the durability bugs this PR fixes (each written to fail on the seed code).
+The smaller classes below cover the plan DSL, a plan armed on a bare
+manager, and the durability bugs this PR fixes (each written to fail on the seed code).
 """
 
+import os
 import re
 
 import pytest
@@ -34,8 +38,7 @@ from repro.errors import (
 from repro.lo.manager import designator_oid
 from repro.sim.clock import SimClock
 from repro.sim.devices import CpuModel
-from repro.sim.faults import parse_plan
-from repro.smgr.faulty import FaultInjector
+from repro.sim.faults import FaultPlan, parse_plan
 from repro.smgr.memory import MemoryStorageManager
 from repro.storage.buffer import _MISS_INSTRUCTIONS, BufferManager
 from repro.storage.constants import CHUNK_PAYLOAD, PAGE_SIZE
@@ -69,13 +72,13 @@ JUNK = pattern_bytes(3 * CHUNK_PAYLOAD + 123, 7)
 def seeded_db(path: str, impl: str, base: str = "disk"):
     """A durable database with one LO holding B0 + B1 over two commits.
 
-    ``base`` picks the storage manager the fault injector wraps: the
-    plain local ``disk`` manager or the replicated ``sharded`` one — the
-    whole crash matrix must hold no matter where the blocks live.
+    ``base`` picks the storage manager the object lives on: the plain
+    local ``disk`` manager or the replicated ``sharded`` one — the whole
+    crash matrix must hold no matter where the blocks live.
     """
-    db = Database(path, faulty_base=base)
+    db = Database(path)
     txn = db.begin()
-    designator = db.lo.create(txn, impl, smgr="faulty")
+    designator = db.lo.create(txn, impl, smgr=base)
     with db.lo.open(designator, txn, "rw") as obj:
         obj.write(B0)
     txn.commit()
@@ -104,6 +107,7 @@ INJECTION_POINTS = {
     "torn-page": lambda cf: f"on write {cf} after 1: torn 512",
     "pre-log": lambda cf: "on append pg_log: crash",
     "torn-log": lambda cf: "on append pg_log: torn 12",
+    "size-row": lambda cf: "on write heap_pg_largeobject: crash",
 }
 
 
@@ -129,7 +133,7 @@ class TestCrashMatrix:
         assert plan.fired, "the scripted fault never fired"
         crash(db)
 
-        reopened = Database(path, faulty_base=base)
+        reopened = Database(path)
         # Committed bytes intact, byte for byte; the junk is invisible.
         with reopened.lo.open(designator) as obj:
             assert obj.read() == B0 + B1
@@ -151,9 +155,9 @@ class TestCrashMatrix:
             # forced, so nothing durable points there.)
             torn_block = int(
                 re.search(r"block (\d+)", plan.fired[0]).group(1))
-            faulty = reopened.storage_manager("faulty")
+            smgr = reopened.storage_manager(base)
             with pytest.raises(ChecksumError):
-                reopened.bufmgr.pin(faulty, cf, torn_block)
+                reopened.bufmgr.pin(smgr, cf, torn_block)
             retry.abort()
         else:
             # The database stays fully usable: redo the append.
@@ -164,6 +168,73 @@ class TestCrashMatrix:
             with reopened.lo.open(designator) as obj:
                 assert obj.read() == B0 + B1 + JUNK
         reopened.close()
+
+
+class TestPlanReachesEveryRelation:
+    """The plan is armed on the switch, so it covers relations no test
+    ever routed through a special manager: the ``pg_largeobject`` size
+    rows and the Inversion system classes."""
+
+    @pytest.mark.parametrize("impl", ["fchunk", "vsegment"])
+    def test_size_row_write_error_aborts_then_heals(self, impl):
+        db = Database()
+        txn = db.begin()
+        designator = db.lo.create(txn, impl)
+        with db.lo.open(designator, txn, "rw") as obj:
+            obj.write(B0)
+        plan = db.inject_faults("on write heap_pg_largeobject: error")
+        with pytest.raises(StorageManagerError):
+            txn.commit()
+        assert plan.fired
+        assert db.clog.status(txn.xid) == TxnStatus.ABORTED
+        db.clear_faults()
+        assert not db.lo.exists(designator)
+        with db.begin() as retry:
+            designator = db.lo.create(retry, impl)
+            with db.lo.open(designator, retry, "rw") as obj:
+                obj.write(B1)
+        with db.lo.open(designator) as obj:
+            assert obj.read() == B1
+        assert db.check_integrity() == []
+        db.close()
+
+    def test_inversion_directory_write_error_aborts_the_create(self):
+        db = Database()
+        fs = db.inversion
+        with db.begin() as txn:
+            fs.write_file(txn, "/keep", b"safe")
+        txn = db.begin()
+        fs.write_file(txn, "/doomed", b"gone")
+        plan = db.inject_faults("on write heap_DIRECTORY: error")
+        with pytest.raises(StorageManagerError):
+            txn.commit()
+        assert plan.fired
+        assert db.clog.status(txn.xid) == TxnStatus.ABORTED
+        db.clear_faults()
+        assert not fs.exists("/doomed")
+        assert fs.read_file("/keep") == b"safe"
+        assert db.check_integrity() == []
+        db.close()
+
+    def test_arming_and_clearing_constructs_nothing(self, tmp_path):
+        path = str(tmp_path / "db")
+        db = Database(path)
+
+        def state():
+            listing = sorted(
+                os.path.relpath(os.path.join(root, name), path)
+                for root, dirs, files in os.walk(path)
+                for name in dirs + files)
+            return sorted(name for name, _ in db.switch.items()), listing
+
+        before = state()
+        db.inject_faults("on write *: error\n"
+                         "on append pg_log: crash\n"
+                         "on node node1: down")
+        assert state() == before
+        db.clear_faults()
+        assert state() == before
+        db.close()
 
 
 class TestFaultPlanDSL:
@@ -221,81 +292,72 @@ class TestFaultPlanDSL:
                 plan.check(op, "anything")
 
 
-class TestFaultInjector:
+class TestFaultPlanOnManager:
+    """A plain manager carrying a plan (what the switch stamps on each)."""
+
     def make(self, plan=None):
-        clock = SimClock()
-        base = MemoryStorageManager(clock)
-        inj = FaultInjector(base, plan)
-        inj.create("f")
-        return base, inj
+        smgr = MemoryStorageManager(SimClock())
+        smgr.set_fault_plan(plan)
+        smgr.create("f")
+        return smgr
 
     def test_transparent_without_a_plan(self):
-        base, inj = self.make()
-        inj.write_block("f", 0, bytes([7]) * PAGE_SIZE)
-        assert inj.read_block("f", 0) == bytes([7]) * PAGE_SIZE
-        inj.sync("f")
-        assert inj.op_count("write", "f") == 1
-        assert inj.op_count("read", "f") == 1
-        assert inj.op_count("sync", "f") == 1
+        plan = FaultPlan()  # no rules: a pure protocol trace
+        smgr = self.make(plan)
+        smgr.write_block("f", 0, bytes([7]) * PAGE_SIZE)
+        assert smgr.read_block("f", 0) == bytes([7]) * PAGE_SIZE
+        smgr.sync("f")
+        assert plan.op_count("write", "f") == 1
+        assert plan.op_count("read", "f") == 1
+        assert plan.op_count("sync", "f") == 1
+        assert plan.fired == []
 
     def test_error_rule_lets_budget_through_then_fails(self):
-        base, inj = self.make(parse_plan("on write f after 2: error"))
+        plan = parse_plan("on write f after 2: error")
+        smgr = self.make(plan)
         page = bytes(PAGE_SIZE)
-        inj.write_block("f", 0, page)
-        inj.write_block("f", 1, page)
+        smgr.write_block("f", 0, page)
+        smgr.write_block("f", 1, page)
         with pytest.raises(StorageManagerError):
-            inj.write_block("f", 2, page)
-        # The failed write never reached the base device.
-        assert base.nblocks("f") == 2
-        assert inj.stats()["injected_faults"] == 1
+            smgr.write_block("f", 2, page)
+        # The failed write never reached the device.
+        assert smgr.nblocks("f") == 2
+        assert len(plan.fired) == 1
 
     def test_torn_write_persists_prefix_of_fresh_block(self):
-        base, inj = self.make(parse_plan("on write f: torn 100"))
+        smgr = self.make(parse_plan("on write f: torn 100"))
         data = pattern_bytes(PAGE_SIZE, 11)
         with pytest.raises(SimulatedCrash):
-            inj.write_block("f", 0, data)
-        stored = bytes(base.read_block("f", 0))
+            smgr.write_block("f", 0, data)
+        smgr.set_fault_plan(None)
+        stored = bytes(smgr.read_block("f", 0))
         assert stored[:100] == data[:100]
         assert stored[100:] == bytes(PAGE_SIZE - 100)  # fresh block: zeros
 
     def test_torn_overwrite_keeps_the_old_tail(self):
-        base, inj = self.make()
+        smgr = self.make()
         old = pattern_bytes(PAGE_SIZE, 5)
-        inj.write_block("f", 0, old)
-        inj.arm(parse_plan("on write f: torn 256"))
+        smgr.write_block("f", 0, old)
+        plan = parse_plan("on write f: torn 256")
+        smgr.set_fault_plan(plan)
         new = pattern_bytes(PAGE_SIZE, 9)
         with pytest.raises(SimulatedCrash):
-            inj.write_block("f", 0, new)
-        stored = bytes(base.read_block("f", 0))
+            smgr.write_block("f", 0, new)
+        # Reading the old image to tear over it is not a guarded op.
+        assert plan.op_count("read") == 0
+        smgr.set_fault_plan(None)
+        stored = bytes(smgr.read_block("f", 0))
         assert stored == new[:256] + old[256:]
 
     def test_crash_halts_every_later_operation(self):
-        base, inj = self.make(parse_plan("on sync f: crash"))
-        inj.write_block("f", 0, bytes(PAGE_SIZE))
+        smgr = self.make(parse_plan("on sync f: crash"))
+        smgr.write_block("f", 0, bytes(PAGE_SIZE))
         with pytest.raises(SimulatedCrash):
-            inj.sync("f")
+            smgr.sync("f")
         with pytest.raises(SimulatedCrash):
-            inj.read_block("f", 0)
-        inj.disarm()
-        assert inj.read_block("f", 0) == bytes(PAGE_SIZE)
-
-    def test_registered_in_the_switch(self):
-        db = Database()
-        assert "faulty" in db.switch.names()
-        inj = db.storage_manager("faulty")
-        assert isinstance(inj, FaultInjector)
-        assert inj.base is db.storage_manager("disk")
-        db.close()
-
-    def test_inject_faults_arms_smgr_and_clog(self):
-        db = Database()
-        plan = db.inject_faults("on write *: error")
-        assert db.storage_manager("faulty").plan is plan
-        assert db.clog._fault_plan is plan
-        db.clear_faults()
-        assert db.storage_manager("faulty").plan is None
-        assert db.clog._fault_plan is None
-        db.close()
+            smgr.read_block("f", 0)
+        smgr.set_fault_plan(None)
+        assert smgr.read_block("f", 0) == bytes(PAGE_SIZE)
 
 
 class TestDurabilityBugfixes:
@@ -306,30 +368,31 @@ class TestDurabilityBugfixes:
         flush_file can sync; skipping the sync on an empty dirty list
         left committed pages unforced."""
         clock = SimClock()
-        inj = FaultInjector(MemoryStorageManager(clock))
+        smgr = MemoryStorageManager(clock)
+        trace = FaultPlan()  # no rules: a pure protocol trace
+        smgr.set_fault_plan(trace)
         bm = BufferManager(pool_size=1, clock=clock)
-        inj.create("f")
-        inj.create("g")
-        buf = bm.allocate(inj, "f")
+        smgr.create("f")
+        smgr.create("g")
+        buf = bm.allocate(smgr, "f")
         bm.unpin(buf, dirty=True)
-        other = bm.allocate(inj, "g")  # evicts f's page: write, no sync
+        other = bm.allocate(smgr, "g")  # evicts f's page: write, no sync
         bm.unpin(other, dirty=True)
-        assert inj.op_count("write", "f") == 1
-        assert inj.op_count("sync", "f") == 0
-        flushed = bm.flush_file(inj, "f")  # force-at-commit for file f
+        assert trace.op_count("write", "f") == 1
+        assert trace.op_count("sync", "f") == 0
+        flushed = bm.flush_file(smgr, "f")  # force-at-commit for file f
         assert flushed == 0  # nothing dirty in the pool...
-        assert inj.op_count("sync", "f") == 1  # ...but the sync must happen
+        assert trace.op_count("sync", "f") == 1  # ...but the sync must happen
 
     def test_commit_syncs_files_checkpoint_already_cleaned(self):
         db = Database()
-        db.create_class("T", [("v", "int4")], smgr="faulty")
-        inj = db.storage_manager("faulty")
+        db.create_class("T", [("v", "int4")])
         txn = db.begin()
         db.insert(txn, "T", (1,))
         db.checkpoint()  # a checkpoint mid-transaction cleans the pool
-        mark = len(inj.trace)
+        trace = db.inject_faults(FaultPlan()).trace  # armed after it
         txn.commit()
-        assert ("sync", "heap_T") in inj.trace[mark:], \
+        assert ("sync", "heap_T") in trace, \
             "commit skipped the force for a checkpoint-cleaned file"
         db.close()
 
@@ -358,7 +421,7 @@ class TestDurabilityBugfixes:
 
     def test_failing_flush_aborts_the_transaction(self):
         db = Database()
-        db.create_class("T", [("v", "int4")], smgr="faulty")
+        db.create_class("T", [("v", "int4")])
         txn = db.begin()
         db.insert(txn, "T", (3,))
         db.inject_faults("on sync heap_T: error")

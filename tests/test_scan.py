@@ -16,6 +16,7 @@ from repro.errors import LargeObjectError, ReproError
 from repro.lo import metadata
 from repro.lo.fchunk import chunk_class_name
 from repro.lo.vsegment import segment_class_name
+from repro.txn.lockdep import VALIDATOR
 
 
 @pytest.fixture
@@ -281,9 +282,12 @@ class TestVisibleVersionInvariant:
 
 class TestLatchTripwire:
     def test_armed_by_default_under_pytest(self, db):
-        # conftest.py sets REPRO_DEBUG_LATCH=1, so the whole tier-1
-        # suite (this fixture included) runs with the tripwire armed.
-        assert db.debug_latch
+        # conftest.py arms lockdep (REPRO_LOCKDEP=1) and the tripwire
+        # rides on it, so the whole tier-1 suite (this fixture included)
+        # runs with it armed.
+        assert VALIDATOR.armed
+        db.create_class("T", [("v", "int4")])
+        assert db.get_class("T").latch_probe is not None
 
     def test_raw_heap_fetch_trips(self, db):
         db.create_class("T", [("v", "int4")])
@@ -318,12 +322,18 @@ class TestLatchTripwire:
         index.check_invariants()
 
     def test_disarmed_database_allows_raw_reads(self):
-        with Database(debug_latch=False) as db:
-            db.create_class("T", [("v", "int4")])
-            with db.begin() as txn:
-                tid = db.insert(txn, "T", (1,))
-            assert db.get_class("T").fetch(
-                tid, db.snapshot()).values == (1,)
+        was_armed = VALIDATOR.armed
+        VALIDATOR.disarm()
+        try:
+            with Database() as db:
+                db.create_class("T", [("v", "int4")])
+                with db.begin() as txn:
+                    tid = db.insert(txn, "T", (1,))
+                assert db.get_class("T").fetch(
+                    tid, db.snapshot()).values == (1,)
+        finally:
+            if was_armed:
+                VALIDATOR.arm()
 
     def test_scan_layer_satisfies_the_tripwire(self, db):
         _fill(db)

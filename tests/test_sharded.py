@@ -180,7 +180,6 @@ class TestNodeFaultDSL:
         (rule,) = plan.rules
         assert (rule.op, rule.pattern, rule.after, rule.action) == \
             ("node", "node1", 40, "down")
-        assert plan.has_node_rules()
         with pytest.raises(ValueError):
             parse_plan("on node node1: torn 5")  # not a health state
 
@@ -188,12 +187,12 @@ class TestNodeFaultDSL:
         smgr = sharded_memory_manager(SimClock(), n_nodes=3,
                                       replication=3, write_quorum=2)
         smgr.create("f")
-        smgr.set_node_plan(parse_plan("on node node1 after 5: down"))
+        plan = parse_plan("on node node1 after 5: down")
+        smgr.set_fault_plan(plan)
         for blockno in range(10):
             smgr.write_block("f", blockno, page(blockno))
         assert smgr.nodes[1].state == "down"
-        plan_notes = smgr._node_plan.fired
-        assert "node node1: down" in plan_notes
+        assert "node node1: down" in plan.fired
         assert smgr.stats()["replica_lag"] > 0
         # Every committed block still reads back exactly.
         for blockno in range(10):
@@ -203,20 +202,20 @@ class TestNodeFaultDSL:
         smgr = sharded_memory_manager(SimClock(), n_nodes=3,
                                       replication=3, write_quorum=2)
         smgr.create("f")
-        smgr.set_node_plan(parse_plan(
+        smgr.set_fault_plan(parse_plan(
             "on node node0: down\non node node0 after 6: up"))
         for blockno in range(8):
             smgr.write_block("f", blockno, page(blockno))
         assert smgr.nodes[0].state == "up"
 
-    def test_clear_node_plan_heals_every_node(self):
+    def test_disarming_heals_every_node(self):
         smgr = sharded_memory_manager(SimClock(), n_nodes=3,
                                       replication=3)
-        smgr.set_node_plan(parse_plan("on node *: down"))
+        smgr.set_fault_plan(parse_plan("on node *: down"))
         smgr.create("f")
         with pytest.raises(StorageManagerError, match="quorum"):
             smgr.write_block("f", 0, page(0))  # every replica is down
-        smgr.clear_node_plan()
+        smgr.set_fault_plan(None)
         assert all(node.state == "up" for node in smgr.nodes)
         smgr.write_block("f", 0, page(0))
         assert bytes(smgr.read_block("f", 0)) == page(0)
@@ -240,10 +239,24 @@ class TestNodeFaultDSL:
     def test_database_routes_node_rules_to_the_sharded_manager(self):
         db = Database()
         plan = db.inject_faults("on node node0: down")
+        # Built after arming: the switch stamps it, nodes included.
         sharded = db.storage_manager("sharded")
-        assert sharded._node_plan is plan
+        assert all(node.fault_plan is plan for node in sharded.nodes)
         db.clear_faults()
-        assert sharded._node_plan is None
+        assert all(node.fault_plan is None for node in sharded.nodes)
+        db.close()
+
+    def test_node_rules_reach_single_node_managers_too(self):
+        db = Database()
+        db.create_class("T", [("v", "int4")])
+        with db.begin() as txn:
+            db.insert(txn, "T", (1,))
+        db.bufmgr.invalidate_all()
+        db.inject_faults("on node memory0: down")
+        with pytest.raises(NodeDownError):
+            list(db.scan("T"))
+        db.clear_faults()
+        assert [t.values for t in db.scan("T")] == [(1,)]
         db.close()
 
 
@@ -453,7 +466,7 @@ class TestStatsAndIdentity:
         db = Database()
         assert db.storage_manager("sharded").smgr_id.startswith(
             "sharded#")
-        assert db.storage_manager("faulty").smgr_id.startswith("faulty#")
+        assert db.storage_manager("disk").smgr_id.startswith("disk#")
         db.close()
 
 
