@@ -389,7 +389,7 @@ class HeapRelation:
                 self.bufmgr.unpin(buf, dirty=dirty)
         if removed:
             # Pruning frees slots without any transaction changing fate;
-            # epoch-keyed TID memos must not survive it.
+            # epoch-gated TID maps must not survive it.
             self.clog.bump_visibility_epoch()
         return removed
 

@@ -234,13 +234,6 @@ class IndexRangeScan:
         self.unique = unique
         self.anomaly = anomaly or _default_anomaly(relation.name)
 
-    def entries(self) -> "list[tuple[Key, TID]]":
-        """Raw index entries (no heap fetch), materialized under the latch."""
-        with self.db.latch:
-            self.db.access_stats.range_scans += 1
-            return [(key, TID(blockno, slot)) for key, (blockno, slot)
-                    in self.index.range_scan(self.lo, self.hi)]
-
     def visible(self, snapshot: Snapshot,
                 wanted: "set[Key] | None" = None
                 ) -> "list[tuple[Key, HeapTuple]]":

@@ -238,6 +238,15 @@ class InversionFileSystem:
             raise FileNotFound(f"no Inversion file {path!r}")
         return entry
 
+    def _designator(self, path: str, entry: DirEntry,
+                    snapshot: Snapshot) -> str:
+        """The large object holding the file *entry* (its STORAGE row)."""
+        rows = self._rows_by_index("inv_storage_fid", entry.file_id,
+                                   snapshot)
+        if not rows:
+            raise InversionError(f"{path!r} has no STORAGE record")
+        return rows[0].values[1]
+
     def _parent_of(self, path: str,
                    snapshot: Snapshot) -> tuple[int, str]:
         """(parent file_id, leaf name) for *path*, verifying the parent."""
@@ -377,11 +386,7 @@ class InversionFileSystem:
         entry = self._require(path, snapshot)
         if entry.is_dir:
             raise InversionError(f"{path!r} is a directory")
-        rows = self._rows_by_index("inv_storage_fid", entry.file_id,
-                                   snapshot)
-        if not rows:
-            raise InversionError(f"{path!r} has no STORAGE record")
-        designator = rows[0].values[1]
+        designator = self._designator(path, entry, snapshot)
         inner = self.db.lo.open(designator, txn, mode, as_of=as_of)
         return InversionFile(self, path, entry.file_id, inner, txn)
 
@@ -448,8 +453,8 @@ class InversionFileSystem:
         _fid, owner, mode, atime, mtime, ctime = rows[0].values
         size = 0
         if not entry.is_dir:
-            with self.open(path, txn, "r", as_of=as_of) as handle:
-                size = handle.size()
+            size = self.db.lo.size(
+                self._designator(path, entry, snapshot), snapshot)
         return {"file_id": entry.file_id, "kind": entry.kind,
                 "owner": owner, "mode": mode, "atime": atime,
                 "mtime": mtime, "ctime": ctime, "size": size}

@@ -5,9 +5,10 @@ Both chunked implementations are ordinary no-overwrite classes plus one
 "for free" — and both need the same machinery to stay correct when
 several transactions write one object at once:
 
-* a **pending size** per writable descriptor, re-derived from the
-  committed size whenever any transaction commits or aborts
-  (:meth:`ChunkedObject._refresh_committed`);
+* one **epoch gate** (:meth:`ChunkedObject._refresh_committed`): when
+  any transaction commits or aborts, every descriptor drops the cached
+  state that commit may have retired, and a writable one re-derives its
+  **pending size** from the committed size;
 * **EXCLUSIVE byte-range locks** declared at write time and held to
   transaction end (:meth:`~ChunkedObject._lock_span`,
   :meth:`~ChunkedObject._lock_whole`), so disjoint-range writers run in
@@ -26,7 +27,7 @@ grain (``_lock_bounds``), what to buffer (``_flush_data`` /
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING
 
 from repro.compress.base import Compressor
 from repro.errors import LargeObjectError, NoActiveTransaction
@@ -39,8 +40,6 @@ from repro.txn.snapshot import Snapshot
 
 if TYPE_CHECKING:
     from repro.db import Database
-
-T = TypeVar("T")
 
 
 class ChunkedObject(LargeObject):
@@ -84,19 +83,13 @@ class ChunkedObject(LargeObject):
         self._whole_locked = False
         self._commit_epoch = db.clog.visibility_epoch
         # -- model-fidelity gate -------------------------------------------
-        # The subclasses' fast paths skip B-tree probes and pin sequences
-        # the simulated cost model charges for, so they engage only when
-        # the database runs in wall-clock mode (``charge_cpu=False`` →
-        # ``bufmgr.cpu is None``).  Figure runs therefore execute the
-        # identical operation stream they always did; see
-        # docs/performance.md.
+        # The subclasses' write-side fast paths skip B-tree probes the
+        # simulated cost model charges for, so they engage only when the
+        # database runs in wall-clock mode (``charge_cpu=False``: no CPU
+        # model on the buffer manager).  Figure runs therefore execute
+        # the identical operation stream they always did; reads run one
+        # path in both modes.  See docs/performance.md.
         self._fast = db.bufmgr.cpu is None
-        #: Whether :meth:`_memo` may be trusted: wall-clock mode, and a
-        #: descriptor outside any transaction, whose snapshots see
-        #: committed state only (an in-transaction descriptor also sees
-        #: its own writes, which the epoch cannot witness).
-        self._memoizing = self._fast and txn is None
-        self._memos: dict[str, tuple[int, object]] = {}
         if writable:
             self._pending_size = self._committed_size()
             txn.before_commit.append(self.flush)
@@ -118,30 +111,13 @@ class ChunkedObject(LargeObject):
     def _close_data(self) -> None:
         """Release layout-specific resources at close (default: none)."""
 
-    # -- snapshots / epoch memos -------------------------------------------------
+    # -- snapshots -----------------------------------------------------------------
 
     def _snapshot(self) -> Snapshot:
         return self.db.snapshot(self.txn, as_of=self.as_of)
 
     def _committed_size(self) -> int:
         return metadata.read_size(self.db, self.oid, self._snapshot())
-
-    def _memo(self, name: str, build: Callable[[], T]) -> T:
-        """``build()``, reused while nothing commits or aborts anywhere.
-
-        Keyed off ``CommitLog.visibility_epoch`` (vacuum bumps it too
-        when it prunes index entries).  Callers check ``_memoizing``
-        first.  The epoch is sampled *before* building, so a commit that
-        lands mid-build leaves a memo that is already stale, never one
-        that hides the commit.
-        """
-        epoch = self.db.clog.visibility_epoch
-        cached = self._memos.get(name)
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        value = build()
-        self._memos[name] = (epoch, value)
-        return value
 
     def _anomaly(self, key, count: int) -> LargeObjectError:
         """Diagnostic for the scan layer's ``unique`` mode: two visible
@@ -154,20 +130,23 @@ class ChunkedObject(LargeObject):
     # -- range locking / concurrent-commit refresh ---------------------------------
 
     def _refresh_committed(self, force: bool = False) -> None:
-        """Fold size changes committed by *other* transactions into this
-        writable descriptor's view.
+        """Fold what *other* transactions committed into this
+        descriptor's view — the one place a descriptor, writable or
+        read-only, consults ``CommitLog.visibility_epoch`` (vacuum bumps
+        it too when it prunes index entries).
 
-        Gated on ``CommitLog.visibility_epoch``: while nothing commits or
-        aborts anywhere, this is one integer compare (so single-writer
-        runs — including the simulated figure workloads — never pay an
-        extra size probe).  When the epoch has moved, the committed size
-        is re-read and the pending size becomes max(committed, own
-        writes) — both directions, since a neighbour's committed
-        *truncate* legitimately shrinks it.  Without this, a writer whose
+        While nothing commits or aborts anywhere, this is one integer
+        compare (so single-writer runs — including the simulated figure
+        workloads — never pay an extra size probe).  When the epoch has
+        moved, the committed size is re-read, ``_committed_moved`` lets
+        the layout drop what a concurrent committer may have retired,
+        and a writable descriptor's pending size becomes max(committed,
+        own writes) — both directions, since a neighbour's committed
+        *truncate* legitimately shrinks it.  Without this, a reader
+        would keep serving cached pre-commit bytes, and a writer whose
         neighbour committed an extension would see a stale EOF (and
         v-segment would zero-fill a "gap" right over the neighbour's
-        committed bytes).  ``_committed_moved`` then lets the layout drop
-        what a concurrent committer may have retired.
+        committed bytes).
 
         Once this descriptor holds the whole-object lock, no other
         transaction can commit a size change (every write path locks a
@@ -177,8 +156,6 @@ class ChunkedObject(LargeObject):
         committed size.  ``force`` is the one-time fold performed while
         *acquiring* that lock.
         """
-        if self._pending_size is None:  # read-only: epoch-keyed memos
-            return
         if self._whole_locked and not force:
             return
         epoch = self.db.clog.visibility_epoch
@@ -186,7 +163,8 @@ class ChunkedObject(LargeObject):
             return
         self._commit_epoch = epoch
         committed = self._committed_size()
-        self._pending_size = max(committed, self._own_high)
+        if self._pending_size is not None:
+            self._pending_size = max(committed, self._own_high)
         self._committed_moved(committed)
 
     def _lock_span(self, start: int, end: int) -> None:
@@ -250,14 +228,11 @@ class ChunkedObject(LargeObject):
     # -- size row --------------------------------------------------------------------
 
     def _size(self) -> int:
+        # Another transaction's commit may have moved the object under
+        # this descriptor (epoch-gated no-op in the common case).
+        self._refresh_committed()
         if self._pending_size is not None:
-            # Another transaction's committed append may have grown the
-            # object past what this writer last saw (epoch-gated no-op
-            # in the common single-writer case).
-            self._refresh_committed()
             return self._pending_size
-        if self._memoizing:
-            return self._memo("size", self._committed_size)
         return self._committed_size()
 
     def _note_write(self, end: int) -> None:

@@ -205,41 +205,6 @@ class FChunkObject(ChunkedObject):
         return {key[0]: tup
                 for key, tup in scan.visible(snapshot, wanted=wanted)}
 
-    def _index_entries(self) -> dict[int, list[TID]]:
-        """Raw index entries by seqno: one leaf-chain walk, no heap fetch
-        or decode, so memoizing it costs no pass over the object's data.
-        """
-        entries: dict[int, list[TID]] = {}
-        scan = IndexRangeScan(self.db, self.index, self.relation,
-                              None, None)
-        for key, tid in scan.entries():
-            entries.setdefault(key[0], []).append(tid)
-        return entries
-
-    def _ro_chunk_tuples(self, seqnos: list[int],
-                         snapshot: Snapshot) -> dict[int, HeapTuple]:
-        """Fast-mode twin of :meth:`_visible_chunk_tuples`.
-
-        Resolves each seqno through the epoch-memoized entry map —
-        trusted for *index membership* only — and fetches only those
-        TIDs; visibility (and the unique-visible-version invariant) is
-        still checked per fetch against *snapshot*.
-        """
-        entries = self._memo("entries", self._index_entries)
-        out: dict[int, HeapTuple] = {}
-        for seqno in seqnos:
-            visible = None
-            for tid in entries.get(seqno, ()):
-                tup = fetch_visible(self.db, self.relation, tid, snapshot)
-                if tup is None:
-                    continue
-                if visible is not None:
-                    raise self._anomaly((seqno,), 2)
-                visible = tup
-            if visible is not None:
-                out[seqno] = visible
-        return out
-
     # -- write buffer ------------------------------------------------------------------
 
     def _flush_data(self) -> None:
@@ -331,11 +296,7 @@ class FChunkObject(ChunkedObject):
                     self._cache_stats.read_cache_misses += 1
                     missing.append(seqno)
         if missing:
-            if self._memoizing:
-                fetched = self._ro_chunk_tuples(missing, self._snapshot())
-            else:
-                fetched = self._visible_chunk_tuples(missing,
-                                                     self._snapshot())
+            fetched = self._visible_chunk_tuples(missing, self._snapshot())
             for seqno, tup in fetched.items():
                 data = self.compressor.decompress(tup.values[1])
                 self._cache_chunk(seqno, data)

@@ -44,6 +44,7 @@ from repro.txn.lockdep import LockdepMutex
 from repro.txn.locks import LockMode
 from repro.txn.manager import Transaction
 from repro.txn.rangelock import lo_whole
+from repro.txn.snapshot import Snapshot
 
 if TYPE_CHECKING:
     import os
@@ -417,9 +418,21 @@ class LargeObjectManager:
         else:
             info["smgr"] = "native"
             info["compression"] = "none"
-        with self.open(designator, txn) as obj:
-            info["size"] = obj.size()
+        info["size"] = self.size(designator, self.db.snapshot(txn))
         return info
+
+    def size(self, designator: str, snapshot: Snapshot) -> int:
+        """The object's byte size as of *snapshot*.
+
+        A chunked object's size is one ``pg_largeobject`` row, so asking
+        for it needs no descriptor (and no trip through the
+        open-descriptor registry); a native file is asked directly.
+        """
+        if is_chunked(designator):
+            return metadata.read_size(self.db, designator_oid(designator),
+                                      snapshot)
+        with self.open(designator, as_of=snapshot.as_of) as obj:
+            return obj.size()
 
     def storage_breakdown(self, designator: str) -> dict[str, int]:
         """Device bytes per component, as reported in Figure 1."""

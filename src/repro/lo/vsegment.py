@@ -25,7 +25,6 @@ segments are merged read-modify-write style.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
@@ -107,14 +106,6 @@ class VSegmentObject(ChunkedObject):
                               snapshot: Snapshot | None = None
                               ) -> list[HeapTuple]:
         """Visible segment records intersecting ``[start, end)``, sorted."""
-        if self._memoizing:
-            records, locns = self._memo("segmap", self._segment_map)
-            # Segments never exceed SEGMENT_MAX, so an overlapping one
-            # starts at locn in [start - SEGMENT_MAX, end).
-            i = bisect_left(locns, start - SEGMENT_MAX)
-            j = bisect_left(locns, end)
-            return [t for t in records[i:j]
-                    if t.values[0] + t.values[1] > start]
         if snapshot is None:
             snapshot = self._snapshot()
         lo_key = max(0, start - SEGMENT_MAX)
@@ -126,17 +117,6 @@ class VSegmentObject(ChunkedObject):
                  and tup.values[0] < end]
         found.sort(key=lambda t: t.values[0])
         return found
-
-    def _segment_map(self) -> tuple[list[HeapTuple], list[int]]:
-        """The whole visible segment map (records sorted by locn, their
-        locns): memoized, one range scan over the entire index replaces
-        one scan per read and is then answered with bisect."""
-        scan = IndexRangeScan(self.db, self.index, self.relation,
-                              None, None,
-                              unique=True, anomaly=self._anomaly)
-        records = [tup for _key, tup in scan.visible(self._snapshot())]
-        records.sort(key=lambda t: t.values[0])
-        return records, [t.values[0] for t in records]
 
     def _segment_bytes(self, record: HeapTuple) -> bytes:
         """Decompressed contents of one segment (LRU-cached)."""
@@ -150,7 +130,10 @@ class VSegmentObject(ChunkedObject):
         # _read_span, not _read_at: a record visible to our snapshot
         # proves its store extent exists, even when this (writable)
         # store descriptor's pending size lags another writer's
-        # committed appends.
+        # committed appends.  It skips the size row, so the epoch gate
+        # ``_size`` would have run is run here: the store's cached tail
+        # chunk may predate the append that holds this segment.
+        self.store._refresh_committed()
         image = self.store._read_span(ptr, ptr + clen)
         data = self.compressor.decompress(image)
         if len(data) != length:

@@ -102,14 +102,12 @@ class BufferManager:
 
     def __init__(self, pool_size: int = 256,
                  clock: SimClock | None = None,
-                 cpu: CpuModel | None = None,
-                 verify_checksums: bool = True):
+                 cpu: CpuModel | None = None):
         if pool_size < 1:
             raise BufferError_(f"pool size must be >= 1, got {pool_size}")
         self.pool_size = pool_size
         self.clock = clock
         self.cpu = cpu if (cpu and clock) else None
-        self.verify_checksums = verify_checksums
         self.stats = BufferStats()
         #: Pool latch: page lookup/pin, eviction, write-back, and the
         #: decoded-object cache are shared by every session, so each pool
@@ -180,8 +178,7 @@ class BufferManager:
             self._make_room()
             raw = smgr.read_block(fileid, blockno)
             page = SlottedPage(raw)
-            if (self.verify_checksums and page.lsn != 0
-                    and not page.verify_checksum()):
+            if page.lsn != 0 and not page.verify_checksum():
                 raise ChecksumError(
                     f"checksum mismatch reading block {blockno} of {fileid!r}")
             buf = Buffer(smgr=smgr, fileid=fileid, blockno=blockno,
@@ -235,8 +232,7 @@ class BufferManager:
                     self._make_room()
                     raw = smgr.read_block(fileid, block)
                     page = SlottedPage(raw)
-                    if (self.verify_checksums and page.lsn != 0
-                            and not page.verify_checksum()):
+                    if page.lsn != 0 and not page.verify_checksum():
                         raise ChecksumError(
                             f"checksum mismatch prefetching block {block} "
                             f"of {fileid!r}")

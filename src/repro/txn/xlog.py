@@ -178,8 +178,8 @@ class CommitLog:
         """Invalidate epoch-keyed caches after physical reorganization.
 
         Vacuum prunes dead tuples and their index entries without any
-        transaction changing fate, so consumers holding epoch-keyed TID
-        memos would otherwise chase freed slots.
+        transaction changing fate, so a writer's epoch-gated known-TID
+        map would otherwise chase freed slots.
         """
         with self._mutex:
             self.visibility_epoch += 1

@@ -189,49 +189,6 @@ class TestPaperLayout:
         assert "v-segment" not in text  # absent cells are skipped
 
 
-class TestFormatter:
-    def test_format_result_table(self):
-        from repro.db import Database
-        from repro.ql.formatter import format_result
-        db = Database()
-        try:
-            db.execute('create T (name = text, age = int4, ok = bool)')
-            db.execute('append T (name = "Joe", age = 30, ok = "true")')
-            text = format_result(db.execute(
-                'retrieve (T.name, T.age, T.ok)'))
-            assert "name" in text and "age" in text
-            assert "Joe" in text
-            assert " t" in text  # bool rendered psql-style
-            assert "(1 row)" in text
-        finally:
-            db.close()
-
-    def test_format_dml_result(self):
-        from repro.db import Database
-        from repro.ql.formatter import format_result
-        db = Database()
-        try:
-            db.execute('create T (v = int4)')
-            result = db.execute('append T (v = 1)')
-            assert format_result(result) == "(1 affected)"
-        finally:
-            db.close()
-
-    def test_numeric_right_alignment(self):
-        from repro.ql.executor import QueryResult
-        from repro.ql.formatter import format_result
-        result = QueryResult(["n"], [(5,), (12345,)], 2, set())
-        lines = format_result(result).splitlines()
-        assert lines[2].endswith("    5")
-        assert lines[3].endswith("12345")
-
-    def test_bytes_rendered_hex(self):
-        from repro.ql.executor import QueryResult
-        from repro.ql.formatter import format_result
-        result = QueryResult(["b"], [(b"\x01\x02",)], 1, set())
-        assert "\\x0102" in format_result(result)
-
-
 class TestReportGenerator:
     def test_full_report(self, tmp_path):
         from repro.bench.figures import BenchConfig

@@ -1,17 +1,21 @@
 """Wall-clock fast paths must be invisible to semantics.
 
 A ``Database(charge_cpu=False)`` engages the model-fidelity-gated
-optimizations (f-chunk known-TID map, epoch-keyed size caches, the
-v-segment segment-map memo, read-only entry memos — see
-docs/performance.md).  These tests drive the large-object surface in
-exactly that mode and check the answers stay byte-for-byte what the
-charged (figure) configuration produces: stale memos would show up here
-as wrong bytes, not as slow runs.
+write-side optimizations (f-chunk known-TID map, v-segment append
+detection, the heap's FSM tail-probe skip — see docs/performance.md).
+These tests drive the large-object surface in exactly that mode and
+check the answers stay byte-for-byte what the charged (figure)
+configuration produces: a stale cache would show up here as wrong
+bytes, not as a slow run.
 """
+
+from contextlib import contextmanager
+from functools import partial
 
 import pytest
 
 from repro.db import Database
+from repro.server import ReproServer, ServerClient
 
 
 @pytest.fixture
@@ -50,17 +54,13 @@ class TestFastModeSemantics:
             assert obj.read(4096) == b""
 
     def test_open_descriptor_sees_commits(self, db, impl):
-        """Epoch-keyed memos must be invalidated by a commit that lands
-        while a read-only descriptor stays open.
-
-        (The reader deliberately never re-reads the bytes it read before
-        the commit: the descriptor-level decompressed-chunk LRU has
-        always been commit-oblivious by design — close and reopen to
-        drop it.  The size memo and TID/segment maps added for fast mode
-        are what must pick up the new state here.)"""
+        """A commit that lands while a read-only descriptor stays open
+        must show up on its next read — of the size, of new bytes, and
+        of the very bytes it read (and cached) before the commit."""
         designator = make_object(db, impl, b"A" * 20_000)
         reader = db.lo.open(designator)
-        assert reader.read(100) == b"A" * 100  # memos now warm
+        reader.seek(16_000)
+        assert reader.read(100) == b"A" * 100  # caches now warm
         with db.begin() as txn:
             with db.lo.open(designator, txn, "rw") as writer:
                 writer.seek(16_000)
@@ -107,14 +107,14 @@ class TestFastModeSemantics:
             assert obj.read(40_000) == expected
 
     def test_read_after_vacuum(self, db, impl):
-        """Vacuum prunes dead versions and their index entries; memoized
-        TIDs from before the sweep must not be chased afterwards."""
+        """Vacuum prunes dead versions and their index entries; what a
+        descriptor cached before the sweep must not be served after."""
         designator = make_object(db, impl, b"H" * 25_000)
         with db.begin() as txn:
             with db.lo.open(designator, txn, "rw") as obj:
                 obj.write(b"I" * 25_000)
         reader = db.lo.open(designator)
-        assert reader.read(10) == b"I" * 10  # memos warm, pre-vacuum
+        assert reader.read(10) == b"I" * 10  # caches warm, pre-vacuum
         db.vacuum()
         reader.seek(0)
         assert reader.read(25_000) == b"I" * 25_000
@@ -141,6 +141,58 @@ class TestFastModeSemantics:
         reader.seek(0)
         assert reader.read(15_000) == b"L" * 15_000
         reader.close()
+
+
+@contextmanager
+def _local_reader(db, designator):
+    with db.lo.open(designator) as obj:
+        yield obj.seek, obj.read
+
+
+@contextmanager
+def _session_reader(db, designator):
+    with db.session() as session:
+        session.begin()
+        obj = session.lo_open(designator, "r")
+        yield obj.seek, obj.read
+
+
+@contextmanager
+def _server_reader(db, designator):
+    with ReproServer(db) as server, ServerClient(*server.address) as client:
+        client.begin()
+        fd = client.lo_open(designator)
+        yield partial(client.lo_seek, fd), partial(client.lo_read, fd)
+
+
+@pytest.mark.parametrize("reader", [_local_reader, _session_reader,
+                                    _server_reader])
+@pytest.mark.parametrize("charge_cpu", [True, False])
+@pytest.mark.parametrize("impl", IMPLS)
+def test_reread_after_foreign_commit(impl, charge_cpu, reader):
+    """Every way of holding a read-only descriptor open re-reads the
+    bytes another session has since overwritten and committed exactly as
+    a fresh descriptor does; a historical descriptor keeps the old ones.
+    """
+    db = Database(pool_size=64, charge_cpu=charge_cpu)
+    try:
+        designator = make_object(db, impl, b"A" * 20_000)
+        with reader(db, designator) as (seek, read), \
+                db.lo.open(designator, as_of=db.clock.now()) as past:
+            assert read(100) == b"A" * 100
+            assert past.read(100) == b"A" * 100
+            with db.session() as other:
+                other.begin()
+                other.lo_open(designator, "rw").write(b"B" * 100)
+                other.commit()
+            with db.lo.open(designator) as fresh:
+                assert fresh.read(100) == b"B" * 100
+            seek(0)
+            assert read(100) == b"B" * 100
+            past.seek(0)
+            assert past.read(100) == b"A" * 100
+    finally:
+        db.close()
 
 
 class TestChargedModeUnaffected:

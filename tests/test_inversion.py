@@ -126,6 +126,31 @@ class TestMetadata:
         assert info["kind"] == "d"
         assert info["size"] == 0
 
+    def test_stat_opens_no_descriptor(self, db, fs, monkeypatch):
+        """stat reads the size row with the snapshot it already has: no
+        descriptor, no second path resolution."""
+        with db.begin() as txn:
+            fs.mkdir(txn, "/d")
+            with fs.create(txn, "/d/f") as handle:
+                handle.write(b"12345")
+        registered = []
+        register = db.lo._register_open
+        monkeypatch.setattr(
+            db.lo, "_register_open",
+            lambda oid: (registered.append(oid), register(oid)))
+
+        def probes(call):
+            before = db.statistics()["access"]["probes"]
+            call()
+            return db.statistics()["access"]["probes"] - before
+
+        stat_probes = probes(lambda: fs.stat("/d/f"))
+        assert registered == []
+        open_probes = probes(lambda: fs.open("/d/f").close())
+        assert len(registered) == 1
+        # What open reads (path + STORAGE), plus FILESTAT and the size row.
+        assert stat_probes == open_probes + 2
+
     def test_mtime_updated_on_write(self, db, fs):
         with db.begin() as txn:
             fs.create(txn, "/f").close()

@@ -7,6 +7,8 @@ vacuum, and the headline property — a sequential large-object read costs
 O(chunks / leaf-fanout) B-tree node decodes, not one descent per chunk.
 """
 
+import random
+
 import pytest
 
 from repro.db import Database
@@ -209,3 +211,37 @@ class TestSequentialScaling:
             while obj.read(65536):
                 pass
         assert db.bufmgr.stats.prefetch_hits > before_hits
+
+
+@pytest.mark.parametrize("impl", ["fchunk", "vsegment"])
+def test_one_read_path_inside_and_outside_a_transaction(impl):
+    """Wall-clock mode: the same reads execute the same access-layer
+    statements through a transaction-less descriptor and through an
+    in-transaction one."""
+    db = Database(pool_size=64, charge_cpu=False)
+    try:
+        size = 400_000
+        with db.begin() as txn:
+            designator = db.lo.create(txn, impl)
+            with db.lo.open(designator, txn, "rw") as obj:
+                obj.write(bytes(i % 251 for i in range(size)))
+        rng = random.Random(16)
+        offsets = [rng.randrange(size - 4096) for _ in range(20)]
+
+        def cost(txn):
+            before = db.statistics()["access"]
+            with db.lo.open(designator, txn) as obj:
+                for offset in offsets:
+                    obj.seek(offset)
+                    assert len(obj.read(4096)) == 4096
+            after = db.statistics()["access"]
+            return {name: after[name] - before[name]
+                    for name in ("probes", "range_scans", "tuples_scanned")}
+
+        outside = cost(None)
+        with db.begin() as txn:
+            inside = cost(txn)
+        assert outside == inside
+        assert outside["range_scans"] > 0
+    finally:
+        db.close()

@@ -133,12 +133,6 @@ class TestIndexRangeScan:
         pairs = scan.visible(db.snapshot(), wanted={(2,), (5,)})
         assert [key for key, _tup in pairs] == [(2,), (5,)]
 
-    def test_entries_returns_raw_index_entries(self, db):
-        _fill(db)
-        scan = IndexRangeScan(db, db.get_index("t_k"), db.get_class("T"),
-                              (8,), (9,))
-        assert [key for key, _tid in scan.entries()] == [(8,), (9,)]
-
     def test_unique_mode_raises_on_duplicates(self, db):
         _fill(db)
         with db.begin() as txn:
