@@ -316,6 +316,58 @@ class TestConcurrencyMicro:
         assert db.locks.grant_table_empty()
 
 
+@pytest.mark.perf
+class TestForcePathSystemCalls:
+    """What a commit asks of the kernel, counted rather than timed, so a
+    refactor that brings back a ``stat`` per block fails CI anywhere."""
+
+    PAGES = 32
+
+    def test_commit_stats_nothing_and_writes_each_run_once(self, tmp_path,
+                                                            monkeypatch):
+        import os
+
+        from repro.storage.constants import CHUNK_PAYLOAD, PAGE_SIZE
+        database = Database(str(tmp_path / "db"), charge_cpu=False)
+        txn = database.begin()
+        designator = database.lo.create(txn, "fchunk")
+        with database.lo.open(designator, txn, "rw") as obj:
+            obj.write(b"\xa5" * (self.PAGES * CHUNK_PAYLOAD))
+        stats, writes = [], []
+
+        def counted(name):
+            real = getattr(os, name)
+
+            def wrapper(*args, **kwargs):
+                stats.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        real_pwritev = os.pwritev
+
+        def pwritev(fd, buffers, offset, *flags):
+            assert offset % PAGE_SIZE == 0
+            start = offset // PAGE_SIZE
+            writes.append((fd, start, start + len(buffers)))
+            return real_pwritev(fd, buffers, offset, *flags)
+
+        for name in ("stat", "lstat", "fstat"):
+            monkeypatch.setattr(os, name, counted(name))
+        monkeypatch.setattr(os, "pwritev", pwritev)
+        txn.commit()
+        monkeypatch.undo()
+        database.close()
+
+        assert len(stats) <= 2, stats
+        assert sum(end - start for _fd, start, end in writes) >= self.PAGES
+        # One system call per contiguous run: no call picks up where
+        # another call on the same file left off (or overlaps it).
+        writes.sort()
+        for (fd, _start, end), (next_fd, next_start, _end) in zip(
+                writes, writes[1:]):
+            assert fd != next_fd or next_start > end, writes
+
+
 class TestInversionMicro:
     def test_path_resolution(self, benchmark, db):
         fs = db.inversion

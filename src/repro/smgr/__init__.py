@@ -29,8 +29,9 @@ a plan reaches every relation, large object and Inversion file.
 from repro.smgr.base import (BlockStore, DiskBlockStore, HashPlacement,
                              MemoryBlockStore, NodeAddressedManager,
                              PlacementPolicy, RangePlacement,
-                             SingleNodePlacement, StorageManager,
-                             StorageManagerSwitch, StorageNode)
+                             SingleNodeManager, SingleNodePlacement,
+                             StorageManager, StorageManagerSwitch,
+                             StorageNode)
 from repro.smgr.cache import CachedStorageManager
 from repro.smgr.disk import DiskStorageManager
 from repro.smgr.memory import MemoryStorageManager
@@ -51,6 +52,7 @@ __all__ = [
     "HashPlacement",
     "RangePlacement",
     "NodeAddressedManager",
+    "SingleNodeManager",
     "DiskStorageManager",
     "MemoryStorageManager",
     "WormStorageManager",

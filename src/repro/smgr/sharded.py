@@ -146,13 +146,8 @@ class ShardedStorageManager(NodeAddressedManager):
     def write_block(self, fileid: str, blockno: int, data: bytes) -> None:
         if self.fault_plan is not None:
             self._inject("write", fileid, blockno, data)
-        self._check_block(data)
         with self._lock:
-            current = self.nblocks(fileid)
-            if blockno < 0 or blockno > current:
-                raise StorageManagerError(
-                    f"write would leave a hole in {fileid!r}: "
-                    f"block {blockno} of {current}")
+            self._check_write(fileid, blockno, (data,))
             replicas = self._replica_nodes(fileid, blockno)
             written = 0
             failures: list[tuple[int, StorageManagerError]] = []
@@ -173,17 +168,13 @@ class ShardedStorageManager(NodeAddressedManager):
                     f"(need {needed}); first error: {failures[0][1]}")
             for idx, _exc in failures:
                 self._stale.add((fileid, blockno, idx))
-            self._lengths[fileid] = max(current, blockno + 1)
+            self._lengths[fileid] = max(self._lengths[fileid], blockno + 1)
 
     def read_block(self, fileid: str, blockno: int) -> bytearray:
         if self.fault_plan is not None:
             self._inject("read", fileid, blockno)
         with self._lock:
-            total = self.nblocks(fileid)
-            if blockno < 0 or blockno >= total:
-                raise StorageManagerError(
-                    f"read past end of {fileid!r}: block {blockno} "
-                    f"of {total}")
+            self._check_read(fileid, blockno)
             replicas = self._replica_nodes(fileid, blockno)
             fresh = [idx for idx in replicas
                      if (fileid, blockno, idx) not in self._stale]

@@ -73,10 +73,7 @@ class WormStorageManager(StorageManager):
     def read_block(self, fileid: str, blockno: int) -> bytearray:
         if self.fault_plan is not None:
             self._inject("read", fileid, blockno)
-        if blockno < 0 or blockno >= self.nblocks(fileid):
-            raise StorageManagerError(
-                f"read past end of {fileid!r}: block {blockno} "
-                f"of {self.nblocks(fileid)}")
+        self._check_read(fileid, blockno)
         media_block = self._placement[(fileid, blockno)]
         offset = media_block * PAGE_SIZE
         self.port.charge_read("worm-media", offset, PAGE_SIZE)

@@ -5,15 +5,19 @@ pool implements the pieces POSTGRES needed for its no-overwrite storage
 system:
 
 * **pin/unpin with usage counts** and clock-sweep victim selection;
-* **dirty tracking with write-back on eviction**;
+* **dirty tracking with write-back on eviction**: an index of the dirty
+  frames per file, so forcing a file costs what it dirtied, not a walk of
+  the pool;
 * **force-at-commit**: :meth:`BufferManager.flush_file` writes a relation's
-  dirty pages (in block order, so device writes stay sequential) — the
-  transaction manager calls this at commit instead of keeping a WAL, per
-  the POSTGRES storage-system design;
+  dirty pages (in block order, a run of consecutive blocks as one device
+  request, so device writes stay sequential) — the transaction manager
+  calls this at commit instead of keeping a WAL, per the POSTGRES
+  storage-system design;
 * **lazy file extension**: :meth:`allocate` creates a page in the pool
   without a device write; the device file grows when the page is first
-  flushed.  Holes created by out-of-order eviction are zero-filled so the
-  storage manager never sees a gap.
+  flushed.  A block below a flushed page that the device lacks and the
+  pool no longer holds dirty is zero-filled, so the storage manager never
+  sees a gap.
 * **checksums**: pages are stamped before a device write and verified on
   read.
 
@@ -54,6 +58,18 @@ _DECODED_HIT_INSTRUCTIONS = 200
 
 #: Usage count ceiling for the clock sweep (as in PostgreSQL).
 _MAX_USAGE = 5
+
+_ZERO_PAGE = bytes(PAGE_SIZE)
+
+
+def _runs(blocknos: list[int]) -> Iterator[tuple[int, int]]:
+    """``(first, last)`` of each maximal run of consecutive block numbers
+    in *blocknos*, in list order."""
+    start = 0
+    for i, blockno in enumerate(blocknos):
+        if i + 1 == len(blocknos) or blocknos[i + 1] != blockno + 1:
+            yield blocknos[start], blockno
+            start = i + 1
 
 
 @dataclass
@@ -122,6 +138,12 @@ class BufferManager:
         #: allocator, so a re-registered manager could have aliased a dead
         #: predecessor's frames and served stale pages.
         self._frames: dict[tuple[str, str, int], Buffer] = {}
+        #: The installed frames whose ``dirty`` flag is set, per file:
+        #: ``(smgr_id, fileid) -> {blockno: Buffer}``, no empty entries.
+        #: Kept at the three places the flag changes (:meth:`unpin`,
+        #: :meth:`allocate`, :meth:`_writeback`) and the two that discard
+        #: frames unwritten; the only source of a force set.
+        self._dirty: dict[tuple[str, str], dict[int, Buffer]] = {}
         self._sweep_order: list[tuple[str, str, int]] = []
         self._hand = 0
         #: Pool-side view of each file's length, >= the device's nblocks.
@@ -218,8 +240,9 @@ class BufferManager:
 
         Reads are batched per physical device (``smgr.placement_groups``)
         so that a sharded file's readahead visits each node's blocks
-        contiguously; for a single-device manager the grouping degenerates
-        to the plain ascending order.
+        contiguously, and each run of consecutive blocks is one
+        ``read_blocks`` request; for a single-device manager the grouping
+        degenerates to the plain ascending order.
         """
         with self._latch:
             limit = min(blockno + count, smgr.nblocks(fileid))
@@ -227,20 +250,23 @@ class BufferManager:
                       if (smgr.smgr_id, fileid, block) not in self._frames]
             fetched = 0
             for group in smgr.placement_groups(fileid, wanted):
-                for block in group:
-                    self._charge(_MISS_INSTRUCTIONS)
-                    self._make_room()
-                    raw = smgr.read_block(fileid, block)
-                    page = SlottedPage(raw)
-                    if page.lsn != 0 and not page.verify_checksum():
-                        raise ChecksumError(
-                            f"checksum mismatch prefetching block {block} "
-                            f"of {fileid!r}")
-                    buf = Buffer(smgr=smgr, fileid=fileid, blockno=block,
-                                 page=page, pin_count=0, usage=1,
-                                 prefetched=True)
-                    self._install(buf)
-                    fetched += 1
+                for first, last in _runs(group):
+                    # One request for the run; each block is charged as it
+                    # is drawn, after the room made for it.
+                    blocks = smgr.read_blocks(fileid, first, last - first + 1)
+                    for block in range(first, last + 1):
+                        self._charge(_MISS_INSTRUCTIONS)
+                        self._make_room()
+                        page = SlottedPage(next(blocks))
+                        if page.lsn != 0 and not page.verify_checksum():
+                            raise ChecksumError(
+                                f"checksum mismatch prefetching block "
+                                f"{block} of {fileid!r}")
+                        buf = Buffer(smgr=smgr, fileid=fileid, blockno=block,
+                                     page=page, pin_count=0, usage=1,
+                                     prefetched=True)
+                        self._install(buf)
+                        fetched += 1
             self.stats.prefetched += fetched
             return fetched
 
@@ -257,6 +283,7 @@ class BufferManager:
                          page=SlottedPage(special_size=special_size),
                          dirty=True, pin_count=1)
             self._install(buf)
+            self._dirty.setdefault((smgr.smgr_id, fileid), {})[blockno] = buf
             return buf
 
     # -- decoded-object side cache ---------------------------------------------
@@ -313,8 +340,11 @@ class BufferManager:
                 raise BufferError_(
                     f"unpin of unpinned buffer {buf.fileid!r}:{buf.blockno}")
             buf.pin_count -= 1
-            if dirty:
+            if dirty and not buf.dirty:
                 buf.dirty = True
+                if self._frames.get(buf.key) is buf:  # not dropped meanwhile
+                    self._dirty.setdefault(
+                        (buf.smgr.smgr_id, buf.fileid), {})[buf.blockno] = buf
 
     @contextmanager
     def page(self, smgr: "StorageManager", fileid: str, blockno: int,
@@ -372,40 +402,58 @@ class BufferManager:
             self._writeback_batch(buf.smgr, buf.fileid)
         del self._frames[buf.key]
 
-    def _writeback_batch(self, smgr: "StorageManager", fileid: str) -> None:
-        dirty = sorted(
-            (other for other in self._frames.values()
-             if other.smgr is smgr and other.fileid == fileid
-             and other.dirty),
-            key=lambda b: b.blockno)
-        for other in dirty:
-            if other.dirty:  # hole-filling may have cleaned it already
-                self._writeback(other)
+    def _writeback_batch(self, smgr: "StorageManager", fileid: str,
+                         per_device: bool = False) -> int:
+        """Write every dirty page of one file; returns how many there were.
 
-    def _writeback(self, buf: Buffer) -> None:
-        """Write a dirty page to its device, zero-filling any hole first."""
-        self.stats.writebacks += 1
-        device_blocks = buf.smgr.nblocks(buf.fileid)
-        zero = bytes(PAGE_SIZE)
-        for hole in range(device_blocks, buf.blockno):
-            hole_buf = self._frames.get(
-                (buf.smgr.smgr_id, buf.fileid, hole))
-            if hole_buf is not None and hole_buf.dirty:
-                self._stamp(hole_buf.page)
-                buf.smgr.write_block(buf.fileid, hole, bytes(hole_buf.page.buf))
-                hole_buf.dirty = False
-                self.stats.writebacks += 1
-            else:
-                buf.smgr.write_block(buf.fileid, hole, zero)
-        self._stamp(buf.page)
-        buf.smgr.write_block(buf.fileid, buf.blockno, bytes(buf.page.buf))
-        buf.dirty = False
+        Blocks the device already holds go first, ascending — in per-node
+        batches (``smgr.placement_groups``) when *per_device*.  Everything
+        from the device's tail up to the highest dirty block follows in
+        global block order, holes included, because a manager never takes
+        a write that would leave a gap.  Each run of consecutive blocks in
+        that order is one request; for a single-device manager the order
+        is the plain ascending one.
+        """
+        dirty = self._dirty.get((smgr.smgr_id, fileid))
+        if not dirty:
+            return 0
+        count, top = len(dirty), max(dirty)
+        device_end = smgr.nblocks(fileid)
+        order = sorted(blockno for blockno in dirty if blockno < device_end)
+        if per_device:
+            order = [blockno
+                     for group in smgr.placement_groups(fileid, order)
+                     for blockno in group]
+        order.extend(range(device_end, top + 1))
+        for first, last in _runs(order):
+            self._writeback(smgr, fileid, first, last)
+        return count
 
-    def _stamp(self, page: SlottedPage) -> None:
-        """Mark the page written (nonzero LSN) and seal its checksum."""
-        page.lsn = self._next_lsn
-        self._next_lsn += 1
-        page.stamp_checksum()
+    def _writeback(self, smgr: "StorageManager", fileid: str,
+                   first: int, last: int) -> None:
+        """Write blocks *first* … *last* of one file as one run: the dirty
+        pages sealed in write order (nonzero LSN, then checksum), any
+        other block as zeros.  Pages turn clean only once the manager has
+        taken the whole run."""
+        key = (smgr.smgr_id, fileid)
+        dirty = self._dirty[key]
+        run = [dirty.get(blockno) for blockno in range(first, last + 1)]
+        images = []
+        for buf in run:
+            if buf is None:
+                images.append(_ZERO_PAGE)
+                continue
+            self.stats.writebacks += 1
+            buf.page.seal(self._next_lsn)
+            self._next_lsn += 1
+            images.append(buf.page.buf)
+        smgr.write_blocks(fileid, first, images)
+        for buf in run:
+            if buf is not None:
+                buf.dirty = False
+                del dirty[buf.blockno]
+        if not dirty:
+            del self._dirty[key]
 
     # -- flushing ---------------------------------------------------------------
 
@@ -415,48 +463,21 @@ class BufferManager:
         This is the force-at-commit path.  Returns the number of pages
         written.  The sync is unconditional: a file with no dirty pages
         left may still have unsynced device writes from eviction
-        write-backs (:meth:`_writeback_batch`), and skipping the sync for
-        it would leave a committed transaction's pages in the OS cache.
-
-        Blocks already materialized on the device are written in per-node
-        batches (``smgr.placement_groups``) so each physical device sees
-        its blocks in ascending order; blocks beyond the device's current
-        tail are appended afterwards in global block order, because the
-        hole-filling in :meth:`_writeback` relies on it.  For a
-        single-device manager this is exactly the historical ascending
-        order.
+        write-backs, and skipping the sync for it would leave a committed
+        transaction's pages in the OS cache.
         """
         with self._latch:
-            dirty = {buf.blockno: buf
-                     for buf in self._frames.values()
-                     if buf.smgr is smgr and buf.fileid == fileid
-                     and buf.dirty}
-            device_end = smgr.nblocks(fileid) if dirty else 0
-            body = [blockno for blockno in dirty if blockno < device_end]
-            tail = sorted(blockno for blockno in dirty
-                          if blockno >= device_end)
-            for group in smgr.placement_groups(fileid, body):
-                for blockno in group:
-                    buf = dirty[blockno]
-                    if buf.dirty:  # hole-fill may have flushed it already
-                        self._writeback(buf)
-            for blockno in tail:
-                buf = dirty[blockno]
-                if buf.dirty:
-                    self._writeback(buf)
+            written = self._writeback_batch(smgr, fileid, per_device=True)
             smgr.sync(fileid)
-            return len(dirty)
+            return written
 
     def flush_all(self) -> int:
         """Write every dirty page in the pool (checkpoint)."""
         with self._latch:
             written = 0
-            by_file: dict[tuple[str, str], StorageManager] = {}
-            for buf in self._frames.values():
-                if buf.dirty:
-                    by_file[(buf.smgr.smgr_id, buf.fileid)] = buf.smgr
-            for (_smgr_id, fileid), smgr in sorted(by_file.items(),
-                                                   key=lambda kv: kv[0][1]):
+            for (_smgr_id, fileid), frames in sorted(
+                    self._dirty.items(), key=lambda kv: kv[0][1]):
+                smgr = next(iter(frames.values())).smgr
                 written += self.flush_file(smgr, fileid)
             return written
 
@@ -467,6 +488,7 @@ class BufferManager:
                      if buf.smgr is smgr and buf.fileid == fileid]
             for key in stale:
                 del self._frames[key]
+            self._dirty.pop((smgr.smgr_id, fileid), None)
             self._virtual_nblocks.pop((smgr.smgr_id, fileid), None)
             self.drop_decoded(smgr, fileid)
 
@@ -483,6 +505,7 @@ class BufferManager:
                 raise BufferError_("cannot invalidate while pages are pinned")
             self.flush_all()
             self._frames.clear()
+            self._dirty.clear()
             self._sweep_order.clear()
             self._decoded.clear()
             self._hand = 0

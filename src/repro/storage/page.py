@@ -402,6 +402,16 @@ class SlottedPage:
         self._write_header(lsn, self.compute_checksum(), flags,
                            lower, upper, special)
 
+    def seal(self, lsn: int) -> None:
+        """Set the LSN and stamp the checksum in one pass over the header:
+        bit for bit what ``page.lsn = lsn; page.stamp_checksum()`` leaves."""
+        _lsn, _checksum, *rest = _HEADER.unpack_from(self.buf, 0)
+        _HEADER.pack_into(self.buf, 0, lsn, 0, *rest)
+        view = self._view
+        crc = zlib.crc32(view[PAGE_HEADER_SIZE:],
+                         zlib.crc32(view[:PAGE_HEADER_SIZE]))
+        self.buf[8:12] = crc.to_bytes(4, "little")
+
     def verify_checksum(self) -> bool:
         """True if the stored checksum matches the page contents."""
         stored = self._read_header()[1]

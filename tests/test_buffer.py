@@ -6,6 +6,8 @@ from repro.errors import BufferError_, ChecksumError
 from repro.sim import SimClock
 from repro.smgr import MemoryStorageManager
 from repro.storage import BufferManager
+from repro.storage.constants import PAGE_SIZE
+from repro.storage.page import SlottedPage
 
 
 @pytest.fixture
@@ -125,9 +127,14 @@ class TestEviction:
         for i, buf in enumerate(bufs):
             buf.page.add_item(bytes([i + 1]) * 8)
             pool.unpin(buf, dirty=True)
-        # Directly force writeback of the last block only.
-        pool._writeback(pool.pin(smgr, fid, 3))
+        # Only the last block is still dirty; the device lacks 0-2.
+        for blockno in range(3):
+            pool._dirty[smgr.smgr_id, fid].pop(blockno).dirty = False
+        pool.flush_file(smgr, fid)
         assert smgr.nblocks(fid) == 4
+        assert all(smgr.read_block(fid, hole) == bytes(PAGE_SIZE)
+                   for hole in range(3))
+        assert SlottedPage(smgr.read_block(fid, 3)).get_item(0) == b"\x04" * 8
 
 
 class TestFlush:

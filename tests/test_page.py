@@ -1,5 +1,7 @@
 """Unit and property tests for the slotted page."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,6 +196,18 @@ class TestChecksum:
         page = SlottedPage()
         page.lsn = 12345
         assert page.lsn == 12345
+
+    @settings(max_examples=60)
+    @given(st.integers(min_value=0), st.integers(min_value=0,
+                                                 max_value=2**64 - 1))
+    def test_seal_is_lsn_then_stamp_bit_for_bit(self, seed, lsn):
+        raw = random.Random(seed).randbytes(PAGE_SIZE)
+        sealed, stamped = SlottedPage(bytearray(raw)), SlottedPage(bytearray(raw))
+        sealed.seal(lsn)
+        stamped.lsn = lsn
+        stamped.stamp_checksum()
+        assert sealed.buf == stamped.buf
+        assert sealed.lsn == lsn and sealed.verify_checksum()
 
 
 @settings(max_examples=60)

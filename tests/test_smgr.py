@@ -122,6 +122,72 @@ def test_block_store_sparse_write_sets_nblocks(kind, tmp_path):
     store.close()
 
 
+def test_disk_store_length_visible_without_sync(tmp_path, monkeypatch):
+    """A written page is in the file, and in ``nblocks``, at once — also on
+    a file system whose preferred block size (the default buffer of a
+    buffered handle) exceeds a page, modelled here by forcing one."""
+    import builtins
+    import os
+
+    from repro.smgr.base import DiskBlockStore
+    real_open = builtins.open
+
+    def open_with_a_64k_buffer(file, mode="r", buffering=-1, *args, **kw):
+        if "b" in mode and buffering == -1:
+            buffering = 65536
+        return real_open(file, mode, buffering, *args, **kw)
+
+    monkeypatch.setattr(builtins, "open", open_with_a_64k_buffer)
+    store = DiskBlockStore(str(tmp_path))
+    store.create("t")
+    store.write("t", 0, block(1))
+    assert store.nblocks("t") == 1
+    assert os.path.getsize(tmp_path / "t.rel") == PAGE_SIZE
+    store.write("t", 1, block(2))  # the append the stale length refused
+    assert store.nblocks("t") == 2
+    store.close()
+
+
+def test_disk_store_closes_descriptors_and_syncs_through_os(tmp_path,
+                                                            monkeypatch):
+    import os
+
+    from repro.smgr.base import DiskBlockStore
+    store = DiskBlockStore(str(tmp_path))
+    synced = []
+    monkeypatch.setattr(os, "fsync", synced.append)  # what elide_fsync does
+    fds = []
+    for fileid in ("t", "u"):
+        store.create(fileid)
+        store.write(fileid, 0, block(1))
+        fds.append(store._open[fileid].fd)
+        store.sync(fileid)
+    assert synced == fds
+    store.sync("never-touched")  # nothing of this store's to force
+    assert synced == fds
+    store.unlink("t")
+    store.close()
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    assert not store.exists("t") and store.exists("u")
+    store.close()
+
+
+def test_disk_store_splits_runs_longer_than_one_vectored_call(tmp_path,
+                                                              monkeypatch):
+    from repro.smgr import base
+    monkeypatch.setattr(base, "_IOV_MAX", 4)
+    store = base.DiskBlockStore(str(tmp_path))
+    store.create("t")
+    images = [block(fill) for fill in range(1, 12)]
+    store.write_run("t", 2, images)
+    assert store.nblocks("t") == 13
+    assert [bytes(b) for b in store.read_run("t", 0, 14)] == \
+        [bytes(PAGE_SIZE)] * 2 + images + [bytes(PAGE_SIZE)]
+    store.close()
+
+
 class TestDiskSpecific:
     def test_survives_reopen(self, tmp_path):
         clock = SimClock()
