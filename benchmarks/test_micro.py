@@ -5,6 +5,11 @@ seconds; these report real Python-execution time of the hot paths so
 regressions in the implementation itself are visible.
 """
 
+import random
+import sys
+from contextlib import nullcontext
+from statistics import median
+
 import pytest
 
 from repro.bench.datasets import frame_bytes
@@ -366,6 +371,91 @@ class TestForcePathSystemCalls:
         for (fd, _start, end), (next_fd, next_start, _end) in zip(
                 writes, writes[1:]):
             assert fd != next_fd or next_start > end, writes
+
+
+class _Bytecodes:
+    """``with _Bytecodes() as executed:`` — ``executed.count`` is the
+    number of bytecodes this thread ran inside the block (the
+    ``sys.settrace`` idiom of ``tests/test_force.py``)."""
+
+    def __init__(self):
+        self.count = 0
+
+    def _on_call(self, frame, event, arg):
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return self._on_event
+
+    def _on_event(self, frame, event, arg):
+        self.count += event == "opcode"
+        return self._on_event
+
+    def __enter__(self):
+        self._previous = sys.gettrace()
+        sys.settrace(self._on_call)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        sys.settrace(self._previous)
+
+
+@pytest.mark.perf
+class TestCommitCostIsFlatInHistory:
+    """Every commit of a v-segment writer leaves one more dead version
+    of two ``pg_largeobject`` size rows.  Opening the object and
+    committing must not pay for them: counted in bytecodes, so the
+    answer is the same on any host."""
+
+    TRANSACTIONS = 300
+    FRAMES = 200
+    FRAME = 4000
+    EARLY = range(6, 15)        # transaction numbers around 10 ...
+    LATE = range(286, 295)      # ... and around 290
+
+    def test_open_and_commit_do_not_pay_for_dead_size_rows(self, tmp_path):
+        database = Database(str(tmp_path / "db"), charge_cpu=False)
+        with database.begin() as txn:
+            designator = database.lo.create(txn, "vsegment",
+                                            compression="zero-rle")
+            with database.lo.open(designator, txn, "rw") as obj:
+                for number in range(self.FRAMES):
+                    obj.write(frame_bytes(number, 0.5,
+                                          frame_size=self.FRAME))
+        rng = random.Random(1993)
+        watched = {*self.EARLY, *self.LATE}
+        opens, commits = {}, {}
+        for number in range(self.TRANSACTIONS):
+            txn = database.begin()
+            with _Bytecodes() if number in watched else nullcontext() as run:
+                obj = database.lo.open(designator, txn, "rw")
+            if run is not None:
+                opens[number] = run.count
+            for _ in range(2):
+                frame = rng.randrange(self.FRAMES)
+                obj.seek(frame * self.FRAME)
+                obj.write(frame_bytes(frame, 0.5, frame_size=self.FRAME,
+                                      generation=number + 1))
+            with _Bytecodes() if number in watched else nullcontext() as run:
+                obj.close()
+                txn.commit()
+            if run is not None:
+                commits[number] = run.count
+        database.close()
+
+        def growth(counts):
+            early = median(counts[number] for number in self.EARLY)
+            late = median(counts[number] for number in self.LATE)
+            assert early > 0
+            return late / early
+
+        # lo_open reads the size rows and nothing else that ages: flat.
+        # (At the parent of the commit that added this test: 14 times.)
+        assert growth(opens) <= 1.03, opens
+        # A commit also places the byte store's new tail chunk, and
+        # FreeSpaceMap.find walks that relation's pages when the tail
+        # page is full — about a fifth more by transaction 290, and not
+        # the version run's doing.  (At the parent: nearly 10 times.)
+        assert growth(commits) <= 1.5, commits
 
 
 class TestInversionMicro:

@@ -389,6 +389,52 @@ class BTree:
         key = self._check_key(key)
         return [value for _k, value in self._range_scan(key, key)]
 
+    def search_newest(self, key: Key) -> Iterator[Value]:
+        """The values of :meth:`search`, last-inserted first, lazily.
+
+        Equal keys are inserted after their duplicates, so the entry of
+        a row's live version is the *last* of its key's run and every
+        superseded version sits before it.  A caller that wants one
+        visible version (:meth:`IndexProbe.first
+        <repro.access.scan.IndexProbe.first>`) therefore pays one
+        descent and, normally, one heap fetch however long the run has
+        grown; nothing is read until the first ``next()`` and no list
+        of the whole run is built.
+        """
+        # As in range_scan: the latch check must fire at call time.
+        self._assert_latched("search_newest")
+        return self._search_newest(self._check_key(key))
+
+    def _search_newest(self, key: Key) -> Iterator[Value]:
+        # Descend as an insert of *key* would: separators equal to the
+        # key send us right, so this is the last leaf that can hold it.
+        last_block, _height = self._read_meta()
+        node = self._read_node(last_block)
+        while not node.is_leaf:
+            last_block = node.values[self._descend_index(node, key)][0]
+            node = self._read_node(last_block)
+        start = bisect.bisect_left(node.keys, key)
+        values = node.values
+        for i in range(bisect.bisect_right(node.keys, key) - 1,
+                       start - 1, -1):
+            yield values[i]
+        if start > 0:
+            # A smaller key precedes the run here, and every earlier
+            # leaf holds keys no greater than that one.
+            return
+        # The run may begin in an earlier leaf (or survive only there:
+        # delete never merges, so this leaf can be empty).  Leaves have
+        # no left link: one forward walk from the run's first leaf
+        # collects the older remainder.
+        blockno, node = self._find_leaf(key)
+        older: list[Value] = []
+        while blockno != last_block:
+            older += node.values[bisect.bisect_left(node.keys, key):
+                                 bisect.bisect_right(node.keys, key)]
+            blockno = node.right
+            node = self._read_node(blockno)
+        yield from reversed(older)
+
     def range_scan(self, lo: Key | None = None,
                    hi: Key | None = None) -> Iterator[tuple[Key, Value]]:
         """Entries with ``lo <= key <= hi``, in key order.
@@ -459,7 +505,9 @@ class BTree:
                 return removed
             blockno, node = node.right, self._read_node(node.right,
                                                         mutable=True)
-            if not node.keys or node.keys[0] > key:
+            # An empty leaf (emptied by earlier deletes, never merged
+            # away) says nothing about where the run ends: walk past it.
+            if node.keys and node.keys[0] > key:
                 return removed
 
     # -- introspection ----------------------------------------------------------------------

@@ -31,9 +31,10 @@ the other.
 The layer is backed by a debug tripwire: when a :class:`~repro.db.Database`
 is constructed while the lockdep validator is armed (``REPRO_LOCKDEP=1``,
 the default under pytest — see ``tests/conftest.py``), the raw access methods
-(``HeapRelation.fetch``/``fetch_many``, ``BTree.search``/``range_scan``)
-verify the engine latch is held, so any future call site that bypasses
-this layer fails loudly in CI instead of racing in production.
+(``HeapRelation.fetch``/``fetch_many``,
+``BTree.search``/``search_newest``/``range_scan``) verify the engine
+latch is held, so any future call site that bypasses this layer fails
+loudly in CI instead of racing in production.
 """
 
 from __future__ import annotations
@@ -187,16 +188,28 @@ class IndexProbe:
         return out
 
     def first(self, snapshot: Snapshot) -> HeapTuple | None:
-        """The first visible version, stopping at the first hit.
+        """One visible version, stopping at the first hit.
 
-        For rows with many superseded versions (e.g. a hot
-        ``pg_largeobject`` size row) this skips fetching the rest of the
-        version chain; use :meth:`tuples` when every version matters.
+        Meant for keys with exactly one visible version per snapshot
+        (the ``pg_largeobject`` size row — docs/invariants.md), where
+        visiting order cannot change the answer, only how many dead
+        versions are fetched on the way to it.  In wall-clock mode the
+        run is visited newest entry first, so the current version costs
+        one descent and one heap fetch however many superseded versions
+        share the key; an ``as_of`` snapshot walks back only as far as
+        its own version.  Charged mode keeps the oldest-first walk: its
+        fetches are part of the figures' pinned operation stream (see
+        docs/performance.md, "Why the gate cannot be deleted").  Use
+        :meth:`tuples` when every version matters.
         """
         stats = self.db.access_stats
         with self.db.latch:
             stats.probes += 1
-            for blockno, slot in self.index.search(self.key):
+            if self.db.bufmgr.cpu is None:
+                entries = self.index.search_newest(self.key)
+            else:
+                entries = self.index.search(self.key)
+            for blockno, slot in entries:
                 stats.tuples_scanned += 1
                 tup = self.relation.fetch(TID(blockno, slot), snapshot)
                 if tup is None:

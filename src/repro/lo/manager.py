@@ -171,7 +171,14 @@ class LargeObjectManager:
                 self._undo_create(store_oid)
         else:
             self._drop_relations(oid, chunk_class_name, chunk_index_name)
+        self._drop_entry(oid)
+
+    def _drop_entry(self, oid: int) -> None:
+        """Forget a dropped object: its catalog entry and, if it was a
+        v-segment byte store, its append cursor."""
         self.db.catalog.drop_large_object(oid)
+        with self._cursor_mutex:
+            self._append_cursors.pop(oid, None)
 
     def _drop_relations(self, oid: int, class_name_fn, index_name_fn):
         name = class_name_fn(oid)
@@ -388,7 +395,7 @@ class LargeObjectManager:
                 self._unlink_chunked(txn, store_oid)
         else:
             self._drop_relations(oid, chunk_class_name, chunk_index_name)
-        self.db.catalog.drop_large_object(oid)
+        self._drop_entry(oid)
 
     # -- introspection ----------------------------------------------------------------------------
 

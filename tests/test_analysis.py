@@ -100,9 +100,11 @@ class TestR001RawAccess:
         source = """\
             def walk(index):
                 return list(index.range_scan(None, None))
+            def newest(index, key):
+                return next(index.search_newest(key), None)
         """
         report = lint(tmp_path, "inversion/filesystem.py", source, "R001")
-        assert [f.rule for f in report.findings] == ["R001"]
+        assert [f.rule for f in report.findings] == ["R001", "R001"]
 
 
 class TestR003SmgrOnlyIO:

@@ -1,5 +1,7 @@
 """Unit and property tests for the paged B-tree."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +157,18 @@ class TestDelete:
         assert tree.search((7,)) == []
         assert len(tree.search((9,))) == 500
 
+    def test_delete_walks_past_a_leaf_emptied_earlier(self, tree):
+        """Regression: an empty leaf in the middle of a run of duplicates
+        used to end the walk, so entries in the leaves after it could
+        never be deleted (vacuum left them dangling)."""
+        for serial in range(1200):
+            tree.insert((7,), (serial, 0))
+        for serial in range(400, 800):     # empties a middle leaf
+            assert tree.delete((7,), (serial, 0)) == 1
+        assert tree.delete((7,), (1199, 0)) == 1
+        assert tree.delete((7,)) == 799
+        assert tree.entry_count() == 0
+
     def test_reinsert_after_delete(self, tree):
         for i in range(800):
             tree.insert((i,), (i, 0))
@@ -230,6 +244,106 @@ class TestDecodedNodeCache:
         # One descent plus a walk of the leaf chain: far fewer decodes
         # than one full descent per entry.
         assert node_reads < n / 10
+
+
+class TestSearchNewest:
+    """``search_newest`` is ``search`` reversed — always — and lazy."""
+
+    #: Duplicates per key: 2,000 entries span six or more leaves.
+    RUNS = (1, 2000, 3, 1, 700, 40, 2, 330, 1)
+
+    @staticmethod
+    def assert_reversed(tree, keys):
+        for key in keys:
+            assert list(tree.search_newest(key)) == tree.search(key)[::-1]
+
+    @pytest.mark.parametrize("seed", [1993, 2024, 7])
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_is_search_reversed_through_splits_and_deletes(
+            self, stack, arity, seed):
+        rng = random.Random(seed)
+        tree = BTree("idx", stack.smgr, stack.bufmgr, key_arity=arity)
+        tree.create_storage()
+        # Even components are present; odd ones, and both ends, absent.
+        if arity == 1:
+            present = [(2 * i,) for i in range(len(self.RUNS))]
+            absent = [(2 * i - 1,) for i in range(len(self.RUNS) + 1)]
+        else:
+            present = [(i // 3, 2 * (i % 3)) for i in range(len(self.RUNS))]
+            absent = [(i, j) for i in range(-1, 4) for j in (-1, 1, 3, 5)]
+        inserts = [key for key, run in zip(present, self.RUNS)
+                   for _ in range(run)]
+        rng.shuffle(inserts)    # interleaved, so runs grow across splits
+        live = {key: [] for key in present}
+        for serial, key in enumerate(inserts):
+            tree.insert(key, (serial, 0))
+            live[key].append((serial, 0))
+        assert tree.height() >= 1
+        everything = present + absent
+
+        def check():
+            for key in present:
+                assert tree.search(key) == live[key]
+            self.assert_reversed(tree, everything)
+
+        def prune(key, doomed):
+            for value in doomed:
+                assert tree.delete(key, value) == 1
+                live[key].remove(value)
+            check()
+
+        check()
+        # Vacuum-style pruning: random single entries ...
+        for key in present:
+            prune(key, rng.sample(live[key], len(live[key]) // 4))
+        # ... then whole leaves' worth off one end of the two long runs:
+        # the newest end of one (the leaf the descent lands in is left
+        # empty, or holding only larger keys), the oldest of the other.
+        long_a, long_b = [key for key in present if len(live[key]) > 450]
+        prune(long_a, live[long_a][-450:])
+        prune(long_b, live[long_b][:450])
+        # ... and a key pruned to nothing reads as absent.
+        assert tree.delete(long_a) == len(live[long_a])
+        del live[long_a][:]
+        check()
+        tree.check_invariants()
+
+    def test_a_lone_run_pruned_from_the_newest_end(self, tree):
+        """One key fills the whole tree: once its newest half is pruned
+        the rightmost leaves are empty, and the survivors sit only in
+        leaves a forward walk reaches."""
+        for serial in range(2000):
+            tree.insert((5,), (serial, 0))
+        for serial in range(1999, 999, -1):
+            assert tree.delete((5,), (serial, 0)) == 1
+        assert next(tree.search_newest((5,))) == (999, 0)
+        self.assert_reversed(tree, [(4,), (5,), (6,)])
+
+    def test_first_element_costs_one_descent_however_long_the_run(
+            self, tree, monkeypatch):
+        for key, run in (((1,), 1), ((2,), 2000), ((3,), 1)):
+            for serial in range(run):
+                tree.insert(key, (serial, key[0]))
+        reads = []
+        read_node = tree._read_node
+
+        def counted(blockno, mutable=False):
+            reads.append(blockno)
+            return read_node(blockno, mutable)
+
+        def nodes_read_for_newest(key):
+            newest = tree.search(key)[-1]
+            del reads[:]
+            assert next(tree.search_newest(key)) == newest
+            return len(reads)
+
+        monkeypatch.setattr(tree, "_read_node", counted)
+        assert tree.search_newest((2,)) is not None and reads == []  # lazy
+        short = nodes_read_for_newest((1,))
+        assert short == tree.height() + 1
+        assert nodes_read_for_newest((2,)) == short
+        assert nodes_read_for_newest((3,)) == short
+        assert len(tree.search((2,))) == 2000 and len(reads) > short + 4
 
 
 class TestPersistence:

@@ -531,6 +531,26 @@ class TestManagerEdgeCases:
                 db.lo.create_for_type(txn, "int4")
 
 
+    def test_store_append_cursors_go_with_their_objects(self, db):
+        """Regression: one ``_append_cursors`` entry per v-segment byte
+        store stayed behind after unlink and after an aborted create."""
+        for _ in range(50):
+            with db.begin() as txn:
+                designator = db.lo.create(txn, "vsegment")
+                with db.lo.open(designator, txn, "rw") as obj:
+                    obj.write(b"frame" * 100)
+            assert len(db.lo._append_cursors) == 1
+            with db.begin() as txn:
+                db.lo.unlink(txn, designator)
+        txn = db.begin()
+        designator = db.lo.create(txn, "vsegment")
+        with db.lo.open(designator, txn, "rw") as obj:
+            obj.write(b"never committed")
+        assert len(db.lo._append_cursors) == 1
+        txn.abort()
+        assert db.lo._append_cursors == {}
+
+
 class TestTemporaryObjects:
     def test_unkept_temporaries_collected(self, db):
         from repro.lo.temporary import TemporaryObjects

@@ -11,10 +11,11 @@ from repro.access.scan import (
     IndexRangeScan,
     SeqScan,
 )
-from repro.db import Database
+from repro.db import PG_LARGEOBJECT, Database
 from repro.errors import LargeObjectError, ReproError
 from repro.lo import metadata
 from repro.lo.fchunk import chunk_class_name
+from repro.lo.manager import designator_oid
 from repro.lo.vsegment import segment_class_name
 from repro.txn.lockdep import VALIDATOR
 
@@ -274,6 +275,80 @@ class TestVisibleVersionInvariant:
             metadata.size_row(db, 424242, db.snapshot())
 
 
+@pytest.mark.parametrize("charge_cpu", [True, False])
+class TestSizeRowProbeInBothModes:
+    """Exactly one ``pg_largeobject`` version of an oid is visible to any
+    snapshot, so ``IndexProbe.first`` returns the same row whichever end
+    of the version run it starts from: charged mode walks oldest-first
+    (the figures' pinned operation stream), wall-clock mode newest-first
+    (a cost that does not grow with history)."""
+
+    def test_first_is_the_single_visible_version(self, charge_cpu):
+        with Database(charge_cpu=charge_cpu) as db:
+            with db.begin() as txn:
+                oid = designator_oid(db.lo.create(txn, "fchunk"))
+            index = db.get_index(metadata.SIZE_INDEX)
+            probe = IndexProbe(db, index, db.get_class(PG_LARGEOBJECT),
+                               (oid,))
+
+            def first_matches_tuples(snapshot, size):
+                """Returns (versions fetched by first, run length)."""
+                [only] = probe.tuples(snapshot)
+                assert only.values == (oid, size)
+                before = db.access_stats.tuples_scanned
+                first = probe.first(snapshot)
+                scanned = db.access_stats.tuples_scanned - before
+                assert (first.tid, first.values) == (only.tid, only.values)
+                with db.latch:
+                    run = index.search((oid,))
+                position = run.index((only.tid.blockno, only.tid.slot))
+                # Each mode stops at the visible version, from its end.
+                assert scanned == (position + 1 if charge_cpu
+                                   else len(run) - position)
+                return scanned, len(run)
+
+            history = [(db.clock.now(), 0)]
+
+            def committed_replace(size):
+                with db.begin() as txn:
+                    metadata.write_size(db, txn, oid, size)
+                history.append((db.clock.now(), size))
+
+            for size in (10, 20, 30):
+                committed_replace(size)
+            aborted = db.begin()
+            metadata.write_size(db, aborted, oid, 666)
+            aborted.abort()
+            for size in (40, 50):
+                committed_replace(size)
+            # Quiescent: 1 insert + 5 committed + 1 aborted replace.
+            scanned, run = first_matches_tuples(db.snapshot(), 50)
+            assert run == 7
+            assert scanned == (run if charge_cpu else 1)
+
+            mine, other = db.begin(), db.begin()
+            metadata.write_size(db, mine, oid, 60)   # in flight from here
+            own, run = first_matches_tuples(db.snapshot(mine), 60)
+            foreign, _ = first_matches_tuples(db.snapshot(other), 50)
+            plain, _ = first_matches_tuples(db.snapshot(), 50)
+            assert run == 8
+            if charge_cpu:
+                assert (own, foreign, plain) == (8, 7, 7)
+            else:
+                assert own == 1 and foreign <= 2 and plain <= 2
+            for stamp, size in history:
+                first_matches_tuples(db.snapshot(as_of=stamp), size)
+            mine.commit()
+            other.abort()
+            first_matches_tuples(db.snapshot(), 60)
+
+    def test_absent_key_is_none(self, charge_cpu):
+        with Database(charge_cpu=charge_cpu) as db:
+            probe = IndexProbe(db, db.get_index(metadata.SIZE_INDEX),
+                               db.get_class(PG_LARGEOBJECT), (424242,))
+            assert probe.first(db.snapshot()) is None
+
+
 class TestLatchTripwire:
     def test_armed_by_default_under_pytest(self, db):
         # conftest.py arms lockdep (REPRO_LOCKDEP=1) and the tripwire
@@ -306,8 +381,15 @@ class TestLatchTripwire:
         # block already exited.
         with pytest.raises(AssertionError, match="engine latch"):
             index.range_scan()
+        # ... and so must the lazy newest-first probe, for the same reason.
+        with pytest.raises(AssertionError, match="engine latch"):
+            index.search_newest((1,))
+        with db.begin() as txn:
+            newest = db.insert(txn, "T", (1, 999))
         with db.latch:
-            assert len(index.search((1,))) == 1
+            assert len(index.search((1,))) == 2
+            assert next(index.search_newest((1,))) == (
+                newest.blockno, newest.slot)
 
     def test_diagnostics_bypass_the_tripwire(self, db):
         _fill(db)
