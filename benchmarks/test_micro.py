@@ -458,6 +458,45 @@ class TestCommitCostIsFlatInHistory:
         assert growth(commits) <= 1.5, commits
 
 
+@pytest.mark.perf
+class TestWireRoundTrips:
+    """The wire is positioned and the cursor is the client's: seek, then
+    read is one frame out and one frame back — counted, not timed."""
+
+    FRAMES = 100
+    FRAME = 4000
+
+    def test_seek_plus_read_is_one_frame_each_way(self, db, monkeypatch):
+        from repro.server import ReproServer, ServerClient, protocol
+        with ReproServer(db) as server, \
+                ServerClient(*server.address) as client:
+            client.begin()
+            fd = client.lo_open(client.lo_create("fchunk"), "rw")
+            client.lo_write(fd, bytes(self.FRAMES * self.FRAME))
+            frames = {"send_message": 0, "recv_message": 0}
+
+            def counted(name):
+                real = getattr(protocol, name)
+
+                def wrapper(sock, *args):
+                    if sock is client._sock:   # not the server's end
+                        frames[name] += 1
+                    return real(sock, *args)
+                return wrapper
+
+            for name in frames:
+                monkeypatch.setattr(protocol, name, counted(name))
+            before = client.round_trips
+            for number in reversed(range(self.FRAMES)):
+                client.lo_seek(fd, number * self.FRAME)
+                assert len(client.lo_read(fd, self.FRAME)) == self.FRAME
+            monkeypatch.undo()
+            assert client.round_trips - before == self.FRAMES
+            client.rollback()
+        assert frames == {"send_message": self.FRAMES,
+                          "recv_message": self.FRAMES}
+
+
 class TestInversionMicro:
     def test_path_resolution(self, benchmark, db):
         fs = db.inversion

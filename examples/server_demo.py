@@ -48,8 +48,8 @@ def main() -> None:
             with ServerClient(host, port) as client:
                 client.begin()
                 fd = client.lo_open(designator, "rw")
-                client.lo_seek(fd, client_no * GRAIN)
-                client.lo_write(fd, bytes([client_no + 1]) * SPAN)
+                client.lo_pwrite(fd, client_no * GRAIN,
+                                 bytes([client_no + 1]) * SPAN)
                 client.lo_close(fd)
                 client.commit()
 
@@ -68,8 +68,7 @@ def main() -> None:
             client.begin()
             fd = client.lo_open(designator)
             exact = all(
-                client.lo_seek(fd, i * GRAIN) == i * GRAIN
-                and client.lo_read(fd, SPAN) == bytes([i + 1]) * SPAN
+                client.lo_pread(fd, i * GRAIN, SPAN) == bytes([i + 1]) * SPAN
                 for i in range(N_CLIENTS))
             size = client.lo_size(fd)
             client.rollback()
@@ -94,8 +93,7 @@ def main() -> None:
         with ServerClient(host, port) as client:
             client.begin()
             fd = client.lo_open(designator)
-            client.lo_seek(fd, size)
-            tail = client.lo_read(fd)
+            tail = client.lo_pread(fd, size)
             client.rollback()
         tags = sorted(tail.decode().replace("><", ">|<").split("|"))
         print(f"appends landed exactly once each: {tags}")

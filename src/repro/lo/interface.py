@@ -22,10 +22,32 @@ SEEK_CUR = os.SEEK_CUR
 SEEK_END = os.SEEK_END
 
 
+def seek_target(designator: str, offset: int, whence: int = SEEK_SET,
+                pos: int = 0, size=None) -> int:
+    """Where ``seek(offset, whence)`` lands from *pos*: the whence rules,
+    once, for local handles and ``ServerClient`` cursors.  *size* is called
+    only under ``SEEK_END`` (a remote descriptor pays a round trip for it).
+    """
+    if whence == SEEK_SET:
+        target = offset
+    elif whence == SEEK_CUR:
+        target = pos + offset
+    elif whence == SEEK_END:
+        target = size() + offset
+    else:
+        raise InvalidSeek(f"bad whence {whence!r}")
+    if target < 0:
+        raise InvalidSeek(
+            f"seek to negative offset {target} in {designator!r}")
+    return target
+
+
 class LargeObject(ABC):
     """An open large-object descriptor with file semantics.
 
-    Descriptors keep a position; :meth:`read` and :meth:`write` advance it.
+    Descriptors keep a position; :meth:`read` and :meth:`write` advance it
+    and are :meth:`pread` / :meth:`pwrite` at that position — the one body
+    that reads and the one that writes, which the server calls directly.
     Subclasses implement the positioned primitives ``_read_at`` /
     ``_write_at`` / ``_size``; the base class owns position bookkeeping,
     mode enforcement, and close-state checks.
@@ -65,40 +87,42 @@ class LargeObject(ABC):
 
     # -- file interface ----------------------------------------------------------
 
+    def pread(self, offset: int, nbytes: int = -1) -> bytes:
+        """Read up to *nbytes* at *offset* (-1 = to EOF); no position moves."""
+        self._check_open()
+        if offset < 0:
+            seek_target(self.designator, offset)  # raises InvalidSeek
+        if nbytes < 0:
+            nbytes = max(0, self._size() - offset)
+        return self._read_at(offset, nbytes)
+
+    def pwrite(self, offset: int, data: bytes) -> int:
+        """Write *data* at *offset*; returns bytes written, moves nothing."""
+        self._check_writable()
+        if offset < 0:
+            seek_target(self.designator, offset)  # raises InvalidSeek
+        data = bytes(data)
+        if data:
+            self._write_at(offset, data)
+        return len(data)
+
     def read(self, nbytes: int = -1) -> bytes:
         """Read up to *nbytes* from the current position (-1 = to EOF)."""
-        self._check_open()
-        if nbytes < 0:
-            nbytes = max(0, self._size() - self._pos)
-        data = self._read_at(self._pos, nbytes)
+        data = self.pread(self._pos, nbytes)
         self._pos += len(data)
         return data
 
     def write(self, data: bytes) -> int:
         """Write *data* at the current position; returns bytes written."""
-        self._check_writable()
-        data = bytes(data)
-        if data:
-            self._write_at(self._pos, data)
-            self._pos += len(data)
-        return len(data)
+        written = self.pwrite(self._pos, data)
+        self._pos += written
+        return written
 
     def seek(self, offset: int, whence: int = SEEK_SET) -> int:
         """Move the position; returns the new absolute position."""
         self._check_open()
-        if whence == SEEK_SET:
-            target = offset
-        elif whence == SEEK_CUR:
-            target = self._pos + offset
-        elif whence == SEEK_END:
-            target = self._size() + offset
-        else:
-            raise InvalidSeek(f"bad whence {whence!r}")
-        if target < 0:
-            raise InvalidSeek(
-                f"seek to negative offset {target} in "
-                f"{self.designator!r}")
-        self._pos = target
+        self._pos = seek_target(self.designator, offset, whence,
+                                self._pos, self._size)
         return self._pos
 
     def tell(self) -> int:
@@ -131,15 +155,19 @@ class LargeObject(ABC):
     def append(self, data: bytes) -> int:
         """Write *data* at end-of-file; returns the bytes written.
 
-        The base implementation is ``seek(0, SEEK_END)`` + ``write``.
-        :class:`~repro.lo.chunked.ChunkedObject` overrides it to
-        re-resolve the EOF *under* the write range lock, so concurrent
+        The base implementation is :meth:`pwrite` at the current size,
+        leaving the position after the data (an empty append moves
+        nothing).  :class:`~repro.lo.chunked.ChunkedObject` overrides it
+        to re-resolve the EOF *under* the write range lock, so concurrent
         appenders land exactly once instead of overwriting each other at
         a stale EOF.
         """
-        self._check_open()
-        self.seek(0, SEEK_END)
-        return self.write(data)
+        self._check_writable()
+        end = self._size()
+        written = self.pwrite(end, data)
+        if written:
+            self._pos = end + written
+        return written
 
     def close(self) -> None:
         """Release the descriptor.  Idempotent.  A failing final flush

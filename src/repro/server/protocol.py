@@ -8,10 +8,18 @@ Every message — request or response — is one frame::
     +----------------+----------------+----------------+-----------+
 
 The JSON header carries the command (or reply fields); the body carries
-bulk large-object data so ``lo_read``/``lo_write`` payloads move as raw
+bulk large-object data so ``lo_pread``/``lo_pwrite`` payloads move as raw
 bytes instead of being base64-inflated inside JSON.  Small binary
 values that *do* appear inside headers (query result rows may contain
 ``bytes``) are tagged: ``{"__b64__": "<base64>"}``.
+
+The wire is *positioned*: the data verbs are ``lo_pread(fd, offset,
+nbytes)`` and ``lo_pwrite(fd, offset)`` + body, beside ``lo_append``,
+``lo_size``, ``lo_truncate(fd, size)`` and ``lo_close``.  There is no
+seek or tell verb — the cursor is the client's, so a seek-then-read is
+one frame each way, and a transport error in between ends the
+connection.  Every verb, with the header fields it requires, is declared
+in ``COMMANDS`` of :mod:`repro.server.server`.
 
 Responses always carry ``"ok"``: ``true`` plus reply fields on
 success, ``false`` plus ``"error"`` (exception class name) and
@@ -52,34 +60,36 @@ def send_message(sock: socket.socket, header: dict,
 
 
 def recv_message(sock: socket.socket) -> tuple[dict, bytes]:
-    """Read one frame; returns ``(header, body)``.
+    """Read one frame — the prefix, then header and body together.
 
     Raises :class:`ConnectionError` (via :func:`recv_exact`) when the
     peer hangs up cleanly between frames, :class:`ProtocolError` on a
     malformed frame.
     """
-    prefix = recv_exact(sock, _PREFIX.size)
-    header_len, body_len = _PREFIX.unpack(prefix)
+    header_len, body_len = _PREFIX.unpack(recv_exact(sock, _PREFIX.size))
     if header_len > MAX_PART or body_len > MAX_PART:
         raise ProtocolError(
             f"frame prefix claims {header_len}/{body_len} bytes "
             f"(max {MAX_PART}) — stream out of sync?")
+    rest = recv_exact(sock, header_len + body_len)
     try:
-        header = json.loads(recv_exact(sock, header_len))
+        header = json.loads(rest[:header_len])
     except ValueError as exc:
         raise ProtocolError(f"bad frame header: {exc}") from exc
     if not isinstance(header, dict):
         raise ProtocolError(
             f"frame header must be a JSON object, got {type(header).__name__}")
-    return header, recv_exact(sock, body_len)
+    return header, rest[header_len:]
 
 
 def recv_exact(sock: socket.socket, nbytes: int) -> bytes:
     """Read exactly *nbytes*; raises ``ConnectionError`` on EOF."""
+    # MSG_WAITALL: one recv per MiB on a blocking socket; one with a
+    # timeout may still return short, hence the loop.
     parts = []
     remaining = nbytes
     while remaining:
-        piece = sock.recv(min(remaining, 1 << 20))
+        piece = sock.recv(min(remaining, 1 << 20), socket.MSG_WAITALL)
         if not piece:
             raise ConnectionError(
                 f"peer closed mid-frame ({nbytes - remaining}/{nbytes} "

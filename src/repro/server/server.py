@@ -151,20 +151,17 @@ class ReproServer:
     def _serve_connection(self, conn: socket.socket, conn_id: int) -> None:
         """Run one connection's command loop until EOF or ``close``."""
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        session = Session(self.db)
-        handles: dict[int, LargeObject] = {}
-        next_fd = [1]
+        state = _Connection(self.db)
         try:
             while not self._stopping.is_set():
                 try:
                     header, body = protocol.recv_message(conn)
                 except (ConnectionError, OSError):
                     return  # client hung up; finally rolls back
-                if not self._dispatch(conn, session, handles, next_fd,
-                                      header, body):
+                if not self._dispatch(conn, state, header, body):
                     return
         finally:
-            session.close()  # aborts any open transaction
+            state.session.close()  # aborts any open transaction
             try:
                 conn.close()
             except OSError:
@@ -172,121 +169,117 @@ class ReproServer:
             with self._conn_lock:
                 self._connections.pop(conn_id, None)
 
-    def _dispatch(self, conn: socket.socket, session: Session,
-                  handles: dict, next_fd: list, header: dict,
-                  body: bytes) -> bool:
+    def _dispatch(self, conn: socket.socket, state: "_Connection",
+                  header: dict, body: bytes) -> bool:
         """Run one command; returns False when the connection should end."""
         cmd = header.get("cmd")
         try:
-            if cmd == "close":
-                protocol.send_message(conn, {"ok": True})
-                return False
-            reply, reply_body = self._run_command(
-                session, handles, next_fd, cmd, header, body)
-            protocol.send_message(conn, {"ok": True, **reply}, reply_body)
-        except ReproError as exc:
+            reply = state.run(cmd, header, body)
+            if isinstance(reply, bytes):
+                protocol.send_message(conn, {"ok": True}, reply)
+            else:
+                protocol.send_message(conn, {"ok": True, **(reply or {})})
+            return cmd != "close"
+        except (ReproError, OSError, ValueError, KeyError, TypeError) as exc:
             # Engine errors fail the command, not the connection: the
-            # client decides whether to retry, roll back, or give up
-            # (a DeadlockError victim *must* roll back).
+            # client decides whether to retry, roll back, or give up (a
+            # DeadlockError victim *must* roll back).  Anything else is a
+            # malformed request or a dead socket: report if we can, then
+            # drop the connection — the stream may be out of sync.
+            engine = isinstance(exc, ReproError)
+            name = type(exc).__name__
             try:
                 protocol.send_message(conn, {
                     "ok": False,
-                    "error": type(exc).__name__,
-                    "message": str(exc),
+                    "error": name if engine else "ProtocolError",
+                    "message": str(exc) if engine else f"{name}: {exc}",
                 })
             except OSError:
                 return False
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            # Malformed request or dead socket: report if we can, then
-            # drop the connection — the stream may be out of sync.
-            try:
-                protocol.send_message(conn, {
-                    "ok": False,
-                    "error": "ProtocolError",
-                    "message": f"{type(exc).__name__}: {exc}",
-                })
-            except OSError:
-                pass
-            return False
-        return True
+            return engine
 
-    # -- commands ----------------------------------------------------------------
 
-    def _run_command(self, session: Session, handles: dict,
-                     next_fd: list, cmd: str, header: dict,
-                     body: bytes) -> tuple[dict, bytes]:
-        """Execute one request; returns ``(reply_fields, reply_body)``."""
-        if cmd == "ping":
-            return {"pong": True}, b""
+class _Connection:
+    """One connection's session and descriptor table, and the verbs that
+    address the connection rather than an open descriptor."""
 
-        if cmd == "begin":
-            # repro: allow(R005): the transaction spans many commands by
-            # design; _serve_connection's finally (session.close) aborts
-            # it if the client vanishes without commit/rollback.
-            txn = session.begin()
-            return {"xid": txn.xid}, b""
-        if cmd == "commit":
-            handles.clear()  # commit closes every descriptor
-            session.commit()
-            return {}, b""
-        if cmd == "rollback":
-            handles.clear()
-            session.rollback()
-            return {}, b""
+    def __init__(self, db: "Database"):
+        self.session = Session(db)
+        self.handles: dict[int, LargeObject] = {}
+        self._next_fd = 1
 
-        if cmd == "execute":
-            result = session.execute(header["query"])
-            return {
-                "columns": result.columns,
-                "rows": protocol.encode_rows(result.rows),
-                "count": result.count,
-                "temporaries": sorted(result.temporaries),
-            }, b""
-
-        if cmd == "lo_create":
-            designator = session.lo_create(
-                header.get("impl", "fchunk"),
-                smgr=header.get("smgr"),
-                compression=header.get("compression", "none"))
-            return {"designator": designator}, b""
-        if cmd == "lo_unlink":
-            session.lo_unlink(header["designator"])
-            return {}, b""
-        if cmd == "lo_open":
-            handle = session.lo_open(header["designator"],
-                                     header.get("mode", "r"))
-            fd = next_fd[0]
-            next_fd[0] += 1
-            handles[fd] = handle
-            return {"fd": fd}, b""
-
-        if cmd == "stats":
-            return {"stats": self.db.statistics()}, b""
-
-        # Everything below addresses an open descriptor.
-        handle = handles.get(header.get("fd"))
+    def run(self, cmd: str, header: dict, body: bytes):
+        """Execute one request; returns what its :data:`COMMANDS` handler
+        does: the reply's header fields, its body, or None for neither."""
+        if cmd not in COMMANDS:
+            raise ReproError(f"unknown command {cmd!r}")
+        handler, required = COMMANDS[cmd]
+        for field in required:
+            if field not in header:
+                raise protocol.ProtocolError(f"{cmd} needs {field!r}")
+        if "fd" not in required:
+            return handler(self, header, body)
+        handle = self.handles.get(header["fd"])
         if handle is None:
             raise LargeObjectError(
-                f"bad large-object descriptor {header.get('fd')!r} "
+                f"bad large-object descriptor {header['fd']!r} "
                 f"(command {cmd!r})")
-        if cmd == "lo_read":
-            return {}, handle.read(header.get("nbytes", -1))
-        if cmd == "lo_write":
-            return {"nbytes": handle.write(body)}, b""
-        if cmd == "lo_append":
-            return {"nbytes": handle.append(body)}, b""
-        if cmd == "lo_seek":
-            return {"pos": handle.seek(header["offset"],
-                                       header.get("whence", 0))}, b""
-        if cmd == "lo_tell":
-            return {"pos": handle.tell()}, b""
-        if cmd == "lo_size":
-            return {"size": handle.size()}, b""
-        if cmd == "lo_truncate":
-            return {"size": handle.truncate(header.get("size"))}, b""
-        if cmd == "lo_close":
-            handle.close()
-            handles.pop(header["fd"], None)
-            return {}, b""
+        return handler(handle, header, body)
 
-        raise ReproError(f"unknown command {cmd!r}")
+    def begin(self, header, body):
+        return {"xid": self.session.begin().xid}
+
+    def execute(self, header, body):
+        result = self.session.execute(header["query"])
+        return {
+            "columns": result.columns,
+            "rows": protocol.encode_rows(result.rows),
+            "count": result.count,
+            "temporaries": sorted(result.temporaries),
+        }
+
+    def lo_create(self, header, body):
+        return {"designator": self.session.lo_create(
+            header.get("impl", "fchunk"), smgr=header.get("smgr"),
+            compression=header.get("compression", "none"))}
+
+    def lo_open(self, header, body):
+        handle = self.session.lo_open(header["designator"],
+                                      header.get("mode", "r"))
+        fd, self._next_fd = self._next_fd, self._next_fd + 1
+        self.handles[fd] = handle
+        # However it closes — lo_close (even one whose final flush
+        # raises), commit, rollback — the fd names nothing afterwards.
+        handle.on_close.append(lambda: self.handles.pop(fd, None))
+        return {"fd": fd}
+
+
+#: The wire's verbs, declared once: verb → (handler, required header
+#: fields).  A verb that requires ``fd`` addresses an open descriptor and
+#: its handler gets that handle; any other gets the :class:`_Connection`;
+#: then ``(header, body)``.  A handler returns the reply's header fields
+#: (a dict), its body (bytes), or None.
+COMMANDS = {
+    "ping": (lambda c, h, b: {"pong": True}, ()),
+    "close": (lambda c, h, b: None, ()),  # _dispatch ends the connection
+    "stats": (lambda c, h, b: {"stats": c.session.db.statistics()}, ()),
+    "begin": (_Connection.begin, ()),
+    "commit": (lambda c, h, b: c.session.commit(), ()),
+    "rollback": (lambda c, h, b: c.session.rollback(), ()),
+    "execute": (_Connection.execute, ("query",)),
+    "lo_create": (_Connection.lo_create, ()),
+    "lo_unlink": (lambda c, h, b: c.session.lo_unlink(h["designator"]),
+                  ("designator",)),
+    "lo_open": (_Connection.lo_open, ("designator",)),
+    "lo_pread": (lambda o, h, b: o.pread(h["offset"], h["nbytes"]),
+                 ("fd", "offset", "nbytes")),
+    "lo_pwrite": (lambda o, h, b: {"nbytes": o.pwrite(h["offset"], b)},
+                  ("fd", "offset")),
+    "lo_append": (lambda o, h, b: {"nbytes": o.append(b), "pos": o.tell()},
+                  ("fd",)),
+    "lo_size": (lambda o, h, b: {"size": o.size()}, ("fd",)),
+    # int(): a null size would truncate to the server-side position, 0.
+    "lo_truncate": (lambda o, h, b: {"size": o.truncate(int(h["size"]))},
+                    ("fd", "size")),
+    "lo_close": (lambda o, h, b: o.close(), ("fd",)),
+}

@@ -6,6 +6,7 @@ four-plus concurrent clients through one shared object — the
 acceptance-criteria scenario for the server plus range-lock PR.
 """
 
+import random
 import socket
 import threading
 import time
@@ -13,8 +14,10 @@ import time
 import pytest
 
 from repro.db import Database
-from repro.errors import (DeadlockError, LargeObjectNotFound,
-                          NoActiveTransaction, TransactionError)
+from repro.errors import (DeadlockError, LargeObjectError,
+                          LargeObjectNotFound, NoActiveTransaction,
+                          ReproError,
+                          StorageManagerError, TransactionError)
 from repro.server import ReproServer, ServerClient
 from repro.server import protocol
 
@@ -61,6 +64,47 @@ class TestProtocol:
             a.sendall(b"\xff\xff\xff\xff\x00\x00\x00\x00")
             with pytest.raises(protocol.ProtocolError):
                 protocol.recv_message(b)
+        finally:
+            a.close()
+            b.close()
+
+    def test_eof_right_after_prefix_is_connection_error(self):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(b"\x00\x00\x00\x10\x00\x00\x00\x10")
+            a.close()
+            with pytest.raises(ConnectionError):
+                protocol.recv_message(b)
+        finally:
+            b.close()
+
+    def test_a_frame_is_two_recv_calls(self):
+        """Prefix, then header and body together — also when the body is
+        most of a megabyte and arrives in many segments."""
+        class Counting:
+            calls = 0
+
+            def __init__(self, sock):
+                self.sock = sock
+
+            def recv(self, *args):
+                self.calls += 1
+                return self.sock.recv(*args)
+
+        a, b = socket.socketpair()
+        try:
+            for body in (b"", b"\x5a" * 4000, b"\xa5" * ((1 << 20) - 64)):
+                sender = threading.Thread(
+                    target=protocol.send_message,
+                    args=(a, {"cmd": "lo_pwrite", "fd": 3, "offset": 0}, body),
+                    daemon=True)
+                sender.start()
+                reader = Counting(b)
+                header, received = protocol.recv_message(reader)
+                sender.join(10.0)
+                assert not sender.is_alive()
+                assert header["cmd"] == "lo_pwrite" and received == body
+                assert reader.calls == 2
         finally:
             a.close()
             b.close()
@@ -346,3 +390,263 @@ def test_disjoint_range_clients_byte_exact(served):
             for i in range(n_clients):
                 obj.seek(i * grain)
                 assert obj.read(span) == bytes([i + 1]) * span
+
+
+@pytest.mark.server
+class TestPositionedWire:
+    """The wire is positioned and the cursor is the client's."""
+
+    def test_frames_per_call(self, served):
+        _db, server = served
+        with ServerClient(*server.address) as client:
+            client.begin()
+            fd = client.lo_open(client.lo_create("fchunk"), "rw")
+            client.lo_write(fd, bytes(range(100)))
+
+            def frames(call, *args):
+                before = client.round_trips
+                return call(*args), client.round_trips - before
+
+            assert frames(client.lo_seek, fd, 10) == (10, 0)
+            assert frames(client.lo_read, fd, 5) == (bytes(range(10, 15)), 1)
+            assert frames(client.lo_tell, fd) == (15, 0)
+            assert frames(client.lo_seek, fd, -5, 1) == (10, 0)
+            assert frames(client.lo_seek, fd, 0, 2) == (100, 1)
+            assert frames(client.lo_pread, fd, 98, 10) == (bytes([98, 99]), 1)
+            assert frames(client.lo_pwrite, fd, 200, b"xy") == (2, 1)
+            assert frames(client.lo_tell, fd) == (100, 0)
+            assert frames(client.lo_append, fd, b"z") == (1, 1)
+            assert frames(client.lo_tell, fd) == (203, 0)
+            client.lo_seek(fd, 50)
+            assert frames(client.lo_truncate, fd) == (50, 1)
+            assert frames(client.lo_size, fd) == (50, 1)
+            client.rollback()
+
+    def test_seek_and_tell_are_not_wire_verbs(self, served):
+        _db, server = served
+        with ServerClient(*server.address) as client:
+            client.begin()
+            fd = client.lo_open(client.lo_create("fchunk"), "rw")
+            for verb in ("lo_seek", "lo_tell", "lo_read", "lo_write"):
+                with pytest.raises(ReproError, match="unknown command"):
+                    client._call(verb, fd=fd, offset=0, nbytes=1)
+            client.rollback()
+
+    def test_missing_field_is_named(self, served):
+        _db, server = served
+        with ServerClient(*server.address) as client:
+            client.begin()
+            fd = client.lo_open(client.lo_create("fchunk"), "rw")
+            with pytest.raises(protocol.ProtocolError,
+                               match="^lo_pread needs 'offset'$"):
+                client._call("lo_pread", fd=fd, nbytes=4)
+            with pytest.raises(protocol.ProtocolError,
+                               match="^lo_truncate needs 'size'$"):
+                client._call("lo_truncate", fd=fd)
+            with pytest.raises(protocol.ProtocolError,
+                               match="^lo_size needs 'fd'$"):
+                client._call("lo_size")
+            assert client.ping()  # a well-framed request: still in step
+            client.rollback()
+
+
+@pytest.mark.server
+class TestConnectionFailures:
+    def test_transport_error_poisons_the_connection(self, served):
+        """A reply that arrives after its call timed out must not be
+        read as the next call's reply."""
+        _db, server = served
+        with ServerClient(*server.address) as a:
+            a.begin()
+            designator = a.lo_create("fchunk")
+            a.commit()
+            a.begin()
+            a.lo_write(a.lo_open(designator, "rw"), b"held")
+            b = ServerClient(*server.address, timeout=0.2)
+            try:
+                b.begin()
+                fd = b.lo_open(designator, "rw")
+                with pytest.raises(socket.timeout):
+                    b.lo_write(fd, b"waits for a's range lock")
+                a.commit()
+                with pytest.raises(ConnectionError):
+                    b.ping()
+                with pytest.raises(ConnectionError):
+                    b.rollback()
+            finally:
+                b.close()
+
+    def test_lo_close_forgets_the_descriptor_when_the_flush_fails(self):
+        db = Database(pool_size=8, charge_cpu=False)
+        try:
+            with ReproServer(db) as server, \
+                    ServerClient(*server.address) as client:
+                client.begin()
+                designator = client.lo_create("fchunk")
+                fd = client.lo_open(designator, "rw")
+                client.lo_write(fd, b"x" * 100_000)
+                # The flush's page allocations overflow the 8-page pool,
+                # so its eviction writeback hits the bad device.
+                db.inject_faults("on write *: error")
+                with pytest.raises(StorageManagerError):
+                    client.lo_close(fd)
+                db.clear_faults()
+                with pytest.raises(LargeObjectError,
+                                   match="bad large-object descriptor"):
+                    client.lo_tell(fd)       # the client's side
+                with pytest.raises(LargeObjectError,
+                                   match="bad large-object descriptor"):
+                    client.lo_size(fd)       # the server's side
+                client.rollback()
+                client.begin()
+                fd = client.lo_open(client.lo_create("fchunk"), "rw")
+                assert client.lo_write(fd, b"fresh") == 5
+                client.commit()
+        finally:
+            db.close()
+
+
+# -- local and remote descriptors are the same file --------------------------------
+
+
+def _same_file_script(seed, steps=400):
+    """A seeded mix of every descriptor call, with the descriptor closed,
+    the transaction committed, and the object reopened along the way."""
+    rng = random.Random(seed)
+
+    def data():
+        return bytes(rng.randrange(256) for _ in range(
+            rng.choice((0, 1, 7, 300, 9000))))
+
+    def offset():
+        return rng.choice((-9, -1, 0, 5, 7999, 8000, 12_345, 40_000))
+
+    calls = {
+        "seek": lambda: (offset(), rng.choice((0, 0, 1, 2, 7))),
+        "read": lambda: (rng.choice((-1, 0, 10, 8001, 100_000)),),
+        "write": lambda: (data(),),
+        "append": lambda: (data(),),
+        "truncate": lambda: (rng.choice((None, None, -1, 0, 4000, 20_000)),),
+        "tell": tuple,
+        "size": tuple,
+        "pread": lambda: (offset(), rng.choice((-1, 0, 10, 9000))),
+        "pwrite": lambda: (offset(), data()),
+    }
+    names = sorted(calls)
+
+    def call():
+        name = rng.choice(names)
+        return name, calls[name]()
+
+    script = []
+    while len(script) < steps:
+        if rng.random() > 0.04:
+            script.append(call())
+            continue
+        # Use after lo_close, after commit, or after both.
+        ending = rng.choice((["close"], ["commit"], ["close", "commit"]))
+        script += [(name, ()) for name in ending]
+        script += [call() for _ in range(3)]
+        if "commit" in ending:
+            script.append(("begin", ()))
+        script.append(("open", (rng.choice(("rw", "rw", "r")),)))
+    return script
+
+
+class _LocalFile:
+    """The script's calls on a ``Session.lo_open`` handle."""
+
+    def __init__(self, db, impl):
+        self.db = db
+        self.session = db.session()
+        self.session.begin()
+        self.designator = self.session.lo_create(impl)
+        self.call("open", "rw")
+
+    def call(self, name, *args):
+        if name == "open":
+            self.handle = self.session.lo_open(self.designator, *args)
+        elif name in ("begin", "commit"):
+            getattr(self.session, name)()
+        else:
+            return getattr(self.handle, name)(*args)
+
+    def outcome(self, name, args):
+        try:
+            return "returned", self.call(name, *args)
+        except ReproError as exc:
+            return type(exc).__name__, str(exc)
+
+    def contents(self):
+        with self.db.lo.open(self.designator) as obj:
+            return obj.read()
+
+
+class _RemoteFile(_LocalFile):
+    """The same calls on a ``ServerClient`` descriptor."""
+
+    def __init__(self, db, impl, client):
+        self.db = db
+        self.client = client
+        client.begin()
+        self.designator = client.lo_create(impl)
+        self.call("open", "rw")
+
+    def call(self, name, *args):
+        if name == "open":
+            self.fd = self.client.lo_open(self.designator, *args)
+        elif name in ("begin", "commit"):
+            getattr(self.client, name)()
+        else:
+            return getattr(self.client, "lo_" + name)(self.fd, *args)
+
+
+@pytest.mark.server
+@pytest.mark.parametrize("impl", ["fchunk", "vsegment"])
+def test_local_and_remote_descriptors_are_the_same_file(impl):
+    """Every call returns, moves the position and fails alike — class and
+    message — through a local handle and through the wire.
+
+    The one stated difference: a closed local handle is still an object
+    (``ObjectClosedError`` naming it), a closed remote descriptor is a
+    number that names nothing (``LargeObjectError: bad large-object
+    descriptor``).
+    """
+    local_db = Database(charge_cpu=False)
+    remote_db = Database(charge_cpu=False)
+    try:
+        with ReproServer(remote_db) as server, \
+                ServerClient(*server.address) as client:
+            local = _LocalFile(local_db, impl)
+            remote = _RemoteFile(remote_db, impl, client)
+            assert local.designator == remote.designator
+            is_open, committed = True, []
+            for step, (name, args) in enumerate(
+                    _same_file_script(seed=1993)):
+                where = f"step {step}: {name}{args!r}"[:120]
+                was_open = is_open
+                if name in ("close", "commit", "open"):
+                    is_open = name == "open"
+                here = local.outcome(name, args)
+                there = remote.outcome(name, args)
+                if was_open or name in ("commit", "begin", "open"):
+                    assert here == there, where
+                else:
+                    assert here == (
+                        "ObjectClosedError",
+                        f"large object {local.designator!r} is closed"), where
+                    assert there[0] == "LargeObjectError" and \
+                        there[1].startswith("bad large-object descriptor "
+                                            f"{remote.fd}"), where
+                if is_open:
+                    assert local.call("tell") == remote.call("tell"), where
+                if name == "commit":
+                    committed.append(local.contents())
+                    assert committed[-1] == remote.contents(), where
+            local.call("commit")
+            remote.call("commit")
+            assert local.contents() == remote.contents()
+            assert len(committed) > 3 and max(map(len, committed)) > 8000
+    finally:
+        local_db.close()
+        remote_db.close()
