@@ -459,6 +459,55 @@ class TestCommitCostIsFlatInHistory:
 
 
 @pytest.mark.perf
+class TestSegmentLookupIsFlatInDensity:
+    """The v-segment overlap query is a floor probe: a read fetches the
+    segment record it returns, however many segments share its 64 KB —
+    2, 16 or 65 here.  Counted, so the answer is the same on any host.
+    All-zero frames under zero-rle make every stored image the same six
+    bytes, so the byte-store fetch beneath the lookup cannot differ and
+    what is compared is the lookup."""
+
+    WRITES = 400
+    READ = 1000
+
+    def cost_of_a_frame_read(self, write_size):
+        database = Database(charge_cpu=False)
+        try:
+            with database.begin() as txn:
+                designator = database.lo.create(txn, "vsegment",
+                                                compression="zero-rle")
+                with database.lo.open(designator, txn, "rw") as obj:
+                    for _ in range(self.WRITES):
+                        obj.write(bytes(write_size))
+            rng = random.Random(20)
+            offsets = [rng.randrange(self.WRITES) * write_size
+                       for _ in range(40)]
+            stats = database.access_stats
+            with database.begin() as txn, \
+                    database.lo.open(designator, txn) as obj:
+                for offset in offsets:          # warm the node cache
+                    obj.pread(offset, self.READ)
+                scanned = stats.tuples_scanned
+                with _Bytecodes() as run:
+                    for offset in offsets:
+                        assert obj.pread(offset, self.READ) == bytes(
+                            self.READ)
+                scanned = stats.tuples_scanned - scanned
+            return run.count / len(offsets), scanned / len(offsets)
+        finally:
+            database.close()
+
+    def test_read_cost_does_not_depend_on_segments_per_64k(self):
+        costs = {size: self.cost_of_a_frame_read(size)
+                 for size in (1_000, 4_000, 32_000)}
+        bytecodes, scanned = zip(*costs.values())
+        # (At the parent of the commit that added this test: 62, 18 and
+        # 4 records fetched per read; 51,800, 17,100 and 6,200 bytecodes.)
+        assert max(scanned) == min(scanned) <= 3, costs
+        assert max(bytecodes) <= 1.02 * min(bytecodes), costs
+
+
+@pytest.mark.perf
 class TestWireRoundTrips:
     """The wire is positioned and the cursor is the client's: seek, then
     read is one frame out and one frame back — counted, not timed."""

@@ -392,48 +392,57 @@ class BTree:
     def search_newest(self, key: Key) -> Iterator[Value]:
         """The values of :meth:`search`, last-inserted first, lazily.
 
-        Equal keys are inserted after their duplicates, so the entry of
-        a row's live version is the *last* of its key's run and every
-        superseded version sits before it.  A caller that wants one
-        visible version (:meth:`IndexProbe.first
-        <repro.access.scan.IndexProbe.first>`) therefore pays one
-        descent and, normally, one heap fetch however long the run has
-        grown; nothing is read until the first ``next()`` and no list
-        of the whole run is built.
+        Equal keys are inserted after their duplicates, so a row's live
+        version is the *last* entry of its key's run: :meth:`IndexProbe.first
+        <repro.access.scan.IndexProbe.first>` finds it with one descent
+        and, normally, one heap fetch however long the run has grown.
+        """
+        return (value for _key, value in self.range_scan_desc(key, key))
+
+    def range_scan_desc(self, hi: Key, lo: Key | None = None
+                        ) -> Iterator[tuple[Key, Value]]:
+        """:meth:`range_scan` reversed, lazily: entries with ``lo <= key
+        <= hi`` in descending key order, equal keys newest-inserted
+        first.  The first one out — the floor of *hi* — costs one
+        descent; nothing is read before the first ``next()``.
         """
         # As in range_scan: the latch check must fire at call time.
-        self._assert_latched("search_newest")
-        return self._search_newest(self._check_key(key))
+        self._assert_latched("range_scan_desc")
+        return self._range_scan_desc(
+            self._check_key(hi), None if lo is None else self._check_key(lo))
 
-    def _search_newest(self, key: Key) -> Iterator[Value]:
-        # Descend as an insert of *key* would: separators equal to the
-        # key send us right, so this is the last leaf that can hold it.
-        last_block, _height = self._read_meta()
-        node = self._read_node(last_block)
+    def _range_scan_desc(self, hi: Key,
+                         lo: Key | None) -> Iterator[tuple[Key, Value]]:
+        # Descend as an insert of *hi* would (equal separators send us
+        # right): the last leaf that can hold a key <= hi.  Leaves have no
+        # left link, so the (node, child slot) path is kept to step back.
+        blockno, _height = self._read_meta()
+        node = self._read_node(blockno)
+        path: list[tuple[_Node, int]] = []
         while not node.is_leaf:
-            last_block = node.values[self._descend_index(node, key)][0]
-            node = self._read_node(last_block)
-        start = bisect.bisect_left(node.keys, key)
-        values = node.values
-        for i in range(bisect.bisect_right(node.keys, key) - 1,
-                       start - 1, -1):
-            yield values[i]
-        if start > 0:
-            # A smaller key precedes the run here, and every earlier
-            # leaf holds keys no greater than that one.
-            return
-        # The run may begin in an earlier leaf (or survive only there:
-        # delete never merges, so this leaf can be empty).  Leaves have
-        # no left link: one forward walk from the run's first leaf
-        # collects the older remainder.
-        blockno, node = self._find_leaf(key)
-        older: list[Value] = []
-        while blockno != last_block:
-            older += node.values[bisect.bisect_left(node.keys, key):
-                                 bisect.bisect_right(node.keys, key)]
-            blockno = node.right
-            node = self._read_node(blockno)
-        yield from reversed(older)
+            slot = self._descend_index(node, hi)
+            path.append((node, slot))
+            node = self._read_node(node.values[slot][0])
+        last = bisect.bisect_right(node.keys, hi) - 1
+        while True:
+            for i in range(last, -1, -1):
+                if lo is not None and node.keys[i] < lo:
+                    return
+                yield node.keys[i], node.values[i]
+            # Left sibling: up to the nearest ancestor with a child left
+            # of the one taken, then down that child's right edge.  A leaf
+            # emptied by delete (never merged away) is stepped over too.
+            while path and path[-1][1] == 0:
+                path.pop()
+            if not path:
+                return
+            node, slot = path.pop()
+            while not node.is_leaf:
+                slot -= 1
+                path.append((node, slot))
+                node = self._read_node(node.values[slot][0])
+                slot = len(node.values)
+            last = len(node.keys) - 1
 
     def range_scan(self, lo: Key | None = None,
                    hi: Key | None = None) -> Iterator[tuple[Key, Value]]:

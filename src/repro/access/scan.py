@@ -12,7 +12,7 @@ place that pattern lives:
 
 * :class:`IndexProbe` — equality probe: one key, all visible versions;
 * :class:`IndexRangeScan` — leaf-chain walk over ``[lo, hi]`` with
-  batched heap prefetch;
+  batched heap prefetch, or a floor probe walking down from ``hi``;
 * :class:`SeqScan` — full-relation scan with visibility filtering.
 
 All three take the engine latch internally (see :class:`EngineLatch` and
@@ -32,9 +32,9 @@ The layer is backed by a debug tripwire: when a :class:`~repro.db.Database`
 is constructed while the lockdep validator is armed (``REPRO_LOCKDEP=1``,
 the default under pytest — see ``tests/conftest.py``), the raw access methods
 (``HeapRelation.fetch``/``fetch_many``,
-``BTree.search``/``search_newest``/``range_scan``) verify the engine
-latch is held, so any future call site that bypasses this layer fails
-loudly in CI instead of racing in production.
+``BTree.search``/``search_newest``/``range_scan``/``range_scan_desc``)
+verify the engine latch is held, so any future call site that bypasses
+this layer fails loudly in CI instead of racing in production.
 """
 
 from __future__ import annotations
@@ -257,8 +257,6 @@ class IndexRangeScan:
         the caller is missing).
         """
         stats = self.db.access_stats
-        counts: dict["Key", int] = {}
-        out: list[tuple["Key", HeapTuple]] = []
         with self.db.latch:
             stats.range_scans += 1
             pairs = [(key, TID(blockno, slot)) for key, (blockno, slot)
@@ -266,24 +264,61 @@ class IndexRangeScan:
                      if wanted is None or key in wanted]
             if self.relation.prefetch_tids(tid for _key, tid in pairs):
                 stats.prefetch_batches += 1
-            stats.tuples_scanned += len(pairs)
-            # One batched heap fetch for the whole entry list: the heap
-            # layer shares pins across same-block runs and decodes only
-            # visible tuples; results come back in input (index-key)
-            # order with their TIDs stamped.
-            key_by_tid = {tid: key for key, tid in pairs}
-            for tup in self.relation.fetch_many(
-                    [tid for _key, tid in pairs], snapshot,
-                    prefetch=False):
-                key = key_by_tid[tup.tid]
-                counts[key] = counts.get(key, 0) + 1
-                out.append((key, tup))
-            stats.tuples_visible += len(out)
-        if self.unique:
-            for key, count in counts.items():
-                if count > 1:
-                    raise self.anomaly(key, count)
+            out = self._fetch(pairs, snapshot)
+        self._check_unique(out)
         return out
+
+    def visible_from_floor(self, snapshot: Snapshot, pivot: "Key"
+                           ) -> "list[tuple[Key, HeapTuple]]":
+        """Visible pairs from the *floor* of *pivot* — the greatest key
+        at or below it with a visible version — up to ``hi``, in key
+        order: all that can intersect ``[pivot, hi]`` when records are
+        disjoint intervals keyed by their start (docs/invariants.md).
+        One descending walk from ``hi``: entries above the pivot are
+        fetched as one batch, those at or below it one by one until one
+        is visible; its key's run is finished (so ``unique`` sees a
+        second version) and the walk ends there, or at ``lo``."""
+        stats = self.db.access_stats
+        above: list[tuple["Key", TID]] = []
+        found: list[tuple["Key", HeapTuple]] = []
+        with self.db.latch:
+            stats.range_scans += 1
+            for key, (blockno, slot) in self.index.range_scan_desc(
+                    self.hi, self.lo):
+                if key > pivot:
+                    above.append((key, TID(blockno, slot)))
+                    continue
+                if found and key != found[0][0]:
+                    break
+                stats.tuples_scanned += 1
+                tup = self.relation.fetch(TID(blockno, slot), snapshot)
+                if tup is not None:
+                    found.append((key, tup))
+            stats.tuples_visible += len(found)
+            if above:
+                found += self._fetch(above[::-1], snapshot)
+        self._check_unique(found)
+        return found
+
+    def _fetch(self, pairs: "list[tuple[Key, TID]]", snapshot: Snapshot
+               ) -> "list[tuple[Key, HeapTuple]]":
+        """One batched heap fetch (latch held): pins shared across
+        same-block runs, only visible tuples decoded, input order kept."""
+        stats = self.db.access_stats
+        stats.tuples_scanned += len(pairs)
+        key_by_tid = {tid: key for key, tid in pairs}
+        out = [(key_by_tid[tup.tid], tup)
+               for tup in self.relation.fetch_many(
+                   [tid for _key, tid in pairs], snapshot, prefetch=False)]
+        stats.tuples_visible += len(out)
+        return out
+
+    def _check_unique(self, found: "list[tuple[Key, HeapTuple]]") -> None:
+        if self.unique and len(found) > 1:
+            keys = [key for key, _tup in found]  # key order: runs adjacent
+            for key, following in zip(keys, keys[1:]):
+                if key == following:
+                    raise self.anomaly(key, keys.count(key))
 
     def tuples(self, snapshot: Snapshot) -> list[HeapTuple]:
         """Visible tuples in index-key order."""

@@ -76,11 +76,11 @@ class RawAccessRule(Rule):
 
     id = "R001"
     name = "raw-access"
-    summary = ("HeapRelation.fetch/fetch_many and BTree.search/"
-               "search_newest/range_scan must go through repro.access.scan")
+    summary = ("HeapRelation.fetch/fetch_many and BTree.search/search_newest"
+               "/range_scan/range_scan_desc must go through repro.access.scan")
 
     METHODS = frozenset({"fetch", "fetch_many", "search", "search_newest",
-                         "range_scan"})
+                         "range_scan", "range_scan_desc"})
     ALLOWED = ("access/scan.py", "access/heap.py", "access/btree.py",
                "catalog/integrity.py", "analysis/")
 

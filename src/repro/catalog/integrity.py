@@ -11,7 +11,7 @@ problem descriptions (empty = healthy):
   a decodable heap tuple;
 * **large objects**: every cataloged object has its chunk relations, its
   ``pg_largeobject`` size row, and (v-segment) a byte store covering every
-  visible segment;
+  visible segment, the segments disjoint, bounded and inside the object;
 * **Inversion**: every live DIRECTORY file row has STORAGE and FILESTAT
   rows and its designator resolves; no duplicate directory slots or
   file ids; no orphan FILESTAT/STORAGE rows; every parent id is a live
@@ -167,7 +167,7 @@ class IntegrityChecker:
 
     def _check_segments(self, oid: int, store_oid: int, size_rows: dict,
                         snapshot) -> None:
-        from repro.lo.vsegment import segment_class_name
+        from repro.lo.vsegment import SEGMENT_MAX, segment_class_name
         store_size = size_rows.get(store_oid)
         if store_size is None:
             self._report(f"large object {oid}: byte store {store_oid} "
@@ -176,12 +176,27 @@ class IntegrityChecker:
         name = segment_class_name(oid)
         if not self.db.class_exists(name):
             return
-        for tup in self.db.get_class(name).scan(snapshot):
-            locn, _length, clen, ptr = tup.values
+        # What the overlap query's floor probe rests on (docs/invariants.md):
+        # visible segments are bounded, inside the object and disjoint.
+        size = size_rows.get(oid)   # a missing row is reported above
+        previous_end = 0
+        for tup in sorted(self.db.get_class(name).scan(snapshot),
+                          key=lambda t: t.values[0]):
+            locn, length, clen, ptr = tup.values
+            where = f"large object {oid}: segment at {locn}"
             if ptr + clen > store_size:
-                self._report(
-                    f"large object {oid}: segment at {locn} points past "
-                    f"the byte store ({ptr}+{clen} > {store_size})")
+                self._report(f"{where} points past the byte store "
+                             f"({ptr}+{clen} > {store_size})")
+            if not 0 < length <= SEGMENT_MAX:
+                self._report(f"{where} has length {length} "
+                             f"(limit {SEGMENT_MAX})")
+            if locn < previous_end:
+                self._report(f"{where} overlaps the one ending at "
+                             f"{previous_end}")
+            if size is not None and locn + length > size:
+                self._report(f"{where} ends past the object's size "
+                             f"({locn}+{length} > {size})")
+            previous_end = max(previous_end, locn + length)
 
     def _check_inversion(self) -> None:
         from repro.inversion.filesystem import (DIRECTORY, FILESTAT,

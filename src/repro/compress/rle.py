@@ -3,8 +3,8 @@
 :class:`ZeroRunCompressor` squeezes runs of zero bytes — the dominant
 redundancy in the benchmark's synthetic media frames (and in real sparse
 data: zero padding, silence in audio, black borders in images).  It is
-written around :meth:`bytes.find`, so the scan runs at C speed and the
-compressor is usable on the benchmark's multi-megabyte transfers.
+written around :meth:`bytes.find` and a compiled pattern, so a run's two
+ends are found at C speed and it is usable on multi-megabyte transfers.
 
 :class:`ByteRunCompressor` is a classic generic RLE over runs of *any*
 byte; simpler and slower, it exists for tests and small data.
@@ -15,6 +15,7 @@ input round-trips and incompressible data costs at most a 1-byte header.
 
 from __future__ import annotations
 
+import re
 import struct
 
 from repro.compress.base import Compressor, register_compressor
@@ -26,6 +27,9 @@ _U32 = struct.Struct("<I")
 
 #: Zero runs shorter than this are left as literals (token overhead).
 _MIN_ZERO_RUN = 16
+
+#: Where a zero run ends (``*_re``: how lint rule R001 knows a regex).
+_nonzero_re = re.compile(rb"[^\x00]")
 
 
 class ZeroRunCompressor(Compressor):
@@ -55,9 +59,8 @@ class ZeroRunCompressor(Compressor):
                 pos = hit
             if pos >= n:
                 break
-            run_end = pos
-            while run_end < n and data[run_end] == 0:
-                run_end += 1
+            match = _nonzero_re.search(data, pos)
+            run_end = match.start() if match else n
             parts.append(b"Z" + _U32.pack(run_end - pos))
             packed_size += 5
             pos = run_end

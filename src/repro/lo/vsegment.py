@@ -15,7 +15,8 @@ lists them:
   covers the index**, and segment contents are never overwritten (the
   store only grows), so **time travel covers the data** too;
 * reads pay an extra hop — B-tree on ``locn`` → segment-index record →
-  byte store — which is the ~25 % random-read penalty of §9.2.
+  byte store — which is the ~25 % random-read penalty of §9.2.  The hop
+  is a floor probe: a read fetches only the segment records it returns.
 
 Overwrites never touch old bytes: the new data is compressed into fresh
 segments appended to the store, and the affected index records are
@@ -35,14 +36,13 @@ from repro.errors import LargeObjectError
 from repro.lo.chunked import ChunkedObject
 from repro.lo.fchunk import FChunkObject
 from repro.txn.manager import Transaction
-from repro.txn.snapshot import Snapshot
 
 if TYPE_CHECKING:
     from repro.db import Database
 
-#: Upper bound on one segment's uncompressed length.  Bounding segments
-#: lets the overlap query scan only ``[offset - SEGMENT_MAX, end)`` of the
-#: index instead of the whole object.
+#: Upper bound on one segment's uncompressed length: a record starting
+#: further below an offset cannot reach it, which bounds the write-lock
+#: padding and how far the overlap query's floor probe can walk down.
 SEGMENT_MAX = 65536
 
 #: Write range locks cover the mutated span padded by SEGMENT_MAX on both
@@ -102,20 +102,18 @@ class VSegmentObject(ChunkedObject):
 
     # -- segment lookup --------------------------------------------------------------
 
-    def _segments_overlapping(self, start: int, end: int,
-                              snapshot: Snapshot | None = None
-                              ) -> list[HeapTuple]:
-        """Visible segment records intersecting ``[start, end)``, sorted."""
-        if snapshot is None:
-            snapshot = self._snapshot()
-        lo_key = max(0, start - SEGMENT_MAX)
+    def _segments_overlapping(self, start: int, end: int) -> list[HeapTuple]:
+        """Visible segment records intersecting ``[start, end)``, sorted:
+        the last one starting at or before *start* (the floor) and those
+        starting inside the window — visible segments of one snapshot
+        are pairwise disjoint (docs/invariants.md)."""
         scan = IndexRangeScan(self.db, self.index, self.relation,
-                              (lo_key,), (end - 1,),
+                              (max(0, start - SEGMENT_MAX),), (end - 1,),
                               unique=True, anomaly=self._anomaly)
-        found = [tup for _key, tup in scan.visible(snapshot)
-                 if tup.values[0] + tup.values[1] > start
-                 and tup.values[0] < end]
-        found.sort(key=lambda t: t.values[0])
+        found = [tup for _key, tup
+                 in scan.visible_from_floor(self._snapshot(), (start,))]
+        if found and found[0].values[0] + found[0].values[1] <= start:
+            del found[0]  # the floor ends in a hole before the window
         return found
 
     def _segment_bytes(self, record: HeapTuple) -> bytes:

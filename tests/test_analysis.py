@@ -102,9 +102,11 @@ class TestR001RawAccess:
                 return list(index.range_scan(None, None))
             def newest(index, key):
                 return next(index.search_newest(key), None)
+            def floor(index, key):
+                return next(index.range_scan_desc(key), None)
         """
         report = lint(tmp_path, "inversion/filesystem.py", source, "R001")
-        assert [f.rule for f in report.findings] == ["R001", "R001"]
+        assert [f.rule for f in report.findings] == ["R001"] * 3
 
 
 class TestR003SmgrOnlyIO:

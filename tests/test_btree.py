@@ -346,6 +346,87 @@ class TestSearchNewest:
         assert len(tree.search((2,))) == 2000 and len(reads) > short + 4
 
 
+class TestRangeScanDesc:
+    """``range_scan_desc(hi, lo)`` is ``range_scan(lo, hi)`` reversed —
+    duplicates newest first — lazily, for one descent."""
+
+    @staticmethod
+    def assert_reversed(tree, bounds):
+        for lo, hi in bounds:
+            assert (list(tree.range_scan_desc(hi, lo))
+                    == list(tree.range_scan(lo, hi))[::-1]), (lo, hi)
+
+    @pytest.mark.parametrize("seed", [1993, 2024, 7])
+    @pytest.mark.parametrize("node_limit", [None, 400])
+    def test_is_range_scan_reversed_through_splits_and_deletes(
+            self, tree, seed, node_limit):
+        if node_limit:      # ~16 entries a node: a tree three levels deep,
+            tree._node_limit = node_limit   # so left steps cross subtrees
+        rng = random.Random(seed)
+        # Even keys only; key 40 is a run spanning several leaves.
+        inserts = [(2 * rng.randrange(60),) for _ in range(1500)]
+        inserts += [(40,)] * 1200
+        rng.shuffle(inserts)
+        live = []
+        for serial, key in enumerate(inserts):
+            tree.insert(key, (serial, 0))
+            live.append((key, (serial, 0)))
+        assert tree.height() >= (2 if node_limit else 1)
+        # hi below / between / on / above every key; lo open or closed.
+        points = [(-5,), (0,), (1,), (39,), (40,), (41,), (77,), (118,),
+                  (500,)]
+        bounds = [(lo, hi) for hi in points for lo in [None] + points]
+        self.assert_reversed(tree, bounds)
+        # Vacuum-style pruning of random entries, then whole leaves:
+        # every entry of keys 30..50 (the long run's leaves included)
+        # goes, so the walk has to step over a chain of empty leaves.
+        rng.shuffle(live)
+        for key, value in live[:len(live) // 4]:
+            assert tree.delete(key, value) == 1
+        self.assert_reversed(tree, bounds)
+        for key in range(30, 52, 2):
+            tree.delete((key,))
+        self.assert_reversed(tree, bounds)
+        assert next(tree.range_scan_desc((45,)))[0] == (28,)
+        tree.check_invariants()
+
+    def test_empty_tree_and_hi_below_every_key(self, tree):
+        assert list(tree.range_scan_desc((5,))) == []
+        for serial in range(1000):
+            tree.insert((10 + serial,), (serial, 0))
+        assert list(tree.range_scan_desc((9,))) == []
+        assert list(tree.range_scan_desc((10,), (10,))) == [((10,), (0, 0))]
+
+    def test_lazy_one_descent_and_latched_at_call_time(self, tree,
+                                                       monkeypatch):
+        for key, run in (((1,), 1), ((2,), 2000), ((3,), 1)):
+            for serial in range(run):
+                tree.insert(key, (serial, key[0]))
+        reads = []
+        read_node = tree._read_node
+
+        def counted(blockno, mutable=False):
+            reads.append(blockno)
+            return read_node(blockno, mutable)
+
+        monkeypatch.setattr(tree, "_read_node", counted)
+        for hi, first in (((1,), (0, 1)), ((2,), (1999, 2)), ((9,), (0, 3))):
+            del reads[:]
+            entries = tree.range_scan_desc(hi)
+            assert reads == []          # nothing read before next()
+            assert next(entries)[1] == first
+            assert len(reads) == tree.height() + 1
+        # The rest of the long run walks its leaves once each.
+        del reads[:]
+        assert len(list(tree.range_scan_desc((2,), (2,)))) == 2000
+        assert tree.height() + 1 < len(reads) < 40
+        # The tripwire fires when the generator is made, not on next():
+        # by then the caller's latch block may already have exited.
+        tree.latch_probe = lambda: False
+        with pytest.raises(AssertionError, match="engine latch"):
+            tree.range_scan_desc((2,))
+
+
 class TestPersistence:
     def test_tree_survives_buffer_eviction(self, stack):
         from repro.storage import BufferManager

@@ -1,7 +1,9 @@
 """Unit and property tests for the compression layer."""
 
+import struct
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.compress import (
@@ -177,14 +179,45 @@ def test_property_roundtrip(cls, data):
     assert compressor.decompress(compressor.compress(data)) == data
 
 
-@settings(max_examples=30)
+def _zero_rle_reference(data: bytes) -> bytes:
+    """The image format, written as the byte-at-a-time loop
+    ``ZeroRunCompressor.compress`` used before its run-end search moved
+    to a compiled pattern: stored images must not change."""
+    parts, packed, pos, n = [b"\x01"], 1, 0, len(data)
+    while pos < n:
+        hit = data.find(bytes(16), pos)
+        if hit < 0:
+            hit = n
+        if hit > pos:
+            parts.append(b"L" + struct.pack("<I", hit - pos) + data[pos:hit])
+            packed += 5 + hit - pos
+            pos = hit
+        if pos >= n:
+            break
+        run_end = pos
+        while run_end < n and data[run_end] == 0:
+            run_end += 1
+        parts.append(b"Z" + struct.pack("<I", run_end - pos))
+        packed += 5
+        pos = run_end
+    return b"\x00" + data if packed >= n + 1 else b"".join(parts)
+
+
+@settings(max_examples=60)
 @given(st.lists(st.tuples(st.booleans(), st.integers(1, 300)),
-                min_size=1, max_size=30))
+                max_size=30))
+@example([])                                        # empty
+@example([(True, 4000)])                            # all zero
+@example([(True, 16), (False, 1), (True, 16)])      # runs at both ends
+@example([(False, 3), (True, 15), (False, 3)])      # run below the minimum
 def test_property_zero_run_structured(spans):
-    """Alternating literal/zero spans of random lengths round-trip."""
+    """Alternating literal/zero spans of random lengths round-trip, to
+    the byte-identical image of the reference loop."""
     data = b"".join(bytes(n) if zero else b"\x5a" * n for zero, n in spans)
     compressor = ZeroRunCompressor()
-    assert compressor.decompress(compressor.compress(data)) == data
+    image = compressor.compress(data)
+    assert image == _zero_rle_reference(data)
+    assert compressor.decompress(image) == data
 
 
 class _FlakyCompressor(NullCompressor):

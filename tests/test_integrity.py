@@ -141,6 +141,26 @@ class TestInjectedCorruption:
         problems = db.check_integrity()
         assert any("points past" in p for p in problems)
 
+    @pytest.mark.parametrize("record, complaint", [
+        ((5_000, 100, 1, 0), "segment at 5000 overlaps the one ending "
+                             "at 15000"),
+        ((15_000, 70_000, 1, 0), "segment at 15000 has length 70000"),
+        ((15_000, 0, 1, 0), "segment at 15000 has length 0"),
+        ((15_000, 100, 1, 0), "segment at 15000 ends past the object's "
+                              "size (15000+100 > 15000)"),
+    ])
+    def test_segment_layout_invariant_checked(self, db, record, complaint):
+        """What the overlap query's floor probe relies on: visible
+        segments are disjoint, bounded and inside the object."""
+        _fchunk, vseg = populated(db)
+        from repro.lo.manager import designator_oid
+        from repro.lo.vsegment import segment_class_name
+        assert db.check_integrity() == []
+        with db.begin() as txn:
+            db.insert(txn, segment_class_name(designator_oid(vseg)), record)
+        problems = db.check_integrity()
+        assert any(complaint in p for p in problems), problems
+
 
 class TestInversionCorruption:
     """The PR-8 additions to ``_check_inversion``: each injected fault

@@ -704,3 +704,94 @@ class TestTruncateHistory:
         with db.lo.open(designator) as obj:
             assert obj.size() == 9_000
             assert obj.read(3) == b"BBB"
+
+
+class TestSegmentOverlapQuery:
+    """``VSegmentObject._segments_overlapping`` (a floor probe) returns
+    what a brute-force filter over every visible segment record returns,
+    for every kind of snapshot a descriptor can hold."""
+
+    @staticmethod
+    def assert_matches_brute_force(db, obj, rng, extent):
+        from repro.access.scan import SeqScan
+        snapshot = obj._snapshot()
+        visible = sorted(SeqScan(db, obj.relation).tuples(snapshot),
+                         key=lambda t: t.values[0])
+        edges = sorted({t.values[0] for t in visible}
+                       | {t.values[0] + t.values[1] for t in visible})
+        windows = [(rng.randrange(extent), rng.randrange(1, 150_000))
+                   for _ in range(60)]
+        # ... and windows starting or ending exactly on a segment edge.
+        windows += [(max(0, edge + d), rng.randrange(1, 9_000))
+                    for edge in rng.sample(edges, min(20, len(edges)))
+                    for d in (-1, 0, 1)]
+        for start, length in windows:
+            end = start + length
+            expected = [t.tid for t in visible
+                        if t.values[0] + t.values[1] > start
+                        and t.values[0] < end]
+            found = obj._segments_overlapping(start, end)
+            assert [t.tid for t in found] == expected, (start, end)
+        return len(visible)
+
+    @pytest.mark.parametrize("seed", [1993, 4242])
+    def test_equals_brute_force_across_a_history(self, seed):
+        import random
+        rng = random.Random(seed)
+        db = Database(charge_cpu=False)
+        extent = 400_000
+        try:
+            def check(txn=None, as_of=None):
+                with db.lo.open(designator, txn, as_of=as_of) as obj:
+                    return self.assert_matches_brute_force(
+                        db, obj, rng, extent)
+
+            def overwrite(obj, count):
+                # Random spans: most straddle a segment edge or several.
+                for _ in range(count):
+                    obj.seek(rng.randrange(obj.size()))
+                    obj.write(bytes([rng.randrange(1, 256)])
+                              * rng.randrange(1, 12_000))
+
+            with db.begin() as txn:
+                designator = db.lo.create(txn, "vsegment")
+                with db.lo.open(designator, txn, "rw") as obj:
+                    while obj.size() < 300_000:
+                        obj.write(b"\x07" * rng.randrange(500, 9_000))
+            assert check() > 50
+            with db.begin() as txn:
+                with db.lo.open(designator, txn, "rw") as obj:
+                    overwrite(obj, 25)
+            first = db.clock.now()
+            check()
+            with db.begin() as txn:
+                with db.lo.open(designator, txn, "rw") as obj:
+                    obj.truncate(rng.randrange(150_000, 200_000))
+                    obj.truncate(260_000)            # sparse: a hole
+            check()
+            with db.begin() as txn:
+                with db.lo.open(designator, txn, "rw") as obj:
+                    obj.seek(330_000)                # gap-fills from EOF
+                    obj.write(b"\x09" * 5_000)
+                    overwrite(obj, 10)
+            second = db.clock.now()
+            check()
+            aborted = db.begin()
+            with db.lo.open(designator, aborted, "rw") as obj:
+                overwrite(obj, 15)
+                obj.truncate(100_000)
+            aborted.abort()
+            check()
+            writer = db.begin()
+            with db.lo.open(designator, writer, "rw") as obj:
+                overwrite(obj, 15)
+                # The writer's own uncommitted view, and everyone else's.
+                self.assert_matches_brute_force(db, obj, rng, extent)
+                check()
+            writer.commit()
+            check()
+            check(as_of=first)
+            check(as_of=second)
+            assert db.check_integrity() == []
+        finally:
+            db.close()

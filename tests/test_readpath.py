@@ -245,3 +245,35 @@ def test_one_read_path_inside_and_outside_a_transaction(impl):
         assert outside["range_scans"] > 0
     finally:
         db.close()
+
+
+@pytest.mark.parametrize("charge_cpu", [True, False])
+def test_vsegment_frame_read_fetches_the_segment_it_returns(charge_cpu):
+    """The overlap query is a floor probe in both clock modes: on an
+    object loaded in 4,000-byte writes (16 segments per SEGMENT_MAX) one
+    frame read fetches its own segment record, not the 64 KB window's."""
+    frame, frames = 4000, 200
+    db = Database(pool_size=64, charge_cpu=charge_cpu)
+    try:
+        with db.begin() as txn:
+            designator = db.lo.create(txn, "vsegment")
+            with db.lo.open(designator, txn, "rw") as obj:
+                for i in range(frames):
+                    obj.write(bytes([i % 251 + 1]) * frame)
+        stats = db.access_stats
+        rng = random.Random(20)
+        with db.begin() as txn, db.lo.open(designator, txn) as obj:
+            for i in [0, frames - 1] + rng.sample(range(frames), 20):
+                before = stats.tuples_scanned
+                records = obj._segments_overlapping(i * frame,
+                                                    (i + 1) * frame)
+                assert stats.tuples_scanned - before <= 2
+                assert [r.values[:2] for r in records] == [(i * frame,
+                                                            frame)]
+                # The whole read: size row + segment + byte-store chunks.
+                before = stats.tuples_scanned
+                assert obj.pread(i * frame, frame) == (
+                    bytes([i % 251 + 1]) * frame)
+                assert stats.tuples_scanned - before <= 5
+    finally:
+        db.close()

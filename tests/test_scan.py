@@ -143,6 +143,48 @@ class TestIndexRangeScan:
         with pytest.raises(ReproError, match="snapshot anomaly"):
             scan.visible(db.snapshot())
 
+    def test_visible_from_floor(self, db):
+        """Keys 0, 10, ..., 90; key 30 deleted, key 40 re-versioned
+        three times.  The walk fetches what it returns plus the dead
+        versions it must pass, and stops at ``lo``."""
+        db.create_class("T", [("k", "int4"), ("v", "int4")])
+        db.create_index("t_k", "T", "k")
+        with db.begin() as txn:
+            tids = [db.insert(txn, "T", (10 * i, 0)) for i in range(10)]
+        with db.begin() as txn:
+            db.delete(txn, "T", tids[3])
+        tid = tids[4]
+        for version in range(1, 4):
+            with db.begin() as txn:
+                tid = db.replace(txn, "T", tid, (40, version))
+        index, relation = db.get_index("t_k"), db.get_class("T")
+        stats = db.access_stats
+
+        def floor(lo, hi, pivot, unique=True):
+            before = stats.tuples_scanned
+            pairs = IndexRangeScan(db, index, relation, lo, hi,
+                                   unique=unique).visible_from_floor(
+                                       db.snapshot(), pivot)
+            return ([key[0] for key, _tup in pairs],
+                    stats.tuples_scanned - before)
+
+        assert floor((0,), (69,), (55,)) == ([50, 60], 2)
+        assert floor((0,), (69,), (50,)) == ([50, 60], 2)
+        # The live version of 40 is the newest entry of its run; the
+        # run is finished so ``unique`` sees every version of the key.
+        assert floor((0,), (45,), (45,)) == ([40], 4)
+        assert floor((0,), (45,), (45,), unique=False) == ([40], 4)
+        assert floor((0,), (39,), (35,)) == ([20], 2)   # past dead 30
+        assert floor((25,), (39,), (35,)) == ([], 1)    # stops at lo
+        assert floor(None, (5,), (-1,)) == ([0], 1)      # all above
+        assert floor(None, (95,), (-1,))[0] == [0, 10, 20, 40, 50, 60,
+                                                70, 80, 90]
+        with db.begin() as txn:
+            db.insert(txn, "T", (40, 99))   # a second visible version
+        for pivot in ((45,), (15,)):        # at the floor; above it
+            with pytest.raises(ReproError, match="snapshot anomaly"):
+                floor((0,), (49,), pivot)
+
 
 class TestSeqScan:
     def test_matches_relation_scan(self, db):
