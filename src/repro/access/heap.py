@@ -120,13 +120,12 @@ class HeapRelation:
         if target is None:
             nblocks = self.nblocks()
             target = nblocks - 1 if nblocks else None
-            if (target is not None and self.bufmgr.cpu is None
+            if (target is not None
                     and self.fsm.known_insufficient(target, len(image))):
-                # Wall-clock mode only (model fidelity: the probe is a
-                # charged pin in sim mode): the tail page's hint was
-                # refreshed by the last placement and says no room, so
-                # go straight to a fresh page.  Bulk loads (one 8000 B
-                # chunk per page) pay this dead probe on every insert.
+                # The tail page's hint was refreshed by the last
+                # placement and says no room, so go straight to a fresh
+                # page.  Bulk loads (one 8000 B chunk per page) would
+                # pay this dead probe on every insert.
                 target = None
         if target is not None:
             buf = self.bufmgr.pin(self.smgr, self.fileid, target)

@@ -193,23 +193,16 @@ class IndexProbe:
         Meant for keys with exactly one visible version per snapshot
         (the ``pg_largeobject`` size row — docs/invariants.md), where
         visiting order cannot change the answer, only how many dead
-        versions are fetched on the way to it.  In wall-clock mode the
-        run is visited newest entry first, so the current version costs
-        one descent and one heap fetch however many superseded versions
-        share the key; an ``as_of`` snapshot walks back only as far as
-        its own version.  Charged mode keeps the oldest-first walk: its
-        fetches are part of the figures' pinned operation stream (see
-        docs/performance.md, "Why the gate cannot be deleted").  Use
-        :meth:`tuples` when every version matters.
+        versions are fetched on the way to it.  The run is visited
+        newest entry first, so the current version costs one descent
+        and one heap fetch however many superseded versions share the
+        key; an ``as_of`` snapshot walks back only as far as its own
+        version.  Use :meth:`tuples` when every version matters.
         """
         stats = self.db.access_stats
         with self.db.latch:
             stats.probes += 1
-            if self.db.bufmgr.cpu is None:
-                entries = self.index.search_newest(self.key)
-            else:
-                entries = self.index.search(self.key)
-            for blockno, slot in entries:
+            for blockno, slot in self.index.search_newest(self.key):
                 stats.tuples_scanned += 1
                 tup = self.relation.fetch(TID(blockno, slot), snapshot)
                 if tup is None:

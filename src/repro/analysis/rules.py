@@ -32,18 +32,6 @@ def dotted(node: ast.AST) -> str | None:
     return None
 
 
-def _walk_skipping_nested_functions(body: list[ast.stmt]) -> Iterator[ast.AST]:
-    """Every node lexically in *body*, not descending into nested defs."""
-    stack: list[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _references_any(nodes: list[ast.stmt], names: set[str]) -> bool:
     """Whether any Name or attribute access in *nodes* hits *names*."""
     for stmt in nodes:

@@ -10,8 +10,10 @@ problem descriptions (empty = healthy):
 * **B-trees**: key ordering holds, and every index entry's TID points at
   a decodable heap tuple;
 * **large objects**: every cataloged object has its chunk relations, its
-  ``pg_largeobject`` size row, and (v-segment) a byte store covering every
-  visible segment, the segments disjoint, bounded and inside the object;
+  ``pg_largeobject`` size row, (f-chunk, so every byte store too) one
+  visible version per chunk and none past the size, and (v-segment) a
+  byte store covering every visible segment, the segments disjoint,
+  bounded and inside the object;
 * **Inversion**: every live DIRECTORY file row has STORAGE and FILESTAT
   rows and its designator resolves; no duplicate directory slots or
   file ids; no orphan FILESTAT/STORAGE rows; every parent id is a live
@@ -26,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from repro.access.tuples import TID
 from repro.errors import ReproError
-from repro.storage.constants import INVALID_XID, PAGE_SIZE
+from repro.storage.constants import CHUNK_PAYLOAD, INVALID_XID, PAGE_SIZE
 from repro.txn.xlog import TxnStatus
 
 if TYPE_CHECKING:
@@ -164,6 +166,25 @@ class IntegrityChecker:
                 else:
                     self._check_segments(oid, store_oid, size_rows,
                                          snapshot)
+            elif self.db.class_exists(expected):
+                self._check_chunks(oid, expected, size_rows.get(oid),
+                                   snapshot)
+
+    def _check_chunks(self, oid: int, name: str, size: int | None,
+                      snapshot) -> None:
+        # What the f-chunk writer's known-TID map and absence baseline
+        # rest on (docs/invariants.md): one visible version per chunk,
+        # none at or past the size row (a missing row is reported above).
+        seen: set[int] = set()
+        for tup in self.db.get_class(name).scan(snapshot):
+            seqno = tup.values[0]
+            if seqno in seen:
+                self._report(f"large object {oid}: several visible "
+                             f"versions of chunk {seqno}")
+            seen.add(seqno)
+            if size is not None and seqno * CHUNK_PAYLOAD >= size:
+                self._report(f"large object {oid}: chunk {seqno} starts "
+                             f"past the object's size ({size})")
 
     def _check_segments(self, oid: int, store_oid: int, size_rows: dict,
                         snapshot) -> None:

@@ -247,23 +247,6 @@ class InversionFileSystem:
             raise InversionError(f"{path!r} has no STORAGE record")
         return rows[0].values[1]
 
-    def _parent_of(self, path: str,
-                   snapshot: Snapshot) -> tuple[int, str]:
-        """(parent file_id, leaf name) for *path*, verifying the parent."""
-        parts = split_path(path)
-        if not parts:
-            raise InversionError("cannot create the root")
-        if len(parts) == 1:
-            return ROOT_ID, parts[0]
-        parent = self._resolve("/" + "/".join(parts[:-1]), snapshot)
-        if parent is None:
-            raise FileNotFound(
-                f"no Inversion directory {'/' + '/'.join(parts[:-1])!r}")
-        if not parent.is_dir:
-            raise NotADirectory(
-                f"{'/' + '/'.join(parts[:-1])!r} is not a directory")
-        return parent.file_id, parts[-1]
-
     # -- write-side locking (module docstring has the full protocol) ---------------
 
     def _lock_entry(self, txn: Transaction, parent_id: int,
@@ -533,9 +516,6 @@ class InversionFileSystem:
         self._update_stat(txn, file_id,
                           atime=now if accessed else None,
                           mtime=now if wrote else None)
-
-    def _touch_mtime(self, txn: Transaction, file_id: int) -> None:
-        self._update_stat(txn, file_id, mtime=self.db.clock.now())
 
     # -- removal / rename ----------------------------------------------------------
 

@@ -82,14 +82,6 @@ class ChunkedObject(LargeObject):
         self._locked = IntervalSet()
         self._whole_locked = False
         self._commit_epoch = db.clog.visibility_epoch
-        # -- model-fidelity gate -------------------------------------------
-        # The subclasses' write-side fast paths skip B-tree probes the
-        # simulated cost model charges for, so they engage only when the
-        # database runs in wall-clock mode (``charge_cpu=False``: no CPU
-        # model on the buffer manager).  Figure runs therefore execute
-        # the identical operation stream they always did; reads run one
-        # path in both modes.  See docs/performance.md.
-        self._fast = db.bufmgr.cpu is None
         if writable:
             self._pending_size = self._committed_size()
             txn.before_commit.append(self.flush)

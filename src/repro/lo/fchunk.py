@@ -67,8 +67,7 @@ READ_CACHE_CHUNKS = 8
 #: and writers only serialize when their spans land in the same grain.
 LOCK_GRAIN_CHUNKS = 64
 
-#: Sentinel for "this seqno's fate has not been learned yet" in the
-#: writer's known-TID map (``None`` there means *known absent*).
+#: ``_where``'s third answer, "ask the index" (``None`` means *absent*).
 _UNKNOWN = object()
 
 
@@ -104,17 +103,18 @@ class FChunkObject(ChunkedObject):
         # repeating work for every frame in a chunk) and backward seeks
         # within the window never re-inflate.
         self._read_cache: OrderedDict[int, bytes] = OrderedDict()
-        #: Writer-only map seqno -> TID (or None = known absent), in
-        #: wall-clock mode only (see ``_fast``).  Safe under range
-        #: locking because every entry is invalidated (and the "chunks at
-        #: or past here never existed" absence baseline re-anchored to
-        #: the committed size) by ``_committed_moved`` whenever any
+        #: Writer's map seqno -> TID (or None = known absent); never
+        #: consulted on a read-only descriptor.  Safe under range locking
+        #: because ``_committed_moved`` drops every entry whenever any
         #: transaction commits or aborts.
-        self._known_tids: dict[int, TID | None] | None = None
-        self._baseline_chunks = 0
-        if writable and self._fast:
-            self._known_tids = {}
-            self._baseline_chunks = self._chunks_in(self._pending_size)
+        self._known_tids: dict[int, TID | None] = {}
+        #: Chunks at or past here are absent unless the map says
+        #: otherwise: never below the committed size (re-anchored by
+        #: ``_committed_moved``) nor at or below a chunk this descriptor
+        #: inserted (ratcheted by ``_flush_data``) — the map can forget
+        #: an uncommitted chunk, the baseline must not.
+        self._baseline_chunks = (self._chunks_in(self._pending_size)
+                                 if writable else 0)
 
     # -- protocol hooks -------------------------------------------------------------
 
@@ -127,58 +127,52 @@ class FChunkObject(ChunkedObject):
                 ((max(end, start + 1) + grain - 1) // grain) * grain)
 
     def _committed_moved(self, committed: int) -> None:
-        if self._known_tids is not None:
-            self._known_tids.clear()
-            self._baseline_chunks = max(self._baseline_chunks,
-                                        self._chunks_in(committed))
+        self._known_tids.clear()
+        self._baseline_chunks = max(self._baseline_chunks,
+                                    self._chunks_in(committed))
         self._read_cache.clear()
 
     # -- chunk access -----------------------------------------------------------------
 
+    def _where(self, seqno: int) -> "TID | None | object":
+        """Where the visible version of chunk *seqno* is, as far as this
+        writer can tell without the index: its TID, ``None`` (absent),
+        or ``_UNKNOWN`` (ask the index — :meth:`_chunk_tuple`)."""
+        # Epoch-gated: drops entries a concurrent commit could have
+        # retired and re-anchors the absence baseline before either is
+        # trusted below.
+        self._refresh_committed()
+        tid = self._known_tids.get(seqno, _UNKNOWN)
+        if tid is _UNKNOWN and seqno >= self._baseline_chunks:
+            # Past every committed chunk and every chunk this
+            # descriptor inserted (docs/invariants.md).
+            tid = self._known_tids[seqno] = None
+        return tid
+
     def _chunk_tuple(self, seqno: int,
                      snapshot: Snapshot | None = None) -> HeapTuple | None:
-        """The visible version of chunk *seqno*, or ``None``.
+        """The visible version of chunk *seqno*, or ``None`` (writable
+        descriptors only).
 
-        ``snapshot=None`` creates one lazily — only if a probe actually
-        runs; the writer's known-TID fast path answers without either.
+        ``snapshot=None`` creates one lazily — an absent chunk is
+        answered without one.
         """
-        known = self._known_tids
-        if known is not None:
-            # Epoch-gated: drops entries a concurrent commit could have
-            # retired and re-anchors the absence baseline before either
-            # is trusted below.
-            self._refresh_committed()
-            tid = known.get(seqno, _UNKNOWN)
-            if tid is None:
-                return None
-            if tid is _UNKNOWN and seqno >= self._baseline_chunks:
-                # Beyond every committed chunk (baseline tracks the
-                # committed size) and this descriptor never created it.
-                known[seqno] = None
-                return None
-            if tid is not _UNKNOWN:
-                tup = fetch_visible(self.db, self.relation, tid,
-                                    snapshot or self._snapshot())
-                if tup is not None:
-                    return tup
-                # Defensive: fall through to a real probe.
+        tid = self._where(seqno)
+        if tid is None:
+            return None
         if snapshot is None:
             snapshot = self._snapshot()
+        if tid is not _UNKNOWN:
+            tup = fetch_visible(self.db, self.relation, tid, snapshot)
+            if tup is not None:
+                return tup
+            # Defensive: fall through to a real probe.
         candidates = IndexProbe(
             self.db, self.index, self.relation, (seqno,),
             unique=True, anomaly=self._anomaly).tuples(snapshot)
         tup = candidates[0] if candidates else None
-        if known is not None:
-            known[seqno] = None if tup is None else tup.tid
+        self._known_tids[seqno] = None if tup is None else tup.tid
         return tup
-
-    def _stored_chunk_bytes(self, seqno: int,
-                            snapshot: Snapshot | None = None
-                            ) -> bytes | None:
-        tup = self._chunk_tuple(seqno, snapshot)
-        if tup is None:
-            return None
-        return self.compressor.decompress(tup.values[1])
 
     def _cache_chunk(self, seqno: int, data: bytes) -> None:
         self._read_cache[seqno] = data
@@ -211,35 +205,20 @@ class FChunkObject(ChunkedObject):
         """Materialize the buffered chunk (also on every chunk switch)."""
         if self._buf_seqno is None or not self._buf_dirty:
             return
-        self._refresh_committed()
         seqno = self._buf_seqno
         image = self.compressor.compress(bytes(self._buf_data))
-        known = self._known_tids
-        if known is not None:
-            # Fast path: the known-TID map already answers "does this
-            # chunk exist, and where" — no snapshot, no B-tree probe.
-            tid = known.get(seqno, _UNKNOWN)
-            if tid is _UNKNOWN and seqno >= self._baseline_chunks:
-                tid = None
-            if tid is not _UNKNOWN:
-                if tid is None:
-                    new_tid = self.db.insert(self.txn, self.relation.name,
-                                             (seqno, image))
-                else:
-                    new_tid = self.db.replace(self.txn, self.relation.name,
-                                              tid, (seqno, image))
-                known[seqno] = new_tid
-                self._buf_dirty = False
-                return
-        existing = self._chunk_tuple(seqno)
-        if existing is not None:
-            new_tid = self.db.replace(self.txn, self.relation.name,
-                                      existing.tid, (seqno, image))
+        tid = self._where(seqno)
+        if tid is _UNKNOWN:
+            existing = self._chunk_tuple(seqno)
+            tid = None if existing is None else existing.tid
+        if tid is None:
+            tid = self.db.insert(self.txn, self.relation.name,
+                                 (seqno, image))
+            self._baseline_chunks = max(self._baseline_chunks, seqno + 1)
         else:
-            new_tid = self.db.insert(self.txn, self.relation.name,
-                                     (seqno, image))
-        if known is not None:
-            known[seqno] = new_tid
+            tid = self.db.replace(self.txn, self.relation.name,
+                                  tid, (seqno, image))
+        self._known_tids[seqno] = tid
         self._buf_dirty = False
 
     def _switch_buffer(self, seqno: int,
@@ -251,9 +230,11 @@ class FChunkObject(ChunkedObject):
         # The write buffer supersedes any cached copy of this chunk.
         stored = self._read_cache.pop(seqno, None)
         if stored is None:
-            stored = self._stored_chunk_bytes(seqno, snapshot)
+            tup = self._chunk_tuple(seqno, snapshot)
+            if tup is not None:
+                stored = self.compressor.decompress(tup.values[1])
         self._buf_seqno = seqno
-        self._buf_data = bytearray(stored if stored is not None else b"")
+        self._buf_data = bytearray(stored or b"")
         self._buf_dirty = False
 
     # -- reads ----------------------------------------------------------------------------
@@ -383,7 +364,6 @@ class FChunkObject(ChunkedObject):
             tup = self._chunk_tuple(seqno, snapshot)
             if tup is not None:
                 self.db.delete(self.txn, self.relation.name, tup.tid)
-                if self._known_tids is not None:
-                    self._known_tids[seqno] = None
+                self._known_tids[seqno] = None
         self._read_cache.clear()
         self._note_truncate(size)

@@ -65,9 +65,9 @@ def size_row(db: "Database", oid: int, snapshot: Snapshot) -> HeapTuple:
     Every commit that moves the size leaves one more dead version under
     the same ``loid`` key, and exactly one version is visible to any
     snapshot, so this is :meth:`IndexProbe.first
-    <repro.access.scan.IndexProbe.first>`: in wall-clock mode it reaches
-    the live version from the newest end of that run and its cost does
-    not grow with the object's history.
+    <repro.access.scan.IndexProbe.first>`: it reaches the live version
+    from the newest end of that run and its cost does not grow with the
+    object's history.
     """
     row = _probe(db, oid).first(snapshot)
     if row is None:

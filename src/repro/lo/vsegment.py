@@ -183,10 +183,9 @@ class VSegmentObject(ChunkedObject):
             offset = size
         end = offset + len(data)
 
-        if self._fast and offset == size:
+        if offset == size:
             # Pure append: every stored segment lies inside [0, size),
-            # so the overlap scan cannot find anything — skip it.  Wall
-            # clock mode only: the scan is charged work in figure runs.
+            # so the overlap scan cannot find anything — skip it.
             overlapped: list[HeapTuple] = []
         else:
             overlapped = self._segments_overlapping(offset, end)

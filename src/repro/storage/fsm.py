@@ -37,10 +37,6 @@ class FreeSpaceMap:
         """Remember the page the relation last inserted into."""
         self._last_insert = blockno
 
-    @property
-    def insert_target(self) -> int | None:
-        return self._last_insert
-
     def find(self, needed: int) -> int | None:
         """A page believed to fit *needed* bytes, or ``None``.
 

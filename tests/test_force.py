@@ -267,7 +267,7 @@ def test_a_fault_lands_on_the_same_block_with_the_same_bytes(
 def test_commit_does_not_scan_more_versions_as_history_grows():
     """A v-segment byte store grows on every write, so each commit
     replaces two ``pg_largeobject`` size rows and leaves two more dead
-    versions under their keys.  In wall-clock mode the probes reach the
+    versions under their keys.  The probes reach the
     live version from the newest end of that run, so a commit fetches
     the same number of versions however long the object's history is
     (``benchmarks/test_micro.py::TestCommitCostIsFlatInHistory`` counts

@@ -161,6 +161,22 @@ class TestInjectedCorruption:
         problems = db.check_integrity()
         assert any(complaint in p for p in problems), problems
 
+    @pytest.mark.parametrize("record, complaint", [
+        ((0, b"dup"), "several visible versions of chunk 0"),
+        ((3, b"late"), "chunk 3 starts past the object's size (20000)"),
+    ])
+    def test_chunk_layout_invariant_checked(self, db, record, complaint):
+        """What the f-chunk writer's known-TID map and absence baseline
+        rely on: one visible version per chunk, none past the size."""
+        fchunk, _vseg = populated(db)
+        from repro.lo.fchunk import chunk_class_name
+        from repro.lo.manager import designator_oid
+        assert db.check_integrity() == []
+        with db.begin() as txn:
+            db.insert(txn, chunk_class_name(designator_oid(fchunk)), record)
+        problems = db.check_integrity()
+        assert any(complaint in p for p in problems), problems
+
 
 class TestInversionCorruption:
     """The PR-8 additions to ``_check_inversion``: each injected fault

@@ -215,9 +215,8 @@ class TestSequentialScaling:
 
 @pytest.mark.parametrize("impl", ["fchunk", "vsegment"])
 def test_one_read_path_inside_and_outside_a_transaction(impl):
-    """Wall-clock mode: the same reads execute the same access-layer
-    statements through a transaction-less descriptor and through an
-    in-transaction one."""
+    """The same reads execute the same access-layer statements through
+    a transaction-less descriptor and through an in-transaction one."""
     db = Database(pool_size=64, charge_cpu=False)
     try:
         size = 400_000
@@ -263,17 +262,20 @@ def test_vsegment_frame_read_fetches_the_segment_it_returns(charge_cpu):
         stats = db.access_stats
         rng = random.Random(20)
         with db.begin() as txn, db.lo.open(designator, txn) as obj:
-            for i in [0, frames - 1] + rng.sample(range(frames), 20):
+            # Even frames only: two frames share a byte-store chunk, and
+            # a second read of one would find it in the descriptor's cache.
+            for i in [0, frames - 1] + rng.sample(range(2, frames - 2, 2),
+                                                  20):
                 before = stats.tuples_scanned
                 records = obj._segments_overlapping(i * frame,
                                                     (i + 1) * frame)
-                assert stats.tuples_scanned - before <= 2
+                assert stats.tuples_scanned - before == 1
                 assert [r.values[:2] for r in records] == [(i * frame,
                                                             frame)]
-                # The whole read: size row + segment + byte-store chunks.
+                # The whole read: size row + segment + byte-store chunk.
                 before = stats.tuples_scanned
                 assert obj.pread(i * frame, frame) == (
                     bytes([i % 251 + 1]) * frame)
-                assert stats.tuples_scanned - before <= 5
+                assert stats.tuples_scanned - before == 3
     finally:
         db.close()

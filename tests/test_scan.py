@@ -320,10 +320,10 @@ class TestVisibleVersionInvariant:
 @pytest.mark.parametrize("charge_cpu", [True, False])
 class TestSizeRowProbeInBothModes:
     """Exactly one ``pg_largeobject`` version of an oid is visible to any
-    snapshot, so ``IndexProbe.first`` returns the same row whichever end
-    of the version run it starts from: charged mode walks oldest-first
-    (the figures' pinned operation stream), wall-clock mode newest-first
-    (a cost that does not grow with history)."""
+    snapshot, and ``IndexProbe.first`` reaches it from the newest end of
+    the version run — the same fetches whether or not their CPU is
+    charged to the simulated clock, and a cost that does not grow with
+    history."""
 
     def test_first_is_the_single_visible_version(self, charge_cpu):
         with Database(charge_cpu=charge_cpu) as db:
@@ -344,9 +344,8 @@ class TestSizeRowProbeInBothModes:
                 with db.latch:
                     run = index.search((oid,))
                 position = run.index((only.tid.blockno, only.tid.slot))
-                # Each mode stops at the visible version, from its end.
-                assert scanned == (position + 1 if charge_cpu
-                                   else len(run) - position)
+                # It stops at the visible version, from the newest end.
+                assert scanned == len(run) - position
                 return scanned, len(run)
 
             history = [(db.clock.now(), 0)]
@@ -365,19 +364,14 @@ class TestSizeRowProbeInBothModes:
                 committed_replace(size)
             # Quiescent: 1 insert + 5 committed + 1 aborted replace.
             scanned, run = first_matches_tuples(db.snapshot(), 50)
-            assert run == 7
-            assert scanned == (run if charge_cpu else 1)
+            assert (scanned, run) == (1, 7)
 
             mine, other = db.begin(), db.begin()
             metadata.write_size(db, mine, oid, 60)   # in flight from here
             own, run = first_matches_tuples(db.snapshot(mine), 60)
             foreign, _ = first_matches_tuples(db.snapshot(other), 50)
             plain, _ = first_matches_tuples(db.snapshot(), 50)
-            assert run == 8
-            if charge_cpu:
-                assert (own, foreign, plain) == (8, 7, 7)
-            else:
-                assert own == 1 and foreign <= 2 and plain <= 2
+            assert (own, foreign, plain, run) == (1, 2, 2, 8)
             for stamp, size in history:
                 first_matches_tuples(db.snapshot(as_of=stamp), size)
             mine.commit()

@@ -308,7 +308,9 @@ class TwoSessionModel(RuleBasedStateMachine):
         self.sessions[s].insert("events", row)
         self.pending_rows[s].append(row)
 
-    @rule(s=SESSIONS, offset=st.integers(0, 5000),
+    # Offsets reach chunk 3 so the f-chunk write buffer switches chunks
+    # (and flushes) between the other session's commits and aborts.
+    @rule(s=SESSIONS, offset=st.integers(0, 30_000),
           data=st.binary(min_size=1, max_size=800))
     def write_own_lo(self, s, offset, data):
         if not self._in_txn(s):
@@ -319,6 +321,16 @@ class TwoSessionModel(RuleBasedStateMachine):
         if offset > len(pending):
             pending.extend(bytes(offset - len(pending)))
         pending[offset:offset + len(data)] = data
+
+    @rule(s=SESSIONS, size=st.sampled_from([0, 5_000, 8_000, 12_000,
+                                            20_000]))
+    def truncate_own_lo(self, s, size):
+        if not self._in_txn(s):
+            return
+        self.handles[s].truncate(size)
+        pending = self.lo_pending[s]
+        del pending[size:]
+        pending.extend(bytes(size - len(pending)))
 
     @rule(s=SESSIONS)
     def commit(self, s):
