@@ -459,6 +459,121 @@ class TestCommitCostIsFlatInHistory:
 
 
 @pytest.mark.perf
+class TestChunkRunCounts:
+    """A write that wholly covers chunks reaches the chunk class as one
+    run: one relation lock, one descent and one leaf splice for all of
+    them (docs/performance.md "The chunk run").  Counts, never time."""
+
+    CHUNK = 8000
+
+    @staticmethod
+    def _counting(monkeypatch, database):
+        """Wrap the relation lock, the B-tree's meta read and its leaf
+        store; returns the list the calls are appended to."""
+        from repro.access.btree import BTree
+        calls = []
+        real_acquire = database.locks.acquire
+
+        def acquire(xid, resource, mode, *args, **kwargs):
+            if isinstance(resource, tuple) and resource[0] == "relation":
+                calls.append(("lock", resource[1]))
+            return real_acquire(xid, resource, mode, *args, **kwargs)
+
+        def counted(name):
+            real = getattr(BTree, name)
+
+            def wrapper(tree, *args, **kwargs):
+                calls.append((name, tree.name))
+                return real(tree, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(database.locks, "acquire", acquire)
+        for name in ("_read_meta", "_store_leaf"):
+            monkeypatch.setattr(BTree, name, counted(name))
+        return calls
+
+    def test_a_64k_write_is_one_lock_one_descent_one_splice(
+            self, db, monkeypatch):
+        txn = db.begin()
+        obj = db.lo.open(db.lo.create(txn, "fchunk"), txn, "rw")
+        calls = self._counting(monkeypatch, db)
+        obj.write(b"\xa5" * 65536)      # chunks 0-7 whole, 1,536 B of 8
+        monkeypatch.undo()
+        index = obj.index.name
+        assert calls.count(("lock", obj.relation.name)) == 1, calls
+        assert calls.count(("_read_meta", index)) == 1, calls
+        assert 1 <= calls.count(("_store_leaf", index)) <= 2, calls
+        assert {name for _call, name in calls} == {obj.relation.name,
+                                                   index}, calls
+        obj.close()
+        txn.commit()
+        assert db.check_integrity() == []
+
+    def test_the_run_costs_at_most_0_6_of_eight_chunk_writes(self, db):
+        data = bytes(range(256)) * 250           # 64,000 B: eight chunks
+        counts = []
+        for pieces in ([data], [data[at:at + self.CHUNK] for at in
+                                range(0, len(data), self.CHUNK)]):
+            txn = db.begin()
+            obj = db.lo.open(db.lo.create(txn, "fchunk"), txn, "rw")
+            with _Bytecodes() as executed:
+                for piece in pieces:
+                    obj.write(piece)
+            counts.append(executed.count)
+            obj.seek(0)
+            assert obj.read() == data
+            obj.close()
+            txn.commit()
+        as_a_run, one_by_one = counts
+        assert as_a_run <= 0.6 * one_by_one, counts
+
+    def test_truncate_to_zero_is_one_scan_and_one_lock(self, db,
+                                                       monkeypatch):
+        with db.begin() as txn:
+            designator = db.lo.create(txn, "fchunk")
+            with db.lo.open(designator, txn, "rw") as obj:
+                obj.write(b"\x5a" * (32 * self.CHUNK))
+        txn = db.begin()
+        obj = db.lo.open(designator, txn, "rw")
+        calls = self._counting(monkeypatch, db)
+        scans = db.access_stats.range_scans
+        probes = db.access_stats.probes
+        obj.truncate(0)
+        monkeypatch.undo()
+        assert db.access_stats.range_scans - scans == 1
+        assert db.access_stats.probes - probes <= 1      # the size row
+        assert calls.count(("lock", obj.relation.name)) == 1, calls
+        obj.close()
+        txn.commit()
+        with db.lo.open(designator) as fresh:
+            assert fresh.read() == b""
+        assert db.check_integrity() == []
+
+    def test_an_insert_does_not_pay_for_unrelated_indexes(self, db):
+        """``Catalog.indexes_on`` used to scan every index in the
+        catalog; ``inv_files`` keeps one per file ever created."""
+        def one_insert(name):
+            """The cheapest of five inserts into a fresh class with one
+            index (one in 128 also reserves an oid batch)."""
+            db.create_class(name, [("k", "int4")])
+            db.create_index(f"{name}_k", name, "k")
+            counts = []
+            with db.begin() as txn:
+                db.insert(txn, name, (0,))       # warm: pages, caches
+                for key in range(1, 6):
+                    with _Bytecodes() as executed:
+                        db.insert(txn, name, (key,))
+                    counts.append(executed.count)
+            return min(counts)
+
+        alone = one_insert("before")
+        db.create_class("U", [("k", "int4")])
+        for number in range(300):
+            db.create_index(f"u_{number}", "U", "k")
+        assert one_insert("after") == alone
+
+
+@pytest.mark.perf
 class TestSegmentLookupIsFlatInDensity:
     """The v-segment overlap query is a floor probe: a read fetches the
     segment record it returns, however many segments share its 64 KB —

@@ -32,7 +32,7 @@ manager's pool-wide side cache, keyed by ``(fileid, blockno)``: a hit
 skips the pin and the parse.  Every node write (store, split, new node)
 writes through the cache, and the pool drops entries with the file, so a
 reader can never observe a stale node — including after ``replace`` or a
-vacuum's index pruning, which both funnel through :meth:`BTree.insert` /
+vacuum's index pruning, which funnel through :meth:`BTree.insert_run` /
 :meth:`BTree.delete`.
 """
 
@@ -188,8 +188,8 @@ class BTree:
         a hit skips both the page pin and the struct re-parse, which is
         what makes repeated descents (one per chunk, in the old read
         path) cheap.  *mutable* callers get a private copy; the cached
-        node itself is only ever replaced through :meth:`_store_node` /
-        :meth:`_new_node`, so the cache can never serve a stale node.
+        node is only ever replaced by :meth:`_store_node`, :meth:`_store_leaf`
+        and :meth:`_new_node`, so the cache can never serve a stale node.
         """
         node = self.bufmgr.get_decoded(self.smgr, self.fileid, blockno)
         if node is not None:
@@ -257,85 +257,87 @@ class BTree:
 
     def insert(self, key: Key, value: Value) -> None:
         """Insert one entry; duplicate keys are fine."""
-        key = self._check_key(key)
-        root, height = self._read_meta()
-        split = self._insert_into(root, key, tuple(value))
-        if split is not None:
-            sep_key, right_block = split
-            new_root = _Node(is_leaf=False,
-                             keys=[sep_key],
-                             values=[(root, 0), (right_block, 0)])
-            self._write_meta(self._new_node(new_root), height + 1)
+        self.insert_run([(key, value)])
 
-    def _insert_into(self, blockno: int, key: Key,
-                     value: Value) -> tuple[Key, int] | None:
-        """Recursive insert; returns (separator, new right block) on split."""
-        # Read shared (cached) nodes and copy only when a mutation is
-        # actually needed: the common cases — a leaf append, an internal
-        # node whose child did not split — never touch the node's lists.
-        node = self._read_node(blockno)
-        if node.is_leaf:
-            if not node.keys or key >= node.keys[-1]:
-                # Sequential loads (f-chunk/v-segment writers emit
-                # monotonically increasing keys) hit this on nearly
-                # every insert; splicing beats re-flattening the leaf.
-                # (key >= last matches bisect_right: equals land at the
-                # end.)
-                node = _Node(is_leaf=True, keys=node.keys + [key],
-                             values=node.values + [value], right=node.right)
-                if node.entry_bytes(self.key_arity) <= self._node_limit:
-                    self._append_leaf_store(blockno, node)
-                    return None
-            else:
+    def insert_run(self, entries: list[tuple[Key, Value]]) -> None:
+        """Insert ``(key, value)`` pairs sorted by key: page for page what
+        :meth:`insert` of each in turn leaves, in one descent and one
+        image rebuild per leaf touched."""
+        entries = [(self._check_key(key), tuple(value))
+                   for key, value in entries]
+        capacity = ((self._node_limit - _NODE_HEADER.size)
+                    // (self._key_struct.size + 16))   # leaf entries
+        done = 0
+        while done < len(entries):
+            root, height = self._read_meta()
+            blockno, node = root, self._read_node(root)
+            path: list[tuple[int, _Node, int]] = []
+            bound = None   # tightest separator right of the path
+            while not node.is_leaf:
+                slot = self._descend_index(node, entries[done][0])
+                if slot < len(node.keys):
+                    bound = node.keys[slot]
+                path.append((blockno, node, slot))
+                blockno = node.values[slot][0]
+                node = self._read_node(blockno)
+            room = capacity - len(node.keys)
+            if room > 0:
+                # Every following entry that routes here and fits rides along.
+                take = 1
+                while (take < room and done + take < len(entries) and (
+                        bound is None or entries[done + take][0] < bound)):
+                    take += 1
+                self._store_leaf(blockno, node, entries[done:done + take])
+                done += take
+                continue
+            # No room even for one: it splits the leaf, and the split
+            # climbs the path this descent already holds.
+            key, value = entries[done]
+            pos = bisect.bisect_right(node.keys, key)
+            done += 1
+            while True:
                 node = node.copy()
-                pos = bisect.bisect_right(node.keys, key)
                 node.keys.insert(pos, key)
-                node.values.insert(pos, value)
-        else:
-            child_idx = self._descend_index(node, key)
-            split = self._insert_into(node.values[child_idx][0], key, value)
-            if split is None:
-                return None
-            sep_key, right_block = split
-            node = node.copy()
-            node.keys.insert(child_idx, sep_key)
-            node.values.insert(child_idx + 1, (right_block, 0))
-        if node.entry_bytes(self.key_arity) <= self._node_limit:
-            self._store_node(blockno, node)
-            return None
-        return self._split(blockno, node)
+                node.values.insert(pos if node.is_leaf else pos + 1, value)
+                if node.entry_bytes(self.key_arity) <= self._node_limit:
+                    self._store_node(blockno, node)
+                    break
+                key, right_block = self._split(blockno, node)
+                value = (right_block, 0)
+                if not path:
+                    new_root = _Node(is_leaf=False, keys=[key],
+                                     values=[(root, 0), value])
+                    self._write_meta(self._new_node(new_root), height + 1)
+                    break
+                blockno, node, pos = path.pop()
 
-    def _append_leaf_store(self, blockno: int, node: _Node) -> None:
-        """Store a leaf whose only change is one entry appended at the end.
-
-        Produces bytes identical to :meth:`_write_node` for the same
-        node, but builds the image by splicing the page's current image
-        (old keys and values are already packed there) instead of
-        re-flattening every tuple — the same page pin, the same
-        ``overwrite_item``, an order of magnitude less Python per call.
-        *node* must be a fresh object (not the cached one): it is handed
-        to the decoded-node cache without a defensive copy.
+    def _store_leaf(self, blockno: int, node: _Node, run: list) -> None:
+        """Store leaf *node* with the sorted *run* merged in, each entry
+        after its equals (as ``bisect_right`` places it): bytes identical
+        to :meth:`_write_node` of the merged node, but spliced from the
+        page's current image (old keys and values are already packed
+        there) instead of re-flattening every tuple — an insert at memcpy
+        cost wherever in the leaf it lands.
         """
-        arity = self.key_arity
-        key = node.keys[-1]
-        value = node.values[-1]
-        nkeys = len(node.keys)          # includes the appended entry
-        old = nkeys - 1
-        koff = _NODE_HEADER.size
-        voff = koff + old * arity * 8
+        ksize = self._key_struct.size
+        voff = _NODE_HEADER.size + len(node.keys) * ksize
+        keys, values = node.keys[:], node.values[:]
         with self.bufmgr.page(self.smgr, self.fileid, blockno,
                               write=True) as page:
             image = page.item_view(0)
-            new_image = b"".join((
-                _NODE_HEADER.pack(1, 0, nkeys, node.right),
-                image[koff:voff],
-                struct.pack(f"<{arity}q", *key),
-                image[voff:voff + 16 * old],
-                struct.pack("<2q", *value),
-            ))
-            page.overwrite_item(0, new_image)
+            kbytes = bytearray(image[_NODE_HEADER.size:voff])
+            vbytes = bytearray(image[voff:])
+            for shift, (key, value) in enumerate(run):
+                pos = bisect.bisect_right(node.keys, key) + shift
+                keys.insert(pos, key)
+                values.insert(pos, value)
+                kbytes[pos * ksize:pos * ksize] = self._key_struct.pack(*key)
+                vbytes[pos * 16:pos * 16] = self._leaf_value.pack(*value)
+            page.overwrite_item(0, _NODE_HEADER.pack(
+                1, 0, len(keys), node.right) + kbytes + vbytes)
         # Write-through: the cache always mirrors the page just written.
-        self.bufmgr.put_decoded(self.smgr, self.fileid, blockno, node)
+        self.bufmgr.put_decoded(self.smgr, self.fileid, blockno, _Node(
+            is_leaf=True, keys=keys, values=values, right=node.right))
 
     @staticmethod
     def _descend_index(node: _Node, key: Key) -> int:

@@ -96,23 +96,30 @@ class HeapRelation:
 
     def insert(self, txn: Transaction, values: tuple,
                oid: int | None = None) -> TID:
-        """Insert a new tuple; returns its TID.
+        """:meth:`insert_many` of one row; returns its TID."""
+        return self.insert_many(txn, [values], oid)[0]
 
-        The tuple's oid defaults to a fresh one from the oid source; pass
-        *oid* explicitly when writing a new version of an existing object.
+    def insert_many(self, txn: Transaction, rows,
+                    oid: int | None = None) -> list[TID]:
+        """Insert *rows* in order (all serialized and size-checked before
+        the first is placed); returns their TIDs.  Pass *oid* when writing
+        a new version of an existing object, else each row gets a fresh one.
         """
         txn.require_active()
-        if oid is None:
-            oid = self.oid_source()
-        image = serialize_tuple(self.schema, txn.xid, oid, values)
-        if len(image) > MAX_TUPLE_SIZE:
-            raise RelationError(
-                f"tuple of {len(image)} bytes exceeds the page limit "
-                f"{MAX_TUPLE_SIZE} for relation {self.name!r} "
-                f"(store big values as large objects)")
-        tid = self._place(image)
+        images = []
+        for values in rows:
+            image = serialize_tuple(
+                self.schema, txn.xid,
+                self.oid_source() if oid is None else oid, values)
+            if len(image) > MAX_TUPLE_SIZE:
+                raise RelationError(
+                    f"tuple of {len(image)} bytes exceeds the page limit "
+                    f"{MAX_TUPLE_SIZE} for relation {self.name!r} "
+                    f"(store big values as large objects)")
+            images.append(image)
+        tids = [self._place(image) for image in images]
         txn.touch(self.smgr, self.fileid)
-        return tid
+        return tids
 
     def _place(self, image: bytes) -> TID:
         """Store an image on a page with room, extending if needed."""
@@ -286,8 +293,10 @@ class HeapRelation:
 
     # -- delete / replace ------------------------------------------------------------------
 
-    def delete(self, txn: Transaction, tid: TID) -> None:
-        """Stamp ``xmax = txn.xid`` on the version at *tid*.
+    def delete(self, txn: Transaction, tid: TID,
+               fetch: bool = False) -> int:
+        """Stamp ``xmax = txn.xid`` on the version at *tid*; returns the
+        version's oid (*fetch*: price reading it as a pin of its own).
 
         Rejects tuples already deleted by a live or committed transaction
         (a write-write conflict under no-wait 2PL); a stamp left by an
@@ -296,12 +305,14 @@ class HeapRelation:
         txn.require_active()
         buf = self.bufmgr.pin(self.smgr, self.fileid, tid.blockno)
         try:
+            if fetch:
+                self.bufmgr.rehit(buf)
             try:
                 view = buf.page.item_view(tid.slot)
             except Exception as exc:
                 raise TupleNotFound(
                     f"no tuple at {tid} in {self.name!r}") from exc
-            _xmin, xmax, _oid = read_stamps(view)
+            _xmin, xmax, oid = read_stamps(view)
             if xmax != INVALID_XID and xmax != txn.xid:
                 if self.clog.status(xmax) != TxnStatus.ABORTED:
                     raise TransactionError(
@@ -314,12 +325,12 @@ class HeapRelation:
         finally:
             self.bufmgr.unpin(buf, dirty=True)
         txn.touch(self.smgr, self.fileid)
+        return oid
 
     def replace(self, txn: Transaction, tid: TID, values: tuple) -> TID:
         """Write a new version of the tuple at *tid* (same oid)."""
-        old = self.fetch_any_version(tid)
-        self.delete(txn, tid)
-        return self.insert(txn, values, oid=old.oid)
+        return self.insert(txn, values,
+                           oid=self.delete(txn, tid, fetch=True))
 
     # -- scans ------------------------------------------------------------------------------
 

@@ -13,7 +13,6 @@ batches so a crash never reissues an oid.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.access.schema import Schema
@@ -74,6 +73,8 @@ class Catalog:
         self.journal = journal
         self.relations: dict[str, RelationEntry] = {}
         self.indexes: dict[str, IndexEntry] = {}
+        #: ``indexes`` by relation: what :meth:`indexes_on` answers from.
+        self._indexes_on: dict[str, list[IndexEntry]] = {}
         self.large_objects: dict[int, LargeObjectEntry] = {}
         self._next_oid = _FIRST_OID
         self._oid_reserved = _FIRST_OID
@@ -95,12 +96,11 @@ class Catalog:
             elif action == "drop_class":
                 self.relations.pop(record["name"], None)
             elif action == "create_index":
-                self.indexes[record["name"]] = IndexEntry(
+                self._set_index(IndexEntry(
                     name=record["name"], relation=record["relation"],
-                    attribute=record["attribute"],
-                    fileid=record["fileid"])
+                    attribute=record["attribute"], fileid=record["fileid"]))
             elif action == "drop_index":
-                self.indexes.pop(record["name"], None)
+                self._pop_index(record["name"])
             elif action == "create_lo":
                 entry = LargeObjectEntry(
                     oid=record["oid"], impl=record["impl"],
@@ -164,22 +164,33 @@ class Catalog:
             raise DuplicateRelation(f"index {name!r} already exists")
         entry = IndexEntry(name=name, relation=relation,
                            attribute=attribute, fileid=fileid)
-        self.indexes[name] = entry
+        self._set_index(entry)
         self.journal.append({"action": "create_index", "name": name,
                              "relation": relation, "attribute": attribute,
                              "fileid": fileid})
         return entry
 
     def drop_index(self, name: str) -> IndexEntry:
-        entry = self.indexes.get(name)
+        entry = self._pop_index(name)
         if entry is None:
             raise RelationNotFound(f"no index named {name!r}")
-        del self.indexes[name]
         self.journal.append({"action": "drop_index", "name": name})
         return entry
 
     def indexes_on(self, relation: str) -> list[IndexEntry]:
-        return [e for e in self.indexes.values() if e.relation == relation]
+        return list(self._indexes_on.get(relation, ()))
+
+    def _set_index(self, entry: IndexEntry) -> None:
+        self.indexes[entry.name] = entry
+        self._indexes_on.setdefault(entry.relation, []).append(entry)
+
+    def _pop_index(self, name: str) -> IndexEntry | None:
+        entry = self.indexes.pop(name, None)
+        if entry is not None:
+            self._indexes_on[entry.relation].remove(entry)
+            if not self._indexes_on[entry.relation]:   # keep no empty list
+                del self._indexes_on[entry.relation]
+        return entry
 
     # -- large objects ------------------------------------------------------------------------
 

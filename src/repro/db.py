@@ -346,7 +346,13 @@ class Database:
 
     def insert(self, txn: Transaction, class_name: str,
                values: tuple) -> TID:
-        """Insert *values* into *class_name*, maintaining its indexes.
+        """Insert *values* into *class_name*, maintaining its indexes."""
+        return self.insert_many(txn, class_name, [values])[0]
+
+    def insert_many(self, txn: Transaction, class_name: str,
+                    rows: list[tuple]) -> list[TID]:
+        """Insert *rows* in order, maintaining the class's indexes with
+        one run each; returns the rows' TIDs.
 
         The relation lock is taken *before* the engine latch (and may
         block); the latched section then mutates pages atomically with
@@ -357,21 +363,31 @@ class Database:
                            LockMode.SHARED)
         with self._latch:
             relation = self.get_class(class_name)
-            tid = relation.insert(txn, values)
-            self._index_insert(class_name, relation, values, tid, txn)
-            return tid
+            tids = relation.insert_many(txn, rows)
+            self._index_insert(relation, rows, tids, txn)
+            return tids
 
-    def _index_insert(self, class_name: str, relation: HeapRelation,
-                      values: tuple, tid: TID, txn: Transaction) -> None:
-        for entry in self.catalog.indexes_on(class_name):
-            key = values[relation.schema.position(entry.attribute)]
-            if key is not None:
+    def _index_insert(self, relation: HeapRelation, rows: list[tuple],
+                      tids: list[TID], txn: Transaction) -> None:
+        for entry in self.catalog.indexes_on(relation.name):
+            position = relation.schema.position(entry.attribute)
+            run = [((row[position],), (tid.blockno, tid.slot))
+                   for row, tid in zip(rows, tids)
+                   if row[position] is not None]
+            if run:
+                if len(run) > 1:   # stable: equal keys keep row order
+                    run.sort(key=lambda item: item[0])
                 index = self.get_index(entry.name)
-                index.insert((key,), (tid.blockno, tid.slot))
+                index.insert_run(run)
                 txn.touch(index.smgr, index.fileid)
 
     def delete(self, txn: Transaction, class_name: str, tid: TID) -> None:
-        """Delete the tuple at *tid*.
+        """Delete the tuple at *tid*."""
+        self.delete_many(txn, class_name, [tid])
+
+    def delete_many(self, txn: Transaction, class_name: str,
+                    tids: list[TID]) -> None:
+        """Delete the tuples at *tids* under one lock and one latch hold.
 
         Index entries are left behind (the old version is still needed for
         time travel); scans filter by visibility, and vacuum reconciles.
@@ -380,7 +396,9 @@ class Database:
         self.locks.acquire(txn.xid, ("relation", class_name),
                            LockMode.SHARED)
         with self._latch:
-            self.get_class(class_name).delete(txn, tid)
+            relation = self.get_class(class_name)
+            for tid in tids:
+                relation.delete(txn, tid)
 
     def replace(self, txn: Transaction, class_name: str, tid: TID,
                 values: tuple) -> TID:
@@ -391,7 +409,7 @@ class Database:
         with self._latch:
             relation = self.get_class(class_name)
             new_tid = relation.replace(txn, tid, values)
-            self._index_insert(class_name, relation, values, new_tid, txn)
+            self._index_insert(relation, [values], [new_tid], txn)
             return new_tid
 
     def scan(self, class_name: str, txn: Transaction | None = None,

@@ -31,6 +31,12 @@ is what keeps a sequential load from writing every chunk twice.  At most
 one writable descriptor per object per transaction should be open at a
 time.
 
+A chunk that one ``write`` covers wholly is never buffered: with the
+call's other such chunks and the outgoing dirty buffer it reaches the
+class as one *run* (``_flush_run``: ascending seqnos, one version each;
+absent chunks as one ``insert_many``).  Only a whole chunk opens a run;
+nothing is loaded from the class past an unflushed one (docs/invariants.md).
+
 The object's byte size lives in the ``pg_largeobject`` system class, where
 no-overwrite versioning makes it roll back on abort and travel in time
 along with the chunks.
@@ -180,7 +186,7 @@ class FChunkObject(ChunkedObject):
         while len(self._read_cache) > READ_CACHE_CHUNKS:
             self._read_cache.popitem(last=False)
 
-    def _visible_chunk_tuples(self, seqnos: list[int],
+    def _visible_chunk_tuples(self, seqnos: list[int] | range,
                               snapshot: Snapshot) -> dict[int, HeapTuple]:
         """Visible chunk versions for *seqnos* via one index range scan.
 
@@ -203,22 +209,33 @@ class FChunkObject(ChunkedObject):
 
     def _flush_data(self) -> None:
         """Materialize the buffered chunk (also on every chunk switch)."""
-        if self._buf_seqno is None or not self._buf_dirty:
-            return
-        seqno = self._buf_seqno
-        image = self.compressor.compress(bytes(self._buf_data))
-        tid = self._where(seqno)
-        if tid is _UNKNOWN:
-            existing = self._chunk_tuple(seqno)
-            tid = None if existing is None else existing.tid
-        if tid is None:
-            tid = self.db.insert(self.txn, self.relation.name,
-                                 (seqno, image))
-            self._baseline_chunks = max(self._baseline_chunks, seqno + 1)
-        else:
-            tid = self.db.replace(self.txn, self.relation.name,
-                                  tid, (seqno, image))
-        self._known_tids[seqno] = tid
+        if self._buf_dirty:
+            self._flush_run({self._buf_seqno: bytes(self._buf_data)})
+            self._buf_dirty = False
+
+    def _flush_run(self, run: dict[int, bytes]) -> None:
+        """Materialize *run* (seqno -> chunk bytes) in seqno order: the
+        chunks the class lacks as one insert run, the rest replaced."""
+        fresh = {}
+        for seqno in sorted(run):
+            row = (seqno, self.compressor.compress(run[seqno]))
+            tid = self._where(seqno)
+            if tid is _UNKNOWN:
+                existing = self._chunk_tuple(seqno)
+                tid = None if existing is None else existing.tid
+            if tid is None:
+                fresh[seqno] = row
+            else:
+                self._known_tids[seqno] = self.db.replace(
+                    self.txn, self.relation.name, tid, row)
+        if fresh:
+            self._known_tids.update(zip(fresh, self.db.insert_many(
+                self.txn, self.relation.name, list(fresh.values()))))
+            self._baseline_chunks = max(self._baseline_chunks, max(fresh) + 1)
+
+    def _drop_buffer(self) -> None:
+        self._buf_seqno = None
+        self._buf_data = bytearray()
         self._buf_dirty = False
 
     def _switch_buffer(self, seqno: int,
@@ -317,11 +334,24 @@ class FChunkObject(ChunkedObject):
         # writers block here (strict 2PL), disjoint ones sail through.
         self._lock_span(offset, end)
         self._refresh_committed()
+        run: dict[int, bytes] = {}   # pending whole chunks; later wins
         for seqno in range(offset // payload, (end - 1) // payload + 1):
             chunk_start = seqno * payload
             lo = max(offset, chunk_start)
             hi = min(end, chunk_start + payload)
             piece = data[lo - offset:hi - offset]
+            if hi - lo == payload:
+                # Wholly covered: opens a run; the dirty buffer rides along.
+                if self._buf_dirty:
+                    run[self._buf_seqno] = bytes(self._buf_data)
+                self._drop_buffer()
+                run[seqno] = piece
+                self._read_cache.pop(seqno, None)
+                continue
+            if run:
+                # Nothing is loaded from the class past an unflushed run.
+                self._flush_run(run)
+                run = {}
             self._switch_buffer(seqno)
             chunk_offset = lo - chunk_start
             if chunk_offset > len(self._buf_data):
@@ -329,6 +359,8 @@ class FChunkObject(ChunkedObject):
                     bytes(chunk_offset - len(self._buf_data)))
             self._buf_data[chunk_offset:chunk_offset + len(piece)] = piece
             self._buf_dirty = True
+        if run:
+            self._flush_run(run)
         self._note_write(end)
 
     def _truncate(self, size: int) -> None:
@@ -355,15 +387,16 @@ class FChunkObject(ChunkedObject):
         else:
             first_doomed = size // payload
         # Physically delete whole chunks past the cut (their old versions
-        # remain reachable through time travel).
-        for seqno in range(first_doomed, (current - 1) // payload + 1):
-            if seqno == self._buf_seqno:
-                self._buf_seqno = None
-                self._buf_data = bytearray()
-                self._buf_dirty = False
-            tup = self._chunk_tuple(seqno, snapshot)
-            if tup is not None:
-                self.db.delete(self.txn, self.relation.name, tup.tid)
-                self._known_tids[seqno] = None
+        # remain reachable through time travel): one scan, one delete run.
+        if self._buf_seqno is not None and self._buf_seqno >= first_doomed:
+            self._drop_buffer()
+        last = (current - 1) // payload
+        if first_doomed <= last:
+            doomed = self._visible_chunk_tuples(
+                range(first_doomed, last + 1), snapshot)
+            if doomed:
+                self.db.delete_many(self.txn, self.relation.name,
+                                    [tup.tid for tup in doomed.values()])
+                self._known_tids.update(dict.fromkeys(doomed))
         self._read_cache.clear()
         self._note_truncate(size)

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.access import BTree
@@ -482,3 +482,65 @@ def test_property_delete_matches_reference(inserts, deletes):
         assert removed == reference.pop(k, 0)
     got = Counter(k[0] for k, _ in tree.range_scan())
     assert got == reference
+
+
+def _twin_tree(arity, node_limit, base):
+    from tests.conftest import Stack
+    stack = Stack()
+    tree = BTree("twin", stack.smgr, stack.bufmgr, key_arity=arity)
+    tree.create_storage()
+    if node_limit:
+        tree._node_limit = node_limit
+    for serial, key in enumerate(base):
+        tree.insert(key, (serial, 0))
+    return tree
+
+
+def _page_images(tree):
+    images = []
+    for blockno in range(tree.nblocks()):
+        with tree.bufmgr.page(tree.smgr, tree.fileid, blockno) as page:
+            images.append(bytes(page.buf))
+    return images
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    arity=st.sampled_from([1, 2]),
+    # (200 - 8) // 24 = 8 entries a leaf at arity 1: a run of 80 splits
+    # leaves many times over and grows the tree; None is the real limit.
+    node_limit=st.sampled_from([200, 400, None]),
+    base=st.lists(st.integers(0, 60), max_size=150),
+    run=st.lists(st.integers(-5, 70), max_size=80),
+)
+@example(arity=1, node_limit=200, base=[], run=list(range(40)))
+@example(arity=2, node_limit=200, base=[], run=[3] * 30)
+@example(arity=1, node_limit=200, base=list(range(0, 60, 2)),
+         run=list(range(10, 50)))                # crosses leaf boundaries
+@example(arity=1, node_limit=200, base=list(range(8)),
+         run=[4])                                # one entry, one split
+@example(arity=1, node_limit=200, base=list(range(8)),
+         run=[2] * 9)                            # one leaf, two splits
+@example(arity=1, node_limit=None, base=list(range(100, 400)),
+         run=list(range(32)))                    # below every key: no append
+def test_property_insert_run_is_repeated_insert_page_for_page(
+        arity, node_limit, base, run):
+    """``insert_run(run)`` ≡ ``for e in run: insert(*e)``: the same
+    block count and byte-identical page images on a twin tree."""
+    def key(k):
+        return (k,) if arity == 1 else (k // 3, k % 3)
+    base = [key(k) for k in base]
+    entries = sorted(((key(k), (1000 + serial, serial % 5))
+                      for serial, k in enumerate(run)),
+                     key=lambda entry: entry[0])
+    one_by_one = _twin_tree(arity, node_limit, base)
+    for entry in entries:
+        one_by_one.insert(*entry)
+    as_a_run = _twin_tree(arity, node_limit, base)
+    as_a_run.insert_run(entries)
+    as_a_run.check_invariants()
+    assert as_a_run.nblocks() == one_by_one.nblocks()
+    assert _page_images(as_a_run) == _page_images(one_by_one)
+    # The decoded-node cache mirrors the pages in both.
+    assert list(as_a_run.range_scan()) == list(one_by_one.range_scan())
+    assert as_a_run.height() == one_by_one.height()

@@ -59,6 +59,47 @@ class TestIndexes:
         with pytest.raises(RelationNotFound):
             catalog.drop_index("nope")
 
+    def test_indexes_on_equals_a_scan_of_every_index(self, tmp_path):
+        """``indexes_on`` answers from a per-relation map (ISSUE 22): it
+        must say what the scan over ``catalog.indexes`` says, through
+        creates, drops, a relation dropped with and without its indexes,
+        and a reopen that rebuilds the map from the journal."""
+        def check(db):
+            catalog = db.catalog
+            for relation in [*catalog.relations, "dropped", "never"]:
+                assert catalog.indexes_on(relation) == [
+                    entry for entry in catalog.indexes.values()
+                    if entry.relation == relation], relation
+            # No empty list is kept for a relation without indexes.
+            assert all(catalog._indexes_on.values())
+
+        from repro.db import Database
+        path = str(tmp_path / "db")
+        with Database(path) as db:
+            for name in ("one", "two", "dropped"):
+                db.create_class(name, [("a", "int4"), ("b", "int4")])
+                db.create_index(f"{name}_a", name, "a")
+                db.create_index(f"{name}_b", name, "b")
+                check(db)
+            db.drop_index("one_a")
+            check(db)
+            db.drop_class("dropped")
+            check(db)
+            db.create_index("one_a", "one", "a")   # back, now after one_b
+            db.catalog.drop_relation("two")        # its indexes stay behind
+            check(db)
+            assert [e.name for e in db.catalog.indexes_on("one")] == [
+                "one_b", "one_a"]
+            assert db.catalog.indexes_on("dropped") == []
+        with Database(path) as db:
+            check(db)
+            assert [e.name for e in db.catalog.indexes_on("two")] == [
+                "two_a", "two_b"]
+            # The answer is the caller's to mutate (drop_class drops
+            # indexes while walking it).
+            db.catalog.indexes_on("one").clear()
+            assert len(db.catalog.indexes_on("one")) == 2
+
 
 class TestLargeObjects:
     def test_add_get_drop(self, catalog):

@@ -111,6 +111,62 @@ INJECTION_POINTS = {
 }
 
 
+def crashed_commit_never_happened(tmp_path, impl, point, base,
+                                  junk=JUNK):
+    """Die at *point* committing an append of *junk*; reopen cold and
+    check every invariant in the module docstring."""
+    path = str(tmp_path / "db")
+    db, designator, stamp0 = seeded_db(path, impl, base)
+    cf = chunk_fileid(db, designator)
+
+    txn = db.begin()
+    crashed_xid = txn.xid
+    with db.lo.open(designator, txn, "rw") as obj:
+        obj.seek(0, 2)
+        obj.write(junk)
+    plan = db.inject_faults(INJECTION_POINTS[point](cf))
+    with pytest.raises(SimulatedCrash):
+        txn.commit()
+    assert plan.fired, "the scripted fault never fired"
+    crash(db)
+
+    reopened = Database(path)
+    # Committed bytes intact, byte for byte; the junk is invisible.
+    with reopened.lo.open(designator) as obj:
+        assert obj.read() == B0 + B1
+    assert reopened.lo.stat(designator)["size"] == len(B0) + len(B1)
+    # Time travel is unaffected by the crash.
+    with reopened.lo.open(designator, as_of=stamp0) as obj:
+        assert obj.read() == B0
+    # The crashed transaction never committed...
+    assert reopened.clog.status(crashed_xid) != TxnStatus.COMMITTED
+    # ...and its xid is never handed out again.
+    retry = reopened.begin()
+    assert retry.xid > crashed_xid
+
+    if point == "torn-page":
+        # Without a WAL a torn page is permanent damage; the invariant
+        # is honest detection: the checksum refuses the page rather
+        # than serving half-written bytes.  (Committed reads above
+        # never touch it — the crashed index entries were never
+        # forced, so nothing durable points there.)
+        torn_block = int(
+            re.search(r"block (\d+)", plan.fired[0]).group(1))
+        smgr = reopened.storage_manager(base)
+        with pytest.raises(ChecksumError):
+            reopened.bufmgr.pin(smgr, cf, torn_block)
+        retry.abort()
+    else:
+        # The database stays fully usable: redo the append.
+        with reopened.lo.open(designator, retry, "rw") as obj:
+            obj.seek(0, 2)
+            obj.write(junk)
+        retry.commit()
+        with reopened.lo.open(designator) as obj:
+            assert obj.read() == B0 + B1 + junk
+    reopened.close()
+
+
 @pytest.mark.faults
 @pytest.mark.parametrize("base", ["disk", "sharded"])
 @pytest.mark.parametrize("impl", ["fchunk", "vsegment"])
@@ -118,56 +174,19 @@ INJECTION_POINTS = {
 class TestCrashMatrix:
     def test_crashed_commit_never_happened(self, tmp_path, impl, point,
                                            base):
-        path = str(tmp_path / "db")
-        db, designator, stamp0 = seeded_db(path, impl, base)
-        cf = chunk_fileid(db, designator)
+        crashed_commit_never_happened(tmp_path, impl, point, base)
 
-        txn = db.begin()
-        crashed_xid = txn.xid
-        with db.lo.open(designator, txn, "rw") as obj:
-            obj.seek(0, 2)
-            obj.write(JUNK)
-        plan = db.inject_faults(INJECTION_POINTS[point](cf))
-        with pytest.raises(SimulatedCrash):
-            txn.commit()
-        assert plan.fired, "the scripted fault never fired"
-        crash(db)
 
-        reopened = Database(path)
-        # Committed bytes intact, byte for byte; the junk is invisible.
-        with reopened.lo.open(designator) as obj:
-            assert obj.read() == B0 + B1
-        assert reopened.lo.stat(designator)["size"] == len(B0) + len(B1)
-        # Time travel is unaffected by the crash.
-        with reopened.lo.open(designator, as_of=stamp0) as obj:
-            assert obj.read() == B0
-        # The crashed transaction never committed...
-        assert reopened.clog.status(crashed_xid) != TxnStatus.COMMITTED
-        # ...and its xid is never handed out again.
-        retry = reopened.begin()
-        assert retry.xid > crashed_xid
-
-        if point == "torn-page":
-            # Without a WAL a torn page is permanent damage; the invariant
-            # is honest detection: the checksum refuses the page rather
-            # than serving half-written bytes.  (Committed reads above
-            # never touch it — the crashed index entries were never
-            # forced, so nothing durable points there.)
-            torn_block = int(
-                re.search(r"block (\d+)", plan.fired[0]).group(1))
-            smgr = reopened.storage_manager(base)
-            with pytest.raises(ChecksumError):
-                reopened.bufmgr.pin(smgr, cf, torn_block)
-            retry.abort()
-        else:
-            # The database stays fully usable: redo the append.
-            with reopened.lo.open(designator, retry, "rw") as obj:
-                obj.seek(0, 2)
-                obj.write(JUNK)
-            retry.commit()
-            with reopened.lo.open(designator) as obj:
-                assert obj.read() == B0 + B1 + JUNK
-        reopened.close()
+@pytest.mark.faults
+@pytest.mark.parametrize("impl", ["fchunk", "vsegment"])
+@pytest.mark.parametrize("point", ["torn-page", "pre-log"])
+def test_crashed_transaction_is_a_single_64k_write(tmp_path, impl, point):
+    """The crashed transaction is one 64 KB ``write``: eight whole chunks
+    placed, indexed and forced as one run (ISSUE 22), so the page a torn
+    write hits, and every page forced before the lost ``pg_log`` append,
+    is a run's."""
+    crashed_commit_never_happened(tmp_path, impl, point, "disk",
+                                  junk=pattern_bytes(65536, 11))
 
 
 class TestPlanReachesEveryRelation:

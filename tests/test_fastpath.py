@@ -289,8 +289,9 @@ class TestWriterHeldAcrossAnEpochMove:
     def test_seeded_script_against_a_bytearray(self, any_db, impl, seed):
         """400 steps of write / read / truncate / foreign commit /
         commit-and-reopen / abort; writes straddle the edges of chunks
-        0-3, and the epoch moves under a writer that holds flushed,
-        uncommitted chunks."""
+        0-3 and run up to 40,000 bytes, so most cover whole chunks (a
+        chunk run, ISSUE 22) between two partial ones; the epoch moves
+        under a writer that holds flushed, uncommitted chunks."""
         rng = random.Random(seed)
         db = any_db
         designator = make_object(db, impl)
@@ -306,14 +307,14 @@ class TestWriterHeldAcrossAnEpochMove:
                 offset = max(0, rng.choice([0, 8_000, 16_000, 24_000])
                              + rng.randint(-200, 200))
                 data = bytes([rng.randrange(1, 256)]) * rng.randint(
-                    1, 9_000)
+                    1, 40_000)
                 obj.seek(offset)
                 obj.write(data)
                 if offset > len(pending):
                     pending.extend(bytes(offset - len(pending)))
                 pending[offset:offset + len(data)] = data
             elif action == "read":
-                offset = rng.randint(0, 34_000)
+                offset = rng.randint(0, 66_000)
                 length = rng.randint(1, 9_000)
                 obj.seek(offset)
                 assert obj.read(length) == bytes(
@@ -339,4 +340,79 @@ class TestWriterHeldAcrossAnEpochMove:
         obj.close()
         txn.commit()
         assert _committed(db, designator) == bytes(pending)
+        assert db.check_integrity() == []
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+class TestChunkRuns:
+    """A write that wholly covers chunks sends them to the class as one
+    run (ISSUE 22).  The three rules in docs/invariants.md, each as the
+    smallest script that breaks without it; 8,000-byte chunks, and the
+    v-segment cases reach the same code through the byte store."""
+
+    @staticmethod
+    def _script(db, impl, steps):
+        """Apply ``(offset, bytes)`` writes and ``("truncate", size)``
+        steps in one transaction; check the bytes inside it, after
+        commit, and the integrity sweep."""
+        designator = make_object(db, impl, b"\x07" * 30_000)
+        expected = bytearray(b"\x07" * 30_000)
+        with db.begin() as txn:
+            with db.lo.open(designator, txn, "rw") as obj:
+                for offset, data in steps:
+                    if offset == "truncate":
+                        obj.truncate(data)
+                        del expected[data:]
+                        continue
+                    obj.seek(offset)
+                    obj.write(data)
+                    expected[offset:offset + len(data)] = data
+                obj.seek(0)
+                assert obj.read() == bytes(expected)
+        assert _committed(db, designator) == bytes(expected)
+        assert db.check_integrity() == []
+
+    def test_a_dirty_buffer_inside_a_later_whole_chunk_span(self, any_db,
+                                                            impl):
+        """Trap 1: chunk 1 is buffered dirty, then one call covers chunks
+        0-2 whole — the buffered copy must not become a second version."""
+        self._script(any_db, impl, [(8_100, b"a" * 50),
+                                    (0, b"b" * 24_000)])
+
+    def test_the_outgoing_chunk_re_entered_partially_by_the_same_call(
+            self, any_db, impl):
+        """Trap 2: chunk 1 is buffered dirty; one call covers chunk 0
+        whole (queueing chunk 1 behind it) and then the head of chunk 1
+        — which must be loaded with the queued bytes (the ``a``s the
+        second write does not reach), not from the class."""
+        self._script(any_db, impl, [(8_300, b"a" * 50),
+                                    (0, b"b" * 8_200)])
+
+    def test_a_partial_chunk_does_not_open_a_run(self, any_db, impl):
+        """Rule 3, seen from outside: a frame write that only touches
+        parts of two chunks leaves the first buffered until the switch
+        flushes it, exactly as before — same bytes either way."""
+        self._script(any_db, impl, [(7_900, b"a" * 200),
+                                    (15_900, b"c" * 8_200)])
+
+    @pytest.mark.parametrize("cut", [0, 12_000, 16_000])
+    def test_truncate_with_a_dirty_buffer_past_the_cut(self, any_db, impl,
+                                                       cut):
+        db = any_db
+        designator = make_object(db, impl, b"\x07" * 30_000)
+        before = db.clock.now()
+        with db.begin() as txn:
+            with db.lo.open(designator, txn, "rw") as obj:
+                obj.seek(24_100)
+                obj.write(b"z" * 50)        # chunk 3, dirty, doomed
+                obj.truncate(cut)
+                assert obj.size() == cut
+                obj.seek(0)
+                assert obj.read() == b"\x07" * cut
+                obj.seek(cut + 100)
+                obj.write(b"y")             # the hole reads as zeros
+        expected = b"\x07" * cut + bytes(100) + b"y"
+        assert _committed(db, designator) == expected
+        with db.lo.open(designator, as_of=before) as past:
+            assert past.read() == b"\x07" * 30_000
         assert db.check_integrity() == []

@@ -221,6 +221,54 @@ def test_disjoint_range_writers_stress(arena):
                              timeout=300.0)
 
 
+@pytest.mark.stress
+def test_two_sessions_write_disjoint_chunk_runs_without_waiting(arena):
+    """Each 64 KB ``write`` is a chunk run (ISSUE 22): eight chunks under
+    one relation lock and one latch hold.  Two sessions send 64 KB-aligned
+    runs into their own lock grain of ONE object; while both hold
+    uncommitted runs neither has waited for any lock, and every byte
+    reads back after both commit."""
+    db, designator, _ = arena
+    block, calls = 65536, 7
+    bases = [0, 8 * block]          # 524,288: the second 512,000-byte grain
+    waits_before = db.locks.stats.waits
+    both_written = threading.Barrier(2, timeout=120.0)
+    waits_at_barrier, failures = [], []
+
+    def worker(number):
+        def run():
+            session = db.session()
+            try:
+                session.begin()
+                obj = session.lo_open(designator, "rw")
+                for call in range(calls):
+                    obj.seek(bases[number] + call * block)
+                    obj.write(bytes([10 * number + call + 1]) * block)
+                both_written.wait()
+                waits_at_barrier.append(db.locks.stats.waits)
+                both_written.wait()
+                obj.close()         # the size-row flush may queue: fine
+                session.commit()
+            except BaseException as exc:  # pragma: no cover - diagnostics
+                failures.append((number, exc))
+                both_written.abort()
+                if session.in_transaction:
+                    session.rollback()
+        return run
+
+    _run_workers([worker(0), worker(1)], timeout=300.0)
+    assert not failures, f"workers crashed: {failures}"
+    assert waits_at_barrier == [waits_before] * 2
+    with db.lo.open(designator) as obj:
+        for number, base in enumerate(bases):
+            for call in range(calls):
+                obj.seek(base + call * block)
+                assert obj.read(block) == bytes(
+                    [10 * number + call + 1]) * block
+    assert db.check_integrity() == []
+    assert db.locks.grant_table_empty()
+
+
 def test_size_row_replaced_between_row_read_and_size_lock(arena,
                                                           monkeypatch):
     """The disjoint-range race above, made deterministic: a neighbour
