@@ -122,16 +122,6 @@ class AccessStats:
     tuples_visible: int = 0    # of those, visible to the scan's snapshot
     prefetch_batches: int = 0  # range scans that issued heap readahead
 
-    def as_dict(self) -> dict:
-        return {
-            "probes": self.probes,
-            "range_scans": self.range_scans,
-            "seq_scans": self.seq_scans,
-            "tuples_scanned": self.tuples_scanned,
-            "tuples_visible": self.tuples_visible,
-            "prefetch_batches": self.prefetch_batches,
-        }
-
 
 def _default_anomaly(relation_name: str) -> AnomalyFactory:
     def build(key: "Key", count: int) -> Exception:

@@ -22,15 +22,15 @@ b'hello'
 >>> api.lo_close(fd)
 >>> api.commit()
 
-Descriptors are small integers scoped to the API object; the mode flags
-``INV_READ`` / ``INV_WRITE`` are the historical names.
+Descriptors are small integers scoped to the API object's session (its
+one descriptor table); the mode flags ``INV_READ`` / ``INV_WRITE`` are the
+historical names.
 """
 
 from __future__ import annotations
 
 from repro.db import Database
 from repro.errors import LargeObjectError, NoActiveTransaction
-from repro.lo.interface import LargeObject
 from repro.lo.manager import designator_oid, is_chunked
 from repro.session import Session
 from repro.txn.manager import Transaction
@@ -52,8 +52,6 @@ class LargeObjectApi:
     def __init__(self, db: Database):
         self.db = db
         self._session = Session(db)
-        self._descriptors: dict[int, LargeObject] = {}
-        self._next_fd = 1
 
     # -- transaction plumbing (lo_* calls require one, as in PostgreSQL) ----
 
@@ -65,12 +63,10 @@ class LargeObjectApi:
 
     def commit(self) -> None:
         self._require_txn()
-        self._descriptors.clear()
         self._session.commit()
 
     def rollback(self) -> None:
         self._require_txn()
-        self._descriptors.clear()
         self._session.rollback()
 
     def _require_txn(self) -> Transaction:
@@ -104,39 +100,28 @@ class LargeObjectApi:
             raise LargeObjectError(f"bad lo_open mode {mode:#x}")
         open_mode = "rw" if mode & self.INV_WRITE else "r"
         self._require_txn()
-        handle = self._session.lo_open(f"lo:{oid}", open_mode)
-        fd = self._next_fd
-        self._next_fd += 1
-        self._descriptors[fd] = handle
-        return fd
-
-    def _handle(self, fd: int) -> LargeObject:
-        handle = self._descriptors.get(fd)
-        if handle is None:
-            raise LargeObjectError(f"bad large-object descriptor {fd}")
-        return handle
+        return self._session.lo_open(f"lo:{oid}", open_mode).fd
 
     def lo_close(self, fd: int) -> None:
-        self._handle(fd).close()
-        del self._descriptors[fd]
+        self._session.handle(fd).close()
 
     # -- I/O -----------------------------------------------------------------------
 
     def lo_read(self, fd: int, nbytes: int) -> bytes:
-        return self._handle(fd).read(nbytes)
+        return self._session.handle(fd).read(nbytes)
 
     def lo_write(self, fd: int, data: bytes) -> int:
-        return self._handle(fd).write(data)
+        return self._session.handle(fd).write(data)
 
     def lo_lseek(self, fd: int, offset: int, whence: int = 0) -> int:
-        return self._handle(fd).seek(offset, whence)
+        return self._session.handle(fd).seek(offset, whence)
 
     def lo_tell(self, fd: int) -> int:
-        return self._handle(fd).tell()
+        return self._session.handle(fd).tell()
 
     def lo_truncate(self, fd: int, length: int) -> None:
         """Resize the object (PostgreSQL added this call much later)."""
-        self._handle(fd).truncate(length)
+        self._session.handle(fd).truncate(length)
 
     # -- conveniences (lo_import / lo_export, as in psql) ---------------------------
 

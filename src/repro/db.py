@@ -26,6 +26,7 @@ Example
 from __future__ import annotations
 
 import os
+from dataclasses import asdict
 from typing import TYPE_CHECKING, Iterator
 
 from repro.access.btree import BTree
@@ -71,20 +72,17 @@ class Database:
     def __init__(self, path: str | None = None, pool_size: int = 256,
                  mips: float = 15.0, worm_cache_blocks: int = 1024,
                  charge_cpu: bool = True, no_wait: bool = False,
-                 lock_timeout: float | None = None,
                  shard_nodes: int = 4, shard_replication: int = 3,
-                 shard_quorum: int | None = None,
-                 shard_placement: str = "range"):
+                 shard_quorum: int | None = None):
         self.path = path
         #: Default ``"sharded"`` topology: N nodes, R-of-N replication
-        #: (quorum defaults to a majority of R), banded range/hash
-        #: placement.  Reopening a durable database must use the same
-        #: topology parameters.
+        #: (quorum defaults to a majority of R), banded range placement.
+        #: Reopening a durable database must use the same topology
+        #: parameters.
         self._shard_config = {
             "n_nodes": shard_nodes,
             "replication": shard_replication,
             "write_quorum": shard_quorum,
-            "placement": shard_placement,
         }
         self.clock = SimClock()
         self.cpu = CpuModel(mips=mips)
@@ -92,13 +90,11 @@ class Database:
             pool_size=pool_size, clock=self.clock,
             cpu=self.cpu if charge_cpu else None)
         #: Blocking 2PL with deadlock detection by default; ``no_wait=True``
-        #: restores the paper's immediate-rejection policy, and
-        #: ``lock_timeout`` bounds every blocking wait (a safety net — the
-        #: deadlock detector does not rely on it).  A single thread running
-        #: two conflicting transactions does not hang: a wait that depends
-        #: on a lock the caller's own thread holds raises ``LockError``
-        #: immediately, like the old no-wait policy did.
-        self.locks = LockManager(no_wait=no_wait, timeout=lock_timeout)
+        #: restores the paper's immediate-rejection policy.  A single
+        #: thread running two conflicting transactions does not hang: a
+        #: wait that depends on a lock the caller's own thread holds raises
+        #: ``LockError`` immediately, like the old no-wait policy did.
+        self.locks = LockManager(no_wait=no_wait)
         #: Engine latch: serializes structural mutation (page content,
         #: relation/index caches) across sessions.  The canonical rule
         #: lives in DESIGN.md §"Locking discipline": heavyweight locks are
@@ -666,9 +662,9 @@ class Database:
             "transactions": {
                 "active": self.tm.active_count(),
             },
-            "locks": self.locks.stats.as_dict(),
-            "access": self.access_stats.as_dict(),
-            "largeobjects": lo_caches.as_dict(),
+            "locks": asdict(self.locks.stats),
+            "access": asdict(self.access_stats),
+            "largeobjects": asdict(lo_caches),
             "lockdep": lockdep.VALIDATOR.as_dict(),
         }
 

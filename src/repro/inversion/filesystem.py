@@ -28,32 +28,39 @@ exactly as POSIX path resolution specifies.
 Concurrency: metadata reads ride MVCC snapshots and take no locks, the
 POSTGRES way.  Structural *writes* additionally take heavyweight locks so
 two sessions cannot commit incompatible tree mutations (the FileMonkey
-stress in :mod:`repro.inversion.monkey` is the regression test):
+stress in :mod:`repro.inversion.monkey` is the regression test).  Every
+one of create/mkdir/unlink/rmdir/rename — a same-path rename included —
+runs the **slot protocol**, which :meth:`InversionFileSystem._lock_slots`
+alone executes, before it reports success:
 
-* ``("inv_entry", parent_id, name)`` EXCLUSIVE — one directory *slot*;
-  create/mkdir/unlink/rmdir/rename serialize per slot, then re-resolve
-  under a fresh snapshot, so two creators of ``/same/path`` cannot both
-  insert (the second sees the first's committed row and raises
-  :class:`FileExists`).
-* ``("inv_tree", dir_id)`` SHARED on **every directory of the resolved
-  ancestor chain** (root → parent, hierarchical order) by each
-  structural op; EXCLUSIVE by ``rmdir`` of ``dir_id`` and by a *rename
-  that moves directory* ``dir_id``.  The chain locks are what make
-  commit order a real serialization: without them, a create deep inside
-  ``/a/b`` and a rename of ``/a`` hold no common lock, both commit, and
-  the file materializes under a path the creator never named.  With
-  them, the mover's EXCLUSIVE on its own subtree root collides with the
-  SHARED held by anything operating below it.
-* ``("inv_stat", file_id)`` EXCLUSIVE around every FILESTAT update
-  (chmod/chown/utime and the atime/mtime maintenance), so concurrent
-  time-stamp touches serialize instead of aborting on a write-write
-  conflict.
-* ``("inv_dirmove",)`` EXCLUSIVE serializes *directory* renames
-  globally: two concurrent moves could otherwise each pass the
-  ancestry check and commit a cycle.  File renames never take it.
+1. resolve each named slot's parent chain ``[ROOT, ..., parent]`` under
+   the transaction's snapshot;
+2. ``("inv_dirmove",)`` EXCLUSIVE if the operation *moves a directory*:
+   two concurrent moves could otherwise each pass the ancestry check and
+   commit a cycle.  File renames never take it;
+3. ``("inv_entry", parent_id, name)`` EXCLUSIVE per slot, keys sorted —
+   so two creators of ``/same/path`` cannot both insert (the second sees
+   the first's committed row and raises :class:`FileExists`);
+4. ``("inv_tree", dir_id)`` SHARED on **every directory of every
+   resolved chain**, in ascending file-id order (one total order for one
+   chain or two), then EXCLUSIVE on the directory being moved.  The chain
+   locks are what make commit order a real serialization: without them,
+   a create deep inside ``/a/b`` and a rename of ``/a`` hold no common
+   lock, both commit, and the file materializes under a path the creator
+   never named.  With them, the mover's EXCLUSIVE on its own subtree
+   root collides with the SHARED held by anything operating below it
+   (``rmdir`` takes the same EXCLUSIVE key on the directory it removes);
+5. lock keys are file ids, known only *before* the grant — so re-resolve
+   under a fresh snapshot and start over (bounded) if any chain id, or
+   the moved entry's id or kind, changed while waiting.
 
-Lock order (DESIGN.md §5c): dirmove → entry (sorted) → tree (top-down)
-→ stat → relation/large-object locks.  All are strict-2PL and
+``("inv_stat", file_id)`` EXCLUSIVE surrounds every FILESTAT update
+(chmod/chown/utime and the atime/mtime maintenance), so concurrent
+time-stamp touches serialize instead of aborting on a write-write
+conflict.
+
+Lock order (DESIGN.md §5c): dirmove → entry (sorted) → tree (ascending
+id) → stat → relation/large-object locks.  All are strict-2PL and
 deadlock-detected; a victim surfaces :class:`DeadlockError` and the
 caller retries or reports, exactly like any other POSTGRES transaction.
 """
@@ -126,13 +133,19 @@ class DirEntry:
 
     __slots__ = ("name", "file_id", "parent_id", "kind", "tid")
 
-    def __init__(self, tup: HeapTuple):
-        self.name, self.file_id, self.parent_id, self.kind = tup.values
-        self.tid = tup.tid
+    def __init__(self, name, file_id, parent_id, kind, tid):
+        self.name, self.file_id, self.parent_id = name, file_id, parent_id
+        self.kind, self.tid = kind, tid
 
     @property
     def is_dir(self) -> bool:
         return self.kind == _KIND_DIR
+
+
+#: The root directory.  It has no DIRECTORY tuple (and no FILESTAT row),
+#: but as an entry it heads every resolved chain, so no path code
+#: branches on "is this the root".
+ROOT = DirEntry("", ROOT_ID, ROOT_ID, _KIND_DIR, None)
 
 
 class InversionFileSystem:
@@ -185,7 +198,7 @@ class InversionFileSystem:
 
     def _children(self, parent_id: int,
                   snapshot: Snapshot) -> list[DirEntry]:
-        return [DirEntry(t) for t in
+        return [DirEntry(*t.values, t.tid) for t in
                 self._rows_by_index("inv_dir_parent", parent_id, snapshot)]
 
     def _child(self, parent_id: int, name: str,
@@ -195,44 +208,28 @@ class InversionFileSystem:
                 return entry
         return None
 
-    def _resolve(self, path: str, snapshot: Snapshot) -> DirEntry | None:
-        """The entry at *path*, or ``None``; root resolves to a pseudo-entry."""
-        parts = split_path(path)
-        current: DirEntry | None = None
-        parent_id = ROOT_ID
+    def _chain(self, parts: list[str],
+               snapshot: Snapshot) -> list[DirEntry] | None:
+        """``[ROOT, ..., leaf]`` for the components *parts* — the one walk
+        over path components — or ``None`` if one is missing (raises
+        :class:`NotADirectory` if a non-leaf component is a plain file)."""
+        chain = [ROOT]
         for i, name in enumerate(parts):
-            if current is not None:
-                if not current.is_dir:
-                    raise NotADirectory(
-                        f"{'/'.join(parts[:i])!r} is not a directory")
-                parent_id = current.file_id
-            current = self._child(parent_id, name, snapshot)
-            if current is None:
-                return None
-        return current
-
-    def _resolve_chain(self, parts: list[str],
-                       snapshot: Snapshot) -> list[DirEntry] | None:
-        """Every entry on the path, root-child first, or ``None`` if any
-        component is missing (raises :class:`NotADirectory` if a non-leaf
-        component is a plain file)."""
-        chain: list[DirEntry] = []
-        parent_id = ROOT_ID
-        for i, name in enumerate(parts):
-            if chain:
-                if not chain[-1].is_dir:
-                    raise NotADirectory(
-                        f"{'/' + '/'.join(parts[:i])!r} is not a directory")
-                parent_id = chain[-1].file_id
-            entry = self._child(parent_id, name, snapshot)
+            if not chain[-1].is_dir:
+                raise NotADirectory(
+                    f"{'/' + '/'.join(parts[:i])!r} is not a directory")
+            entry = self._child(chain[-1].file_id, name, snapshot)
             if entry is None:
                 return None
             chain.append(entry)
         return chain
 
+    def _resolve(self, path: str, snapshot: Snapshot) -> DirEntry | None:
+        """The entry at *path* (:data:`ROOT` for the root), or ``None``."""
+        chain = self._chain(split_path(path), snapshot)
+        return chain[-1] if chain else None
+
     def _require(self, path: str, snapshot: Snapshot) -> DirEntry:
-        if not split_path(path):
-            raise InversionError("operation not valid on the root")
         entry = self._resolve(path, snapshot)
         if entry is None:
             raise FileNotFound(f"no Inversion file {path!r}")
@@ -249,11 +246,6 @@ class InversionFileSystem:
 
     # -- write-side locking (module docstring has the full protocol) ---------------
 
-    def _lock_entry(self, txn: Transaction, parent_id: int,
-                    name: str) -> None:
-        self.db.locks.acquire(txn.xid, ("inv_entry", parent_id, name),
-                              LockMode.EXCLUSIVE)
-
     def _lock_tree(self, txn: Transaction, dir_id: int,
                    mode: LockMode) -> None:
         self.db.locks.acquire(txn.xid, ("inv_tree", dir_id), mode)
@@ -262,58 +254,76 @@ class InversionFileSystem:
         self.db.locks.acquire(txn.xid, ("inv_stat", file_id),
                               LockMode.EXCLUSIVE)
 
-    def _locked_parent(self, txn: Transaction,
-                       path: str) -> tuple[int, str, Snapshot]:
-        """Lock *path*'s directory slot and its whole ancestor chain.
+    def _lock_slots(self, txn: Transaction, label: str,
+                    slots: list[list[str]], mover: bool = False
+                    ) -> tuple[list[list[int]], Snapshot]:
+        """Run the slot protocol (module docstring) over the component
+        lists *slots*; with *mover*, whatever the first slot holds is
+        about to move.
 
-        Returns (parent_id, leaf name, post-lock snapshot).  The slot is
-        EXCLUSIVE; every directory from the root down to the parent is
-        SHARED, so a rename that moves any ancestor (EXCLUSIVE on the
-        moved directory) cannot interleave — the path the caller named
-        still means the same inodes when its transaction commits.
-
-        Lock keys are file ids, which we only know *before* being granted
-        the locks — so after each grant the chain is re-resolved under a
-        fresh snapshot and retried if any ancestor was replaced while we
-        waited.  Raises :class:`FileNotFound`/:class:`NotADirectory` if
-        the parent path is (or becomes) invalid.
+        Returns (``[ROOT_ID, ..., parent_id]`` per slot, post-lock
+        snapshot): the paths the caller named still mean the same inodes
+        when its transaction commits.  Raises :class:`FileNotFound` /
+        :class:`NotADirectory` if a parent path is (or becomes) invalid.
         """
-        parts = split_path(path)
-        if not parts:
-            raise InversionError("cannot create the root")
-        parent_parts, name = parts[:-1], parts[-1]
-        parent_repr = "/" + "/".join(parent_parts)
+        if not all(slots):
+            raise InversionError("operation not valid on the root")
+
+        def look(snapshot: Snapshot) -> tuple:
+            """Every slot's parent-chain ids, and (id, kind) of the mover."""
+            ids = []
+            for parts in slots:
+                parent = "/" + "/".join(parts[:-1])
+                chain = self._chain(parts[:-1], snapshot)
+                if chain is None:
+                    raise FileNotFound(f"no Inversion directory {parent!r}")
+                if not chain[-1].is_dir:
+                    raise NotADirectory(f"{parent!r} is not a directory")
+                ids.append([entry.file_id for entry in chain])
+            moving = self._child(ids[0][-1], slots[0][-1], snapshot) \
+                if mover else None
+            return ids, moving and (moving.file_id, moving.kind)
+
         snapshot = self._snapshot(txn, None)
+        seen = look(snapshot)
         for _ in range(_LOCK_RETRIES):
             # One lockdep operation scope per locking *attempt*: a retry
-            # legitimately starts the entry -> tree sequence over while
-            # 2PL still holds the previous attempt's locks.
-            with lockdep.VALIDATOR.operation(f"path-lock {path!r}"):
-                chain = self._resolve_chain(parent_parts, snapshot)
-                if chain is None:
-                    raise FileNotFound(
-                        f"no Inversion directory {parent_repr!r}")
-                if chain and not chain[-1].is_dir:
-                    raise NotADirectory(
-                        f"{parent_repr!r} is not a directory")
-                ids = [ROOT_ID] + [entry.file_id for entry in chain]
-                self._lock_entry(txn, ids[-1], name)
-                for dir_id in ids:
+            # legitimately starts the dirmove -> entry -> tree sequence
+            # over while 2PL still holds the previous attempt's locks.
+            with lockdep.VALIDATOR.operation(f"path-lock {label}"):
+                ids, moving = seen
+                moves_dir = moving is not None and moving[1] == _KIND_DIR
+                if moves_dir:
+                    self.db.locks.acquire(txn.xid, ("inv_dirmove",),
+                                          LockMode.EXCLUSIVE)
+                for parent_id, name in sorted(
+                        {(chain[-1], parts[-1])
+                         for chain, parts in zip(ids, slots)}):
+                    self.db.locks.acquire(
+                        txn.xid, ("inv_entry", parent_id, name),
+                        LockMode.EXCLUSIVE)
+                for dir_id in sorted({d for chain in ids for d in chain}):
                     self._lock_tree(txn, dir_id, LockMode.SHARED)
-                snapshot = self._snapshot(txn, None)
-                fresh = self._resolve_chain(parent_parts, snapshot)
-                if fresh is not None and \
-                        [e.file_id for e in fresh] == ids[1:]:
-                    return ids[-1], name, snapshot
+                if moves_dir:
+                    self._lock_tree(txn, moving[0], LockMode.EXCLUSIVE)
+            snapshot = self._snapshot(txn, None)
+            seen = look(snapshot)
+            if seen == (ids, moving):
+                return ids, snapshot
         raise InversionError(
-            f"directory chain for {path!r} kept moving; giving up")
+            f"directory chain for {label} kept moving; giving up")
+
+    def _locked_parent(self, txn: Transaction,
+                       path: str) -> tuple[int, str, Snapshot]:
+        """(parent_id, leaf name, post-lock snapshot) of *path*'s slot."""
+        parts = split_path(path)
+        (ids,), snapshot = self._lock_slots(txn, repr(path), [parts])
+        return ids[-1], parts[-1], snapshot
 
     def _locked_entry(self, txn: Transaction,
                       path: str) -> tuple[DirEntry, Snapshot]:
         """Resolve *path* and hold its directory-slot lock; the returned
         entry (and TID) is current as of the post-lock snapshot."""
-        if not split_path(path):
-            raise InversionError("operation not valid on the root")
         parent_id, name, snapshot = self._locked_parent(txn, path)
         entry = self._child(parent_id, name, snapshot)
         if entry is None:
@@ -382,16 +392,15 @@ class InversionFileSystem:
     def write_file(self, txn: Transaction, path: str, data: bytes) -> None:
         """Create-or-replace convenience: afterwards the file contains
         exactly *data* (existing files are truncated first)."""
-        snapshot = self._snapshot(txn, None)
-        if self._resolve(path, snapshot) is None:
+        exists = self.exists(path, txn)
+        if not exists:
             try:
                 handle = self.create(txn, path)
             except FileExists:
                 # Lost a create race: the slot lock wait ended with another
                 # session's committed file — replace its contents instead.
-                handle = self.open(path, txn, "rw")
-                handle.truncate(0)
-        else:
+                exists = True
+        if exists:
             handle = self.open(path, txn, "rw")
             handle.truncate(0)
         with handle:
@@ -401,14 +410,10 @@ class InversionFileSystem:
 
     def exists(self, path: str, txn: Transaction | None = None,
                as_of: float | None = None) -> bool:
-        if not split_path(path):
-            return True
         return self._resolve(path, self._snapshot(txn, as_of)) is not None
 
     def is_dir(self, path: str, txn: Transaction | None = None,
                as_of: float | None = None) -> bool:
-        if not split_path(path):
-            return True
         entry = self._resolve(path, self._snapshot(txn, as_of))
         return entry is not None and entry.is_dir
 
@@ -416,14 +421,11 @@ class InversionFileSystem:
                 as_of: float | None = None) -> list[str]:
         """Names in a directory, sorted."""
         snapshot = self._snapshot(txn, as_of)
-        if split_path(path):
-            entry = self._require(path, snapshot)
-            if not entry.is_dir:
-                raise NotADirectory(f"{path!r} is not a directory")
-            parent_id = entry.file_id
-        else:
-            parent_id = ROOT_ID
-        return sorted(e.name for e in self._children(parent_id, snapshot))
+        entry = self._require(path, snapshot)
+        if not entry.is_dir:
+            raise NotADirectory(f"{path!r} is not a directory")
+        return sorted(e.name
+                      for e in self._children(entry.file_id, snapshot))
 
     def stat(self, path: str, txn: Transaction | None = None,
              as_of: float | None = None) -> dict:
@@ -470,43 +472,36 @@ class InversionFileSystem:
         self.db.replace(txn, FILESTAT, rows[0].tid, tuple(values))
         return True
 
-    def chmod(self, txn: Transaction, path: str, mode: int) -> int:
-        """Set the permission bits (and bump ``ctime``, as POSIX does).
+    def _set_stat(self, txn: Transaction, path: str, **changes) -> int:
+        """Apply *changes* to *path*'s FILESTAT row and bump ``ctime``, as
+        POSIX does for each of chmod/chown/utime.
 
-        Returns the file id the bits landed on — the id stays
+        Returns the file id the change landed on — the id stays
         stat-locked until commit, so the caller knows *which* inode its
         change applies to even if the path is concurrently renamed.
         """
-        snapshot = self._snapshot(txn, None)
-        entry = self._require(path, snapshot)
-        if not self._update_stat(txn, entry.file_id, mode=mode,
-                                 touch_ctime=True):
+        entry = self._require(path, self._snapshot(txn, None))
+        if not self._update_stat(txn, entry.file_id, touch_ctime=True,
+                                 **changes):
             raise FileNotFound(f"no Inversion file {path!r}")
         return entry.file_id
 
+    def chmod(self, txn: Transaction, path: str, mode: int) -> int:
+        """Set the permission bits; returns the file id."""
+        return self._set_stat(txn, path, mode=mode)
+
     def chown(self, txn: Transaction, path: str, owner: str) -> int:
-        """Set the owner (and bump ``ctime``); returns the file id."""
-        snapshot = self._snapshot(txn, None)
-        entry = self._require(path, snapshot)
-        if not self._update_stat(txn, entry.file_id, owner=owner,
-                                 touch_ctime=True):
-            raise FileNotFound(f"no Inversion file {path!r}")
-        return entry.file_id
+        """Set the owner; returns the file id."""
+        return self._set_stat(txn, path, owner=owner)
 
     def utime(self, txn: Transaction, path: str,
               atime: float | None = None,
               mtime: float | None = None) -> int:
         """Set access/modification times; both default to *now* when
-        omitted (``utime(path, NULL)`` in POSIX).  ``ctime`` is bumped;
-        returns the file id."""
+        omitted (``utime(path, NULL)`` in POSIX); returns the file id."""
         if atime is None and mtime is None:
             atime = mtime = self.db.clock.now()
-        snapshot = self._snapshot(txn, None)
-        entry = self._require(path, snapshot)
-        if not self._update_stat(txn, entry.file_id, atime=atime,
-                                 mtime=mtime, touch_ctime=True):
-            raise FileNotFound(f"no Inversion file {path!r}")
-        return entry.file_id
+        return self._set_stat(txn, path, atime=atime, mtime=mtime)
 
     def _file_closed(self, txn: Transaction, file_id: int,
                      wrote: bool, accessed: bool) -> None:
@@ -563,83 +558,30 @@ class InversionFileSystem:
         raises :class:`DirectoryLoop` (POSIX ``EINVAL``) — before this
         check existed, such a rename committed an unreachable cycle.
         """
-        src_parts = split_path(src)
-        dst_parts = split_path(dst)
+        src_parts, dst_parts = split_path(src), split_path(dst)
         if not src_parts:
             raise InversionError("cannot rename the root")
         if not dst_parts:
             raise FileExists("Inversion path '/' already exists")
-        snapshot = self._snapshot(txn, None)
-        entry = self._require(src, snapshot)
-        if src_parts == dst_parts:
-            return  # POSIX: rename to the same path is a no-op success.
-        if entry.is_dir and dst_parts[:len(src_parts)] == src_parts:
+        same = src_parts == dst_parts
+        entry = self._require(src, self._snapshot(txn, None))
+        if entry.is_dir and not same \
+                and dst_parts[:len(src_parts)] == src_parts:
             raise DirectoryLoop(
                 f"cannot rename {src!r} into its own subtree ({dst!r})")
-        dirmove_held = False
-        for _ in range(_LOCK_RETRIES):
-            src_chain = self._resolve_chain(src_parts[:-1], snapshot)
-            dst_chain = self._resolve_chain(dst_parts[:-1], snapshot)
-            if src_chain is None:
-                raise FileNotFound(f"no Inversion file {src!r}")
-            if dst_chain is None:
-                raise FileNotFound(
-                    f"no Inversion directory "
-                    f"{'/' + '/'.join(dst_parts[:-1])!r}")
-            for chain, label in ((src_chain, src), (dst_chain, dst)):
-                if chain and not chain[-1].is_dir:
-                    raise NotADirectory(
-                        f"parent of {label!r} is not a directory")
-            src_ids = [ROOT_ID] + [e.file_id for e in src_chain]
-            dst_ids = [ROOT_ID] + [e.file_id for e in dst_chain]
-            src_name, dst_name = src_parts[-1], dst_parts[-1]
-            moving = self._child(src_ids[-1], src_name, snapshot)
-            # One lockdep operation scope per locking attempt (see
-            # _locked_parent): dirmove -> entry -> tree, checked against
-            # the declared inv_* order in repro/txn/lockdep.py.
-            with lockdep.VALIDATOR.operation(f"rename-lock {src!r}"):
-                if moving is not None and moving.is_dir \
-                        and not dirmove_held:
-                    # One directory mover at a time: two concurrent
-                    # moves could each pass the ancestry check, then
-                    # commit a cycle together.
-                    self.db.locks.acquire(txn.xid, ("inv_dirmove",),
-                                          LockMode.EXCLUSIVE)
-                    dirmove_held = True
-                for key in sorted({(src_ids[-1], src_name),
-                                   (dst_ids[-1], dst_name)}):
-                    self._lock_entry(txn, *key)
-                for dir_id in sorted(set(src_ids) | set(dst_ids)):
-                    self._lock_tree(txn, dir_id, LockMode.SHARED)
-                if moving is not None and moving.is_dir:
-                    # EXCLUSIVE on the moved subtree's root: every op
-                    # below it holds this key SHARED in its ancestor
-                    # chain, so nothing can land inside the subtree
-                    # while it moves.
-                    self._lock_tree(txn, moving.file_id,
-                                    LockMode.EXCLUSIVE)
-            snapshot = self._snapshot(txn, None)
-            fresh_src = self._resolve_chain(src_parts[:-1], snapshot)
-            fresh_dst = self._resolve_chain(dst_parts[:-1], snapshot)
-            fresh_moving = None if fresh_src is None else \
-                self._child(src_ids[-1], src_name, snapshot)
-            same_moving = (
-                (fresh_moving is None and moving is None)
-                or (fresh_moving is not None and moving is not None
-                    and fresh_moving.file_id == moving.file_id
-                    and fresh_moving.is_dir == moving.is_dir))
-            if (fresh_src is not None and fresh_dst is not None
-                    and [e.file_id for e in fresh_src] == src_ids[1:]
-                    and [e.file_id for e in fresh_dst] == dst_ids[1:]
-                    and same_moving):
-                break
-        else:
-            raise InversionError(
-                f"directory chains for {src!r}/{dst!r} kept moving; "
-                f"giving up")
+        # A same-path rename moves nothing — no dirmove, no EXCLUSIVE
+        # tree key — but holds its slot like every other path operation,
+        # so it cannot report success on a path a concurrent unlink has
+        # committed away.
+        (src_ids, dst_ids), snapshot = self._lock_slots(
+            txn, f"{src!r} -> {dst!r}", [src_parts, dst_parts],
+            mover=not same)
+        src_name, dst_name = src_parts[-1], dst_parts[-1]
         entry = self._child(src_ids[-1], src_name, snapshot)
         if entry is None:
             raise FileNotFound(f"no Inversion file {src!r}")
+        if same:
+            return  # POSIX: rename to the same path is a no-op success.
         if self._child(dst_ids[-1], dst_name, snapshot) is not None:
             raise FileExists(f"Inversion path {dst!r} already exists")
         if entry.is_dir:
@@ -739,13 +681,10 @@ class InversionFileSystem:
              ) -> Iterator[tuple[str, list[str], list[str]]]:
         """Like :func:`os.walk` over the Inversion tree."""
         snapshot = self._snapshot(txn, as_of)
-        if split_path(path):
-            start = self._require(path, snapshot)
-            if not start.is_dir:
-                raise NotADirectory(f"{path!r} is not a directory")
-            stack = [("/" + "/".join(split_path(path)), start.file_id)]
-        else:
-            stack = [("/", ROOT_ID)]
+        start = self._require(path, snapshot)
+        if not start.is_dir:
+            raise NotADirectory(f"{path!r} is not a directory")
+        stack = [("/" + "/".join(split_path(path)), start.file_id)]
         while stack:
             current_path, file_id = stack.pop()
             children = self._children(file_id, snapshot)

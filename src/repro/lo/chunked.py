@@ -67,8 +67,10 @@ class ChunkedObject(LargeObject):
         self.relation = db.get_class(class_name)
         self.index = db.get_index(index_name)
         self._cache_stats = db.lo.cache_stats
-        #: The object's size as this transaction will commit it (writable
-        #: descriptors only): deferred, materialized by :meth:`flush`.
+        #: The object's size as this transaction sees it (writable
+        #: descriptors only): max(committed at the last refresh, own
+        #: writes).  :meth:`flush` commits it only under the whole-object
+        #: lock, which makes it exact; otherwise ``_own_high``, max-merged.
         self._pending_size: int | None = None
         #: Highest byte-end this transaction itself has written (or the
         #: exact size its own truncate set).  The committed size can move
@@ -247,9 +249,16 @@ class ChunkedObject(LargeObject):
             return
         self._flush_data()
         # Holding [0, inf) (truncate) is the only case where the size may
-        # legitimately shrink; everyone else max-merges (see write_size).
-        metadata.write_size(self.db, self.txn, self.oid,
-                            self._pending_size, exact=self._whole_locked)
+        # legitimately shrink; everyone else max-merges (see write_size)
+        # what it *wrote* — not the pending size, whose committed part is
+        # as old as this descriptor's last lock grant: one that locked
+        # nothing (a zero-byte append, an "rw" open that only read) would
+        # re-commit the size it was opened at over a neighbour's
+        # committed truncate.
+        metadata.write_size(
+            self.db, self.txn, self.oid,
+            self._pending_size if self._whole_locked else self._own_high,
+            exact=self._whole_locked)
 
     def _close(self) -> None:
         if self.writable:

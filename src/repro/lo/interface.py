@@ -58,6 +58,8 @@ class LargeObject(ABC):
         self.writable = writable
         self._pos = 0
         self._closed = False
+        #: Descriptor number in the session that opened it, if one did.
+        self.fd: int | None = None
         #: Callbacks run exactly once when the descriptor closes; the
         #: session uses this to forget the handle, the manager to retire
         #: its open-descriptor registration (which unlink checks).

@@ -45,14 +45,6 @@ class LargeObjectCacheStats:
     segment_cache_hits: int = 0     # v-segment _segment_cache
     segment_cache_misses: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "read_cache_hits": self.read_cache_hits,
-            "read_cache_misses": self.read_cache_misses,
-            "segment_cache_hits": self.segment_cache_hits,
-            "segment_cache_misses": self.segment_cache_misses,
-        }
-
 
 def _probe(db: "Database", oid: int) -> IndexProbe:
     return IndexProbe(db, db.get_index(SIZE_INDEX),

@@ -23,14 +23,13 @@ import socket
 import threading
 from typing import TYPE_CHECKING
 
-from repro.errors import LargeObjectError, ReproError
+from repro.errors import ReproError
 from repro.server import protocol
 from repro.session import Session
 from repro.txn.lockdep import LockdepMutex
 
 if TYPE_CHECKING:
     from repro.db import Database
-    from repro.lo.interface import LargeObject
 
 
 class ReproServer:
@@ -151,17 +150,17 @@ class ReproServer:
     def _serve_connection(self, conn: socket.socket, conn_id: int) -> None:
         """Run one connection's command loop until EOF or ``close``."""
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        state = _Connection(self.db)
+        session = Session(self.db)  # also the connection's fd table
         try:
             while not self._stopping.is_set():
                 try:
                     header, body = protocol.recv_message(conn)
                 except (ConnectionError, OSError):
                     return  # client hung up; finally rolls back
-                if not self._dispatch(conn, state, header, body):
+                if not self._dispatch(conn, session, header, body):
                     return
         finally:
-            state.session.close()  # aborts any open transaction
+            session.close()  # aborts any open transaction
             try:
                 conn.close()
             except OSError:
@@ -169,12 +168,20 @@ class ReproServer:
             with self._conn_lock:
                 self._connections.pop(conn_id, None)
 
-    def _dispatch(self, conn: socket.socket, state: "_Connection",
+    def _dispatch(self, conn: socket.socket, session: Session,
                   header: dict, body: bytes) -> bool:
         """Run one command; returns False when the connection should end."""
         cmd = header.get("cmd")
         try:
-            reply = state.run(cmd, header, body)
+            if cmd not in COMMANDS:
+                raise ReproError(f"unknown command {cmd!r}")
+            handler, required = COMMANDS[cmd]
+            for field in required:
+                if field not in header:
+                    raise protocol.ProtocolError(f"{cmd} needs {field!r}")
+            target = session.handle(header["fd"]) if "fd" in required \
+                else session
+            reply = handler(target, header, body)
             if isinstance(reply, bytes):
                 protocol.send_message(conn, {"ok": True}, reply)
             else:
@@ -199,78 +206,36 @@ class ReproServer:
             return engine
 
 
-class _Connection:
-    """One connection's session and descriptor table, and the verbs that
-    address the connection rather than an open descriptor."""
-
-    def __init__(self, db: "Database"):
-        self.session = Session(db)
-        self.handles: dict[int, LargeObject] = {}
-        self._next_fd = 1
-
-    def run(self, cmd: str, header: dict, body: bytes):
-        """Execute one request; returns what its :data:`COMMANDS` handler
-        does: the reply's header fields, its body, or None for neither."""
-        if cmd not in COMMANDS:
-            raise ReproError(f"unknown command {cmd!r}")
-        handler, required = COMMANDS[cmd]
-        for field in required:
-            if field not in header:
-                raise protocol.ProtocolError(f"{cmd} needs {field!r}")
-        if "fd" not in required:
-            return handler(self, header, body)
-        handle = self.handles.get(header["fd"])
-        if handle is None:
-            raise LargeObjectError(
-                f"bad large-object descriptor {header['fd']!r} "
-                f"(command {cmd!r})")
-        return handler(handle, header, body)
-
-    def begin(self, header, body):
-        return {"xid": self.session.begin().xid}
-
-    def execute(self, header, body):
-        result = self.session.execute(header["query"])
-        return {
-            "columns": result.columns,
-            "rows": protocol.encode_rows(result.rows),
-            "count": result.count,
-            "temporaries": sorted(result.temporaries),
-        }
-
-    def lo_create(self, header, body):
-        return {"designator": self.session.lo_create(
-            header.get("impl", "fchunk"), smgr=header.get("smgr"),
-            compression=header.get("compression", "none"))}
-
-    def lo_open(self, header, body):
-        handle = self.session.lo_open(header["designator"],
-                                      header.get("mode", "r"))
-        fd, self._next_fd = self._next_fd, self._next_fd + 1
-        self.handles[fd] = handle
-        # However it closes — lo_close (even one whose final flush
-        # raises), commit, rollback — the fd names nothing afterwards.
-        handle.on_close.append(lambda: self.handles.pop(fd, None))
-        return {"fd": fd}
+def _execute(session: Session, header: dict, body: bytes) -> dict:
+    result = session.execute(header["query"])
+    return {
+        "columns": result.columns,
+        "rows": protocol.encode_rows(result.rows),
+        "count": result.count,
+        "temporaries": sorted(result.temporaries),
+    }
 
 
 #: The wire's verbs, declared once: verb → (handler, required header
 #: fields).  A verb that requires ``fd`` addresses an open descriptor and
-#: its handler gets that handle; any other gets the :class:`_Connection`;
-#: then ``(header, body)``.  A handler returns the reply's header fields
-#: (a dict), its body (bytes), or None.
+#: its handler gets that handle (``session.handle(fd)``); any other gets
+#: the connection's :class:`Session`; then ``(header, body)``.  A handler
+#: returns the reply's header fields (a dict), its body (bytes), or None.
 COMMANDS = {
-    "ping": (lambda c, h, b: {"pong": True}, ()),
-    "close": (lambda c, h, b: None, ()),  # _dispatch ends the connection
-    "stats": (lambda c, h, b: {"stats": c.session.db.statistics()}, ()),
-    "begin": (_Connection.begin, ()),
-    "commit": (lambda c, h, b: c.session.commit(), ()),
-    "rollback": (lambda c, h, b: c.session.rollback(), ()),
-    "execute": (_Connection.execute, ("query",)),
-    "lo_create": (_Connection.lo_create, ()),
-    "lo_unlink": (lambda c, h, b: c.session.lo_unlink(h["designator"]),
+    "ping": (lambda s, h, b: {"pong": True}, ()),
+    "close": (lambda s, h, b: None, ()),  # _dispatch ends the connection
+    "stats": (lambda s, h, b: {"stats": s.db.statistics()}, ()),
+    "begin": (lambda s, h, b: {"xid": s.begin().xid}, ()),
+    "commit": (lambda s, h, b: s.commit(), ()),
+    "rollback": (lambda s, h, b: s.rollback(), ()),
+    "execute": (_execute, ("query",)),
+    "lo_create": (lambda s, h, b: {"designator": s.lo_create(
+        h.get("impl", "fchunk"), smgr=h.get("smgr"),
+        compression=h.get("compression", "none"))}, ()),
+    "lo_unlink": (lambda s, h, b: s.lo_unlink(h["designator"]),
                   ("designator",)),
-    "lo_open": (_Connection.lo_open, ("designator",)),
+    "lo_open": (lambda s, h, b: {"fd": s.lo_open(
+        h["designator"], h.get("mode", "r")).fd}, ("designator",)),
     "lo_pread": (lambda o, h, b: o.pread(h["offset"], h["nbytes"]),
                  ("fd", "offset", "nbytes")),
     "lo_pwrite": (lambda o, h, b: {"nbytes": o.pwrite(h["offset"], b)},

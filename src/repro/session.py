@@ -26,7 +26,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from repro.access.tuples import TID, HeapTuple
-from repro.errors import NoActiveTransaction, TransactionError
+from repro.errors import (
+    LargeObjectError,
+    NoActiveTransaction,
+    TransactionError,
+)
 from repro.txn.manager import Transaction
 
 if TYPE_CHECKING:
@@ -38,14 +42,17 @@ class Session:
     """One caller's handle on a shared :class:`~repro.db.Database`.
 
     Tracks the current transaction and every large object opened through
-    it; :meth:`commit` and :meth:`rollback` close those descriptors first
-    (flushing write buffers), exactly as the libpq-style front end does.
+    it, in the one descriptor table (``fd`` → handle) that the libpq-style
+    front end and the server both address; :meth:`commit` and
+    :meth:`rollback` close those descriptors first (flushing write
+    buffers), exactly as that front end does.
     """
 
     def __init__(self, db: "Database"):
         self.db = db
         self.txn: Transaction | None = None
-        self._objects: list["LargeObject"] = []
+        self._handles: dict[int, "LargeObject"] = {}
+        self._next_fd = 1
 
     # -- transactions -------------------------------------------------------------
 
@@ -125,23 +132,28 @@ class Session:
 
     def lo_open(self, designator: str, mode: str = "r",
                 as_of: float | None = None) -> "LargeObject":
-        """Open a large object, tracked for close-on-commit/rollback.
+        """Open a large object, tracked for close-on-commit/rollback
+        under a fresh descriptor number (``handle.fd``).
 
-        A handle the user closes early deregisters itself, so commit and
-        rollback never re-close it (and unlink does not count it as a
-        live descriptor).
+        However the handle closes — by the user (even when its final
+        flush raises), at commit, at rollback — its fd names nothing
+        afterwards, so nothing re-closes it and unlink does not count it
+        as a live descriptor.
         """
         handle = self.db.lo.open(designator, self.require_transaction(),
                                  mode, as_of=as_of)
-        self._objects.append(handle)
-        handle.on_close.append(lambda: self._forget_object(handle))
+        fd = handle.fd = self._next_fd
+        self._next_fd += 1
+        self._handles[fd] = handle
+        handle.on_close.append(lambda: self._handles.pop(fd, None))
         return handle
 
-    def _forget_object(self, handle: "LargeObject") -> None:
-        try:
-            self._objects.remove(handle)
-        except ValueError:  # already swapped out by close_objects
-            pass
+    def handle(self, fd: int) -> "LargeObject":
+        """The open handle that descriptor *fd* names."""
+        handle = self._handles.get(fd)
+        if handle is None:
+            raise LargeObjectError(f"bad large-object descriptor {fd!r}")
+        return handle
 
     def lo_unlink(self, designator: str) -> None:
         self.db.lo.unlink(self.require_transaction(), designator)
@@ -149,9 +161,8 @@ class Session:
     def close_objects(self) -> None:
         """Close every large object opened through this session — all of
         them even if a final flush fails; the first error is re-raised."""
-        objects, self._objects = self._objects, []
         first_error = None
-        for handle in objects:
+        for handle in list(self._handles.values()):
             try:
                 handle.close()
             except Exception as exc:
@@ -177,4 +188,4 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (f"xid={self.txn.xid}" if self.in_transaction
                  else "idle")
-        return f"Session({state}, {len(self._objects)} open objects)"
+        return f"Session({state}, {len(self._handles)} open objects)"

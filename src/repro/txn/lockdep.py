@@ -106,7 +106,8 @@ HIERARCHY: dict[str, LockClass] = _table(
      "one (parent, name) directory slot; taken before the tree locks "
      "that guard its chain"),
     ("lock:inv_tree", 12, "heavy",
-     "one directory subtree, shared root-down along the parent chain"),
+     "one directory subtree, shared along every parent chain in "
+     "ascending id order"),
     ("lock:inv_stat", 13, "heavy",
      "one file's FILESTAT row; innermost Inversion lock"),
     ("lock:largeobject", 20, "heavy",

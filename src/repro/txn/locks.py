@@ -113,20 +113,6 @@ class LockStats:
     #: non-overlapping regions leave this at zero.
     range_waits: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "granted_immediately": self.granted_immediately,
-            "waits": self.waits,
-            "wait_time": self.wait_time,
-            "deadlocks_detected": self.deadlocks_detected,
-            "victims": self.victims,
-            "timeouts": self.timeouts,
-            "upgrades": self.upgrades,
-            "released": self.released,
-            "range_locks": self.range_locks,
-            "range_waits": self.range_waits,
-        }
-
 
 class _Waiter:
     """One blocked ``acquire`` call, parked in a resource's FIFO queue."""

@@ -195,20 +195,47 @@ class TestUnlinkVsOpenDescriptors:
         assert not db.lo.exists(designator)
 
     def test_user_closed_handle_deregisters_from_session(self, db):
-        """A handle the user closes early leaves ``Session._objects``:
-        commit does not re-close it, and unlink no longer counts it."""
+        """A handle the user closes early leaves the session's descriptor
+        table: commit does not re-close it, and unlink no longer counts
+        it."""
         session = db.session()
         session.begin()
         designator = session.lo_create("fchunk")
         handle = session.lo_open(designator, "rw")
+        assert session.handle(handle.fd) is handle
         handle.write(b"brief")
         handle.close()
         handle.close()  # double close stays idempotent
-        assert session._objects == []
+        with pytest.raises(LargeObjectError, match="bad large-object"):
+            session.handle(handle.fd)
         # With the handle deregistered, unlink sees no open descriptor.
         session.lo_unlink(designator)
         session.commit()
         assert not db.lo.exists(designator)
+
+    def test_api_fd_names_nothing_after_a_close_whose_flush_raised(self):
+        """``LargeObjectApi`` addresses the same table: a ``lo_close``
+        whose final flush fails still retires the descriptor (the server
+        case is in tests/test_server.py)."""
+        from repro.client import LargeObjectApi
+        from repro.errors import StorageManagerError
+        db = Database(pool_size=8, charge_cpu=False)
+        try:
+            api = LargeObjectApi(db)
+            api.begin()
+            fd = api.lo_open(api.lo_creat(), api.INV_WRITE)
+            api.lo_write(fd, b"x" * 100_000)
+            # The flush's page allocations overflow the 8-page pool, so
+            # its eviction writeback hits the bad device.
+            db.inject_faults("on write *: error")
+            with pytest.raises(StorageManagerError):
+                api.lo_close(fd)
+            db.clear_faults()
+            with pytest.raises(LargeObjectError, match="bad large-object"):
+                api.lo_tell(fd)
+            api.rollback()
+        finally:
+            db.close()
 
     def test_unlink_own_open_handle_refused(self, db):
         """Even the owning session cannot unlink under its own handle."""

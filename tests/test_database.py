@@ -210,6 +210,18 @@ class TestStatistics:
         assert stats["catalog"]["classes"] >= 2  # T + pg_largeobject
         assert stats["transactions"]["active"] == 0
         assert "disk" in stats["storage"]
+        # The three stats dataclasses are reported field for field
+        # (dataclasses.asdict): same keys, same order, on the wire too.
+        assert list(stats["locks"]) == [
+            "granted_immediately", "waits", "wait_time",
+            "deadlocks_detected", "victims", "timeouts", "upgrades",
+            "released", "range_locks", "range_waits"]
+        assert list(stats["access"]) == [
+            "probes", "range_scans", "seq_scans", "tuples_scanned",
+            "tuples_visible", "prefetch_batches"]
+        assert list(stats["largeobjects"]) == [
+            "read_cache_hits", "read_cache_misses", "segment_cache_hits",
+            "segment_cache_misses"]
 
     def test_clock_advances_with_io(self, db):
         db.create_class("T", [("v", "int4")])

@@ -1,5 +1,8 @@
 """Tests for the Inversion file system (§8)."""
 
+import threading
+import time
+
 import pytest
 
 from repro.db import Database
@@ -8,6 +11,7 @@ from repro.errors import (
     FileExists,
     FileNotFound,
     InversionError,
+    LockError,
     NotADirectory,
 )
 
@@ -257,6 +261,78 @@ class TestTransactions:
         fs.unlink(txn, "/a")
         txn.abort()
         assert fs.read_file("/a") == b"x"
+
+    #: Every structural path operation, aimed at the slot ``/a``.
+    SLOT_OPS = {
+        "create": lambda fs, txn: fs.create(txn, "/a"),
+        "mkdir": lambda fs, txn: fs.mkdir(txn, "/a"),
+        "unlink": lambda fs, txn: fs.unlink(txn, "/a"),
+        "rmdir": lambda fs, txn: fs.rmdir(txn, "/a"),
+        "rename-from": lambda fs, txn: fs.rename(txn, "/a", "/b"),
+        "rename-to": lambda fs, txn: fs.rename(txn, "/c", "/a"),
+        "rename-same": lambda fs, txn: fs.rename(txn, "/a", "/a"),
+    }
+
+    @pytest.mark.parametrize("inflight", ["unlink", "create"])
+    @pytest.mark.parametrize("op", sorted(SLOT_OPS))
+    def test_no_path_operation_succeeds_on_a_contended_slot(
+            self, db, fs, op, inflight):
+        """Every structural path operation holds its slot's ``inv_entry``
+        lock before it reports success: against another transaction's
+        uncommitted unlink or create of the same slot none returns (one
+        thread runs both, so the lock wait raises at once).  The two
+        renames *from* a name only the uncommitted create can see fail on
+        their own snapshot instead."""
+        with db.begin() as txn:
+            fs.write_file(txn, "/c", b"y")
+            if inflight == "unlink":
+                fs.write_file(txn, "/a", b"x")
+        holder, other = db.begin(), db.begin()
+        if inflight == "unlink":
+            fs.unlink(holder, "/a")
+        else:
+            fs.create(holder, "/a").close()
+        unseen = inflight == "create" and op in ("rename-from",
+                                                 "rename-same")
+        with pytest.raises(FileNotFound if unseen else LockError):
+            self.SLOT_OPS[op](fs, other)
+        other.abort()
+        holder.abort()
+
+    @pytest.mark.parametrize("outcome", ["commit", "abort"])
+    def test_same_path_rename_waits_for_the_unlink_it_races(
+            self, db, fs, outcome):
+        """``rename("/a", "/a")`` queues behind an in-flight unlink of
+        ``/a``: it fails once the unlink commits, and succeeds (a no-op)
+        if it aborts — never a success on an absent path, in either
+        commit order."""
+        with db.begin() as txn:
+            fs.write_file(txn, "/a", b"x")
+        unlinker = db.begin()
+        fs.unlink(unlinker, "/a")
+        result = []
+
+        def renamer():
+            txn = db.begin()
+            try:
+                fs.rename(txn, "/a", "/a")
+                txn.commit()
+                result.append("renamed")
+            except FileNotFound:
+                txn.abort()
+                result.append("absent")
+
+        thread = threading.Thread(target=renamer, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 10
+        while thread.is_alive() and not db.locks.stats.waits \
+                and time.monotonic() < deadline:
+            thread.join(timeout=0.01)
+        assert db.locks.stats.waits == 1 and not result  # parked on the slot
+        getattr(unlinker, outcome)()
+        thread.join(timeout=10)
+        assert result == ["absent" if outcome == "commit" else "renamed"]
+        assert fs.exists("/a") == (outcome == "abort")
 
 
 class TestTimeTravel:

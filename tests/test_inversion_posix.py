@@ -152,6 +152,13 @@ case("rename-to-root", given=(("mkdir", "/s"),), do=("rename", "/s", "/"),
      raises=FileExists)
 case("rename-same-path-noop", given=(("file", "/s", b"p"),),
      do=("rename", "/s", "/s"), then=(("data", "/s", b"p"),))
+case("rename-same-path-missing", do=("rename", "/s", "/s"),
+     raises=FileNotFound)
+# The lexical own-subtree check must not mistake "same path" for "inside".
+case("rename-dir-same-path-noop",
+     given=(("mkdir", "/s"), ("file", "/s/f", b"p")),
+     do=("rename", "/s", "/s"),
+     then=(("isdir", "/s"), ("data", "/s/f", b"p")))
 # Deviation: POSIX EINVAL; an ancestor moved under its own descendant
 # would commit an unreachable cycle (the PR-8 regression).
 case("rename-into-own-subtree",

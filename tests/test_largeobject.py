@@ -222,6 +222,31 @@ class TestChunkedTransactions:
         with db.lo.open(designator) as obj:
             assert obj.read() == b"hidden"
 
+    @pytest.mark.parametrize("touch", ["nothing", "append-empty"])
+    def test_idle_writable_descriptor_commits_no_size(self, db, impl, touch):
+        """A descriptor that wrote nothing max-merges nothing: opened
+        "rw" before a neighbour's committed truncate and closed after
+        it, it must not re-commit the size it was opened at (the
+        FileMonkey long haul's "as_of replay" flake: a zero-byte append
+        resurrected the extent a concurrent rewrite had just cut)."""
+        with db.begin() as txn:
+            designator = make_object(db, txn, impl)
+            with db.lo.open(designator, txn, "rw") as obj:
+                obj.write(b"x" * 9600)
+        idle = db.begin()
+        bystander = db.lo.open(designator, idle, "rw")   # sees 9,600
+        with db.begin() as txn:
+            with db.lo.open(designator, txn, "rw") as obj:
+                obj.truncate(0)
+                obj.write(b"y" * 100)
+        if touch == "append-empty":
+            assert bystander.append(b"") == 0
+        bystander.close()
+        idle.commit()
+        with db.lo.open(designator) as obj:
+            assert obj.size() == 100
+            assert obj.read() == b"y" * 100
+
     def test_write_requires_transaction(self, db, impl):
         with db.begin() as txn:
             designator = make_object(db, txn, impl)

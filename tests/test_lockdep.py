@@ -193,7 +193,7 @@ class TestOperationScopes:
 
     def test_order_free_across_scopes(self, clean_graph):
         # Strict 2PL: separate attempts may touch the family in any
-        # order (the retry loop in _locked_parent relies on this).
+        # order (the retry loop in _lock_slots relies on this).
         locks = LockManager()
         with VALIDATOR.operation("first"):
             locks.acquire(8, ("inv_stat", 1), LockMode.SHARED)

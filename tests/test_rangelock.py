@@ -9,6 +9,7 @@ locks, deadlock detection through range waits, and the new
 """
 
 import threading
+from dataclasses import asdict
 
 import pytest
 
@@ -201,7 +202,7 @@ class TestRangeLocking:
     def test_stats_dict_exposes_range_counters(self):
         lm = LockManager()
         lm.acquire(1, lo_range(9, 0, 100), LockMode.EXCLUSIVE)
-        stats = lm.stats.as_dict()
+        stats = asdict(lm.stats)
         assert stats["range_locks"] == 1
         assert stats["range_waits"] == 0
         lm.release_all(1)
