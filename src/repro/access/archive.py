@@ -1,4 +1,4 @@
-"""The archival vacuum cleaner: history migrates to slower storage.
+"""The vacuum cleaner: one sweep, and history migrating to slower storage.
 
 The POSTGRES storage system [STON87B] pairs no-overwrite versioning with a
 *vacuum cleaner* that sweeps superseded tuple versions out of the current
@@ -10,31 +10,31 @@ one archival story.
 
 Mechanics:
 
+* :meth:`Archiver.sweep` is the one sweep behind ``Database.vacuum`` (dead
+  versions are discarded) and ``Database.archive_class`` (versions whose
+  deleter committed move to the archive, stamps preserved byte-for-byte;
+  an aborted inserter's are discarded either way).  The page walk and the
+  dead-version test are :meth:`HeapRelation.vacuum
+  <repro.access.heap.HeapRelation.vacuum>`;
 * each class ``X`` gets, on first archive, a companion class ``a_X`` with
-  the same schema, on the archive storage manager;
-* :meth:`Archiver.archive_class` moves every version that is *dead before
-  the horizon* (deleter committed before it, or inserter aborted — the
-  latter are discarded, not archived) into ``a_X``, preserving the
-  original transaction stamps byte-for-byte;
+  the same schema, on the archive storage manager — write-once, so the
+  sweep never descends into an ``a_*`` class;
 * current-state readers never look at the archive; **time-travel readers
-  chain** the current relation and the archive (see
-  :meth:`Archiver.scan_with_archive`), deduplicating versions that a crash
-  between the copy and the delete may have left in both places.
+  chain** the current relation and the archive in the scan layer
+  (:mod:`repro.access.scan`, the only code that reads one), deduplicating
+  versions that a crash between the copy and the delete may have left in
+  both places.
 
-Archival is maintenance, not a user transaction: like vacuum in POSTGRES
+The sweep is maintenance, not a user transaction: like vacuum in POSTGRES
 (and PostgreSQL), it runs outside MVCC and is idempotent.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from repro.access.heap import HeapRelation
-from repro.access.tuples import HeapTuple, read_stamps
 from repro.errors import RelationError
-from repro.storage.constants import INVALID_XID
-from repro.txn.snapshot import Snapshot
-from repro.txn.xlog import TxnStatus
 
 if TYPE_CHECKING:
     from repro.db import Database
@@ -45,8 +45,13 @@ def archive_name(class_name: str) -> str:
     return f"a_{class_name}"
 
 
+def is_archive_name(class_name: str) -> bool:
+    return class_name.startswith("a_")
+
+
 class Archiver:
-    """Moves dead tuple versions into per-class archive relations."""
+    """Sweeps dead tuple versions out of classes, optionally into
+    per-class archive relations."""
 
     def __init__(self, db: "Database", archive_smgr: str = "worm"):
         self.db = db
@@ -66,108 +71,62 @@ class Archiver:
         return self.db.create_class(name, source.schema,
                                     smgr=self.archive_smgr)
 
-    def has_archive(self, class_name: str) -> bool:
-        return self.db.class_exists(archive_name(class_name))
-
     # -- the sweep ------------------------------------------------------------------
+
+    def sweep(self, class_name: str, horizon: float | None = None,
+              archive_sink: Callable[[bytes], None] | None = None) -> int:
+        """Sweep *class_name*; returns how many versions were removed.
+
+        One engine-latch hold covers the page mutation, the archive
+        inserts, the index pruning (freed slots are reused: no entry may
+        outlive its version) and one visibility-epoch bump, so no reader
+        meets a freed slot through a stale index entry or an epoch-gated
+        TID map.  Archive classes are not swept.
+        """
+        if is_archive_name(class_name):
+            return 0
+        db = self.db
+        relation = db.get_class(class_name)
+        removed: list = []
+        with db.latch:
+            relation.vacuum(horizon, removed, archive_sink)
+            if removed:
+                for entry in db.catalog.indexes_on(class_name):
+                    index = db.get_index(entry.name)
+                    position = relation.schema.position(entry.attribute)
+                    for tup in removed:
+                        if tup.values[position] is not None:
+                            index.delete((tup.values[position],),
+                                         (tup.tid.blockno, tup.tid.slot))
+                db.clog.bump_visibility_epoch()
+        return len(removed)
 
     def archive_class(self, class_name: str,
                       horizon: float | None = None) -> dict[str, int]:
-        """Sweep *class_name*; returns ``{"archived": n, "discarded": m}``.
-
-        A version is swept when its deleter committed (before *horizon*,
-        if one is given).  Versions whose inserter aborted are discarded
-        outright — they were never visible to anyone and carry no history.
-        Live versions, and versions whose deleter is still in progress,
-        stay where they are.
+        """Sweep *class_name* into its archive (created on the first
+        version worth keeping); returns ``{"archived": n, "discarded": m}``
+        — which versions go where is :meth:`HeapRelation.vacuum
+        <repro.access.heap.HeapRelation.vacuum>`'s one dead-version test.
         """
-        if class_name.startswith("a_"):
+        if is_archive_name(class_name):
             raise RelationError("archives are not themselves archived")
         relation = self.db.get_class(class_name)
-        clog = self.db.clog
-        archived = discarded = 0
-        archive = self.archive_relation(class_name)
-        removed: list = []
+        archive = None
+        archived = 0
 
-        from repro.access.tuples import deserialize_tuple
-        from repro.access.tuples import TID as _TID
-        for blockno in range(relation.nblocks()):
-            buf = relation.bufmgr.pin(relation.smgr, relation.fileid,
-                                      blockno)
-            dirty = False
-            try:
-                for slot in buf.page.live_slots():
-                    image = buf.page.get_item(slot)
-                    xmin, xmax, _oid = read_stamps(image)
-                    fate = self._classify(xmin, xmax, horizon, clog)
-                    if fate == "keep":
-                        continue
-                    if fate == "archive":
-                        if archive is None:
-                            archive = self.archive_relation(class_name,
-                                                            create=True)
-                        archive.insert_raw(image)
-                        archived += 1
-                    else:
-                        discarded += 1
-                    removed.append(deserialize_tuple(
-                        relation.schema, image, _TID(blockno, slot)))
-                    buf.page.delete_item(slot)
-                    dirty = True
-                if dirty:
-                    buf.page.compact()
-                    relation.fsm.record(blockno, buf.page.free_space())
-            finally:
-                relation.bufmgr.unpin(buf, dirty=dirty)
-        if removed:
-            # Freed slots may be reused: the class's indexes must not keep
-            # entries for the moved/discarded versions.
-            self.db.prune_index_entries(class_name, removed)
+        def to_archive(image: bytes) -> None:
+            nonlocal archive, archived
+            if archive is None:
+                archive = self.archive_relation(class_name, create=True)
+            archive.insert_raw(image)
+            archived += 1
 
-        if archived and archive is not None:
+        removed = self.sweep(class_name, horizon, to_archive)
+        if archived:
             # Make the copies durable *before* the deletions can reach the
             # device: a crash in between leaves harmless duplicates, never
             # a hole in history.
             relation.bufmgr.flush_file(archive.smgr, archive.fileid)
-        if archived or discarded:
+        if removed:
             relation.bufmgr.flush_file(relation.smgr, relation.fileid)
-        return {"archived": archived, "discarded": discarded}
-
-    @staticmethod
-    def _classify(xmin: int, xmax: int, horizon: float | None,
-                  clog) -> str:
-        if clog.status(xmin) == TxnStatus.ABORTED:
-            return "discard"
-        if xmax == INVALID_XID:
-            return "keep"
-        if clog.status(xmax) != TxnStatus.COMMITTED:
-            return "keep"
-        if horizon is not None and clog.commit_time(xmax) >= horizon:
-            return "keep"
-        return "archive"
-
-    # -- time-travel reads across the chain --------------------------------------------
-
-    def scan_with_archive(self, class_name: str,
-                          snapshot: Snapshot) -> Iterator[HeapTuple]:
-        """Visible tuples from the current class *and* its archive.
-
-        Current-state snapshots never need the archive (it holds only dead
-        versions); travelling snapshots read both, deduplicating on the
-        (oid, xmin, xmax) identity a crash-duplicated version shares.
-        """
-        relation = self.db.get_class(class_name)
-        seen: set[tuple[int, int, int]] = set()
-        for tup in relation.scan(snapshot):
-            seen.add((tup.oid, tup.xmin, tup.xmax))
-            yield tup
-        if not snapshot.travelling():
-            return
-        archive = self.archive_relation(class_name)
-        if archive is None:
-            return
-        for tup in archive.scan(snapshot):
-            key = (tup.oid, tup.xmin, tup.xmax)
-            if key not in seen:
-                seen.add(key)
-                yield tup
+        return {"archived": archived, "discarded": removed - archived}

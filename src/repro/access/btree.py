@@ -494,6 +494,7 @@ class BTree:
 
         Returns the number of entries removed.  Nodes are never merged.
         """
+        self._assert_latched("delete")
         key = self._check_key(key)
         removed = 0
         blockno, node = self._find_leaf(key, mutable=True)

@@ -361,55 +361,55 @@ class HeapRelation:
     # -- vacuum ------------------------------------------------------------------------------
 
     def vacuum(self, horizon: float | None = None,
-               removed_sink: list | None = None) -> int:
-        """Physically remove dead versions; returns how many were removed.
+               removed_sink: list | None = None,
+               archive_sink: Callable[[bytes], None] | None = None) -> int:
+        """The sweep: physically remove dead versions; returns how many.
 
         A version is dead if its inserter aborted, or its deleter committed
         — and, when *horizon* is given, committed **before** *horizon*
         (keeping history reachable by time travel after the horizon).
-        With ``horizon=None`` all superseded versions go, discarding
-        history, which is what the paper's u-file/p-file implementations
-        effectively live with permanently.
 
-        When *removed_sink* is given, each removed version is appended as
-        a decoded :class:`HeapTuple` — the caller (normally
-        :meth:`Database.vacuum`) uses these to prune index entries, since
-        freed slots may be reused and stale entries must not dangle.
+        *archive_sink* receives the raw image (stamps intact) of each
+        version whose deleter committed; without one that history is
+        discarded, which is what the paper's u-file/p-file implementations
+        live with permanently.  An aborted inserter's versions were never
+        visible and are never archived.  *removed_sink* collects every
+        removed version decoded: freed slots are reused, so the caller
+        (``Archiver.sweep``, holding the engine latch) prunes their index
+        entries and bumps the visibility epoch — docs/invariants.md.
         """
+        self._assert_latched("vacuum")
         removed = 0
         for blockno in range(self.nblocks()):
             buf = self.bufmgr.pin(self.smgr, self.fileid, blockno)
+            dirty = False
             try:
-                dirty = False
                 for slot in buf.page.live_slots():
                     view = buf.page.item_view(slot)
                     xmin, xmax, _oid = read_stamps(view)
-                    if self._is_dead(xmin, xmax, horizon):
-                        if removed_sink is not None:
-                            removed_sink.append(deserialize_tuple(
-                                self.schema, view, TID(blockno, slot)))
-                        view.release()
-                        buf.page.delete_item(slot)
-                        removed += 1
-                        dirty = True
+                    aborted = self.clog.status(xmin) == TxnStatus.ABORTED
+                    if not (aborted
+                            or self._deleter_committed(xmax, horizon)):
+                        continue
+                    if archive_sink is not None and not aborted:
+                        archive_sink(bytes(view))
+                    if removed_sink is not None:
+                        removed_sink.append(deserialize_tuple(
+                            self.schema, view, TID(blockno, slot)))
+                    view.release()
+                    buf.page.delete_item(slot)
+                    removed += 1
+                    dirty = True
                 if dirty:
                     buf.page.compact()
                     self.fsm.record(blockno, buf.page.free_space())
             finally:
                 self.bufmgr.unpin(buf, dirty=dirty)
-        if removed:
-            # Pruning frees slots without any transaction changing fate;
-            # epoch-gated TID maps must not survive it.
-            self.clog.bump_visibility_epoch()
         return removed
 
-    def _is_dead(self, xmin: int, xmax: int, horizon: float | None) -> bool:
-        if self.clog.status(xmin) == TxnStatus.ABORTED:
-            return True
+    def _deleter_committed(self, xmax: int, horizon: float | None) -> bool:
         if xmax == INVALID_XID:
             return False
         if self.clog.status(xmax) != TxnStatus.COMMITTED:
             return False
-        if horizon is None:
-            return True
-        return self.clog.commit_time(xmax) < horizon
+        return horizon is None or self.clog.commit_time(xmax) < horizon

@@ -21,6 +21,13 @@ DESIGN.md §"Locking discipline": heavyweight locks are always acquired
 they did into the shared :class:`AccessStats`, surfaced as
 ``db.statistics()["access"]``.
 
+This layer is also the only reader of a class's **archive** (``a_<class>``,
+filled by the sweep in :mod:`repro.access.archive`).  A travelling snapshot
+merges in its visible versions (:func:`_archived_versions` — one
+sequential filter: the archive is write-once and unindexed), so time
+travel reads one history through every descriptor, swept or not; a
+current-state one pays a ``snapshot.as_of is None`` test and nothing else.
+
 ``unique=True`` enforces the "exactly one visible version per key"
 invariant that a no-overwrite heap owes its readers: if a snapshot ever
 sees two versions of the same chunk or segment, something upstream
@@ -131,6 +138,45 @@ def _default_anomaly(relation_name: str) -> AnomalyFactory:
     return build
 
 
+def _archived_versions(db: "Database", relation: "HeapRelation",
+                       snapshot: Snapshot, found: "list[HeapTuple]",
+                       index: "BTree | None" = None,
+                       lo: "Key | None" = None, hi: "Key | None" = None,
+                       wanted: "set[Key] | None" = None
+                       ) -> "list[tuple[Key | None, HeapTuple]]":
+    """``(key, version)`` for each version of *relation* in its archive
+    that the travelling *snapshot* sees (latch held; ``[]`` without an
+    archive).  With *index*, ``key`` is the version's key under it and must
+    lie inside ``[lo, hi]`` and *wanted*; else ``None``.  Versions in
+    *found* — what the relation itself returned — are skipped by their
+    ``(oid, xmin, xmax)`` identity: a crash between the archive's flush
+    and the relation's leaves a version in both places.
+    """
+    archive = db.archiver.archive_relation(relation.name)
+    if archive is None:
+        return []
+    position = None if index is None else relation.schema.position(
+        db.catalog.indexes[index.name].attribute)
+    seen = {(tup.oid, tup.xmin, tup.xmax) for tup in found}
+    out = []
+    for tup in archive.scan_versions():
+        db.access_stats.tuples_scanned += 1
+        key = None
+        if position is not None:
+            key = (tup.values[position],)
+            if (key[0] is None or (lo is not None and key < lo)
+                    or (hi is not None and key > hi)
+                    or (wanted is not None and key not in wanted)):
+                continue
+        identity = (tup.oid, tup.xmin, tup.xmax)
+        if identity not in seen and snapshot.is_visible(
+                tup.xmin, tup.xmax, relation.clog):
+            seen.add(identity)
+            out.append((key, tup))
+    db.access_stats.tuples_visible += len(out)
+    return out
+
+
 class IndexProbe:
     """Equality probe: all visible versions stored under one key.
 
@@ -173,6 +219,8 @@ class IndexProbe:
                     continue
                 out.append(tup)
             stats.tuples_visible += len(out)
+            if snapshot.as_of is not None:
+                out += self._from_archive(snapshot, out)
         if self.unique and len(out) > 1:
             raise self.anomaly(self.key, len(out))
         return out
@@ -203,7 +251,15 @@ class IndexProbe:
                     continue
                 stats.tuples_visible += 1
                 return tup
+            if snapshot.as_of is not None:
+                return next(iter(self._from_archive(snapshot, [])), None)
         return None
+
+    def _from_archive(self, snapshot: Snapshot,
+                      found: list[HeapTuple]) -> list[HeapTuple]:
+        return [tup for _key, tup in _archived_versions(
+            self.db, self.relation, snapshot, found, self.index,
+            self.key, self.key)]
 
 
 class IndexRangeScan:
@@ -248,6 +304,8 @@ class IndexRangeScan:
             if self.relation.prefetch_tids(tid for _key, tid in pairs):
                 stats.prefetch_batches += 1
             out = self._fetch(pairs, snapshot)
+            if snapshot.as_of is not None:
+                out = self._with_archive(snapshot, out, wanted)
         self._check_unique(out)
         return out
 
@@ -280,7 +338,30 @@ class IndexRangeScan:
             stats.tuples_visible += len(found)
             if above:
                 found += self._fetch(above[::-1], snapshot)
+            if snapshot.as_of is not None:
+                found = self._with_archive(snapshot, found, pivot=pivot)
         self._check_unique(found)
+        return found
+
+    def _with_archive(self, snapshot: Snapshot,
+                      found: "list[tuple[Key, HeapTuple]]",
+                      wanted: "set[Key] | None" = None,
+                      pivot: "Key | None" = None
+                      ) -> "list[tuple[Key, HeapTuple]]":
+        """*found* plus the archive's visible pairs inside the bounds, in
+        key order (latch held) — from the floor of *pivot*, if given."""
+        extra = _archived_versions(
+            self.db, self.relation, snapshot, [tup for _key, tup in found],
+            self.index, self.lo, self.hi, wanted)
+        if not extra:
+            return found
+        found = sorted(found + extra, key=lambda pair: pair[0])
+        if pivot is not None:
+            # The floor may have been swept: keep the greatest key at or
+            # below the pivot of the two relations together.
+            floor = max((key for key, _tup in found if key <= pivot),
+                        default=pivot)
+            found = [pair for pair in found if pair[0] >= floor]
         return found
 
     def _fetch(self, pairs: "list[tuple[Key, TID]]", snapshot: Snapshot
@@ -309,7 +390,8 @@ class IndexRangeScan:
 
 
 class SeqScan:
-    """Full-relation scan: every version examined, visible ones returned.
+    """Full-relation scan: every version examined, visible ones returned
+    — for a travelling snapshot, the archive's after the relation's own.
 
     Materializes under the engine latch, so the result is a consistent
     cut even while other sessions write.
@@ -330,6 +412,9 @@ class SeqScan:
                                        self.relation.clog):
                     out.append(tup)
             stats.tuples_visible += len(out)
+            if snapshot.as_of is not None:
+                out += [tup for _key, tup in _archived_versions(
+                    self.db, self.relation, snapshot, out)]
         return out
 
 

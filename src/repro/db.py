@@ -29,10 +29,11 @@ import os
 from dataclasses import asdict
 from typing import TYPE_CHECKING, Iterator
 
+from repro.access.archive import Archiver
 from repro.access.btree import BTree
 from repro.access.heap import HeapRelation
 from repro.access.scan import (AccessStats, EngineLatch, IndexProbe,
-                               fetch_visible)
+                               SeqScan, fetch_visible)
 from repro.access.schema import Attribute, Schema
 from repro.access.tuples import TID, HeapTuple
 from repro.adt.functions import FunctionRegistry
@@ -54,7 +55,7 @@ from repro.txn import lockdep
 from repro.txn.locks import LockManager, LockMode
 from repro.txn.manager import Transaction, TransactionManager
 from repro.txn.snapshot import Snapshot
-from repro.txn.xlog import CommitLog
+from repro.txn.xlog import CommitLog, TxnStatus
 
 if TYPE_CHECKING:
     from repro.inversion.filesystem import InversionFileSystem
@@ -134,7 +135,8 @@ class Database:
         self._indexes: dict[str, BTree] = {}
         self._lo_manager: "LargeObjectManager | None" = None
         self._inversion: "InversionFileSystem | None" = None
-        self._archiver = None
+        #: The vacuum cleaner (one sweep; history → archive storage).
+        self.archiver = Archiver(self)
         self._bootstrap()
         # Crash-recovery sweep: the catalog journal is not transactional,
         # so a crash mid-create can leave large-object entries whose size
@@ -414,20 +416,15 @@ class Database:
         """Visible tuples of *class_name* (optionally at a past instant,
         or across the interval ``[as_of, until]``).
 
-        Time-travel scans transparently include versions the archival
-        vacuum has moved to the class's archive relation.
+        Time-travel scans transparently include versions the sweep has
+        moved to the class's archive relation (the scan layer's job).
 
         The result is materialized under the engine latch, so the tuples
         returned are a consistent cut even while other sessions write.
         """
         snapshot = self.snapshot(txn, as_of=as_of, until=until)
-        with self._latch:
-            if as_of is not None and self.archiver.has_archive(class_name):
-                tuples = list(
-                    self.archiver.scan_with_archive(class_name, snapshot))
-            else:
-                tuples = list(self.get_class(class_name).scan(snapshot))
-        return iter(tuples)
+        return iter(SeqScan(self, self.get_class(class_name))
+                    .tuples(snapshot))
 
     def fetch(self, class_name: str, tid: TID,
               txn: Transaction | None = None,
@@ -445,33 +442,20 @@ class Database:
         ``None`` while live).  Versions moved to the class's archive are
         included.  Uncommitted and aborted versions are skipped.
         """
-        from repro.txn.xlog import TxnStatus
-        with self._latch:
-            relation = self.get_class(class_name)
-            sources = [list(relation.scan_versions())]
-            archive = self.archiver.archive_relation(class_name)
-            if archive is not None:
-                sources.append(list(archive.scan_versions()))
         versions = []
-        seen = set()
-        for source in sources:
-            for tup in source:
-                if tup.oid != oid:
-                    continue
-                if self.clog.status(tup.xmin) != TxnStatus.COMMITTED:
-                    continue
-                key = (tup.xmin, tup.xmax)
-                if key in seen:  # crash-duplicated archive copy
-                    continue
-                seen.add(key)
-                valid_from = self.clog.commit_time(tup.xmin)
-                valid_to = None
-                if (tup.xmax != 0 and self.clog.status(tup.xmax)
-                        == TxnStatus.COMMITTED):
-                    valid_to = self.clog.commit_time(tup.xmax)
-                versions.append({"values": tup.values,
-                                 "valid_from": valid_from,
-                                 "valid_to": valid_to})
+        # The time range over all of time: every version whose inserter
+        # committed, whenever.
+        for tup in self.scan(class_name, as_of=float("-inf"),
+                             until=float("inf")):
+            if tup.oid != oid:
+                continue
+            valid_to = None
+            if (tup.xmax != 0 and self.clog.status(tup.xmax)
+                    == TxnStatus.COMMITTED):
+                valid_to = self.clog.commit_time(tup.xmax)
+            versions.append({"values": tup.values,
+                             "valid_from": self.clog.commit_time(tup.xmin),
+                             "valid_to": valid_to})
         versions.sort(key=lambda v: v["valid_from"])
         return versions
 
@@ -537,50 +521,18 @@ class Database:
 
     # -- maintenance -----------------------------------------------------------------------------------
 
-    @property
-    def archiver(self):
-        """The archival vacuum cleaner (history → archive storage)."""
-        if self._archiver is None:
-            from repro.access.archive import Archiver
-            self._archiver = Archiver(self)
-        return self._archiver
-
     def archive_class(self, class_name: str,
                       horizon: float | None = None) -> dict[str, int]:
         """Move *class_name*'s dead versions to its archive relation."""
         return self.archiver.archive_class(class_name, horizon=horizon)
 
     def vacuum(self, horizon: float | None = None) -> dict[str, int]:
-        """Vacuum every user class; returns per-class removal counts.
-
-        Index entries pointing at removed versions are pruned too —
-        vacuumed slots may be reused, so stale entries must never dangle.
+        """Sweep every class (``Archiver.sweep``), discarding dead versions;
+        returns per-class removal counts — 0 for an archive class, which
+        is write-once and never swept.
         """
-        removed = {}
-        for name in self.catalog.relation_names():
-            sink: list = []
-            removed[name] = self.get_class(name).vacuum(
-                horizon, removed_sink=sink)
-            if sink:
-                self.prune_index_entries(name, sink)
-        return removed
-
-    def prune_index_entries(self, class_name: str, tuples) -> int:
-        """Remove the index entries of physically-removed tuple versions."""
-        entries = self.catalog.indexes_on(class_name)
-        if not entries:
-            return 0
-        relation = self.get_class(class_name)
-        pruned = 0
-        for entry in entries:
-            index = self.get_index(entry.name)
-            position = relation.schema.position(entry.attribute)
-            for tup in tuples:
-                key = tup.values[position]
-                if key is not None:
-                    pruned += index.delete(
-                        (key,), (tup.tid.blockno, tup.tid.slot))
-        return pruned
+        return {name: self.archiver.sweep(name, horizon)
+                for name in self.catalog.relation_names()}
 
     def checkpoint(self) -> int:
         """Flush every dirty buffer (returns pages written)."""

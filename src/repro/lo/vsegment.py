@@ -30,7 +30,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro.access.scan import IndexRangeScan
-from repro.access.tuples import TID, HeapTuple
+from repro.access.tuples import HeapTuple
 from repro.compress.base import Compressor
 from repro.errors import LargeObjectError
 from repro.lo.chunked import ChunkedObject
@@ -53,9 +53,11 @@ SEGMENT_MAX = 65536
 LOCK_GRAIN_BYTES = 16 * SEGMENT_MAX
 
 #: Decompressed segments kept per descriptor (up to ~256 KB).  Keyed by
-#: the record's TID: segment contents are immutable once written (the
-#: byte store only grows, and an overwrite appends *new* segments under
-#: *new* TIDs), so a TID-keyed entry can never go stale.
+#: the record's ``(xmin, byte_pointer)``: segment contents are immutable
+#: and the store's append cursor never hands out an extent twice, so the
+#: pair names one segment's bytes for good.  Its TID does not: a sweep
+#: frees the slot for reuse and re-homes the record in the archive under
+#: another (docs/invariants.md).
 SEGMENT_CACHE_ENTRIES = 4
 
 
@@ -82,9 +84,9 @@ class VSegmentObject(ChunkedObject):
                          segment_class_name(oid), segment_index_name(oid))
         self.store = store
         # Descriptor-level LRU of decompressed segments (see
-        # SEGMENT_CACHE_ENTRIES for why TID keys are safe — and why
-        # there is no ``_committed_moved`` here).
-        self._segment_cache: OrderedDict[TID, bytes] = OrderedDict()
+        # SEGMENT_CACHE_ENTRIES for why its keys never go stale — and
+        # why there is no ``_committed_moved`` here).
+        self._segment_cache: OrderedDict[tuple, bytes] = OrderedDict()
 
     # -- protocol hooks -------------------------------------------------------------
 
@@ -118,13 +120,14 @@ class VSegmentObject(ChunkedObject):
 
     def _segment_bytes(self, record: HeapTuple) -> bytes:
         """Decompressed contents of one segment (LRU-cached)."""
-        cached = self._segment_cache.get(record.tid)
+        _locn, length, clen, ptr = record.values
+        key = (record.xmin, ptr)
+        cached = self._segment_cache.get(key)
         if cached is not None:
             self._cache_stats.segment_cache_hits += 1
-            self._segment_cache.move_to_end(record.tid)
+            self._segment_cache.move_to_end(key)
             return cached
         self._cache_stats.segment_cache_misses += 1
-        _locn, length, clen, ptr = record.values
         # _read_span, not _read_at: a record visible to our snapshot
         # proves its store extent exists, even when this (writable)
         # store descriptor's pending size lags another writer's
@@ -138,8 +141,7 @@ class VSegmentObject(ChunkedObject):
             raise LargeObjectError(
                 f"large object {self.oid}: segment at {record.values[0]} "
                 f"decompressed to {len(data)} bytes, index says {length}")
-        self._segment_cache[record.tid] = data
-        self._segment_cache.move_to_end(record.tid)
+        self._segment_cache[key] = data  # a miss: lands at the MRU end
         while len(self._segment_cache) > SEGMENT_CACHE_ENTRIES:
             self._segment_cache.popitem(last=False)
         return data

@@ -292,8 +292,8 @@ class Executor:
         indexed attribute turns the scan into an index lookup, and
         inequality conjuncts (``>=``/``<=``/``>``/``<``, alone or paired
         BETWEEN-style) become one index range scan over the leaf chain.
-        Historical scans always walk the heap — archived versions are
-        not indexed.
+        Historical scans always walk the heap, which chains the class's
+        archive (:class:`~repro.access.scan.SeqScan`).
         """
         if class_ref.as_of is None and qualification is not None:
             probe = self._find_index_probe(class_ref.name, qualification)

@@ -256,7 +256,8 @@ class TestVacuumIndexMaintenance:
         with db.begin() as txn:
             db.delete(txn, "T", tid)
         # Simulate a vacuum that (buggily) skipped index maintenance.
-        db.get_class("T").vacuum()
+        with db.latch:
+            db.get_class("T").vacuum()
         with db.begin() as txn:
             db.insert(txn, "T", (222,))  # likely reuses the freed slot
         hits = db.index_lookup("t_v", 111)

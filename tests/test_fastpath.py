@@ -39,6 +39,44 @@ def make_object(db, impl, payload=b""):
     return designator
 
 
+def overwrite(db, designator, offset, data):
+    with db.begin() as txn:
+        with db.lo.open(designator, txn, "rw") as obj:
+            obj.seek(offset)
+            obj.write(data)
+
+
+def sweep_everything(db, sweep):
+    if sweep == "vacuum":
+        db.vacuum()
+    else:
+        for name in db.catalog.relation_names():
+            if not name.startswith("a_"):
+                db.archive_class(name)
+
+
+def test_held_as_of_vsegment_reader_across_archive(db):
+    """Archiving moves a segment record to a new TID in another relation,
+    where it can take the TID *and* xmin a neighbour had in the class:
+    X stays live in slot 0, so A (slot 1) and C (slot 2), written by one
+    transaction, land in archive slots 0 and 1 — C where A was."""
+    designator = make_object(db, "vsegment", b"X" * 1_000)
+    with db.begin() as txn:
+        with db.lo.open(designator, txn, "rw") as obj:
+            obj.seek(1_000)
+            obj.write(b"A" * 1_000)
+            obj.write(b"C" * 1_000)
+    stamp = db.clock.now()
+    overwrite(db, designator, 1_000, b"a" * 1_000)
+    overwrite(db, designator, 2_000, b"c" * 1_000)
+    held = db.lo.open(designator, as_of=stamp)
+    held.seek(1_000)
+    assert held.read(1_000) == b"A" * 1_000  # A cached
+    sweep_everything(db, "archive_class")
+    assert held.read(1_000) == b"C" * 1_000
+    held.close()
+
+
 @pytest.mark.parametrize("impl", IMPLS)
 class TestFastModeSemantics:
     def test_sequential_write_read(self, db, impl):
@@ -115,6 +153,28 @@ class TestFastModeSemantics:
         reader.seek(0)
         assert reader.read(25_000) == b"I" * 25_000
         reader.close()
+
+    @pytest.mark.parametrize("charge_cpu", [False, True])
+    @pytest.mark.parametrize("sweep", ["vacuum", "archive_class"])
+    def test_held_reader_after_sweep_and_slot_reuse(self, impl, sweep,
+                                                    charge_cpu):
+        """A sweep frees the slots of dead versions and the next insert
+        reuses them: a descriptor held open across both must read what
+        a fresh one reads, not what it cached under the reused TID
+        (the v-segment cases returned the A bytes before the segment
+        cache's key stopped being the TID)."""
+        db = Database(pool_size=64, charge_cpu=charge_cpu)
+        designator = make_object(db, impl, b"A" * 4_000)
+        reader = db.lo.open(designator)
+        assert reader.read(4_000) == b"A" * 4_000  # caches warm
+        overwrite(db, designator, 0, b"B" * 4_000)
+        sweep_everything(db, sweep)
+        overwrite(db, designator, 0, b"C" * 4_000)
+        reader.seek(0)
+        assert reader.read(4_000) == b"C" * 4_000
+        reader.close()
+        assert db.check_integrity() == []
+        db.close()
 
     def test_writer_reads_own_buffered_writes(self, db, impl):
         designator = make_object(db, impl, b"J" * 10_000)

@@ -105,7 +105,8 @@ class TestIndexProbe:
             tid = db.insert(txn, "T", (111,))
         with db.begin() as txn:
             db.delete(txn, "T", tid)
-        db.get_class("T").vacuum()  # frees the slot, keeps the entry
+        with db.latch:
+            db.get_class("T").vacuum()  # frees the slot, keeps the entry
         with db.begin() as txn:
             db.insert(txn, "T", (222,))  # reuses the freed slot
         probe = IndexProbe(db, db.get_index("t_k"), db.get_class("T"),
@@ -196,6 +197,90 @@ class TestSeqScan:
                 db.snapshot(txn))
             assert [t.values[0] for t in tuples] == list(range(10))
             uncommitted.abort()
+
+
+class TestScansAcrossTheArchive:
+    """Time travel reads one history through every descriptor, on both
+    sides of a sweep: the index descriptors equal a brute-force filter
+    over ``SeqScan``, and ``SeqScan`` equals the oracle kept while the
+    history was written."""
+
+    KEYS = 12
+
+    def _history(self, db, rng, steps, live, oracle):
+        """*steps* committed transactions over keys ``0..KEYS-1`` (several
+        live rows may share a key); appends ``(stamp, rows)`` to *oracle*."""
+        for _ in range(steps):
+            with db.begin() as txn:
+                for _ in range(rng.randint(1, 3)):
+                    action = rng.choice(["insert", "replace", "delete"])
+                    if action == "insert" or not live:
+                        row = (rng.randrange(self.KEYS), rng.randrange(10**6))
+                        live[db.insert(txn, "T", row)] = row
+                        continue
+                    tid = rng.choice(sorted(live))
+                    row = live.pop(tid)
+                    if action == "replace":
+                        row = (row[0], rng.randrange(10**6))
+                        live[db.replace(txn, "T", tid, row)] = row
+                    else:
+                        db.delete(txn, "T", tid)
+            oracle.append((db.clock.now(), sorted(live.values())))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_index_descriptors_equal_brute_force(self, db, seed):
+        import random
+        rng = random.Random(seed)
+        db.create_class("T", [("k", "int4"), ("v", "int4")])
+        db.create_index("t_k", "T", "k")
+        relation, index = db.get_class("T"), db.get_index("t_k")
+        live, oracle = {}, []
+        self._history(db, rng, 25, live, oracle)
+        # Sweep the first half of history only, write on (reusing the
+        # freed slots), then sweep everything that is dead by now.
+        assert db.archive_class("T", horizon=oracle[12][0])["archived"]
+        self._history(db, rng, 15, live, oracle)
+        db.archive_class("T")
+        self._history(db, rng, 5, live, oracle)
+
+        for as_of, rows in oracle + [(None, oracle[-1][1])]:
+            snapshot = db.snapshot(as_of=as_of)
+            scanned = SeqScan(db, relation).tuples(snapshot)
+            assert sorted(t.values for t in scanned) == rows
+            for _ in range(6):
+                key = rng.randrange(self.KEYS)
+                assert sorted(
+                    t.values for t in IndexProbe(
+                        db, index, relation, (key,)).tuples(snapshot)
+                ) == [row for row in rows if row[0] == key]
+                lo, hi = sorted(rng.sample(range(-1, self.KEYS + 1), 2))
+                inside = [row for row in rows if lo <= row[0] <= hi]
+                scan = IndexRangeScan(db, index, relation, (lo,), (hi,))
+                found = scan.visible(snapshot)
+                assert [key for key, _tup in found] == [
+                    (row[0],) for row in inside]
+                assert sorted(t.values for _key, t in found) == inside
+                pivot = rng.randint(lo, hi)
+                floor = max((row[0] for row in inside if row[0] <= pivot),
+                            default=pivot)
+                assert sorted(
+                    t.values for _key, t in scan.visible_from_floor(
+                        snapshot, (pivot,))
+                ) == [row for row in inside if row[0] >= floor]
+        assert db.check_integrity() == []
+
+    def test_current_reads_never_open_the_archive(self, db):
+        """A current-state snapshot cannot see an archived version, so
+        no descriptor looks: ``tuples_scanned`` is what the class holds."""
+        _fill(db)
+        with db.begin() as txn:
+            for tup in list(db.scan("T")):
+                db.replace(txn, "T", tup.tid, (tup.values[0], 7))
+        db.archive_class("T")
+        before = db.access_stats.tuples_scanned
+        assert len(SeqScan(db, db.get_class("T")).tuples(
+            db.snapshot())) == 10
+        assert db.access_stats.tuples_scanned - before == 10
 
 
 class TestAccessStatistics:

@@ -408,3 +408,101 @@ def test_threaded_writers_distinct_objects_stress(arena):
         expected = b"".join(RECORD.format(thread_no, s).encode()
                             for s in range(50))
         assert data == expected
+
+
+@pytest.mark.parametrize("arena", ["fchunk", "vsegment"], indirect=True)
+def test_readers_verify_while_the_sweep_runs(arena):
+    """Maintenance is just another latched operation: while the main
+    thread alternates overwrite → ``archive_class`` → ``vacuum(horizon)``,
+    readers verify a large object and an indexed user class, now and at a
+    fixed past instant, through fresh and held descriptors.
+
+    The sweeps lag two rounds behind the writer: a current-state reader
+    whose snapshot predates a version's death must still find it in the
+    class (the horizon-from-live-snapshots rule is ROADMAP item 2's).
+    """
+    db, designator, _ = arena
+    size, rounds = 20_000, 12
+    db.create_class("T", [("k", "int4"), ("v", "int4")])
+    db.create_index("T_k", "T", "k")
+
+    def overwrite(generation, commit=True):
+        txn = db.begin()
+        with db.lo.open(designator, txn, "rw") as obj:
+            obj.write(bytes([generation]) * size)
+        row = next(iter(db.scan("T", txn=txn)), None)
+        if row is None:
+            db.insert(txn, "T", (1, generation))
+        else:
+            db.replace(txn, "T", row.tid, (1, generation))
+        txn.commit() if commit else txn.abort()
+        return db.clock.now()
+
+    stamps = [overwrite(0)]
+    past = stamps[0]
+    stop = threading.Event()
+    mismatches, failures, laps = [], [], []
+
+    def check(what, got, ok):
+        if not ok:
+            mismatches.append((what, got))
+
+    def uniform(data, generation=None):
+        return (len(data) == size and len(set(data)) == 1
+                and generation in (None, data[0]))
+
+    def reader():
+        held_now = db.lo.open(designator)
+        held_past = db.lo.open(designator, as_of=past)
+        done = 0
+        try:
+            while not stop.is_set():
+                for obj in (held_now, db.lo.open(designator)):
+                    obj.seek(0)
+                    data = obj.read(size + 1)
+                    check("lo now", data[:4], uniform(data))
+                for obj in (held_past, db.lo.open(designator, as_of=past)):
+                    obj.seek(0)
+                    data = obj.read(size + 1)
+                    check("lo past", data[:4], uniform(data, 0))
+                rows = [t.values for t in db.scan("T")]
+                check("scan now", rows, len(rows) == 1)
+                rows = [t.values for t in db.index_lookup("T_k", 1)]
+                check("index now", rows, len(rows) == 1)
+                rows = [t.values for t in db.scan("T", as_of=past)]
+                check("scan past", rows, rows == [(1, 0)])
+                rows = [t.values
+                        for t in db.index_lookup("T_k", 1, as_of=past)]
+                check("index past", rows, rows == [(1, 0)])
+                done += 1
+        except BaseException as exc:  # LockOrderError included
+            failures.append(exc)
+        finally:
+            laps.append(done)
+
+    threads = [threading.Thread(target=reader, daemon=True)
+               for _ in range(3)]
+    violations = db.statistics()["lockdep"]["violations"]
+    for t in threads:
+        t.start()
+    try:
+        for generation in range(1, rounds + 1):
+            stamps.append(overwrite(generation))
+            horizon = stamps[max(0, generation - 2)]
+            for name in db.catalog.relation_names():
+                if not name.startswith("a_"):
+                    db.archive_class(name, horizon=horizon)
+            overwrite(99, commit=False)  # aborted versions: vacuum's share
+            swept = db.vacuum(horizon=horizon)
+            assert sum(swept.values()) > 0
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(60)
+    assert not any(t.is_alive() for t in threads), "reader hung"
+    assert not failures, f"readers crashed: {failures!r}"
+    assert mismatches == []
+    assert all(laps) and len(laps) == 3
+    assert db.statistics()["lockdep"]["violations"] == violations
+    assert db.class_exists("a_T")
+    assert db.check_integrity() == []
