@@ -36,7 +36,12 @@ def main() -> None:
         stamps.append((revision, db.clock.now()))
 
     relation = db.get_class("DOCS")
-    versions_before = len(list(relation.scan_versions()))
+
+    def stored_versions() -> int:
+        with db.latch:   # raw page reads take the engine latch
+            return len(list(relation.scan_versions()))
+
+    versions_before = stored_versions()
     print(f"versions on magnetic disk before archiving: {versions_before}")
 
     # -- migrate history to the WORM jukebox --------------------------------
@@ -44,7 +49,7 @@ def main() -> None:
     print(f"archived {result['archived']} dead versions to the jukebox "
           f"(class a_DOCS on the 'worm' storage manager)")
     print(f"versions on magnetic disk now: "
-          f"{len(list(relation.scan_versions()))}")
+          f"{stored_versions()}")
 
     # -- every historical state survives ------------------------------------
     revision, stamp = stamps[3]

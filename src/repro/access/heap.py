@@ -64,6 +64,12 @@ class HeapRelation:
         #: latch is taken.  ``None`` (standalone use, tests over a raw
         #: stack) disables the check.
         self.latch_probe: Callable[[], bool] | None = None
+        #: Deleter map, ``blockno << 16 | slot`` -> stamped ``xmax``: set by
+        #: :meth:`delete` and every read of a nonzero one, pruned by the
+        #: sweep that frees the slot; as long as the pool (at least 256),
+        #: oldest out first — forgetting costs a read (docs/invariants.md).
+        self._deleters: dict[int, int] = {}
+        self._deleters_limit = max(256, bufmgr.pool_size)
 
     def _assert_latched(self, operation: str) -> None:
         if self.latch_probe is not None and not self.latch_probe():
@@ -83,6 +89,7 @@ class HeapRelation:
         self.bufmgr.drop_file(self.smgr, self.fileid)
         self.smgr.unlink(self.fileid)
         self.fsm.forget()
+        self._deleters.clear()
 
     def nblocks(self) -> int:
         return self.bufmgr.nblocks(self.smgr, self.fileid)
@@ -195,29 +202,27 @@ class HeapRelation:
 
     def fetch_any_version(self, tid: TID) -> HeapTuple:
         """The tuple at *tid* regardless of visibility."""
-        with self.bufmgr.page(self.smgr, self.fileid, tid.blockno) as page:
-            try:
-                view = page.item_view(tid.slot)
-            except Exception as exc:
-                raise TupleNotFound(
-                    f"no tuple at {tid} in {self.name!r}") from exc
-            # Decode while the page is pinned: the view aliases the pool,
-            # the decoded values do not.
-            return deserialize_tuple(self.schema, view, tid)
+        return self._read((tid,), None)[0]
 
     def fetch(self, tid: TID, snapshot: Snapshot) -> HeapTuple | None:
         """The tuple at *tid* if visible to *snapshot*, else ``None``."""
         self._assert_latched("fetch")
-        with self.bufmgr.page(self.smgr, self.fileid, tid.blockno) as page:
-            try:
-                view = page.item_view(tid.slot)
-            except Exception as exc:
-                raise TupleNotFound(
-                    f"no tuple at {tid} in {self.name!r}") from exc
-            xmin, xmax, _oid = read_stamps(view)
-            if not snapshot.is_visible(xmin, xmax, self.clog):
-                return None
-            return deserialize_tuple(self.schema, view, tid)
+        found = self._read((tid,), snapshot)
+        return found[0] if found else None
+
+    def known_dead(self, blockno: int, slot: int,
+                   snapshot: Snapshot) -> bool:
+        """Whether the deleter map says *snapshot* sees the version at
+        ``(blockno, slot)`` deleted: invisible, so no fetch is needed."""
+        xmax = self._deleters.get(blockno << 16 | slot)
+        return xmax is not None and snapshot.sees_deletion(xmax, self.clog)
+
+    def _remember(self, key: int, xmax: int) -> None:
+        deleters = self._deleters
+        if deleters.get(key) != xmax:   # an equal re-store only churns memory
+            deleters[key] = xmax
+            if len(deleters) > self._deleters_limit:
+                del deleters[next(iter(deleters))]
 
     # -- batched reads -----------------------------------------------------------------
 
@@ -245,46 +250,45 @@ class HeapRelation:
             run_start = previous = blockno
         return fetched
 
-    def fetch_many(self, tids, snapshot: Snapshot,
+    def fetch_many(self, tids: list[TID], snapshot: Snapshot,
                    prefetch: bool = True) -> list[HeapTuple]:
-        """Visible tuples among *tids*, in input order, with readahead.
-
-        Consecutive TIDs on the same block share one pin: the page is
-        pinned when the run starts and each further tuple only pays
-        :meth:`~repro.storage.buffer.BufferManager.rehit` bookkeeping
-        (identical simulated cost to pinning again).  Tuple images are
-        read as zero-copy views and only visible ones are decoded.
-        ``prefetch=False`` skips the readahead pass when the caller
-        already issued it for these TIDs.
-        """
+        """Visible tuples among *tids*, in input order, with readahead
+        (``prefetch=False`` when the caller already issued it)."""
         self._assert_latched("fetch_many")
-        tids = list(tids)
         if prefetch:
             self.prefetch_tids(tids)
+        return self._read(tids, snapshot)
+
+    def _read(self, tids, snapshot: Snapshot | None) -> list[HeapTuple]:
+        """The one pin-and-decode body: the tuples at *tids* visible to
+        *snapshot* (all, for ``None``), in order; a same-block run shares
+        one pin (then ``rehit``s); each nonzero ``xmax`` read is kept."""
         out = []
         bufmgr = self.bufmgr
-        is_visible = snapshot.is_visible
         clog = self.clog
         schema = self.schema
         buf = None
         cur_block = None
         try:
             for tid in tids:
-                if tid.blockno != cur_block:
+                blockno, slot = tid.blockno, tid.slot
+                if blockno != cur_block:
                     if buf is not None:
                         bufmgr.unpin(buf)
                         buf = None
-                    buf = bufmgr.pin(self.smgr, self.fileid, tid.blockno)
-                    cur_block = tid.blockno
+                    buf = bufmgr.pin(self.smgr, self.fileid, blockno)
+                    cur_block = blockno
                 else:
                     bufmgr.rehit(buf)
                 try:
-                    view = buf.page.item_view(tid.slot)
+                    view = buf.page.item_view(slot)
                 except Exception as exc:
                     raise TupleNotFound(
                         f"no tuple at {tid} in {self.name!r}") from exc
                 xmin, xmax, _oid = read_stamps(view)
-                if is_visible(xmin, xmax, clog):
+                if xmax:
+                    self._remember(blockno << 16 | slot, xmax)
+                if snapshot is None or snapshot.is_visible(xmin, xmax, clog):
                     out.append(deserialize_tuple(schema, view, tid))
         finally:
             if buf is not None:
@@ -303,6 +307,7 @@ class HeapRelation:
         *aborted* deleter is overwritten.
         """
         txn.require_active()
+        self._assert_latched("delete")
         buf = self.bufmgr.pin(self.smgr, self.fileid, tid.blockno)
         try:
             if fetch:
@@ -322,6 +327,7 @@ class HeapRelation:
             # Stamp the 8-byte xmax field in place — no image copy; the
             # rest of the version is immutable by the no-overwrite rule.
             buf.page.patch_item(tid.slot, XMAX_OFFSET, xmax_patch(txn.xid))
+            self._remember(tid.blockno << 16 | tid.slot, txn.xid)
         finally:
             self.bufmgr.unpin(buf, dirty=True)
         txn.touch(self.smgr, self.fileid)
@@ -334,18 +340,13 @@ class HeapRelation:
 
     # -- scans ------------------------------------------------------------------------------
 
-    def scan(self, snapshot: Snapshot) -> Iterator[HeapTuple]:
-        """All tuple versions visible to *snapshot*, in physical order."""
-        for tup in self.scan_versions():
-            if snapshot.is_visible(tup.xmin, tup.xmax, self.clog):
-                yield tup
-
     def scan_versions(self) -> Iterator[HeapTuple]:
         """Every stored version, visible or not (vacuum, debugging).
 
         Issues windowed readahead so a sequential scan's device reads
         arrive in batches instead of one demand miss per page.
         """
+        self._assert_latched("scan_versions")
         for blockno in range(self.nblocks()):
             if blockno % SCAN_PREFETCH_BLOCKS == 0:
                 self.bufmgr.prefetch(self.smgr, self.fileid, blockno,
@@ -398,6 +399,7 @@ class HeapRelation:
                             self.schema, view, TID(blockno, slot)))
                     view.release()
                     buf.page.delete_item(slot)
+                    self._deleters.pop(blockno << 16 | slot, None)
                     removed += 1
                     dirty = True
                 if dirty:

@@ -125,7 +125,7 @@ class AccessStats:
     probes: int = 0            # IndexProbe executions
     range_scans: int = 0       # IndexRangeScan executions
     seq_scans: int = 0         # SeqScan executions
-    tuples_scanned: int = 0    # candidate versions fetched from the heap
+    tuples_scanned: int = 0    # versions fetched (pinned) from the heap
     tuples_visible: int = 0    # of those, visible to the scan's snapshot
     prefetch_batches: int = 0  # range scans that issued heap readahead
 
@@ -209,6 +209,8 @@ class IndexProbe:
         with self.db.latch:
             stats.probes += 1
             for blockno, slot in self.index.search(self.key):
+                if self.relation.known_dead(blockno, slot, snapshot):
+                    continue
                 stats.tuples_scanned += 1
                 tup = self.relation.fetch(TID(blockno, slot), snapshot)
                 if tup is None:
@@ -241,6 +243,8 @@ class IndexProbe:
         with self.db.latch:
             stats.probes += 1
             for blockno, slot in self.index.search_newest(self.key):
+                if self.relation.known_dead(blockno, slot, snapshot):
+                    continue
                 stats.tuples_scanned += 1
                 tup = self.relation.fetch(TID(blockno, slot), snapshot)
                 if tup is None:
@@ -293,14 +297,17 @@ class IndexRangeScan:
 
         *wanted* restricts the scan to those keys (the f-chunk read path
         scans ``[min, max]`` of a chunk window but only needs the chunks
-        the caller is missing).
+        the caller is missing).  Entries the deleter map rules out are
+        dropped before the readahead.
         """
         stats = self.db.access_stats
+        known_dead = self.relation.known_dead
         with self.db.latch:
             stats.range_scans += 1
             pairs = [(key, TID(blockno, slot)) for key, (blockno, slot)
                      in self.index.range_scan(self.lo, self.hi)
-                     if wanted is None or key in wanted]
+                     if (wanted is None or key in wanted)
+                     and not known_dead(blockno, slot, snapshot)]
             if self.relation.prefetch_tids(tid for _key, tid in pairs):
                 stats.prefetch_batches += 1
             out = self._fetch(pairs, snapshot)
@@ -320,6 +327,7 @@ class IndexRangeScan:
         is visible; its key's run is finished (so ``unique`` sees a
         second version) and the walk ends there, or at ``lo``."""
         stats = self.db.access_stats
+        known_dead = self.relation.known_dead
         above: list[tuple["Key", TID]] = []
         found: list[tuple["Key", HeapTuple]] = []
         with self.db.latch:
@@ -327,10 +335,13 @@ class IndexRangeScan:
             for key, (blockno, slot) in self.index.range_scan_desc(
                     self.hi, self.lo):
                 if key > pivot:
-                    above.append((key, TID(blockno, slot)))
+                    if not known_dead(blockno, slot, snapshot):
+                        above.append((key, TID(blockno, slot)))
                     continue
                 if found and key != found[0][0]:
                     break
+                if known_dead(blockno, slot, snapshot):
+                    continue
                 stats.tuples_scanned += 1
                 tup = self.relation.fetch(TID(blockno, slot), snapshot)
                 if tup is not None:
@@ -402,20 +413,23 @@ class SeqScan:
         self.relation = relation
 
     def tuples(self, snapshot: Snapshot) -> list[HeapTuple]:
-        stats = self.db.access_stats
-        out: list[HeapTuple] = []
         with self.db.latch:
-            stats.seq_scans += 1
-            for tup in self.relation.scan_versions():
-                stats.tuples_scanned += 1
-                if snapshot.is_visible(tup.xmin, tup.xmax,
-                                       self.relation.clog):
-                    out.append(tup)
-            stats.tuples_visible += len(out)
+            out = list(self.each(snapshot))
             if snapshot.as_of is not None:
                 out += [tup for _key, tup in _archived_versions(
                     self.db, self.relation, snapshot, out)]
         return out
+
+    def each(self, snapshot: Snapshot):
+        """The relation's own visible versions one at a time, for a caller
+        that holds the latch across its loop and keeps none of them."""
+        stats = self.db.access_stats
+        stats.seq_scans += 1
+        for tup in self.relation.scan_versions():
+            stats.tuples_scanned += 1
+            if snapshot.is_visible(tup.xmin, tup.xmax, self.relation.clog):
+                stats.tuples_visible += 1
+                yield tup
 
 
 def fetch_visible(db: "Database", relation: "HeapRelation", tid: TID,
@@ -428,6 +442,8 @@ def fetch_visible(db: "Database", relation: "HeapRelation", tid: TID,
     """
     with db.latch:
         db.access_stats.probes += 1
+        if relation.known_dead(tid.blockno, tid.slot, snapshot):
+            return None
         db.access_stats.tuples_scanned += 1
         tup = relation.fetch(tid, snapshot)
         if tup is not None:

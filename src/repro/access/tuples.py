@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any
 
 from repro.access.schema import Schema
 from repro.errors import SchemaError
@@ -54,15 +53,6 @@ class HeapTuple:
     oid: int
     values: tuple
     tid: TID | None = None
-
-    @property
-    def is_deleted(self) -> bool:
-        """Whether some transaction has stamped this version's xmax."""
-        return self.xmax != INVALID_XID
-
-    def value(self, schema: Schema, name: str) -> Any:
-        """Attribute *name*'s value under *schema*."""
-        return self.values[schema.position(name)]
 
 
 def serialize_tuple(schema: Schema, xmin: int, oid: int,
@@ -106,17 +96,9 @@ def read_stamps(data) -> tuple[int, int, int]:
 def xmax_patch(xmax: int) -> bytes:
     """The 8-byte header patch that stamps *xmax* on a stored image.
 
-    Written at :data:`XMAX_OFFSET` via ``SlottedPage.patch_item`` — the
-    in-place equivalent of :func:`stamp_xmax` without copying the image.
+    Written at :data:`XMAX_OFFSET` via ``SlottedPage.patch_item`` by
+    ``HeapRelation.delete`` — the one mutation the no-overwrite system
+    makes to a stored version, marking it superseded.
     """
     return _XMAX.pack(xmax)
 
-
-def stamp_xmax(data: bytes, xmax: int) -> bytes:
-    """A copy of the tuple image with *xmax* written into the header.
-
-    This is the single in-place mutation the no-overwrite system performs:
-    marking a version as superseded.
-    """
-    xmin, _old_xmax, oid, flags, natts = _HEADER.unpack_from(data, 0)
-    return _HEADER.pack(xmin, xmax, oid, flags, natts) + data[TUPLE_HEADER_SIZE:]

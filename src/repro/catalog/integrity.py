@@ -45,6 +45,13 @@ class IntegrityChecker:
     def _report(self, message: str) -> None:
         self.problems.append(message)
 
+    def _visible(self, name: str, snapshot):
+        """*name*'s versions visible to *snapshot*, streamed through the
+        scan layer under the latch (writers may run; payloads not kept)."""
+        from repro.access.scan import SeqScan
+        with self.db.latch:
+            yield from SeqScan(self.db, self.db.get_class(name)).each(snapshot)
+
     # -- entry point -------------------------------------------------------------
 
     def run(self) -> list[str]:
@@ -86,8 +93,8 @@ class IntegrityChecker:
             return
         for blockno in range(relation.nblocks()):
             try:
-                with self.db.bufmgr.page(relation.smgr, relation.fileid,
-                                         blockno) as page:
+                with self.db.latch, self.db.bufmgr.page(
+                        relation.smgr, relation.fileid, blockno) as page:
                     if page.lower > page.upper or page.upper > PAGE_SIZE:
                         self._report(f"class {name!r} page {blockno}: "
                                      f"header bounds corrupt")
@@ -144,7 +151,7 @@ class IntegrityChecker:
         from repro.lo.vsegment import segment_class_name
         snapshot = self.db.snapshot()
         size_rows = {t.values[0]: t.values[1]
-                     for t in self.db.scan(PG_LARGEOBJECT)}
+                     for t in self._visible(PG_LARGEOBJECT, snapshot)}
         for oid, entry in sorted(self.db.catalog.large_objects.items()):
             if oid not in size_rows:
                 self._report(f"large object {oid}: no visible size row "
@@ -176,7 +183,7 @@ class IntegrityChecker:
         # rest on (docs/invariants.md): one visible version per chunk,
         # none at or past the size row (a missing row is reported above).
         seen: set[int] = set()
-        for tup in self.db.get_class(name).scan(snapshot):
+        for tup in self._visible(name, snapshot):
             seqno = tup.values[0]
             if seqno in seen:
                 self._report(f"large object {oid}: several visible "
@@ -201,7 +208,7 @@ class IntegrityChecker:
         # visible segments are bounded, inside the object and disjoint.
         size = size_rows.get(oid)   # a missing row is reported above
         previous_end = 0
-        for tup in sorted(self.db.get_class(name).scan(snapshot),
+        for tup in sorted(self._visible(name, snapshot),
                           key=lambda t: t.values[0]):
             locn, length, clen, ptr = tup.values
             where = f"large object {oid}: segment at {locn}"
@@ -226,23 +233,23 @@ class IntegrityChecker:
             return
         snapshot = self.db.snapshot()
         storage_ids = {t.values[0]: t.values[1]
-                       for t in self.db.get_class(STORAGE).scan(snapshot)}
+                       for t in self._visible(STORAGE, snapshot)}
         stat_ids: set[int] = set()
-        for tup in self.db.get_class(FILESTAT).scan(snapshot):
+        for tup in self._visible(FILESTAT, snapshot):
             file_id = tup.values[0]
             if file_id in stat_ids:
                 self._report(f"inversion FILESTAT: duplicate rows for "
                              f"id {file_id}")
             stat_ids.add(file_id)
         storage_seen: set[int] = set()
-        for tup in self.db.get_class(STORAGE).scan(snapshot):
+        for tup in self._visible(STORAGE, snapshot):
             file_id = tup.values[0]
             if file_id in storage_seen:
                 self._report(f"inversion STORAGE: duplicate rows for "
                              f"id {file_id}")
             storage_seen.add(file_id)
         entries = [t.values
-                   for t in self.db.get_class(DIRECTORY).scan(snapshot)]
+                   for t in self._visible(DIRECTORY, snapshot)]
         dir_ids = {ROOT_ID} | {file_id for _n, file_id, _p, kind
                                in entries if kind == "d"}
         entry_ids = {file_id for _n, file_id, _p, _k in entries}

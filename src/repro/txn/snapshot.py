@@ -65,12 +65,18 @@ class Snapshot:
             return False  # began after this snapshot was taken
         return clog.status(xid) == TxnStatus.COMMITTED
 
+    def sees_deletion(self, xmax: int, clog: CommitLog) -> bool:
+        """Whether this snapshot sees the deletion *xmax* (nonzero) as done,
+        hiding the version whatever its ``xmin``: both rules' ``xmax`` half."""
+        if self.as_of is None:
+            return self._xid_did_commit_for_me(xmax, clog)
+        return (clog.status(xmax) == TxnStatus.COMMITTED
+                and clog.commit_time(xmax) <= self.as_of)
+
     def _visible_now(self, xmin: int, xmax: int, clog: CommitLog) -> bool:
         if not self._xid_did_commit_for_me(xmin, clog):
             return False
-        if xmax == INVALID_XID:
-            return True
-        return not self._xid_did_commit_for_me(xmax, clog)
+        return xmax == INVALID_XID or not self.sees_deletion(xmax, clog)
 
     def _visible_as_of(self, xmin: int, xmax: int, clog: CommitLog) -> bool:
         """Version lifetime [commit(xmin), commit(xmax)) must intersect
@@ -80,11 +86,7 @@ class Snapshot:
         upper = self.until if self.until is not None else self.as_of
         if clog.commit_time(xmin) > upper:
             return False
-        if xmax == INVALID_XID:
-            return True
-        if clog.status(xmax) != TxnStatus.COMMITTED:
-            return True  # deletion not (yet) committed: version still live
-        return clog.commit_time(xmax) > self.as_of
+        return xmax == INVALID_XID or not self.sees_deletion(xmax, clog)
 
     # -- public entry point -------------------------------------------------------
 

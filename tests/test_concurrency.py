@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.access.scan import SeqScan
 from repro.db import Database
 from repro.errors import (DeadlockError, LargeObjectError, LockError,
                           TransactionError)
@@ -59,7 +60,7 @@ class TestInterleavedWriters:
         for round_no in range(5):
             with db.begin() as txn:
                 db.insert(txn, "T", (100 + round_no,))
-            before = sorted(t.values for t in relation.scan(frozen))
+            before = sorted(t.values for t in SeqScan(db, relation).tuples(frozen))
             assert before == [(n,) for n in range(10)]
         reader.commit()
 

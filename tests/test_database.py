@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.access.scan import SeqScan
 from repro.db import Database
 from repro.errors import (
     DuplicateRelation,
@@ -114,7 +115,7 @@ class TestTransactions:
         snapshot = db.snapshot(reader)
         writer.commit()
         rel = db.get_class("EMP")
-        assert list(rel.scan(snapshot)) == []
+        assert SeqScan(db, rel).tuples(snapshot) == []
         reader.commit()
         assert [t.values for t in db.scan("EMP")] == [("unseen",)]
 

@@ -17,6 +17,9 @@ from functools import partial
 import pytest
 
 from repro.db import Database
+from repro.errors import LargeObjectError
+from repro.lo.fchunk import chunk_class_name
+from repro.lo.vsegment import segment_class_name
 from repro.server import ReproServer, ServerClient
 
 
@@ -476,3 +479,29 @@ class TestChunkRuns:
         with db.lo.open(designator, as_of=before) as past:
             assert past.read() == b"\x07" * 30_000
         assert db.check_integrity() == []
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_tripwire_survives_a_warm_deleter_map(db, impl):
+    """A second visible version planted behind the writer's back (a raw
+    insert, as a writer bug once did) still trips the scan layer's
+    ``unique`` check while the relation's deleter map lets every dead
+    version of the same record be skipped unread."""
+    designator = make_object(db, impl, b"a" * 100)
+    for fill in (b"b", b"c"):
+        overwrite(db, designator, 0, fill * 100)
+    oid = int(designator[3:])
+    what, name = (("chunk", chunk_class_name(oid)) if impl == "fchunk"
+                  else ("segment", segment_class_name(oid)))
+    with db.lo.open(designator) as obj:
+        assert obj.read(100) == b"c" * 100
+    assert len(db.get_class(name)._deleters) == 2     # both dead versions
+    [live] = list(db.scan(name))
+    with db.begin() as txn:
+        db.insert(txn, name, live.values)
+    with db.lo.open(designator) as obj:
+        with pytest.raises(LargeObjectError,
+                           match=f"2 visible versions of {what} 0 "
+                                 r"\(snapshot anomaly\)"):
+            obj.read(10)
+    assert db.check_integrity()          # the integrity sweep agrees

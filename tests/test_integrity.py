@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.access.scan import SeqScan
 from repro.db import Database
 
 
@@ -67,6 +68,69 @@ class TestHealthyDatabase:
         second.close()
 
 
+class TestCheckWhileWriting:
+    @pytest.mark.parametrize("impl", ["fchunk", "vsegment"])
+    def test_clean_every_time_while_a_writer_commits(self, db, impl):
+        """The checker reads under the latch and from one snapshot, so a
+        writer overwriting, growing, truncating and committing an object
+        in another thread, and a reader reading it in a third, never make
+        it trip the latch tripwire, meet a half-written page, or compare
+        chunks with a size row from a different instant (lockdep armed,
+        as in all of tier-1; a short switch interval to interleave)."""
+        import sys
+        import threading
+        with db.begin() as txn:
+            designator = db.lo.create(txn, impl, compression="none")
+            with db.lo.open(designator, txn, "rw") as obj:
+                obj.write(b"0" * 30_000)
+        stop = threading.Event()
+        failures: list = []
+        rounds = []
+
+        def writer():
+            while not stop.is_set():
+                at = len(rounds) * 997 % 30_000
+                with db.begin() as txn:
+                    with db.lo.open(designator, txn, "rw") as obj:
+                        obj.seek(at)
+                        obj.write(b"%d" % len(rounds) * 1_000)
+                        if len(rounds) % 2:             # move the size
+                            obj.truncate(30_000)
+                        else:
+                            obj.seek(0, 2)
+                            obj.write(b"+" * 9_000)
+                rounds.append(at)
+
+        def reader():
+            while not stop.is_set():
+                with db.lo.open(designator) as obj:
+                    assert len(obj.read()) >= 30_000
+
+        def guarded(body):
+            try:
+                body()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=guarded, args=(body,))
+                   for body in (writer, reader)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            results = [db.check_integrity() for _ in range(12)]
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert [problems for problems in results if problems] == []
+        assert len(rounds) > 1
+
+
 class TestInjectedCorruption:
     def test_missing_relation_file_detected(self, db):
         db.create_class("T", [("v", "int4")])
@@ -124,7 +188,7 @@ class TestInjectedCorruption:
         # Destroy the storage behind /home/file behind Inversion's back.
         snapshot = db.snapshot()
         storage = db.get_class("STORAGE")
-        designator = next(iter(storage.scan(snapshot))).values[1]
+        designator = SeqScan(db, storage).tuples(snapshot)[0].values[1]
         with db.begin() as txn:
             db.lo.unlink(txn, designator)
         problems = db.check_integrity()

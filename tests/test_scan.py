@@ -10,7 +10,9 @@ from repro.access.scan import (
     IndexProbe,
     IndexRangeScan,
     SeqScan,
+    fetch_visible,
 )
+from repro.access.tuples import TID
 from repro.db import PG_LARGEOBJECT, Database
 from repro.errors import LargeObjectError, ReproError
 from repro.lo import metadata
@@ -147,7 +149,8 @@ class TestIndexRangeScan:
     def test_visible_from_floor(self, db):
         """Keys 0, 10, ..., 90; key 30 deleted, key 40 re-versioned
         three times.  The walk fetches what it returns plus the dead
-        versions it must pass, and stops at ``lo``."""
+        versions it must pass — none of those once the relation's
+        deleter map knows their deleters — and stops at ``lo``."""
         db.create_class("T", [("k", "int4"), ("v", "int4")])
         db.create_index("t_k", "T", "k")
         with db.begin() as txn:
@@ -161,7 +164,9 @@ class TestIndexRangeScan:
         index, relation = db.get_index("t_k"), db.get_class("T")
         stats = db.access_stats
 
-        def floor(lo, hi, pivot, unique=True):
+        def floor(lo, hi, pivot, unique=True, warm=True):
+            if not warm:
+                relation._deleters.clear()
             before = stats.tuples_scanned
             pairs = IndexRangeScan(db, index, relation, lo, hi,
                                    unique=unique).visible_from_floor(
@@ -169,15 +174,21 @@ class TestIndexRangeScan:
             return ([key[0] for key, _tup in pairs],
                     stats.tuples_scanned - before)
 
-        assert floor((0,), (69,), (55,)) == ([50, 60], 2)
-        assert floor((0,), (69,), (50,)) == ([50, 60], 2)
-        # The live version of 40 is the newest entry of its run; the
-        # run is finished so ``unique`` sees every version of the key.
-        assert floor((0,), (45,), (45,)) == ([40], 4)
-        assert floor((0,), (45,), (45,), unique=False) == ([40], 4)
-        assert floor((0,), (39,), (35,)) == ([20], 2)   # past dead 30
-        assert floor((25,), (39,), (35,)) == ([], 1)    # stops at lo
-        assert floor(None, (5,), (-1,)) == ([0], 1)      # all above
+        for warm in (True, False):    # warm: the deletes above fill it
+            dead = 0 if warm else 1
+            assert floor((0,), (69,), (55,), warm=warm) == ([50, 60], 2)
+            assert floor((0,), (69,), (50,), warm=warm) == ([50, 60], 2)
+            # The live version of 40 is the newest entry of its run; the
+            # run is finished so ``unique`` sees every version of the key.
+            assert floor((0,), (45,), (45,), warm=warm) == (
+                [40], 1 + 3 * dead)
+            assert floor((0,), (45,), (45,), unique=False, warm=warm) == (
+                [40], 1 + 3 * dead)
+            assert floor((0,), (39,), (35,), warm=warm) == (
+                [20], 1 + dead)                             # past dead 30
+            assert floor((25,), (39,), (35,), warm=warm) == (
+                [], dead)                                   # stops at lo
+            assert floor(None, (5,), (-1,), warm=warm) == ([0], 1)
         assert floor(None, (95,), (-1,))[0] == [0, 10, 20, 40, 50, 60,
                                                 70, 80, 90]
         with db.begin() as txn:
@@ -281,6 +292,140 @@ class TestScansAcrossTheArchive:
         assert len(SeqScan(db, db.get_class("T")).tuples(
             db.snapshot())) == 10
         assert db.access_stats.tuples_scanned - before == 10
+
+
+class TestDeleterMapNeverChangesAnAnswer:
+    """Every descriptor returns the same tuples, or raises the same error,
+    with the relation's deleter map warm as with it cleared, and never
+    fetches more warm; and warm, a range scan fetches no version whose
+    deleter its snapshot already sees.  The seeded histories hold
+    committed, in-flight foreign and own deletes, aborted deleters whose
+    stamps later deletes overwrite, and ``vacuum`` / ``archive_class``
+    sweeps followed by inserts into the freed slots."""
+
+    KEYS = 6
+
+    @staticmethod
+    def _outcome(db, call):
+        before = db.access_stats.tuples_scanned
+        try:
+            result = call()
+        except ReproError as exc:
+            result = (type(exc).__name__, str(exc))
+        return result, db.access_stats.tuples_scanned - before
+
+    def _queries(self, db, relation, index, tids, snapshot, rng):
+        lo, hi = sorted(rng.sample(range(-1, self.KEYS + 1), 2))
+        key, pivot = rng.randrange(self.KEYS), rng.randint(lo, hi)
+        calls = [
+            lambda: IndexRangeScan(db, index, relation, (lo,),
+                                   (hi,)).visible(snapshot),
+            lambda: IndexRangeScan(db, index, relation, None, None,
+                                   unique=True).visible(snapshot),
+            lambda: IndexRangeScan(db, index, relation, (lo,), (hi,)
+                                   ).visible_from_floor(snapshot, (pivot,)),
+            lambda: IndexProbe(db, index, relation, (key,)).tuples(snapshot),
+            lambda: IndexProbe(db, index, relation, (key,),
+                               unique=True).tuples(snapshot),
+            lambda: IndexProbe(db, index, relation, (key,)).first(snapshot),
+        ]
+        calls += [lambda tid=tid: fetch_visible(db, relation, tid, snapshot)
+                  for tid in tids]
+        for call in calls:
+            saved = dict(relation._deleters)
+            warm = self._outcome(db, call)
+            relation._deleters.clear()
+            cold = self._outcome(db, call)
+            relation._deleters.clear()
+            relation._deleters.update(saved)
+            assert warm[0] == cold[0]
+            assert warm[1] <= cold[1]
+
+    @staticmethod
+    def _unseen_deleters(db, relation, index, snapshot) -> int:
+        """Index entries whose version the snapshot cannot rule out by
+        its stamped ``xmax`` alone (brute force over the stored pages)."""
+        with db.latch:
+            stamps = {t.tid: t.xmax for t in relation.scan_versions()}
+            entries = [TID(*where) for _key, where in index.range_scan()]
+        return sum(1 for tid in entries
+                   if not (stamps[tid] and snapshot.sees_deletion(
+                       stamps[tid], relation.clog)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_warm_equals_cold(self, db, seed):
+        import random
+        rng = random.Random(seed)
+        db.create_class("T", [("k", "int4"), ("v", "int4")])
+        db.create_index("t_k", "T", "k")
+        relation, index = db.get_class("T"), db.get_index("t_k")
+        live: dict = {}     # committed live rows: tid -> row
+        tids: list = []     # every TID ever handed out
+        stamps: list = []   # commit instants, for time travel
+        own = None
+
+        def write(txn, action):
+            if action == "insert" or not live:
+                tids.append(db.insert(txn, "T", (rng.randrange(self.KEYS),
+                                                 rng.randrange(100))))
+                return
+            tid = rng.choice(sorted(live))
+            if action == "replace":
+                tids.append(db.replace(txn, "T", tid,
+                                       (live[tid][0], rng.randrange(100))))
+            else:
+                db.delete(txn, "T", tid)
+
+        for _step in range(40):
+            action = rng.choice(["insert", "replace", "delete", "delete",
+                                 "abort", "own", "sweep"])
+            if action == "own":
+                if own is None:
+                    own = db.begin()
+                    try:
+                        write(own, rng.choice(["replace", "delete"]))
+                    except ReproError:
+                        pass
+                else:
+                    own.commit() if rng.random() < 0.5 else own.abort()
+                    own = None
+            elif action == "sweep":
+                horizon = rng.choice([None] + stamps[-3:])
+                if rng.random() < 0.5:
+                    db.vacuum(horizon)
+                else:
+                    db.archive_class("T", horizon)
+                with db.begin() as txn:       # reuse the freed slots
+                    for _ in range(3):
+                        write(txn, "insert")
+            else:
+                txn = db.begin()
+                try:
+                    write(txn, "delete" if action == "abort" else action)
+                except ReproError:
+                    txn.abort()
+                else:
+                    txn.abort() if action == "abort" else txn.commit()
+            live = {t.tid: t.values for t in db.scan("T")}
+            stamps.append(db.clock.now())
+
+            snapshots = [db.snapshot(), db.snapshot(as_of=rng.choice(stamps))]
+            if len(stamps) > 1:
+                first, last = sorted(rng.sample(stamps, 2))
+                snapshots.append(db.snapshot(as_of=first, until=last))
+            if own is not None:
+                snapshots.append(db.snapshot(own))
+            for snapshot in snapshots:
+                self._queries(db, relation, index, tids, snapshot, rng)
+            for snapshot in snapshots[:1] + snapshots[3:]:
+                before = db.access_stats.tuples_scanned
+                IndexRangeScan(db, index, relation, None, None).visible(
+                    snapshot)
+                assert db.access_stats.tuples_scanned - before == \
+                    self._unseen_deleters(db, relation, index, snapshot)
+        if own is not None:
+            own.abort()
+        assert db.check_integrity() == []
 
 
 class TestAccessStatistics:
