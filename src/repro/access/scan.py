@@ -15,7 +15,7 @@ place that pattern lives:
   batched heap prefetch, or a floor probe walking down from ``hi``;
 * :class:`SeqScan` — full-relation scan with visibility filtering.
 
-All three take the engine latch internally (see :class:`EngineLatch` and
+All three take the engine latch (``db.latch``) internally (see
 DESIGN.md §"Locking discipline": heavyweight locks are always acquired
 *before* the latch, never under it), apply the snapshot, and count what
 they did into the shared :class:`AccessStats`, surfaced as
@@ -46,13 +46,11 @@ this layer fails loudly in CI instead of racing in production.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.access.tuples import TID, HeapTuple
 from repro.errors import ReproError
-from repro.txn import lockdep
 from repro.txn.snapshot import Snapshot
 
 if TYPE_CHECKING:
@@ -63,59 +61,6 @@ if TYPE_CHECKING:
 #: Builds the error raised when ``unique=True`` finds several visible
 #: versions of one key: ``(key, visible_count) -> Exception``.
 AnomalyFactory = Callable[["Key", int], Exception]
-
-
-class EngineLatch:
-    """The engine latch: a re-entrant lock that knows its owner.
-
-    Serializes structural mutation (page contents, relation/index caches)
-    across sessions.  Functionally a ``threading.RLock``; the addition is
-    :meth:`held`, which the debug tripwire uses to assert that raw page
-    reads happen inside a latched section.  The canonical ordering rule
-    (DESIGN.md §"Locking discipline"): heavyweight locks are ALWAYS
-    acquired before this latch, never while holding it.
-    """
-
-    __slots__ = ("_lock", "_owner", "_count")
-
-    def __init__(self) -> None:
-        self._lock = threading.RLock()
-        self._owner: int | None = None
-        self._count = 0
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        validate = (lockdep.VALIDATOR.armed
-                    and self._owner != threading.get_ident())
-        if validate:
-            lockdep.VALIDATOR.scoped_check("latch", id(self))
-        acquired = self._lock.acquire(blocking, timeout)
-        if acquired:
-            # Only the owning thread can reach these fields: they are
-            # written strictly inside the lock's critical section.
-            self._owner = threading.get_ident()
-            self._count += 1
-            if validate:
-                lockdep.VALIDATOR.scoped_acquired("latch", id(self))
-        return acquired
-
-    def release(self) -> None:
-        self._count -= 1
-        if self._count == 0:
-            self._owner = None
-            if lockdep.VALIDATOR.armed:
-                lockdep.VALIDATOR.scoped_released(id(self))
-        self._lock.release()
-
-    def __enter__(self) -> "EngineLatch":
-        self.acquire()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.release()
-
-    def held(self) -> bool:
-        """Whether the calling thread currently holds the latch."""
-        return self._owner == threading.get_ident()
 
 
 @dataclass

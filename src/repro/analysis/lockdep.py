@@ -11,8 +11,9 @@ different files.  This pass builds a lightweight whole-program view of
    class of their resource expression), ``with`` blocks over classified
    scoped locks, branches, and outgoing calls.  Scoped ``with``
    expressions are classified by the per-module *mutex map* read from
-   ``self.attr = LockdepMutex("<class>")`` / ``EngineLatch()``
-   assignments — the constructor literal is the declaration — with a
+   ``self.attr = LockdepMutex("<class>")`` assignments (the engine
+   latch is ``LockdepMutex("latch", ...)``) — the constructor literal
+   is the declaration — with a
    name heuristic (``...latch``) for the engine latch reached through
    properties.
 
@@ -88,7 +89,6 @@ RECEIVER_HINTS: dict[str, tuple[str, ...]] = {
     "fs": ("InversionFileSystem", "NativeFileSystem"),
     "session": ("Session",),
     "server": ("ReproServer",),
-    "latch": ("EngineLatch",),
     "smgr": ("StorageManager", "BlockStore"),
     "switch": ("StorageManagerSwitch",),
     "journal": ("CatalogJournal",),
@@ -154,8 +154,7 @@ def _mutex_map(tree: ast.Module) -> dict[str, str]:
     """attr/name -> scoped lock class, from constructor literals.
 
     ``self._mutex = LockdepMutex("mutex:xlog")`` declares ``_mutex`` as
-    that class for the whole module; ``self._latch = EngineLatch()``
-    declares the engine latch.  Per-module scoping is what lets two
+    that class for the whole module.  Per-module scoping is what lets two
     modules both call an attribute ``_mutex`` without confusion.
     """
     table: dict[str, str] = {}
@@ -165,16 +164,12 @@ def _mutex_map(tree: ast.Module) -> dict[str, str]:
             continue
         parts = _chain_parts(node.value.func)
         ctor = parts[-1] if parts else ""
-        lock_class = None
-        if ctor == "LockdepMutex":
-            args = node.value.args
-            if args and isinstance(args[0], ast.Constant) \
-                    and isinstance(args[0].value, str):
-                lock_class = args[0].value
-        elif ctor == "EngineLatch":
-            lock_class = "latch"
-        if lock_class is None:
+        args = node.value.args
+        if ctor != "LockdepMutex" or not args or \
+                not isinstance(args[0], ast.Constant) or \
+                not isinstance(args[0].value, str):
             continue
+        lock_class = args[0].value
         for target in node.targets:
             name = target.attr if isinstance(target, ast.Attribute) \
                 else (target.id if isinstance(target, ast.Name) else None)
@@ -195,8 +190,6 @@ def _classify_with_expr(expr: ast.AST,
                     and isinstance(args[0].value, str) \
                     and args[0].value in HIERARCHY:
                 return args[0].value
-        if ctor == "EngineLatch":
-            return "latch"
         return None
     parts = _chain_parts(expr)
     if not parts:

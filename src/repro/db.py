@@ -32,8 +32,8 @@ from typing import TYPE_CHECKING, Iterator
 from repro.access.archive import Archiver
 from repro.access.btree import BTree
 from repro.access.heap import HeapRelation
-from repro.access.scan import (AccessStats, EngineLatch, IndexProbe,
-                               SeqScan, fetch_visible)
+from repro.access.scan import (AccessStats, IndexProbe, SeqScan,
+                               fetch_visible)
 from repro.access.schema import Attribute, Schema
 from repro.access.tuples import TID, HeapTuple
 from repro.adt.functions import FunctionRegistry
@@ -101,7 +101,7 @@ class Database:
         #: lives in DESIGN.md §"Locking discipline": heavyweight locks are
         #: ALWAYS taken before this latch, never while holding it — a
         #: blocking lock wait under the latch would stall every session.
-        self._latch = EngineLatch()
+        self._latch = lockdep.LockdepMutex("latch", reentrant=True)
         #: Per-scan counters (probes, tuples scanned/visible, prefetch
         #: batches) maintained by the scan descriptors in
         #: :mod:`repro.access.scan`; see ``statistics()["access"]``.
@@ -186,7 +186,7 @@ class Database:
         return self.switch.get(name or self.default_smgr_name)
 
     @property
-    def latch(self) -> EngineLatch:
+    def latch(self) -> lockdep.LockdepMutex:
         """The engine latch serializing page-content access.
 
         Tuple-level visibility is MVCC's job, but slot directories and

@@ -14,7 +14,6 @@ two successive commits never share a timestamp.
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
 
 from repro.txn.lockdep import LockdepMutex
@@ -45,11 +44,27 @@ class SimClock:
 
         Negative charges are rejected: simulated time only moves forward.
         """
-        if seconds < 0:
-            raise ValueError(f"cannot advance clock by {seconds!r} seconds")
+        self.advance_run(seconds, category)
+
+    def advance_run(self, seconds: float, category: str, count: int = 1,
+                    seek: float | None = None) -> None:
+        """Charge *seek* to ``"io.seek"`` (if given), then *seconds* to
+        *category* *count* times: the float additions of that many
+        :meth:`advance` calls, in order, under one mutex hold."""
+        if seconds < 0 or (seek is not None and seek < 0):
+            raise ValueError(f"cannot advance clock by "
+                             f"{min(seconds, seek or 0.0)!r} seconds")
         with self._mutex:
-            self._elapsed += seconds
-            self._by_category[category] += seconds
+            by_category = self._by_category
+            if seek is not None:
+                self._elapsed += seek
+                by_category["io.seek"] += seek
+            elapsed, charged = self._elapsed, by_category[category]
+            for _ in range(count):
+                elapsed += seconds
+                charged += seconds
+            self._elapsed = elapsed
+            by_category[category] = charged
 
     def now(self) -> float:
         """Current simulated time in seconds, strictly monotone."""

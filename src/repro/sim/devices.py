@@ -102,49 +102,65 @@ class DevicePort:
         #: device), which is the number parallel clients actually wait on.
         self.busy_s = 0.0
 
-    def _position(self, fileid: str, offset: int, nbytes: int,
-                  is_write: bool) -> float:
-        sequential = self._head == (fileid, offset)
-        crossed = False
-        charged = 0.0
-        if self.model.platter_bytes:
-            platter = offset // self.model.platter_bytes
-            crossed = self._platter is not None and platter != self._platter
-            self._platter = platter
-        if crossed:
-            # A platter exchange costs its full price even when the byte
-            # stream is logically sequential — the robot arm moves anyway.
-            self.platter_switches += 1
-            self.clock.advance(self.model.platter_switch_s, "io.seek")
-            charged += self.model.platter_switch_s
-        if not sequential:
-            self.seeks += 1
-            positioning = self.model.avg_seek_s + self.model.rotational_s
-            self.clock.advance(positioning, "io.seek")
-            charged += positioning
-        transfer = nbytes / self.model.transfer_bytes_per_s
+    def charge_run(self, fileid: str, offset: int, nbytes: int,
+                   count: int, is_write: bool) -> float:
+        """Charge *count* consecutive accesses of *nbytes* from *offset*
+        in file *fileid*: bit for bit the float additions of *count*
+        single accesses, in order — a platter exchange at the access that
+        crosses (the arm moves even for a sequential stream), a seek
+        first unless the head is there, a transfer each — the seek and
+        the transfers under one clock hold.  Returns the seconds charged,
+        so a degraded device (a slow storage node) can scale its penalty
+        off the real cost."""
+        if not count:
+            return 0.0
+        model = self.model
+        if model.platter_bytes and count > 1:
+            # A jukebox run may cross platters: charge it access by access.
+            total = 0.0
+            for i in range(count):
+                total += self.charge_run(fileid, offset + i * nbytes, nbytes,
+                                         1, is_write)
+            return total
+        transfer = nbytes / model.transfer_bytes_per_s
         if is_write:
-            transfer *= self.model.write_penalty
-        self.clock.advance(
-            transfer, "io.write" if is_write else "io.read")
+            transfer *= model.write_penalty
+            self.writes += count
+            category = "io.write"
+        else:
+            self.reads += count
+            category = "io.read"
+        charged = 0.0  # what the first access costs
+        if model.platter_bytes:
+            platter = offset // model.platter_bytes
+            if self._platter is not None and platter != self._platter:
+                self.platter_switches += 1
+                self.clock.advance(model.platter_switch_s, "io.seek")
+                charged += model.platter_switch_s
+            self._platter = platter
+        seek = None
+        if self._head != (fileid, offset):
+            self.seeks += 1
+            seek = model.avg_seek_s + model.rotational_s
+            charged += seek
+        self.clock.advance_run(transfer, category, count, seek)
         charged += transfer
-        self._head = (fileid, offset + nbytes)
-        self.busy_s += charged
-        return charged
+        busy = self.busy_s + charged
+        total = charged
+        for _ in range(1, count):  # the rest follow on sequentially
+            busy += transfer
+            total += transfer
+        self.busy_s = busy
+        self._head = (fileid, offset + count * nbytes)
+        return total
 
     def charge_read(self, fileid: str, offset: int, nbytes: int) -> float:
-        """Charge one read of *nbytes* at *offset* within file *fileid*.
-
-        Returns the seconds charged, so callers modelling degraded devices
-        (a slow storage node) can scale the penalty off the real cost.
-        """
-        self.reads += 1
-        return self._position(fileid, offset, nbytes, is_write=False)
+        """Charge one read of *nbytes* at *offset* within file *fileid*."""
+        return self.charge_run(fileid, offset, nbytes, 1, False)
 
     def charge_write(self, fileid: str, offset: int, nbytes: int) -> float:
         """Charge one write of *nbytes* at *offset* within file *fileid*."""
-        self.writes += 1
-        return self._position(fileid, offset, nbytes, is_write=True)
+        return self.charge_run(fileid, offset, nbytes, 1, True)
 
     def charge_extra(self, seconds: float, category: str) -> None:
         """Charge extra service time (degraded-mode penalties)."""

@@ -384,11 +384,12 @@ class StorageNode:
 
     def write_run(self, fileid: str, first: int, images) -> None:
         """:meth:`write` of a run on a :attr:`healthy` node: one store
-        operation, every block counted and charged in block order."""
+        operation and one device charge, every block counted and charged
+        in block order."""
         self._ops += len(images)
         self.store.write_run(fileid, first, images)
-        for blockno in range(first, first + len(images)):
-            self.port.charge_write(fileid, blockno * PAGE_SIZE, PAGE_SIZE)
+        self.port.charge_run(fileid, first * PAGE_SIZE, PAGE_SIZE,
+                             len(images), True)
 
     def stats(self) -> dict:
         """Per-node counters for ``db.statistics()["storage"]``."""

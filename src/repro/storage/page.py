@@ -43,6 +43,12 @@ from repro.storage.constants import ITEM_ID_SIZE, PAGE_HEADER_SIZE, PAGE_SIZE
 _HEADER = struct.Struct("<QIHHHH4x")
 assert _HEADER.size == PAGE_HEADER_SIZE
 
+# The checksum (bytes 8:12) covers the page with itself and the reserved
+# bytes (20:24) read as zeros; seal writes the LSN and zeroes both first.
+_LSN_CHECKSUM = struct.Struct("<QI")
+_CHECKSUM = struct.Struct("<I")
+_ZERO4 = bytes(4)
+
 # The (lower, upper, special) trio lives at byte 14 of the header; the hot
 # paths read it directly instead of unpacking the whole header.
 _LUS = struct.Struct("<HHH")
@@ -388,13 +394,12 @@ class SlottedPage:
     # -- checksums ----------------------------------------------------------
 
     def compute_checksum(self) -> int:
-        """CRC32 of the page with the checksum field zeroed."""
-        header = self.buf[:PAGE_HEADER_SIZE]
-        lsn, _checksum, flags, lower, upper, special = _HEADER.unpack(header)
-        clean = bytearray(header)
-        _HEADER.pack_into(clean, 0, lsn, 0, flags, lower, upper, special)
-        crc = zlib.crc32(clean)
-        return zlib.crc32(self._view[PAGE_HEADER_SIZE:], crc) & 0xFFFFFFFF
+        """CRC32 of the page with the checksum field and the header's
+        reserved bytes read as zeros (what :meth:`seal` leaves there)."""
+        view = self._view
+        crc = zlib.crc32(_ZERO4, zlib.crc32(view[:8]))
+        crc = zlib.crc32(_ZERO4, zlib.crc32(view[12:20], crc))
+        return zlib.crc32(view[PAGE_HEADER_SIZE:], crc)
 
     def stamp_checksum(self) -> None:
         """Store the current checksum into the header (before a device write)."""
@@ -403,19 +408,17 @@ class SlottedPage:
                            lower, upper, special)
 
     def seal(self, lsn: int) -> None:
-        """Set the LSN and stamp the checksum in one pass over the header:
-        bit for bit what ``page.lsn = lsn; page.stamp_checksum()`` leaves."""
-        _lsn, _checksum, *rest = _HEADER.unpack_from(self.buf, 0)
-        _HEADER.pack_into(self.buf, 0, lsn, 0, *rest)
-        view = self._view
-        crc = zlib.crc32(view[PAGE_HEADER_SIZE:],
-                         zlib.crc32(view[:PAGE_HEADER_SIZE]))
-        self.buf[8:12] = crc.to_bytes(4, "little")
+        """Set the LSN and stamp the checksum in one pass over the page:
+        bit for bit what ``page.lsn = lsn; page.stamp_checksum()`` leaves
+        (the checksum field and the reserved bytes zeroed, then hashed)."""
+        buf = self.buf
+        _LSN_CHECKSUM.pack_into(buf, 0, lsn, 0)
+        buf[20:PAGE_HEADER_SIZE] = _ZERO4
+        _CHECKSUM.pack_into(buf, 8, zlib.crc32(self._view))
 
     def verify_checksum(self) -> bool:
         """True if the stored checksum matches the page contents."""
-        stored = self._read_header()[1]
-        return stored == self.compute_checksum()
+        return _CHECKSUM.unpack_from(self.buf, 8)[0] == self.compute_checksum()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SlottedPage(slots={self.slot_count}, "

@@ -33,9 +33,11 @@ discipline".  This module turns them into data:
 
 * :class:`LockdepMutex` wraps ``threading.Lock``/``RLock`` and carries
   its lock-class name as a constructor literal, e.g.
-  ``self._mutex = LockdepMutex("mutex:xlog")``.  That one string is
+  ``self._mutex = LockdepMutex("mutex:xlog")``; the engine latch is
+  ``LockdepMutex("latch", reentrant=True)``.  That one string is
   read by three consumers: the runtime checks here, the static
-  analyzer's classifier, and the hierarchy table in docs.
+  analyzer's classifier, and the hierarchy table in docs.  Built while
+  the validator is disarmed, it is the bare lock.
 
 Observed edges are exported through ``db.statistics()["lockdep"]`` so
 stress tests can assert the runtime graph stays inside the declared
@@ -121,7 +123,7 @@ HIERARCHY: dict[str, LockClass] = _table(
      "any heavyweight resource not otherwise classified"),
     # -- scoped classes: per-thread latch and mutexes ------------------
     ("latch", 40, "scoped",
-     "the engine latch (access/scan.py); serializes structural "
+     "the engine latch (Database.latch); serializes structural "
      "mutation; never held across a heavy-lock wait"),
     ("mutex:server", 42, "scoped",
      "server connection registry (server/server.py)"),
@@ -263,8 +265,9 @@ class _OpScope:
 class LockdepValidator:
     """Global runtime lock-order validator (one per process).
 
-    Disarmed (the default outside the test suite) every hook is a
-    single attribute check.  Armed, scoped state lives in
+    Disarmed (the default outside the test suite) a scoped lock is the
+    bare ``threading`` lock and every heavyweight hook is a single
+    attribute check.  Armed, scoped state lives in
     ``threading.local`` so the hot path takes no shared lock; the edge
     graph is a plain dict mutated under the GIL (counts are
     best-effort under contention, keys are not).
@@ -384,6 +387,10 @@ class LockdepValidator:
         """Class names of scoped locks held by the calling thread."""
         return [h.name for h in self._scoped()]
 
+    def holds(self, instance: int) -> bool:
+        """Whether the calling thread holds the scoped lock ``instance``."""
+        return any(h.instance == instance for h in self._scoped())
+
     # -- operation scopes (Inversion path-locking attempts) ------------
 
     class _Operation:
@@ -488,32 +495,44 @@ class LockdepMutex:
     The constructor literal — ``LockdepMutex("mutex:xlog")`` — is the
     contract: the runtime validator checks it on every acquisition and
     the static analyzer reads the assignment to classify ``with
-    self._mutex:`` sites without type inference.  Disarmed overhead is
-    one attribute check per acquire.
+    self._mutex:`` sites without type inference.
+
+    The armed state is read once, at construction.  Built while the
+    validator is disarmed, ``LockdepMutex(...)`` *is* the plain
+    ``threading.Lock``/``RLock``: no wrapper, no per-acquire test.
+    Built armed, it is this validating wrapper, which checks and records
+    every acquisition for its whole life, so :meth:`held` always agrees
+    with the validator's per-thread held stack.
     """
 
     __slots__ = ("_lock", "name")
 
-    def __init__(self, name: str, *, reentrant: bool = False):
+    def __new__(cls, name: str, *, reentrant: bool = False):
         if name not in HIERARCHY or HIERARCHY[name].domain != "scoped":
             raise ValueError(f"unknown scoped lock class {name!r} "
                              f"(declare it in repro/txn/lockdep.py)")
+        lock = threading.RLock() if reentrant else threading.Lock()
+        if not VALIDATOR.armed:
+            return lock
+        self = super().__new__(cls)
         self.name = name
-        self._lock = threading.RLock() if reentrant else threading.Lock()
+        self._lock = lock
+        return self
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        validate = VALIDATOR.armed
-        if validate:
-            VALIDATOR.scoped_check(self.name, id(self))
+        VALIDATOR.scoped_check(self.name, id(self))
         acquired = self._lock.acquire(blocking, timeout)
-        if acquired and validate:
+        if acquired:
             VALIDATOR.scoped_acquired(self.name, id(self))
         return acquired
 
     def release(self) -> None:
         self._lock.release()
-        if VALIDATOR.armed:
-            VALIDATOR.scoped_released(id(self))
+        VALIDATOR.scoped_released(id(self))
+
+    def held(self) -> bool:
+        """Whether the calling thread holds this lock (re-entrantly or not)."""
+        return VALIDATOR.holds(id(self))
 
     def __enter__(self) -> "LockdepMutex":
         self.acquire()

@@ -602,7 +602,7 @@ class TestR009BlockingUnderMutex:
                 with self._latch:
                     self.lock_manager.acquire(txn.xid, "r", "x")
             def also_bad(db, txn):
-                with EngineLatch():
+                with LockdepMutex("latch", reentrant=True):
                     db.locks.acquire(txn.xid, "r", "x")
         """
         report = lint(tmp_path, "db.py", source, "R009")

@@ -39,6 +39,7 @@ def clean_graph():
 
 
 class TestHierarchyTable:
+    @pytest.mark.armed
     def test_suite_runs_armed(self):
         # conftest.py arms the validator for the whole suite; the
         # acceptance criterion is that everything passes this way.
@@ -92,6 +93,7 @@ class TestHierarchyTable:
             LockdepMutex("lock:relation")  # heavy classes aren't mutexes
 
 
+@pytest.mark.armed
 class TestScopedInversion:
     def test_inversion_raises_with_both_stacks(self, clean_graph):
         outer = LockdepMutex("mutex:buffer")   # rank 65
@@ -146,6 +148,7 @@ class TestScopedInversion:
         assert check_edges(VALIDATOR.edges()) == []
 
 
+@pytest.mark.armed
 class TestBlockingUnderMutex:
     def test_heavy_acquire_under_mutex_raises(self, clean_graph):
         locks = LockManager()
@@ -180,6 +183,7 @@ class TestBlockingUnderMutex:
 
 
 class TestOperationScopes:
+    @pytest.mark.armed
     def test_protocol_order_enforced_within_scope(self, clean_graph):
         locks = LockManager()
         with VALIDATOR.operation("seeded-attempt"):
@@ -208,6 +212,7 @@ class TestOperationScopes:
         locks.release_all(9)
 
 
+@pytest.mark.armed
 class TestObservedGraph:
     def test_statistics_payload_shape(self, clean_graph):
         db = Database()
@@ -270,3 +275,61 @@ class TestObservedGraph:
                        for key in observed), observed
         finally:
             db.close()
+
+
+@pytest.fixture
+def armed_as(request):
+    """Set the validator to ``request.param`` for the test, then restore."""
+    was = VALIDATOR.armed
+    VALIDATOR.arm() if request.param else VALIDATOR.disarm()
+    yield
+    VALIDATOR.arm() if was else VALIDATOR.disarm()
+
+
+def _engine_locks(db):
+    return {"bufmgr._latch": db.bufmgr._latch, "clock._mutex": db.clock._mutex,
+            "clog._mutex": db.clog._mutex, "db.latch": db.latch}
+
+
+_BARE = (type(threading.Lock()), type(threading.RLock()))
+
+
+class TestConstructionTimeRule:
+    """The armed state is read when a lock is built.  Built disarmed, as
+    ``repro-server`` and the benchmark build theirs, a ``LockdepMutex`` is
+    the bare ``threading`` lock; built armed, the validating wrapper."""
+
+    @pytest.mark.parametrize("armed_as", [False], indirect=True)
+    def test_disarmed_database_has_bare_locks(self, armed_as):
+        with Database() as db:
+            for where, lock in _engine_locks(db).items():
+                assert type(lock) in _BARE, where
+            db.create_class("T", [("v", "int4")])
+            with db.begin() as txn:
+                tid = db.insert(txn, "T", (1,))
+            relation = db.get_class("T")
+            assert relation.latch_probe is None
+            # No tripwire: a raw read outside the latch is allowed.
+            assert relation.fetch(tid, db.snapshot()).values == (1,)
+
+    @pytest.mark.parametrize("armed_as", [True], indirect=True)
+    def test_armed_database_has_validating_locks(self, armed_as):
+        with Database() as db:
+            for where, lock in _engine_locks(db).items():
+                assert isinstance(lock, LockdepMutex), where
+            db.create_class("T", [("v", "int4")])
+            assert db.get_class("T").latch_probe is not None
+
+    @pytest.mark.parametrize("armed_as", [False], indirect=True)
+    def test_arming_later_leaves_earlier_locks_bare(self, armed_as):
+        with Database() as first:
+            VALIDATOR.arm()
+            with Database() as second:
+                assert type(first.clock._mutex) in _BARE
+                assert isinstance(second.clock._mutex, LockdepMutex)
+                first.create_class("T", [("v", "int4")])
+                with first.begin() as txn:
+                    tid = first.insert(txn, "T", (1,))
+                assert first.get_class("T").latch_probe is None
+                assert first.get_class("T").fetch(
+                    tid, first.snapshot()).values == (1,)

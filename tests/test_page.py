@@ -1,6 +1,8 @@
 """Unit and property tests for the slotted page."""
 
 import random
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +173,31 @@ class TestOverwrite:
         assert page.get_item(slot) == b"keep me"
 
 
+_HEADER = struct.Struct("<QIHHHH4x")
+
+
+def _checksum_reference(raw: bytes) -> int:
+    """The two-pass checksum the one-pass code replaced: unpack and
+    repack the header (zeroing the checksum and the reserved bytes),
+    then CRC the clean header and the body."""
+    lsn, _checksum, flags, lower, upper, special = _HEADER.unpack_from(raw)
+    clean = bytearray(PAGE_HEADER_SIZE)
+    _HEADER.pack_into(clean, 0, lsn, 0, flags, lower, upper, special)
+    return zlib.crc32(raw[PAGE_HEADER_SIZE:], zlib.crc32(clean))
+
+
+def _seal_reference(raw: bytes, lsn: int) -> bytes:
+    """The two-pass seal: repack the header with the new LSN and a zero
+    checksum, then store the CRC of the whole page."""
+    buf = bytearray(raw)
+    _lsn, _checksum, *rest = _HEADER.unpack_from(buf)
+    _HEADER.pack_into(buf, 0, lsn, 0, *rest)
+    crc = zlib.crc32(buf[PAGE_HEADER_SIZE:],
+                     zlib.crc32(buf[:PAGE_HEADER_SIZE]))
+    buf[8:12] = crc.to_bytes(4, "little")
+    return bytes(buf)
+
+
 class TestChecksum:
     def test_fresh_page_verifies_after_stamp(self):
         page = SlottedPage()
@@ -196,6 +223,28 @@ class TestChecksum:
         page = SlottedPage()
         page.lsn = 12345
         assert page.lsn == 12345
+
+    @settings(max_examples=60)
+    @given(st.integers(min_value=0), st.integers(min_value=0,
+                                                 max_value=2**64 - 1))
+    def test_one_pass_checksum_matches_the_reference(self, seed, lsn):
+        # Random bytes put garbage in the checksum field (8:12) and the
+        # reserved bytes (20:24) too: both must read as zeros.
+        raw = random.Random(seed).randbytes(PAGE_SIZE)
+        page = SlottedPage(bytearray(raw))
+        assert page.compute_checksum() == _checksum_reference(raw)
+        page.seal(lsn)
+        assert bytes(page.buf) == _seal_reference(raw, lsn)
+        assert page.verify_checksum()
+
+    def test_damage_confined_to_the_reserved_bytes_still_verifies(self):
+        page = SlottedPage()
+        page.add_item(b"data")
+        page.seal(7)
+        page.buf[20:24] = b"\xde\xad\xbe\xef"
+        assert page.verify_checksum()
+        page.buf[24] ^= 0xFF
+        assert not page.verify_checksum()
 
     @settings(max_examples=60)
     @given(st.integers(min_value=0), st.integers(min_value=0,

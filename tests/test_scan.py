@@ -6,7 +6,6 @@ import threading
 import pytest
 
 from repro.access.scan import (
-    EngineLatch,
     IndexProbe,
     IndexRangeScan,
     SeqScan,
@@ -19,7 +18,7 @@ from repro.lo import metadata
 from repro.lo.fchunk import chunk_class_name
 from repro.lo.manager import designator_oid
 from repro.lo.vsegment import segment_class_name
-from repro.txn.lockdep import VALIDATOR
+from repro.txn.lockdep import VALIDATOR, LockdepMutex
 
 
 @pytest.fixture
@@ -37,19 +36,25 @@ def _fill(db, rows=10):
             db.insert(txn, "T", (i, i * 100))
 
 
+@pytest.mark.armed
 class TestEngineLatch:
+    """The latch is ``LockdepMutex("latch", reentrant=True)``; built
+    armed, its ``held()`` (the tripwire's probe) asks the validator's
+    per-thread held stack."""
+
     def test_held_tracks_owner_reentrantly(self):
-        latch = EngineLatch()
-        assert not latch.held()
+        latch = LockdepMutex("latch", reentrant=True)
+        assert not latch.held() and not VALIDATOR.holds(id(latch))
         with latch:
             assert latch.held()
             with latch:
                 assert latch.held()
             assert latch.held()  # still owned after inner exit
         assert not latch.held()
+        assert "latch" not in VALIDATOR.scoped_held()
 
     def test_held_is_per_thread(self):
-        latch = EngineLatch()
+        latch = LockdepMutex("latch", reentrant=True)
         seen = []
         with latch:
             worker = threading.Thread(
@@ -57,6 +62,19 @@ class TestEngineLatch:
             worker.start()
             worker.join(5)
         assert seen == [False]
+
+    def test_held_survives_a_later_disarm(self):
+        # The armed state is read at construction: a latch built armed
+        # keeps recording, so the tripwire it backs never sees a false
+        # "not held" after someone disarms the validator.
+        latch = LockdepMutex("latch", reentrant=True)
+        VALIDATOR.disarm()
+        try:
+            with latch:
+                assert latch.held()
+            assert not latch.held()
+        finally:
+            VALIDATOR.arm()
 
 
 class TestIndexProbe:
@@ -616,6 +634,7 @@ class TestSizeRowProbeInBothModes:
 
 
 class TestLatchTripwire:
+    @pytest.mark.armed
     def test_armed_by_default_under_pytest(self, db):
         # conftest.py arms lockdep (REPRO_LOCKDEP=1) and the tripwire
         # rides on it, so the whole tier-1 suite (this fixture included)
@@ -624,6 +643,7 @@ class TestLatchTripwire:
         db.create_class("T", [("v", "int4")])
         assert db.get_class("T").latch_probe is not None
 
+    @pytest.mark.armed
     def test_raw_heap_fetch_trips(self, db):
         db.create_class("T", [("v", "int4")])
         with db.begin() as txn:
@@ -637,6 +657,7 @@ class TestLatchTripwire:
         with db.latch:  # latched raw access stays legal
             assert relation.fetch(tid, snapshot).values == (1,)
 
+    @pytest.mark.armed
     def test_raw_index_reads_trip(self, db):
         _fill(db)
         index = db.get_index("t_k")

@@ -137,6 +137,160 @@ class TestDevicePort:
         assert stats["writes"] == 1
 
 
+class _ReferencePort:
+    """The per-access charge the run charge replaced: up to three
+    ``clock.advance`` calls per access, in the order platter switch,
+    seek, transfer."""
+
+    def __init__(self, model, clock):
+        self.model, self.clock = model, clock
+        self._head = self._platter = None
+        self.reads = self.writes = self.seeks = self.platter_switches = 0
+        self.busy_s = 0.0
+
+    def charge_read(self, fileid, offset, nbytes):
+        return self._charge(fileid, offset, nbytes, False)
+
+    def charge_write(self, fileid, offset, nbytes):
+        return self._charge(fileid, offset, nbytes, True)
+
+    def _charge(self, fileid, offset, nbytes, is_write):
+        if is_write:
+            self.writes += 1
+        else:
+            self.reads += 1
+        sequential = self._head == (fileid, offset)
+        crossed = False
+        charged = 0.0
+        if self.model.platter_bytes:
+            platter = offset // self.model.platter_bytes
+            crossed = self._platter is not None and platter != self._platter
+            self._platter = platter
+        if crossed:
+            self.platter_switches += 1
+            self.clock.advance(self.model.platter_switch_s, "io.seek")
+            charged += self.model.platter_switch_s
+        if not sequential:
+            self.seeks += 1
+            positioning = self.model.avg_seek_s + self.model.rotational_s
+            self.clock.advance(positioning, "io.seek")
+            charged += positioning
+        transfer = nbytes / self.model.transfer_bytes_per_s
+        if is_write:
+            transfer *= self.model.write_penalty
+        self.clock.advance(transfer, "io.write" if is_write else "io.read")
+        charged += transfer
+        self._head = (fileid, offset + nbytes)
+        self.busy_s += charged
+        return charged
+
+
+def _state(port):
+    return (port.clock.elapsed, port.clock.breakdown(),
+            sorted(port.clock.breakdown()), port.busy_s, port._head,
+            port.reads, port.writes, port.seeks, port.platter_switches)
+
+
+class TestChargeRun:
+    """``charge_run`` of *count* accesses is bit for bit *count* single
+    accesses: the same floats added to the same accumulators in the same
+    order (compared with ``==``, never approximately)."""
+
+    MODELS = [magnetic_disk_device, nvram_device, jukebox_device]
+
+    def _twins(self, make_model, warm_at):
+        ports = []
+        for cls in (DevicePort, _ReferencePort):
+            port = cls(make_model(), SimClock())
+            # Some history first, so the floats being added to are not 0.
+            port.charge_write("g", 0, 8192)
+            if warm_at is not None:  # leave the head at warm_at
+                port.charge_read("f", 0, warm_at)
+            ports.append(port)
+        return ports
+
+    @pytest.mark.parametrize("make_model", MODELS)
+    @pytest.mark.parametrize("is_write", [False, True])
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_run_equals_per_access_charges(self, make_model, is_write,
+                                           sequential):
+        offset = 3 * 8192
+        for count in range(1, 41):
+            run, ref = self._twins(make_model,
+                                   offset if sequential else None)
+            total = run.charge_run("f", offset, 8192, count, is_write)
+            charge = ref.charge_write if is_write else ref.charge_read
+            ref_total = 0.0
+            for i in range(count):
+                ref_total += charge("f", offset + i * 8192, 8192)
+            assert _state(run) == _state(ref), count
+            assert total == ref_total
+
+    @pytest.mark.parametrize("make_model", MODELS)
+    def test_single_charges_equal_the_reference(self, make_model):
+        port = DevicePort(make_model(), SimClock())
+        ref = _ReferencePort(make_model(), SimClock())
+        for fileid, offset, is_write in [("a", 0, False), ("a", 8192, True),
+                                         ("b", 0, False), ("a", 0, True),
+                                         ("a", 8192, False),
+                                         # the jukebox's next platter
+                                         ("a", 3_276_808_192, True),
+                                         ("a", 0, False)]:
+            verb = "charge_write" if is_write else "charge_read"
+            assert getattr(port, verb)(fileid, offset, 8192) == \
+                getattr(ref, verb)(fileid, offset, 8192)
+            assert _state(port) == _state(ref)
+
+    @pytest.mark.parametrize("is_write", [False, True])
+    def test_run_across_a_platter_charges_each_crossing(self, is_write):
+        model = jukebox_device()
+        start = model.platter_bytes - 5 * 8192
+        run = DevicePort(model, SimClock())
+        ref = _ReferencePort(model, SimClock())
+        run.charge_read("m", 0, 8192)
+        ref.charge_read("m", 0, 8192)
+        # Platter 0's tail, then (sequentially) into platter 1.
+        run.charge_run("m", start, 8192, 12, is_write)
+        for i in range(12):
+            ref._charge("m", start + i * 8192, 8192, is_write)
+        assert run.platter_switches == 1
+        assert _state(run) == _state(ref)
+
+    def test_empty_run_charges_nothing(self):
+        port = DevicePort(magnetic_disk_device(), SimClock())
+        port.charge_read("f", 0, 8192)
+        before = _state(port)
+        assert port.charge_run("f", 99 * 8192, 8192, 0, True) == 0.0
+        assert _state(port) == before
+
+
+class TestAdvanceRun:
+    def test_equals_advance_calls(self):
+        run, ref = SimClock(), SimClock()
+        for clock in (run, ref):
+            clock.advance(0.1, "cpu")
+            clock.advance(0.0051, "io.write")
+        run.advance_run(0.00512, "io.write", 7, seek=0.0243)
+        ref.advance(0.0243, "io.seek")
+        for _ in range(7):
+            ref.advance(0.00512, "io.write")
+        run.advance_run(0.0, "io.seek", 2, seek=0.0)  # nvram: keys appear
+        for _ in range(3):
+            ref.advance(0.0, "io.seek")
+        assert run.elapsed == ref.elapsed
+        assert run.breakdown() == ref.breakdown()
+
+    def test_rejects_negative_charge_like_advance(self):
+        clock = SimClock()
+        with pytest.raises(ValueError):
+            clock.advance(-1.0)
+        with pytest.raises(ValueError):
+            clock.advance_run(-1.0, "io.read", 3)
+        with pytest.raises(ValueError):
+            clock.advance_run(0.5, "io.read", 3, seek=-1.0)
+        assert clock.elapsed == 0.0 and clock.breakdown() == {}
+
+
 class TestCpuModel:
     def test_seconds_for(self):
         cpu = CpuModel(mips=10.0)
