@@ -317,7 +317,6 @@ class TestConcurrencyMicro:
         benchmark.extra_info.update(
             {k: locks[k] for k in ("waits", "wait_time",
                                    "deadlocks_detected", "victims")})
-        assert locks["timeouts"] == 0
         assert db.locks.grant_table_empty()
 
 

@@ -43,25 +43,17 @@ def main(argv: list[str] | None = None) -> int:
                         help="fraction of the paper's 51.2 MB object "
                              "(default 0.1)")
     parser.add_argument("--seed", type=int, default=1993)
-    parser.add_argument("--pool-size", type=int, default=256,
-                        help="buffer pool pages (default 256 = 2 MB)")
-    parser.add_argument("--mips", type=float, default=100.0,
-                        help="simulated CPU speed (default 100 MIPS, "
-                             "calibrated from the paper's ratios)")
-    parser.add_argument("--worm-cache", type=int, default=3200,
-                        help="WORM disk-cache blocks (default 3200 = 25 MB "
-                             "at full scale)")
     args = parser.parse_args(argv)
 
-    config = BenchConfig(scale=args.scale, seed=args.seed,
-                         pool_size=args.pool_size, mips=args.mips,
-                         worm_cache_blocks=args.worm_cache)
+    config = BenchConfig(scale=args.scale, seed=args.seed)
 
     wanted = list(dict.fromkeys(
         sorted(ALL_FIGURES) if "all" in args.figures else args.figures))
+    # Figures this invocation has run, handed on to the claims check.
+    figures = {}
     for name in wanted:
         if name == "claims":
-            print(render_claims(evaluate_claims(config)))
+            print(render_claims(evaluate_claims(config, figures=figures)))
             print()
             continue
         if name == "report":
@@ -70,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"report written to {args.output}")
             print()
             continue
-        figure = ALL_FIGURES[name](config)
+        figure = figures[name] = ALL_FIGURES[name](config)
         print(render_table(figure))
         if name == "fig1":
             from repro.bench.report import render_figure1_paper_layout

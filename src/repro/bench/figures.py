@@ -51,39 +51,42 @@ WORM_COLUMNS = [
 ]
 
 
+#: Buffer-pool pages at full scale (2 MB).
+POOL_PAGES = 256
+#: Simulated CPU speed, calibrated from the paper's own ratios: §9.2 says
+#: the 8-instructions/byte algorithm made f-chunk "about 13 % slower",
+#: which on a 10 MB transfer implies an effective ~100 MIPS measurement
+#: platform (see EXPERIMENTS.md).
+MIPS = 100.0
+#: WORM disk-cache blocks at full scale (25 MB).
+WORM_CACHE_BLOCKS = 3200
+
+
 @dataclass
 class BenchConfig:
-    """Knobs shared by all figure runs.
+    """The size and seed of a figure run.
 
-    ``pool_size`` and ``worm_cache_blocks`` are stated at full scale and
-    shrink with ``scale`` so that cache-to-object ratios — which drive
-    the benchmark's shape — are preserved at any scale.
-
-    The default CPU speed is calibrated from the paper's own ratios: §9.2
-    says the 8-instructions/byte algorithm made f-chunk "about 13 %
-    slower", which on a 10 MB transfer implies an effective ~100 MIPS
-    measurement platform (see EXPERIMENTS.md).
+    :data:`POOL_PAGES` and :data:`WORM_CACHE_BLOCKS` are stated at full
+    scale and shrink with ``scale`` so that cache-to-object ratios — which
+    drive the benchmark's shape — are preserved at any scale.
     """
 
     scale: float = 0.1
     seed: int = 1993
-    pool_size: int = 256
-    mips: float = 100.0
-    worm_cache_blocks: int = 3200
 
     def scaled_pool(self) -> int:
         # Floor of 64: the pool must always cover the benchmark's *short*
         # reuse distance (a page's chunks are re-read within ~25 page
         # touches regardless of object size); only capacity-fraction
         # effects should scale.
-        return max(64, round(self.pool_size * self.scale))
+        return max(64, round(POOL_PAGES * self.scale))
 
     def scaled_worm_cache(self) -> int:
-        return max(48, round(self.worm_cache_blocks * self.scale))
+        return max(48, round(WORM_CACHE_BLOCKS * self.scale))
 
 
 def _fresh_db(config: BenchConfig) -> Database:
-    db = Database(pool_size=config.scaled_pool(), mips=config.mips,
+    db = Database(pool_size=config.scaled_pool(), mips=MIPS,
                   worm_cache_blocks=config.scaled_worm_cache())
     _register_paper_compressors(db)
     return db
@@ -264,7 +267,7 @@ def run_figure3(config: BenchConfig | None = None) -> FigureResult:
         col_labels=[], unit="seconds")
     figure.notes.append(
         f"scale={config.scale:g}; jukebox cost model with a "
-        f"{config.worm_cache_blocks}-block magnetic-disk cache")
+        f"{WORM_CACHE_BLOCKS}-block magnetic-disk cache")
     for label, impl, fraction, compression in WORM_COLUMNS:
         if impl == "raw":
             for name, seconds in _run_raw_program(config,
@@ -351,7 +354,7 @@ def run_ablation_buffer_pool(
         col_labels=[], unit="mixed")
     for pool_size in pool_sizes:
         label = f"{pool_size} pages"
-        db = Database(pool_size=pool_size, mips=config.mips)
+        db = Database(pool_size=pool_size, mips=MIPS)
         _register_paper_compressors(db)
         try:
             designator = load_object(db, "fchunk", workload, 0.0, "none")
@@ -384,7 +387,7 @@ def run_ablation_worm_cache(
         col_labels=[], unit="mixed")
     for cache_blocks in cache_sizes:
         label = f"{cache_blocks} blocks"
-        db = Database(pool_size=config.scaled_pool(), mips=config.mips,
+        db = Database(pool_size=config.scaled_pool(), mips=MIPS,
                       worm_cache_blocks=cache_blocks)
         _register_paper_compressors(db)
         try:

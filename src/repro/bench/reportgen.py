@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro.bench.claims import evaluate_claims
 from repro.bench.figures import (
+    MIPS,
     BenchConfig,
     run_figure1,
     run_figure2,
@@ -56,7 +57,7 @@ def generate_report(config: BenchConfig | None = None) -> str:
         "reproduction",
         "",
         f"Scale: {config.scale:g} of the paper's 51.2 MB object; "
-        f"CPU {config.mips:g} MIPS; buffer pool "
+        f"CPU {MIPS:g} MIPS; buffer pool "
         f"{config.scaled_pool()} pages; WORM cache "
         f"{config.scaled_worm_cache()} blocks.",
         "",

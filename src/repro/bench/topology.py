@@ -37,15 +37,11 @@ import sys
 from dataclasses import dataclass, field
 
 from repro.sim.clock import SimClock
-from repro.smgr.base import StorageManager
+from repro.smgr.base import BAND_BLOCKS, StorageManager
 from repro.smgr.disk import DiskStorageManager
 from repro.smgr.sharded import (sharded_disk_manager,
                                 sharded_memory_manager)
 from repro.storage.constants import PAGE_SIZE
-
-#: Blocks per placement band; matches the managers' default band size so
-#: one client burst stays on one device.
-BAND_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,6 @@ class Topology:
     n_nodes: int
     replication: int = 1
     write_quorum: int | None = None
-    placement: str = "range"
 
 
 @dataclass
@@ -124,9 +119,7 @@ def _make_manager(topology: Topology, clock: SimClock,
         return DiskStorageManager(directory, clock)
     kwargs = dict(n_nodes=topology.n_nodes,
                   replication=topology.replication,
-                  write_quorum=topology.write_quorum,
-                  placement=topology.placement,
-                  band_blocks=BAND_BLOCKS)
+                  write_quorum=topology.write_quorum)
     if directory is None:
         return sharded_memory_manager(clock, **kwargs)
     return sharded_disk_manager(directory, clock, **kwargs)

@@ -72,8 +72,8 @@ class Database:
 
     def __init__(self, path: str | None = None, pool_size: int = 256,
                  mips: float = 15.0, worm_cache_blocks: int = 1024,
-                 charge_cpu: bool = True, no_wait: bool = False,
-                 shard_nodes: int = 4, shard_replication: int = 3,
+                 charge_cpu: bool = True, shard_nodes: int = 4,
+                 shard_replication: int = 3,
                  shard_quorum: int | None = None):
         self.path = path
         #: Default ``"sharded"`` topology: N nodes, R-of-N replication
@@ -90,12 +90,12 @@ class Database:
         self.bufmgr = BufferManager(
             pool_size=pool_size, clock=self.clock,
             cpu=self.cpu if charge_cpu else None)
-        #: Blocking 2PL with deadlock detection by default; ``no_wait=True``
-        #: restores the paper's immediate-rejection policy.  A single
-        #: thread running two conflicting transactions does not hang: a
-        #: wait that depends on a lock the caller's own thread holds raises
-        #: ``LockError`` immediately, like the old no-wait policy did.
-        self.locks = LockManager(no_wait=no_wait)
+        #: Blocking 2PL with deadlock detection.  A single thread running
+        #: two conflicting transactions does not hang: a wait that depends
+        #: on a lock the caller's own thread holds raises ``LockError``
+        #: immediately — the paper's no-wait rule for cooperative
+        #: transactions in one process.
+        self.locks = LockManager()
         #: Engine latch: serializes structural mutation (page content,
         #: relation/index caches) across sessions.  The canonical rule
         #: lives in DESIGN.md §"Locking discipline": heavyweight locks are

@@ -98,10 +98,6 @@ class LockError(TransactionError):
     """A lock could not be acquired."""
 
 
-class LockTimeout(LockError):
-    """A blocking lock request waited longer than its timeout."""
-
-
 class DeadlockError(LockError):
     """The transaction was chosen as the victim of a wait-for cycle.
 

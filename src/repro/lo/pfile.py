@@ -12,8 +12,8 @@ Still non-transactional: writes are immediate, like u-file.
 from __future__ import annotations
 
 from repro.errors import LargeObjectError
-from repro.lo.interface import LargeObject
 from repro.lo.nativefs import NativeFileSystem
+from repro.lo.ufile import UserFileObject
 
 #: Namespace prefix for DBMS-owned files.
 PFILE_PREFIX = "pg_pfiles/"
@@ -24,8 +24,9 @@ def is_pfile(designator: str) -> bool:
     return designator.startswith(PFILE_PREFIX)
 
 
-class PostgresFileObject(LargeObject):
-    """A large object in a DBMS-owned native file."""
+class PostgresFileObject(UserFileObject):
+    """A large object in a DBMS-owned native file: a u-file whose path
+    the manager allocates, with one writer at a time."""
 
     impl = "pfile"
 
@@ -35,11 +36,8 @@ class PostgresFileObject(LargeObject):
             raise LargeObjectError(
                 f"{path!r} is not in the DBMS-owned namespace "
                 f"{PFILE_PREFIX!r}")
-        super().__init__(path, writable)
-        self.fs = fs
+        super().__init__(fs, path, writable, create)
         self._writers = writers
-        if create:
-            fs.create(path)
         if writable:
             if path in writers:
                 raise LargeObjectError(
@@ -47,18 +45,6 @@ class PostgresFileObject(LargeObject):
                     f"(single-writer rule)")
             writers.add(path)
 
-    def _read_at(self, offset: int, nbytes: int) -> bytes:
-        return self.fs.read_at(self.designator, offset, nbytes)
-
-    def _write_at(self, offset: int, data: bytes) -> None:
-        self.fs.write_at(self.designator, offset, data)
-
-    def _size(self) -> int:
-        return self.fs.size(self.designator)
-
     def _close(self) -> None:
         if self.writable:
             self._writers.discard(self.designator)
-
-    def _truncate(self, size: int) -> None:
-        self.fs.truncate_at(self.designator, size)

@@ -16,9 +16,9 @@ reproduction:
 * ``"memory"`` — non-volatile main memory, single-node;
 * ``"worm"``   — a write-once optical-disk jukebox, fronted by a
   magnetic-disk block cache (see :mod:`repro.smgr.cache`);
-* ``"sharded"`` — blocks striped across N simulated nodes with R-of-N
-  quorum replication, read-repair, and rebalancing
-  (:mod:`repro.smgr.sharded`).
+* ``"sharded"`` — blocks striped across N simulated nodes by one banded
+  :class:`RangePlacement`, with R-of-N quorum replication, read-repair,
+  and rebalancing (:mod:`repro.smgr.sharded`).
 
 Scripted fault injection is not a manager: the switch holds the armed
 :class:`~repro.sim.faults.FaultPlan` (``Database.inject_faults``) and
@@ -26,7 +26,7 @@ stamps it on every manager it hands out, so — by the same §10 argument —
 a plan reaches every relation, large object and Inversion file.
 """
 
-from repro.smgr.base import (BlockStore, DiskBlockStore, HashPlacement,
+from repro.smgr.base import (BlockStore, DiskBlockStore,
                              MemoryBlockStore, NodeAddressedManager,
                              PlacementPolicy, RangePlacement,
                              SingleNodeManager, SingleNodePlacement,
@@ -49,7 +49,6 @@ __all__ = [
     "StorageNode",
     "PlacementPolicy",
     "SingleNodePlacement",
-    "HashPlacement",
     "RangePlacement",
     "NodeAddressedManager",
     "SingleNodeManager",

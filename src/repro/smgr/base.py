@@ -16,8 +16,7 @@ pieces:
   (so each node has an independent disk head and busy-time accumulator)
   and an independent failure state (``up``/``down``/``slow``/``flaky``);
 * a :class:`PlacementPolicy` maps ``(fileid, blockno)`` to an R-of-N
-  replica set of node positions — single-node, hash-banded, or
-  range-banded sharding.
+  replica set of node positions — single-node, or banded range sharding.
 
 :class:`NodeAddressedManager` composes the three into a manager.  The
 classic ``disk`` and ``memory`` managers are trivial single-node instances
@@ -293,14 +292,20 @@ class StorageNode:
     the fault DSL's ``on node <k>: …`` rules inject:
 
     * ``down``  — every access raises :class:`~repro.errors.NodeDownError`;
-    * ``slow``  — accesses succeed but charge ``slow_factor×`` the cost;
-    * ``flaky`` — every ``flaky_every``-th access raises a device error;
+    * ``slow``  — accesses succeed but charge :attr:`slow_factor` × the
+      cost;
+    * ``flaky`` — every :attr:`flaky_every`-th access raises a device
+      error;
     * ``up``    — healthy.
     """
 
+    #: Cost multiplier of an access to a ``slow`` node.
+    slow_factor = 4.0
+    #: A ``flaky`` node drops every this-many-th access.
+    flaky_every = 3
+
     def __init__(self, node_id: str, store: BlockStore, model: DeviceModel,
-                 clock: SimClock, port: DevicePort | None = None,
-                 slow_factor: float = 4.0, flaky_every: int = 3):
+                 clock: SimClock, port: DevicePort | None = None):
         self.node_id = node_id
         self.store = store
         self.model = model
@@ -310,8 +315,6 @@ class StorageNode:
         #: The armed fault plan, stamped by the owning manager; a firing
         #: ``node`` rule moves :attr:`state` just before an access is gated.
         self.fault_plan: FaultPlan | None = None
-        self.slow_factor = slow_factor
-        self.flaky_every = max(1, flaky_every)
         self._ops = 0
         #: Accesses refused (down) or dropped (flaky) by this node.
         self.errors = 0
@@ -440,58 +443,34 @@ class SingleNodePlacement(PlacementPolicy):
         return (0,)
 
 
-class _BandedPlacement(PlacementPolicy):
-    """Shared machinery: place *bands* of consecutive blocks, not blocks.
+#: Blocks per placement band (128 KB of consecutive blocks on one node).
+BAND_BLOCKS = 16
+
+
+class RangePlacement(PlacementPolicy):
+    """Consecutive bands round-robin across nodes (range sharding).
 
     Scattering consecutive blocks across nodes round-robin would make
     every per-node access non-sequential (a seek per page), throwing away
     exactly the streaming performance sharding is meant to multiply.
-    Banding keeps runs of ``band_blocks`` blocks on one node, so each node
-    sees sequential I/O within a band while bands still spread across the
-    cluster.
+    Banding keeps runs of :data:`BAND_BLOCKS` blocks on one node, so each
+    node sees sequential I/O within a band while bands still spread across
+    the cluster.  A file's bands land on ``start, start+1, …`` mod N,
+    where ``start`` hashes the file id so different files begin on
+    different nodes: a streaming scan visits nodes in long runs, and
+    disjoint-range writers to one big object land on disjoint nodes.
     """
 
-    def __init__(self, replication: int = 1, band_blocks: int = 16):
+    def __init__(self, replication: int = 1):
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
-        if band_blocks < 1:
-            raise ValueError(f"band_blocks must be >= 1, got {band_blocks}")
         self.replication = replication
-        self.band_blocks = band_blocks
 
-    def _spread(self, primary: int, n_nodes: int) -> tuple[int, ...]:
+    def replicas(self, fileid: str, blockno: int,
+                 n_nodes: int) -> tuple[int, ...]:
+        primary = (stable_hash(fileid) + blockno // BAND_BLOCKS) % n_nodes
         count = min(self.replication, n_nodes)
         return tuple((primary + i) % n_nodes for i in range(count))
-
-    def describe(self) -> str:
-        return (f"{type(self).__name__}(replication={self.replication}, "
-                f"band_blocks={self.band_blocks})")
-
-
-class HashPlacement(_BandedPlacement):
-    """Primary node = hash of ``(fileid, band)``: uniform, history-free."""
-
-    def replicas(self, fileid: str, blockno: int,
-                 n_nodes: int) -> tuple[int, ...]:
-        band = blockno // self.band_blocks
-        primary = stable_hash(f"{fileid}:{band}") % n_nodes
-        return self._spread(primary, n_nodes)
-
-
-class RangePlacement(_BandedPlacement):
-    """Consecutive bands round-robin across nodes (range sharding).
-
-    A file's bands land on ``start, start+1, …`` mod N, where ``start``
-    hashes the file id so different files begin on different nodes.  A
-    streaming scan therefore visits nodes in long runs, and disjoint-range
-    writers to one big object naturally land on disjoint nodes.
-    """
-
-    def replicas(self, fileid: str, blockno: int,
-                 n_nodes: int) -> tuple[int, ...]:
-        band = blockno // self.band_blocks
-        primary = (stable_hash(fileid) + band) % n_nodes
-        return self._spread(primary, n_nodes)
 
 
 # ---------------------------------------------------------------------------

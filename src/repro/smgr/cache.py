@@ -28,7 +28,7 @@ from collections import OrderedDict
 
 from repro.errors import StorageManagerError
 from repro.sim.clock import SimClock
-from repro.sim.devices import DeviceModel, DevicePort, magnetic_disk_device
+from repro.sim.devices import DevicePort, magnetic_disk_device
 from repro.smgr.base import StorageManager
 from repro.storage.constants import PAGE_SIZE
 
@@ -45,9 +45,8 @@ class CachedStorageManager(StorageManager):
     """Write-staging LRU disk cache wrapped around another storage manager."""
 
     def __init__(self, base: StorageManager, clock: SimClock,
-                 capacity_blocks: int = 1024,
-                 cache_model: DeviceModel | None = None):
-        model = cache_model or magnetic_disk_device()
+                 capacity_blocks: int = 1024):
+        model = magnetic_disk_device()
         super().__init__(model, clock)
         self.name = base.name
         self.base = base

@@ -42,10 +42,10 @@ import os
 
 from repro.errors import StorageManagerError
 from repro.sim.clock import SimClock
-from repro.sim.devices import DeviceModel, magnetic_disk_device
-from repro.smgr.base import (DiskBlockStore, HashPlacement,
-                             MemoryBlockStore, NodeAddressedManager,
-                             PlacementPolicy, RangePlacement, StorageNode)
+from repro.sim.devices import magnetic_disk_device
+from repro.smgr.base import (DiskBlockStore, MemoryBlockStore,
+                             NodeAddressedManager, PlacementPolicy,
+                             RangePlacement, StorageNode)
 from repro.storage.page import SlottedPage
 from repro.txn.lockdep import LockdepMutex
 
@@ -57,12 +57,10 @@ class ShardedStorageManager(NodeAddressedManager):
 
     def __init__(self, clock: SimClock, nodes: list[StorageNode],
                  placement: PlacementPolicy,
-                 write_quorum: int | None = None,
-                 model: DeviceModel | None = None):
+                 write_quorum: int | None = None):
         if not nodes:
             raise StorageManagerError("a sharded manager needs >= 1 node")
-        model = model or magnetic_disk_device()
-        super().__init__(model, clock, nodes=list(nodes),
+        super().__init__(magnetic_disk_device(), clock, nodes=list(nodes),
                          placement=placement)
         replication = placement.replication
         if write_quorum is None:
@@ -411,41 +409,21 @@ class ShardedStorageManager(NodeAddressedManager):
 # Topology factories
 # ---------------------------------------------------------------------------
 
-def _make_placement(placement: str, replication: int,
-                    band_blocks: int) -> PlacementPolicy:
-    if placement == "range":
-        return RangePlacement(replication=replication,
-                              band_blocks=band_blocks)
-    if placement == "hash":
-        return HashPlacement(replication=replication,
-                             band_blocks=band_blocks)
-    raise StorageManagerError(
-        f"unknown placement {placement!r} (have: 'range', 'hash')")
-
-
 def sharded_memory_manager(clock: SimClock, n_nodes: int = 4,
                            replication: int = 3,
                            write_quorum: int | None = None,
-                           placement: str = "range",
-                           band_blocks: int = 16,
-                           model: DeviceModel | None = None,
                            ) -> ShardedStorageManager:
     """N in-memory nodes, each priced as its own magnetic disk."""
-    model = model or magnetic_disk_device()
+    model = magnetic_disk_device()
     nodes = [StorageNode(f"node{k}", MemoryBlockStore(), model, clock)
              for k in range(n_nodes)]
-    return ShardedStorageManager(
-        clock, nodes,
-        placement=_make_placement(placement, replication, band_blocks),
-        write_quorum=write_quorum, model=model)
+    return ShardedStorageManager(clock, nodes, RangePlacement(replication),
+                                 write_quorum=write_quorum)
 
 
 def sharded_disk_manager(directory: str, clock: SimClock, n_nodes: int = 4,
                          replication: int = 3,
                          write_quorum: int | None = None,
-                         placement: str = "range",
-                         band_blocks: int = 16,
-                         model: DeviceModel | None = None,
                          ) -> ShardedStorageManager:
     """N durable nodes, one subdirectory of sparse files per node.
 
@@ -454,13 +432,11 @@ def sharded_disk_manager(directory: str, clock: SimClock, n_nodes: int = 4,
     deterministic, so matching parameters find every block where the
     previous process left it).
     """
-    model = model or magnetic_disk_device()
+    model = magnetic_disk_device()
     nodes = [StorageNode(f"node{k}",
                          DiskBlockStore(os.path.join(directory,
                                                      f"node{k}")),
                          model, clock)
              for k in range(n_nodes)]
-    return ShardedStorageManager(
-        clock, nodes,
-        placement=_make_placement(placement, replication, band_blocks),
-        write_quorum=write_quorum, model=model)
+    return ShardedStorageManager(clock, nodes, RangePlacement(replication),
+                                 write_quorum=write_quorum)

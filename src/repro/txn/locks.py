@@ -1,33 +1,26 @@
-"""Two-phase locking with shared/exclusive modes, blocking or no-wait.
+"""Two-phase locking with shared/exclusive modes and one wait policy.
 
-The lock manager serves two deployment shapes:
+A request that cannot be granted joins a FIFO wait queue and the calling
+thread sleeps until a release makes it grantable.  Before sleeping, the
+waiter runs **wait-for-graph deadlock detection**: as long as the new
+wait edge closes a cycle, the youngest transaction in that cycle is
+chosen as victim and re-detection runs — one new edge can close several
+cycles at once, and each needs its own victim.  A victim's ``acquire``
+raises :class:`~repro.errors.DeadlockError` (the victim's session must
+then abort, which releases its locks and unblocks the survivors), and a
+victimized waiter is never granted — it always wakes into the error.
+Detection is synchronous and graph-based — no background thread, no
+timeout heuristics — so a two-session cycle is resolved within one
+wakeup.
 
-* **Blocking (the default).**  A request that cannot be granted joins a
-  FIFO wait queue and the calling thread sleeps until a release makes it
-  grantable.  Before sleeping, the waiter runs **wait-for-graph deadlock
-  detection**: as long as the new wait edge closes a cycle, the youngest
-  transaction in that cycle is chosen as victim and re-detection runs —
-  one new edge can close several cycles at once, and each needs its own
-  victim.  A victim's ``acquire`` raises
-  :class:`~repro.errors.DeadlockError` (the victim's session must then
-  abort, which releases its locks and unblocks the survivors), and a
-  victimized waiter is never granted — it always wakes into the error.
-  Detection is synchronous and graph-based — no background thread, no
-  timeout heuristics — so a two-session cycle is resolved within one
-  wakeup.
-
-  The wait-for graph can only see transactions that are *waiting*; a
-  conflicting holder whose owning thread is the one about to park will
-  never release (that thread would be asleep), so such a request raises
-  :class:`~repro.errors.LockError` immediately instead of hanging — the
-  single-threaded two-transaction conflict the no-wait policy used to
-  reject stays an error, not a deadlock the detector cannot reach.
-
-* **No-wait (``no_wait=True``), the paper-faithful policy.**  A lock that
-  cannot be granted raises :class:`~repro.errors.LockError` immediately.
-  The original POSTGRES library ran transactions cooperatively in one
-  process, where blocking would hang the only thread and no-wait makes
-  deadlock impossible by construction.
+The wait-for graph can only see transactions that are *waiting*; a
+conflicting holder whose owning thread is the one about to park will
+never release (that thread would be asleep), so such a request raises
+:class:`~repro.errors.LockError` immediately instead of hanging.  That
+rejection *is* the paper's no-wait rule wherever it can apply: the
+original POSTGRES library ran transactions cooperatively in one process,
+where blocking would hang the only thread, and every conflict between
+transactions of one thread is rejected at once.
 
 Locks are held until end of transaction (strict 2PL) and released in bulk
 by the transaction manager.  Grant order is FIFO with two exceptions that
@@ -58,7 +51,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Hashable
 
-from repro.errors import DeadlockError, LockError, LockTimeout
+from repro.errors import DeadlockError, LockError
 from repro.txn import lockdep
 from repro.txn.rangelock import RangeResource
 
@@ -100,8 +93,6 @@ class LockStats:
     deadlocks_detected: int = 0
     #: Waiters that raised :class:`DeadlockError` as the chosen victim.
     victims: int = 0
-    #: Waiters that gave up after their timeout.
-    timeouts: int = 0
     #: SHARED → EXCLUSIVE upgrades granted.
     upgrades: int = 0
     #: Locks dropped by :meth:`LockManager.release_all`.
@@ -138,25 +129,9 @@ class _Waiter:
 
 
 class LockManager:
-    """Grant table + wait queues mapping resource keys to holder xids.
+    """Grant table + wait queues mapping resource keys to holder xids."""
 
-    Parameters
-    ----------
-    no_wait:
-        Default conflict policy; ``True`` restores the paper's no-wait
-        rejection.  Overridable per call.
-    timeout:
-        Default bound (seconds) on any blocking wait, raising
-        :class:`LockTimeout` when exceeded; ``None`` waits forever.
-        Deadlocks are detected by the graph check regardless — the
-        timeout is a safety net for waits on sessions that simply never
-        finish, not the detection mechanism.
-    """
-
-    def __init__(self, no_wait: bool = False,
-                 timeout: float | None = None) -> None:
-        self.no_wait = no_wait
-        self.timeout = timeout
+    def __init__(self) -> None:
         self.stats = LockStats()
         self._cond = threading.Condition(threading.Lock())
         #: resource -> {xid: mode}
@@ -173,21 +148,16 @@ class LockManager:
 
     # -- acquisition ---------------------------------------------------------------
 
-    def acquire(self, xid: int, resource: Hashable, mode: LockMode, *,
-                no_wait: bool | None = None,
-                timeout: float | None = None) -> None:
+    def acquire(self, xid: int, resource: Hashable, mode: LockMode) -> None:
         """Grant *mode* on *resource* to *xid*, waiting if necessary.
 
         Re-acquiring an already-held mode is a no-op; holding SHARED and
         asking for EXCLUSIVE upgrades when no other transaction holds the
-        lock.  In no-wait mode an ungrantable request raises
-        :class:`LockError`; in blocking mode the call sleeps until granted,
-        raises :class:`DeadlockError` if this transaction is picked as a
-        deadlock victim, or :class:`LockTimeout` after *timeout* seconds.
+        lock.  An ungrantable request sleeps until granted, raises
+        :class:`DeadlockError` if this transaction is picked as a deadlock
+        victim, or :class:`LockError` at once if the wait depends on a
+        transaction the calling thread itself controls.
         """
-        wait_allowed = not (self.no_wait if no_wait is None else no_wait)
-        if timeout is None:
-            timeout = self.timeout
         if lockdep.VALIDATOR.armed:
             # Raises LockOrderError *before* we can park: a heavy-lock
             # wait while holding the latch or a mutex is a hierarchy
@@ -200,15 +170,12 @@ class LockManager:
                 if isinstance(resource, RangeResource):
                     self.stats.range_locks += 1
                 return
-            if not wait_allowed:
-                raise LockError(self._conflict_message(xid, resource, mode))
-            self._wait(xid, resource, mode, timeout)
+            self._wait(xid, resource, mode)
             if isinstance(resource, RangeResource):
                 self.stats.range_locks += 1
 
-    def _wait(self, xid: int, resource: Hashable, mode: LockMode,
-              timeout: float | None) -> None:
-        """Park the caller until granted, victimized, or timed out.
+    def _wait(self, xid: int, resource: Hashable, mode: LockMode) -> None:
+        """Park the caller until granted or victimized.
 
         Runs with ``self._cond`` held (re-taken around each sleep).
         """
@@ -228,7 +195,7 @@ class LockManager:
             self.stats.range_waits += 1
         # repro: allow(R004): lock waits block real threads, and the
         # simulated clock does not advance while a thread sleeps —
-        # wait timeouts must measure real elapsed (monotonic) time.
+        # ``wait_time`` must measure real elapsed (monotonic) time.
         started = time.monotonic()
         # One new wait edge can close several cycles; victimize one
         # transaction per cycle until none remains through us.  Each pass
@@ -238,13 +205,7 @@ class LockManager:
             self._victimize(cycle)
         try:
             while not waiter.granted and not waiter.victim:
-                if timeout is None:
-                    self._cond.wait()
-                    continue
-                waited = time.monotonic() - started  # repro: allow(R004): see above
-                remaining = timeout - waited
-                if remaining <= 0 or not self._cond.wait(remaining):
-                    break
+                self._cond.wait()
         finally:
             # repro: allow(R004): real blocked-thread time, see above.
             self.stats.wait_time += time.monotonic() - started
@@ -252,17 +213,11 @@ class LockManager:
                 self._remove_waiter(waiter)
         if waiter.granted:
             return
-        if waiter.victim:
-            self.stats.victims += 1
-            raise DeadlockError(
-                f"txn {xid} chosen as deadlock victim waiting for "
-                f"{mode.value} lock on {resource!r} "
-                f"(wait-for cycle: {waiter.cycle})")
-        self.stats.timeouts += 1
-        raise LockTimeout(
-            f"txn {xid} timed out after {timeout}s waiting for "
+        self.stats.victims += 1
+        raise DeadlockError(
+            f"txn {xid} chosen as deadlock victim waiting for "
             f"{mode.value} lock on {resource!r} "
-            f"(held by txns {sorted(self.holders(resource))})")
+            f"(wait-for cycle: {waiter.cycle})")
 
     # -- overlap-aware grant-table queries -------------------------------------------
 
@@ -346,18 +301,6 @@ class LockManager:
             self.stats.upgrades += 1
         self._record_grant(xid, resource, mode)
         return True
-
-    def _conflict_message(self, xid: int, resource: Hashable,
-                          mode: LockMode) -> str:
-        holders = self._conflicting_holders(xid, resource, mode)
-        if mode is LockMode.SHARED and any(
-                m is LockMode.EXCLUSIVE for m in holders.values()):
-            exclusive = next(x for x, m in holders.items()
-                             if m is LockMode.EXCLUSIVE)
-            return (f"txn {xid} cannot share-lock {resource!r}: "
-                    f"exclusively held by txn {exclusive}")
-        return (f"txn {xid} cannot {mode.value}-lock {resource!r}: "
-                f"held by txns {sorted(holders)}")
 
     # -- wait-queue service ----------------------------------------------------------
 

@@ -82,15 +82,16 @@ class TestInterleavedWriters:
         assert winners == 5
         assert next(db.scan("T")).values == (3,)
 
-    def test_lock_conflicts_are_no_wait(self):
-        """``no_wait=True`` restores the paper-faithful rejection policy."""
-        db = Database(charge_cpu=False, no_wait=True)
+    def test_plain_database_rejects_one_thread_conflict(self):
+        """A conflict between two transactions of one thread is rejected
+        at once — the paper's no-wait rule — instead of hanging."""
+        db = Database(charge_cpu=False)
         db.create_class("T", [("n", "int4")])
         from repro.txn.locks import LockMode
         a = db.begin()
         db.locks.acquire(a.xid, ("relation", "T"), LockMode.EXCLUSIVE)
         b = db.begin()
-        with pytest.raises(LockError):
+        with pytest.raises(LockError, match="self-deadlock"):
             db.insert(b, "T", (1,))  # writers take SHARED: conflicts
         a.commit()
         db.insert(b, "T", (1,))  # free after commit

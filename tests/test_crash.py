@@ -468,7 +468,7 @@ class TestDurabilityBugfixes:
         bystander = db.begin()
         try:
             db.locks.acquire(bystander.xid, ("relation", "T"),
-                             LockMode.EXCLUSIVE, no_wait=True)
+                             LockMode.EXCLUSIVE)
         except LockError:
             pytest.fail("failed commit leaked its relation lock")
         bystander.abort()

@@ -127,7 +127,7 @@ class TestTransactions:
         from repro.txn.locks import LockMode
         with pytest.raises(LockError):
             db.locks.acquire(b.xid, ("relation", "EMP"),
-                             LockMode.EXCLUSIVE, no_wait=True)
+                             LockMode.EXCLUSIVE)
         a.commit()
         b.abort()
 
@@ -215,7 +215,7 @@ class TestStatistics:
         # (dataclasses.asdict): same keys, same order, on the wire too.
         assert list(stats["locks"]) == [
             "granted_immediately", "waits", "wait_time",
-            "deadlocks_detected", "victims", "timeouts", "upgrades",
+            "deadlocks_detected", "victims", "upgrades",
             "released", "range_locks", "range_waits"]
         assert list(stats["access"]) == [
             "probes", "range_scans", "seq_scans", "tuples_scanned",

@@ -43,7 +43,7 @@ def _table_is_consistent(locks: LockManager) -> None:
 @given(ops=op_strategy)
 def test_property_compatibility_matrix_holds(ops):
     """No interleaving of no-wait acquires breaks SHARED/EXCLUSIVE rules."""
-    locks = LockManager(no_wait=True)
+    locks = LockManager()
     for is_acquire, xid, resource, mode in ops:
         if is_acquire:
             try:
@@ -63,7 +63,7 @@ def test_property_compatibility_matrix_holds(ops):
 @given(ops=op_strategy)
 def test_property_upgrade_only_when_sole_holder(ops):
     """A granted SHARED→EXCLUSIVE upgrade implies no other holder existed."""
-    locks = LockManager(no_wait=True)
+    locks = LockManager()
     for is_acquire, xid, resource, mode in ops:
         if not is_acquire:
             locks.release_all(xid)
@@ -84,7 +84,7 @@ def test_property_upgrade_only_when_sole_holder(ops):
 @given(ops=op_strategy, releases=st.permutations([1, 2, 3, 4]))
 def test_property_release_order_irrelevant(ops, releases):
     """Whatever happened, releasing every xid empties the table."""
-    locks = LockManager(no_wait=True)
+    locks = LockManager()
     acquired = 0
     for is_acquire, xid, resource, mode in ops:
         if is_acquire:

@@ -90,7 +90,7 @@ class TestRangeLocking:
         assert lm.grant_table_empty()
 
     def test_overlapping_exclusive_ranges_conflict(self):
-        lm = LockManager(no_wait=True)
+        lm = LockManager()
         lm.acquire(1, lo_range(9, 0, 100), LockMode.EXCLUSIVE)
         with pytest.raises(LockError):
             lm.acquire(2, lo_range(9, 50, 150), LockMode.EXCLUSIVE)
@@ -99,7 +99,7 @@ class TestRangeLocking:
         lm.release_all(2)
 
     def test_whole_object_conflicts_with_any_range(self):
-        lm = LockManager(no_wait=True)
+        lm = LockManager()
         lm.acquire(1, lo_whole(9), LockMode.EXCLUSIVE)
         with pytest.raises(LockError):
             lm.acquire(2, lo_range(9, 10 ** 9, 10 ** 9 + 1),
@@ -107,7 +107,7 @@ class TestRangeLocking:
         lm.release_all(1)
 
     def test_range_conflicts_with_later_whole_object(self):
-        lm = LockManager(no_wait=True)
+        lm = LockManager()
         lm.acquire(1, lo_range(9, 500, 600), LockMode.EXCLUSIVE)
         with pytest.raises(LockError):
             lm.acquire(2, lo_whole(9), LockMode.EXCLUSIVE)
@@ -115,7 +115,7 @@ class TestRangeLocking:
 
     def test_holder_extends_own_range(self):
         # Re-requesting an overlap of your own grant must not self-block.
-        lm = LockManager(no_wait=True)
+        lm = LockManager()
         lm.acquire(1, lo_range(9, 0, 100), LockMode.EXCLUSIVE)
         lm.acquire(1, lo_range(9, 50, 200), LockMode.EXCLUSIVE)
         lm.acquire(1, lo_range(9, 0, 100), LockMode.EXCLUSIVE)  # covered
@@ -124,7 +124,7 @@ class TestRangeLocking:
         assert lm.grant_table_empty()
 
     def test_shared_ranges_overlap_freely(self):
-        lm = LockManager(no_wait=True)
+        lm = LockManager()
         lm.acquire(1, lo_range(9, 0, 100), LockMode.SHARED)
         lm.acquire(2, lo_range(9, 50, 150), LockMode.SHARED)
         with pytest.raises(LockError):
@@ -135,7 +135,7 @@ class TestRangeLocking:
     def test_plain_and_range_keys_do_not_interfere(self):
         # A plain ("largeobject", oid) key is not a range; the tuple key
         # and the range group live in different tables.
-        lm = LockManager(no_wait=True)
+        lm = LockManager()
         lm.acquire(1, ("other", 9), LockMode.EXCLUSIVE)
         lm.acquire(2, lo_range(9, 0, 100), LockMode.EXCLUSIVE)
         lm.release_all(1)

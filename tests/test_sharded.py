@@ -62,14 +62,13 @@ class TestPlacement:
 
     def test_bands_keep_consecutive_blocks_on_one_primary(self):
         smgr = sharded_memory_manager(SimClock(), n_nodes=4,
-                                      replication=1, band_blocks=16)
+                                      replication=1)
         primaries = {smgr.node_replicas("f", b)[0] for b in range(16)}
         assert len(primaries) == 1  # one seek-friendly run per band
 
-    @pytest.mark.parametrize("placement", ["range", "hash"])
-    def test_bands_spread_across_nodes(self, placement):
+    def test_bands_spread_across_nodes(self):
         smgr = sharded_memory_manager(SimClock(), n_nodes=4,
-                                      replication=1, placement=placement)
+                                      replication=1)
         primaries = {smgr.node_replicas("f", band * 16)[0]
                      for band in range(16)}
         assert len(primaries) == 4

@@ -129,7 +129,6 @@ def _mixed_workload(db, designator, tid_box, n_threads, txns_per_thread,
     stats = db.statistics()
     locks = stats["locks"]
     assert locks["victims"] == locks["deadlocks_detected"]
-    assert locks["timeouts"] == 0
     assert locks["wait_time"] >= 0.0
     assert locks["deadlocks_detected"] >= 0
     assert stats["transactions"]["active"] == 0

@@ -1,5 +1,6 @@
 """Unit tests for the commit log, locks, snapshots, and transactions."""
 
+import threading
 import types
 
 import pytest
@@ -107,13 +108,13 @@ class TestLockManager:
         assert locks.holds(1, "r") and locks.holds(2, "r")
 
     def test_exclusive_conflicts_with_shared(self):
-        locks = LockManager(no_wait=True)
+        locks = LockManager()
         locks.acquire(1, "r", LockMode.SHARED)
         with pytest.raises(LockError):
             locks.acquire(2, "r", LockMode.EXCLUSIVE)
 
     def test_shared_conflicts_with_exclusive(self):
-        locks = LockManager(no_wait=True)
+        locks = LockManager()
         locks.acquire(1, "r", LockMode.EXCLUSIVE)
         with pytest.raises(LockError):
             locks.acquire(2, "r", LockMode.SHARED)
@@ -130,7 +131,7 @@ class TestLockManager:
         assert locks.holds(1, "r", LockMode.EXCLUSIVE)
 
     def test_upgrade_blocked_by_other_sharer(self):
-        locks = LockManager(no_wait=True)
+        locks = LockManager()
         locks.acquire(1, "r", LockMode.SHARED)
         locks.acquire(2, "r", LockMode.SHARED)
         with pytest.raises(LockError):
@@ -152,6 +153,43 @@ class TestLockManager:
 
     def test_release_returns_zero_when_nothing_held(self):
         assert LockManager().release_all(7) == 0
+
+    def test_one_thread_conflict_is_rejected_without_parking(self):
+        # The only rejection path: the holder is controlled by the very
+        # thread that would park, so waiting could never end.
+        locks = LockManager()
+        locks.acquire(1, "r", LockMode.EXCLUSIVE)
+        waits = locks.stats.waits
+        with pytest.raises(LockError, match="self-deadlock"):
+            locks.acquire(2, "r", LockMode.SHARED)
+        assert locks.waiting() == []
+        assert locks.stats.waits == waits
+        assert locks.holders("r") == {1: LockMode.EXCLUSIVE}
+
+    def test_other_thread_conflict_parks_until_release(self):
+        locks = LockManager()
+        locks.acquire(1, "r", LockMode.EXCLUSIVE)
+        granted = threading.Event()
+
+        def request():
+            locks.acquire(2, "r", LockMode.SHARED)
+            granted.set()
+
+        thread = threading.Thread(target=request, daemon=True)
+        thread.start()
+        deadline = 100
+        while not locks.waiting() and deadline:
+            deadline -= 1
+            threading.Event().wait(0.01)
+        assert locks.waiting() == [(2, "r", LockMode.SHARED)]
+        assert not granted.is_set()
+        locks.release_all(1)
+        thread.join(10.0)
+        assert granted.is_set()
+        assert locks.holds(2, "r", LockMode.SHARED)
+        assert locks.stats.waits == 1
+        locks.release_all(2)
+        assert locks.grant_table_empty()
 
 
 class TestSnapshotVisibility:
