@@ -7,6 +7,8 @@ regressions in the implementation itself are visible.
 
 import random
 import sys
+import threading
+import time
 from contextlib import nullcontext
 from statistics import median
 
@@ -68,30 +70,6 @@ class TestBTreeMicro:
             tree.insert((i,), (i, 0))
         result = benchmark(tree.search, (2500,))
         assert result == [(2500, 0)]
-
-
-@pytest.mark.perf
-class TestTupleCodecMicro:
-    """Batch schema codecs (``encode_many``/``decode_many``): the per-row
-    cost under every scan and heap insert."""
-
-    @pytest.mark.parametrize("direction", ["encode", "decode"])
-    def test_tuple_codec_batch(self, benchmark, direction):
-        from repro.access.schema import Attribute, Schema
-        schema = Schema([
-            Attribute("id", "int4"), Attribute("oid", "oid"),
-            Attribute("weight", "float8"), Attribute("live", "bool"),
-            Attribute("label", "text"), Attribute("payload", "bytea"),
-        ])
-        rows = [(i, i * 7, i * 0.5, i % 2 == 0,
-                 None if i % 17 == 0 else f"row-{i}",
-                 bytes((i + j) & 0xFF for j in range(120)))
-                for i in range(512)]
-        images = schema.encode_many(rows)
-        if direction == "encode":
-            assert benchmark(schema.encode_many, rows) == images
-        else:
-            assert benchmark(schema.decode_many, images) == rows
 
 
 class TestCompressionMicro:
@@ -452,9 +430,11 @@ class TestCommitCostIsFlatInHistory:
         assert growth(opens) <= 1.03, opens
         # A commit also places the byte store's new tail chunk, and
         # FreeSpaceMap.find walks that relation's pages when the tail
-        # page is full — about a fifth more by transaction 290, and not
-        # the version run's doing.  (At the parent: nearly 10 times.)
-        assert growth(commits) <= 1.5, commits
+        # page is full: at C speed since the walk became one
+        # min(compress(...)), about 5 % more by transaction 290 (it was
+        # 1.30 with the Python loop; at the parent of the commit that
+        # added this test, nearly 10 times).
+        assert growth(commits) <= 1.10, commits
 
 
 @pytest.mark.perf
@@ -658,6 +638,94 @@ class TestWireRoundTrips:
             client.rollback()
         assert frames == {"send_message": self.FRAMES,
                           "recv_message": self.FRAMES}
+
+    def test_a_lo_pread_header_is_a_few_dozen_bytes(self, db, monkeypatch):
+        """The header lengths the frame prefixes carry, as received: the
+        request by the server thread, the reply by the client."""
+        from repro.server import ReproServer, ServerClient, protocol
+        main = threading.get_ident()
+        lengths = {True: [], False: []}    # read by the client? → lengths
+        real = protocol.recv_exact
+
+        def recording(sock, nbytes):
+            data = real(sock, nbytes)
+            if nbytes == 8:                # a frame prefix
+                lengths[threading.get_ident() == main].append(
+                    int.from_bytes(data[:4], "big"))
+            return data
+
+        # Installed before the server thread first waits for a frame.
+        monkeypatch.setattr(protocol, "recv_exact", recording)
+        with ReproServer(db) as server, \
+                ServerClient(*server.address) as client:
+            client.begin()
+            fd = client.lo_open(client.lo_create("fchunk"), "rw")
+            client.lo_write(fd, bytes(self.FRAME))
+            assert len(client.lo_pread(fd, 0, self.FRAME)) == self.FRAME
+            request, reply = lengths[False][-1], lengths[True][-1]
+            client.rollback()
+        # Request: key mask 4 + fd, offset, nbytes 3 x 8 + "lo_pread" 4 + 8.
+        # Reply: key mask 4 + ok 1.  (As JSON: 50 and 11 bytes.)
+        assert (request, reply) == (40, 5)
+
+    def test_a_lo_pread_round_trip_in_bytecodes(self, db):
+        """The client's call plus one turn of the server thread's loop,
+        from one wait for a frame prefix to the next: 982 at the commit
+        that added this test, 1,325 with the JSON headers before it."""
+        from repro.server import ReproServer, ServerClient, protocol
+        main = threading.get_ident()
+        counts = {main: 0}
+        server_marks = []      # the server's count at each prefix wait
+
+        def on_call(frame, event, arg):
+            frame.f_trace_opcodes = True
+            frame.f_trace_lines = False
+            thread = threading.get_ident()
+            if (thread != main and frame.f_code is protocol.recv_exact.__code__
+                    and frame.f_locals["nbytes"] == 8):
+                server_marks.append(counts.get(thread, 0))
+            return on_event
+
+        def on_event(frame, event, arg):
+            if event == "opcode":
+                thread = threading.get_ident()
+                counts[thread] = counts.get(thread, 0) + 1
+            return on_event
+
+        def server_waits():
+            """Until the server waits for the next frame: one mark at
+            its start and one after each request served."""
+            deadline = time.monotonic() + 10.0
+            while (len(server_marks) <= client.round_trips
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+
+        def round_trip():
+            server_waits()
+            client_before = counts[main]
+            sys.settrace(on_call)
+            assert len(client.lo_pread(fd, 0, self.FRAME)) == self.FRAME
+            sys.settrace(None)
+            server_waits()
+            return (counts[main] - client_before
+                    + server_marks[-1] - server_marks[-2])
+
+        with ReproServer(db) as server:
+            threading.settrace(on_call)  # for the connection thread ...
+            try:
+                client = ServerClient(*server.address)
+                client.ping()            # ... which has started once served
+            finally:
+                threading.settrace(None)
+            with client:
+                client.begin()
+                fd = client.lo_open(client.lo_create("fchunk"), "rw")
+                client.lo_write(fd, bytes(self.FRAME))
+                round_trip()                   # warm the caches
+                costs = [round_trip() for _ in range(3)]
+                client.rollback()
+        assert len(set(costs)) == 1, costs
+        assert costs[0] <= 1_050, costs
 
 
 class TestInversionMicro:

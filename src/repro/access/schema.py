@@ -194,15 +194,6 @@ class Schema:
             parts.append(payload)
         return b"".join(parts)
 
-    def encode_many(self, records: list[tuple]) -> list[bytes]:
-        """Serialize a batch of records (one image per record).
-
-        Equivalent to ``[self.encode(r) for r in records]`` — one call into
-        the codec layer per batch instead of per record.
-        """
-        encode = self.encode
-        return [encode(record) for record in records]
-
     def decode(self, data) -> tuple:
         """Deserialize one record produced by :meth:`encode`.
 
@@ -239,15 +230,6 @@ class Schema:
             append(codec.decode(data[pos:end]))
             pos = end
         return tuple(values)
-
-    def decode_many(self, images: list) -> list[tuple]:
-        """Deserialize a batch of record images.
-
-        Equivalent to ``[self.decode(img) for img in images]``; images may
-        be bytes or memoryviews (see :meth:`decode`).
-        """
-        decode = self.decode
-        return [decode(image) for image in images]
 
     # -- catalog persistence -----------------------------------------------------
 

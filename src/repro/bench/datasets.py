@@ -46,20 +46,3 @@ def frame_bytes(frame_no: int, compressible_fraction: float = 0.0,
     literal = (unit * repeats)[:literal_len]
     return literal + bytes(zero_len)
 
-
-def build_object_bytes(frames: int, compressible_fraction: float = 0.0,
-                       frame_size: int = 4096, seed: int = 1993) -> bytes:
-    """The whole benchmark object, concatenated (for baselines/tests)."""
-    return b"".join(
-        frame_bytes(i, compressible_fraction, frame_size, seed=seed)
-        for i in range(frames))
-
-
-def measured_ratio(compressible_fraction: float,
-                   frame_size: int = 4096) -> float:
-    """Achieved ``zero-rle`` compression (space saved / original) on one
-    frame — used by tests to confirm the dataset hits its target."""
-    from repro.compress.rle import ZeroRunCompressor
-    frame = frame_bytes(0, compressible_fraction, frame_size)
-    packed = ZeroRunCompressor().compress(frame)
-    return 1.0 - len(packed) / frame_size

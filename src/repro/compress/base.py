@@ -28,15 +28,6 @@ class Compressor(ABC):
     def decompress(self, data: bytes) -> bytes:
         """Original bytes for an image produced by :meth:`compress`."""
 
-    def verify_roundtrip(self, data: bytes) -> bytes:
-        """Compress, then check the image decompresses back (tests/tools)."""
-        image = self.compress(data)
-        back = self.decompress(image)
-        if back != bytes(data):
-            raise CompressionError(
-                f"{self.name}: round-trip mismatch on {len(data)} bytes")
-        return image
-
 
 _REGISTRY: dict[str, Callable[[], Compressor]] = {}
 

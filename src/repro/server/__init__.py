@@ -6,8 +6,8 @@ the buffer pool, lock manager, and commit log.  This package supplies
 that missing process boundary for the reproduction:
 
 * :mod:`repro.server.protocol` — a tiny length-prefixed wire format
-  (JSON header + raw binary body, so ``lo_pread``/``lo_pwrite`` payloads
-  never pass through text encoding);
+  (a binary header of declared, typed fields + a raw binary body, so
+  ``lo_pread``/``lo_pwrite`` payloads never pass through text encoding);
 * :mod:`repro.server.server` — :class:`ReproServer`, a threaded socket
   server mapping one connection to one :class:`~repro.session.Session`;
 * :mod:`repro.server.client` — :class:`ServerClient`, the blocking

@@ -13,7 +13,8 @@ a per-descriptor position, so ``lo_seek`` + ``lo_read`` is one round
 trip, ``lo_tell`` none, and only ``SEEK_END`` asks the server (one
 ``lo_size``).  ``round_trips`` counts the frames sent.  A transport
 error inside a call closes the connection: the stream would be one reply
-out of step, so later calls raise ``ConnectionError``.
+out of step, so later calls raise ``ConnectionError``.  A header value
+that does not fit its declared type fails its call alone (nothing sent).
 
 >>> from repro.db import Database
 >>> from repro.server import ReproServer, ServerClient
@@ -63,9 +64,13 @@ class ServerClient:
         """One request/reply round trip; raises the mapped engine error."""
         if self._sock is None:
             raise ConnectionError("connection is closed")
-        try:
+        try:  # a ProtocolError here sent nothing: the stream is in step
             protocol.send_message(self._sock, {"cmd": cmd, **fields}, body)
-            self.round_trips += 1
+        except OSError:
+            self._hang_up()
+            raise
+        self.round_trips += 1
+        try:
             header, reply_body = protocol.recv_message(self._sock)
         except (OSError, protocol.ProtocolError):
             self._hang_up()  # or the next call reads this call's late reply

@@ -1,17 +1,25 @@
-"""The repro wire protocol: length-prefixed JSON header + binary body.
+"""The repro wire protocol: length-prefixed binary header + binary body.
 
 Every message — request or response — is one frame::
 
     +----------------+----------------+----------------+-----------+
-    | header length  | body length    | header (JSON)  | body      |
-    | uint32, BE     | uint32, BE     | UTF-8          | raw bytes |
+    | header length  | body length    | header         | body      |
+    | uint32, BE     | uint32, BE     | (binary)       | raw bytes |
     +----------------+----------------+----------------+-----------+
 
-The JSON header carries the command (or reply fields); the body carries
-bulk large-object data so ``lo_pread``/``lo_pwrite`` payloads move as raw
-bytes instead of being base64-inflated inside JSON.  Small binary
-values that *do* appear inside headers (query result rows may contain
-``bytes``) are tagged: ``{"__b64__": "<base64>"}``.
+The body carries bulk large-object data as raw bytes.  Every header key
+is declared once, with its type, in ``FIELDS``.  A header is a u32 key
+mask (bit *i*: the *i*-th key is present), one ``struct`` of the i64 and
+bool fields present, then each text field present as a u32 length and
+that much UTF-8 (``0xFFFFFFFF`` for ``None``), all in declaration order.
+The only nested values, ``stats`` and the ``execute`` result's lists, are
+*structured* text fields: JSON, ``bytes`` tagged ``{"__b64__": "..."}``.
+
+A value that does not fit its key's type raises :class:`ProtocolError`
+before a byte is sent, so the stream stays in step.  So does, on
+receipt, a truncated field, a length past the header's end, an
+undeclared mask bit (a JSON-era header's leading ``{`` sets one),
+trailing bytes, bad UTF-8 or bad JSON.
 
 The wire is *positioned*: the data verbs are ``lo_pread(fd, offset,
 nbytes)`` and ``lo_pwrite(fd, offset)`` + body, beside ``lo_append``,
@@ -21,15 +29,16 @@ one frame each way, and a transport error in between ends the
 connection.  Every verb, with the header fields it requires, is declared
 in ``COMMANDS`` of :mod:`repro.server.server`.
 
-Responses always carry ``"ok"``: ``true`` plus reply fields on
-success, ``false`` plus ``"error"`` (exception class name) and
-``"message"`` on failure.  :mod:`repro.server.client` maps error names
-back onto the :mod:`repro.errors` hierarchy.
+Responses always carry ``ok``: ``True`` plus reply fields on success,
+``False`` plus ``error`` (exception class name) and ``message`` on
+failure.  :mod:`repro.server.client` maps error names back onto the
+:mod:`repro.errors` hierarchy.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import socket
 import struct
@@ -43,15 +52,98 @@ _PREFIX = struct.Struct("!II")
 #: ``recv`` for gigabytes.  64 MiB comfortably covers the test corpus.
 MAX_PART = 64 << 20
 
+#: Header field types; the fixed-width two are their struct codes.
+I64, BOOL, TEXT, STRUCTURED = "q", "?", "text", "structured"
+
+#: Every header key with its type; a key's place is its mask bit.  At
+#: most 24 keys, so that the 0x7b opening a JSON-era header is undeclared.
+FIELDS = {
+    "cmd": TEXT, "fd": I64, "offset": I64, "nbytes": I64, "size": I64,
+    "query": TEXT, "designator": TEXT, "mode": TEXT, "impl": TEXT,
+    "compression": TEXT, "smgr": TEXT,
+    "ok": BOOL, "error": TEXT, "message": TEXT, "pong": BOOL, "xid": I64,
+    "pos": I64, "count": I64, "columns": STRUCTURED, "rows": STRUCTURED,
+    "temporaries": STRUCTURED, "stats": STRUCTURED,
+}
+_BIT = {name: 1 << place for place, name in enumerate(FIELDS)}
+_U32 = struct.Struct("!I")
+_NONE = 0xFFFFFFFF
+
 
 class ProtocolError(ReproError):
-    """The peer sent a malformed or oversized frame."""
+    """A malformed or oversized frame, or a header value off its type."""
+
+
+_JSON_OUT = json.JSONEncoder(separators=(",", ":"), default=lambda data: {
+    "__b64__": base64.b64encode(data).decode("ascii")}).encode  # bytes only
+_JSON_IN = json.JSONDecoder(object_hook=lambda obj: base64.b64decode(
+    obj["__b64__"]) if "__b64__" in obj else obj).decode
+
+
+class _Layout:
+    """One key set's header: which fields, in which order, how packed."""
+
+    def __init__(self, mask: int):
+        names = [name for name in FIELDS if mask & _BIT[name]]
+        self.fixed = [name for name in names if FIELDS[name] in (I64, BOOL)]
+        self.bools = [name for name in self.fixed if FIELDS[name] == BOOL]
+        self.texts = [(name, FIELDS[name] == STRUCTURED)
+                      for name in names if name not in self.fixed]
+        self.head = struct.Struct("!I" + "".join(map(FIELDS.get, self.fixed)))
+        self.mask = mask
+
+    def encode(self, header: dict) -> bytes:
+        try:
+            for name in self.bools:  # struct's "?" takes any object
+                if type(header[name]) is not bool:
+                    raise TypeError(f"{name!r} is not a bool")
+            parts = [self.head.pack(self.mask, *map(header.__getitem__, self.fixed))]
+            for name, structured in self.texts:
+                value = header[name]
+                if structured:
+                    value = _JSON_OUT(value)
+                elif value is None:
+                    parts.append(_U32.pack(_NONE))
+                    continue
+                data = value.encode()  # AttributeError unless a str
+                parts += (_U32.pack(len(data)), data)
+        except (struct.error, TypeError, ValueError, AttributeError) as exc:
+            raise ProtocolError(f"header {header!r} does not fit its "
+                                f"declared types: {exc}") from None
+        return b"".join(parts)
+
+    def decode(self, raw: bytes) -> dict:
+        header = dict(zip(self.fixed, self.head.unpack_from(raw)[1:]))
+        pos = self.head.size
+        for name, structured in self.texts:
+            (size,) = _U32.unpack_from(raw, pos)
+            pos += 4
+            if size == _NONE:
+                header[name] = None
+                continue
+            text = raw[pos:pos + size].decode()
+            header[name] = _JSON_IN(text) if structured else text
+            pos += size
+        if pos != len(raw):  # a lying length, or trailing bytes
+            raise ProtocolError(f"header fields span {pos} of {len(raw)} bytes")
+        return header
+
+
+@functools.lru_cache(maxsize=256)
+def _by_mask(mask: int) -> _Layout:
+    if mask >> len(FIELDS):  # a JSON-era peer's "{" lands here
+        raise ProtocolError(f"header mask {mask:#010x} sets undeclared keys")
+    return _Layout(mask)
 
 
 def send_message(sock: socket.socket, header: dict,
                  body: bytes = b"") -> None:
     """Serialize *header*/*body* into one frame and send it."""
-    raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    try:
+        layout = _by_mask(sum(map(_BIT.__getitem__, header)))
+    except KeyError as exc:
+        raise ProtocolError(f"undeclared header field {exc}") from None
+    raw = layout.encode(header)
     if len(raw) > MAX_PART or len(body) > MAX_PART:
         raise ProtocolError(
             f"frame part too large ({len(raw)}/{len(body)} bytes, "
@@ -72,13 +164,11 @@ def recv_message(sock: socket.socket) -> tuple[dict, bytes]:
             f"frame prefix claims {header_len}/{body_len} bytes "
             f"(max {MAX_PART}) — stream out of sync?")
     rest = recv_exact(sock, header_len + body_len)
+    raw = rest[:header_len]
     try:
-        header = json.loads(rest[:header_len])
-    except ValueError as exc:
+        header = _by_mask(_U32.unpack_from(raw)[0]).decode(raw)
+    except (struct.error, ValueError, TypeError) as exc:
         raise ProtocolError(f"bad frame header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ProtocolError(
-            f"frame header must be a JSON object, got {type(header).__name__}")
     return header, rest[header_len:]
 
 
@@ -99,30 +189,10 @@ def recv_exact(sock: socket.socket, nbytes: int) -> bytes:
     return b"".join(parts)
 
 
-# -- bytes-in-JSON tagging (query result rows may contain bytes) ------------------
-
-
-def encode_value(value):
-    """JSON-safe form of one result value (bytes become a b64 tag)."""
-    if isinstance(value, bytes):
-        return {"__b64__": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, (list, tuple)):
-        return [encode_value(v) for v in value]
-    return value
-
-
-def decode_value(value):
-    """Inverse of :func:`encode_value`."""
-    if isinstance(value, dict) and "__b64__" in value:
-        return base64.b64decode(value["__b64__"])
-    if isinstance(value, list):
-        return [decode_value(v) for v in value]
-    return value
-
-
 def encode_rows(rows: list[tuple]) -> list[list]:
-    return [[encode_value(v) for v in row] for row in rows]
+    """Result rows as a structured value (``bytes`` in them are tagged)."""
+    return [list(row) for row in rows]
 
 
 def decode_rows(rows: list[list]) -> list[tuple]:
-    return [tuple(decode_value(v) for v in row) for row in rows]
+    return [tuple(row) for row in rows]

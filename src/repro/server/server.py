@@ -155,8 +155,8 @@ class ReproServer:
             while not self._stopping.is_set():
                 try:
                     header, body = protocol.recv_message(conn)
-                except (ConnectionError, OSError):
-                    return  # client hung up; finally rolls back
+                except (ConnectionError, OSError, protocol.ProtocolError):
+                    return  # hung up or out of step; finally rolls back
                 if not self._dispatch(conn, session, header, body):
                     return
         finally:
@@ -243,8 +243,7 @@ COMMANDS = {
     "lo_append": (lambda o, h, b: {"nbytes": o.append(b), "pos": o.tell()},
                   ("fd",)),
     "lo_size": (lambda o, h, b: {"size": o.size()}, ("fd",)),
-    # int(): a null size would truncate to the server-side position, 0.
-    "lo_truncate": (lambda o, h, b: {"size": o.truncate(int(h["size"]))},
+    "lo_truncate": (lambda o, h, b: {"size": o.truncate(h["size"])},
                     ("fd", "size")),
     "lo_close": (lambda o, h, b: o.close(), ("fd",)),
 }

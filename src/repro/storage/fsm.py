@@ -9,6 +9,8 @@ appending sequentially (important for the paper's sequential-write numbers).
 
 from __future__ import annotations
 
+from itertools import compress
+
 
 class FreeSpaceMap:
     """Per-relation page free-space hints."""
@@ -48,15 +50,10 @@ class FreeSpaceMap:
             return target
         if needed > self._max_free:
             return None
-        best = None
-        actual_max = 0
-        for blockno, free in self._free.items():
-            if free > actual_max:
-                actual_max = free
-            if free >= needed and (best is None or blockno < best):
-                best = blockno
-        self._max_free = actual_max  # tighten the stale bound for free
-        return best
+        free = self._free
+        self._max_free = max(free.values(), default=0)  # tighten the bound
+        return min(compress(free, map(needed.__le__, free.values())),
+                   default=None)
 
     def known_insufficient(self, blockno: int, needed: int) -> bool:
         """True when the hints affirmatively say *blockno* cannot fit *needed*.

@@ -67,6 +67,10 @@ _LP_STATE_MASK = 0x3
 _LP_LEN_SHIFT = 2
 _LP_MAX_LEN = (1 << 14) - 1
 
+#: The one image of a dead line pointer: delete_item and overwrite_item,
+#: its only writers, both write ``(0, 0, LP_DEAD)``.
+_DEAD_ITEMID = _ITEMID.pack(0, LP_DEAD)
+
 
 @dataclass(frozen=True)
 class ItemId:
@@ -121,11 +125,6 @@ class SlottedPage:
     @property
     def lsn(self) -> int:
         return self._read_header()[0]
-
-    @lsn.setter
-    def lsn(self, value: int) -> None:
-        lsn, checksum, flags, lower, upper, special = self._read_header()
-        self._write_header(value, checksum, flags, lower, upper, special)
 
     @property
     def lower(self) -> int:
@@ -216,17 +215,13 @@ class SlottedPage:
             raise PageError("cannot store a zero-length item")
         lsn, checksum, flags, lower, upper, special = self._read_header()
 
-        reuse = None
-        count = (lower - PAGE_HEADER_SIZE) // ITEM_ID_SIZE
-        unpack = _ITEMID.unpack_from
+        # The first dead pointer: its one image, at a pointer boundary.
         buf = self.buf
-        for slot in range(count):
-            lenstate = unpack(buf, PAGE_HEADER_SIZE + slot * ITEM_ID_SIZE)[1]
-            if lenstate & _LP_STATE_MASK == LP_DEAD:
-                reuse = slot
-                break
+        found = buf.find(_DEAD_ITEMID, PAGE_HEADER_SIZE, lower)
+        while found >= 0 and (found - PAGE_HEADER_SIZE) % ITEM_ID_SIZE:
+            found = buf.find(_DEAD_ITEMID, found + 1, lower)
 
-        needed = length if reuse is not None else length + ITEM_ID_SIZE
+        needed = length if found >= 0 else length + ITEM_ID_SIZE
         if upper - lower < needed:
             raise PageFullError(
                 f"item of {length} bytes does not fit "
@@ -234,10 +229,10 @@ class SlottedPage:
 
         new_upper = upper - length
         buf[new_upper:new_upper + length] = data
-        if reuse is not None:
-            slot = reuse
+        if found >= 0:
+            slot = (found - PAGE_HEADER_SIZE) // ITEM_ID_SIZE
         else:
-            slot = count
+            slot = (lower - PAGE_HEADER_SIZE) // ITEM_ID_SIZE
             lower += ITEM_ID_SIZE
         self._write_header(lsn, checksum, flags, lower, new_upper, special)
         self._set_item_id(slot, new_upper, length, LP_NORMAL)
@@ -401,16 +396,10 @@ class SlottedPage:
         crc = zlib.crc32(_ZERO4, zlib.crc32(view[12:20], crc))
         return zlib.crc32(view[PAGE_HEADER_SIZE:], crc)
 
-    def stamp_checksum(self) -> None:
-        """Store the current checksum into the header (before a device write)."""
-        lsn, _checksum, flags, lower, upper, special = self._read_header()
-        self._write_header(lsn, self.compute_checksum(), flags,
-                           lower, upper, special)
-
     def seal(self, lsn: int) -> None:
-        """Set the LSN and stamp the checksum in one pass over the page:
-        bit for bit what ``page.lsn = lsn; page.stamp_checksum()`` leaves
-        (the checksum field and the reserved bytes zeroed, then hashed)."""
+        """Set the LSN and stamp the checksum (before a device write), in
+        one pass over the page: the checksum field and the reserved bytes
+        are zeroed, then the whole page is hashed."""
         buf = self.buf
         _LSN_CHECKSUM.pack_into(buf, 0, lsn, 0)
         buf[20:PAGE_HEADER_SIZE] = _ZERO4

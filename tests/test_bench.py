@@ -2,10 +2,26 @@
 
 import pytest
 
-from repro.bench.datasets import build_object_bytes, frame_bytes, \
-    measured_ratio
+from repro.bench.datasets import frame_bytes
 from repro.bench.report import FigureResult, render_table
 from repro.bench.workload import Workload
+
+
+def measured_ratio(compressible_fraction: float,
+                   frame_size: int = 4096) -> float:
+    """Achieved ``zero-rle`` compression (space saved / original) on one
+    frame."""
+    from repro.compress.rle import ZeroRunCompressor
+    frame = frame_bytes(0, compressible_fraction, frame_size)
+    packed = ZeroRunCompressor().compress(frame)
+    return 1.0 - len(packed) / frame_size
+
+
+def build_object_bytes(frames: int, compressible_fraction: float = 0.0,
+                       frame_size: int = 4096) -> bytes:
+    """A whole benchmark object: its frames, concatenated."""
+    return b"".join(frame_bytes(i, compressible_fraction, frame_size)
+                    for i in range(frames))
 
 
 class TestDatasets:

@@ -263,7 +263,7 @@ class TestChecksums:
     def test_corrupt_block_detected(self, pool, smgr):
         fid = new_file(smgr)
         buf = pool.allocate(smgr, fid)
-        buf.page.lsn = 1  # nonzero lsn enables verification
+        buf.page.seal(1)  # nonzero lsn enables verification
         buf.page.add_item(b"data")
         pool.unpin(buf, dirty=True)
         pool.flush_file(smgr, fid)

@@ -48,7 +48,10 @@ class TestRoundtrip:
         assert len(image) <= len(data) + 1
 
     def test_verify_roundtrip_helper(self, cls):
-        cls().verify_roundtrip(b"sanity" * 100)
+        """A short repetitive input survives the round trip."""
+        compressor = cls()
+        data = b"sanity" * 100
+        assert compressor.decompress(compressor.compress(data)) == data
 
 
 class TestZeroRun:

@@ -202,26 +202,26 @@ class TestChecksum:
     def test_fresh_page_verifies_after_stamp(self):
         page = SlottedPage()
         page.add_item(b"data")
-        page.stamp_checksum()
+        page.seal(0)
         assert page.verify_checksum()
 
     def test_corruption_detected(self):
         page = SlottedPage()
         page.add_item(b"data")
-        page.stamp_checksum()
+        page.seal(0)
         page.buf[5000] ^= 0xFF
         assert not page.verify_checksum()
 
     def test_checksum_stable_under_reload(self):
         page = SlottedPage()
         page.add_item(b"data")
-        page.stamp_checksum()
+        page.seal(0)
         reloaded = SlottedPage(bytearray(page.buf))
         assert reloaded.verify_checksum()
 
     def test_lsn_roundtrip(self):
         page = SlottedPage()
-        page.lsn = 12345
+        page.seal(12345)
         assert page.lsn == 12345
 
     @settings(max_examples=60)
@@ -251,12 +251,44 @@ class TestChecksum:
                                                  max_value=2**64 - 1))
     def test_seal_is_lsn_then_stamp_bit_for_bit(self, seed, lsn):
         raw = random.Random(seed).randbytes(PAGE_SIZE)
-        sealed, stamped = SlottedPage(bytearray(raw)), SlottedPage(bytearray(raw))
+        sealed = SlottedPage(bytearray(raw))
         sealed.seal(lsn)
-        stamped.lsn = lsn
-        stamped.stamp_checksum()
-        assert sealed.buf == stamped.buf
+        # Set the LSN by repacking the header (which zeroes the reserved
+        # bytes), then store the checksum of the result.
+        stamped = bytearray(raw)
+        _HEADER.pack_into(stamped, 0, lsn, *_HEADER.unpack_from(raw)[1:])
+        checksum = SlottedPage(stamped).compute_checksum()
+        stamped[8:12] = checksum.to_bytes(4, "little")
+        assert sealed.buf == stamped
         assert sealed.lsn == lsn and sealed.verify_checksum()
+
+
+# Line-pointer halves drawn so that the dead image (00 00 02 00) often
+# appears straddling two pointers; none of them is itself a dead state.
+_POINTER_HALVES = st.sampled_from([0, 1, 2, 5, 0x0200, 0x0201, 0x0202])
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(
+    st.just((0, LP_DEAD)),
+    st.tuples(_POINTER_HALVES, _POINTER_HALVES).filter(
+        lambda pointer: pointer[1] & 0x3 != LP_DEAD)), max_size=40))
+def test_add_item_reuses_the_first_dead_pointer(pointers):
+    """The byte search for the dead image picks the slot a per-slot walk
+    of the line-pointer states picks, skipping matches that straddle
+    two pointers."""
+    buf = bytearray(PAGE_SIZE)
+    lower = PAGE_HEADER_SIZE + ITEM_ID_SIZE * len(pointers)
+    _HEADER.pack_into(buf, 0, 0, 0, 0, lower, PAGE_SIZE, PAGE_SIZE)
+    for slot, pointer in enumerate(pointers):
+        struct.pack_into("<HH", buf, PAGE_HEADER_SIZE + slot * ITEM_ID_SIZE,
+                         *pointer)
+    page = SlottedPage(buf)
+    first_dead = next((slot for slot in range(page.slot_count)
+                       if page.item_id(slot).state == LP_DEAD),
+                      page.slot_count)
+    assert page.add_item(b"item") == first_dead
+    assert page.get_item(first_dead) == b"item"
 
 
 @settings(max_examples=60)

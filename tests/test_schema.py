@@ -140,7 +140,7 @@ def test_property_concatenation_safe(records):
         assert schema.decode(encoded) == record
 
 
-# -- batch codecs (encode_many/decode_many) ------------------------------------------
+# -- the record codec against the tuple serializer ----------------------------------
 
 def wide_schema():
     return Schema([
@@ -168,23 +168,9 @@ wide_record_strategy = st.tuples(
 
 
 class TestBatchCodecs:
-    @given(st.lists(wide_record_strategy, max_size=8))
-    def test_encode_many_matches_single(self, records):
-        schema = wide_schema()
-        assert schema.encode_many(records) == [
-            schema.encode(record) for record in records]
-
-    @given(st.lists(wide_record_strategy, max_size=8))
-    def test_decode_many_matches_single(self, records):
-        schema = wide_schema()
-        images = schema.encode_many(records)
-        assert schema.decode_many(images) == [
-            schema.decode(image) for image in images]
-        assert schema.decode_many(images) == records
-
     @given(st.lists(wide_record_strategy, min_size=1, max_size=6))
     def test_batch_agrees_with_tuple_serialization(self, records):
-        """The batch codecs and serialize/deserialize_tuple round-trip
+        """The record codec and serialize/deserialize_tuple round-trip
         through the same wire format, including via memoryviews."""
         from repro.access.tuples import (TID, deserialize_tuple,
                                          serialize_tuple)
@@ -194,12 +180,5 @@ class TestBatchCodecs:
                                     values=record)
             tup = deserialize_tuple(schema, memoryview(image), TID(0, i))
             assert tup.values == record
-            assert [tup.values] == schema.decode_many(
-                [image[32:]])  # past the fixed tuple header
-
-    @given(st.lists(wide_record_strategy, max_size=6))
-    def test_decode_many_accepts_memoryviews(self, records):
-        schema = wide_schema()
-        images = schema.encode_many(records)
-        views = [memoryview(image) for image in images]
-        assert schema.decode_many(views) == records
+            # past the fixed tuple header
+            assert tup.values == schema.decode(memoryview(image)[32:])

@@ -8,10 +8,13 @@ acceptance-criteria scenario for the server plus range-lock PR.
 
 import random
 import socket
+import struct
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db import Database
 from repro.errors import (DeadlockError, LargeObjectError,
@@ -113,6 +116,147 @@ class TestProtocol:
         rows = [(1, b"\x00\x01\xfe", "text", None), (2, b"", [b"x"], 3.5)]
         assert protocol.decode_rows(protocol.encode_rows(rows)) == [
             (1, b"\x00\x01\xfe", "text", None), (2, b"", [b"x"], 3.5)]
+
+
+_I64 = st.integers(-2**63, 2**63 - 1)
+_JSON_VALUES = st.recursive(   # any JSON but floats (NaN) and the b64 tag
+    st.none() | st.booleans() | _I64 | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8).filter(lambda key: key != "__b64__"),
+                      inner, max_size=4),
+    max_leaves=12)
+_BYTES_ROWS = st.lists(st.tuples(_I64, st.binary(max_size=40), st.text(),
+                                 st.none()), max_size=4)
+_BY_TYPE = {
+    protocol.I64: _I64,
+    protocol.BOOL: st.booleans(),
+    protocol.TEXT: st.none() | st.text(),
+    protocol.STRUCTURED: _JSON_VALUES | _BYTES_ROWS.map(protocol.encode_rows),
+}
+
+
+def _raw_header(*parts: bytes, keys=()) -> bytes:
+    """A hand-built header: the mask of *keys*, then *parts* verbatim."""
+    mask = sum(1 << list(protocol.FIELDS).index(key) for key in keys)
+    return struct.pack("!I", mask) + b"".join(parts)
+
+
+def _text(data: bytes) -> bytes:
+    return struct.pack("!I", len(data)) + data
+
+
+class TestHeaderCodec:
+    """Every header key is declared once with its type (``FIELDS``)."""
+
+    @settings(max_examples=200)
+    @given(st.fixed_dictionaries({}, optional={
+        name: _BY_TYPE[kind] for name, kind in protocol.FIELDS.items()}),
+        st.binary(max_size=64))
+    def test_every_declared_key_round_trips(self, header, body):
+        a, b = socket.socketpair()
+        try:
+            protocol.send_message(a, header, body)
+            assert protocol.recv_message(b) == (header, body)
+        finally:
+            a.close()
+            b.close()
+
+    @given(_BYTES_ROWS)
+    def test_bytes_rows_survive_the_structured_field(self, rows):
+        a, b = socket.socketpair()
+        try:
+            protocol.send_message(a, {"rows": protocol.encode_rows(rows)})
+            header, _ = protocol.recv_message(b)
+            assert protocol.decode_rows(header["rows"]) == rows
+        finally:
+            a.close()
+            b.close()
+
+    @pytest.mark.parametrize("header", [
+        {"cmd": "lo_pread", "offset": 1.5},
+        {"cmd": "lo_pread", "offset": "1"},
+        {"cmd": "lo_truncate", "size": None},
+        {"cmd": "lo_pread", "offset": 2**63},
+        {"cmd": "lo_pread", "offset": -2**63 - 1},
+        {"cmd": 7},
+        {"cmd": b"ping"},
+        {"ok": 1},
+        {"stats": {b"bytes": 1}},
+        {"cmd": "ping", "bogus": 1},
+    ], ids=["float", "str", "None", "2**63", "-2**63-1", "int-text",
+            "bytes-text", "int-bool", "unencodable", "undeclared"])
+    def test_a_misfit_is_refused_before_a_byte_is_sent(self, header):
+        a, b = socket.socketpair()
+        try:
+            with pytest.raises(protocol.ProtocolError):
+                protocol.send_message(a, header)
+            b.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                b.recv(1)
+        finally:
+            a.close()
+            b.close()
+
+    @pytest.mark.parametrize("raw", [
+        _raw_header(b"\x00" * 5, keys=["fd"]),
+        _raw_header(struct.pack("!I", 100) + b"abc", keys=["cmd"]),
+        _raw_header(b"\x00" * 3, keys=["cmd"]),
+        struct.pack("!I", 1 << len(protocol.FIELDS)),
+        _raw_header(_text(b"ping") + b"!", keys=["cmd"]),
+        _raw_header(_text(b"\xff\xfe"), keys=["cmd"]),
+        _raw_header(_text(b"{not json"), keys=["stats"]),
+        _raw_header(_text(b'{"__b64__":5}'), keys=["stats"]),
+        b'{"cmd":"ping"}',
+        b"",
+    ], ids=["truncated-i64", "lying-length", "truncated-length",
+            "undeclared-bit", "trailing-bytes", "bad-utf8", "bad-json",
+            "bad-b64-tag", "json-era", "empty"])
+    def test_a_hostile_header_is_a_protocol_error(self, raw):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(struct.pack("!II", len(raw), 0) + raw)
+            with pytest.raises(protocol.ProtocolError):
+                protocol.recv_message(b)
+        finally:
+            a.close()
+            b.close()
+
+    def test_a_hostile_frame_drops_only_its_own_connection(self, served):
+        _db, server = served
+        with ServerClient(*server.address) as bystander:
+            for raw in (b'{"cmd":"ping"}',
+                        _raw_header(_text(b"\xff"), keys=["cmd"])):
+                hostile = socket.create_connection(server.address)
+                try:
+                    hostile.sendall(struct.pack("!II", len(raw), 0) + raw)
+                    hostile.settimeout(10.0)
+                    assert hostile.recv(1) == b""   # dropped, no reply
+                finally:
+                    hostile.close()
+                assert bystander.ping()
+
+    def test_a_mistyped_field_fails_the_call_not_the_connection(
+            self, served):
+        _db, server = served
+        with ServerClient(*server.address) as client:
+            client.begin()
+            fd = client.lo_open(client.lo_create("fchunk"), "rw")
+            sent = client.round_trips
+            for fields in ({"fd": fd, "offset": 1.5, "nbytes": 1},
+                           {"fd": fd, "offset": "0", "nbytes": 1},
+                           {"fd": None, "offset": 0, "nbytes": 1},
+                           {"fd": fd, "offset": 2**64, "nbytes": 1},
+                           {"fd": fd, "offset": 0, "nbytes": 1, "bogus": 1}):
+                with pytest.raises(protocol.ProtocolError):
+                    client._call("lo_pread", **fields)
+                assert client.round_trips == sent   # nothing went out
+                assert client.ping()
+                sent = client.round_trips
+            with pytest.raises(protocol.ProtocolError):
+                client._call("lo_truncate", fd=fd, size=None)
+            assert client.ping()
+            assert client.lo_pwrite(fd, 0, b"still in step") == 13
+            client.rollback()
 
 
 class TestServerRoundTrip:

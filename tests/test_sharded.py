@@ -29,7 +29,7 @@ def page(tag: int, lsn: int = 0) -> bytes:
     """A valid slotted page carrying a recognizable payload byte."""
     p = SlottedPage()
     p.add_item(bytes([tag % 251 + 1]) * 64)
-    p.lsn = lsn
+    p.seal(lsn)
     return bytes(p.buf)
 
 
