@@ -14,8 +14,9 @@ asserted hard:
   fleet.
 """
 
-from repro.bench.topology import (BASELINE, Topology, render, run_scenario,
-                                  run_suite)
+from repro.bench.report import render_table
+from repro.bench.topology import (BASELINE, DEFAULT_SCENARIOS, Topology,
+                                  run_scenario, run_topology)
 
 
 def test_four_node_sharded_beats_single_disk_2x(tmp_path):
@@ -60,9 +61,8 @@ def test_skew_erodes_the_parallel_win():
     assert skewed.write_mb_s < uniform.write_mb_s
 
 
-def test_suite_renders_every_scenario():
-    results = run_suite(clients=2, bands_per_client=2)
-    text = render(results)
-    for result in results:
-        assert result.topology.name in text
-    assert "write throughput" in text
+def test_topology_figure_renders_every_scenario():
+    text = render_table(run_topology())
+    for topology in DEFAULT_SCENARIOS:
+        assert topology.name in text
+    assert "write MB/s" in text

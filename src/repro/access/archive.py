@@ -68,8 +68,8 @@ class Archiver:
         if not create:
             return None
         source = self.db.get_class(class_name)
-        return self.db.create_class(name, source.schema,
-                                    smgr=self.archive_smgr)
+        return self.db._create_class(name, source.schema,
+                                     smgr=self.archive_smgr)
 
     # -- the sweep ------------------------------------------------------------------
 

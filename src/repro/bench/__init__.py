@@ -9,9 +9,11 @@ The benchmark (§9.1): a 51.2 MB large object treated as 12,500 frames of
 * :mod:`repro.bench.workload` generates the six §9.1 access patterns.
 * :mod:`repro.bench.figures` runs the implementations and regenerates
   Figure 1 (storage), Figure 2 (disk elapsed time), Figure 3 (WORM
-  elapsed time), and the ablation sweeps.
+  elapsed time), the ablation sweeps, and (from
+  :mod:`repro.bench.topology`) the sharded-throughput table.
 * :mod:`repro.bench.report` renders paper-style text tables.
-* ``python -m repro.bench`` is the command-line entry point.
+* :mod:`repro.bench.cli` is the one runner; ``python -m repro.bench`` is
+  its command-line entry point.
 """
 
 from repro.bench.figures import (

@@ -5,8 +5,10 @@ Examples::
     repro-bench fig2                 # Figure 2 at the default 1/10 scale
     repro-bench fig1 fig3 --scale 1  # full 51.2 MB object
     repro-bench all --scale 0.05     # quick smoke of every figure
-    repro-bench claims               # paper-claim checklist (see below)
+    repro-bench claims               # paper-claim checklist
     repro-bench topology             # sharded throughput vs node count
+    repro-bench report --scale 1     # figures 1-3 and the claims, also
+                                     # written to benchmark_report.md
 """
 
 from __future__ import annotations
@@ -16,26 +18,42 @@ import sys
 
 from repro.bench.claims import evaluate_claims, render_claims
 from repro.bench.figures import ALL_FIGURES, BenchConfig
-from repro.bench.report import render_table
+from repro.bench.report import render_figure1_paper_layout, render_table
+
+#: Names that stand for a list of names, expanded where they appear.
+PSEUDO_NAMES = {
+    "all": sorted(ALL_FIGURES),
+    "report": ["fig1", "fig2", "fig3", "claims"],
+}
+
+
+def run(names: list[str], config: BenchConfig) -> str:
+    """Run *names* in order and return their tables; ``claims`` reuses
+    the figures run before it."""
+    figures = {}
+    parts = []
+    for name in names:
+        if name == "claims":
+            parts.append(render_claims(evaluate_claims(config, figures)))
+            continue
+        figure = figures[name] = ALL_FIGURES[name](config)
+        parts.append(render_table(figure))
+        if name == "fig1":
+            parts.append(render_figure1_paper_layout(figure))
+    return "".join(part + "\n\n" for part in parts)
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # The topology sweep has its own option set, orthogonal to the figure
-    # knobs, so it dispatches before the figure parser sees the arguments.
-    if argv and argv[0] == "topology":
-        from repro.bench.topology import main as topology_main
-        return topology_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Regenerate the tables of 'Large Object Support in "
                     "POSTGRES' (ICDE 1993)")
     parser.add_argument(
         "figures", nargs="+",
-        choices=sorted(ALL_FIGURES) + ["all", "claims", "report"],
-        help="which figure(s) to regenerate ('report' writes a full "
-             "markdown report)")
+        choices=sorted(ALL_FIGURES) + ["claims", *PSEUDO_NAMES],
+        help="what to run, in order: figures, 'claims', 'all' (every "
+             "figure) or 'report' (figures 1-3 and the claims, also "
+             "written to --output)")
     parser.add_argument("-o", "--output", default="benchmark_report.md",
                         help="output path for 'report' "
                              "(default benchmark_report.md)")
@@ -45,30 +63,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1993)
     args = parser.parse_args(argv)
 
-    config = BenchConfig(scale=args.scale, seed=args.seed)
-
-    wanted = list(dict.fromkeys(
-        sorted(ALL_FIGURES) if "all" in args.figures else args.figures))
-    # Figures this invocation has run, handed on to the claims check.
-    figures = {}
-    for name in wanted:
-        if name == "claims":
-            print(render_claims(evaluate_claims(config, figures=figures)))
-            print()
-            continue
-        if name == "report":
-            from repro.bench.reportgen import write_report
-            write_report(args.output, config)
-            print(f"report written to {args.output}")
-            print()
-            continue
-        figure = figures[name] = ALL_FIGURES[name](config)
-        print(render_table(figure))
-        if name == "fig1":
-            from repro.bench.report import render_figure1_paper_layout
-            print()
-            print(render_figure1_paper_layout(figure))
-        print()
+    names = list(dict.fromkeys(
+        name for arg in args.figures for name in PSEUDO_NAMES.get(arg, [arg])))
+    text = run(names, BenchConfig(scale=args.scale, seed=args.seed))
+    sys.stdout.write(text)
+    if "report" in args.figures:
+        # Host-side results artifact, not engine block I/O.
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return 0
 
 

@@ -20,10 +20,13 @@ instructions per byte.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.bench.datasets import frame_bytes
 from repro.bench.report import FigureResult
+from repro.bench.topology import run_topology
 from repro.bench.workload import Operation, Workload
 from repro.compress.base import register_compressor
 from repro.compress.costed import CostedCompressor
@@ -85,11 +88,18 @@ class BenchConfig:
         return max(48, round(WORM_CACHE_BLOCKS * self.scale))
 
 
-def _fresh_db(config: BenchConfig) -> Database:
-    db = Database(pool_size=config.scaled_pool(), mips=MIPS,
-                  worm_cache_blocks=config.scaled_worm_cache())
+@contextmanager
+def _fresh_db(config: BenchConfig, **params) -> Iterator[Database]:
+    """A scaled database with the paper's compressors, closed on exit;
+    *params* override the scaled :class:`Database` settings."""
+    db = Database(**{"pool_size": config.scaled_pool(), "mips": MIPS,
+                     "worm_cache_blocks": config.scaled_worm_cache(),
+                     **params})
     _register_paper_compressors(db)
-    return db
+    try:
+        yield db
+    finally:
+        db.close()
 
 
 def _register_paper_compressors(db: Database) -> None:
@@ -190,54 +200,21 @@ def run_figure1(config: BenchConfig | None = None) -> FigureResult:
     columns = DISK_COLUMNS + [
         ("v-segment 50%", "vsegment", 0.5, "paper-20ipb")]
     for label, impl, fraction, compression in columns:
-        db = _fresh_db(config)
-        try:
+        with _fresh_db(config) as db:
             designator = load_object(db, impl, workload, fraction,
                                      compression)
             breakdown = db.lo.storage_breakdown(designator)
             for component, nbytes in breakdown.items():
                 figure.set(label, component, nbytes)
             figure.set(label, "total", sum(breakdown.values()))
-        finally:
-            db.close()
     return figure
 
 
-# -- Figure 2: disk performance -----------------------------------------------------------
+# -- Figures 2 and 3: elapsed time --------------------------------------------------------
 
 
-def run_figure2(config: BenchConfig | None = None) -> FigureResult:
-    """Elapsed time on the disk storage manager (paper Figure 2)."""
-    config = config or BenchConfig()
-    workload = Workload(config.scale, config.seed)
-    figure = FigureResult(
-        title="Figure 2: disk performance on the benchmark",
-        row_labels=[op.name for op in workload.operations()],
-        col_labels=[], unit="seconds")
-    figure.notes.append(
-        f"scale={config.scale:g}; simulated seconds on the "
-        f"magnetic-disk cost model")
-    for label, impl, fraction, compression in DISK_COLUMNS:
-        db = _fresh_db(config)
-        try:
-            designator = load_object(db, impl, workload, fraction,
-                                     compression)
-            cool_down(db)
-            for generation, op in enumerate(workload.operations(), 1):
-                seconds = run_operation(db, designator, op, workload,
-                                        fraction, generation)
-                figure.set(op.name, label, seconds)
-            figure.notes.append(readpath_note(label, db))
-        finally:
-            db.close()
-    return figure
-
-
-# -- Figure 3: WORM performance ---------------------------------------------------------------
-
-
-def _run_raw_program(config: BenchConfig,
-                     workload: Workload) -> dict[str, float]:
+def _run_raw_program(workload: Workload,
+                     ops: list[Operation]) -> list[float]:
     """The special-purpose raw-device reader (Figure 3's baseline)."""
     from repro.sim.clock import SimClock
     clock = SimClock()
@@ -246,47 +223,61 @@ def _run_raw_program(config: BenchConfig,
         device.append(frame_bytes(frame_no, 0.0, workload.frame_size,
                                   seed=workload.seed))
     device.seal()
-    results = {}
-    for op in workload.operations(include_writes=False):
+    results = []
+    for op in ops:
         snap = clock.snapshot()
         for frame_no in op.frames:
             device.read(frame_no * workload.frame_size,
                         workload.frame_size)
-        results[op.name] = snap.since(clock).elapsed
+        results.append(snap.since(clock).elapsed)
     return results
+
+
+def _elapsed_figure(config: BenchConfig, title: str, note: str,
+                    columns: list, smgr: str | None,
+                    include_writes: bool) -> FigureResult:
+    """Load each column's object on *smgr*, restart, time the §9.1
+    operations; the ``raw`` column is the special program."""
+    workload = Workload(config.scale, config.seed)
+    ops = workload.operations(include_writes)
+    figure = FigureResult(title=title, row_labels=[op.name for op in ops],
+                          col_labels=[], unit="seconds")
+    figure.notes.append(note)
+    for label, impl, fraction, compression in columns:
+        if impl == "raw":
+            for op, seconds in zip(ops, _run_raw_program(workload, ops)):
+                figure.set(op.name, label, seconds)
+            continue
+        with _fresh_db(config) as db:
+            designator = load_object(db, impl, workload, fraction,
+                                     compression, smgr=smgr)
+            cool_down(db)
+            for generation, op in enumerate(ops, 1):
+                seconds = run_operation(db, designator, op, workload,
+                                        fraction, generation)
+                figure.set(op.name, label, seconds)
+            figure.notes.append(readpath_note(label, db))
+    return figure
+
+
+def run_figure2(config: BenchConfig | None = None) -> FigureResult:
+    """Elapsed time on the disk storage manager (paper Figure 2)."""
+    config = config or BenchConfig()
+    return _elapsed_figure(
+        config, "Figure 2: disk performance on the benchmark",
+        f"scale={config.scale:g}; simulated seconds on the "
+        f"magnetic-disk cost model", DISK_COLUMNS, None,
+        include_writes=True)
 
 
 def run_figure3(config: BenchConfig | None = None) -> FigureResult:
     """Elapsed time on the WORM jukebox (paper Figure 3, reads only)."""
     config = config or BenchConfig()
-    workload = Workload(config.scale, config.seed)
-    read_ops = workload.operations(include_writes=False)
-    figure = FigureResult(
-        title="Figure 3: WORM performance on the benchmark",
-        row_labels=[op.name for op in read_ops],
-        col_labels=[], unit="seconds")
-    figure.notes.append(
+    return _elapsed_figure(
+        config, "Figure 3: WORM performance on the benchmark",
         f"scale={config.scale:g}; jukebox cost model with a "
-        f"{WORM_CACHE_BLOCKS}-block magnetic-disk cache")
-    for label, impl, fraction, compression in WORM_COLUMNS:
-        if impl == "raw":
-            for name, seconds in _run_raw_program(config,
-                                                  workload).items():
-                figure.set(name, label, seconds)
-            continue
-        db = _fresh_db(config)
-        try:
-            designator = load_object(db, impl, workload, fraction,
-                                     compression, smgr="worm")
-            cool_down(db)
-            for op in read_ops:
-                seconds = run_operation(db, designator, op, workload,
-                                        fraction, generation=0)
-                figure.set(op.name, label, seconds)
-            figure.notes.append(readpath_note(label, db))
-        finally:
-            db.close()
-    return figure
+        f"{WORM_CACHE_BLOCKS}-block magnetic-disk cache", WORM_COLUMNS,
+        "worm", include_writes=False)
 
 
 # -- Ablations (design choices called out in DESIGN.md) ------------------------------------------
@@ -308,8 +299,7 @@ def run_ablation_chunk_size(
         col_labels=[], unit="mixed")
     for payload in payloads:
         label = f"{payload}B chunks"
-        db = _fresh_db(config)
-        try:
+        with _fresh_db(config) as db:
             with db.begin() as txn:
                 designator = db.lo.create(txn, "fchunk")
                 oid = designator_oid(designator)
@@ -336,8 +326,32 @@ def run_ablation_chunk_size(
             reader.close()
             figure.set("1MB random read seconds", label,
                        snap.since(db.clock).elapsed)
-        finally:
-            db.close()
+    return figure
+
+
+def _cache_ablation(config: BenchConfig, title: str, setting: str,
+                    sizes: tuple[int, ...], unit: str, smgr: str | None,
+                    hit_row: str, hit_rate) -> FigureResult:
+    """The two scattered reads of an f-chunk object on *smgr*, once per
+    value of the :class:`Database` *setting*; *hit_rate(db)* fills the
+    last row."""
+    workload = Workload(config.scale, config.seed)
+    read_ops = workload.operations(include_writes=False)[1:]
+    figure = FigureResult(
+        title=title,
+        row_labels=["1MB random read seconds", "1MB 80/20 read seconds",
+                    hit_row],
+        col_labels=[], unit="mixed")
+    for size in sizes:
+        label = f"{size} {unit}"
+        with _fresh_db(config, **{setting: size}) as db:
+            designator = load_object(db, "fchunk", workload, 0.0, "none",
+                                     smgr=smgr)
+            cool_down(db)
+            for row, op in zip(figure.row_labels, read_ops):
+                figure.set(row, label, run_operation(
+                    db, designator, op, workload, 0.0, 0))
+            figure.set(hit_row, label, hit_rate(db))
     return figure
 
 
@@ -345,67 +359,22 @@ def run_ablation_buffer_pool(
         config: BenchConfig | None = None,
         pool_sizes: tuple[int, ...] = (32, 128, 512)) -> FigureResult:
     """Buffer-pool size vs. the locality benchmark."""
-    config = config or BenchConfig()
-    workload = Workload(config.scale, config.seed)
-    figure = FigureResult(
-        title="Ablation: buffer pool size (f-chunk, disk)",
-        row_labels=["1MB random read seconds",
-                    "1MB 80/20 read seconds", "buffer hit rate"],
-        col_labels=[], unit="mixed")
-    for pool_size in pool_sizes:
-        label = f"{pool_size} pages"
-        db = Database(pool_size=pool_size, mips=MIPS)
-        _register_paper_compressors(db)
-        try:
-            designator = load_object(db, "fchunk", workload, 0.0, "none")
-            cool_down(db)
-            ops = workload.operations()
-            random_read, locality_read = ops[2], ops[4]
-            figure.set("1MB random read seconds", label,
-                       run_operation(db, designator, random_read,
-                                     workload, 0.0, 0))
-            figure.set("1MB 80/20 read seconds", label,
-                       run_operation(db, designator, locality_read,
-                                     workload, 0.0, 0))
-            figure.set("buffer hit rate", label,
-                       db.bufmgr.stats.hit_rate())
-        finally:
-            db.close()
-    return figure
+    return _cache_ablation(
+        config or BenchConfig(),
+        "Ablation: buffer pool size (f-chunk, disk)", "pool_size",
+        pool_sizes, "pages", None, "buffer hit rate",
+        lambda db: db.bufmgr.stats.hit_rate())
 
 
 def run_ablation_worm_cache(
         config: BenchConfig | None = None,
         cache_sizes: tuple[int, ...] = (64, 256, 1024)) -> FigureResult:
     """The Figure 3 effect as a function of disk-cache size."""
-    config = config or BenchConfig()
-    workload = Workload(config.scale, config.seed)
-    figure = FigureResult(
-        title="Ablation: WORM disk-cache size (f-chunk)",
-        row_labels=["1MB random read seconds",
-                    "1MB 80/20 read seconds", "cache hit rate"],
-        col_labels=[], unit="mixed")
-    for cache_blocks in cache_sizes:
-        label = f"{cache_blocks} blocks"
-        db = Database(pool_size=config.scaled_pool(), mips=MIPS,
-                      worm_cache_blocks=cache_blocks)
-        _register_paper_compressors(db)
-        try:
-            designator = load_object(db, "fchunk", workload, 0.0, "none",
-                                     smgr="worm")
-            cool_down(db)
-            ops = workload.operations(include_writes=False)
-            figure.set("1MB random read seconds", label,
-                       run_operation(db, designator, ops[1], workload,
-                                     0.0, 0))
-            figure.set("1MB 80/20 read seconds", label,
-                       run_operation(db, designator, ops[2], workload,
-                                     0.0, 0))
-            worm = db.storage_manager("worm")
-            figure.set("cache hit rate", label, worm.hit_rate())
-        finally:
-            db.close()
-    return figure
+    return _cache_ablation(
+        config or BenchConfig(),
+        "Ablation: WORM disk-cache size (f-chunk)", "worm_cache_blocks",
+        cache_sizes, "blocks", "worm", "cache hit rate",
+        lambda db: db.storage_manager("worm").hit_rate())
 
 
 def run_ablation_compression_cost(
@@ -421,12 +390,11 @@ def run_ablation_compression_cost(
         col_labels=[], unit="mixed")
     for cost in costs:
         label = f"{cost:g} instr/byte"
-        db = _fresh_db(config)
-        name = f"ablate-{cost:g}ipb"
-        register_compressor(
-            name, lambda cost=cost: CostedCompressor(
-                ZeroRunCompressor(), cost, db.cpu, db.clock))
-        try:
+        with _fresh_db(config) as db:
+            name = f"ablate-{cost:g}ipb"
+            register_compressor(
+                name, lambda cost=cost: CostedCompressor(
+                    ZeroRunCompressor(), cost, db.cpu, db.clock))
             designator = load_object(db, "fchunk", workload, 0.5, name)
             figure.set("data bytes", label,
                        db.lo.storage_breakdown(designator)["data"])
@@ -434,8 +402,6 @@ def run_ablation_compression_cost(
             op = workload.operations()[0]
             figure.set("10MB sequential read seconds", label,
                        run_operation(db, designator, op, workload, 0.5, 0))
-        finally:
-            db.close()
     return figure
 
 
@@ -457,8 +423,7 @@ def run_ablation_inversion_overhead(
         col_labels=[], unit="mixed")
     for label, via_inversion in (("raw f-chunk", False),
                                  ("Inversion file", True)):
-        db = _fresh_db(config)
-        try:
+        with _fresh_db(config) as db:
             snap = db.clock.snapshot()
             with db.begin() as txn:
                 if via_inversion:
@@ -496,8 +461,6 @@ def run_ablation_inversion_overhead(
                     db.lo.stat(designator)
             figure.set("open+stat per 100 calls (seconds)", label,
                        snap.since(db.clock).elapsed)
-        finally:
-            db.close()
     return figure
 
 
@@ -510,4 +473,5 @@ ALL_FIGURES = {
     "ablate-cache": run_ablation_worm_cache,
     "ablate-cost": run_ablation_compression_cost,
     "ablate-inversion": run_ablation_inversion_overhead,
+    "topology": run_topology,
 }

@@ -26,10 +26,6 @@ class FigureResult:
     def get(self, row: str, col: str) -> float:
         return self.cells[(row, col)]
 
-    def column(self, col: str) -> dict[str, float]:
-        return {row: self.cells[(row, col)] for row in self.row_labels
-                if (row, col) in self.cells}
-
     def ratio(self, row: str, col_a: str, col_b: str) -> float:
         """cells[row, col_a] / cells[row, col_b]."""
         return self.get(row, col_a) / self.get(row, col_b)

@@ -14,10 +14,11 @@ is the critical-path number N parallel clients actually wait on.  (The
 shared simulation clock serializes *charges*; ``busy_s`` is per-device,
 which is what makes parallel speedup visible at all.)
 
-Scenarios chart two axes:
+The scenarios span two axes:
 
-* **node count** — 1 plain disk, then sharded over 1/2/4/8 nodes at
-  replication 1: near-linear write scaling, minus band-switch seeks;
+* **node count** — sharded over 1/2/4/8 nodes at replication 1:
+  near-linear write scaling, minus band-switch seeks (the plain disk,
+  :data:`BASELINE`, needs real files and runs only in the tests);
 * **replica factor** — 4 nodes at R=1/2/3: every extra replica writes
   each byte again, so write throughput falls ~linearly while read
   throughput holds (reads go to one replica).
@@ -25,23 +26,26 @@ Scenarios chart two axes:
 ``skew`` makes client 0 hotter than the rest (Zipf-ish weights), which
 caps the critical-path win — the busiest node bounds the fleet.
 
-CLI: ``repro-bench topology [--clients N] [--bands N] [--skew S]``.
+``repro-bench topology`` prints :func:`run_topology`'s table of the six
+fixed scenarios; tests drive :func:`run_scenario` directly for skew and
+for the plain-disk baseline on real files.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from repro.bench.report import FigureResult
 from repro.sim.clock import SimClock
 from repro.smgr.base import BAND_BLOCKS, StorageManager
 from repro.smgr.disk import DiskStorageManager
 from repro.smgr.sharded import (sharded_disk_manager,
                                 sharded_memory_manager)
 from repro.storage.constants import PAGE_SIZE
+
+if TYPE_CHECKING:
+    from repro.bench.figures import BenchConfig
 
 
 @dataclass(frozen=True)
@@ -64,14 +68,11 @@ class TopologyResult:
     """Throughput of one scenario, critical-path accounting."""
 
     topology: Topology
-    clients: int
-    skew: float
     bytes_written: int
     bytes_read: int
     write_busy_max_s: float
     write_busy_total_s: float
     read_busy_max_s: float
-    per_node_write_busy: dict[str, float] = field(default_factory=dict)
 
     @property
     def write_mb_s(self) -> float:
@@ -92,22 +93,6 @@ class TopologyResult:
         if self.write_busy_total_s == 0:
             return 1.0
         return self.write_busy_max_s / self.write_busy_total_s
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.topology.name,
-            "n_nodes": self.topology.n_nodes,
-            "replication": self.topology.replication,
-            "clients": self.clients,
-            "skew": self.skew,
-            "bytes_written": self.bytes_written,
-            "write_mb_s": round(self.write_mb_s, 3),
-            "read_mb_s": round(self.read_mb_s, 3),
-            "balance": round(self.balance, 3),
-            "per_node_write_busy_s": {
-                node: round(busy, 6)
-                for node, busy in self.per_node_write_busy.items()},
-        }
 
 
 def _make_manager(topology: Topology, clock: SimClock,
@@ -137,8 +122,7 @@ def _client_bands(clients: int, bands_per_client: int,
     weights = [1.0 / (rank + 1) ** skew for rank in range(clients)]
     total = sum(weights)
     budget = clients * bands_per_client
-    bands = [max(1, round(budget * weight / total)) for weight in weights]
-    return bands
+    return [max(1, round(budget * weight / total)) for weight in weights]
 
 
 def _page(tag: int) -> bytes:
@@ -186,19 +170,17 @@ def run_scenario(topology: Topology, clients: int = 4,
     if close:
         close()
     return TopologyResult(
-        topology=topology, clients=clients, skew=skew,
-        bytes_written=bytes_written, bytes_read=bytes_read,
-        write_busy_max_s=write_busy_max,
+        topology=topology, bytes_written=bytes_written,
+        bytes_read=bytes_read, write_busy_max_s=write_busy_max,
         write_busy_total_s=write_busy_total,
-        read_busy_max_s=max(read_busy.values()),
-        per_node_write_busy=write_busy)
+        read_busy_max_s=max(read_busy.values()))
 
 
-#: The fixed chart: node-count axis, then replica-factor axis.  The
-#: plain-disk baseline needs real files, so it only joins when the
-#: caller provides a directory (``--dir`` on the CLI).
+#: The plain single-disk manager needs real files, so only a caller with
+#: a directory can run it (``run_scenario(BASELINE, directory=...)``).
 BASELINE = Topology("disk, 1 node (baseline)", 0)
 
+#: The fixed figure: node-count axis, then replica-factor axis.
 DEFAULT_SCENARIOS = (
     Topology("sharded, 1 node, R=1", 1),
     Topology("sharded, 2 nodes, R=1", 2),
@@ -210,85 +192,22 @@ DEFAULT_SCENARIOS = (
 )
 
 
-def run_suite(clients: int = 4, bands_per_client: int = 6,
-              skew: float = 0.0,
-              scenarios: tuple[Topology, ...] = DEFAULT_SCENARIOS,
-              directory: str | None = None) -> list[TopologyResult]:
-    """All scenarios; with *directory* the nodes hit real files and the
-    plain single-disk baseline joins the chart."""
-    if directory is not None:
-        scenarios = (BASELINE, *scenarios)
-    results = []
-    for index, topology in enumerate(scenarios):
-        subdir = None
-        if directory is not None:
-            subdir = os.path.join(directory, f"topo{index}")
-            os.makedirs(subdir, exist_ok=True)
-        results.append(run_scenario(
-            topology, clients=clients,
-            bands_per_client=bands_per_client, skew=skew,
-            directory=subdir))
-    return results
+def run_topology(config: BenchConfig | None = None) -> FigureResult:
+    """Throughput of :data:`DEFAULT_SCENARIOS` at four uniform clients.
 
-
-def render(results: list[TopologyResult]) -> str:
-    """A table plus an ASCII bar chart of write throughput."""
-    baseline = results[0].write_mb_s if results else 0.0
-    header = (f"{'topology':<28}{'write MB/s':>12}{'read MB/s':>12}"
-              f"{'vs base':>9}{'balance':>9}")
-    lines = [header, "-" * len(header)]
-    for result in results:
-        speedup = (result.write_mb_s / baseline) if baseline else 0.0
-        lines.append(
-            f"{result.topology.name:<28}{result.write_mb_s:>12.2f}"
-            f"{result.read_mb_s:>12.2f}{speedup:>8.2f}x"
-            f"{result.balance:>9.2f}")
-    peak = max((r.write_mb_s for r in results), default=0.0)
-    if peak > 0:
-        lines.append("")
-        lines.append("write throughput (critical path):")
-        for result in results:
-            bar = "#" * max(1, round(result.write_mb_s / peak * 40))
-            lines.append(f"  {result.topology.name:<28}"
-                         f"{bar} {result.write_mb_s:.2f}")
-    return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-bench topology",
-        description="Sharded-storage throughput vs node count and "
-                    "replica factor (simulated, critical-path)")
-    parser.add_argument("--clients", type=int, default=4,
-                        help="disjoint-range writer fleet size "
-                             "(default 4)")
-    parser.add_argument("--bands", type=int, default=6,
-                        help="16-block bands each client writes "
-                             "(default 6 = 384 KB/client)")
-    parser.add_argument("--skew", type=float, default=0.0,
-                        help="client-load skew exponent (0 = uniform; "
-                             "higher concentrates load on client 0)")
-    parser.add_argument("--dir", default=None, metavar="PATH",
-                        help="run against real files under PATH and "
-                             "include the plain-disk baseline")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="also write the results as JSON")
-    args = parser.parse_args(argv)
-
-    results = run_suite(clients=args.clients,
-                        bands_per_client=args.bands, skew=args.skew,
-                        directory=args.dir)
-    print(render(results))
-    if args.json:
-        # Host-side results artifact, not engine block I/O (bench/ is
-        # exempt from R003).
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump([result.as_dict() for result in results], fh,
-                      indent=2)
-            fh.write("\n")
-        print(f"\nresults written to {args.json}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    The fleet is fixed, so *config* (object scale and seed) does not
+    change the table; it is taken so that every figure runs alike.
+    """
+    figure = FigureResult(
+        title="Topology: sharded throughput vs node count and replicas",
+        row_labels=[], col_labels=[], unit="mixed")
+    figure.notes.append(
+        "simulated MB/s on the critical path (bytes moved / busiest "
+        "node's service time); balance = busiest node's share of write "
+        "service time (1/N is even)")
+    for topology in DEFAULT_SCENARIOS:
+        result = run_scenario(topology)
+        figure.set(topology.name, "write MB/s", result.write_mb_s)
+        figure.set(topology.name, "read MB/s", result.read_mb_s)
+        figure.set(topology.name, "balance", result.balance)
+    return figure

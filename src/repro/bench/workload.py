@@ -33,10 +33,6 @@ class Operation:
     kind: str  # "read" | "write"
     frames: tuple[int, ...]
 
-    @property
-    def bytes_touched(self) -> int:
-        return len(self.frames) * FRAME_SIZE
-
 
 class Workload:
     """Frame counts and access sequences for one benchmark run."""

@@ -65,6 +65,9 @@ if TYPE_CHECKING:
 
 #: System class holding each chunked large object's mutable state (size).
 PG_LARGEOBJECT = "pg_largeobject"
+#: Class-name prefixes only the system creates: archives (``a_<class>``)
+#: and large objects' classes (``lo_<oid>``, ``lo_<oid>_seg``).
+SYSTEM_PREFIXES = ("a_", "lo_")
 
 
 class Database:
@@ -258,6 +261,16 @@ class Database:
     def create_class(self, name: str, columns,
                      smgr: str | None = None) -> HeapRelation:
         """``create <name> (...) [with storage manager <smgr>]``."""
+        if name.startswith(SYSTEM_PREFIXES):
+            raise SchemaError(f"class name {name!r}: names starting with "
+                              f"{' or '.join(SYSTEM_PREFIXES)} are the "
+                              f"system's")
+        return self._create_class(name, columns, smgr)
+
+    def _create_class(self, name: str, columns,
+                      smgr: str | None = None) -> HeapRelation:
+        """:meth:`create_class` without the namespace check: the archiver
+        and the large-object manager create their classes here."""
         with self._latch:
             schema = self._build_schema(columns)
             smgr_name = smgr or self.default_smgr_name

@@ -220,8 +220,8 @@ class LargeObjectManager:
         smgr_name = smgr or self.db.default_smgr_name
         oid = self.db.catalog.allocate_oid()
         name = chunk_class_name(oid)
-        self.db.create_class(name, [("seqno", "int4"), ("data", "bytea")],
-                             smgr=smgr_name)
+        self.db._create_class(name, [("seqno", "int4"), ("data", "bytea")],
+                              smgr=smgr_name)
         self.db.create_index(chunk_index_name(oid), name, "seqno")
         self._register_chunked(txn, oid, "fchunk", smgr_name, compression)
         return f"lo:{oid}"
@@ -236,7 +236,7 @@ class LargeObjectManager:
         store_oid = designator_oid(store_designator)
         oid = self.db.catalog.allocate_oid()
         name = segment_class_name(oid)
-        self.db.create_class(
+        self.db._create_class(
             name,
             [("locn", "int8"), ("length", "int4"),
              ("compressed_len", "int4"), ("byte_pointer", "int8")],

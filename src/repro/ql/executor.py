@@ -149,29 +149,19 @@ class Executor:
         if class_ref is None:
             lines.append("evaluate targets over a single empty row")
         else:
-            probe = None
-            if class_ref.as_of is None and statement.qualification is not None:
-                probe = self._find_index_probe(class_ref.name,
-                                               statement.qualification)
-            rng = None
-            if (probe is None and class_ref.as_of is None
-                    and statement.qualification is not None):
-                rng = self._find_index_range(class_ref.name,
-                                             statement.qualification)
-            if probe is not None:
-                index_name, key = probe
-                attribute = self.db.catalog.indexes[index_name].attribute
-                lines.append(f"index probe {index_name} on "
-                             f"{class_ref.name}.{attribute} = {key}")
-            elif rng is not None:
-                index_name, attribute, lo, hi = rng
-                lines.append(
-                    f"index range scan {index_name} on "
-                    f"{class_ref.name}.{attribute} in "
-                    f"[{'-inf' if lo is None else lo}, "
-                    f"{'+inf' if hi is None else hi}]")
-            else:
+            path = self._access_path(class_ref, statement.qualification)
+            if path is None:
                 lines.append(f"sequential scan of {class_ref.name}")
+            else:
+                kind, index_name, attribute, lo, hi = path
+                where = f"{index_name} on {class_ref.name}.{attribute}"
+                if kind == "probe":
+                    lines.append(f"index probe {where} = {lo}")
+                else:
+                    lines.append(
+                        f"index range scan {where} in "
+                        f"[{'-inf' if lo is None else lo}, "
+                        f"{'+inf' if hi is None else hi}]")
             if class_ref.as_of is not None:
                 if class_ref.until is not None:
                     lines.append(f"  time range [{class_ref.as_of:g}, "
@@ -285,57 +275,65 @@ class Executor:
                     continue
             yield relation, tup
 
-    def _tuple_source(self, class_ref, qualification, relation, snapshot):
-        """A heap scan, or an index probe when the qualification allows.
+    def _access_path(self, class_ref, qualification):
+        """The access path a scan of *class_ref* takes, which
+        :meth:`explain` describes and :meth:`_tuple_source` runs:
+        ``("probe", index, attribute, key, key)``, ``("range", index,
+        attribute, lo, hi)``, or ``None`` for a sequential scan.
 
         An equality conjunct ``CLASS.attr = <integer literal>`` over an
-        indexed attribute turns the scan into an index lookup, and
-        inequality conjuncts (``>=``/``<=``/``>``/``<``, alone or paired
-        BETWEEN-style) become one index range scan over the leaf chain.
-        Historical scans always walk the heap, which chains the class's
-        archive (:class:`~repro.access.scan.SeqScan`).
+        indexed attribute is an index probe, and inequality conjuncts
+        (``>=``/``<=``/``>``/``<``, alone or paired BETWEEN-style) are
+        one index range scan over the leaf chain.  Historical scans
+        always walk the heap, which chains the class's archive
+        (:class:`~repro.access.scan.SeqScan`).
         """
-        if class_ref.as_of is None and qualification is not None:
-            probe = self._find_index_probe(class_ref.name, qualification)
-            if probe is not None:
-                index_name, key = probe
-                index = self.db.get_index(index_name)
-                entry = self.db.catalog.indexes[index_name]
-                position = relation.schema.position(entry.attribute)
-                # The scan descriptor materializes under the engine
-                # latch and re-checks the key against the fetched tuple
-                # (stale entries must never surface); qualifications are
-                # evaluated outside the latch, so user functions can run
-                # DML without lock-before-latch issues.
-                yield from IndexProbe(
-                    self.db, index, relation, (key,),
-                    recheck_position=position).tuples(snapshot)
-                return
-            rng = self._find_index_range(class_ref.name, qualification)
-            if rng is not None:
-                index_name, attribute, lo, hi = rng
-                index = self.db.get_index(index_name)
-                position = relation.schema.position(attribute)
-                fetched = IndexRangeScan(
-                    self.db, index, relation,
-                    None if lo is None else (lo,),
-                    None if hi is None else (hi,)).tuples(snapshot)
-                for tup in fetched:
-                    # Re-check bounds: stale entries must never surface.
-                    value = tup.values[position]
-                    if value is None:
-                        continue
-                    if lo is not None and value < lo:
-                        continue
-                    if hi is not None and value > hi:
-                        continue
-                    yield tup
-                return
-        yield from SeqScan(self.db, relation).tuples(snapshot)
+        if class_ref.as_of is not None or qualification is None:
+            return None
+        probe = self._find_index_probe(class_ref.name, qualification)
+        if probe is not None:
+            index_name, attribute, key = probe
+            return "probe", index_name, attribute, key, key
+        rng = self._find_index_range(class_ref.name, qualification)
+        return None if rng is None else ("range", *rng)
+
+    def _tuple_source(self, class_ref, qualification, relation, snapshot):
+        """The tuples of *class_ref* along its :meth:`_access_path`."""
+        path = self._access_path(class_ref, qualification)
+        if path is None:
+            yield from SeqScan(self.db, relation).tuples(snapshot)
+            return
+        kind, index_name, attribute, lo, hi = path
+        index = self.db.get_index(index_name)
+        position = relation.schema.position(attribute)
+        if kind == "probe":
+            # The scan descriptor materializes under the engine latch and
+            # re-checks the key against the fetched tuple (stale entries
+            # must never surface); qualifications are evaluated outside
+            # the latch, so user functions can run DML without
+            # lock-before-latch issues.
+            yield from IndexProbe(
+                self.db, index, relation, (lo,),
+                recheck_position=position).tuples(snapshot)
+            return
+        fetched = IndexRangeScan(
+            self.db, index, relation,
+            None if lo is None else (lo,),
+            None if hi is None else (hi,)).tuples(snapshot)
+        for tup in fetched:
+            # Re-check bounds: stale entries must never surface.
+            value = tup.values[position]
+            if value is None:
+                continue
+            if lo is not None and value < lo:
+                continue
+            if hi is not None and value > hi:
+                continue
+            yield tup
 
     def _find_index_probe(self, class_name: str,
-                          qualification) -> tuple[str, int] | None:
-        """(index name, key) for an indexable equality conjunct, if any."""
+                          qualification) -> tuple[str, str, int] | None:
+        """(index, attribute, key) for an indexable equality conjunct."""
         if isinstance(qualification, ast.BinaryOp):
             if qualification.op == "and":
                 return (self._find_index_probe(class_name,
@@ -352,7 +350,7 @@ class Executor:
                             and not isinstance(lit.value, bool)):
                         for entry in self.db.catalog.indexes_on(class_name):
                             if entry.attribute == ref.attribute:
-                                return entry.name, lit.value
+                                return entry.name, entry.attribute, lit.value
         return None
 
     #: How a comparison flips when the literal is on the left.

@@ -24,18 +24,19 @@ import json
 import os
 from typing import TYPE_CHECKING
 
+from repro.db import PG_LARGEOBJECT, SYSTEM_PREFIXES
 from repro.errors import ReproError
 
 if TYPE_CHECKING:
     from repro.db import Database
 
-_SYSTEM_CLASSES = {"pg_largeobject"}
+
+def _is_user_class(name: str) -> bool:
+    return name != PG_LARGEOBJECT and not name.startswith(SYSTEM_PREFIXES)
 
 
 def _user_classes(db: "Database") -> list[str]:
-    return [name for name in db.catalog.relation_names()
-            if name not in _SYSTEM_CLASSES
-            and not name.startswith(("lo_", "a_"))]
+    return list(filter(_is_user_class, db.catalog.relation_names()))
 
 
 def _encode_value(value):
@@ -71,8 +72,7 @@ def dump_database(db: "Database", target_dir: str,
             if db.types.exists(attr.type_name)
             and db.types.get(attr.type_name).is_large]
     for index_name, entry in sorted(db.catalog.indexes.items()):
-        if entry.relation in _SYSTEM_CLASSES \
-                or entry.relation.startswith(("lo_", "a_")):
+        if not _is_user_class(entry.relation):
             continue
         schema["indexes"].append({"name": index_name,
                                   "relation": entry.relation,

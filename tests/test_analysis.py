@@ -133,7 +133,7 @@ class TestR003SmgrOnlyIO:
 
     def test_allowed_in_smgr_and_external_file_los(self, tmp_path):
         for rel in ("smgr/disk.py", "lo/ufile.py", "lo/nativefs.py",
-                    "tools/dump.py", "bench/reportgen.py"):
+                    "tools/dump.py", "bench/cli.py"):
             report = lint(tmp_path, rel, self.VIOLATION, "R003")
             assert report.findings == [], rel
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.db import Database
-from repro.errors import RelationError
+from repro.errors import RelationError, SchemaError
 
 
 @pytest.fixture
@@ -244,3 +244,43 @@ class TestSweepLeavesArchivesAlone:
         assert [t.values for t in db.scan("T", as_of=stamps[0][0])] \
             == [(stamps[0][1],)]
         db.close()
+
+
+class TestSystemNamespaces:
+    """``a_<class>`` is an archive and ``lo_<oid>`` a large object's
+    class, so a user class may not take either name: an ``as_of`` scan of
+    ``X`` used to read a user's ``a_X`` as its archive, vacuum skipped a
+    user's ``a_log``, and a dump left out ``a_X`` and ``lo_cations``."""
+
+    NAMES = ["a_X", "lo_cations"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_api_create_refused(self, db, name):
+        with pytest.raises(SchemaError, match="system"):
+            db.create_class(name, [("v", "int4")])
+        assert not db.class_exists(name)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_ql_create_refused(self, db, name):
+        with pytest.raises(SchemaError, match="system"):
+            db.execute(f"create {name} (v = int4)")
+        assert not db.class_exists(name)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_retrieve_into_refused(self, db, name):
+        db.execute("create X (v = int4)")
+        with db.begin() as txn:
+            db.insert(txn, "X", (1,))
+        with pytest.raises(SchemaError, match="system"):
+            db.execute(f"retrieve into {name} (X.v)")
+        assert not db.class_exists(name)
+
+    def test_system_still_creates_its_classes(self, db):
+        build_history(db)
+        db.archive_class("T")
+        with db.begin() as txn:
+            db.lo.create(txn, "vsegment")
+        names = set(db.catalog.relation_names())
+        assert "a_T" in names
+        assert any(n.startswith("lo_") and n.endswith("_seg")
+                   for n in names)

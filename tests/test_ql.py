@@ -650,6 +650,32 @@ class TestExplain:
         plan = db.explain('retrieve (NUM.n) where NUM.n = 5')
         assert "index probe num_n" in plan
 
+    @pytest.mark.parametrize("query, plan, counter", [
+        ('retrieve (NUM.m) where NUM.n = 5', "index probe", "probes"),
+        ('retrieve (NUM.m) where NUM.n >= 5', "index range scan",
+         "range_scans"),
+        ('retrieve (NUM.n) where NUM.m = 5', "sequential scan", None),
+        ('retrieve (NUM.m) from NUM["{t}"] where NUM.n = 5',
+         "sequential scan", None),
+    ])
+    def test_explain_names_the_path_execution_takes(self, db, query, plan,
+                                                    counter):
+        """One access-path decision: the plan's first line names the
+        path whose counter the same query moves when it runs."""
+        db.execute('create NUM (n = int4, m = int4)')
+        db.execute('define index num_n on NUM (n)')
+        with db.begin() as txn:
+            for i in range(10):
+                db.insert(txn, "NUM", (i, i))
+        query = query.format(t=repr(db.clock.now()))
+        assert db.explain(query).splitlines()[0].startswith(plan)
+        before = db.statistics()["access"]
+        assert db.execute(query).count >= 1
+        after = db.statistics()["access"]
+        moved = {key for key in ("probes", "range_scans")
+                 if after[key] != before[key]}
+        assert moved == ({counter} if counter else set())
+
     def test_time_travel_plan_never_probes(self, db):
         db.execute('create NUM (n = int4)')
         db.execute('define index num_n on NUM (n)')
