@@ -1,22 +1,20 @@
 """Invariant linter: AST-based static checks for the engine's discipline.
 
-The concurrency and recovery work (PRs 2–4) made the engine safe by
-*convention*: heavyweight locks before the engine latch, raw heap/index
-access only inside the scan layer, block I/O only through the storage
-manager switch, wall-clock time only from the simulated clock.  Until
-now those conventions were enforced by a runtime tripwire (the latch
-probe, armed with ``REPRO_LOCKDEP=1``) that fires only on paths a test
-happens to execute.  This package enforces them *statically*, on every
-path, as part of CI.
+Heavyweight locks before the engine latch, raw heap/index access only in
+the scan layer, block I/O only through the storage-manager switch, time
+only from the simulated clock, and the single sites of the no-overwrite
+store (one xmax writer, one sweep, one archive reader, ...).  The
+runtime tripwire (``REPRO_LOCKDEP=1``) sees these only on paths a test
+executes; this package checks every path, in tier-1 and in CI.
 
 Usage::
 
-    python -m repro.analysis [--format json] [paths...]
+    python -m repro.analysis [--select RULES] [paths...]
     repro-lint src/repro
 
 Each finding carries a rule id (``R001``..).  Intentional exceptions are
 annotated in source with a suppression comment on (or directly above)
-the offending line::
+the offending line; one that suppresses nothing fails the run::
 
     handle = open(self.path, "ab")  # repro: allow(R003): own fsync discipline
 
@@ -31,12 +29,11 @@ from repro.analysis.core import (
     Report,
     Rule,
     all_rules,
-    analyze_file,
     analyze_paths,
     get_rule,
     register,
 )
-from repro.analysis.report import render_json, render_text
+from repro.analysis.cli import render_text
 
 # Importing the rules modules populates the registry.
 import repro.analysis.rules  # noqa: F401  (registration side effect)
@@ -48,10 +45,8 @@ __all__ = [
     "Report",
     "Rule",
     "all_rules",
-    "analyze_file",
     "analyze_paths",
     "get_rule",
     "register",
-    "render_json",
     "render_text",
 ]

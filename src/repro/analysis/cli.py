@@ -1,17 +1,18 @@
 """Command-line entry point for the invariant linter.
 
-``python -m repro.analysis [--format json] [paths...]`` — also
+``python -m repro.analysis [--select RULES] [paths...]`` — also
 installed as the ``repro-lint`` console script.  Exits 0 when the tree
-is clean, 1 when there are findings, 2 on usage errors.
+is clean, 1 when there are findings or a selected rule's
+``# repro: allow(...)`` comment suppressed nothing, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
-from repro.analysis.core import all_rules, analyze_paths
-from repro.analysis.report import render_json, render_text
+from repro.analysis.core import Report, all_rules, analyze_paths
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -19,20 +20,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=("AST-based invariant checks for the repro engine "
                      "(latch ordering, scan-layer discipline, smgr-only "
-                     "I/O, simulated clock, transaction scope)"))
+                     "I/O, simulated clock, transaction scope, declared "
+                     "single sites)"))
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
         help="files or directories to check (default: src/repro)")
     parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text)")
-    parser.add_argument(
         "--select", metavar="RULES",
         help="comma-separated rule ids to run (default: all)")
-    parser.add_argument(
-        "--strict-suppressions", action="store_true",
-        help=("fail (exit 1) when a selected rule's "
-              "'# repro: allow(...)' comment suppressed nothing"))
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit")
@@ -61,10 +56,30 @@ def _select_rules(spec: str) -> list:
     return [known[rid] for rid in ids]
 
 
-def main(argv: list[str] | None = None) -> int:
-    # Ensure the registry is populated even if only cli was imported.
-    import repro.analysis.rules  # noqa: F401  (registration side effect)
+def render_text(report: Report) -> str:
+    """ruff-style one-line-per-finding text, with a trailing summary."""
+    lines = [
+        f"{f.path}:{f.line}:{f.col + 1}: {f.rule} {f.message}"
+        for f in report.findings
+    ]
+    for unused in report.unused_suppressions:
+        lines.append(
+            f"{unused.path}:{unused.line}: error: suppression for "
+            f"{unused.rule} matched no finding (stale 'repro: allow'?)")
+    noun = "finding" if len(report.findings) == 1 else "findings"
+    summary = (f"{len(report.findings)} {noun} in "
+               f"{report.files_checked} file(s) checked")
+    if report.suppressed:
+        summary += f" ({report.suppressed} suppressed)"
+    if report.unused_suppressions:
+        summary += (f" [{len(report.unused_suppressions)} unused "
+                    f"suppression(s)]")
+    clean = not report.findings and not report.unused_suppressions
+    lines.append(f"OK — {summary}" if clean else summary)
+    return "\n".join(lines)
 
+
+def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.list_rules:
@@ -72,23 +87,23 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{rule.id}  {rule.name}: {rule.summary}")
         return 0
 
-    if args.select is not None:
-        try:
-            rules = _select_rules(args.select)
-        except ValueError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-    else:
-        rules = None
+    try:
+        rules = None if args.select is None else _select_rules(args.select)
+        missing = [p for p in args.paths if not Path(p).exists()]
+        if missing:
+            raise ValueError(f"no such file or directory: "
+                             f"{', '.join(missing)}")
+    except ValueError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
 
     report = analyze_paths(args.paths, rules)
-    renderer = render_json if args.format == "json" else render_text
-    print(renderer(report))
-    if report.findings:
-        return 1
-    if args.strict_suppressions and report.unused_suppressions:
-        return 1
-    return 0
+    if report.files_checked == 0:
+        print(f"error: no Python files under {', '.join(args.paths)}",
+              file=sys.stderr)
+        return 2
+    print(render_text(report))
+    return 1 if report.findings or report.unused_suppressions else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -29,28 +29,15 @@ _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\(\s*([A-Za-z0-9_,\s]+?)\s*\)")
 SYNTAX_ERROR_RULE = "E999"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Finding:
     """One rule violation at a specific source location."""
 
-    rule: str
     path: str      #: path as given on the command line / to the driver
-    rel: str       #: module path relative to the package root
     line: int
     col: int
+    rule: str
     message: str
-
-    def as_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
-    def sort_key(self) -> tuple:
-        return (self.path, self.line, self.col, self.rule)
 
 
 class Rule:
@@ -73,8 +60,7 @@ class Rule:
     def finding(self, module: "ModuleInfo", node: ast.AST,
                 message: str) -> Finding:
         return Finding(rule=self.id, path=module.display_path,
-                       rel=module.rel, line=node.lineno,
-                       col=node.col_offset, message=message)
+                       line=node.lineno, col=node.col_offset, message=message)
 
 
 class ProjectRule(Rule):
@@ -127,19 +113,16 @@ def get_rule(rule_id: str) -> Rule:
 class ModuleInfo:
     """One parsed module plus the context rules need to judge it."""
 
-    def __init__(self, path: Path, source: str,
-                 display_path: str | None = None):
-        self.path = path
-        self.display_path = display_path or str(path)
-        self.source = source
-        self.lines = source.splitlines()
+    def __init__(self, path: Path, source: str):
+        self.display_path = str(path)
         self.rel = _package_relative(path)
         self.tree = ast.parse(source, filename=str(path))
         for parent in ast.walk(self.tree):
             for child in ast.iter_child_nodes(parent):
                 child._repro_parent = parent  # type: ignore[attr-defined]
-        self._suppressions = _parse_suppressions(
-            self.lines, _docstring_lines(self.tree))
+        #: line number → rule ids a ``# repro: allow(...)`` names there
+        self.suppressions = _parse_suppressions(
+            source.splitlines(), _docstring_lines(self.tree))
 
     # -- location helpers ----------------------------------------------------------
 
@@ -169,15 +152,6 @@ class ModuleInfo:
                 return current
             current = self.parent(current)
         return None
-
-    # -- suppressions --------------------------------------------------------------
-
-    def suppressed(self, line: int, rule_id: str) -> bool:
-        return rule_id in self._suppressions.get(line, set())
-
-    @property
-    def suppression_lines(self) -> dict[int, set[str]]:
-        return self._suppressions
 
 
 def _package_relative(path: Path) -> str:
@@ -246,7 +220,7 @@ def _parse_suppressions(lines: list[str],
 # -- driver -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class UnusedSuppression:
     """A ``# repro: allow(...)`` that suppressed nothing this run.
 
@@ -259,12 +233,6 @@ class UnusedSuppression:
     line: int
     rule: str
 
-    def as_dict(self) -> dict:
-        return {"path": self.path, "line": self.line, "rule": self.rule}
-
-    def sort_key(self) -> tuple:
-        return (self.path, self.line, self.rule)
-
 
 @dataclass
 class Report:
@@ -276,41 +244,37 @@ class Report:
     unused_suppressions: list[UnusedSuppression] = field(
         default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.findings
 
-    def as_dict(self) -> dict:
-        return {
-            "files_checked": self.files_checked,
-            "suppressed": self.suppressed,
-            "findings": [f.as_dict() for f in self.findings],
-            "count": len(self.findings),
-            "unused_suppressions": [
-                u.as_dict() for u in self.unused_suppressions],
-        }
-
-
-def _load_module(path: Path, display: str,
-                 report: Report) -> ModuleInfo | None:
+def _load_module(path: Path, report: Report) -> ModuleInfo | None:
     """Parse one file into a ModuleInfo, or record an E999 finding."""
     try:
-        source = path.read_text(encoding="utf-8")
-        return ModuleInfo(path, source, display_path=display)
+        return ModuleInfo(path, path.read_text(encoding="utf-8"))
     except (SyntaxError, ValueError, UnicodeDecodeError) as exc:
         line = getattr(exc, "lineno", None) or 1
         col = (getattr(exc, "offset", None) or 1) - 1
         report.findings.append(Finding(
-            rule=SYNTAX_ERROR_RULE, path=display, rel=path.name,
-            line=line, col=max(col, 0),
+            rule=SYNTAX_ERROR_RULE, path=str(path), line=line, col=max(col, 0),
             message=f"cannot parse file: {getattr(exc, 'msg', exc)}"))
         return None
 
 
-def _run(files: list[tuple[Path, str]],
-         chosen: list[Rule]) -> Report:
-    """The driver: parse every file, run module then project rules,
-    apply suppressions, and report the selected-but-unused ones."""
+def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
+    """Expand files and directories into a sorted stream of ``.py`` files."""
+    for path in paths:
+        if path.is_dir():
+            yield from sorted(
+                p for p in path.rglob("*.py")
+                if "__pycache__" not in p.parts)
+        else:
+            yield path
+
+
+def analyze_paths(paths: Iterable[Path | str],
+                  rules: Iterable[Rule] | None = None) -> Report:
+    """The driver: parse every file under *paths*, run module then
+    project rules (default: every registered rule), apply suppressions,
+    and report the selected-but-unused ones."""
+    chosen = list(rules) if rules is not None else all_rules()
     module_rules = [r for r in chosen if not isinstance(r, ProjectRule)]
     project_rules = [r for r in chosen if isinstance(r, ProjectRule)]
     selected_ids = {r.id for r in chosen}
@@ -320,15 +284,15 @@ def _run(files: list[tuple[Path, str]],
     used: dict[int, set[tuple[int, str]]] = {}
 
     def apply(module: ModuleInfo, found: Finding) -> None:
-        if module.suppressed(found.line, found.rule):
+        if found.rule in module.suppressions.get(found.line, ()):
             report.suppressed += 1
             used[id(module)].add((found.line, found.rule))
         else:
             report.findings.append(found)
 
-    for path, display in files:
+    for path in iter_python_files(Path(p) for p in paths):
         report.files_checked += 1
-        module = _load_module(path, display, report)
+        module = _load_module(path, report)
         if module is None:
             continue
         modules.append(module)
@@ -346,39 +310,13 @@ def _run(files: list[tuple[Path, str]],
                 report.findings.append(found)
     for module in modules:
         module_used = used[id(module)]
-        for line, rule_ids in module.suppression_lines.items():
+        for line, rule_ids in module.suppressions.items():
             for rule_id in rule_ids:
                 if (rule_id in selected_ids
                         and (line, rule_id) not in module_used):
                     report.unused_suppressions.append(UnusedSuppression(
                         path=module.display_path, line=line,
                         rule=rule_id))
-    report.findings.sort(key=Finding.sort_key)
-    report.unused_suppressions.sort(key=UnusedSuppression.sort_key)
+    report.findings.sort()
+    report.unused_suppressions.sort()
     return report
-
-
-def analyze_file(path: Path, rules: Iterable[Rule] | None = None,
-                 display_path: str | None = None) -> Report:
-    """Run *rules* (default: all registered) over one source file."""
-    chosen = list(rules) if rules is not None else all_rules()
-    return _run([(path, display_path or str(path))], chosen)
-
-
-def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
-    """Expand files and directories into a sorted stream of ``.py`` files."""
-    for path in paths:
-        if path.is_dir():
-            yield from sorted(
-                p for p in path.rglob("*.py")
-                if "__pycache__" not in p.parts)
-        else:
-            yield path
-
-
-def analyze_paths(paths: Iterable[Path | str],
-                  rules: Iterable[Rule] | None = None) -> Report:
-    """Run the linter over files and/or directory trees."""
-    chosen = list(rules) if rules is not None else all_rules()
-    files = [(p, str(p)) for p in iter_python_files(Path(p) for p in paths)]
-    return _run(files, chosen)

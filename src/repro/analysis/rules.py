@@ -1,4 +1,4 @@
-"""The project-specific invariant rules (R001, R003–R007).
+"""The project-specific invariant rules (R001, R003–R007, R010).
 
 Each rule encodes one discipline the engine's correctness rests on; the
 prose catalogue (with the reasoning and the suppression policy) is
@@ -12,7 +12,7 @@ with ``# repro: allow(<rule>): <why>``.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from repro.analysis.core import Finding, ModuleInfo, Rule, register
 
@@ -393,3 +393,128 @@ class HotPathBytesCopyRule(Rule):
                 "bytes() over a buffer slice copies on the hot path — "
                 "return a memoryview (page.item_view) and copy only at "
                 "the boundary (page.get_item is the sanctioned accessor)")
+
+
+# -- R010: "this happens in exactly one place", declared in one table ---------------
+
+
+def _on(node: ast.AST, receiver: str | None) -> bool:
+    """Whether *node*'s dotted name ends in *receiver* (None: anything)."""
+    return receiver is None or (
+        (dotted(node) or "").rsplit(".", 1)[-1] == receiver)
+
+
+def _call(method: str, receiver: str | None = None,
+          where: Callable[[ast.Call], bool] = lambda call: True):
+    """Matcher: ``<receiver>.method(...)`` calls for which *where* holds."""
+    return lambda node: (isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Attribute)
+                         and node.func.attr == method
+                         and _on(node.func.value, receiver) and where(node))
+
+
+def _attribute(name: str, receiver: str | None = None):
+    """Matcher: ``<receiver>.name`` attribute accesses."""
+    return lambda node: (isinstance(node, ast.Attribute)
+                         and node.attr == name and _on(node.value, receiver))
+
+
+def _cpu_none_test(node: ast.AST) -> bool:
+    """Matcher: ``<...>.cpu is None`` / ``<...>.cpu is not None``."""
+    return (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+            and isinstance(node.left, ast.Attribute)
+            and node.left.attr == "cpu"
+            and isinstance(node.comparators[0], ast.Constant)
+            and node.comparators[0].value is None)
+
+
+class DeclaredSites(NamedTuple):
+    """One R010 row: what a site looks like, where it may occur, and why."""
+
+    pattern: str
+    matches: Callable[[ast.AST], bool]
+    sites: dict[str, int]      #: module → exact site count; 0 elsewhere
+    why: str                   #: docs/invariants.md (R010) has the long form
+
+
+DECLARED_SITES = (
+    DeclaredSites(
+        "`.cpu is [not] None`", _cpu_none_test, {"storage/buffer.py": 1},
+        "one engine under both clocks: the pool's charge is the only test "
+        "of charge_cpu"),
+    DeclaredSites(
+        "`VALIDATOR.operation(...)`", _call("operation", "VALIDATOR"),
+        {"inversion/filesystem.py": 2},
+        "one slot protocol: _lock_slots and rmdir's tree + stat are "
+        "Inversion's only locking attempts"),
+    DeclaredSites(
+        "`delete_item(...)`", _call("delete_item"), {"access/heap.py": 1},
+        "one vacuum cleaner: HeapRelation.vacuum is the only page walk "
+        "that frees slots"),
+    DeclaredSites(
+        "`archive_relation(...)` without create=True",
+        _call("archive_relation", where=lambda call: not any(
+            kw.arg == "create" and getattr(kw.value, "value", None) is True
+            for kw in call.keywords)),
+        {"access/scan.py": 1},
+        "one archive reader: the scan layer is the only code that opens an "
+        "archive to read it"),
+    DeclaredSites(
+        "`patch_item(..., XMAX_OFFSET, ...)`",
+        _call("patch_item", where=lambda call: any(
+            getattr(arg, "id", None) == "XMAX_OFFSET" for arg in call.args)),
+        {"access/heap.py": 1},
+        "one xmax writer: HeapRelation.delete stamps xmax and records it "
+        "in the deleter map"),
+    DeclaredSites(
+        "`._deleters`", _attribute("_deleters"), {"access/heap.py": 5},
+        "the deleter map holds exactly each version's xmax: nothing "
+        "outside the heap touches it"),
+    DeclaredSites(
+        "`db.latch`", _attribute("latch", "db"),
+        {"access/scan.py": 8, "access/archive.py": 1,
+         "catalog/integrity.py": 2},
+        "the engine latch is taken by the scan layer, the sweep and the "
+        "integrity check only"),
+)
+
+
+@register
+class DeclaredSitesRule(Rule):
+    """Each pattern of :data:`DECLARED_SITES` occurs exactly where declared.
+
+    A finding lands on each site beyond its module's count, in source
+    order (an intended extra site carries ``# repro: allow(R010): why``),
+    and at line 1 of a module holding fewer sites than declared: the
+    site moved, and the table must say where to.
+    """
+
+    id = "R010"
+    name = "declared-sites"
+    summary = ("a single-site invariant (one xmax writer, one sweep, one "
+               "archive reader, ...) occurs exactly where DECLARED_SITES "
+               "says")
+
+    def __init__(self, table: tuple[DeclaredSites, ...] = DECLARED_SITES):
+        self.table = table
+
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        nodes = list(ast.walk(module.tree))
+        for entry in self.table:
+            found = sorted((n for n in nodes if entry.matches(n)),
+                           key=lambda n: (n.lineno, n.col_offset))
+            allowed = entry.sites.get(module.rel, 0)
+            declared = ", ".join(f"{rel} ({n})"
+                                 for rel, n in entry.sites.items())
+            for node in found[allowed:]:
+                yield self.finding(
+                    module, node,
+                    f"{entry.pattern} beyond its declared sites "
+                    f"[{declared}] — {entry.why} (docs/invariants.md, R010)")
+            if len(found) < allowed:
+                yield Finding(
+                    rule=self.id, path=module.display_path, line=1, col=0,
+                    message=f"{entry.pattern}: {len(found)} of the {allowed} "
+                            f"declared site(s) here — {entry.why}; if the "
+                            f"site moved, update DECLARED_SITES")

@@ -29,9 +29,10 @@ historical names.
 
 from __future__ import annotations
 
+from repro.adt.types import normalize_storage
 from repro.db import Database
 from repro.errors import LargeObjectError, NoActiveTransaction
-from repro.lo.manager import designator_oid, is_chunked
+from repro.lo.manager import designator_oid
 from repro.session import Session
 from repro.txn.manager import Transaction
 
@@ -81,11 +82,11 @@ class LargeObjectApi:
                  compression: str = "none") -> int:
         """Create a large object; returns its oid."""
         self._require_txn()
-        designator = self._session.lo_create(impl, compression=compression)
-        if not is_chunked(designator):
+        if normalize_storage(impl) not in ("fchunk", "vsegment"):
             raise LargeObjectError(
                 f"lo_creat supports chunked implementations, not {impl}")
-        return designator_oid(designator)
+        return designator_oid(
+            self._session.lo_create(impl, compression=compression))
 
     def lo_unlink(self, oid: int) -> None:
         """Destroy a large object."""

@@ -21,13 +21,13 @@ that does not fit its declared type fails its call alone (nothing sent).
 >>> db = Database()
 >>> with ReproServer(db) as server:
 ...     with ServerClient(*server.address) as c:
-...         c.begin()
+...         _ = c.begin()
 ...         lo = c.lo_create("fchunk")
 ...         fd = c.lo_open(lo, "rw")
 ...         _ = c.lo_write(fd, b"hello, inversion")
 ...         c.lo_close(fd)
 ...         c.commit()
-...         c.begin()
+...         _ = c.begin()
 ...         fd = c.lo_open(lo)
 ...         data = c.lo_read(fd, 5)
 ...         c.rollback()

@@ -10,7 +10,7 @@ Create one per thread (or per logical connection) with
 >>> db = Database()
 >>> s = db.session()
 >>> _ = db.create_class("EMP", [("name", "text"), ("age", "int4")])
->>> s.begin()
+>>> _ = s.begin()
 >>> _ = s.insert("EMP", ("Joe", 30))
 >>> s.commit()
 >>> [t.values for t in s.scan("EMP")]

@@ -10,7 +10,6 @@ The meta-test at the bottom runs the real CLI over the shipped tree and
 asserts it exits 0 — the tree must stay lint-clean.
 """
 
-import json
 import subprocess
 import sys
 import textwrap
@@ -20,13 +19,12 @@ import pytest
 
 from repro.analysis import (
     all_rules,
-    analyze_file,
     analyze_paths,
     get_rule,
-    render_json,
     render_text,
 )
 from repro.analysis.cli import main
+from repro.analysis.rules import DECLARED_SITES, DeclaredSitesRule
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,14 +39,14 @@ def write_module(tmp_path: Path, rel: str, source: str) -> Path:
 
 def lint(tmp_path: Path, rel: str, source: str, rule_id: str):
     path = write_module(tmp_path, rel, source)
-    return analyze_file(path, [get_rule(rule_id)])
+    return analyze_paths([path], [get_rule(rule_id)])
 
 
 class TestRegistry:
     def test_all_rules_registered(self):
         ids = [rule.id for rule in all_rules()]
         for expected in ("R001", "R003", "R004", "R005", "R006", "R007",
-                         "R008", "R009"):
+                         "R008", "R009", "R010"):
             assert expected in ids
 
     def test_unknown_rule_raises(self):
@@ -313,7 +311,7 @@ class TestSuppressionMechanics:
                 return relation.fetch(tid, snap) or time.time()
         """
         path = write_module(tmp_path, "lo/x.py", source)
-        report = analyze_file(path, [get_rule("R001"), get_rule("R004")])
+        report = analyze_paths([path], [get_rule("R001"), get_rule("R004")])
         assert report.findings == []
         assert report.suppressed == 2
 
@@ -324,7 +322,7 @@ class TestSuppressionMechanics:
                 return time.time()  # repro: allow(R001)
         """
         path = write_module(tmp_path, "lo/x.py", source)
-        report = analyze_file(path, [get_rule("R004")])
+        report = analyze_paths([path], [get_rule("R004")])
         assert [f.rule for f in report.findings] == ["R004"]
 
 
@@ -374,10 +372,93 @@ class TestR007HotPathBytesCopy:
         assert report.suppressed == 1
 
 
+#: One site of each R010 pattern, as one line of source.
+ONE_SITE = {
+    "`.cpu is [not] None`": "charged = self.cpu is not None",
+    "`VALIDATOR.operation(...)`": "scope = lockdep.VALIDATOR.operation('x')",
+    "`delete_item(...)`": "buf.page.delete_item(slot)",
+    "`archive_relation(...)` without create=True":
+        "archive = db.archiver.archive_relation(name)",
+    "`patch_item(..., XMAX_OFFSET, ...)`":
+        "buf.page.patch_item(slot, XMAX_OFFSET, patch)",
+    "`._deleters`": "self._deleters.clear()",
+    "`db.latch`": "latch = self.db.latch",
+}
+
+
+def _entry_id(entry) -> str:
+    return entry.pattern.strip("`").split("(")[0].strip(".")
+
+
+class TestR010DeclaredSites:
+    """Every table entry: one site beyond the count fires, an allow
+    comment suppresses it, the declared count is clean, and a module
+    that lost a site is reported at line 1."""
+
+    ENTRIES = pytest.mark.parametrize("entry", DECLARED_SITES, ids=_entry_id)
+
+    @staticmethod
+    def _lint(tmp_path, entry, rel, n, suffix=""):
+        source = "\n".join([ONE_SITE[entry.pattern]] * n) + suffix + "\n"
+        path = write_module(tmp_path, rel, source)
+        return analyze_paths([path], [DeclaredSitesRule((entry,))])
+
+    def test_every_entry_has_a_fixture(self):
+        assert set(ONE_SITE) == {entry.pattern for entry in DECLARED_SITES}
+
+    @ENTRIES
+    def test_extra_site_fires(self, tmp_path, entry):
+        rel, count = next(iter(entry.sites.items()))
+        report = self._lint(tmp_path, entry, rel, count + 1)
+        assert [(f.rule, f.line) for f in report.findings] \
+            == [("R010", count + 1)]
+        assert "docs/invariants.md" in report.findings[0].message
+
+    @ENTRIES
+    def test_site_in_undeclared_module_fires(self, tmp_path, entry):
+        report = self._lint(tmp_path, entry, "lo/elsewhere.py", 1)
+        assert [(f.rule, f.line) for f in report.findings] == [("R010", 1)]
+
+    @ENTRIES
+    def test_suppressed(self, tmp_path, entry):
+        rel, count = next(iter(entry.sites.items()))
+        report = self._lint(tmp_path, entry, rel, count + 1,
+                            "  # repro: allow(R010): fixture")
+        assert report.findings == []
+        assert report.suppressed == 1
+
+    @ENTRIES
+    def test_declared_count_is_clean(self, tmp_path, entry):
+        for rel, count in entry.sites.items():
+            report = self._lint(tmp_path, entry, rel, count)
+            assert report.findings == [], rel
+
+    @ENTRIES
+    def test_missing_site_fires_at_line_one(self, tmp_path, entry):
+        rel, count = next(iter(entry.sites.items()))
+        report = self._lint(tmp_path, entry, rel, count - 1)
+        assert [(f.rule, f.line) for f in report.findings] == [("R010", 1)]
+        assert f"{count - 1} of the {count} declared" \
+            in report.findings[0].message
+
+    def test_lookalikes_are_not_sites(self, tmp_path):
+        source = """\
+            archive = self.archive_relation(name, create=True)
+            buf.page.patch_item(slot, INFOMASK_OFFSET, patch)
+            deleters_limit = self._deleters_limit
+            latch = self._latch
+            cpu = self.cpu
+            same = self.cpu == other
+        """
+        path = write_module(tmp_path, "lo/elsewhere.py", source)
+        report = analyze_paths([path], [get_rule("R010")])
+        assert report.findings == []
+
+
 class TestDriverAndReporters:
     def test_syntax_error_becomes_finding(self, tmp_path):
         path = write_module(tmp_path, "broken.py", "def f(:\n")
-        report = analyze_file(path)
+        report = analyze_paths([path])
         assert [f.rule for f in report.findings] == ["E999"]
 
     def test_analyze_paths_walks_directories(self, tmp_path):
@@ -390,25 +471,14 @@ class TestDriverAndReporters:
     def test_text_reporter_format(self, tmp_path):
         path = write_module(tmp_path, "txn/a.py",
                             "import time\nt = time.time()\n")
-        report = analyze_file(path, [get_rule("R004")])
+        report = analyze_paths([path], [get_rule("R004")])
         text = render_text(report)
         assert f"{path}:2:5: R004" in text
         assert "1 finding in 1 file(s) checked" in text
 
-    def test_json_reporter_schema(self, tmp_path):
-        path = write_module(tmp_path, "txn/a.py",
-                            "import time\nt = time.time()\n")
-        document = json.loads(render_json(analyze_file(path)))
-        assert document["count"] == 1
-        assert document["files_checked"] == 1
-        finding = document["findings"][0]
-        assert finding["rule"] == "R004"
-        assert finding["line"] == 2
-        assert set(finding) == {"rule", "path", "line", "col", "message"}
-
     def test_clean_report_says_ok(self, tmp_path):
         path = write_module(tmp_path, "txn/a.py", "x = 1\n")
-        assert render_text(analyze_file(path)).startswith("OK")
+        assert render_text(analyze_paths([path])).startswith("OK")
 
 
 class TestCLI:
@@ -441,10 +511,17 @@ class TestCLI:
         for rule_id in ("R001", "R003", "R004", "R005", "R006", "R009"):
             assert rule_id in out
 
-    def test_json_format(self, tmp_path, capsys):
-        path = write_module(tmp_path, "txn/a.py", "x = 1\n")
-        assert main(["--format", "json", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["count"] == 0
+    def test_missing_path_is_usage_error(self, tmp_path, capsys):
+        assert main([str(tmp_path / "does" / "not" / "exist.py")]) == 2
+        assert "no such file" in capsys.readouterr().err
+
+    def test_tree_without_python_files_is_usage_error(self, tmp_path,
+                                                      capsys):
+        (tmp_path / "notes.txt").write_text("no modules here\n")
+        assert main([str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "no Python files" in captured.err
+        assert "OK" not in captured.out
 
 
 class TestShippedTreeIsClean:
@@ -671,12 +748,12 @@ class TestUnusedSuppressions:
                 return 1  # repro: allow(R004): nothing here uses time
         """
         path = write_module(tmp_path, "txn/a.py", source)
-        report = analyze_file(path, [get_rule("R004")])
+        report = analyze_paths([path], [get_rule("R004")])
         assert report.findings == []
         assert [(u.line, u.rule) for u in report.unused_suppressions] \
             == [(2, "R004")]
         text = render_text(report)
-        assert "warning: suppression for R004" in text
+        assert "error: suppression for R004" in text
         assert "1 unused suppression(s)" in text
 
     def test_used_suppression_not_reported(self, tmp_path):
@@ -686,7 +763,7 @@ class TestUnusedSuppressions:
                 return time.time()  # repro: allow(R004): fixture
         """
         path = write_module(tmp_path, "txn/a.py", source)
-        report = analyze_file(path, [get_rule("R004")])
+        report = analyze_paths([path], [get_rule("R004")])
         assert report.unused_suppressions == []
 
     def test_unselected_rule_suppression_not_judged(self, tmp_path):
@@ -698,7 +775,7 @@ class TestUnusedSuppressions:
                 return time.time()  # repro: allow(R004): fixture
         """
         path = write_module(tmp_path, "txn/a.py", source)
-        report = analyze_file(path, [get_rule("R001")])
+        report = analyze_paths([path], [get_rule("R001")])
         assert report.unused_suppressions == []
 
     def test_docstring_example_is_not_a_suppression(self, tmp_path):
@@ -708,18 +785,19 @@ class TestUnusedSuppressions:
                 return 1
         '''
         path = write_module(tmp_path, "txn/a.py", source)
-        report = analyze_file(path, [get_rule("R004")])
+        report = analyze_paths([path], [get_rule("R004")])
         assert report.unused_suppressions == []
 
-    def test_strict_flag_fails_cli(self, tmp_path, capsys):
+    def test_stale_suppression_fails_cli(self, tmp_path, capsys):
         source = """\
             def f():
                 return 1  # repro: allow(R004): stale
         """
         path = write_module(tmp_path, "txn/a.py", source)
-        assert main([str(path)]) == 0                       # default: warn only
-        assert main(["--strict-suppressions", str(path)]) == 1
-        assert "warning: suppression" in capsys.readouterr().out
+        assert main([str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "error: suppression" in out
+        assert "OK" not in out
 
     def test_shipped_tree_has_no_stale_suppressions(self):
         report = analyze_paths([REPO_ROOT / "src" / "repro"])
@@ -741,53 +819,3 @@ class TestCLISelectValidation:
         assert "RXXX" in err and "RYYY" in err
         assert "R009" in err                                # known-rule list
 
-
-class TestJSONReporter:
-    FIXTURE = "import time\nt = time.time()  # repro: allow(R001)\n"
-
-    def _report(self, tmp_path):
-        path = write_module(tmp_path, "txn/golden.py", self.FIXTURE)
-        return analyze_file(path, [get_rule("R001"), get_rule("R004")],
-                            display_path="repro/txn/golden.py")
-
-    def test_golden_document(self, tmp_path):
-        # The machine-readable schema is a contract (CI artifacts parse
-        # it); byte-for-byte golden so field renames fail loudly.
-        golden = textwrap.dedent("""\
-            {
-              "count": 1,
-              "files_checked": 1,
-              "findings": [
-                {
-                  "col": 4,
-                  "line": 2,
-                  "message": "`time.time` reads the wall clock \\u2014 simulated and logical time come from sim/clock.py (SimClock)",
-                  "path": "repro/txn/golden.py",
-                  "rule": "R004"
-                }
-              ],
-              "suppressed": 0,
-              "unused_suppressions": [
-                {
-                  "line": 2,
-                  "path": "repro/txn/golden.py",
-                  "rule": "R001"
-                }
-              ]
-            }""")
-        assert render_json(self._report(tmp_path)) == golden
-
-    def test_round_trip_reconstructs_text_report(self, tmp_path):
-        # Everything render_text needs must survive the JSON encoding.
-        from repro.analysis.core import (Finding, Report,
-                                         UnusedSuppression)
-        report = self._report(tmp_path)
-        document = json.loads(render_json(report))
-        rebuilt = Report(
-            findings=[Finding(rel="", **f) for f in document["findings"]],
-            files_checked=document["files_checked"],
-            suppressed=document["suppressed"],
-            unused_suppressions=[UnusedSuppression(**u) for u in
-                                 document["unused_suppressions"]])
-        assert render_text(rebuilt) == render_text(report)
-        assert len(rebuilt.findings) == document["count"]

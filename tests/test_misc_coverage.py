@@ -133,6 +133,19 @@ class TestClientEdges:
             api.lo_creat(impl="pfile")
         api.rollback()
 
+    def test_refused_lo_creat_creates_nothing(self, tmp_path):
+        from repro.client import LargeObjectApi
+        db = Database(str(tmp_path / "db"))
+        try:
+            api = LargeObjectApi(db)
+            api.begin()
+            with pytest.raises(LargeObjectError):
+                api.lo_creat(impl="pfile")
+            api.commit()                    # nothing to undo the file
+            assert list(tmp_path.rglob("pg_pfiles*")) == []
+        finally:
+            db.close()
+
 
 class TestManagerEdges:
     def test_pfile_and_fchunk_reject_path(self, db):

@@ -379,6 +379,45 @@ class TestServerRoundTrip:
                 with db.lo.open(designator, txn) as obj:
                     assert obj.read() == b""
 
+    def test_a_disconnect_mid_frame_rolls_back_and_frees_the_range(
+            self, served):
+        db, server = served
+        with ServerClient(*server.address) as setup:
+            setup.begin()
+            designator = setup.lo_create("fchunk")
+            setup.commit()
+
+        def visible() -> bytes:
+            with db.begin() as txn, db.lo.open(designator, txn) as obj:
+                return obj.read()
+
+        a = ServerClient(*server.address)
+        a.begin()
+        fd = a.lo_open(designator, "rw")
+        assert a.lo_pwrite(fd, 0, b"A" * 4096) == 4096
+        assert visible() == b""
+        header = _raw_header(_text(b"commit"), keys=["cmd"])
+        a._sock.sendall(struct.pack("!II", len(header), 0)
+                        + header[:len(header) // 2])  # half a header
+        a._sock.close()
+        a._sock = None
+        deadline = 200
+        while db.statistics()["transactions"]["active"] and deadline:
+            deadline -= 1
+            threading.Event().wait(0.01)
+        assert db.statistics()["transactions"]["active"] == 0
+        assert visible() == b""
+        waits = db.statistics()["locks"]["range_waits"]
+        with ServerClient(*server.address) as b:
+            b.begin()
+            fd = b.lo_open(designator, "rw")
+            assert b.lo_pwrite(fd, 0, b"B" * 4096) == 4096
+            b.commit()
+        assert db.statistics()["locks"]["range_waits"] == waits
+        assert visible() == b"B" * 4096
+        with ServerClient(*server.address) as c:
+            assert c.ping()
+
     def test_stats_include_range_counters(self, served):
         _db, server = served
         with ServerClient(*server.address) as client:
