@@ -40,7 +40,9 @@ class TestPageMicro:
         from repro.storage.page import SlottedPage
         page = SlottedPage()
         page.add_item(b"payload" * 500)
-        benchmark(page.compute_checksum)
+        page.seal(1)
+        image = bytes(page.buf)
+        assert benchmark(lambda: SlottedPage(bytearray(image)).intact())
 
 
 class TestBTreeMicro:
@@ -550,6 +552,61 @@ class TestChunkRunCounts:
         for number in range(300):
             db.create_index(f"u_{number}", "U", "k")
         assert one_insert("after") == alone
+
+
+@pytest.mark.perf
+class TestStreamedReadCounts:
+    """A 64 KB read through a read-only descriptor pays per call, not per
+    chunk (docs/performance.md "The streamed read"): the size row is read
+    once per descriptor, the chunk run is one index range scan, and each
+    cold page is hashed once.  Counts, never time; the bytecode ceiling
+    is for CPython 3.11 (CI's perf-smoke job)."""
+
+    FILE = 256 * 1024
+    READ = 64 * 1024
+    #: Bytecodes of the measured read when this pin was set (10,020; the
+    #: engine before it ran 13,845), plus 5 %.
+    MAX_BYTECODES = 10_521
+
+    def test_a_cold_64k_read_is_one_scan_no_size_probe_one_hash_a_page(
+            self, db, monkeypatch):
+        import zlib
+
+        data = bytes(range(256)) * (self.FILE // 256)
+        with db.begin() as txn:
+            designator = db.lo.create(txn, "fchunk")
+            with db.lo.open(designator, txn, "rw") as obj:
+                obj.write(data)
+        db.bufmgr.invalidate_all()
+        stats, pool = db.access_stats, db.bufmgr.stats
+        obj = db.lo.open(designator)
+        probes = stats.probes
+        assert obj.read(self.READ) == data[:self.READ]
+        assert stats.probes - probes == 1            # the size row, once
+        hashes = []
+        real_crc32 = zlib.crc32
+
+        def crc32(*args):
+            hashes.append(args[0])
+            return real_crc32(*args)
+
+        probes, scans = stats.probes, stats.range_scans
+        cold = pool.misses + pool.prefetched
+        monkeypatch.setattr(zlib, "crc32", crc32)
+        got = obj.read(self.READ)
+        monkeypatch.undo()
+        assert got == data[self.READ:2 * self.READ]
+        assert stats.probes - probes == 0            # no size-row probe
+        assert stats.range_scans - scans == 1
+        cold = pool.misses + pool.prefetched - cold
+        assert cold >= 8 and len(hashes) == cold, (cold, len(hashes))
+        # The next 64 KB is the same shape: eight cold pages, one chunk
+        # already in the descriptor's cache.
+        with _Bytecodes() as executed:
+            got = obj.read(self.READ)
+        assert got == data[2 * self.READ:3 * self.READ]
+        assert executed.count <= self.MAX_BYTECODES, executed.count
+        obj.close()
 
 
 @pytest.mark.perf

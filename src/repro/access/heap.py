@@ -17,6 +17,7 @@ so commit can force it to stable storage.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Iterator
 
 from repro.access.schema import Schema
@@ -31,13 +32,15 @@ from repro.access.tuples import (
 )
 from repro.errors import RelationError, TransactionError, TupleNotFound
 from repro.smgr.base import StorageManager
-from repro.storage.buffer import BufferManager
+from repro.storage.buffer import BufferManager, block_runs
 from repro.storage.constants import INVALID_XID, MAX_TUPLE_SIZE
 from repro.storage.fsm import FreeSpaceMap
 from repro.storage.page import SlottedPage
 from repro.txn.manager import Transaction
 from repro.txn.snapshot import Snapshot
 from repro.txn.xlog import CommitLog, TxnStatus
+
+_BLOCKNO = operator.itemgetter(0)   # of a TID
 
 #: Readahead window (blocks) for sequential scans: far enough ahead to
 #: batch device reads, small enough not to wash streams out of the pool.
@@ -235,38 +238,31 @@ class HeapRelation:
         a string of single-block demand reads); isolated blocks are left
         to demand paging.  Returns how many blocks were read ahead.
         """
-        blocks = sorted({tid.blockno for tid in tids})
         fetched = 0
-        run_start = None
-        previous = None
-        for blockno in blocks + [None]:
-            if run_start is not None and blockno == previous + 1:
-                previous = blockno
-                continue
-            if run_start is not None and previous > run_start:
+        for first, last in block_runs(sorted(set(map(_BLOCKNO, tids)))):
+            if last > first:
                 fetched += self.bufmgr.prefetch(
-                    self.smgr, self.fileid, run_start,
-                    previous - run_start + 1)
-            run_start = previous = blockno
+                    self.smgr, self.fileid, first, last - first + 1)
         return fetched
 
-    def fetch_many(self, tids: list[TID], snapshot: Snapshot,
-                   prefetch: bool = True) -> list[HeapTuple]:
-        """Visible tuples among *tids*, in input order, with readahead
-        (``prefetch=False`` when the caller already issued it)."""
+    def fetch_many(self, tids: list[TID],
+                   snapshot: Snapshot) -> list[HeapTuple]:
+        """Visible tuples among *tids*, in input order (readahead is the
+        caller's: :meth:`prefetch_tids`)."""
         self._assert_latched("fetch_many")
-        if prefetch:
-            self.prefetch_tids(tids)
         return self._read(tids, snapshot)
 
     def _read(self, tids, snapshot: Snapshot | None) -> list[HeapTuple]:
         """The one pin-and-decode body: the tuples at *tids* visible to
         *snapshot* (all, for ``None``), in order; a same-block run shares
-        one pin (then ``rehit``s); each nonzero ``xmax`` read is kept."""
+        one pin (then ``rehit``s); each nonzero ``xmax`` read is kept;
+        visibility is decided once per distinct ``(xmin, xmax)`` stamp
+        (a chunk run shares one), which only the snapshot settles."""
         out = []
         bufmgr = self.bufmgr
         clog = self.clog
         schema = self.schema
+        visible: dict[tuple[int, int], bool] = {}
         buf = None
         cur_block = None
         try:
@@ -288,8 +284,14 @@ class HeapRelation:
                 xmin, xmax, _oid = read_stamps(view)
                 if xmax:
                     self._remember(blockno << 16 | slot, xmax)
-                if snapshot is None or snapshot.is_visible(xmin, xmax, clog):
-                    out.append(deserialize_tuple(schema, view, tid))
+                if snapshot is not None:
+                    seen = visible.get((xmin, xmax))
+                    if seen is None:
+                        seen = visible[xmin, xmax] = snapshot.is_visible(
+                            xmin, xmax, clog)
+                    if not seen:
+                        continue
+                out.append(deserialize_tuple(schema, view, tid))
         finally:
             if buf is not None:
                 bufmgr.unpin(buf)

@@ -149,23 +149,9 @@ class IndexProbe:
 
     def tuples(self, snapshot: Snapshot) -> list[HeapTuple]:
         """All visible versions under the key, in index order."""
-        stats = self.db.access_stats
-        out: list[HeapTuple] = []
         with self.db.latch:
-            stats.probes += 1
-            for blockno, slot in self.index.search(self.key):
-                if self.relation.known_dead(blockno, slot, snapshot):
-                    continue
-                stats.tuples_scanned += 1
-                tup = self.relation.fetch(TID(blockno, slot), snapshot)
-                if tup is None:
-                    continue
-                if (self.recheck_position is not None
-                        and tup.values[self.recheck_position]
-                        != self.key[0]):
-                    continue
-                out.append(tup)
-            stats.tuples_visible += len(out)
+            self.db.access_stats.probes += 1
+            out = list(self._visible(self.index.search(self.key), snapshot))
             if snapshot.as_of is not None:
                 out += self._from_archive(snapshot, out)
         if self.unique and len(out) > 1:
@@ -184,25 +170,28 @@ class IndexProbe:
         key; an ``as_of`` snapshot walks back only as far as its own
         version.  Use :meth:`tuples` when every version matters.
         """
-        stats = self.db.access_stats
         with self.db.latch:
-            stats.probes += 1
-            for blockno, slot in self.index.search_newest(self.key):
-                if self.relation.known_dead(blockno, slot, snapshot):
-                    continue
-                stats.tuples_scanned += 1
-                tup = self.relation.fetch(TID(blockno, slot), snapshot)
-                if tup is None:
-                    continue
-                if (self.recheck_position is not None
-                        and tup.values[self.recheck_position]
-                        != self.key[0]):
-                    continue
-                stats.tuples_visible += 1
-                return tup
-            if snapshot.as_of is not None:
+            self.db.access_stats.probes += 1
+            tup = next(self._visible(self.index.search_newest(self.key),
+                                     snapshot), None)
+            if tup is None and snapshot.as_of is not None:
                 return next(iter(self._from_archive(snapshot, [])), None)
-        return None
+        return tup
+
+    def _visible(self, entries, snapshot: Snapshot):
+        """The visible versions the index *entries* point at, fetched one
+        at a time and counted (latch held), that pass the recheck."""
+        stats = self.db.access_stats
+        for blockno, slot in entries:
+            if self.relation.known_dead(blockno, slot, snapshot):
+                continue
+            stats.tuples_scanned += 1
+            tup = self.relation.fetch(TID(blockno, slot), snapshot)
+            if tup is not None and (
+                    self.recheck_position is None
+                    or tup.values[self.recheck_position] == self.key[0]):
+                stats.tuples_visible += 1
+                yield tup
 
     def _from_archive(self, snapshot: Snapshot,
                       found: list[HeapTuple]) -> list[HeapTuple]:
@@ -253,7 +242,7 @@ class IndexRangeScan:
                      in self.index.range_scan(self.lo, self.hi)
                      if (wanted is None or key in wanted)
                      and not known_dead(blockno, slot, snapshot)]
-            if self.relation.prefetch_tids(tid for _key, tid in pairs):
+            if pairs and self.relation.prefetch_tids(list(zip(*pairs))[1]):
                 stats.prefetch_batches += 1
             out = self._fetch(pairs, snapshot)
             if snapshot.as_of is not None:
@@ -326,10 +315,12 @@ class IndexRangeScan:
         same-block runs, only visible tuples decoded, input order kept."""
         stats = self.db.access_stats
         stats.tuples_scanned += len(pairs)
-        key_by_tid = {tid: key for key, tid in pairs}
+        if not pairs:
+            return []
+        keys, tids = zip(*pairs)
+        key_by_tid = dict(zip(tids, keys))
         out = [(key_by_tid[tup.tid], tup)
-               for tup in self.relation.fetch_many(
-                   [tid for _key, tid in pairs], snapshot, prefetch=False)]
+               for tup in self.relation.fetch_many(tids, snapshot)]
         stats.tuples_visible += len(out)
         return out
 

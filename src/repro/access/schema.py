@@ -14,6 +14,7 @@ byte-for-byte stable across runs (tests depend on that for checksums).
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -23,15 +24,17 @@ from repro.errors import SchemaError
 _I32 = struct.Struct("<i")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
+_BOOL = struct.Struct("<?")
 
 
 @dataclass(frozen=True)
 class TypeCodec:
-    """Encode/decode one scalar type to/from bytes."""
+    """Encode/decode one scalar type to/from bytes.  ``layout`` is how a
+    payload decodes: a one-field ``struct`` (fixed width) or a callable."""
 
     name: str
     encode: Callable[[Any], bytes]
-    decode: Callable[[bytes], Any]
+    layout: "struct.Struct | Callable[[Any], Any]"
     python_types: tuple[type, ...]
 
     def check(self, value: Any) -> None:
@@ -39,6 +42,12 @@ class TypeCodec:
             raise SchemaError(
                 f"value {value!r} is not valid for type {self.name} "
                 f"(expected {', '.join(t.__name__ for t in self.python_types)})")
+
+    def decode(self, payload) -> Any:
+        """One stored value from its payload (no length word)."""
+        layout = self.layout
+        return (layout.unpack(payload)[0]
+                if isinstance(layout, struct.Struct) else layout(payload))
 
 
 def _encode_int4(value: int) -> bytes:
@@ -68,24 +77,20 @@ def _register(codec: TypeCodec) -> None:
     SCALAR_TYPES[codec.name] = codec
 
 
-_register(TypeCodec("int4", _encode_int4,
-                    lambda b: _I32.unpack(b)[0], (int,)))
-_register(TypeCodec("int8", _encode_int8,
-                    lambda b: _I64.unpack(b)[0], (int,)))
-_register(TypeCodec("oid", _encode_int8,
-                    lambda b: _I64.unpack(b)[0], (int,)))
-_register(TypeCodec("float8", lambda v: _F64.pack(float(v)),
-                    lambda b: _F64.unpack(b)[0], (int, float)))
-_register(TypeCodec("bool", lambda v: b"\x01" if v else b"\x00",
-                    lambda b: b == b"\x01", (bool,)))
-# str(b, "utf-8") decodes bytes and memoryview alike; bytes.decode would
-# reject the zero-copy views the page layer hands out.
-_register(TypeCodec("text", _encode_text,
-                    lambda b: str(b, "utf-8"), (str,)))
-_register(TypeCodec("name", _encode_text,
-                    lambda b: str(b, "utf-8"), (str,)))
-_register(TypeCodec("bytea", bytes,
-                    bytes, (bytes, bytearray, memoryview)))
+# str(b, encoding="utf-8") decodes bytes and memoryview alike; bytes.decode
+# would reject the zero-copy views the page layer hands out.
+_UTF8 = functools.partial(str, encoding="utf-8")
+
+_register(TypeCodec("int4", _encode_int4, _I32, (int,)))
+_register(TypeCodec("int8", _encode_int8, _I64, (int,)))
+_register(TypeCodec("oid", _encode_int8, _I64, (int,)))
+_register(TypeCodec("float8", lambda v: _F64.pack(float(v)), _F64,
+                    (int, float)))
+_register(TypeCodec("bool", lambda v: b"\x01" if v else b"\x00", _BOOL,
+                    (bool,)))
+_register(TypeCodec("text", _encode_text, _UTF8, (str,)))
+_register(TypeCodec("name", _encode_text, _UTF8, (str,)))
+_register(TypeCodec("bytea", bytes, bytes, (bytes, bytearray, memoryview)))
 
 
 def scalar_codec(type_name: str) -> TypeCodec:
@@ -115,6 +120,23 @@ class Attribute:
         return scalar_codec(self.storage_type or self.type_name)
 
 
+def _decode_late(attr: Attribute, payload) -> Any:
+    """A value of a type that is no scalar: rejected when decoded."""
+    return attr.codec().decode(payload)
+
+
+def _decode_step(attr: Attribute, codec: TypeCodec | None) -> tuple:
+    """One attribute's step of a :class:`Schema`'s compiled decoder:
+    ``(unpack_from, width, build)`` — a fixed-width type reads its length
+    word and value in one ``struct`` call, any other builds its value from
+    the payload."""
+    if codec is not None and isinstance(codec.layout, struct.Struct):
+        return (struct.Struct("<I" + codec.layout.format[-1]).unpack_from,
+                codec.layout.size, None)
+    return (None, None, codec.layout if codec is not None
+            else functools.partial(_decode_late, attr))
+
+
 class Schema:
     """Ordered attribute list with record (de)serialization.
 
@@ -135,17 +157,11 @@ class Schema:
             raise SchemaError(f"duplicate attribute names in {names}")
         self.attributes = list(attributes)
         self._index = {attr.name: i for i, attr in enumerate(attributes)}
-        # Resolve each attribute's codec once.  A None entry means the
-        # type isn't a known scalar *yet* (large ADTs may register their
-        # storage mapping after the schema is built) — those fall back to
-        # the per-call lookup, preserving the original late-binding error.
-        self._codecs: list[TypeCodec | None] = []
-        for attr in self.attributes:
-            try:
-                self._codecs.append(
-                    scalar_codec(attr.storage_type or attr.type_name))
-            except SchemaError:
-                self._codecs.append(None)
+        # Each attribute's codec, resolved once; None for a type that is no
+        # scalar, whose use raises (through attr.codec()), not its schema.
+        self._codecs = [SCALAR_TYPES.get(attr.storage_type or attr.type_name)
+                        for attr in self.attributes]
+        self._steps = tuple(map(_decode_step, self.attributes, self._codecs))
 
     def __len__(self) -> int:
         return len(self.attributes)
@@ -194,41 +210,54 @@ class Schema:
             parts.append(payload)
         return b"".join(parts)
 
-    def decode(self, data) -> tuple:
-        """Deserialize one record produced by :meth:`encode`.
+    def decode(self, data, pos: int = 0) -> tuple:
+        """Deserialize one record produced by :meth:`encode`, starting at
+        byte *pos* of *data*.
 
         Accepts ``bytes``, ``bytearray``, or a ``memoryview`` into a page
         buffer — the zero-copy read path decodes straight from the pool.
         Variable-length values (text, bytea) are materialized as owned
         objects, so the returned tuple never aliases the page.
         """
-        (natts,) = self._NATTS.unpack_from(data, 0)
-        attributes = self.attributes
-        if natts != len(attributes):
-            raise SchemaError(
-                f"record has {natts} attributes, schema has "
-                f"{len(attributes)}")
-        pos = self._NATTS.size
-        unpack_len = self._LEN.unpack_from
         null = self._NULL
-        values = []
-        append = values.append
+        unpack_len = self._LEN.unpack_from
         data_len = len(data)
-        for i, codec in enumerate(self._codecs):
-            (length,) = unpack_len(data, pos)
-            pos += 4
-            if length == null:
+        values: list = []
+        append = values.append
+        try:
+            (natts,) = self._NATTS.unpack_from(data, pos)
+            if natts != len(self._steps):
+                raise SchemaError(f"record has {natts} attributes, schema "
+                                  f"has {len(self._steps)}")
+            pos += 2
+            for unpack, width, build in self._steps:
+                if unpack is not None:
+                    try:
+                        length, value = unpack(data, pos)
+                    except struct.error:   # a NULL in the last bytes?
+                        (length,) = unpack_len(data, pos)
+                        width = None   # the value is cut off: only a NULL fits
+                    pos += 4
+                    if length == width:
+                        append(value)
+                        pos += width
+                        continue
+                else:
+                    (length,) = unpack_len(data, pos)
+                    pos += 4
+                    if length != null and pos + length <= data_len:
+                        append(build(data[pos:pos + length]))
+                        pos += length
+                        continue
+                if length != null:
+                    raise SchemaError(
+                        f"truncated record or a {length}-byte value of "
+                        f"{self.attributes[len(values)].name!r}")
                 append(None)
-                continue
-            end = pos + length
-            if end > data_len:
-                raise SchemaError(
-                    f"truncated record while decoding "
-                    f"{attributes[i].name!r}")
-            if codec is None:
-                codec = attributes[i].codec()
-            append(codec.decode(data[pos:end]))
-            pos = end
+        except struct.error:
+            raise SchemaError(
+                f"truncated record while decoding "
+                f"{self.attributes[len(values)].name!r}") from None
         return tuple(values)
 
     # -- catalog persistence -----------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.access.schema import Schema
 from repro.errors import SchemaError
@@ -33,9 +34,9 @@ _XMAX = struct.Struct("<Q")
 XMAX_OFFSET = 8
 
 
-@dataclass(frozen=True, order=True)
-class TID:
-    """Tuple identifier: (block number, slot) within a relation file."""
+class TID(NamedTuple):
+    """Tuple identifier: (block number, slot) within a relation file —
+    a tuple, so building, hashing and ordering one runs in C."""
 
     blockno: int
     slot: int
@@ -78,19 +79,14 @@ def deserialize_tuple(schema: Schema, data,
     if natts != len(schema):
         raise SchemaError(
             f"tuple has {natts} attributes, schema expects {len(schema)}")
-    if not isinstance(data, memoryview):
-        data = memoryview(data)
-    values = schema.decode(data[TUPLE_HEADER_SIZE:])
-    return HeapTuple(xmin=xmin, xmax=xmax, oid=oid, values=values, tid=tid)
+    return HeapTuple(xmin, xmax, oid, schema.decode(data, TUPLE_HEADER_SIZE),
+                     tid)
 
 
-def read_stamps(data) -> tuple[int, int, int]:
-    """Fast path: (xmin, xmax, oid) without decoding the record body.
-
-    Works on ``bytes`` or a ``memoryview`` of the on-page image.
-    """
-    xmin, xmax, oid, _flags, _natts = _HEADER.unpack_from(data, 0)
-    return xmin, xmax, oid
+#: ``read_stamps(image) -> (xmin, xmax, oid)``: the stamps of an on-page
+#: image (``bytes`` or a ``memoryview``) without decoding the record body
+#: — one C call.
+read_stamps = struct.Struct("<QQQ").unpack_from
 
 
 def xmax_patch(xmax: int) -> bytes:

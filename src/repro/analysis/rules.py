@@ -472,6 +472,12 @@ DECLARED_SITES = (
         "the deleter map holds exactly each version's xmax: nothing "
         "outside the heap touches it"),
     DeclaredSites(
+        "`.visibility_epoch`", _attribute("visibility_epoch"),
+        {"lo/chunked.py": 2, "lo/metadata.py": 2, "txn/xlog.py": 4},
+        "one epoch gate per descriptor: ChunkedObject._refresh_committed "
+        "(and the open that seeds it) and write_size's re-read under the "
+        "size lock are the only readers; the commit log keeps the count"),
+    DeclaredSites(
         "`db.latch`", _attribute("latch", "db"),
         {"access/scan.py": 8, "access/archive.py": 1,
          "catalog/integrity.py": 2},

@@ -83,7 +83,13 @@ class ChunkedObject(LargeObject):
         #: (writable only); re-locking a covered span is a no-op.
         self._locked = IntervalSet()
         self._whole_locked = False
-        self._commit_epoch = db.clog.visibility_epoch
+        #: A write or truncate since :meth:`flush` last wrote the size row.
+        self._unflushed = False
+        #: The committed size as of the gate ``_seen`` (None: not read).
+        self._committed: int | None = None
+        self._own_writes = ([0] if txn is None
+                            else txn.size_writes.setdefault(oid, [0]))
+        self._seen = (db.clog.visibility_epoch, self._own_writes[0])
         if writable:
             self._pending_size = self._committed_size()
             txn.before_commit.append(self.flush)
@@ -94,10 +100,9 @@ class ChunkedObject(LargeObject):
     def _lock_bounds(self, start: int, end: int) -> tuple[int, int]:
         """The grain-aligned span a write of ``[start, end)`` must lock."""
 
-    def _committed_moved(self, committed: int) -> None:
-        """Another transaction committed or aborted and the committed
-        size is now *committed*: drop whatever cached state that could
-        have retired (default: nothing is cached)."""
+    def _committed_moved(self) -> None:
+        """The size gate moved: drop whatever cached state a commit or
+        abort could have retired (default: nothing is cached)."""
 
     def _flush_data(self) -> None:
         """Materialize buffered data as tuple versions (default: none)."""
@@ -111,7 +116,11 @@ class ChunkedObject(LargeObject):
         return self.db.snapshot(self.txn, as_of=self.as_of)
 
     def _committed_size(self) -> int:
-        return metadata.read_size(self.db, self.oid, self._snapshot())
+        """The size row's size, read once per :meth:`_refresh_committed`."""
+        if self._committed is None:
+            self._committed = metadata.read_size(self.db, self.oid,
+                                                 self._snapshot())
+        return self._committed
 
     def _anomaly(self, key, count: int) -> LargeObjectError:
         """Diagnostic for the scan layer's ``unique`` mode: two visible
@@ -129,13 +138,16 @@ class ChunkedObject(LargeObject):
         read-only, consults ``CommitLog.visibility_epoch`` (vacuum bumps
         it too when it prunes index entries).
 
-        While nothing commits or aborts anywhere, this is one integer
-        compare (so single-writer runs — including the simulated figure
-        workloads — never pay an extra size probe).  When the epoch has
-        moved, the committed size is re-read, ``_committed_moved`` lets
-        the layout drop what a concurrent committer may have retired,
-        and a writable descriptor's pending size becomes max(committed,
-        own writes) — both directions, since a neighbour's committed
+        The gate is the epoch plus the count of this transaction's own
+        rewrites of the size row (by another descriptor: the epoch moves
+        only at commit or abort).  While neither moves this is one tuple
+        compare and the committed size stays kept — a read-only
+        descriptor probes its size row once, not once per ``read()``.
+        When the gate moves, the kept size is dropped (re-read on demand),
+        ``_committed_moved`` lets the layout drop what a concurrent
+        committer may have retired, and a writable descriptor's pending
+        size becomes max(committed, own writes) — both directions, since
+        a neighbour's committed
         *truncate* legitimately shrinks it.  Without this, a reader
         would keep serving cached pre-commit bytes, and a writer whose
         neighbour committed an extension would see a stale EOF (and
@@ -152,14 +164,14 @@ class ChunkedObject(LargeObject):
         """
         if self._whole_locked and not force:
             return
-        epoch = self.db.clog.visibility_epoch
-        if epoch == self._commit_epoch and not force:
+        seen = (self.db.clog.visibility_epoch, self._own_writes[0])
+        if seen == self._seen and not force:
             return
-        self._commit_epoch = epoch
-        committed = self._committed_size()
+        self._seen = seen
+        self._committed = None
         if self._pending_size is not None:
-            self._pending_size = max(committed, self._own_high)
-        self._committed_moved(committed)
+            self._pending_size = max(self._committed_size(), self._own_high)
+        self._committed_moved()
 
     def _lock_span(self, start: int, end: int) -> None:
         """EXCLUSIVE range lock covering ``[start, end)``, rounded out by
@@ -233,11 +245,13 @@ class ChunkedObject(LargeObject):
         """This transaction wrote bytes up to *end*."""
         self._own_high = max(self._own_high, end)
         self._pending_size = max(self._pending_size, end)
+        self._unflushed = True
 
     def _note_truncate(self, size: int) -> None:
         """This transaction (holding ``[0, inf)``) set the size exactly."""
         self._own_high = size
         self._pending_size = size
+        self._unflushed = True
 
     def flush(self) -> None:
         """Materialize buffered data and the pending size row.
@@ -248,6 +262,8 @@ class ChunkedObject(LargeObject):
         if self._closed or self._pending_size is None:
             return
         self._flush_data()
+        if not self._unflushed:
+            return  # nothing written or truncated since the last flush
         # Holding [0, inf) (truncate) is the only case where the size may
         # legitimately shrink; everyone else max-merges (see write_size)
         # what it *wrote* — not the pending size, whose committed part is
@@ -259,6 +275,7 @@ class ChunkedObject(LargeObject):
             self.db, self.txn, self.oid,
             self._pending_size if self._whole_locked else self._own_high,
             exact=self._whole_locked)
+        self._unflushed = False
 
     def _close(self) -> None:
         if self.writable:

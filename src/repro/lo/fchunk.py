@@ -132,11 +132,13 @@ class FChunkObject(ChunkedObject):
         return ((start // grain) * grain,
                 ((max(end, start + 1) + grain - 1) // grain) * grain)
 
-    def _committed_moved(self, committed: int) -> None:
+    def _committed_moved(self) -> None:
         self._known_tids.clear()
-        self._baseline_chunks = max(self._baseline_chunks,
-                                    self._chunks_in(committed))
         self._read_cache.clear()
+        if self.writable:  # only a writer keeps an absence baseline
+            self._baseline_chunks = max(
+                self._baseline_chunks,
+                self._chunks_in(self._committed_size()))
 
     # -- chunk access -----------------------------------------------------------------
 
@@ -179,12 +181,6 @@ class FChunkObject(ChunkedObject):
         tup = candidates[0] if candidates else None
         self._known_tids[seqno] = None if tup is None else tup.tid
         return tup
-
-    def _cache_chunk(self, seqno: int, data: bytes) -> None:
-        self._read_cache[seqno] = data
-        self._read_cache.move_to_end(seqno)
-        while len(self._read_cache) > READ_CACHE_CHUNKS:
-            self._read_cache.popitem(last=False)
 
     def _visible_chunk_tuples(self, seqnos: list[int] | range,
                               snapshot: Snapshot) -> dict[int, HeapTuple]:
@@ -274,54 +270,49 @@ class FChunkObject(ChunkedObject):
         payload = self.chunk_payload
         first = offset // payload
         last = (end - 1) // payload
-        # Gather the covered chunks: descriptor buffers first, then one
-        # batched index range scan for whatever is left — never one
-        # B-tree descent per chunk.  The snapshot is created only if a
+        # Gather the covered chunks in one pass: descriptor buffers first,
+        # then one batched index range scan for whatever is left — never
+        # one B-tree descent per chunk.  The snapshot is created only if a
         # scan actually runs (building one is pure bookkeeping but shows
         # up at one-per-read() rates).
-        chunks: dict[int, bytes] = {}
+        cache = self._read_cache
+        parts: list = []
         missing: list[int] = []
+        buffered = 0
         for seqno in range(first, last + 1):
             if seqno == self._buf_seqno:
-                chunks[seqno] = bytes(self._buf_data)
+                parts.append(bytes(self._buf_data))
+                buffered = 1
+                continue
+            chunk = cache.get(seqno)
+            if chunk is None:
+                missing.append(seqno)
             else:
-                cached = self._read_cache.get(seqno)
-                if cached is not None:
-                    self._cache_stats.read_cache_hits += 1
-                    self._read_cache.move_to_end(seqno)
-                    chunks[seqno] = cached
-                else:
-                    self._cache_stats.read_cache_misses += 1
-                    missing.append(seqno)
+                cache.move_to_end(seqno)
+            parts.append(chunk)
+        stats = self._cache_stats
         if missing:
+            stats.read_cache_misses += len(missing)
             fetched = self._visible_chunk_tuples(missing, self._snapshot())
-            for seqno, tup in fetched.items():
-                data = self.compressor.decompress(tup.values[1])
-                self._cache_chunk(seqno, data)
-                chunks[seqno] = data
-        if first == last:
-            # Overwhelmingly common: the request lies inside one chunk —
-            # one slice, no join machinery.
-            chunk = chunks.get(first, b"")
-            lo = offset - first * payload
-            hi = end - first * payload
-            if hi <= len(chunk):
-                return bytes(chunk[lo:hi])
-            piece = bytes(chunk[lo:])
-            return piece + bytes((hi - lo) - len(piece))
-        parts = []
-        for seqno in range(first, last + 1):
-            chunk = chunks.get(seqno, b"")
-            chunk_start = seqno * payload
-            lo = max(0, offset - chunk_start)
-            hi = min(len(chunk), end - chunk_start)
-            # A memoryview slice defers the copy to the final join.
-            piece = memoryview(chunk)[lo:hi]
-            wanted = (min(end, chunk_start + payload)
-                      - max(offset, chunk_start))
-            if len(piece) < wanted:  # short/missing chunk inside size
-                piece = bytes(piece) + bytes(wanted - len(piece))
-            parts.append(piece)
+            decompress = self.compressor.decompress
+            for seqno in missing:
+                tup = fetched.get(seqno)
+                chunk = b"" if tup is None else decompress(tup.values[1])
+                if tup is not None:
+                    cache[seqno] = chunk  # a miss: lands at the MRU end
+                parts[seqno - first] = chunk
+            while len(cache) > READ_CACHE_CHUNKS:
+                cache.popitem(last=False)
+        stats.read_cache_hits += len(parts) - len(missing) - buffered
+        # Whole chunks are joined as they are; only the two ends are cut
+        # (memoryview slices defer the copy to the join).  A short or
+        # missing chunk inside the range reads as zeros.
+        tail = end - last * payload
+        if len(parts[-1]) < tail or (
+                last > first and min(map(len, parts[:-1])) < payload):
+            parts = [part.ljust(payload, b"\0") for part in parts]
+        parts[-1] = memoryview(parts[-1])[:tail]
+        parts[0] = memoryview(parts[0])[offset - first * payload:]
         return b"".join(parts)
 
     # -- writes ----------------------------------------------------------------------------

@@ -106,3 +106,6 @@ def write_size(db: "Database", txn: "Transaction", oid: int,
     new = size if exact else max(size, row.values[1])
     if row.values[1] != new:
         db.replace(txn, PG_LARGEOBJECT, row.tid, (oid, new))
+        # What the transaction's own descriptors of *oid* gate on: the
+        # epoch moves only when the transaction ends.
+        txn.size_writes.setdefault(oid, [0])[0] += 1

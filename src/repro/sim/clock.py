@@ -56,10 +56,11 @@ class SimClock:
                              f"{min(seconds, seek or 0.0)!r} seconds")
         with self._mutex:
             by_category = self._by_category
+            elapsed = self._elapsed
             if seek is not None:
-                self._elapsed += seek
+                elapsed += seek
                 by_category["io.seek"] += seek
-            elapsed, charged = self._elapsed, by_category[category]
+            charged = by_category[category]
             for _ in range(count):
                 elapsed += seconds
                 charged += seconds

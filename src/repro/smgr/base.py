@@ -379,10 +379,12 @@ class StorageNode:
         operation, then each block counted and charged *as it is yielded*,
         so a consumer charging other work between blocks keeps the
         per-block order of charges."""
-        blocks = self.store.read_run(fileid, first, count)
-        for blockno, data in enumerate(blocks, first):
+        charge = self.port.charge_run
+        offset = first * PAGE_SIZE
+        for data in self.store.read_run(fileid, first, count):
             self._ops += 1
-            self.port.charge_read(fileid, blockno * PAGE_SIZE, PAGE_SIZE)
+            charge(fileid, offset, PAGE_SIZE, 1, False)
+            offset += PAGE_SIZE
             yield data
 
     def write_run(self, fileid: str, first: int, images) -> None:

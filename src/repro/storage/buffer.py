@@ -62,14 +62,16 @@ _MAX_USAGE = 5
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
 
-def _runs(blocknos: list[int]) -> Iterator[tuple[int, int]]:
+def block_runs(blocknos: list[int]) -> list[list[int]]:
     """``(first, last)`` of each maximal run of consecutive block numbers
     in *blocknos*, in list order."""
-    start = 0
-    for i, blockno in enumerate(blocknos):
-        if i + 1 == len(blocknos) or blocknos[i + 1] != blockno + 1:
-            yield blocknos[start], blockno
-            start = i + 1
+    runs: list = []
+    for blockno in blocknos:
+        if runs and runs[-1][1] == blockno - 1:
+            runs[-1][1] = blockno
+        else:
+            runs.append([blockno, blockno])
+    return runs
 
 
 @dataclass
@@ -94,23 +96,35 @@ class BufferStats:
         return self.hits / total if total else 0.0
 
 
-@dataclass
 class Buffer:
     """One pooled frame holding one page of one relation file."""
 
-    smgr: "StorageManager"
-    fileid: str
-    blockno: int
-    page: SlottedPage
-    dirty: bool = False
-    pin_count: int = 0
-    usage: int = 1
-    #: True until the first demand pin when prefetch read this block in.
-    prefetched: bool = False
+    __slots__ = ("smgr", "fileid", "blockno", "key", "page", "dirty",
+                 "pin_count", "usage", "prefetched")
 
-    @property
-    def key(self) -> tuple[str, str, int]:
-        return (self.smgr.smgr_id, self.fileid, self.blockno)
+    def __init__(self, smgr: "StorageManager", fileid: str, blockno: int,
+                 page: SlottedPage, dirty: bool = False, pin_count: int = 0,
+                 usage: int = 1, prefetched: bool = False):
+        self.smgr = smgr
+        self.fileid = fileid
+        self.blockno = blockno
+        self.key = (smgr.smgr_id, fileid, blockno)   # built once
+        self.page = page
+        self.dirty = dirty
+        self.pin_count = pin_count
+        self.usage = usage
+        #: True until the first demand pin when prefetch read this block in.
+        self.prefetched = prefetched
+
+
+def _verified(raw: bytearray, fileid: str, blockno: int) -> SlottedPage:
+    """The page read from the device as *raw*, its checksum verified (a
+    page never written, LSN 0, carries none)."""
+    page = SlottedPage(raw)
+    if not page.intact():
+        raise ChecksumError(
+            f"checksum mismatch reading block {blockno} of {fileid!r}")
+    return page
 
 
 class BufferManager:
@@ -192,19 +206,15 @@ class BufferManager:
                     buf.prefetched = False
                 self._charge(_HIT_INSTRUCTIONS)
                 buf.pin_count += 1
-                buf.usage = min(buf.usage + 1, _MAX_USAGE)
+                if buf.usage < _MAX_USAGE:
+                    buf.usage += 1
                 return buf
 
             self.stats.misses += 1
             self._charge(_MISS_INSTRUCTIONS)
             self._make_room()
-            raw = smgr.read_block(fileid, blockno)
-            page = SlottedPage(raw)
-            if page.lsn != 0 and not page.verify_checksum():
-                raise ChecksumError(
-                    f"checksum mismatch reading block {blockno} of {fileid!r}")
-            buf = Buffer(smgr=smgr, fileid=fileid, blockno=blockno,
-                         page=page, pin_count=1)
+            page = _verified(smgr.read_block(fileid, blockno), fileid, blockno)
+            buf = Buffer(smgr, fileid, blockno, page, pin_count=1)
             self._install(buf)
             return buf
 
@@ -227,7 +237,8 @@ class BufferManager:
                 self.stats.prefetch_hits += 1
                 buf.prefetched = False
             self._charge(_HIT_INSTRUCTIONS)
-            buf.usage = min(buf.usage + 1, _MAX_USAGE)
+            if buf.usage < _MAX_USAGE:
+                buf.usage += 1
             return buf
 
     def prefetch(self, smgr: "StorageManager", fileid: str,
@@ -250,23 +261,18 @@ class BufferManager:
                       if (smgr.smgr_id, fileid, block) not in self._frames]
             fetched = 0
             for group in smgr.placement_groups(fileid, wanted):
-                for first, last in _runs(group):
+                for first, last in block_runs(group):
                     # One request for the run; each block is charged as it
                     # is drawn, after the room made for it.
                     blocks = smgr.read_blocks(fileid, first, last - first + 1)
                     for block in range(first, last + 1):
                         self._charge(_MISS_INSTRUCTIONS)
                         self._make_room()
-                        page = SlottedPage(next(blocks))
-                        if page.lsn != 0 and not page.verify_checksum():
-                            raise ChecksumError(
-                                f"checksum mismatch prefetching block "
-                                f"{block} of {fileid!r}")
-                        buf = Buffer(smgr=smgr, fileid=fileid, blockno=block,
-                                     page=page, pin_count=0, usage=1,
-                                     prefetched=True)
-                        self._install(buf)
-                        fetched += 1
+                        self._install(Buffer(
+                            smgr, fileid, block,
+                            _verified(next(blocks), fileid, block),
+                            prefetched=True))
+                    fetched += last - first + 1
             self.stats.prefetched += fetched
             return fetched
 
@@ -279,8 +285,8 @@ class BufferManager:
             self._make_room()
             blockno = self.nblocks(smgr, fileid)
             self._virtual_nblocks[(smgr.smgr_id, fileid)] = blockno + 1
-            buf = Buffer(smgr=smgr, fileid=fileid, blockno=blockno,
-                         page=SlottedPage(special_size=special_size),
+            buf = Buffer(smgr, fileid, blockno,
+                         SlottedPage(special_size=special_size),
                          dirty=True, pin_count=1)
             self._install(buf)
             self._dirty.setdefault((smgr.smgr_id, fileid), {})[blockno] = buf
@@ -373,23 +379,25 @@ class BufferManager:
 
     def _pick_victim(self) -> Buffer | None:
         """Clock sweep: decrement usage counts until a (0, unpinned) frame."""
-        if not self._sweep_order:
-            return None
-        for _ in range(len(self._sweep_order) * (_MAX_USAGE + 1)):
-            if self._hand >= len(self._sweep_order):
-                self._hand = 0
-            key = self._sweep_order[self._hand]
-            buf = self._frames.get(key)
+        order = self._sweep_order
+        frames = self._frames
+        hand = self._hand
+        for _ in range(len(order) * (_MAX_USAGE + 1)):
+            if hand >= len(order):
+                hand = 0
+            buf = frames.get(order[hand])
             if buf is None:
                 # Stale entry left by drop_file; compact lazily.
-                self._sweep_order.pop(self._hand)
+                order.pop(hand)
                 continue
             if buf.pin_count == 0:
                 if buf.usage == 0:
-                    self._sweep_order.pop(self._hand)
+                    order.pop(hand)
+                    self._hand = hand
                     return buf
                 buf.usage -= 1
-            self._hand += 1
+            hand += 1
+        self._hand = hand
         return None
 
     def _evict(self, buf: Buffer) -> None:
@@ -425,7 +433,7 @@ class BufferManager:
                      for group in smgr.placement_groups(fileid, order)
                      for blockno in group]
         order.extend(range(device_end, top + 1))
-        for first, last in _runs(order):
+        for first, last in block_runs(order):
             self._writeback(smgr, fileid, first, last)
         return count
 

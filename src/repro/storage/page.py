@@ -267,20 +267,7 @@ class SlottedPage:
         This is the sanctioned copying accessor: data it returns survives
         any later page modification.
         """
-        buf = self.buf
-        if not 0 <= slot < (
-                _LUS.unpack_from(buf, _LUS_OFFSET)[0]
-                - PAGE_HEADER_SIZE) // ITEM_ID_SIZE:
-            raise PageError(
-                f"slot {slot} out of range (page has {self.slot_count})")
-        offset, lenstate = _ITEMID.unpack_from(
-            buf, PAGE_HEADER_SIZE + slot * ITEM_ID_SIZE)
-        state = lenstate & _LP_STATE_MASK
-        if state != LP_NORMAL:
-            raise PageError(f"slot {slot} is not live (state={state})")
-        # This *is* the sanctioned copying accessor (R007 exempts
-        # get_item by name).
-        return bytes(self._view[offset:offset + (lenstate >> _LP_LEN_SHIFT)])
+        return bytes(self.item_view(slot))
 
     def delete_item(self, slot: int) -> None:
         """Mark *slot* dead.  Space is reclaimed later by :meth:`compact`."""
@@ -388,14 +375,6 @@ class SlottedPage:
 
     # -- checksums ----------------------------------------------------------
 
-    def compute_checksum(self) -> int:
-        """CRC32 of the page with the checksum field and the header's
-        reserved bytes read as zeros (what :meth:`seal` leaves there)."""
-        view = self._view
-        crc = zlib.crc32(_ZERO4, zlib.crc32(view[:8]))
-        crc = zlib.crc32(_ZERO4, zlib.crc32(view[12:20], crc))
-        return zlib.crc32(view[PAGE_HEADER_SIZE:], crc)
-
     def seal(self, lsn: int) -> None:
         """Set the LSN and stamp the checksum (before a device write), in
         one pass over the page: the checksum field and the reserved bytes
@@ -405,9 +384,16 @@ class SlottedPage:
         buf[20:PAGE_HEADER_SIZE] = _ZERO4
         _CHECKSUM.pack_into(buf, 8, zlib.crc32(self._view))
 
-    def verify_checksum(self) -> bool:
-        """True if the stored checksum matches the page contents."""
-        return _CHECKSUM.unpack_from(self.buf, 8)[0] == self.compute_checksum()
+    def intact(self) -> bool:
+        """Whether a page just read from a device is never written (LSN 0)
+        or matches its checksum: one pass, as :meth:`seal` — which rewrites
+        the checksum field and reserved bytes this zeroes in place."""
+        buf = self.buf
+        lsn, stored = _LSN_CHECKSUM.unpack_from(buf)
+        if lsn == 0:
+            return True
+        buf[8:12] = buf[20:PAGE_HEADER_SIZE] = _ZERO4
+        return zlib.crc32(self._view) == stored
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SlottedPage(slots={self.slot_count}, "

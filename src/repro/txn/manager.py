@@ -60,6 +60,9 @@ class Transaction:
         self.before_commit: list[Callable[[], None]] = []
         self.on_commit: list[Callable[[], None]] = []
         self.on_abort: list[Callable[[], None]] = []
+        #: Large-object oid -> [size-row rewrites by this transaction]
+        #: (repro.lo.metadata.write_size), a cell its descriptors share.
+        self.size_writes: dict[int, list[int]] = {}
 
     def touch(self, smgr, fileid: str) -> None:
         """Record that this transaction dirtied *fileid* on *smgr*."""

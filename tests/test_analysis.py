@@ -382,6 +382,7 @@ ONE_SITE = {
     "`patch_item(..., XMAX_OFFSET, ...)`":
         "buf.page.patch_item(slot, XMAX_OFFSET, patch)",
     "`._deleters`": "self._deleters.clear()",
+    "`.visibility_epoch`": "epoch = self.db.clog.visibility_epoch",
     "`db.latch`": "latch = self.db.latch",
 }
 
@@ -449,6 +450,7 @@ class TestR010DeclaredSites:
             latch = self._latch
             cpu = self.cpu
             same = self.cpu == other
+            clog.bump_visibility_epoch()
         """
         path = write_module(tmp_path, "lo/elsewhere.py", source)
         report = analyze_paths([path], [get_rule("R010")])

@@ -505,3 +505,105 @@ def test_tripwire_survives_a_warm_deleter_map(db, impl):
                                  r"\(snapshot anomaly\)"):
             obj.read(10)
     assert db.check_integrity()          # the integrity sweep agrees
+
+
+# -- the size gate: a read-only descriptor keeps its size row ---------------------
+
+
+def _open_reader(db, designator, bound):
+    """A read-only descriptor: bound to a fresh transaction, or detached."""
+    txn = db.begin() if bound else None
+    return txn, db.lo.open(designator, txn)
+
+
+@pytest.mark.parametrize("bound", [True, False], ids=["bound", "detached"])
+@pytest.mark.parametrize("impl", IMPLS)
+class TestSizeGate:
+    """A read-only descriptor reads its ``pg_largeobject`` row once and
+    keeps the size until the visibility epoch moves or its own
+    transaction rewrites that row; every case here must still see what a
+    fresh descriptor sees."""
+
+    def _reader(self, db, designator, bound):
+        txn, reader = _open_reader(db, designator, bound)
+        assert reader.read(100) == b"A" * 100      # the size is kept now
+        return txn, reader
+
+    def _done(self, txn, reader):
+        reader.close()
+        if txn is not None:
+            txn.commit()
+
+    def test_sees_a_committed_extension(self, db, impl, bound):
+        designator = make_object(db, impl, b"A" * 9_000)
+        txn, reader = self._reader(db, designator, bound)
+        overwrite(db, designator, 9_000, b"B" * 7_000)
+        assert reader.size() == 16_000
+        reader.seek(8_000)
+        assert reader.read() == b"A" * 1_000 + b"B" * 7_000
+        self._done(txn, reader)
+
+    def test_sees_a_committed_truncate(self, db, impl, bound):
+        designator = make_object(db, impl, b"A" * 20_000)
+        txn, reader = self._reader(db, designator, bound)
+        with db.begin() as writer_txn:
+            with db.lo.open(designator, writer_txn, "rw") as writer:
+                writer.truncate(3_000)
+        assert reader.size() == 3_000
+        reader.seek(2_000)
+        assert reader.read() == b"A" * 1_000
+        self._done(txn, reader)
+
+    def test_own_transaction_change_through_a_second_descriptor(
+            self, db, impl, bound):
+        """No epoch moves until the commit: a bound reader sees its own
+        transaction's size row at once (the case an epoch-only gate gets
+        wrong); a detached one sees it when the transaction commits."""
+        designator = make_object(db, impl, b"A" * 9_000)
+        txn, reader = self._reader(db, designator, bound)
+        writer_txn = txn if bound else db.begin()
+        epoch = db.clog.visibility_epoch
+        with db.lo.open(designator, writer_txn, "rw") as writer:
+            writer.seek(9_000)
+            writer.write(b"B" * 7_000)
+        assert db.clog.visibility_epoch == epoch
+        if bound:
+            assert reader.size() == 16_000
+            reader.seek(8_000)
+            assert reader.read() == b"A" * 1_000 + b"B" * 7_000
+            with db.lo.open(designator, writer_txn, "rw") as writer:
+                writer.truncate(5_000)
+            assert reader.size() == 5_000
+            reader.seek(4_000)
+            assert reader.read() == b"A" * 1_000
+        else:
+            assert reader.size() == 9_000
+            writer_txn.commit()
+            assert reader.size() == 16_000
+            reader.seek(15_000)
+            assert reader.read() == b"B" * 1_000
+        self._done(txn, reader)
+
+    def test_as_of_reader_stays_at_its_instant(self, db, impl, bound):
+        designator = make_object(db, impl, b"A" * 9_000)
+        instant = db.clock.now()
+        held = db.lo.open(designator, as_of=instant)
+        assert held.read(100) == b"A" * 100
+        overwrite(db, designator, 9_000, b"B" * 7_000)
+        with db.begin() as txn:
+            with db.lo.open(designator, txn, "rw") as writer:
+                writer.truncate(2_000)
+        assert held.size() == 9_000
+        held.seek(0)
+        assert held.read() == b"A" * 9_000
+        held.close()
+
+    def test_sees_the_object_after_a_vacuum(self, db, impl, bound):
+        designator = make_object(db, impl, b"A" * 12_000)
+        txn, reader = self._reader(db, designator, bound)
+        overwrite(db, designator, 0, b"C" * 12_000)
+        db.vacuum()
+        assert reader.size() == 12_000
+        reader.seek(0)
+        assert reader.read() == b"C" * 12_000
+        self._done(txn, reader)

@@ -199,25 +199,29 @@ def _seal_reference(raw: bytes, lsn: int) -> bytes:
 
 
 class TestChecksum:
+    # ``intact`` is what the pool asks of a page it read: a sealed page
+    # (nonzero LSN) must match its checksum; it zeroes the checksum field
+    # in place, so every check below is made on a fresh copy.
+
     def test_fresh_page_verifies_after_stamp(self):
         page = SlottedPage()
         page.add_item(b"data")
-        page.seal(0)
-        assert page.verify_checksum()
+        page.seal(1)
+        assert page.intact()
 
     def test_corruption_detected(self):
         page = SlottedPage()
         page.add_item(b"data")
-        page.seal(0)
+        page.seal(1)
         page.buf[5000] ^= 0xFF
-        assert not page.verify_checksum()
+        assert not page.intact()
 
     def test_checksum_stable_under_reload(self):
         page = SlottedPage()
         page.add_item(b"data")
-        page.seal(0)
+        page.seal(1)
         reloaded = SlottedPage(bytearray(page.buf))
-        assert reloaded.verify_checksum()
+        assert reloaded.intact()
 
     def test_lsn_roundtrip(self):
         page = SlottedPage()
@@ -231,20 +235,25 @@ class TestChecksum:
         # Random bytes put garbage in the checksum field (8:12) and the
         # reserved bytes (20:24) too: both must read as zeros.
         raw = random.Random(seed).randbytes(PAGE_SIZE)
+        stamped = bytearray(raw)
+        stamped[8:12] = _checksum_reference(raw).to_bytes(4, "little")
+        assert SlottedPage(bytearray(stamped)).intact()
+        stamped[8] ^= 0xFF
+        written = _HEADER.unpack_from(raw)[0] != 0
+        assert SlottedPage(stamped).intact() is not written
         page = SlottedPage(bytearray(raw))
-        assert page.compute_checksum() == _checksum_reference(raw)
         page.seal(lsn)
         assert bytes(page.buf) == _seal_reference(raw, lsn)
-        assert page.verify_checksum()
+        assert SlottedPage(bytearray(page.buf)).intact()
 
     def test_damage_confined_to_the_reserved_bytes_still_verifies(self):
         page = SlottedPage()
         page.add_item(b"data")
         page.seal(7)
         page.buf[20:24] = b"\xde\xad\xbe\xef"
-        assert page.verify_checksum()
+        assert SlottedPage(bytearray(page.buf)).intact()
         page.buf[24] ^= 0xFF
-        assert not page.verify_checksum()
+        assert not SlottedPage(bytearray(page.buf)).intact()
 
     @settings(max_examples=60)
     @given(st.integers(min_value=0), st.integers(min_value=0,
@@ -257,10 +266,10 @@ class TestChecksum:
         # bytes), then store the checksum of the result.
         stamped = bytearray(raw)
         _HEADER.pack_into(stamped, 0, lsn, *_HEADER.unpack_from(raw)[1:])
-        checksum = SlottedPage(stamped).compute_checksum()
+        checksum = _checksum_reference(bytes(stamped))
         stamped[8:12] = checksum.to_bytes(4, "little")
         assert sealed.buf == stamped
-        assert sealed.lsn == lsn and sealed.verify_checksum()
+        assert sealed.lsn == lsn and sealed.intact()
 
 
 # Line-pointer halves drawn so that the dead image (00 00 02 00) often

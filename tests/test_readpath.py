@@ -262,6 +262,9 @@ def test_vsegment_frame_read_fetches_the_segment_it_returns(charge_cpu):
         stats = db.access_stats
         rng = random.Random(20)
         with db.begin() as txn, db.lo.open(designator, txn) as obj:
+            # The descriptor reads its size row once and keeps it while
+            # nothing commits: the reads below do not probe it.
+            assert obj.size() == frame * frames
             # Even frames only: two frames share a byte-store chunk, and
             # a second read of one would find it in the descriptor's cache.
             for i in [0, frames - 1] + rng.sample(range(2, frames - 2, 2),
@@ -272,10 +275,50 @@ def test_vsegment_frame_read_fetches_the_segment_it_returns(charge_cpu):
                 assert stats.tuples_scanned - before == 1
                 assert [r.values[:2] for r in records] == [(i * frame,
                                                             frame)]
-                # The whole read: size row + segment + byte-store chunk.
+                # The whole read: segment + byte-store chunk.
                 before = stats.tuples_scanned
                 assert obj.pread(i * frame, frame) == (
                     bytes([i % 251 + 1]) * frame)
-                assert stats.tuples_scanned - before == 3
+                assert stats.tuples_scanned - before == 2
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize("impl, objects", [("fchunk", 1), ("vsegment", 2)])
+def test_a_commit_probes_each_size_row_once(impl, objects, monkeypatch):
+    """Closing a writer and committing reads each ``pg_largeobject`` row
+    it flushes once: a v-segment object and its byte store, two rows —
+    the segment object's close flushes the store a second time, and a
+    flush with nothing written since the last one reads nothing."""
+    from collections import Counter
+
+    from repro.lo import metadata
+
+    db = Database(pool_size=64)
+    try:
+        with db.begin() as txn:
+            designator = db.lo.create(txn, impl)
+        probes = Counter()
+        real = metadata.size_row
+
+        def size_row(database, oid, snapshot):
+            probes[oid] += 1
+            return real(database, oid, snapshot)
+
+        for round_ in range(3):
+            txn = db.begin()
+            obj = db.lo.open(designator, txn, "rw")
+            obj.seek(round_ * 5000)
+            obj.write(bytes([round_ + 1]) * 5000)
+            probes.clear()
+            monkeypatch.setattr(metadata, "size_row", size_row)
+            obj.close()
+            txn.commit()
+            monkeypatch.undo()
+            assert len(probes) == objects and set(probes.values()) == {1}, \
+                probes
+        with db.lo.open(designator) as obj:
+            assert obj.read() == b"".join(bytes([n]) * 5000
+                                          for n in (1, 2, 3))
     finally:
         db.close()
