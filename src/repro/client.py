@@ -22,28 +22,33 @@ b'hello'
 >>> api.lo_close(fd)
 >>> api.commit()
 
-Descriptors are small integers scoped to the API object's session (its
-one descriptor table); the mode flags ``INV_READ`` / ``INV_WRITE`` are the
-historical names.
+Like libpq's ``lo_*``, every call is a request to the backend: this is
+the wire client (:class:`~repro.server.ServerClient`) with an in-process
+transport, each request run by :func:`repro.server.server.serve` on the
+API object's own :class:`~repro.session.Session` — no socket, and the
+engine's own exception object on failure.  Descriptors are small
+integers scoped to that session; the mode flags ``INV_READ`` /
+``INV_WRITE`` are the historical names.
 """
 
 from __future__ import annotations
 
 from repro.adt.types import normalize_storage
 from repro.db import Database
-from repro.errors import LargeObjectError, NoActiveTransaction
+from repro.errors import LargeObjectError
 from repro.lo.manager import designator_oid
+from repro.server.client import ServerClient
+from repro.server.server import serve
 from repro.session import Session
-from repro.txn.manager import Transaction
 
 
-class LargeObjectApi:
-    """libpq-style large-object calls over one database connection.
+class LargeObjectApi(ServerClient):
+    """libpq-style large-object calls over one in-process connection.
 
-    The connection state — current transaction, open descriptors — lives
-    on a :class:`~repro.session.Session`; this class only translates the
-    historical calling convention (integer descriptors, mode bits) onto
-    it.  One ``LargeObjectApi`` per thread, like one libpq connection.
+    Everything but the transport and the historical spellings (oids,
+    mode bits, ``lo_creat``/``lo_lseek``/``lo_import``/``lo_export``)
+    is :class:`~repro.server.ServerClient`'s, cursor included.  One
+    ``LargeObjectApi`` per thread, like one libpq connection.
     """
 
     #: Historical inversion-API mode bits.
@@ -53,76 +58,46 @@ class LargeObjectApi:
     def __init__(self, db: Database):
         self.db = db
         self._session = Session(db)
+        self._cursors: dict[int, list] = {}
 
-    # -- transaction plumbing (lo_* calls require one, as in PostgreSQL) ----
+    def _call(self, cmd: str, body: bytes = b"",
+              **fields) -> tuple[dict, bytes]:
+        return serve(self._session, {"cmd": cmd, **fields}, body)
+
+    def close(self) -> None:
+        """End the connection (rolls back any open transaction)."""
+        self._cursors.clear()
+        self._session.close()
 
     def begin(self) -> None:
         """Start the connection's transaction."""
         if self._session.in_transaction:
             raise LargeObjectError("transaction already in progress")
-        self._session.begin()
+        super().begin()
 
-    def commit(self) -> None:
-        self._require_txn()
-        self._session.commit()
-
-    def rollback(self) -> None:
-        self._require_txn()
-        self._session.rollback()
-
-    def _require_txn(self) -> Transaction:
-        if not self._session.in_transaction:
-            raise NoActiveTransaction(
-                "large-object calls must run inside begin()/commit()")
-        return self._session.txn
-
-    # -- object lifecycle ------------------------------------------------------
+    # -- the historical spellings ------------------------------------------------
 
     def lo_creat(self, impl: str = "fchunk",
                  compression: str = "none") -> int:
         """Create a large object; returns its oid."""
-        self._require_txn()
+        self._session.require_transaction()
         if normalize_storage(impl) not in ("fchunk", "vsegment"):
             raise LargeObjectError(
                 f"lo_creat supports chunked implementations, not {impl}")
-        return designator_oid(
-            self._session.lo_create(impl, compression=compression))
+        return designator_oid(self.lo_create(impl, compression))
 
     def lo_unlink(self, oid: int) -> None:
         """Destroy a large object."""
-        self._require_txn()
-        self._session.lo_unlink(f"lo:{oid}")
-
-    # -- descriptors ------------------------------------------------------------
+        super().lo_unlink(f"lo:{oid}")
 
     def lo_open(self, oid: int, mode: int) -> int:
         """Open object *oid*; returns a descriptor number."""
         if not mode & (self.INV_READ | self.INV_WRITE):
             raise LargeObjectError(f"bad lo_open mode {mode:#x}")
-        open_mode = "rw" if mode & self.INV_WRITE else "r"
-        self._require_txn()
-        return self._session.lo_open(f"lo:{oid}", open_mode).fd
+        return super().lo_open(f"lo:{oid}",
+                               "rw" if mode & self.INV_WRITE else "r")
 
-    def lo_close(self, fd: int) -> None:
-        self._session.handle(fd).close()
-
-    # -- I/O -----------------------------------------------------------------------
-
-    def lo_read(self, fd: int, nbytes: int) -> bytes:
-        return self._session.handle(fd).read(nbytes)
-
-    def lo_write(self, fd: int, data: bytes) -> int:
-        return self._session.handle(fd).write(data)
-
-    def lo_lseek(self, fd: int, offset: int, whence: int = 0) -> int:
-        return self._session.handle(fd).seek(offset, whence)
-
-    def lo_tell(self, fd: int) -> int:
-        return self._session.handle(fd).tell()
-
-    def lo_truncate(self, fd: int, length: int) -> None:
-        """Resize the object (PostgreSQL added this call much later)."""
-        self._session.handle(fd).truncate(length)
+    lo_lseek = ServerClient.lo_seek
 
     # -- conveniences (lo_import / lo_export, as in psql) ---------------------------
 
@@ -134,10 +109,7 @@ class LargeObjectApi:
             # repro: allow(R003): lo_import reads a *host* file into the
             # database (paper §3) — not an engine data path.
             with open(path, "rb") as source:
-                while True:
-                    piece = source.read(1 << 16)
-                    if not piece:
-                        break
+                for piece in iter(lambda: source.read(1 << 16), b""):
                     self.lo_write(fd, piece)
         finally:
             self.lo_close(fd)
@@ -151,12 +123,8 @@ class LargeObjectApi:
             # repro: allow(R003): lo_export writes a *host* file — not an
             # engine data path.
             with open(path, "wb") as target:
-                while True:
-                    piece = self.lo_read(fd, 1 << 16)
-                    if not piece:
-                        break
-                    target.write(piece)
-                    total += len(piece)
+                for piece in iter(lambda: self.lo_read(fd, 1 << 16), b""):
+                    total += target.write(piece)
         finally:
             self.lo_close(fd)
         return total

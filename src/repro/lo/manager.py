@@ -161,29 +161,23 @@ class LargeObjectManager:
     def _undo_create(self, oid: int) -> None:
         """Abort hook: remove the relations a failed create left behind."""
         entry = self.db.catalog.large_objects.get(oid)
-        if entry is None:
-            return
-        if entry.impl == "vsegment":
-            self._drop_relations(oid, segment_class_name,
-                                 segment_index_name)
-            store_oid = (entry.detail or {}).get("store_oid")
-            if store_oid is not None:
-                self._undo_create(store_oid)
-        else:
-            self._drop_relations(oid, chunk_class_name, chunk_index_name)
-        self._drop_entry(oid)
+        if entry is not None:
+            self._drop(oid, entry, self._undo_create)
 
-    def _drop_entry(self, oid: int) -> None:
-        """Forget a dropped object: its catalog entry and, if it was a
-        v-segment byte store, its append cursor."""
+    def _drop(self, oid: int, entry, drop_store) -> None:
+        """Undo's and unlink's one tail: drop the object's class (its index
+        goes with it), hand a v-segment's byte store to *drop_store*, then
+        forget the catalog entry and any append cursor."""
+        name = (segment_class_name if entry.impl == "vsegment"
+                else chunk_class_name)(oid)
+        if self.db.class_exists(name):
+            self.db.drop_class(name)
+        store_oid = (entry.detail or {}).get("store_oid")
+        if store_oid is not None:
+            drop_store(store_oid)
         self.db.catalog.drop_large_object(oid)
         with self._cursor_mutex:
             self._append_cursors.pop(oid, None)
-
-    def _drop_relations(self, oid: int, class_name_fn, index_name_fn):
-        name = class_name_fn(oid)
-        if self.db.class_exists(name):
-            self.db.drop_class(name)
 
     def recover_orphans(self) -> list[int]:
         """Drop cataloged large objects whose creating transaction never
@@ -388,14 +382,8 @@ class LargeObjectManager:
         for row in metadata.size_rows(self.db, oid, snapshot):
             self.db.delete(txn, PG_LARGEOBJECT, row.tid)
         # Drop the relations (DDL).
-        if entry.impl == "vsegment":
-            self._drop_relations(oid, segment_class_name, segment_index_name)
-            store_oid = (entry.detail or {}).get("store_oid")
-            if store_oid is not None:
-                self._unlink_chunked(txn, store_oid)
-        else:
-            self._drop_relations(oid, chunk_class_name, chunk_index_name)
-        self._drop_entry(oid)
+        self._drop(oid, entry,
+                   lambda store_oid: self._unlink_chunked(txn, store_oid))
 
     # -- introspection ----------------------------------------------------------------------------
 

@@ -155,38 +155,48 @@ def recv_message(sock: socket.socket) -> tuple[dict, bytes]:
     """Read one frame — the prefix, then header and body together.
 
     Raises :class:`ConnectionError` (via :func:`recv_exact`) when the
-    peer hangs up cleanly between frames, :class:`ProtocolError` on a
-    malformed frame.
+    peer hangs up or stalls mid-frame, :class:`ProtocolError` on a
+    malformed frame, and ``TimeoutError`` only if no byte of one came.
     """
     header_len, body_len = _PREFIX.unpack(recv_exact(sock, _PREFIX.size))
     if header_len > MAX_PART or body_len > MAX_PART:
         raise ProtocolError(
             f"frame prefix claims {header_len}/{body_len} bytes "
             f"(max {MAX_PART}) — stream out of sync?")
-    rest = recv_exact(sock, header_len + body_len)
-    raw = rest[:header_len]
     try:
-        header = _by_mask(_U32.unpack_from(raw)[0]).decode(raw)
+        rest = recv_exact(sock, header_len + body_len)
+        raw = rest[:header_len]
+        return (_by_mask(_U32.unpack_from(raw)[0]).decode(raw),
+                rest[header_len:])
+    except TimeoutError:  # the prefix came, the rest did not
+        raise ConnectionError("peer stalled after a frame prefix") from None
     except (struct.error, ValueError, TypeError) as exc:
         raise ProtocolError(f"bad frame header: {exc}") from exc
-    return header, rest[header_len:]
 
 
 def recv_exact(sock: socket.socket, nbytes: int) -> bytes:
-    """Read exactly *nbytes*; raises ``ConnectionError`` on EOF."""
+    """Read exactly *nbytes*; raises ``ConnectionError`` on EOF or on a
+    timeout once some of them arrived (``TimeoutError`` if none did)."""
     # MSG_WAITALL: one recv per MiB on a blocking socket; one with a
     # timeout may still return short, hence the loop.
     parts = []
     remaining = nbytes
-    while remaining:
-        piece = sock.recv(min(remaining, 1 << 20), socket.MSG_WAITALL)
-        if not piece:
-            raise ConnectionError(
-                f"peer closed mid-frame ({nbytes - remaining}/{nbytes} "
-                f"bytes received)")
-        parts.append(piece)
-        remaining -= len(piece)
-    return b"".join(parts)
+    try:
+        while remaining:
+            piece = sock.recv(min(remaining, 1 << 20), socket.MSG_WAITALL)
+            if not piece:
+                raise ConnectionError(
+                    f"peer closed mid-frame ({nbytes - remaining}/{nbytes} "
+                    f"bytes received)")
+            parts.append(piece)
+            remaining -= len(piece)
+        return b"".join(parts)
+    except TimeoutError:
+        if remaining == nbytes:
+            raise
+        raise ConnectionError(
+            f"peer stalled mid-frame ({nbytes - remaining}/{nbytes} bytes "
+            f"received)") from None
 
 
 def encode_rows(rows: list[tuple]) -> list[list]:

@@ -13,8 +13,9 @@ in-process threaded tests exercise, now across a process boundary.
 
 Failure handling mirrors a real backend: an engine error aborts only
 the offending *command* (the client receives ``ok: false`` with the
-exception class name and may retry or roll back); a vanished client
-rolls back its open transaction via ``Session.close()``.
+exception class name and may retry or roll back); a vanished client,
+or one stalled mid-frame, rolls back its open transaction via
+``Session.close()``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from repro.txn.lockdep import LockdepMutex
 
 if TYPE_CHECKING:
     from repro.db import Database
+
+#: Seconds a started frame may wait for its next bytes (or a reply to drain)
+#: before its connection is dropped; one idle *between* frames is kept.
+FRAME_TIMEOUT_S = 30.0
 
 
 class ReproServer:
@@ -150,15 +155,41 @@ class ReproServer:
     def _serve_connection(self, conn: socket.socket, conn_id: int) -> None:
         """Run one connection's command loop until EOF or ``close``."""
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn.settimeout(FRAME_TIMEOUT_S)
         session = Session(self.db)  # also the connection's fd table
         try:
             while not self._stopping.is_set():
                 try:
                     header, body = protocol.recv_message(conn)
+                except TimeoutError:
+                    continue  # idle between frames: a transaction may wait
                 except (ConnectionError, OSError, protocol.ProtocolError):
-                    return  # hung up or out of step; finally rolls back
-                if not self._dispatch(conn, session, header, body):
-                    return
+                    return  # hung up, stalled or out of step: roll back
+                try:
+                    protocol.send_message(conn, *serve(session, header, body))
+                    if header["cmd"] == "close":
+                        return
+                except (ReproError, OSError, ValueError, KeyError,
+                        TypeError) as exc:
+                    # Engine errors fail the command, not the connection:
+                    # the client decides whether to retry, roll back, or
+                    # give up (a DeadlockError victim *must* roll back).
+                    # Anything else is a malformed request or a dead
+                    # socket: report if we can, then drop the connection —
+                    # the stream may be out of sync.
+                    engine = isinstance(exc, ReproError)
+                    name = type(exc).__name__
+                    try:
+                        protocol.send_message(conn, {
+                            "ok": False,
+                            "error": name if engine else "ProtocolError",
+                            "message": str(exc) if engine
+                            else f"{name}: {exc}",
+                        })
+                    except OSError:
+                        return
+                    if not engine:
+                        return
         finally:
             session.close()  # aborts any open transaction
             try:
@@ -168,42 +199,26 @@ class ReproServer:
             with self._conn_lock:
                 self._connections.pop(conn_id, None)
 
-    def _dispatch(self, conn: socket.socket, session: Session,
-                  header: dict, body: bytes) -> bool:
-        """Run one command; returns False when the connection should end."""
-        cmd = header.get("cmd")
-        try:
-            if cmd not in COMMANDS:
-                raise ReproError(f"unknown command {cmd!r}")
-            handler, required = COMMANDS[cmd]
-            for field in required:
-                if field not in header:
-                    raise protocol.ProtocolError(f"{cmd} needs {field!r}")
-            target = session.handle(header["fd"]) if "fd" in required \
-                else session
-            reply = handler(target, header, body)
-            if isinstance(reply, bytes):
-                protocol.send_message(conn, {"ok": True}, reply)
-            else:
-                protocol.send_message(conn, {"ok": True, **(reply or {})})
-            return cmd != "close"
-        except (ReproError, OSError, ValueError, KeyError, TypeError) as exc:
-            # Engine errors fail the command, not the connection: the
-            # client decides whether to retry, roll back, or give up (a
-            # DeadlockError victim *must* roll back).  Anything else is a
-            # malformed request or a dead socket: report if we can, then
-            # drop the connection — the stream may be out of sync.
-            engine = isinstance(exc, ReproError)
-            name = type(exc).__name__
-            try:
-                protocol.send_message(conn, {
-                    "ok": False,
-                    "error": name if engine else "ProtocolError",
-                    "message": str(exc) if engine else f"{name}: {exc}",
-                })
-            except OSError:
-                return False
-            return engine
+
+def serve(session: Session, header: dict,
+          body: bytes) -> tuple[dict, bytes]:
+    """Run one request on *session*; returns the reply's header and body.
+
+    The one reader of ``COMMANDS``, for the connection loop and for the
+    in-process :class:`~repro.client.LargeObjectApi` alike; a failure
+    raises (only the loop turns it into an error reply)."""
+    cmd = header.get("cmd")
+    if cmd not in COMMANDS:
+        raise ReproError(f"unknown command {cmd!r}")
+    handler, required = COMMANDS[cmd]
+    for field in required:
+        if field not in header:
+            raise protocol.ProtocolError(f"{cmd} needs {field!r}")
+    reply = handler(session.handle(header["fd"]) if "fd" in required
+                    else session, header, body)
+    if isinstance(reply, bytes):
+        return {"ok": True}, reply
+    return {"ok": True, **(reply or {})}, b""
 
 
 def _execute(session: Session, header: dict, body: bytes) -> dict:
@@ -223,7 +238,7 @@ def _execute(session: Session, header: dict, body: bytes) -> dict:
 #: returns the reply's header fields (a dict), its body (bytes), or None.
 COMMANDS = {
     "ping": (lambda s, h, b: {"pong": True}, ()),
-    "close": (lambda s, h, b: None, ()),  # _dispatch ends the connection
+    "close": (lambda s, h, b: None, ()),  # the loop then ends
     "stats": (lambda s, h, b: {"stats": s.db.statistics()}, ()),
     "begin": (lambda s, h, b: {"xid": s.begin().xid}, ()),
     "commit": (lambda s, h, b: s.commit(), ()),

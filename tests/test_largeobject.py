@@ -575,6 +575,37 @@ class TestManagerEdgeCases:
         txn.abort()
         assert db.lo._append_cursors == {}
 
+    @pytest.mark.parametrize("ending", ["abort", "unlink"])
+    def test_a_vsegment_object_leaves_none_of_its_four_relations(
+            self, db, ending):
+        """Aborting the create, or unlinking, drops the segment class and
+        its index and the byte store's class and its index."""
+        from repro.lo.fchunk import chunk_class_name, chunk_index_name
+        from repro.lo.manager import designator_oid
+        from repro.lo.vsegment import segment_class_name, segment_index_name
+        txn = db.begin()
+        designator = db.lo.create(txn, "vsegment")
+        with db.lo.open(designator, txn, "rw") as obj:
+            obj.write(b"frame" * 100)
+        oid = designator_oid(designator)
+        store_oid = db.catalog.get_large_object(oid).detail["store_oid"]
+        names = {segment_class_name(oid), segment_index_name(oid),
+                 chunk_class_name(store_oid), chunk_index_name(store_oid)}
+
+        def left() -> set:
+            return names & (set(db.catalog.relations)
+                            | set(db.catalog.indexes))
+
+        assert left() == names
+        if ending == "abort":
+            txn.abort()
+        else:
+            txn.commit()
+            with db.begin() as txn:
+                db.lo.unlink(txn, designator)
+        assert left() == set()
+        assert db.catalog.large_objects.keys().isdisjoint({oid, store_oid})
+
 
 class TestTemporaryObjects:
     def test_unkept_temporaries_collected(self, db):

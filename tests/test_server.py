@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.client import LargeObjectApi
 from repro.db import Database
 from repro.errors import (DeadlockError, LargeObjectError,
                           LargeObjectNotFound, NoActiveTransaction,
@@ -23,6 +24,7 @@ from repro.errors import (DeadlockError, LargeObjectError,
                           StorageManagerError, TransactionError)
 from repro.server import ReproServer, ServerClient
 from repro.server import protocol
+from repro.server import server as server_module
 
 RECORD = "T{:02d}S{:04d};"
 RECORD_LEN = len(RECORD.format(0, 0))
@@ -418,6 +420,56 @@ class TestServerRoundTrip:
         with ServerClient(*server.address) as c:
             assert c.ping()
 
+    @pytest.mark.server
+    def test_a_peer_stalled_mid_frame_is_dropped_and_frees_the_range(
+            self, served, monkeypatch):
+        """Slow-loris: a peer that sends part of a frame and then nothing
+        is dropped after the frame bound, rolled back, and its range
+        granted to the next writer; a peer idle *between* frames for
+        longer than the bound is kept."""
+        monkeypatch.setattr(server_module, "FRAME_TIMEOUT_S", 0.3)
+        db, server = served
+        with ServerClient(*server.address) as setup:
+            setup.begin()
+            designator = setup.lo_create("fchunk")
+            setup.commit()
+
+        def visible() -> bytes:
+            with db.begin() as txn, db.lo.open(designator, txn) as obj:
+                return obj.read()
+
+        idle = ServerClient(*server.address)
+        idle.begin()
+        idle_fd = idle.lo_open(idle.lo_create("fchunk"), "rw")
+        a = ServerClient(*server.address)
+        a.begin()
+        fd = a.lo_open(designator, "rw")
+        assert a.lo_pwrite(fd, 0, b"A" * 4096) == 4096
+        header = _raw_header(_text(b"commit"), keys=["cmd"])
+        a._sock.sendall(struct.pack("!II", len(header), 0) + header[:10])
+        try:
+            # Without the bound, b waits on a's range lock until its own
+            # timeout raises.
+            with ServerClient(*server.address, timeout=5.0) as b:
+                b.begin()
+                fd = b.lo_open(designator, "rw")
+                assert visible() == b""
+                assert b.lo_pwrite(fd, 0, b"B" * 4096) == 4096
+                b.commit()
+            assert visible() == b"B" * 4096
+            assert a._sock.recv(1) == b""          # a was hung up on
+        finally:
+            a._sock.close()
+            a._sock = None
+        time.sleep(3 * server_module.FRAME_TIMEOUT_S)
+        assert idle.lo_write(idle_fd, b"still here") == 10
+        idle.commit()
+        idle.close()
+        with ServerClient(*server.address) as c:
+            assert c.ping()
+        assert visible() == b"B" * 4096
+        assert db.statistics()["transactions"]["active"] == 0
+
     def test_stats_include_range_counters(self, served):
         _db, server = served
         with ServerClient(*server.address) as client:
@@ -784,34 +836,56 @@ class _RemoteFile(_LocalFile):
             return getattr(self.client, "lo_" + name)(self.fd, *args)
 
 
+class _ApiFile(_RemoteFile):
+    """The same calls on a ``LargeObjectApi`` descriptor: the wire client
+    run in-process, opened by oid and mode bits."""
+
+    def call(self, name, *args):
+        if name != "open":
+            return super().call(name, *args)
+        api = self.client
+        self.fd = api.lo_open(int(self.designator[3:]), api.INV_READ | (
+            api.INV_WRITE if args[0] == "rw" else 0))
+
+
 @pytest.mark.server
 @pytest.mark.parametrize("impl", ["fchunk", "vsegment"])
 def test_local_and_remote_descriptors_are_the_same_file(impl):
     """Every call returns, moves the position and fails alike — class and
-    message — through a local handle and through the wire.
+    message — through a local handle, through the wire and through
+    ``LargeObjectApi``, at two seeds.
 
     The one stated difference: a closed local handle is still an object
-    (``ObjectClosedError`` naming it), a closed remote descriptor is a
-    number that names nothing (``LargeObjectError: bad large-object
+    (``ObjectClosedError`` naming it), a closed remote or API descriptor
+    is a number that names nothing (``LargeObjectError: bad large-object
     descriptor``).
     """
+    for seed in (1993, 31):
+        _three_parties_run_one_script(impl, seed)
+
+
+def _three_parties_run_one_script(impl, seed):
     local_db = Database(charge_cpu=False)
     remote_db = Database(charge_cpu=False)
+    api_db = Database(charge_cpu=False)
     try:
         with ReproServer(remote_db) as server, \
-                ServerClient(*server.address) as client:
+                ServerClient(*server.address) as client, \
+                LargeObjectApi(api_db) as api_client:
             local = _LocalFile(local_db, impl)
             remote = _RemoteFile(remote_db, impl, client)
-            assert local.designator == remote.designator
+            api = _ApiFile(api_db, impl, api_client)
+            assert local.designator == remote.designator == api.designator
             is_open, committed = True, []
             for step, (name, args) in enumerate(
-                    _same_file_script(seed=1993)):
-                where = f"step {step}: {name}{args!r}"[:120]
+                    _same_file_script(seed=seed)):
+                where = f"seed {seed} step {step}: {name}{args!r}"[:120]
                 was_open = is_open
                 if name in ("close", "commit", "open"):
                     is_open = name == "open"
                 here = local.outcome(name, args)
                 there = remote.outcome(name, args)
+                assert api.outcome(name, args) == there, where
                 if was_open or name in ("commit", "begin", "open"):
                     assert here == there, where
                 else:
@@ -822,14 +896,17 @@ def test_local_and_remote_descriptors_are_the_same_file(impl):
                         there[1].startswith("bad large-object descriptor "
                                             f"{remote.fd}"), where
                 if is_open:
-                    assert local.call("tell") == remote.call("tell"), where
+                    assert local.call("tell") == remote.call("tell") \
+                        == api.call("tell"), where
                 if name == "commit":
                     committed.append(local.contents())
-                    assert committed[-1] == remote.contents(), where
-            local.call("commit")
-            remote.call("commit")
-            assert local.contents() == remote.contents()
+                    assert committed[-1] == remote.contents() \
+                        == api.contents(), where
+            for party in (local, remote, api):
+                party.call("commit")
+            assert local.contents() == remote.contents() == api.contents()
             assert len(committed) > 3 and max(map(len, committed)) > 8000
     finally:
         local_db.close()
         remote_db.close()
+        api_db.close()
