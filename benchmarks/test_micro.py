@@ -5,6 +5,7 @@ seconds; these report real Python-execution time of the hot paths so
 regressions in the implementation itself are visible.
 """
 
+import gc
 import random
 import sys
 import threading
@@ -355,7 +356,9 @@ class TestForcePathSystemCalls:
 class _Bytecodes:
     """``with _Bytecodes() as executed:`` — ``executed.count`` is the
     number of bytecodes this thread ran inside the block (the
-    ``sys.settrace`` idiom of ``tests/test_force.py``)."""
+    ``sys.settrace`` idiom of ``tests/test_force.py``).  The garbage
+    collector is run before the block and kept off inside it, so no
+    finalizer of an earlier test's garbage is counted."""
 
     def __init__(self):
         self.count = 0
@@ -370,12 +373,94 @@ class _Bytecodes:
         return self._on_event
 
     def __enter__(self):
+        gc.collect()
+        self._gc_was_enabled = gc.isenabled()
+        gc.disable()
         self._previous = sys.gettrace()
         sys.settrace(self._on_call)
         return self
 
     def __exit__(self, exc_type, exc, tb):
         sys.settrace(self._previous)
+        if self._gc_was_enabled:
+            gc.enable()
+
+
+@pytest.mark.perf
+class TestOverwriteCommit:
+    """A commit that only overwrote bytes inside an f-chunk object pays
+    for what it wrote (docs/performance.md "Commit pays for what it
+    wrote"): no ``pg_largeobject`` probe — the descriptor's size gate
+    already proves the row covers the write — and one storage-manager
+    call per forced file.  Counts, never time; the bytecode ceiling is
+    for CPython 3.11 (CI's perf-smoke job)."""
+
+    FRAME = 4000
+    FRAMES = 50
+    #: Bytecodes of the measured close + commit when this pin was set
+    #: (6,041 on CPython 3.11.7; the engine before it ran 7,682 — the
+    #: size-row probe and a manager call per dirty run), plus 5 %.
+    MAX_BYTECODES = 6_343
+
+    def _overwrite_two_frames(self, database, designator, generation):
+        txn = database.begin()
+        obj = database.lo.open(designator, txn, "rw")
+        for frame in (7, 31):
+            obj.seek(frame * self.FRAME)
+            obj.write(frame_bytes(frame, 0.0, frame_size=self.FRAME,
+                                  generation=generation))
+        return txn, obj
+
+    def test_no_size_probe_and_one_call_per_file(self, tmp_path,
+                                                 monkeypatch):
+        from collections import Counter
+
+        from repro.lo import metadata
+
+        database = Database(str(tmp_path / "db"), charge_cpu=False)
+        with database.begin() as txn:
+            designator = database.lo.create(txn, "fchunk")
+            with database.lo.open(designator, txn, "rw") as obj:
+                for frame in range(self.FRAMES):
+                    obj.write(frame_bytes(frame, 0.0,
+                                          frame_size=self.FRAME))
+        for generation in range(1, 4):       # warm: every page resident
+            txn, obj = self._overwrite_two_frames(database, designator,
+                                                  generation)
+            obj.close()
+            txn.commit()
+
+        smgr = database.storage_manager("disk")
+        probes, forced = Counter(), Counter()
+        real_size_row, real_write_runs = metadata.size_row, smgr.write_runs
+
+        def size_row(db, oid, snapshot):
+            probes[oid] += 1
+            return real_size_row(db, oid, snapshot)
+
+        def write_runs(fileid, runs):
+            forced[fileid] += 1
+            return real_write_runs(fileid, runs)
+
+        txn, obj = self._overwrite_two_frames(database, designator, 4)
+        monkeypatch.setattr(metadata, "size_row", size_row)
+        monkeypatch.setattr(smgr, "write_runs", write_runs)
+        obj.close()
+        txn.commit()
+        monkeypatch.undo()
+        assert not probes, probes
+        assert forced and set(forced.values()) == {1}, forced
+
+        txn, obj = self._overwrite_two_frames(database, designator, 5)
+        with _Bytecodes() as executed:
+            obj.close()
+            txn.commit()
+        with database.lo.open(designator) as fresh:
+            fresh.seek(31 * self.FRAME)
+            assert fresh.read(self.FRAME) == frame_bytes(
+                31, 0.0, frame_size=self.FRAME, generation=5)
+        database.close()
+        assert executed.count <= self.MAX_BYTECODES, executed.count
 
 
 @pytest.mark.perf

@@ -271,10 +271,17 @@ class ChunkedObject(LargeObject):
         # nothing (a zero-byte append, an "rw" open that only read) would
         # re-commit the size it was opened at over a neighbour's
         # committed truncate.
-        metadata.write_size(
-            self.db, self.txn, self.oid,
-            self._pending_size if self._whole_locked else self._own_high,
-            exact=self._whole_locked)
+        if self._whole_locked:
+            metadata.write_size(self.db, self.txn, self.oid,
+                                self._pending_size, exact=True)
+        else:
+            # Behind a current gate the kept size *is* the row write_size
+            # would read: when it covers what we wrote, that is
+            # write_size's early return, decided without the probe.
+            self._refresh_committed()
+            if self._committed < self._own_high:
+                metadata.write_size(self.db, self.txn, self.oid,
+                                    self._own_high)
         self._unflushed = False
 
     def _close(self) -> None:

@@ -15,6 +15,9 @@ two successive commits never share a timestamp.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import reduce
+from itertools import repeat
+from operator import add
 
 from repro.txn.lockdep import LockdepMutex
 
@@ -50,7 +53,9 @@ class SimClock:
                     seek: float | None = None) -> None:
         """Charge *seek* to ``"io.seek"`` (if given), then *seconds* to
         *category* *count* times: the float additions of that many
-        :meth:`advance` calls, in order, under one mutex hold."""
+        :meth:`advance` calls, in order, under one mutex hold.  (A fold,
+        not ``sum``: since Python 3.12 a float ``sum`` compensates its
+        rounding, and the figures pin these additions bit for bit.)"""
         if seconds < 0 or (seek is not None and seek < 0):
             raise ValueError(f"cannot advance clock by "
                              f"{min(seconds, seek or 0.0)!r} seconds")
@@ -60,12 +65,9 @@ class SimClock:
             if seek is not None:
                 elapsed += seek
                 by_category["io.seek"] += seek
-            charged = by_category[category]
-            for _ in range(count):
-                elapsed += seconds
-                charged += seconds
-            self._elapsed = elapsed
-            by_category[category] = charged
+            self._elapsed = reduce(add, repeat(seconds, count), elapsed)
+            by_category[category] = reduce(add, repeat(seconds, count),
+                                           by_category[category])
 
     def now(self) -> float:
         """Current simulated time in seconds, strictly monotone."""

@@ -25,6 +25,9 @@ constants; the constants only set the scale of the reported seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import add
 
 from repro.sim.clock import SimClock
 
@@ -145,14 +148,14 @@ class DevicePort:
             charged += seek
         self.clock.advance_run(transfer, category, count, seek)
         charged += transfer
-        busy = self.busy_s + charged
-        total = charged
-        for _ in range(1, count):  # the rest follow on sequentially
-            busy += transfer
-            total += transfer
-        self.busy_s = busy
+        self.busy_s += charged
         self._head = (fileid, offset + count * nbytes)
-        return total
+        if count == 1:
+            return charged
+        # The rest follow on sequentially (a fold, as in advance_run).
+        rest = count - 1
+        self.busy_s = reduce(add, repeat(transfer, rest), self.busy_s)
+        return reduce(add, repeat(transfer, rest), charged)
 
     def charge_read(self, fileid: str, offset: int, nbytes: int) -> float:
         """Charge one read of *nbytes* at *offset* within file *fileid*."""

@@ -34,6 +34,7 @@ import itertools
 import os
 import zlib
 from abc import ABC, abstractmethod
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from repro.errors import NodeDownError, StorageManagerError
@@ -60,8 +61,8 @@ class BlockStore(ABC):
     manager API is enforced one level up, which is what lets a sharded
     manager keep only its own slice of a file on each node's store.
 
-    The primitives move a *run* of consecutive blocks; one block is a
-    run of one.
+    The primitives move *runs* of consecutive blocks; one block is a run
+    of one.
     """
 
     @abstractmethod
@@ -86,15 +87,16 @@ class BlockStore(ABC):
         """*count* blocks from *first*; holes in the store read as zeros."""
 
     @abstractmethod
-    def write_run(self, fileid: str, first: int, images) -> None:
-        """Store the sequence of page-sized buffers *images* from block
-        *first* (sparse: any non-negative *first*), keeping none."""
+    def write_runs(self, fileid: str, runs) -> None:
+        """For each ``(first, images)`` of *runs*, in order, store the
+        page-sized buffers *images* from block *first* (sparse: any
+        non-negative *first*), keeping none."""
 
     def read(self, fileid: str, blockno: int) -> bytearray:
         return self.read_run(fileid, blockno, 1)[0]
 
     def write(self, fileid: str, blockno: int, data: bytes) -> None:
-        self.write_run(fileid, blockno, (data,))
+        self.write_runs(fileid, ((blockno, (data,)),))
 
     def discard(self, fileid: str, blockno: int) -> None:
         """Forget one block if the medium supports it (rebalance cleanup)."""
@@ -146,12 +148,14 @@ class MemoryBlockStore(BlockStore):
         return [bytearray(blocks.get(blockno, PAGE_SIZE))
                 for blockno in range(first, first + count)]
 
-    def write_run(self, fileid: str, first: int, images) -> None:
+    def write_runs(self, fileid: str, runs) -> None:
         blocks = self._blocks(fileid)
-        for blockno, image in enumerate(images, first):
-            blocks[blockno] = bytearray(image)
-        if first + len(images) > self._nblocks[fileid]:
-            self._nblocks[fileid] = first + len(images)
+        end = self._nblocks[fileid]
+        for first, images in runs:
+            blocks.update(zip(range(first, first + len(images)),
+                              map(bytearray, images)))
+            end = max(end, first + len(images))
+        self._nblocks[fileid] = end
 
     def discard(self, fileid: str, blockno: int) -> None:
         self._files.get(fileid, {}).pop(blockno, None)
@@ -247,16 +251,18 @@ class DiskBlockStore(BlockStore):
             os.preadv(fd, blocks[at:at + _IOV_MAX], (first + at) * PAGE_SIZE)
         return blocks
 
-    def write_run(self, fileid: str, first: int, images) -> None:
+    def write_runs(self, fileid: str, runs) -> None:
         entry = self._file(fileid)
-        for at in range(first, first + len(images), _IOV_MAX):
-            part = images[at - first:at - first + _IOV_MAX]
-            written = os.pwritev(entry.fd, part, at * PAGE_SIZE)
-            if written != len(part) * PAGE_SIZE:
-                raise StorageManagerError(
-                    f"short write to {fileid!r}: {written} bytes of "
-                    f"{len(part) * PAGE_SIZE} at block {at}")
-            entry.nblocks = max(entry.nblocks, at + len(part))
+        for first, images in runs:
+            for at in range(0, len(images), _IOV_MAX):
+                part = images[at:at + _IOV_MAX]
+                written = os.pwritev(entry.fd, part,
+                                     (first + at) * PAGE_SIZE)
+                if written != len(part) * PAGE_SIZE:
+                    raise StorageManagerError(
+                        f"short write to {fileid!r}: {written} bytes of "
+                        f"{len(part) * PAGE_SIZE} at block {first + at}")
+                entry.nblocks = max(entry.nblocks, first + at + len(part))
 
     def sync(self, fileid: str) -> None:
         entry = self._open.get(fileid)
@@ -387,14 +393,15 @@ class StorageNode:
             offset += PAGE_SIZE
             yield data
 
-    def write_run(self, fileid: str, first: int, images) -> None:
-        """:meth:`write` of a run on a :attr:`healthy` node: one store
-        operation and one device charge, every block counted and charged
-        in block order."""
-        self._ops += len(images)
-        self.store.write_run(fileid, first, images)
-        self.port.charge_run(fileid, first * PAGE_SIZE, PAGE_SIZE,
-                             len(images), True)
+    def write_runs(self, fileid: str, runs) -> None:
+        """:meth:`write` of runs on a :attr:`healthy` node: one store
+        operation, then one device charge per run, every block counted
+        and charged in write order."""
+        self.store.write_runs(fileid, runs)
+        charge = self.port.charge_run
+        for first, images in runs:
+            self._ops += len(images)
+            charge(fileid, first * PAGE_SIZE, PAGE_SIZE, len(images), True)
 
     def stats(self) -> dict:
         """Per-node counters for ``db.statistics()["storage"]``."""
@@ -572,15 +579,17 @@ class StorageManager(ABC):
                     count: int) -> Iterator[bytearray]:
         """*count* blocks from *first*, each charged as it is yielded.
         The default is the per-block loop; a manager overrides it (and
-        :meth:`write_blocks`) only where one device operation can carry a
+        :meth:`write_runs`) only where one device operation can carry a
         whole run."""
         for blockno in range(first, first + count):
             yield self.read_block(fileid, blockno)
 
-    def write_blocks(self, fileid: str, first: int, images) -> None:
-        """Write the sequence *images* at *first*, *first* + 1, …."""
-        for blockno, image in enumerate(images, first):
-            self.write_block(fileid, blockno, image)
+    def write_runs(self, fileid: str, runs) -> None:
+        """For each ``(first, images)`` of *runs*, in order, write the
+        sequence *images* at *first*, *first* + 1, …."""
+        for first, images in runs:
+            for blockno, image in enumerate(images, first):
+                self.write_block(fileid, blockno, image)
 
     @abstractmethod
     def sync(self, fileid: str) -> None:
@@ -603,11 +612,6 @@ class StorageManager(ABC):
 
     # -- helpers -------------------------------------------------------------
 
-    def _check_block(self, data: bytes) -> None:
-        if len(data) != PAGE_SIZE:
-            raise StorageManagerError(
-                f"block must be {PAGE_SIZE} bytes, got {len(data)}")
-
     def _check_read(self, fileid: str, first: int, count: int = 1) -> None:
         total = self.nblocks(fileid)
         if first < 0 or first + count > total:
@@ -615,14 +619,22 @@ class StorageManager(ABC):
                 f"read past end of {fileid!r}: block "
                 f"{first if first < 0 else max(first, total)} of {total}")
 
-    def _check_write(self, fileid: str, first: int, images) -> None:
-        for image in images:
-            self._check_block(image)
-        current = self.nblocks(fileid)
-        if first < 0 or first > current:
+    def _check_write(self, fileid: str, runs) -> None:
+        """Refuse *runs* (``(first, images)`` pairs, written in order)
+        whole if an image is not one block or a run would leave a hole."""
+        odd = set(map(len, itertools.chain.from_iterable(
+            map(itemgetter(1), runs))))
+        odd.discard(PAGE_SIZE)
+        if odd:
             raise StorageManagerError(
-                f"write would leave a hole in {fileid!r}: block {first} "
-                f"of {current}")
+                f"block must be {PAGE_SIZE} bytes, got {odd.pop()}")
+        current = self.nblocks(fileid)
+        for first, images in runs:
+            if first < 0 or first > current:
+                raise StorageManagerError(
+                    f"write would leave a hole in {fileid!r}: block "
+                    f"{first} of {current}")
+            current = max(current, first + len(images))
 
     def byte_size(self, fileid: str) -> int:
         """Total bytes occupied by the relation file."""
@@ -697,7 +709,7 @@ class NodeAddressedManager(StorageManager):
     def write_block(self, fileid: str, blockno: int, data: bytes) -> None:
         if self.fault_plan is not None:
             self._inject("write", fileid, blockno, data)
-        self._check_write(fileid, blockno, (data,))
+        self._check_write(fileid, ((blockno, (data,)),))
         for idx in self.node_replicas(fileid, blockno):
             self.nodes[idx].write(fileid, blockno, data)
 
@@ -717,9 +729,9 @@ class SingleNodeManager(NodeAddressedManager):
     classic one-device manager (``disk``, ``memory``), with the historical
     cost accounting.
 
-    On one healthy device a run of consecutive blocks is one store
-    operation: validated once, counted and charged per logical block in
-    block order, as the per-block loop would.  An armed fault plan or a
+    On one healthy device a read run, or all the runs of one write, is one
+    store operation: validated once, counted and charged per logical block
+    in write order, as the per-block loop would.  An armed fault plan or a
     node that is not ``up`` needs each block gated where it stands, and
     gets the loop.
     """
@@ -737,11 +749,11 @@ class SingleNodeManager(NodeAddressedManager):
         self._check_read(fileid, first, count)
         return self.nodes[0].read_run(fileid, first, count)
 
-    def write_blocks(self, fileid: str, first: int, images) -> None:
+    def write_runs(self, fileid: str, runs) -> None:
         if self.fault_plan is not None or not self.nodes[0].healthy:
-            return super().write_blocks(fileid, first, images)
-        self._check_write(fileid, first, images)
-        self.nodes[0].write_run(fileid, first, images)
+            return super().write_runs(fileid, runs)
+        self._check_write(fileid, runs)
+        self.nodes[0].write_runs(fileid, runs)
 
 
 class StorageManagerSwitch:

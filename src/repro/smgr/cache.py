@@ -207,17 +207,13 @@ class CachedStorageManager(StorageManager):
     def write_block(self, fileid: str, blockno: int, data: bytes) -> None:
         if self.fault_plan is not None:
             self._inject("write", fileid, blockno, data)
-        self._check_block(data)
+        self._check_write(fileid, ((blockno, (data,)),))
         current = self.nblocks(fileid)
         base_blocks = self.base.nblocks(fileid)
         if blockno < base_blocks:
             # Already on write-once media: let the base refuse loudly.
             self.base.write_block(fileid, blockno, data)
             return
-        if blockno > current:
-            raise StorageManagerError(
-                f"write would leave a hole in {fileid!r}: block {blockno} "
-                f"of {current}")
         key = (fileid, blockno)
         if key in self._staged:
             self._staged[key] = bytes(data)

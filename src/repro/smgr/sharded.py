@@ -145,7 +145,7 @@ class ShardedStorageManager(NodeAddressedManager):
         if self.fault_plan is not None:
             self._inject("write", fileid, blockno, data)
         with self._lock:
-            self._check_write(fileid, blockno, (data,))
+            self._check_write(fileid, ((blockno, (data,)),))
             replicas = self._replica_nodes(fileid, blockno)
             written = 0
             failures: list[tuple[int, StorageManagerError]] = []

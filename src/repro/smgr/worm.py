@@ -82,16 +82,12 @@ class WormStorageManager(StorageManager):
     def write_block(self, fileid: str, blockno: int, data: bytes) -> None:
         if self.fault_plan is not None:
             self._inject("write", fileid, blockno, data)
-        self._check_block(data)
+        self._check_write(fileid, ((blockno, (data,)),))
         current = self.nblocks(fileid)
         if (fileid, blockno) in self._placement:
             raise WriteOnceViolation(
                 f"block {blockno} of {fileid!r} is already written; "
                 f"WORM media cannot be overwritten")
-        if blockno < 0 or blockno > current:
-            raise StorageManagerError(
-                f"write would leave a hole in {fileid!r}: block {blockno} "
-                f"of {current}")
         media_block = len(self._media)
         self._media.append(bytes(data))
         self._placement[(fileid, blockno)] = media_block

@@ -35,6 +35,7 @@ database's engine latch.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -155,8 +156,8 @@ class BufferManager:
         #: The installed frames whose ``dirty`` flag is set, per file:
         #: ``(smgr_id, fileid) -> {blockno: Buffer}``, no empty entries.
         #: Kept at the three places the flag changes (:meth:`unpin`,
-        #: :meth:`allocate`, :meth:`_writeback`) and the two that discard
-        #: frames unwritten; the only source of a force set.
+        #: :meth:`allocate`, :meth:`_writeback_batch`) and the two that
+        #: discard frames unwritten; the only source of a force set.
         self._dirty: dict[tuple[str, str], dict[int, Buffer]] = {}
         self._sweep_order: list[tuple[str, str, int]] = []
         self._hand = 0
@@ -412,56 +413,57 @@ class BufferManager:
 
     def _writeback_batch(self, smgr: "StorageManager", fileid: str,
                          per_device: bool = False) -> int:
-        """Write every dirty page of one file; returns how many there were.
+        """Write every dirty page of one file in one manager call; returns
+        how many there were.
 
         Blocks the device already holds go first, ascending — in per-node
         batches (``smgr.placement_groups``) when *per_device*.  Everything
-        from the device's tail up to the highest dirty block follows in
-        global block order, holes included, because a manager never takes
-        a write that would leave a gap.  Each run of consecutive blocks in
-        that order is one request; for a single-device manager the order
-        is the plain ascending one.
+        from the device's tail up to the highest dirty block follows as
+        one run, holes as zeros, because a manager never takes a write
+        that would leave a gap.  Each run of consecutive blocks in that
+        order is one request; for a single-device manager the order is
+        the plain ascending one.  The pages are sealed in write order
+        (nonzero LSN, then checksum) and turn clean only once the manager
+        has taken every run.
         """
-        dirty = self._dirty.get((smgr.smgr_id, fileid))
+        key = (smgr.smgr_id, fileid)
+        dirty = self._dirty.get(key)
         if not dirty:
             return 0
-        count, top = len(dirty), max(dirty)
+        order = sorted(dirty)
         device_end = smgr.nblocks(fileid)
-        order = sorted(blockno for blockno in dirty if blockno < device_end)
+        cut = bisect_left(order, device_end)
+        top = order[-1]
+        del order[cut:]
         if per_device:
             order = [blockno
                      for group in smgr.placement_groups(fileid, order)
                      for blockno in group]
-        order.extend(range(device_end, top + 1))
-        for first, last in block_runs(order):
-            self._writeback(smgr, fileid, first, last)
-        return count
-
-    def _writeback(self, smgr: "StorageManager", fileid: str,
-                   first: int, last: int) -> None:
-        """Write blocks *first* … *last* of one file as one run: the dirty
-        pages sealed in write order (nonzero LSN, then checksum), any
-        other block as zeros.  Pages turn clean only once the manager has
-        taken the whole run."""
-        key = (smgr.smgr_id, fileid)
-        dirty = self._dirty[key]
-        run = [dirty.get(blockno) for blockno in range(first, last + 1)]
-        images = []
-        for buf in run:
-            if buf is None:
-                images.append(_ZERO_PAGE)
-                continue
-            self.stats.writebacks += 1
-            buf.page.seal(self._next_lsn)
-            self._next_lsn += 1
-            images.append(buf.page.buf)
-        smgr.write_blocks(fileid, first, images)
-        for buf in run:
-            if buf is not None:
-                buf.dirty = False
-                del dirty[buf.blockno]
-        if not dirty:
-            del self._dirty[key]
+        runs = block_runs(order)
+        if top >= device_end:
+            if runs and runs[-1][1] == device_end - 1:
+                runs[-1][1] = top
+            else:
+                runs.append([device_end, top])
+        get, lsn, batch = dirty.get, self._next_lsn, []
+        for first, last in runs:
+            images = []
+            for blockno in range(first, last + 1):
+                buf = get(blockno)
+                if buf is None:
+                    images.append(_ZERO_PAGE)
+                else:
+                    buf.page.seal(lsn)
+                    lsn += 1
+                    images.append(buf.page.buf)
+            batch.append((first, images))
+        self._next_lsn = lsn
+        smgr.write_runs(fileid, batch)
+        for buf in dirty.values():
+            buf.dirty = False
+        del self._dirty[key]
+        self.stats.writebacks += len(dirty)
+        return len(dirty)
 
     # -- flushing ---------------------------------------------------------------
 

@@ -21,6 +21,7 @@ from repro.errors import LargeObjectError
 from repro.lo.fchunk import chunk_class_name
 from repro.lo.vsegment import segment_class_name
 from repro.server import ReproServer, ServerClient
+from repro.storage.constants import CHUNK_PAYLOAD
 
 
 @pytest.fixture
@@ -607,3 +608,125 @@ class TestSizeGate:
         reader.seek(0)
         assert reader.read() == b"C" * 12_000
         self._done(txn, reader)
+
+
+# -- the size gate at commit: a covered size row is not probed --------------------
+
+
+@pytest.fixture
+def size_probes(monkeypatch):
+    """``probes()`` counts ``pg_largeobject`` probes per oid from here."""
+    from collections import Counter
+
+    from repro.lo import metadata
+
+    counts, real = Counter(), metadata.size_row
+
+    def size_row(database, oid, snapshot):
+        counts[oid] += 1
+        return real(database, oid, snapshot)
+
+    def probes():
+        counts.clear()
+        monkeypatch.setattr(metadata, "size_row", size_row)
+        return counts
+
+    return probes
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+class TestCommitSkipsACoveredSizeRow:
+    """A writer whose size gate still stands and whose committed size
+    covers what it wrote does not probe its size row at close: exactly
+    ``metadata.write_size``'s early return.  Everything that moves the
+    gate or the size still reads (and, when it must, writes) the row."""
+
+    def test_an_overwrite_only_commit_probes_no_object_row(
+            self, db, impl, size_probes):
+        designator = make_object(db, impl, b"A" * 20_000)
+        txn = db.begin()
+        obj = db.lo.open(designator, txn, "rw")
+        obj.seek(1_000)
+        obj.write(b"B" * 2_000)
+        probes = size_probes()
+        obj.close()
+        txn.commit()
+        # f-chunk: none; v-segment: its byte store's, which the new
+        # segment image extends (at the parent: 1 and 2).
+        assert sum(probes.values()) == (impl == "vsegment"), probes
+        assert obj.oid not in probes
+        assert _committed(db, designator) == (
+            b"A" * 1_000 + b"B" * 2_000 + b"A" * 17_000)
+
+    def test_an_extending_commit_probes_once_and_writes_the_row(
+            self, db, impl, size_probes):
+        designator = make_object(db, impl, b"A" * 20_000)
+        txn = db.begin()
+        obj = db.lo.open(designator, txn, "rw")
+        obj.seek(19_000)
+        obj.write(b"B" * 2_000)
+        probes = size_probes()
+        obj.close()
+        txn.commit()
+        assert probes[obj.oid] == 1, probes
+        assert _committed(db, designator) == b"A" * 19_000 + b"B" * 2_000
+
+    @pytest.mark.parametrize("second", ["extends", "truncates"])
+    def test_a_second_descriptor_moves_the_row_first(
+            self, db, impl, second, size_probes):
+        """The second descriptor rewrites the row inside the transaction
+        (no epoch moves): the first one's gate moves with it, so its
+        close re-reads the row — and max-merges what it wrote over a cut
+        below it."""
+        designator = make_object(db, impl, b"A" * 20_000)
+        with db.begin() as txn:
+            first = db.lo.open(designator, txn, "rw")
+            first.seek(1_000)
+            first.write(b"B" * 2_000)
+            with db.lo.open(designator, txn, "rw") as other:
+                if second == "extends":
+                    other.seek(20_000)
+                    other.write(b"C" * 5_000)
+                else:
+                    other.truncate(500)
+            probes = size_probes()
+            first.close()
+            assert probes[first.oid] >= 1, probes
+        committed = _committed(db, designator)
+        if second == "extends":
+            assert committed == (b"A" * 1_000 + b"B" * 2_000
+                                 + b"A" * 17_000 + b"C" * 5_000)
+        else:
+            assert committed[:500] == b"A" * 500
+            assert len(committed) == 3_000
+
+
+@pytest.mark.parametrize("impl, neighbour", [
+    ("fchunk", "extends"), ("fchunk", "unrelated"), ("vsegment", "unrelated")])
+def test_a_neighbours_commit_moves_the_commit_gate(db, impl, neighbour,
+                                                   size_probes):
+    """Another transaction commits between a writer's last write and its
+    close, so the close re-reads the row.  (A v-segment neighbour cannot
+    extend here: both would append to the one byte store, and one
+    thread may not wait for its own other transaction.)"""
+    designator = make_object(db, impl, b"A" * 20_000)
+    txn = db.begin()
+    obj = db.lo.open(designator, txn, "rw")
+    # One whole f-chunk: it goes to the class at once, so the close
+    # has only the size row left to decide (no buffered chunk whose
+    # flush would fold the commit in first).
+    obj.seek(CHUNK_PAYLOAD)
+    obj.write(b"B" * CHUNK_PAYLOAD)
+    expected = (b"A" * CHUNK_PAYLOAD + b"B" * CHUNK_PAYLOAD
+                + b"A" * (20_000 - 2 * CHUNK_PAYLOAD))
+    if neighbour == "extends":
+        # Past our 64-chunk lock grain, so the two run side by side.
+        overwrite(db, designator, 600_000, b"C" * 5_000)
+        expected += bytes(580_000) + b"C" * 5_000
+    else:
+        _foreign_commit(db, impl)
+    probes = size_probes()
+    obj.close()
+    txn.commit()
+    assert probes[obj.oid] == 1, probes
+    assert _committed(db, designator) == expected

@@ -1,12 +1,14 @@
 """The force path: the dirty index, run-sized device requests, and faults
 that land where the per-block loop put them."""
 
+import gc
+import os
 import random
 import sys
 
 import pytest
 
-from repro.errors import SimulatedCrash
+from repro.errors import SimulatedCrash, StorageManagerError
 from repro.sim import SimClock
 from repro.sim.faults import parse_plan
 from repro.smgr import DiskStorageManager, MemoryStorageManager
@@ -138,12 +140,18 @@ class TestDirtyIndex:
                 executed += event == "opcode"
                 return on_event
 
+            # A collection inside the window would count whatever
+            # finalizer it runs (a ``DiskBlockStore.__del__`` of an
+            # earlier test's database): collect first, none during.
+            gc.collect()
+            gc.disable()
             previous = sys.gettrace()
             sys.settrace(on_call)
             try:
                 written = pool.flush_file(smgr, "t")
             finally:
                 sys.settrace(previous)
+                gc.enable()
             assert written == 3
             return executed
 
@@ -155,22 +163,26 @@ class TestDirtyIndex:
 @pytest.mark.parametrize("kind", ["disk", "memory"])
 class TestRuns:
     def test_run_calls_equal_the_per_block_loop(self, kind, tmp_path):
-        """Same bytes, same simulated clock, same device counters."""
-        images = [bytes([fill]) * PAGE_SIZE for fill in range(1, 11)]
+        """Same bytes, same simulated clock, same device counters — for
+        a batch of three runs whose second seeks back over the first and
+        whose third seeks forward to append."""
+        images = [bytes([fill]) * PAGE_SIZE for fill in range(1, 13)]
+        batch = [(0, images[:6]), (2, images[6:8]), (5, images[8:])]
 
         def drive(smgr, runs):
             smgr.create("t")
             if runs:
-                smgr.write_blocks("t", 0, images[:6])
-                smgr.write_blocks("t", 4, images[2:])    # overlap + append
-                got = list(smgr.read_blocks("t", 3, 7))
+                smgr.write_runs("t", [(0, images[:2])])
+                smgr.write_runs("t", batch)
+                got = list(smgr.read_blocks("t", 1, 8))
             else:
-                for blockno, image in enumerate(images[:6]):
-                    smgr.write_block("t", blockno, image)
-                for blockno, image in enumerate(images[2:], start=4):
-                    smgr.write_block("t", blockno, image)
+                smgr.write_block("t", 0, images[0])
+                smgr.write_block("t", 1, images[1])
+                for first, run in batch:
+                    for blockno, image in enumerate(run, first):
+                        smgr.write_block("t", blockno, image)
                 got = [smgr.read_block("t", blockno)
-                       for blockno in range(3, 10)]
+                       for blockno in range(1, 9)]
             return ([bytes(block) for block in got], smgr.nblocks("t"),
                     smgr.clock.elapsed, smgr.clock.breakdown(), smgr.stats(),
                     smgr.nodes[0]._ops)
@@ -179,16 +191,19 @@ class TestRuns:
             drive(make_smgr(kind, tmp_path / "loop"), runs=False)
 
     def test_bad_runs_are_rejected_whole(self, kind, tmp_path):
-        from repro.errors import StorageManagerError
         smgr = make_smgr(kind, tmp_path)
         smgr.create("t")
         page = bytes(PAGE_SIZE)
         with pytest.raises(StorageManagerError):
-            smgr.write_blocks("t", 1, [page])            # leaves a hole
+            smgr.write_runs("t", [(1, [page])])          # leaves a hole
         with pytest.raises(StorageManagerError):
-            smgr.write_blocks("t", 0, [page, b"short"])
+            smgr.write_runs("t", [(0, [page, b"short"])])
+        with pytest.raises(StorageManagerError):
+            smgr.write_runs("t", [(0, [page]), (2, [page])])   # a later hole
+        with pytest.raises(StorageManagerError):
+            smgr.write_runs("t", [(0, [page]), (1, [b"short"])])
         assert smgr.nblocks("t") == 0
-        smgr.write_blocks("t", 0, [page, page])
+        smgr.write_runs("t", [(0, [page, page])])
         with pytest.raises(StorageManagerError):
             list(smgr.read_blocks("t", 1, 2))            # past the end
         with pytest.raises(StorageManagerError):
@@ -200,7 +215,7 @@ class TestRuns:
         slow.nodes[0].set_state("slow")
         for smgr in (fast, slow):
             smgr.create("t")
-            smgr.write_blocks("t", 0, [bytes(PAGE_SIZE)] * 4)
+            smgr.write_runs("t", [(0, [bytes(PAGE_SIZE)] * 4)])
             assert len(list(smgr.read_blocks("t", 0, 4))) == 4
         assert slow.clock.elapsed == pytest.approx(
             fast.clock.elapsed * slow.nodes[0].slow_factor)
@@ -262,6 +277,52 @@ def test_a_fault_lands_on_the_same_block_with_the_same_bytes(
         assert [bytes(store.read("t", blockno))
                 for blockno in range(len(expected))] == expected
         smgr.close()
+
+
+@pytest.mark.parametrize("short", [0, 1, 2], ids=["first", "middle", "last"])
+def test_a_short_write_leaves_the_file_dirty(short, tmp_path, monkeypatch):
+    """A force of three runs on a disk store whose ``pwritev`` comes up
+    short on one of them fails whole: every page stays dirty and indexed,
+    and the next force writes them all."""
+    smgr = make_smgr("disk", tmp_path)
+    pool = BufferManager(pool_size=64)
+    smgr.create("t")
+    for blockno in range(12):
+        buf = pool.allocate(smgr, "t")
+        buf.page.add_item(b"old" * 40)
+        pool.unpin(buf, dirty=True)
+    pool.flush_file(smgr, "t")
+    dirtied = (1, 2, 5, 6, 9, 10)
+    for blockno in dirtied:
+        buf = pool.pin(smgr, "t", blockno)
+        buf.page.add_item(bytes([blockno + 1]) * 200)
+        pool.unpin(buf, dirty=True)
+
+    real_pwritev, calls = os.pwritev, []
+
+    def pwritev(fd, buffers, offset, *flags):
+        calls.append(offset // PAGE_SIZE)
+        if len(calls) - 1 == short:
+            return real_pwritev(fd, buffers[:1], offset, *flags)
+        return real_pwritev(fd, buffers, offset, *flags)
+
+    monkeypatch.setattr(os, "pwritev", pwritev)
+    with pytest.raises(StorageManagerError, match="short write"):
+        pool.flush_file(smgr, "t")
+    monkeypatch.undo()
+    assert calls == [1, 5, 9][:short + 1]
+    assert sorted(pool._dirty[smgr.smgr_id, "t"]) == list(dirtied)
+    assert all(pool._frames[smgr.smgr_id, "t", blockno].dirty
+               for blockno in dirtied)
+    assert_dirty_index_is_the_dirty_set(pool)
+
+    assert pool.flush_file(smgr, "t") == len(dirtied)
+    assert not pool._dirty
+    store = smgr.nodes[0].store
+    assert [bytes(store.read("t", blockno)) for blockno in range(12)] == \
+        [bytes(pool._frames[smgr.smgr_id, "t", blockno].page.buf)
+         for blockno in range(12)]
+    smgr.close()
 
 
 def test_commit_does_not_scan_more_versions_as_history_grows():

@@ -1,9 +1,12 @@
 """Unit tests for the simulated clock and device cost models."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     CpuModel,
+    DeviceModel,
     SimClock,
     jukebox_device,
     magnetic_disk_device,
@@ -289,6 +292,78 @@ class TestAdvanceRun:
         with pytest.raises(ValueError):
             clock.advance_run(0.5, "io.read", 3, seek=-1.0)
         assert clock.elapsed == 0.0 and clock.breakdown() == {}
+
+
+#: Adversarial non-negative charges: subnormals, the smallest normal, 0.1
+#: (inexact in binary), thirds, and magnitudes far enough apart that an
+#: addition rounds away most of the smaller operand.
+_CHARGES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.1,
+                     1 / 3, 0.00512, 1e-9, 1e16, 2.0 ** 53, 1e300]),
+    st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True))
+
+
+class TestRunsAreFoldsOfSingleCharges:
+    """``advance_run`` and ``charge_run`` fold their additions in C; the
+    fold must still be the float additions of *n* single calls, in order
+    (not a compensated ``sum``, which Python 3.12 made the float default).
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(history=st.lists(st.tuples(_CHARGES,
+                                      st.sampled_from(["cpu", "io.write"])),
+                            max_size=4),
+           seconds=_CHARGES, count=st.integers(0, 60),
+           seek=st.one_of(st.none(), _CHARGES))
+    def test_advance_run(self, history, seconds, count, seek):
+        run, single = SimClock(), SimClock()
+        elapsed, by_category = 0.0, {}
+        for clock in (run, single):
+            for charge, category in history:
+                clock.advance(charge, category)
+        for charge, category in history:   # the plain-loop reference
+            elapsed += charge
+            by_category[category] = by_category.get(category, 0.0) + charge
+        assert run.advance_run(seconds, "io.write", count, seek) is None
+        if seek is not None:
+            single.advance(seek, "io.seek")
+            elapsed += seek
+            by_category["io.seek"] = by_category.get("io.seek", 0.0) + seek
+        for _ in range(count):
+            single.advance(seconds, "io.write")
+            elapsed += seconds
+            by_category["io.write"] = (by_category.get("io.write", 0.0)
+                                       + seconds)
+        assert run.elapsed == single.elapsed == elapsed
+        assert single.breakdown() == by_category
+        # A run of none still makes its category's key appear.
+        assert run.breakdown() == {"io.write": 0.0, **by_category}
+
+    @settings(max_examples=300, deadline=None)
+    @given(seek=_CHARGES, rotational=_CHARGES,
+           rate=st.floats(min_value=1e-3, max_value=1e308),
+           penalty=st.sampled_from([1.0, 2.0, 0.1, 1 / 3]),
+           nbytes=st.integers(1, 8192), count=st.integers(0, 60),
+           is_write=st.booleans(), sequential=st.booleans(),
+           warm=st.lists(_CHARGES, max_size=3))
+    def test_charge_run(self, seek, rotational, rate, penalty, nbytes, count,
+                        is_write, sequential, warm):
+        model = DeviceModel("adversarial", avg_seek_s=seek,
+                            rotational_s=rotational,
+                            transfer_bytes_per_s=rate, write_penalty=penalty)
+        run, single = (DevicePort(model, SimClock()) for _ in range(2))
+        offset = 5 * nbytes
+        for port in (run, single):
+            for charge in warm:
+                port.charge_extra(charge, "cpu")
+            port.charge_read("f", 0, offset if sequential else nbytes)
+        total = run.charge_run("f", offset, nbytes, count, is_write)
+        charge = single.charge_write if is_write else single.charge_read
+        single_total = 0.0
+        for i in range(count):
+            single_total += charge("f", offset + i * nbytes, nbytes)
+        assert total == single_total
+        assert _state(run) == _state(single)
 
 
 class TestCpuModel:

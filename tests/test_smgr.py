@@ -181,7 +181,7 @@ def test_disk_store_splits_runs_longer_than_one_vectored_call(tmp_path,
     store = base.DiskBlockStore(str(tmp_path))
     store.create("t")
     images = [block(fill) for fill in range(1, 12)]
-    store.write_run("t", 2, images)
+    store.write_runs("t", [(2, images)])
     assert store.nblocks("t") == 13
     assert [bytes(b) for b in store.read_run("t", 0, 14)] == \
         [bytes(PAGE_SIZE)] * 2 + images + [bytes(PAGE_SIZE)]
