@@ -380,18 +380,14 @@ class StorageNode:
         return self.state == "up" and self.fault_plan is None
 
     def read_run(self, fileid: str, first: int,
-                 count: int) -> Iterator[bytearray]:
+                 count: int) -> list[bytearray]:
         """:meth:`read` of a run on a :attr:`healthy` node: one store
-        operation, then each block counted and charged *as it is yielded*,
-        so a consumer charging other work between blocks keeps the
-        per-block order of charges."""
-        charge = self.port.charge_run
-        offset = first * PAGE_SIZE
-        for data in self.store.read_run(fileid, first, count):
-            self._ops += 1
-            charge(fileid, offset, PAGE_SIZE, 1, False)
-            offset += PAGE_SIZE
-            yield data
+        operation and one device charge, every block counted."""
+        blocks = self.store.read_run(fileid, first, count)
+        self._ops += count
+        self.port.charge_run(fileid, first * PAGE_SIZE, PAGE_SIZE, count,
+                             False)
+        return blocks
 
     def write_runs(self, fileid: str, runs) -> None:
         """:meth:`write` of runs on a :attr:`healthy` node: one store
@@ -576,13 +572,12 @@ class StorageManager(ABC):
         return blockno
 
     def read_blocks(self, fileid: str, first: int,
-                    count: int) -> Iterator[bytearray]:
-        """*count* blocks from *first*, each charged as it is yielded.
-        The default is the per-block loop; a manager overrides it (and
-        :meth:`write_runs`) only where one device operation can carry a
-        whole run."""
-        for blockno in range(first, first + count):
-            yield self.read_block(fileid, blockno)
+                    count: int) -> list[bytearray]:
+        """*count* blocks from *first*, all read and charged.  The default
+        is the per-block loop; a manager overrides it (and
+        :meth:`write_runs`) where one device operation carries a run."""
+        return [self.read_block(fileid, blockno)
+                for blockno in range(first, first + count)]
 
     def write_runs(self, fileid: str, runs) -> None:
         """For each ``(first, images)`` of *runs*, in order, write the
@@ -729,11 +724,11 @@ class SingleNodeManager(NodeAddressedManager):
     classic one-device manager (``disk``, ``memory``), with the historical
     cost accounting.
 
-    On one healthy device a read run, or all the runs of one write, is one
-    store operation: validated once, counted and charged per logical block
-    in write order, as the per-block loop would.  An armed fault plan or a
-    node that is not ``up`` needs each block gated where it stands, and
-    gets the loop.
+    On one healthy device a read run (a demand read is a run of one), or
+    all the runs of one write, is one store operation: validated once,
+    counted per logical block and charged once per run, as the per-block
+    loop would.  An armed fault plan or a node that is not ``up`` needs
+    each block gated where it stands, and gets the loop.
     """
 
     def __init__(self, node_id: str, store: BlockStore, model: DeviceModel,
@@ -742,8 +737,14 @@ class SingleNodeManager(NodeAddressedManager):
         self.nodes = [StorageNode(node_id, store, model, clock,
                                   port=self.port)]
 
+    def read_block(self, fileid: str, blockno: int) -> bytearray:
+        if self.fault_plan is not None or not self.nodes[0].healthy:
+            return super().read_block(fileid, blockno)
+        self._check_read(fileid, blockno)
+        return self.nodes[0].read_run(fileid, blockno, 1)[0]
+
     def read_blocks(self, fileid: str, first: int,
-                    count: int) -> Iterator[bytearray]:
+                    count: int) -> list[bytearray]:
         if self.fault_plan is not None or not self.nodes[0].healthy:
             return super().read_blocks(fileid, first, count)
         self._check_read(fileid, first, count)

@@ -34,7 +34,6 @@ database's engine latch.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -253,29 +252,36 @@ class BufferManager:
         Reads are batched per physical device (``smgr.placement_groups``)
         so that a sharded file's readahead visits each node's blocks
         contiguously, and each run of consecutive blocks is one
-        ``read_blocks`` request; for a single-device manager the grouping
-        degenerates to the plain ascending order.
+        ``read_blocks`` request, read and charged whole; its frames are
+        then installed (and counted) one at a time, each after the room
+        made for it.  For a single-device manager the grouping degenerates
+        to the plain ascending order.
         """
         with self._latch:
+            frames, order, stats = self._frames, self._sweep_order, self.stats
+            charge, make_room = self._charge, self._make_room
             limit = min(blockno + count, smgr.nblocks(fileid))
             wanted = [block for block in range(max(0, blockno), limit)
-                      if (smgr.smgr_id, fileid, block) not in self._frames]
-            fetched = 0
+                      if (smgr.smgr_id, fileid, block) not in frames]
+            before = stats.prefetched
             for group in smgr.placement_groups(fileid, wanted):
-                for first, last in block_runs(group):
-                    # One request for the run; each block is charged as it
-                    # is drawn, after the room made for it.
-                    blocks = smgr.read_blocks(fileid, first, last - first + 1)
-                    for block in range(first, last + 1):
-                        self._charge(_MISS_INSTRUCTIONS)
-                        self._make_room()
-                        self._install(Buffer(
-                            smgr, fileid, block,
-                            _verified(next(blocks), fileid, block),
-                            prefetched=True))
-                    fetched += last - first + 1
-            self.stats.prefetched += fetched
-            return fetched
+                # An ascending group no wider than its length is one run.
+                for first, last in ([(group[0], group[-1])]
+                                    if group[-1] - group[0] < len(group)
+                                    else block_runs(group)):
+                    block = first
+                    for raw in smgr.read_blocks(fileid, first,
+                                                last - first + 1):
+                        charge(_MISS_INSTRUCTIONS)
+                        make_room()
+                        buf = Buffer(smgr, fileid, block,
+                                     _verified(raw, fileid, block),
+                                     prefetched=True)
+                        frames[buf.key] = buf       # _install, inlined
+                        order.append(buf.key)
+                        stats.prefetched += 1
+                        block += 1
+            return stats.prefetched - before
 
     def allocate(self, smgr: "StorageManager", fileid: str,
                  special_size: int = 0) -> Buffer:
@@ -370,18 +376,15 @@ class BufferManager:
         self._sweep_order.append(buf.key)
 
     def _make_room(self) -> None:
-        if len(self._frames) < self.pool_size:
-            return
-        victim = self._pick_victim()
-        if victim is None:
-            raise BufferError_(
-                f"buffer pool exhausted: all {self.pool_size} pages pinned")
-        self._evict(victim)
-
-    def _pick_victim(self) -> Buffer | None:
-        """Clock sweep: decrement usage counts until a (0, unpinned) frame."""
-        order = self._sweep_order
+        """If the pool is full, evict the frame the clock sweep finds:
+        usage counts are decremented until a (0, unpinned) frame.  A dirty
+        victim's whole file is written back first, in block order (the
+        elevator-style batching any real buffer manager does); those
+        pages stay cached, clean, so later evictions are free."""
         frames = self._frames
+        if len(frames) < self.pool_size:
+            return
+        order = self._sweep_order
         hand = self._hand
         for _ in range(len(order) * (_MAX_USAGE + 1)):
             if hand >= len(order):
@@ -395,21 +398,16 @@ class BufferManager:
                 if buf.usage == 0:
                     order.pop(hand)
                     self._hand = hand
-                    return buf
+                    self.stats.evictions += 1
+                    if buf.dirty:
+                        self._writeback_batch(buf.smgr, buf.fileid)
+                    del frames[buf.key]
+                    return
                 buf.usage -= 1
             hand += 1
         self._hand = hand
-        return None
-
-    def _evict(self, buf: Buffer) -> None:
-        self.stats.evictions += 1
-        if buf.dirty:
-            # Write back every dirty page of the victim's file, in block
-            # order, while we are positioned on that file anyway — the
-            # elevator-style batching any real buffer manager does.  The
-            # pages stay cached (clean), so later evictions are free.
-            self._writeback_batch(buf.smgr, buf.fileid)
-        del self._frames[buf.key]
+        raise BufferError_(
+            f"buffer pool exhausted: all {self.pool_size} pages pinned")
 
     def _writeback_batch(self, smgr: "StorageManager", fileid: str,
                          per_device: bool = False) -> int:

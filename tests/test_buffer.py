@@ -1,10 +1,13 @@
 """Unit tests for the buffer manager."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import BufferError_, ChecksumError
+from repro.errors import BufferError_, ChecksumError, StorageManagerError
 from repro.sim import SimClock
-from repro.smgr import MemoryStorageManager
+from repro.sim.faults import parse_plan
+from repro.smgr import DiskStorageManager, MemoryStorageManager
 from repro.storage import BufferManager
 from repro.storage.constants import PAGE_SIZE
 from repro.storage.page import SlottedPage
@@ -279,3 +282,311 @@ class TestChecksums:
         fid = new_file(smgr)
         pool.unpin(pool.allocate(smgr, fid), dirty=True)
         assert pool.pinned_count() == 0
+
+
+def device_file(smgr, fid, nblocks, sealed=False):
+    """*fid* on the device with *nblocks* pages: zero pages, or (*sealed*)
+    pages with an item each whose checksum reads verify."""
+    smgr.create(fid)
+    images = []
+    for blockno in range(nblocks):
+        page = SlottedPage()
+        if sealed:
+            page.add_item(bytes([blockno + 1]) * 16)
+            page.seal(blockno + 1)
+        images.append(bytes(page.buf))
+    smgr.write_runs(fid, [(0, images)])
+    return images
+
+
+def assert_items(pool, smgr, fid, nblocks=6):
+    """Every page of a *sealed* :func:`device_file` reads back through the
+    pool with its item."""
+    for blockno in range(nblocks):
+        with pool.page(smgr, fid, blockno) as page:
+            assert page.get_item(0) == bytes([blockno + 1]) * 16
+
+
+def make_smgr(kind, tmp_path):
+    if kind == "disk":
+        return DiskStorageManager(str(tmp_path / "data"), SimClock())
+    return MemoryStorageManager(SimClock())
+
+
+class _LoggedFrames(dict):
+    """A frame table that records each key deleted from it, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.deleted = []
+
+    def __delitem__(self, key):
+        self.deleted.append(key)
+        super().__delitem__(key)
+
+
+class _Frame:
+    def __init__(self, pin, dirty=False, prefetched=False):
+        self.pin, self.usage = pin, 1
+        self.dirty, self.prefetched = dirty, prefetched
+
+
+class _ReferencePool:
+    """The clock sweep as specified, over plain records: a list of keys in
+    install order (entries of dropped frames stay until the hand meets
+    them), a hand, and one eviction per frame installed into a full pool."""
+
+    def __init__(self, size, device_blocks):
+        self.size = size
+        self.frames = {}
+        self.order = []
+        self.hand = 0
+        self.device = dict(device_blocks)   # fid -> blocks on the device
+        self.virtual = {}                   # fid -> pool-side length
+        self.hits = self.misses = self.evictions = self.prefetched = 0
+        self.evicted = []
+
+    def nblocks(self, fid):
+        return self.virtual.get(fid, self.device[fid])
+
+    def pinned(self):
+        return sum(1 for frame in self.frames.values() if frame.pin)
+
+    def _make_room(self):
+        if len(self.frames) < self.size:
+            return
+        while True:     # the test never pins every frame
+            if self.hand >= len(self.order):
+                self.hand = 0
+            key = self.order[self.hand]
+            frame = self.frames.get(key)
+            if frame is None:
+                del self.order[self.hand]
+            elif frame.pin:
+                self.hand += 1
+            elif frame.usage:
+                frame.usage -= 1
+                self.hand += 1
+            else:
+                del self.order[self.hand]
+                self.evictions += 1
+                if frame.dirty:     # the victim's whole file is written
+                    fid = key[0]
+                    dirty = [k for k, f in self.frames.items()
+                             if k[0] == fid and f.dirty]
+                    for k in dirty:
+                        self.frames[k].dirty = False
+                    self.device[fid] = max(self.device[fid],
+                                           max(k[1] for k in dirty) + 1)
+                del self.frames[key]
+                self.evicted.append(key)
+                return
+
+    def _install(self, key, frame):
+        self.frames[key] = frame
+        self.order.append(key)
+        return frame
+
+    def pin(self, fid, blockno):
+        frame = self.frames.get((fid, blockno))
+        if frame is None:
+            self.misses += 1
+            self._make_room()
+            return self._install((fid, blockno), _Frame(pin=1))
+        self.hits += 1
+        frame.prefetched = False
+        frame.pin += 1
+        frame.usage = min(frame.usage + 1, 5)
+        return frame
+
+    def unpin(self, frame, dirty):
+        frame.pin -= 1
+        frame.dirty = frame.dirty or dirty
+
+    def allocate(self, fid):
+        self._make_room()
+        blockno = self.nblocks(fid)
+        self.virtual[fid] = blockno + 1
+        return self._install((fid, blockno), _Frame(pin=1, dirty=True))
+
+    def prefetch(self, fid, first, count):
+        """The blocks not resident when the call starts are read, even one
+        that an earlier block of the call evicts."""
+        wanted = [blockno for blockno in
+                  range(first, min(first + count, self.device[fid]))
+                  if (fid, blockno) not in self.frames]
+        for blockno in wanted:
+            self._make_room()
+            self._install((fid, blockno), _Frame(0, prefetched=True))
+            self.prefetched += 1
+
+    def drop_file(self, fid):
+        """Forget the file's frames unwritten; returns their keys."""
+        dropped = [key for key in self.frames if key[0] == fid]
+        for key in dropped:
+            del self.frames[key]
+        self.virtual.pop(fid, None)
+        return dropped
+
+
+_FILES = ("a", "b")
+_POOL_OPS = st.one_of(
+    st.tuples(st.just("pin"), st.sampled_from(_FILES), st.integers(0, 63)),
+    st.tuples(st.just("unpin"), st.integers(0, 63), st.booleans()),
+    st.tuples(st.just("allocate"), st.sampled_from(_FILES)),
+    st.tuples(st.just("prefetch"), st.sampled_from(_FILES),
+              st.integers(0, 14), st.integers(1, 8)),
+    st.tuples(st.just("drop"), st.sampled_from(_FILES)),
+)
+
+
+class TestReplacementOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_POOL_OPS, max_size=80))
+    def test_the_sweep_matches_the_reference(self, ops):
+        """Random pin/unpin/allocate/prefetch/drop_file on an 8-frame pool
+        evict the frames the reference sweep evicts, in its order, and
+        leave the same usage counts and counters — in particular a run's
+        frames are installed one at a time, each after its own room."""
+        smgr = MemoryStorageManager(SimClock())
+        for fid in _FILES:
+            device_file(smgr, fid, 10)
+        pool = BufferManager(pool_size=8)
+        pool._frames = frames = _LoggedFrames()
+        ref = _ReferencePool(8, {fid: 10 for fid in _FILES})
+        held = []           # (Buffer, reference frame) per pin held
+        for op, *args in ops:
+            frames.deleted.clear()
+            ref.evicted.clear()
+            if op in ("pin", "allocate") and ref.pinned() >= 6:
+                continue
+            if op == "pin":
+                fid, blockno = args[0], args[1] % (ref.nblocks(args[0]) or 1)
+                if not ref.nblocks(fid):
+                    continue
+                held.append((pool.pin(smgr, fid, blockno),
+                             ref.pin(fid, blockno)))
+            elif op == "unpin":
+                if not held:
+                    continue
+                buf, frame = held.pop(args[0] % len(held))
+                pool.unpin(buf, dirty=args[1])
+                ref.unpin(frame, args[1])
+            elif op == "allocate":
+                held.append((pool.allocate(smgr, args[0]),
+                             ref.allocate(args[0])))
+            elif op == "prefetch":
+                before = ref.prefetched
+                ref.prefetch(*args)
+                assert pool.prefetch(smgr, *args) == ref.prefetched - before
+            else:
+                pool.drop_file(smgr, args[0])
+                ref.evicted = ref.drop_file(args[0])
+            assert [(key[1], key[2]) for key in frames.deleted] == \
+                ref.evicted, op
+            stats = pool.stats
+            assert (stats.hits, stats.misses, stats.evictions,
+                    stats.prefetched) == (ref.hits, ref.misses,
+                                          ref.evictions, ref.prefetched)
+            assert {(key[1], key[2]): (buf.pin_count, buf.usage, buf.dirty,
+                                       buf.prefetched)
+                    for key, buf in pool._frames.items()} == \
+                {key: (frame.pin, frame.usage, frame.dirty, frame.prefetched)
+                 for key, frame in ref.frames.items()}
+        for buf, _frame in held:
+            pool.unpin(buf)
+        assert pool.pinned_count() == 0
+
+
+@pytest.mark.parametrize("kind", ["disk", "memory"])
+class TestPrefetchedRunIsOneRead:
+    """A cold prefetched run is one store read and one device charge; the
+    device sees what the same blocks read one by one on demand cost."""
+
+    def _setup(self, kind, tmp_path, pool_size=8):
+        smgr = make_smgr(kind, tmp_path)
+        device_file(smgr, "t", 6, sealed=True)
+        device_file(smgr, "w", 1)       # the head ends away from "t"
+        calls = []
+        for owner, name in ((smgr.nodes[0].store, "read_run"),
+                            (smgr.port, "charge_run")):
+            real = getattr(owner, name)
+
+            def logged(*args, _real=real, _name=name):
+                calls.append((_name, *args))
+                return _real(*args)
+            setattr(owner, name, logged)
+        return smgr, calls, BufferManager(pool_size=pool_size)
+
+    @staticmethod
+    def _device(smgr):
+        return (smgr.clock.elapsed, smgr.clock.breakdown(), smgr.port.busy_s,
+                smgr.port.reads, smgr.port.seeks, smgr.nodes[0]._ops)
+
+    def test_a_run_equals_six_demand_reads(self, kind, tmp_path):
+        smgr, calls, pool = self._setup(kind, tmp_path / "run")
+        assert pool.prefetch(smgr, "t", 0, 6) == 6
+        assert [call[0] for call in calls] == ["read_run", "charge_run"]
+        assert calls[1][1:] == ("t", 0, PAGE_SIZE, 6, False)
+        demand, _calls, other = self._setup(kind, tmp_path / "one")
+        for blockno in range(6):
+            other.unpin(other.pin(demand, "t", blockno))
+        assert self._device(smgr) == self._device(demand)
+        assert_items(pool, smgr, "t")
+
+    def test_a_dirty_victim_is_written_after_the_run(self, kind, tmp_path):
+        smgr, calls, pool = self._setup(kind, tmp_path, pool_size=4)
+        buf = pool.pin(smgr, "w", 0)
+        buf.page.add_item(b"dirty")
+        pool.unpin(buf, dirty=True)
+        calls.clear()
+        seeks = smgr.port.seeks
+        assert pool.prefetch(smgr, "t", 0, 6) == 6
+        # The fourth frame evicts the dirty page of "w": its write-back
+        # follows the run's one read, so the device seeks twice, not
+        # three times (to "t", to "w", back to "t").
+        assert [call[:2] + call[4:] for call in calls
+                if call[0] == "charge_run"] == \
+            [("charge_run", "t", 6, False), ("charge_run", "w", 1, True)]
+        assert smgr.port.seeks - seeks == 2
+        assert pool.stats.evictions == 3 and pool.pinned_count() == 0
+        assert SlottedPage(smgr.read_block("w", 0)).get_item(0) == b"dirty"
+        assert_items(pool, smgr, "t")
+
+
+@pytest.mark.parametrize("kind", ["disk", "memory"])
+class TestPrefetchFailsMidRun:
+    """A run that fails keeps what it installed, counted, and pins nothing;
+    once the fault is gone every block reads back right."""
+
+    @staticmethod
+    def _frames_of(pool, fid):
+        return sorted(key[2] for key in pool._frames if key[1] == fid)
+
+    def test_a_corrupt_page_stops_the_run_there(self, kind, tmp_path):
+        smgr = make_smgr(kind, tmp_path)
+        images = device_file(smgr, "heap_t", 6, sealed=True)
+        bad = bytearray(images[3])
+        bad[4000] ^= 0xFF
+        smgr.write_block("heap_t", 3, bytes(bad))
+        pool = BufferManager(pool_size=8)
+        with pytest.raises(ChecksumError):
+            pool.prefetch(smgr, "heap_t", 0, 6)
+        assert self._frames_of(pool, "heap_t") == [0, 1, 2]
+        assert pool.stats.prefetched == 3
+        assert pool.pinned_count() == 0
+        smgr.write_block("heap_t", 3, images[3])
+        assert_items(pool, smgr, "heap_t")
+
+    def test_an_injected_error_installs_nothing(self, kind, tmp_path):
+        smgr = make_smgr(kind, tmp_path)
+        device_file(smgr, "heap_t", 6, sealed=True)
+        pool = BufferManager(pool_size=8)
+        smgr.set_fault_plan(parse_plan("on read heap_* after 2: error"))
+        with pytest.raises(StorageManagerError, match="injected"):
+            pool.prefetch(smgr, "heap_t", 0, 6)
+        assert self._frames_of(pool, "heap_t") == []
+        assert pool.stats.prefetched == 0
+        assert pool.pinned_count() == 0
+        smgr.set_fault_plan(None)
+        assert_items(pool, smgr, "heap_t")

@@ -174,7 +174,7 @@ class TestRuns:
             if runs:
                 smgr.write_runs("t", [(0, images[:2])])
                 smgr.write_runs("t", batch)
-                got = list(smgr.read_blocks("t", 1, 8))
+                got = smgr.read_blocks("t", 1, 8)
             else:
                 smgr.write_block("t", 0, images[0])
                 smgr.write_block("t", 1, images[1])
@@ -205,9 +205,9 @@ class TestRuns:
         assert smgr.nblocks("t") == 0
         smgr.write_runs("t", [(0, [page, page])])
         with pytest.raises(StorageManagerError):
-            list(smgr.read_blocks("t", 1, 2))            # past the end
+            smgr.read_blocks("t", 1, 2)                  # past the end
         with pytest.raises(StorageManagerError):
-            list(smgr.read_blocks("t", -1, 2))
+            smgr.read_blocks("t", -1, 2)
 
     def test_slow_node_gets_the_per_block_loop(self, kind, tmp_path):
         fast, slow = (make_smgr(kind, tmp_path / name)
@@ -216,7 +216,7 @@ class TestRuns:
         for smgr in (fast, slow):
             smgr.create("t")
             smgr.write_runs("t", [(0, [bytes(PAGE_SIZE)] * 4)])
-            assert len(list(smgr.read_blocks("t", 0, 4))) == 4
+            assert len(smgr.read_blocks("t", 0, 4)) == 4
         assert slow.clock.elapsed == pytest.approx(
             fast.clock.elapsed * slow.nodes[0].slow_factor)
 
