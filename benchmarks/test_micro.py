@@ -642,6 +642,56 @@ class TestChunkRunCounts:
 
 
 @pytest.mark.perf
+class TestFreshRunCounts:
+    """A write of fresh chunks places its rows as one append
+    (docs/performance.md "A fresh run is one append"): each row is
+    encoded once and built on its own page, and the stretch of pages
+    reaches the pool in one ``BufferManager.extend`` call, with no
+    ``allocate``.  Counts, never time; the bytecode ceiling is for
+    CPython 3.11 (CI's perf-smoke job)."""
+
+    #: Bytecodes of the measured 64,000-byte write when this pin was set
+    #: (9,303 on CPython 3.11.7; 12,689 while each row was placed alone
+    #: through ``allocate``), plus 5 %.
+    MAX_BYTECODES = 9_768
+
+    def test_a_64000_byte_fresh_write_is_one_extend(self, db, monkeypatch):
+        from repro.storage.buffer import BufferManager
+        data = bytes(range(256)) * 250          # 64,000 B: eight chunks
+        calls = []
+
+        def counted(name):
+            real = getattr(BufferManager, name)
+
+            def wrapper(pool, smgr, fileid, *args, **kwargs):
+                calls.append((name, fileid))
+                return real(pool, smgr, fileid, *args, **kwargs)
+            return wrapper
+
+        txn = db.begin()
+        obj = db.lo.open(db.lo.create(txn, "fchunk"), txn, "rw")
+        for name in ("extend", "allocate"):
+            monkeypatch.setattr(BufferManager, name, counted(name))
+        obj.write(data)
+        monkeypatch.undo()
+        heap = obj.relation.fileid
+        assert calls.count(("extend", heap)) == 1, calls
+        assert ("allocate", heap) not in calls, calls
+        obj.close()
+        txn.commit()
+        txn = db.begin()
+        obj = db.lo.open(db.lo.create(txn, "fchunk"), txn, "rw")
+        with _Bytecodes() as executed:
+            obj.write(data)
+        obj.seek(0)
+        assert obj.read() == data
+        obj.close()
+        txn.commit()
+        assert executed.count <= self.MAX_BYTECODES, executed.count
+        assert db.check_integrity() == []
+
+
+@pytest.mark.perf
 class TestStreamedReadCounts:
     """A 64 KB read through a read-only descriptor pays per call, not per
     chunk (docs/performance.md "The streamed read"): the size row is read

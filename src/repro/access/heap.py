@@ -35,7 +35,7 @@ from repro.smgr.base import StorageManager
 from repro.storage.buffer import BufferManager, block_runs
 from repro.storage.constants import INVALID_XID, MAX_TUPLE_SIZE
 from repro.storage.fsm import FreeSpaceMap
-from repro.storage.page import SlottedPage
+from repro.storage.page import FRESH_FREE, SlottedPage
 from repro.txn.manager import Transaction
 from repro.txn.snapshot import Snapshot
 from repro.txn.xlog import CommitLog, TxnStatus
@@ -127,43 +127,9 @@ class HeapRelation:
                     f"{MAX_TUPLE_SIZE} for relation {self.name!r} "
                     f"(store big values as large objects)")
             images.append(image)
-        tids = [self._place(image) for image in images]
+        tids = self._store(images)
         txn.touch(self.smgr, self.fileid)
         return tids
-
-    def _place(self, image: bytes) -> TID:
-        """Store an image on a page with room, extending if needed."""
-        target = self.fsm.find(len(image))
-        if target is None:
-            nblocks = self.nblocks()
-            target = nblocks - 1 if nblocks else None
-            if (target is not None
-                    and self.fsm.known_insufficient(target, len(image))):
-                # The tail page's hint was refreshed by the last
-                # placement and says no room, so go straight to a fresh
-                # page.  Bulk loads (one 8000 B chunk per page) would
-                # pay this dead probe on every insert.
-                target = None
-        if target is not None:
-            buf = self.bufmgr.pin(self.smgr, self.fileid, target)
-            try:
-                slot = self._try_add(buf.page, image)
-                if slot is not None:
-                    self._after_place(buf.page, target)
-                    self.bufmgr.unpin(buf, dirty=True)
-                    return TID(target, slot)
-            except Exception:
-                self.bufmgr.unpin(buf)
-                raise
-            self.bufmgr.unpin(buf)
-        buf = self.bufmgr.allocate(self.smgr, self.fileid)
-        try:
-            slot = buf.page.add_item(image)
-            self._after_place(buf.page, buf.blockno)
-            blockno = buf.blockno
-        finally:
-            self.bufmgr.unpin(buf, dirty=True)
-        return TID(blockno, slot)
 
     def insert_raw(self, image: bytes) -> TID:
         """Place a pre-serialized tuple image, preserving its stamps.
@@ -176,30 +142,62 @@ class HeapRelation:
             raise RelationError(
                 f"tuple image of {len(image)} bytes exceeds the page "
                 f"limit for relation {self.name!r}")
-        return self._place(image)
+        return self._store([image])[0]
 
-    @staticmethod
-    def _try_add(page: SlottedPage, image: bytes) -> int | None:
-        """Add to *page*, compacting first if fragmentation is the issue."""
-        if page.free_space() < len(image):
-            live = sum(page.item_id(s).length for s in page.live_slots())
-            from repro.storage.constants import (
-                ITEM_ID_SIZE,
-                PAGE_HEADER_SIZE,
-                PAGE_SIZE,
-            )
-            ceiling = (PAGE_SIZE - PAGE_HEADER_SIZE
-                       - (page.slot_count + 1) * ITEM_ID_SIZE)
-            if ceiling - live < len(image):
-                return None
-            page.compact()
-            if page.free_space() < len(image):
-                return None
-        return page.add_item(image)
+    def _store(self, images: list[bytes]) -> list[TID]:
+        """Place *images* in order: each on the page the free-space map
+        names if it fits there (compacting the page if its room is
+        fragmented), else on a fresh page built holding it.  A stretch of
+        fresh pages reaches the pool as one :meth:`BufferManager.extend`,
+        before the next pin, so pool operations keep the per-row order.
+        """
+        fsm, bufmgr, smgr, fileid = self.fsm, self.bufmgr, self.smgr, \
+            self.fileid
+        tids = []
+        fresh: list[SlottedPage] = []
+        end = -1    # the relation's length, read once a row needs it
+        for image in images:
+            size = len(image)
+            target = fsm.find(size, end - 1)
+            if target is None and end < 0:
+                end = self.nblocks()
+                target = fsm.find(size, end - 1)
+            if target is not None:
+                if fresh:
+                    self._extend(fresh)
+                    fresh = []
+                buf = bufmgr.pin(smgr, fileid, target)
+                page = buf.page
+                fits = False
+                try:
+                    room = page.free_space()
+                    fits = size <= room or page.can_fit(size)
+                    if fits:
+                        if size > room:
+                            page.compact()
+                        tids.append(TID(target, page.add_item(image)))
+                        fsm.note_insert(target, page.free_space())
+                finally:
+                    bufmgr.unpin(buf, dirty=fits)
+                if fits:
+                    continue
+                if end < 0:
+                    end = self.nblocks()
+            page = SlottedPage.holding(image)
+            fresh.append(page)
+            tids.append(TID(end, 0))
+            fsm.note_insert(end, FRESH_FREE - size)
+            end += 1
+        if fresh:
+            self._extend(fresh)
+        return tids
 
-    def _after_place(self, page: SlottedPage, blockno: int) -> None:
-        self.fsm.record(blockno, page.free_space())
-        self.fsm.note_insert_target(blockno)
+    def _extend(self, pages: list[SlottedPage]) -> None:
+        try:
+            self.bufmgr.extend(self.smgr, self.fileid, pages)
+        except BaseException:
+            self.fsm.forget()   # it names pages the pool may not hold
+            raise
 
     # -- point reads -------------------------------------------------------------------
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
+from itertools import chain
+from types import FunctionType
 from typing import Any, Callable
 
 from repro.errors import SchemaError
@@ -147,7 +149,6 @@ class Schema:
     _LEN = struct.Struct("<I")
     _NATTS = struct.Struct("<H")
     _NULL = 0xFFFFFFFF
-    _NULL_LEN = _LEN.pack(_NULL)
 
     def __init__(self, attributes: list[Attribute]):
         if not attributes:
@@ -162,6 +163,9 @@ class Schema:
         self._codecs = [SCALAR_TYPES.get(attr.storage_type or attr.type_name)
                         for attr in self.attributes]
         self._steps = tuple(map(_decode_step, self.attributes, self._codecs))
+        self._encoders = tuple(map(_encode_step, self.attributes,
+                                   self._codecs))
+        self._natts = self._NATTS.pack(len(attributes))
 
     def __len__(self) -> int:
         return len(self.attributes)
@@ -185,30 +189,15 @@ class Schema:
 
     # -- record serialization ----------------------------------------------------
 
-    def encode(self, values: tuple) -> bytes:
-        """Serialize one record.  ``None`` encodes as NULL."""
-        if len(values) != len(self.attributes):
+    def encode(self, values: tuple, header: bytes = b"") -> bytes:
+        """Serialize one record after *header* (a tuple header: one join
+        builds the image).  ``None`` encodes as NULL."""
+        if len(values) != len(self._encoders):
             raise SchemaError(
                 f"record has {len(values)} values for "
                 f"{len(self.attributes)} attributes")
-        parts = [self._NATTS.pack(len(values))]
-        pack_len = self._LEN.pack
-        for attr, codec, value in zip(self.attributes, self._codecs,
-                                      values):
-            if value is None:
-                parts.append(self._NULL_LEN)
-                continue
-            if codec is None:
-                codec = attr.codec()
-            codec.check(value)
-            payload = codec.encode(value)
-            if len(payload) >= self._NULL:
-                raise SchemaError(
-                    f"attribute {attr.name!r} value too large "
-                    f"({len(payload)} bytes)")
-            parts.append(pack_len(len(payload)))
-            parts.append(payload)
-        return b"".join(parts)
+        return b"".join(chain((header, self._natts),
+                              *map(_call, self._encoders, values)))
 
     def decode(self, data, pos: int = 0) -> tuple:
         """Deserialize one record produced by :meth:`encode`, starting at
@@ -276,3 +265,45 @@ class Schema:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cols = ", ".join(f"{a.name}={a.type_name}" for a in self.attributes)
         return f"Schema({cols})"
+
+
+_NULL_PARTS = (Schema._LEN.pack(Schema._NULL),)
+
+
+def _encode_step(attr: Attribute, codec: TypeCodec | None) -> Callable:
+    """One attribute's step of a :class:`Schema`'s compiled encoder:
+    ``step(value)`` is the value's parts — the NULL word, or the length
+    word and payload (one ``struct`` call for a fixed-width type) after
+    the checks the codec makes."""
+    if codec is not None and isinstance(codec.layout, struct.Struct):
+        accepted, width = codec.python_types, codec.layout.size
+        pack = struct.Struct("<I" + codec.layout.format[-1]).pack
+
+        def step(value):
+            if value is None:
+                return _NULL_PARTS
+            if not isinstance(value, accepted):
+                codec.check(value)
+            try:
+                return (pack(width, value),)
+            except struct.error:
+                codec.encode(value)     # raises the codec's own error
+                raise
+        return step
+
+    def step(value):
+        if value is None:
+            return _NULL_PARTS
+        checked = codec or attr.codec()     # raises for a type no scalar
+        checked.check(value)
+        payload = checked.encode(value)
+        if len(payload) >= Schema._NULL:
+            raise SchemaError(
+                f"attribute {attr.name!r} value too large "
+                f"({len(payload)} bytes)")
+        return Schema._LEN.pack(len(payload)), payload
+    return step
+
+
+#: ``_call(step, value)`` is ``step(value)``, called from C by ``map``.
+_call = FunctionType.__call__

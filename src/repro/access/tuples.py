@@ -59,9 +59,8 @@ class HeapTuple:
 def serialize_tuple(schema: Schema, xmin: int, oid: int,
                     values: tuple, xmax: int = INVALID_XID) -> bytes:
     """Header + record bytes for a new tuple version."""
-    record = schema.encode(values)
-    header = _HEADER.pack(xmin, xmax, oid, 0, len(values))
-    return header + record
+    return schema.encode(values, _HEADER.pack(xmin, xmax, oid, 0,
+                                              len(values)))
 
 
 def deserialize_tuple(schema: Schema, data,

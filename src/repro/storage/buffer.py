@@ -14,7 +14,8 @@ system:
   calls this at commit instead of keeping a WAL, per the POSTGRES
   storage-system design;
 * **lazy file extension**: :meth:`allocate` creates a page in the pool
-  without a device write; the device file grows when the page is first
+  (:meth:`extend` installs a run of filled ones) without a device write;
+  the device file grows when the page is first
   flushed.  A block below a flushed page that the device lacks and the
   pool no longer holds dirty is zero-filled, so the storage manager never
   sees a gap.
@@ -155,8 +156,9 @@ class BufferManager:
         #: The installed frames whose ``dirty`` flag is set, per file:
         #: ``(smgr_id, fileid) -> {blockno: Buffer}``, no empty entries.
         #: Kept at the three places the flag changes (:meth:`unpin`,
-        #: :meth:`allocate`, :meth:`_writeback_batch`) and the two that
-        #: discard frames unwritten; the only source of a force set.
+        #: :meth:`extend` — :meth:`allocate` among its callers —
+        #: :meth:`_writeback_batch`) and the two that discard frames
+        #: unwritten; the only source of a force set.
         self._dirty: dict[tuple[str, str], dict[int, Buffer]] = {}
         self._sweep_order: list[tuple[str, str, int]] = []
         self._hand = 0
@@ -283,21 +285,43 @@ class BufferManager:
                         block += 1
             return stats.prefetched - before
 
-    def allocate(self, smgr: "StorageManager", fileid: str,
-                 special_size: int = 0) -> Buffer:
-        """Append a fresh, pinned, dirty page to the file (no device I/O)."""
+    def allocate(self, smgr: "StorageManager", fileid: str) -> Buffer:
+        """Append a fresh, pinned, dirty page to the file (no device I/O):
+        :meth:`extend` by one empty page, pinned."""
         with self._latch:
-            self.stats.allocations += 1
-            self._charge(_MISS_INSTRUCTIONS)
-            self._make_room()
             blockno = self.nblocks(smgr, fileid)
-            self._virtual_nblocks[(smgr.smgr_id, fileid)] = blockno + 1
-            buf = Buffer(smgr, fileid, blockno,
-                         SlottedPage(special_size=special_size),
-                         dirty=True, pin_count=1)
-            self._install(buf)
-            self._dirty.setdefault((smgr.smgr_id, fileid), {})[blockno] = buf
+            self.extend(smgr, fileid, [SlottedPage()])
+            buf = self._frames[(smgr.smgr_id, fileid, blockno)]
+            buf.pin_count = 1
             return buf
+
+    def extend(self, smgr: "StorageManager", fileid: str,
+               pages: list[SlottedPage]) -> None:
+        """Append *pages*, already filled, to the file as dirty, unpinned
+        frames (no device I/O).
+
+        One page at a time, in order: counted as an allocation, charged
+        a miss, then installed after the room made for it — so victim
+        choice and the clock are what one call per page would give.
+        """
+        with self._latch:
+            key = (smgr.smgr_id, fileid)
+            blockno = self.nblocks(smgr, fileid)
+            stats, frames, order = self.stats, self._frames, self._sweep_order
+            try:
+                for page in pages:
+                    stats.allocations += 1
+                    self._charge(_MISS_INSTRUCTIONS)
+                    self._make_room()
+                    buf = Buffer(smgr, fileid, blockno, page, dirty=True)
+                    frames[buf.key] = buf       # _install, inlined
+                    order.append(buf.key)
+                    # Not hoisted: the room just made may have written
+                    # this file back, which deletes its entry.
+                    self._dirty.setdefault(key, {})[blockno] = buf
+                    blockno += 1
+            finally:
+                self._virtual_nblocks[key] = blockno
 
     # -- decoded-object side cache ---------------------------------------------
 

@@ -35,37 +35,39 @@ class FreeSpaceMap:
             if free_bytes > self._max_free:
                 self._max_free = free_bytes
 
-    def note_insert_target(self, blockno: int) -> None:
-        """Remember the page the relation last inserted into."""
+    def note_insert(self, blockno: int, free_bytes: int) -> None:
+        """:meth:`record` the page the relation just inserted into, which
+        becomes the insertion target."""
         self._last_insert = blockno
+        if free_bytes <= 0:
+            self._free.pop(blockno, None)
+        else:
+            self._free[blockno] = free_bytes
+            if free_bytes > self._max_free:
+                self._max_free = free_bytes
 
-    def find(self, needed: int) -> int | None:
-        """A page believed to fit *needed* bytes, or ``None``.
+    def find(self, needed: int, tail: int = -1) -> int | None:
+        """A page believed to fit *needed* bytes, or ``None`` (extend).
 
         Prefers the current insertion target (keeps inserts clustered and
-        sequential), then the lowest-numbered known page with room.
+        sequential), then the lowest-numbered known page with room, then
+        *tail* (the relation's last page, ``-1`` for none) — unless the
+        tail is the target: its hint is refreshed by every placement, so
+        it can only understate free space (deletes free bytes without a
+        ``record``), and a false "no room" merely costs a fresh page.
+        Bulk loads (one 8000 B chunk per page) skip a dead probe per row.
         """
         target = self._last_insert
         if target is not None and self._free.get(target, 0) >= needed:
             return target
-        if needed > self._max_free:
-            return None
-        free = self._free
-        self._max_free = max(free.values(), default=0)  # tighten the bound
-        return min(compress(free, map(needed.__le__, free.values())),
-                   default=None)
-
-    def known_insufficient(self, blockno: int, needed: int) -> bool:
-        """True when the hints affirmatively say *blockno* cannot fit *needed*.
-
-        Only claims knowledge about the current insertion target — its
-        hint is refreshed on every placement, so it can only understate
-        free space (deletes free bytes without a ``record``).  Callers
-        may use this to skip a probe where a false "insufficient" merely
-        costs a fresh page, never correctness.
-        """
-        return (blockno == self._last_insert
-                and self._free.get(blockno, 0) < needed)
+        if needed <= self._max_free:
+            free = self._free
+            self._max_free = max(free.values(), default=0)  # tighten it
+            found = min(compress(free, map(needed.__le__, free.values())),
+                        default=None)
+            if found is not None:
+                return found
+        return None if tail < 0 or tail == target else tail
 
     def forget(self) -> None:
         """Drop all hints (after truncate or drop)."""

@@ -37,7 +37,12 @@ import zlib
 from dataclasses import dataclass
 
 from repro.errors import PageError, PageFullError
-from repro.storage.constants import ITEM_ID_SIZE, PAGE_HEADER_SIZE, PAGE_SIZE
+from repro.storage.constants import (
+    ITEM_ID_SIZE,
+    MAX_TUPLE_SIZE,
+    PAGE_HEADER_SIZE,
+    PAGE_SIZE,
+)
 
 # Header: lsn(8) checksum(4) flags(2) lower(2) upper(2) special(2) reserved(4)
 _HEADER = struct.Struct("<QIHHHH4x")
@@ -66,6 +71,14 @@ LP_DEAD = 2
 _LP_STATE_MASK = 0x3
 _LP_LEN_SHIFT = 2
 _LP_MAX_LEN = (1 << 14) - 1
+
+#: :meth:`SlottedPage.free_space` of :meth:`SlottedPage.holding` an
+#: item of *n* bytes is ``FRESH_FREE - n``, or 0 if that is negative.
+FRESH_FREE = MAX_TUPLE_SIZE - ITEM_ID_SIZE
+
+#: A fresh page's header after the zero LSN, checksum and flags —
+#: ``lower``, ``upper``, ``special`` — then its slot-0 line pointer.
+_FRESH = struct.Struct("<14xHHH4xHH")
 
 #: The one image of a dead line pointer: delete_item and overwrite_item,
 #: its only writers, both write ``(0, 0, LP_DEAD)``.
@@ -111,6 +124,20 @@ class SlottedPage:
         #: slices of this (slicing a memoryview allocates only the small
         #: view object, never the bytes).
         self._view = memoryview(self.buf)
+
+    @classmethod
+    def holding(cls, data: bytes) -> "SlottedPage":
+        """A fresh page with *data* in slot 0: the bytes ``SlottedPage()``
+        and :meth:`add_item` leave, and the same errors, built at once."""
+        length = len(data)
+        if not 0 < length <= MAX_TUPLE_SIZE:
+            cls().add_item(data)    # raises add_item's own error
+        buf = bytearray(PAGE_SIZE)
+        upper = PAGE_SIZE - length
+        buf[upper:] = data
+        _FRESH.pack_into(buf, 0, PAGE_HEADER_SIZE + ITEM_ID_SIZE, upper,
+                         PAGE_SIZE, upper, (length << _LP_LEN_SHIFT) | LP_NORMAL)
+        return cls(buf)
 
     # -- header access ----------------------------------------------------
 
@@ -179,7 +206,8 @@ class SlottedPage:
 
     def can_fit(self, length: int) -> bool:
         """Whether an item of *length* bytes can be stored on this page,
-        counting space that a compaction would reclaim."""
+        counting space that a compaction would reclaim and a dead line
+        pointer :meth:`add_item` would reuse."""
         if length <= self.free_space():
             return True
         lower, _upper, special = _LUS.unpack_from(self.buf, _LUS_OFFSET)

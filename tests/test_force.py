@@ -54,14 +54,23 @@ class TestDirtyIndex:
             fileid = rng.choice(files)
             length = pool.nblocks(smgr, fileid)
             op = rng.choice(("pin", "pin", "pin", "allocate", "allocate",
-                             "hold", "prefetch", "flush_file", "flush_all",
-                             "drop_file", "invalidate_all"))
+                             "extend", "hold", "prefetch", "flush_file",
+                             "flush_all", "drop_file", "invalidate_all"))
             if op == "allocate" and length < 24:
                 buf = pool.allocate(smgr, fileid)
                 item = bytes([step % 251]) * 16
                 buf.page.add_item(item)
                 model[fileid, buf.blockno] = item
                 pool.unpin(buf, dirty=True)
+            elif op == "extend" and length < 24:
+                # Up to 12 pages into an 8-frame pool: the sweep's victim
+                # mid-stretch can be a dirty page of this same file.
+                items = [bytes([(step + n) % 251]) * 16
+                         for n in range(rng.randint(1, 12))]
+                pool.extend(smgr, fileid,
+                            [SlottedPage.holding(item) for item in items])
+                for blockno, item in enumerate(items, start=length):
+                    model[fileid, blockno] = item
             elif op in ("pin", "hold") and length:
                 blockno = rng.randrange(length)
                 buf = pool.pin(smgr, fileid, blockno)
@@ -102,6 +111,31 @@ class TestDirtyIndex:
             assert SlottedPage(smgr.read_block(fileid, blockno)) \
                 .get_item(0) == item
         assert pool.stats.evictions > 100  # the pool really was too small
+
+    def test_extend_past_the_free_frames_writes_every_page(self):
+        """A stretch longer than the pool's free frames: the sweep's
+        victims mid-stretch are dirty pages of the same file, and each
+        write-back of the file takes its dirty-index entry.  Every page
+        still reaches the device with its bytes, and the index stays
+        the dirty set after the stretch."""
+        smgr = MemoryStorageManager(SimClock())
+        pool = BufferManager(pool_size=4)
+        smgr.create("t")
+        items = [bytes([n]) * 100 for n in range(11)]
+        for item in items[:2]:
+            buf = pool.allocate(smgr, "t")
+            buf.page.add_item(item)
+            pool.unpin(buf, dirty=True)
+        pool.extend(smgr, "t", [SlottedPage.holding(item)
+                                for item in items[2:]])
+        assert pool.stats.writebacks > 0 and pool.stats.evictions > 0
+        assert_dirty_index_is_the_dirty_set(pool)
+        assert pool.nblocks(smgr, "t") == len(items)
+        pool.flush_all()
+        assert smgr.nblocks("t") == len(items)
+        for blockno, item in enumerate(items):
+            assert SlottedPage(smgr.read_block("t", blockno)) \
+                .get_item(0) == item
 
     def test_dirty_unpin_of_a_dropped_frame_is_not_indexed(self):
         smgr = MemoryStorageManager(SimClock())

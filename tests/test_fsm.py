@@ -7,7 +7,8 @@ from repro.storage.fsm import FreeSpaceMap
 
 class _ReferenceMap:
     """The per-page walk ``FreeSpaceMap.find`` replaced, with its
-    ``_max_free`` bookkeeping: the answers and the bound must agree."""
+    ``_max_free`` bookkeeping, and the tail probe the heap made when no
+    known page fit: the answers and the bound must agree."""
 
     def __init__(self):
         self.free, self.last_insert, self.max_free = {}, None, 0
@@ -19,10 +20,22 @@ class _ReferenceMap:
             self.free[blockno] = free_bytes
             self.max_free = max(self.max_free, free_bytes)
 
-    def note_insert_target(self, blockno):
+    def note_insert(self, blockno, free_bytes):
+        self.record(blockno, free_bytes)
         self.last_insert = blockno
 
-    def find(self, needed):
+    def known_insufficient(self, blockno, needed):
+        return (blockno == self.last_insert
+                and self.free.get(blockno, 0) < needed)
+
+    def find(self, needed, tail=-1):
+        best = self._walk(needed)
+        if best is None and tail >= 0 and not self.known_insufficient(
+                tail, needed):
+            return tail
+        return best
+
+    def _walk(self, needed):
         target = self.last_insert
         if target is not None and self.free.get(target, 0) >= needed:
             return target
@@ -48,10 +61,17 @@ class TestFind:
     def test_the_insertion_target_comes_first(self):
         fsm = FreeSpaceMap()
         fsm.record(2, 500)
-        fsm.record(9, 100)
-        fsm.note_insert_target(9)
+        fsm.note_insert(9, 100)
         assert fsm.find(100) == 9
         assert fsm.find(101) == 2
+
+    def test_then_the_tail_unless_it_is_the_full_target(self):
+        fsm = FreeSpaceMap()
+        assert fsm.find(100, tail=4) == 4
+        assert fsm.find(100, tail=-1) is None      # an empty relation
+        fsm.note_insert(4, 50)
+        assert fsm.find(100, tail=4) is None       # its hint says no room
+        assert fsm.find(100, tail=5) == 5
 
     def test_then_the_lowest_numbered_page_with_room(self):
         fsm = FreeSpaceMap()
@@ -78,15 +98,15 @@ class TestFind:
 
     def test_forget_drops_every_hint(self):
         fsm = FreeSpaceMap()
-        fsm.record(1, 900)
-        fsm.note_insert_target(1)
+        fsm.note_insert(1, 900)
         fsm.forget()
         assert fsm.find(1) is None and fsm._max_free == 0
 
 
 def test_find_matches_the_reference_walk():
-    """Seeded random histories of records, targets, finds and forgets:
-    every answer and every bound equal the reference's."""
+    """Seeded random histories of records, insertions, finds (with and
+    without a tail) and forgets: every answer and every bound equal the
+    reference's."""
     for seed in range(500):
         rng = random.Random(seed)
         fsm, reference = FreeSpaceMap(), _ReferenceMap()
@@ -97,12 +117,13 @@ def test_find_matches_the_reference_walk():
                 fsm.record(*args)
                 reference.record(*args)
             elif roll < 0.6:
-                blockno = rng.randrange(12)
-                fsm.note_insert_target(blockno)
-                reference.note_insert_target(blockno)
+                args = (rng.randrange(12), rng.randrange(800))
+                fsm.note_insert(*args)
+                reference.note_insert(*args)
             elif roll < 0.97:
-                needed = rng.randrange(1, 900)
-                assert fsm.find(needed) == reference.find(needed), seed
+                needed, tail = rng.randrange(1, 900), rng.randrange(-1, 12)
+                assert fsm.find(needed, tail) == \
+                    reference.find(needed, tail), seed
             else:
                 fsm.forget()
                 reference.forget()

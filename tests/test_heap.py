@@ -1,8 +1,11 @@
 """Unit tests for heap relations: versioning, visibility, vacuum."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.access import Attribute, HeapRelation, Schema
+from repro.access.tuples import TID
 from repro.errors import RelationError, TransactionError, TupleNotFound
 
 
@@ -261,3 +264,182 @@ class TestDurability:
         emp.insert(txn, ("Joe", 30))
         assert stack.smgr.nblocks(emp.fileid) == 0
         txn.abort()
+
+
+class TestDeadPointerRoom:
+    def test_a_row_a_dead_pointer_makes_room_for_lands_on_its_page(
+            self, stack):
+        """Items of 100 and 100 bytes, the first deleted: compaction
+        leaves room for an 8,060-byte image only because ``add_item``
+        reuses the dead line pointer.  The heap's fit test is
+        ``SlottedPage.can_fit``, which counts that; a copy that always
+        priced a new pointer opened block 1 for it."""
+        schema = Schema([Attribute("data", "bytea")])
+        rel = HeapRelation("T", schema, stack.smgr, stack.bufmgr,
+                           stack.clog, stack.next_oid)
+        rel.create_storage()
+        payload = b"\x11" * (100 - 32 - 2 - 4)      # a 100-byte image
+        with stack.tm.begin() as txn:
+            first, second = rel.insert_many(txn, [(payload,), (payload,)])
+        assert (first.blockno, second.blockno) == (0, 0)
+        with stack.tm.begin() as txn:
+            rel.delete(txn, first)
+        assert rel.vacuum() == 1
+        rel.fsm.forget()    # a restart: the tail page is all it knows
+        from repro.access.tuples import serialize_tuple
+        big = b"\x22" * (8060 - 32 - 2 - 4)
+        image = serialize_tuple(schema, 2, 99, (big,))
+        assert len(image) == 8060
+        assert rel.insert_raw(image) == TID(0, first.slot)
+        assert rel.nblocks() == 1
+        assert rel.fetch_any_version(TID(0, first.slot)).values == (big,)
+        assert rel.fetch_any_version(second).values == (payload,)
+
+
+class TestStretchThePoolRefuses:
+    def test_the_free_space_map_forgets_the_pages_it_never_got(self):
+        """The stretch's rows have their TIDs and free-space records
+        before the pool takes their pages; when the pool cannot make
+        room, the map must not keep naming the page that never came."""
+        from tests.conftest import Stack
+        from repro.errors import BufferError_
+        stack = Stack(pool_size=1)
+        schema = Schema([Attribute("data", "bytea")])
+        rel = HeapRelation("T", schema, stack.smgr, stack.bufmgr,
+                           stack.clog, stack.next_oid)
+        rel.create_storage()
+        with stack.tm.begin() as txn:
+            rel.insert(txn, (b"\x01" * 8100,))   # block 0, full
+        held = stack.bufmgr.pin(stack.smgr, rel.fileid, 0)
+        txn = stack.tm.begin()
+        with pytest.raises(BufferError_):
+            rel.insert(txn, (b"\x02" * 20,))     # needs block 1
+        txn.abort()
+        stack.bufmgr.unpin(held)
+        assert rel.nblocks() == 1
+        with stack.tm.begin() as txn:
+            tid = rel.insert(txn, (b"\x03" * 20,))
+        assert tid.blockno == 1 and rel.nblocks() == 2
+        assert rel.fetch_any_version(tid).values == (b"\x03" * 20,)
+
+
+def _pool_state(rel):
+    """Everything a placement can change, with the storage manager's
+    instance id taken out of the frame keys."""
+    pool = rel.bufmgr
+    return {
+        "frames": {key[1:]: (bytes(buf.page.buf), buf.dirty, buf.usage,
+                             buf.pin_count)
+                   for key, buf in pool._frames.items()},
+        "dirty": {key[1]: sorted(frames) for key, frames in
+                  pool._dirty.items()},
+        "order": [key[1:] for key in pool._sweep_order],
+        "hand": pool._hand,
+        "stats": pool.stats,
+        "length": rel.nblocks(),
+        "fsm": (rel.fsm._free, rel.fsm._last_insert, rel.fsm._max_free),
+        "elapsed": pool.clock.elapsed,
+        "breakdown": pool.clock.breakdown(),
+    }
+
+
+class _PerRowHeap(HeapRelation):
+    """The reference: every row placed alone, a fresh page through
+    ``allocate`` + ``add_item`` + ``unpin``, as before runs existed."""
+
+    def insert_many(self, txn, rows, oid=None):
+        from repro.access.tuples import serialize_tuple
+        images = [serialize_tuple(self.schema, txn.xid, self.oid_source(),
+                                  values) for values in rows]
+        tids = [self._place_one(image) for image in images]
+        txn.touch(self.smgr, self.fileid)
+        return tids
+
+    def _place_one(self, image):
+        size = len(image)
+        target = self.fsm.find(size, self.nblocks() - 1)
+        if target is not None:
+            buf = self.bufmgr.pin(self.smgr, self.fileid, target)
+            if buf.page.can_fit(size):
+                if buf.page.free_space() < size:
+                    buf.page.compact()
+                slot = buf.page.add_item(image)
+                self.fsm.note_insert(target, buf.page.free_space())
+                self.bufmgr.unpin(buf, dirty=True)
+                return TID(target, slot)
+            self.bufmgr.unpin(buf)
+        buf = self.bufmgr.allocate(self.smgr, self.fileid)
+        slot = buf.page.add_item(image)
+        self.fsm.note_insert(buf.blockno, buf.page.free_space())
+        self.bufmgr.unpin(buf, dirty=True)
+        return TID(buf.blockno, slot)
+
+
+def _twin(cls):
+    """A relation over its own 8-frame pool that charges CPU time."""
+    import itertools
+
+    from repro.sim import SimClock
+    from repro.sim.devices import CpuModel
+    from repro.smgr import MemoryStorageManager
+    from repro.storage import BufferManager
+    from repro.txn import CommitLog, LockManager, TransactionManager
+    clock = SimClock()
+    bufmgr = BufferManager(pool_size=8, clock=clock, cpu=CpuModel())
+    clog = CommitLog()
+    tm = TransactionManager(clog, bufmgr, LockManager(), clock)
+    schema = Schema([Attribute("k", "int4"), Attribute("data", "bytea")])
+    rel = cls("T", schema, MemoryStorageManager(clock), bufmgr, clog,
+              itertools.count(1).__next__)
+    rel.create_storage()
+    return rel, tm
+
+
+#: Payload sizes: small rows that share pages, middling ones two of
+#: which fill a page, and page-filling ones (the image adds 46 bytes).
+_PAYLOAD = st.one_of(st.integers(1, 300), st.integers(3000, 4000),
+                     st.integers(7900, 8118))
+_STEP = st.one_of(
+    st.tuples(st.just("run"), st.lists(_PAYLOAD, min_size=1, max_size=14),
+              st.booleans()),
+    st.tuples(st.just("vacuum"), st.lists(st.integers(0, 10**6),
+                                          max_size=6), st.booleans()),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_STEP, min_size=1, max_size=10))
+def test_property_run_placement_is_the_per_row_placement(steps):
+    """Runs of mixed rows (committed or aborted) and deletes followed by
+    a vacuum, which leave free-space holes: the run placement returns
+    the per-row reference's TIDs and leaves its pages, free-space map,
+    pool (frames, dirty index, sweep order and hand, counters) and
+    simulated clock exactly."""
+    (rel, tm), (ref, ref_tm) = _twin(HeapRelation), _twin(_PerRowHeap)
+    live = []
+    for number, (op, args, commit) in enumerate(steps):
+        if op == "run":
+            rows = [(number, bytes([number % 251]) * n) for n in args]
+            txn, ref_txn = tm.begin(), ref_tm.begin()
+            tids = rel.insert_many(txn, rows)
+            assert tids == ref.insert_many(ref_txn, rows)
+            for t in (txn, ref_txn):
+                t.commit() if commit else t.abort()
+            if commit:
+                live += tids
+        elif live:
+            doomed = sorted({live[i % len(live)] for i in args})
+            for relation, manager in ((rel, tm), (ref, ref_tm)):
+                with manager.begin() as txn:
+                    for tid in doomed:
+                        relation.delete(txn, tid)
+            live = [tid for tid in live if tid not in doomed]
+            if commit:
+                assert rel.vacuum() == ref.vacuum()
+        assert _pool_state(rel) == _pool_state(ref)
+    rel.bufmgr.flush_all()
+    ref.bufmgr.flush_all()
+    assert _pool_state(rel) == _pool_state(ref)
+    for blockno in range(rel.nblocks()):
+        assert rel.smgr.read_block(rel.fileid, blockno) == \
+            ref.smgr.read_block(ref.fileid, blockno)

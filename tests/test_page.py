@@ -5,16 +5,17 @@ import struct
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PageError, PageFullError
 from repro.storage.constants import (
     ITEM_ID_SIZE,
+    MAX_TUPLE_SIZE,
     PAGE_HEADER_SIZE,
     PAGE_SIZE,
 )
-from repro.storage.page import LP_DEAD, SlottedPage
+from repro.storage.page import FRESH_FREE, LP_DEAD, SlottedPage
 
 
 class TestEmptyPage:
@@ -174,6 +175,37 @@ class TestOverwrite:
 
 
 _HEADER = struct.Struct("<QIHHHH4x")
+
+
+class TestHolding:
+    """``SlottedPage.holding(data)`` is the page ``SlottedPage()`` and
+    ``add_item(data)`` leave, built at once."""
+
+    @settings(max_examples=150)
+    @given(length=st.integers(1, MAX_TUPLE_SIZE), seed=st.integers(0, 2**32))
+    @example(length=1, seed=0)
+    @example(length=MAX_TUPLE_SIZE, seed=1)
+    def test_it_is_byte_equal_to_add_item_on_a_fresh_page(self, length,
+                                                           seed):
+        data = random.Random(seed).randbytes(length)
+        added = SlottedPage()
+        assert added.add_item(data) == 0
+        held = SlottedPage.holding(data)
+        assert held.buf == added.buf
+        assert held.get_item(0) == data
+        assert held.free_space() == added.free_space() == max(
+            0, FRESH_FREE - length)
+
+    @pytest.mark.parametrize("length", [0, MAX_TUPLE_SIZE + 1, PAGE_SIZE])
+    def test_it_raises_what_add_item_raises(self, length):
+        data = b"\x5a" * length
+        with pytest.raises(PageError) as added:
+            SlottedPage().add_item(data)
+        with pytest.raises(PageError) as held:
+            SlottedPage.holding(data)
+        assert type(held.value) is type(added.value)
+        assert str(held.value) == str(added.value)
+        assert (type(held.value) is PageFullError) == (length > 0)
 
 
 def _checksum_reference(raw: bytes) -> int:
