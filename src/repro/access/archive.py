@@ -81,15 +81,20 @@ class Archiver:
         inserts, the index pruning (freed slots are reused: no entry may
         outlive its version) and one visibility-epoch bump, so no reader
         meets a freed slot through a stale index entry or an epoch-gated
-        TID map.  Archive classes are not swept.
+        TID map.  Archive classes are not swept.  The horizon is the
+        earlier of *horizon* and the oldest live reader's
+        (:meth:`TransactionManager.horizon
+        <repro.txn.manager.TransactionManager.horizon>`): no version a
+        registered snapshot still sees is removed.
         """
         if is_archive_name(class_name):
             return 0
         db = self.db
         relation = db.get_class(class_name)
         removed: list = []
+        horizon, readers = db.tm.horizon(horizon, archive_sink is not None)
         with db.latch:
-            relation.vacuum(horizon, removed, archive_sink)
+            relation.vacuum(horizon, removed, archive_sink, readers)
             if removed:
                 for entry in db.catalog.indexes_on(class_name):
                     index = db.get_index(entry.name)

@@ -363,12 +363,17 @@ class HeapRelation:
 
     def vacuum(self, horizon: float | None = None,
                removed_sink: list | None = None,
-               archive_sink: Callable[[bytes], None] | None = None) -> int:
+               archive_sink: Callable[[bytes], None] | None = None,
+               readers: Snapshot = Snapshot(xid=0)) -> int:
         """The sweep: physically remove dead versions; returns how many.
 
         A version is dead if its inserter aborted, or its deleter committed
         — and, when *horizon* is given, committed **before** *horizon*
-        (keeping history reachable by time travel after the horizon).
+        (keeping history reachable by time travel after the horizon) — and
+        *readers* sees the deletion (the sweep passes the live readers'
+        bound, :meth:`TransactionManager.horizon
+        <repro.txn.manager.TransactionManager.horizon>`; the default sees
+        every committed one).
 
         *archive_sink* receives the raw image (stamps intact) of each
         version whose deleter committed; without one that history is
@@ -389,8 +394,8 @@ class HeapRelation:
                     view = buf.page.item_view(slot)
                     xmin, xmax, _oid = read_stamps(view)
                     aborted = self.clog.status(xmin) == TxnStatus.ABORTED
-                    if not (aborted
-                            or self._deleter_committed(xmax, horizon)):
+                    if not (aborted or self._deleter_committed(
+                            xmax, horizon, readers)):
                         continue
                     if archive_sink is not None and not aborted:
                         archive_sink(bytes(view))
@@ -409,9 +414,8 @@ class HeapRelation:
                 self.bufmgr.unpin(buf, dirty=dirty)
         return removed
 
-    def _deleter_committed(self, xmax: int, horizon: float | None) -> bool:
-        if xmax == INVALID_XID:
-            return False
-        if self.clog.status(xmax) != TxnStatus.COMMITTED:
+    def _deleter_committed(self, xmax: int, horizon: float | None,
+                           readers: Snapshot) -> bool:
+        if xmax == INVALID_XID or not readers.sees_deletion(xmax, self.clog):
             return False
         return horizon is None or self.clog.commit_time(xmax) < horizon

@@ -419,6 +419,13 @@ def _attribute(name: str, receiver: str | None = None):
                          and node.attr == name and _on(node.value, receiver))
 
 
+def _assigned(name: str):
+    """Matcher: assignments to ``<...>.name``."""
+    return lambda node: (isinstance(node, ast.Attribute)
+                         and node.attr == name
+                         and isinstance(node.ctx, ast.Store))
+
+
 def _cpu_none_test(node: ast.AST) -> bool:
     """Matcher: ``<...>.cpu is None`` / ``<...>.cpu is not None``."""
     return (isinstance(node, ast.Compare) and len(node.ops) == 1
@@ -477,6 +484,11 @@ DECLARED_SITES = (
         "one epoch gate per descriptor: ChunkedObject._refresh_committed "
         "(and the open that seeds it) and write_size's re-read under the "
         "size lock are the only readers; the commit log keeps the count"),
+    DeclaredSites(
+        "`._root = ...`", _assigned("_root"), {"access/btree.py": 5},
+        "one cached root: BTree.__init__ and drop_storage clear it, "
+        "_read_meta fills it from page 0, and _write_meta, the only page-0 "
+        "writer after create, clears it before the pin and sets it after"),
     DeclaredSites(
         "`db.latch`", _attribute("latch", "db"),
         {"access/scan.py": 8, "access/archive.py": 1,

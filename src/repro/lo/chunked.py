@@ -90,6 +90,10 @@ class ChunkedObject(LargeObject):
         self._own_writes = ([0] if txn is None
                             else txn.size_writes.setdefault(oid, [0]))
         self._seen = (db.clog.visibility_epoch, self._own_writes[0])
+        #: A historical descriptor's one snapshot, held (and so registered
+        #: against the sweep) for the descriptor's life; ``None`` when
+        #: current, whose reads each take a fresh one.
+        self._view = None if as_of is None else db.snapshot(txn, as_of=as_of)
         if writable:
             self._pending_size = self._committed_size()
             txn.before_commit.append(self.flush)
@@ -113,7 +117,9 @@ class ChunkedObject(LargeObject):
     # -- snapshots -----------------------------------------------------------------
 
     def _snapshot(self) -> Snapshot:
-        return self.db.snapshot(self.txn, as_of=self.as_of)
+        if self.as_of is None:
+            return self.db.snapshot(self.txn)
+        return self._view
 
     def _committed_size(self) -> int:
         """The size row's size, read once per :meth:`_refresh_committed`."""
@@ -294,6 +300,7 @@ class ChunkedObject(LargeObject):
                 self.txn.before_commit.remove(self.flush)
             except ValueError:
                 pass
+        self._view = None
         self._close_data()
 
     # -- append ------------------------------------------------------------------------

@@ -177,6 +177,11 @@ class BufferManager:
         #: pages are exempt) — so a torn device write is detected instead
         #: of served.
         self._next_lsn = 1
+        #: How many times :meth:`invalidate_all` has emptied the pool:
+        #: handles that keep a page's decoded contents (the B-tree's root)
+        #: re-read the page once this moves, so a cold start costs what it
+        #: always did.
+        self.resets = 0
 
     # -- CPU accounting ------------------------------------------------------
 
@@ -541,3 +546,4 @@ class BufferManager:
             self._sweep_order.clear()
             self._decoded.clear()
             self._hand = 0
+            self.resets += 1

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import threading
+import weakref
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import NoActiveTransaction, SimulatedCrash, TransactionError
@@ -63,6 +64,11 @@ class Transaction:
         #: Large-object oid -> [size-row rewrites by this transaction]
         #: (repro.lo.metadata.write_size), a cell its descriptors share.
         self.size_writes: dict[int, list[int]] = {}
+        #: The xid bound of this transaction's first current snapshot
+        #: (:meth:`TransactionManager.horizon`), kept while it is active;
+        #: ``None`` until it takes one.  Later snapshots never bound
+        #: lower, so the first one speaks for them all.
+        self.xid_bound: int | None = None
 
     def touch(self, smgr, fileid: str) -> None:
         """Record that this transaction dirtied *fileid* on *smgr*."""
@@ -115,6 +121,10 @@ class TransactionManager:
         #: Ordered before mutex:xlog — begin() allocates the xid while
         #: holding it (see the hierarchy table in repro/txn/lockdep.py).
         self._mutex = LockdepMutex("mutex:txn")
+        #: Live snapshots no transaction owns (detached or time-travel),
+        #: ``id -> (weakref, xid bound, as_of)``: each is registered for
+        #: as long as the scan or descriptor holding it keeps it.
+        self._views: dict[int, tuple] = {}
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -122,11 +132,11 @@ class TransactionManager:
         """Start a new transaction.
 
         The xid is allocated and registered in the active table under one
-        critical section: ``snapshot()`` reads the ceiling first and the
-        active set under the same mutex afterwards, so a snapshot can
-        never observe a ceiling above the new xid without also seeing it
-        active — in either order of the race the new transaction stays
-        invisible until it commits *after* the snapshot exists.
+        critical section, and ``snapshot()`` reads the ceiling and the
+        active set under the same mutex, so a snapshot never observes a
+        ceiling above the new xid without also seeing it active: the new
+        transaction stays invisible until it commits *after* the snapshot
+        exists.
         """
         with self._mutex:
             xid = self.clog.allocate_xid()
@@ -197,14 +207,56 @@ class TransactionManager:
         ``CLASS["t1", "t2"]``).
         """
         xid = txn.xid if txn is not None else 0
-        # Ceiling first: a transaction that begins between the two reads
-        # then lands above the ceiling (invisible) instead of slipping past
-        # the active set and becoming visible once it commits.
-        ceiling = self.clog.next_xid
+        # Ceiling, active set and registration in one hold: begin() draws
+        # xids under this mutex, so no transaction slips between the
+        # ceiling and the active set, and no sweep's horizon falls between
+        # what the snapshot saw and its registration.
         with self._mutex:
+            ceiling = self.clog.next_xid
             active = frozenset(x for x in self._active if x != xid)
-        return Snapshot(xid=xid, active_xids=active, as_of=as_of,
-                        until=until, xid_ceiling=ceiling)
+            snapshot = Snapshot(xid=xid, active_xids=active, as_of=as_of,
+                                until=until, xid_ceiling=ceiling)
+            if as_of is not None or txn is None:
+                views, key = self._views, id(snapshot)
+                views[key] = (weakref.ref(snapshot,
+                                          lambda _: views.pop(key, None)),
+                              min((ceiling, *active)), as_of)
+            elif txn.xid_bound is None:
+                txn.xid_bound = min((ceiling, *active))
+        return snapshot
+
+    def horizon(self, caller: float | None, archiving: bool = False
+                ) -> tuple[float | None, Snapshot]:
+        """What a sweep may remove without a live reader losing a row:
+        ``(time, view)``.  A deleter's versions go only if *view* sees the
+        deletion and it committed before *time*.
+
+        *view* is the sweep's own snapshot, its ceiling lowered to the
+        least bound of every live current snapshot (an active
+        transaction's first, or an unowned one): below its bound — the
+        least of its active xids and its ceiling — a snapshot sees every
+        committed deletion.  A deleter still active when *view* is taken
+        is kept even if it commits mid-sweep, since a snapshot taken then
+        may count it active.  *time* is the least of *caller* and, unless
+        the sweep is *archiving* (time travel reads the archive too),
+        every live time-travel snapshot's ``as_of``.
+        """
+        times = [] if caller is None else [caller]
+        with self._mutex:
+            ceiling = self.clog.next_xid
+            active = frozenset(self._active)
+            bounds = [txn.xid_bound for txn in self._active.values()
+                      if txn.xid_bound is not None]
+            # A copy: a dying snapshot's callback may pop from the table
+            # (even from this thread, if a collection runs mid-loop).
+            for _ref, bound, as_of in self._views.copy().values():
+                if as_of is None:
+                    bounds.append(bound)
+                elif not archiving:
+                    times.append(as_of)
+        return (min(times, default=None),
+                Snapshot(xid=0, active_xids=active,
+                         xid_ceiling=min((ceiling, *bounds))))
 
     def active_count(self) -> int:
         """Number of transactions currently in progress."""

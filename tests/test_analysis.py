@@ -384,6 +384,7 @@ ONE_SITE = {
     "`._deleters`": "self._deleters.clear()",
     "`.visibility_epoch`": "epoch = self.db.clog.visibility_epoch",
     "`db.latch`": "latch = self.db.latch",
+    "`._root = ...`": "self._root = None",
 }
 
 
@@ -451,6 +452,8 @@ class TestR010DeclaredSites:
             cpu = self.cpu
             same = self.cpu == other
             clog.bump_visibility_epoch()
+            root = self._root
+            self._root_resets = 0
         """
         path = write_module(tmp_path, "lo/elsewhere.py", source)
         report = analyze_paths([path], [get_rule("R010")])

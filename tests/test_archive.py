@@ -93,6 +93,75 @@ class TestSweep:
         assert before == after
 
 
+class TestSweepKeepsWhatLiveReadersSee:
+    """The sweep's horizon is never later than the oldest live reader's:
+    a version some registered snapshot still sees survives ``vacuum()``
+    with no horizon, and goes once that reader is done."""
+
+    def test_heap_class_row_a_live_transaction_sees(self, db):
+        from repro.access.scan import SeqScan
+        db.create_class("t", [("k", "int4"), ("v", "text")])
+        with db.begin() as txn:
+            tid = db.insert(txn, "t", (1, "old"))
+        reader = db.begin()
+        snap = db.snapshot(reader)
+        with db.begin() as txn:
+            db.replace(txn, "t", tid, (1, "new"))
+
+        def seen():
+            return [t.values for t in
+                    SeqScan(db, db.get_class("t")).tuples(snap)]
+
+        assert seen() == [(1, "old")]
+        assert db.vacuum()["t"] == 0
+        assert seen() == [(1, "old")]
+        reader.commit()
+        assert db.vacuum()["t"] == 1
+
+    @pytest.mark.parametrize("impl", ["fchunk", "vsegment"])
+    def test_descriptor_reading_the_past(self, db, impl):
+        with db.begin() as txn:
+            designator = db.lo.create(txn, impl)
+            with db.lo.open(designator, txn, "rw") as obj:
+                obj.write(b"old" * 5000)
+        past = db.clock.now()
+        with db.begin() as txn:
+            with db.lo.open(designator, txn, "rw") as obj:
+                obj.write(b"new" * 5000)
+
+        def swept():   # versions removed from the object's own classes
+            return sum(n for name, n in db.vacuum().items()
+                       if name.startswith("lo_"))
+
+        obj = db.lo.open(designator, as_of=past)
+        assert obj.read(6) == b"oldold"
+        assert swept() == 0
+        obj.seek(0)
+        assert obj.read() == b"old" * 5000
+        obj.close()
+        assert swept() > 0
+        with db.lo.open(designator) as current:
+            assert current.read(6) == b"newnew"
+
+    def test_archiving_is_not_held_back_by_time_travel(self, db):
+        """Time travel reads the archive too, so only a discarding sweep
+        waits for a historical reader."""
+        stamps = build_history(db)
+        first = stamps[0][0]
+        snap = db.snapshot(as_of=first)        # a live historical reader
+        assert db.archive_class("T")["archived"] == 2
+        assert [t.values for t in db.scan("T", as_of=first)] == [(1,)]
+        del snap
+
+    def test_a_detached_snapshot_bounds_the_sweep_while_held(self, db):
+        snap = db.snapshot()
+        with db.begin():
+            pass
+        assert db.tm.horizon(None)[1].xid_ceiling == snap.xid_ceiling
+        del snap
+        assert db.tm.horizon(None)[1].xid_ceiling == db.clog.next_xid
+
+
 class TestTimeTravelAcrossArchive:
     def test_history_readable_after_archiving(self, db):
         stamps = build_history(db)

@@ -246,6 +246,108 @@ class TestDecodedNodeCache:
         assert node_reads < n / 10
 
 
+class TestCachedRoot:
+    """A descent starts at the ``(root, height)`` its handle keeps; page 0
+    is read only when that is empty or the pool has been emptied since."""
+
+    N = 2000   # a single root leaf splits once, at a few hundred entries
+
+    @staticmethod
+    def meta_pins(monkeypatch, bufmgr):
+        """Record every pin of block 0 as hit or miss."""
+        pins, pin = [], bufmgr.pin
+
+        def recording(smgr, fileid, blockno):
+            if blockno == 0:
+                pins.append((smgr.smgr_id, fileid, 0) in bufmgr._frames)
+            return pin(smgr, fileid, blockno)
+
+        monkeypatch.setattr(bufmgr, "pin", recording)
+        return pins
+
+    def test_every_key_found_after_a_root_split(self, stack, tree,
+                                                monkeypatch):
+        tree.search((0,))
+        pins = self.meta_pins(monkeypatch, stack.bufmgr)
+        for i in range(self.N):
+            tree.insert((i,), (i, 0))
+        assert pins == [True]          # the split's write; no descent read
+        assert tree.height() == 1
+        for i in range(self.N):
+            assert tree.search((i,)) == [(i, 0)]
+            assert list(tree.search_newest((i,))) == [(i, 0)]
+        assert [k for k, _ in tree.range_scan_desc((self.N,))] \
+            == [(i,) for i in reversed(range(self.N))]
+        assert pins == [True]
+
+    def test_drop_then_create_reads_the_new_meta_page(self, tree):
+        for i in range(self.N):
+            tree.insert((i,), (i, 0))
+        tree.drop_storage()
+        tree.create_storage()
+        assert tree.height() == 0
+        assert tree.search((5,)) == []
+        tree.insert((5,), (1, 1))
+        assert tree.search((5,)) == [(1, 1)]
+
+    def test_a_cold_pool_reads_page_0_once_as_one_miss(
+            self, stack, tree, monkeypatch):
+        for i in range(self.N):
+            tree.insert((i,), (i, 0))
+        pins = self.meta_pins(monkeypatch, stack.bufmgr)
+        assert tree.search((7,)) == [(7, 0)]
+        assert pins == []                      # warm: no pin of page 0
+        stack.bufmgr.invalidate_all()
+        misses = stack.bufmgr.stats.misses
+        assert tree.search((7,)) == [(7, 0)]
+        assert pins == [False]                 # one pin, and a miss
+        # Page 0, then the root and one leaf: nothing else was read.
+        assert stack.bufmgr.stats.misses - misses == 3
+        for key in (8, 1500, 9):
+            assert tree.search((key,)) == [(key, 0)]
+        assert pins == [False]
+
+    def test_a_corrupt_meta_page_fails_the_first_descent(self, stack, tree):
+        from repro.access.btree import _META
+        tree.insert((1,), (1, 0))
+        root, height = tree._read_meta()
+        with stack.bufmgr.page(stack.smgr, tree.fileid, 0,
+                               write=True) as page:
+            page.overwrite_item(0, _META.pack(root, 1, height, 0xDEAD))
+        reopened = BTree("idx", stack.smgr, stack.bufmgr, key_arity=1)
+        with pytest.raises(RelationError, match="meta page corrupt"):
+            reopened.search((1,))
+        with pytest.raises(RelationError, match="meta page corrupt"):
+            reopened.search((1,))              # a failed read caches nothing
+        stack.bufmgr.invalidate_all()
+        with pytest.raises(RelationError, match="meta page corrupt"):
+            tree.search((1,))
+
+    def test_a_failed_meta_write_leaves_the_next_descent_reading_page_0(
+            self, stack, tree, monkeypatch):
+        bufmgr, pin = stack.bufmgr, stack.bufmgr.pin
+
+        def failing(smgr, fileid, blockno):
+            if blockno == 0:
+                raise OSError("injected pin failure")
+            return pin(smgr, fileid, blockno)
+
+        assert tree.search((0,)) == []         # the handle keeps the root
+        old_root = tree._read_meta()
+        monkeypatch.setattr(bufmgr, "pin", failing)
+        with pytest.raises(OSError, match="injected"):
+            for i in range(self.N):            # until the root splits
+                tree.insert((i,), (i, 0))
+        monkeypatch.setattr(bufmgr, "pin", pin)
+        assert tree._root is None
+        pins = self.meta_pins(monkeypatch, bufmgr)
+        # Page 0 still names the old root, now the split's left leaf.
+        assert tree.search((0,)) == [(0, 0)]
+        assert pins == [True]
+        assert tree._read_meta() == old_root
+        assert pins == [True]
+
+
 class TestSearchNewest:
     """``search_newest`` is ``search`` reversed — always — and lazy."""
 

@@ -227,11 +227,13 @@ class TestUnlinkVsOpenDescriptors:
             api.begin()
             fd = api.lo_open(api.lo_creat(), api.INV_WRITE)
             api.lo_write(fd, b"x" * 100_000)
-            # The flush's page allocations overflow the 8-page pool, so
-            # its eviction writeback hits the bad device.
-            db.inject_faults("on write *: error")
+            # From a cold pool the flush's first page read, whichever
+            # page it is, hits the bad device.
+            db.bufmgr.invalidate_all()
+            plan = db.inject_faults("on read *: error")
             with pytest.raises(StorageManagerError):
                 api.lo_close(fd)
+            assert plan.fired
             db.clear_faults()
             with pytest.raises(LargeObjectError, match="bad large-object"):
                 api.lo_tell(fd)

@@ -416,9 +416,10 @@ def test_readers_verify_while_the_sweep_runs(arena):
     readers verify a large object and an indexed user class, now and at a
     fixed past instant, through fresh and held descriptors.
 
-    The sweeps lag two rounds behind the writer: a current-state reader
-    whose snapshot predates a version's death must still find it in the
-    class (the horizon-from-live-snapshots rule is ROADMAP item 2's).
+    Each sweep's horizon is the writer's last commit: a current-state
+    reader whose snapshot predates a version's death still finds it in
+    the class, because the sweep's horizon is never later than the
+    oldest live snapshot's.
     """
     db, designator, _ = arena
     size, rounds = 20_000, 12
@@ -487,7 +488,7 @@ def test_readers_verify_while_the_sweep_runs(arena):
     try:
         for generation in range(1, rounds + 1):
             stamps.append(overwrite(generation))
-            horizon = stamps[max(0, generation - 2)]
+            horizon = stamps[generation]
             for name in db.catalog.relation_names():
                 if not name.startswith("a_"):
                     db.archive_class(name, horizon=horizon)
