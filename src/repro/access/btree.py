@@ -37,12 +37,13 @@ vacuum's index pruning, which funnel through :meth:`BTree.insert_run` /
 
 The root
 --------
-A descent starts at the ``(root, height)`` its handle keeps, so it pins
-no page it does not decode: page 0 is read (pinned, unpacked and
-checked) only for a handle's first descent and the first after the pool
-is emptied (``BufferManager.resets``).  A root split writes through it.
-The engine keeps one handle per index (``Database.get_index``); a second
-handle on the same file shares the decoded nodes but not the root.
+A descent starts at the ``(root, height)`` the pool keeps for the file
+(``BufferManager.btree_roots``), so it pins no page it does not decode:
+page 0 is read (pinned, unpacked and checked) only for the file's first
+descent and the first after the pool is emptied or the file dropped.  A
+root split writes through it, so every handle on the file — like the
+decoded nodes, the root is the pool's, not the handle's — descends from
+the new root at once.
 """
 
 from __future__ import annotations
@@ -110,12 +111,11 @@ class BTree:
         #: engine latch's ``held()``, and lookups verify the latch is
         #: taken.  ``None`` (standalone use) disables the check.
         self.latch_probe: Callable[[], bool] | None = None
-        #: The meta page's validated ``(root, height)``, read while the
-        #: pool had been reset ``_root_resets`` times; ``None`` until the
-        #: first descent.  After :meth:`create_storage` only
-        #: :meth:`_write_meta` rewrites page 0, and it writes through here.
-        self._root: tuple[int, int] | None = None
-        self._root_resets = 0
+        #: This file's key in ``bufmgr.btree_roots``, where the meta
+        #: page's validated ``(root, height)`` is kept.  After
+        #: :meth:`create_storage` only :meth:`_write_meta` rewrites page 0,
+        #: and it writes through there.
+        self._file = (smgr.smgr_id, self.fileid)
 
     def _assert_latched(self, operation: str) -> None:
         if self.latch_probe is not None and not self.latch_probe():
@@ -142,7 +142,6 @@ class BTree:
             self.bufmgr.unpin(root_buf, dirty=True)
 
     def drop_storage(self) -> None:
-        self._root = None
         self.bufmgr.drop_file(self.smgr, self.fileid)
         self.smgr.unlink(self.fileid)
 
@@ -156,15 +155,13 @@ class BTree:
     # -- meta page ----------------------------------------------------------------
 
     def _read_meta(self) -> tuple[int, int]:
-        """``(root, height)``: from the handle while the pool has not been
-        emptied since page 0 was last read or written, else from page 0
-        (pinned, unpacked and checked), which refills the handle — so a
-        descent after a cold start still pays for reading the meta page,
-        once."""
-        root = self._root
-        if root is not None and self._root_resets == self.bufmgr.resets:
+        """``(root, height)``: from the pool while it has not been emptied
+        since page 0 was last read or written, else from page 0 (pinned,
+        unpacked and checked), which refills the pool's — so a descent
+        after a cold start still pays for reading the meta page, once."""
+        root = self.bufmgr.btree_roots.get(self._file)
+        if root is not None:
             return root
-        resets = self.bufmgr.resets
         with self.bufmgr.page(self.smgr, self.fileid, 0) as page:
             root, arity, height, magic = _META.unpack(page.get_item(0))
         if magic != _MAGIC:
@@ -173,19 +170,18 @@ class BTree:
             raise RelationError(
                 f"index {self.name!r} has key arity {arity}, "
                 f"opened with {self.key_arity}")
-        self._root = root, height
-        self._root_resets = resets
+        self.bufmgr.btree_roots[self._file] = root, height
         return root, height
 
     def _write_meta(self, root: int, height: int) -> None:
         # Forget the old root first: if the pin fails, the next descent
         # reads page 0 rather than trusting a root the page may not hold.
-        self._root = None
+        roots = self.bufmgr.btree_roots
+        roots.pop(self._file, None)
         with self.bufmgr.page(self.smgr, self.fileid, 0, write=True) as page:
             page.overwrite_item(
                 0, _META.pack(root, self.key_arity, height, _MAGIC))
-        self._root = root, height
-        self._root_resets = self.bufmgr.resets
+        roots[self._file] = root, height
 
     # -- node (de)serialization -------------------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, takewhile
 from types import FunctionType
 from typing import Any, Callable
 
@@ -127,16 +127,39 @@ def _decode_late(attr: Attribute, payload) -> Any:
     return attr.codec().decode(payload)
 
 
+def _fixed_width(codec: TypeCodec | None) -> bool:
+    """Whether a value of *codec* is one ``struct`` field of fixed width."""
+    return codec is not None and isinstance(codec.layout, struct.Struct)
+
+
 def _decode_step(attr: Attribute, codec: TypeCodec | None) -> tuple:
     """One attribute's step of a :class:`Schema`'s compiled decoder:
     ``(unpack_from, width, build)`` — a fixed-width type reads its length
     word and value in one ``struct`` call, any other builds its value from
     the payload."""
-    if codec is not None and isinstance(codec.layout, struct.Struct):
+    if _fixed_width(codec):
         return (struct.Struct("<I" + codec.layout.format[-1]).unpack_from,
                 codec.layout.size, None)
     return (None, None, codec.layout if codec is not None
             else functools.partial(_decode_late, attr))
+
+
+def _record_layout(codecs: list, steps: tuple) -> tuple | None:
+    """The record prefix as one ``struct`` format (no byte order): natts,
+    each leading fixed-width attribute's length word and value, then the
+    next length word.  ``(format, lengths, build)`` when at most one value
+    follows the prefix, which *build* makes from the bytes after it
+    (``None``: the prefix is the whole record); *lengths* is natts, then
+    each fixed width: what the prefix's count and length words hold when
+    no value is NULL.  ``None`` when more attributes follow."""
+    fixed = [codec.layout for codec in takewhile(_fixed_width, codecs)]
+    if len(codecs) > len(fixed) + 1:
+        return None
+    fmt = "H" + "".join("I" + layout.format[-1] for layout in fixed)
+    build = None
+    if len(codecs) > len(fixed):
+        fmt, build = fmt + "I", steps[-1][2]
+    return fmt, (len(codecs), *(layout.size for layout in fixed)), build
 
 
 class Schema:
@@ -166,6 +189,7 @@ class Schema:
         self._encoders = tuple(map(_encode_step, self.attributes,
                                    self._codecs))
         self._natts = self._NATTS.pack(len(attributes))
+        self.layout = _record_layout(self._codecs, self._steps)
 
     def __len__(self) -> int:
         return len(self.attributes)
@@ -275,7 +299,7 @@ def _encode_step(attr: Attribute, codec: TypeCodec | None) -> Callable:
     ``step(value)`` is the value's parts — the NULL word, or the length
     word and payload (one ``struct`` call for a fixed-width type) after
     the checks the codec makes."""
-    if codec is not None and isinstance(codec.layout, struct.Struct):
+    if _fixed_width(codec):
         accepted, width = codec.python_types, codec.layout.size
         pack = struct.Struct("<I" + codec.layout.format[-1]).pack
 

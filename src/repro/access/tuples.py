@@ -17,6 +17,7 @@ which is what makes old versions trustworthy for time travel.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -63,6 +64,15 @@ def serialize_tuple(schema: Schema, xmin: int, oid: int,
                                               len(values)))
 
 
+@functools.cache
+def _version_layout(prefix: str) -> tuple:
+    """``(unpack_from, size)`` of the one ``struct`` that reads a stored
+    version's header and its record *prefix* (:attr:`Schema.layout`) —
+    one entry per prefix shape, a handful for any catalog."""
+    version = struct.Struct("<" + _HEADER.format[1:] + prefix)
+    return version.unpack_from, version.size
+
+
 def deserialize_tuple(schema: Schema, data,
                       tid: TID | None = None) -> HeapTuple:
     """Decode an on-page tuple image.
@@ -70,7 +80,31 @@ def deserialize_tuple(schema: Schema, data,
     *data* may be ``bytes`` or a ``memoryview`` into a page buffer; the
     record body is decoded without copying it first (the decoded values
     own their storage, so the result never aliases the page).
+
+    When the schema's layout finishes its records, an image whose counts
+    and length words are what a record with no NULL holds, and which ends
+    where its last value does, decodes in one ``struct`` call; any other
+    image runs :meth:`Schema.decode`, so values and errors are its own.
     """
+    layout = schema.layout
+    if layout is not None:
+        prefix, lengths, build = layout
+        unpack, size = _version_layout(prefix)
+        extra = len(data) - size        # the bytes of the value after it
+        if extra >= 0:
+            fields = unpack(data)
+            # fields: xmin, xmax, oid, flags, natts, record natts, then
+            # each fixed value's length word and value, then the last
+            # value's length word when there is one.
+            if fields[4:-1:2] == lengths and fields[5] == lengths[0]:
+                if build is None:
+                    if not extra:
+                        return HeapTuple(fields[0], fields[1], fields[2],
+                                         fields[7::2], tid)
+                elif fields[-1] == extra:
+                    return HeapTuple(fields[0], fields[1], fields[2],
+                                     (*fields[7::2], build(data[size:])),
+                                     tid)
     if len(data) < TUPLE_HEADER_SIZE:
         raise SchemaError(
             f"tuple image of {len(data)} bytes is shorter than the header")

@@ -485,10 +485,19 @@ DECLARED_SITES = (
         "(and the open that seeds it) and write_size's re-read under the "
         "size lock are the only readers; the commit log keeps the count"),
     DeclaredSites(
-        "`._root = ...`", _assigned("_root"), {"access/btree.py": 5},
-        "one cached root: BTree.__init__ and drop_storage clear it, "
-        "_read_meta fills it from page 0, and _write_meta, the only page-0 "
-        "writer after create, clears it before the pin and sets it after"),
+        "`.btree_roots`", _attribute("btree_roots"),
+        {"storage/buffer.py": 3, "access/btree.py": 3},
+        "one root per B-tree file, kept by the pool: dropped with the file "
+        "and the pool, filled by _read_meta from page 0, and forgotten by "
+        "_write_meta, the only page-0 writer after create, before its pin"),
+    DeclaredSites(
+        "`._active`", _attribute("_active"), {"txn/manager.py": 7},
+        "the active-transaction table is the transaction manager's: "
+        "begin and _finish change it, snapshots and the horizon read it"),
+    DeclaredSites(
+        "`._ended = ...`", _assigned("_ended"), {"txn/manager.py": 2},
+        "a kept snapshot is exact while no transaction has left the active "
+        "set: the count moves where _active loses one, in _finish"),
     DeclaredSites(
         "`db.latch`", _attribute("latch", "db"),
         {"access/scan.py": 8, "access/archive.py": 1,

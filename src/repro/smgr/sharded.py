@@ -71,7 +71,7 @@ class ShardedStorageManager(NodeAddressedManager):
         self.write_quorum = write_quorum
         #: Node indices participating in placement (a removed node leaves
         #: this list but stays in ``nodes`` until rebalancing drains it).
-        self._active: list[int] = list(range(len(self.nodes)))
+        self._placing: list[int] = list(range(len(self.nodes)))
         #: Per-block replica-set overrides (node indices), present while a
         #: block sits somewhere other than where placement now says.
         self._locations: dict[tuple[str, int], tuple[int, ...]] = {}
@@ -91,8 +91,8 @@ class ShardedStorageManager(NodeAddressedManager):
     def _placement_replicas(self, fileid: str,
                             blockno: int) -> tuple[int, ...]:
         positions = self.placement.replicas(fileid, blockno,
-                                            len(self._active))
-        return tuple(self._active[p] for p in positions)
+                                            len(self._placing))
+        return tuple(self._placing[p] for p in positions)
 
     def _replica_nodes(self, fileid: str, blockno: int) -> tuple[int, ...]:
         override = self._locations.get((fileid, blockno))
@@ -298,7 +298,7 @@ class ShardedStorageManager(NodeAddressedManager):
                 node.store.create(fileid)
             node.fault_plan = self.fault_plan
             self.nodes.append(node)
-            self._active.append(len(self.nodes) - 1)
+            self._placing.append(len(self.nodes) - 1)
             return len(self._pending)
 
     def remove_node(self, node_id: str) -> int:
@@ -314,14 +314,14 @@ class ShardedStorageManager(NodeAddressedManager):
                     break
             else:
                 raise StorageManagerError(f"no node named {node_id!r}")
-            if idx not in self._active:
+            if idx not in self._placing:
                 raise StorageManagerError(
                     f"node {node_id!r} is already retired")
-            if len(self._active) == 1:
+            if len(self._placing) == 1:
                 raise StorageManagerError(
                     "cannot retire the last active node")
             self._pin_current_locations()
-            self._active.remove(idx)
+            self._placing.remove(idx)
             return len(self._pending)
 
     def rebalance(self, max_moves: int | None = None) -> int:
@@ -392,7 +392,7 @@ class ShardedStorageManager(NodeAddressedManager):
                 nodes[node.node_id] = node_stats
             totals.update(
                 nodes=nodes,
-                active_nodes=len(self._active),
+                active_nodes=len(self._placing),
                 replication=self.placement.replication,
                 write_quorum=self.write_quorum,
                 placement=self.placement.describe(),

@@ -177,11 +177,12 @@ class BufferManager:
         #: pages are exempt) — so a torn device write is detected instead
         #: of served.
         self._next_lsn = 1
-        #: How many times :meth:`invalidate_all` has emptied the pool:
-        #: handles that keep a page's decoded contents (the B-tree's root)
-        #: re-read the page once this moves, so a cold start costs what it
-        #: always did.
-        self.resets = 0
+        #: Each B-tree file's ``(root, height)`` as its meta page was last
+        #: read or written (``BTree._read_meta`` / ``_write_meta``), keyed
+        #: ``(smgr_id, fileid)``: every handle on a file descends from the
+        #: one root here.  Dropped with the file and when the pool is
+        #: emptied, so a cold start re-reads page 0 as it always did.
+        self.btree_roots: dict[tuple[str, str], tuple[int, int]] = {}
 
     # -- CPU accounting ------------------------------------------------------
 
@@ -527,6 +528,7 @@ class BufferManager:
                 del self._frames[key]
             self._dirty.pop((smgr.smgr_id, fileid), None)
             self._virtual_nblocks.pop((smgr.smgr_id, fileid), None)
+            self.btree_roots.pop((smgr.smgr_id, fileid), None)
             self.drop_decoded(smgr, fileid)
 
     def pinned_count(self) -> int:
@@ -545,5 +547,5 @@ class BufferManager:
             self._dirty.clear()
             self._sweep_order.clear()
             self._decoded.clear()
+            self.btree_roots.clear()
             self._hand = 0
-            self.resets += 1

@@ -69,6 +69,10 @@ class Transaction:
         #: ``None`` until it takes one.  Later snapshots never bound
         #: lower, so the first one speaks for them all.
         self.xid_bound: int | None = None
+        #: ``(TransactionManager._ended, snapshot)`` of the last current
+        #: snapshot this transaction took: exact until a transaction
+        #: leaves the active set (see :meth:`TransactionManager.snapshot`).
+        self.kept_snapshot: tuple[int, Snapshot | None] = (-1, None)
 
     def touch(self, smgr, fileid: str) -> None:
         """Record that this transaction dirtied *fileid* on *smgr*."""
@@ -125,6 +129,10 @@ class TransactionManager:
         #: ``id -> (weakref, xid bound, as_of)``: each is registered for
         #: as long as the scan or descriptor holding it keeps it.
         self._views: dict[int, tuple] = {}
+        #: Transactions that have left ``_active``, advanced under the
+        #: mutex where they leave: a current snapshot taken at count N
+        #: decides every xid as a fresh one would while the count is N.
+        self._ended = 0
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -183,6 +191,7 @@ class TransactionManager:
     def _finish(self, txn: Transaction, hooks: list[Callable[[], None]]) -> None:
         with self._mutex:
             self._active.pop(txn.xid, None)
+            self._ended += 1
         self.locks.release_all(txn.xid)
         failures = []
         for hook in hooks:
@@ -205,7 +214,22 @@ class TransactionManager:
         ``as_of`` alone reads a past instant; ``as_of`` + ``until`` reads
         every version alive at any point in the interval (POSTQUEL's
         ``CLASS["t1", "t2"]``).
+
+        A transaction's current snapshot is kept and handed back while no
+        transaction has left the active set since it was taken: a
+        transaction that began since has an xid at or above its ceiling,
+        invisible to it as to a fresh one, so the two decide every xid
+        alike.  The key is the count :meth:`_finish` moves after the
+        commit log records the outcome, not ``CommitLog.visibility_epoch``,
+        which moves while the committer is still active.
         """
+        if as_of is None and txn is not None:
+            # Outside the mutex: a count that moves after this read is a
+            # transaction still finishing, and this statement is
+            # concurrent with it — it may order itself first.
+            ended, kept = txn.kept_snapshot
+            if ended == self._ended and until is None:
+                return kept
         xid = txn.xid if txn is not None else 0
         # Ceiling, active set and registration in one hold: begin() draws
         # xids under this mutex, so no transaction slips between the
@@ -221,8 +245,10 @@ class TransactionManager:
                 views[key] = (weakref.ref(snapshot,
                                           lambda _: views.pop(key, None)),
                               min((ceiling, *active)), as_of)
-            elif txn.xid_bound is None:
-                txn.xid_bound = min((ceiling, *active))
+            else:
+                if txn.xid_bound is None:
+                    txn.xid_bound = min((ceiling, *active))
+                txn.kept_snapshot = (self._ended, snapshot)
         return snapshot
 
     def horizon(self, caller: float | None, archiving: bool = False

@@ -384,7 +384,9 @@ ONE_SITE = {
     "`._deleters`": "self._deleters.clear()",
     "`.visibility_epoch`": "epoch = self.db.clog.visibility_epoch",
     "`db.latch`": "latch = self.db.latch",
-    "`._root = ...`": "self._root = None",
+    "`.btree_roots`": "roots = self.bufmgr.btree_roots",
+    "`._active`": "active = frozenset(self._active)",
+    "`._ended = ...`": "self._ended += 1",
 }
 
 
@@ -452,8 +454,9 @@ class TestR010DeclaredSites:
             cpu = self.cpu
             same = self.cpu == other
             clog.bump_visibility_epoch()
-            root = self._root
-            self._root_resets = 0
+            roots = self._btree_roots
+            placing = self._active_nodes
+            ended = self._ended
         """
         path = write_module(tmp_path, "lo/elsewhere.py", source)
         report = analyze_paths([path], [get_rule("R010")])

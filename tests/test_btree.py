@@ -247,8 +247,9 @@ class TestDecodedNodeCache:
 
 
 class TestCachedRoot:
-    """A descent starts at the ``(root, height)`` its handle keeps; page 0
-    is read only when that is empty or the pool has been emptied since."""
+    """A descent starts at the ``(root, height)`` the pool keeps for the
+    file; page 0 is read only when that is empty or the pool has been
+    emptied since."""
 
     N = 2000   # a single root leaf splits once, at a few hundred entries
 
@@ -279,6 +280,21 @@ class TestCachedRoot:
         assert [k for k, _ in tree.range_scan_desc((self.N,))] \
             == [(i,) for i in reversed(range(self.N))]
         assert pins == [True]
+
+    def test_a_root_split_through_one_handle_moves_every_handle(
+            self, stack, tree):
+        other = BTree("idx", stack.smgr, stack.bufmgr, key_arity=1)
+        assert tree.search((0,)) == other.search((0,)) == []
+        for i in range(0, 2 * self.N, 2):      # evens, until the root splits
+            tree.insert((i,), (i, 0))
+        assert tree.height() == 1
+        for i in range(1, 2 * self.N, 2):      # odds, through the other
+            other.insert((i,), (i, 0))
+        other.check_invariants()
+        assert other.height() == 1
+        assert other.entry_count() == 2 * self.N
+        for i in range(2 * self.N):
+            assert other.search((i,)) == tree.search((i,)) == [(i, 0)]
 
     def test_drop_then_create_reads_the_new_meta_page(self, tree):
         for i in range(self.N):
@@ -314,12 +330,13 @@ class TestCachedRoot:
         with stack.bufmgr.page(stack.smgr, tree.fileid, 0,
                                write=True) as page:
             page.overwrite_item(0, _META.pack(root, 1, height, 0xDEAD))
+        assert tree.search((1,)) == [(1, 0)]   # the pool's root: no page 0
+        stack.bufmgr.invalidate_all()
         reopened = BTree("idx", stack.smgr, stack.bufmgr, key_arity=1)
         with pytest.raises(RelationError, match="meta page corrupt"):
             reopened.search((1,))
         with pytest.raises(RelationError, match="meta page corrupt"):
             reopened.search((1,))              # a failed read caches nothing
-        stack.bufmgr.invalidate_all()
         with pytest.raises(RelationError, match="meta page corrupt"):
             tree.search((1,))
 
@@ -332,14 +349,14 @@ class TestCachedRoot:
                 raise OSError("injected pin failure")
             return pin(smgr, fileid, blockno)
 
-        assert tree.search((0,)) == []         # the handle keeps the root
+        assert tree.search((0,)) == []         # the pool keeps the root
         old_root = tree._read_meta()
         monkeypatch.setattr(bufmgr, "pin", failing)
         with pytest.raises(OSError, match="injected"):
             for i in range(self.N):            # until the root splits
                 tree.insert((i,), (i, 0))
         monkeypatch.setattr(bufmgr, "pin", pin)
-        assert tree._root is None
+        assert tree._file not in bufmgr.btree_roots
         pins = self.meta_pins(monkeypatch, bufmgr)
         # Page 0 still names the old root, now the split's left leaf.
         assert tree.search((0,)) == [(0, 0)]

@@ -851,3 +851,31 @@ class TestSegmentOverlapQuery:
             assert db.check_integrity() == []
         finally:
             db.close()
+
+
+@pytest.mark.parametrize("impl", ["ufile", "pfile"])
+def test_lo_append_on_a_file_object(db, impl):
+    """The ``lo_append`` verb on a u-file or p-file object runs the base
+    ``LargeObject.append``: it writes at the size wherever the cursor
+    is, leaves the cursor after the data, and an empty append moves
+    nothing."""
+    from repro.server.server import serve
+    with db.begin() as txn:
+        designator = make_object(db, txn, impl)
+    session = db.session()
+    session.begin()
+    obj = session.lo_open(designator, "rw")
+    obj.write(b"abc")
+    obj.seek(1)
+
+    def lo_append(data):
+        return serve(session, {"cmd": "lo_append", "fd": obj.fd}, data)[0]
+
+    assert lo_append(b"defg") == {"ok": True, "nbytes": 4, "pos": 7}
+    assert lo_append(b"") == {"ok": True, "nbytes": 0, "pos": 7}
+    assert obj.read() == b""
+    assert obj.pread(0, 100) == b"abcdefg"
+    session.commit()
+    with db.lo.open(designator) as obj:
+        assert obj.read() == b"abcdefg"
+        assert obj.size() == 7

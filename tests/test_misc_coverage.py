@@ -257,3 +257,26 @@ class TestSmallApis:
     def test_buffer_stats_hit_rate_empty(self):
         from repro.storage.buffer import BufferStats
         assert BufferStats().hit_rate() == 0.0
+
+
+class TestSessionRows:
+    def test_delete_and_fetch_run_in_the_sessions_transaction(self, db):
+        from repro.errors import NoActiveTransaction
+        db.create_class("T", [("v", "int4")])
+        writer, reader = db.session(), db.session()
+        writer.begin()
+        tid = writer.insert("T", (1,))
+        assert writer.fetch("T", tid).values == (1,)   # its own write
+        reader.begin()
+        assert reader.fetch("T", tid) is None          # not yet committed
+        writer.commit()
+        assert reader.fetch("T", tid).values == (1,)   # the next statement
+        before = db.clock.now()
+        reader.delete("T", tid)
+        assert reader.fetch("T", tid) is None          # its own delete
+        assert writer.fetch("T", tid).values == (1,)   # detached: not yet
+        reader.commit()
+        assert writer.fetch("T", tid) is None
+        assert writer.fetch("T", tid, as_of=before).values == (1,)
+        with pytest.raises(NoActiveTransaction):
+            writer.delete("T", tid)

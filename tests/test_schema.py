@@ -1,5 +1,7 @@
 """Unit and property tests for schemas and the record codec."""
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -334,3 +336,103 @@ class TestCompiledEncoder:
         image = serialize_tuple(schema, 7, 9, record)
         assert image[32:] == _reference_encode(schema, record)
         assert len(image) == 32 + len(schema.encode(record))
+
+
+# -- the one-struct version layout against the per-attribute loop ------------------
+
+_FIXED = sorted(t for t in _TYPE_VALUES if t not in ("text", "bytea"))
+
+
+@st.composite
+def _version_case(draw):
+    """A schema (mostly one the layout finishes: fixed-width attributes,
+    then at most one of any type), a record with NULLs anywhere, and its
+    stored image — intact or corrupted."""
+    from repro.access.tuples import serialize_tuple
+    if draw(st.integers(0, 3)):
+        types = draw(st.lists(st.sampled_from(_FIXED), max_size=6))
+        if not types or draw(st.booleans()):
+            types.append(draw(st.sampled_from(sorted(_TYPE_VALUES))))
+    else:
+        types = draw(st.lists(st.sampled_from(sorted(_TYPE_VALUES)),
+                              min_size=1, max_size=6))
+    schema = Schema([Attribute(f"a{i}", t) for i, t in enumerate(types)])
+    record = tuple(draw(st.one_of(st.none(), _TYPE_VALUES[t]))
+                   if draw(st.integers(0, 4)) == 0
+                   else draw(_TYPE_VALUES[t]) for t in types)
+    image = bytearray(serialize_tuple(schema, draw(st.integers(1, 2**40)),
+                                      draw(st.integers(0, 2**40)), record,
+                                      xmax=draw(st.integers(0, 2**40))))
+    # Where each length word sits: after the 32-byte header and natts.
+    words, pos = [], 34
+    for attr, value in zip(schema.attributes, record):
+        words.append(pos)
+        pos += 4 + (0 if value is None
+                    else len(attr.codec().encode(value)))
+    damage = draw(st.sampled_from(
+        ["none", "none", "truncate", "natts", "record natts", "trailing",
+         "length"]))
+    if damage == "truncate":
+        del image[draw(st.integers(0, len(image) - 1)):]
+    elif damage in ("natts", "record natts"):
+        at, fmt = (28, "<I") if damage == "natts" else (32, "<H")
+        struct.pack_into(fmt, image, at,
+                         draw(st.sampled_from([0, len(types) - 1,
+                                               len(types) + 1])))
+    elif damage == "trailing":
+        image += draw(st.binary(min_size=1, max_size=9))
+    elif damage == "length":
+        at = draw(st.sampled_from(words))
+        (length,) = struct.unpack_from("<I", image, at)
+        struct.pack_into("<I", image, at,
+                         (length + draw(st.sampled_from([1, -1]))) % 2**32)
+    return schema, bytes(image)
+
+
+def _decoded(schema, data):
+    """``repr`` of what ``deserialize_tuple`` returns (NaN from damaged
+    bytes compares equal this way), or the type and text it raises."""
+    from repro.access.tuples import deserialize_tuple
+    try:
+        return repr(deserialize_tuple(schema, data))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestVersionLayout:
+    @given(_version_case())
+    def test_matches_the_per_attribute_loop(self, case):
+        """The same tuple, or the same error class and message, as the
+        loop the layout bypasses — from bytes and from a page view."""
+        schema, image = case
+        loop = Schema(schema.attributes)
+        loop.layout = None                      # the per-attribute loop
+        expected = _decoded(loop, image)
+        assert _decoded(schema, image) == expected
+        assert _decoded(schema, memoryview(image)) == expected
+
+    @pytest.mark.parametrize("types", [
+        ["int4", "bytea"], ["int8", "int4", "int4", "int8"], ["text"],
+        ["oid", "int4", "float8", "bool", "name"]])
+    def test_an_intact_image_decodes_in_one_struct_call(self, types,
+                                                        monkeypatch):
+        from repro.access.tuples import deserialize_tuple, serialize_tuple
+        schema = Schema([Attribute(f"a{i}", t) for i, t in enumerate(types)])
+        values = {"int4": -5, "int8": 2**40, "oid": 9, "float8": 0.25,
+                  "bool": True, "text": "héllo", "name": "n",
+                  "bytea": b"\x00\xff"}
+        record = tuple(values[t] for t in types)
+        image = memoryview(serialize_tuple(schema, 3, 4, record, xmax=5))
+        monkeypatch.setattr(Schema, "decode", None)      # no loop to run
+        tup = deserialize_tuple(schema, image)
+        assert (tup.xmin, tup.xmax, tup.oid, tup.values) == (3, 5, 4, record)
+
+    def test_a_schema_the_layout_cannot_finish_has_none(self):
+        # Inversion's directory class: a text value leads three more.
+        schema = Schema([Attribute("file_name", "text"),
+                         Attribute("file_id", "oid"),
+                         Attribute("parent_file_id", "oid"),
+                         Attribute("kind", "text")])
+        assert schema.layout is None
+        assert Schema([Attribute("a", "int4"), Attribute("b", "text"),
+                       Attribute("c", "int4")]).layout is None

@@ -341,6 +341,62 @@ class TestRebalancing:
             assert bytes(smgr.read_block("f", blockno)) == want
 
 
+    def test_unlink_forgets_the_file_everywhere(self):
+        """A dropped file leaves no length, no location override, no
+        pending move and no stale replica behind; a file recreated under
+        its name starts empty, and the other file still moves."""
+        clock, smgr = self.seeded()
+        fill(smgr, "g", 8)
+        victim = smgr.nodes[smgr.node_replicas("f", 1)[0]]
+        victim.set_state("down")                # one replica write misses
+        smgr.write_block("f", 1, page(99))
+        victim.set_state("up")
+        assert smgr.add_node(StorageNode("node3", MemoryBlockStore(),
+                                         magnetic_disk_device(), clock))
+        assert {key[0] for key in smgr._pending} == {"f", "g"}
+        assert {key[0] for key in smgr._locations} == {"f", "g"}
+        assert {entry[0] for entry in smgr._stale} == {"f"}
+        smgr.unlink("f")
+        assert not smgr.exists("f")
+        assert "f" not in smgr._lengths
+        assert all(key[0] == "g" for key in smgr._locations)
+        assert all(key[0] == "g" for key in smgr._pending)
+        assert smgr._stale == set()
+        assert not any(node.store.exists("f") for node in smgr.nodes)
+        while smgr.rebalance(max_moves=16):
+            pass
+        assert smgr.stats()["pending_moves"] == 0
+        for blockno in range(8):
+            assert bytes(smgr.read_block("g", blockno)) == page(blockno)
+        smgr.create("f")
+        assert smgr.nblocks("f") == 0
+        smgr.write_block("f", 0, page(7))
+        assert smgr.nblocks("f") == 1
+        assert bytes(smgr.read_block("f", 0)) == page(7)
+
+    def test_a_dropped_class_leaves_no_sharded_state(self):
+        db = Database()
+        db.create_class("T", [("v", "int4")], smgr="sharded")
+        fileid = db.get_class("T").fileid
+        with db.begin() as txn:
+            for i in range(300):
+                db.insert(txn, "T", (i,))
+        sharded = db.storage_manager("sharded")
+        sharded.remove_node("node1")            # pins what it held
+        assert any(key[0] == fileid for key in sharded._pending)
+        db.drop_class("T")
+        assert fileid not in sharded._lengths
+        assert not [key for key in sharded._locations if key[0] == fileid]
+        assert not [key for key in sharded._pending if key[0] == fileid]
+        db.create_class("T", [("v", "int4")], smgr="sharded")
+        assert list(db.scan("T")) == []
+        with db.begin() as txn:
+            db.insert(txn, "T", (7,))
+        assert [t.values for t in db.scan("T")] == [(7,)]
+        assert db.check_integrity() == []
+        db.close()
+
+
 class TestScrub:
     def test_scrub_repairs_divergence_toward_highest_lsn(self):
         smgr = sharded_memory_manager(SimClock(), n_nodes=3,

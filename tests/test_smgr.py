@@ -234,6 +234,32 @@ class TestWormSpecific:
         assert wrote > read
 
 
+    def test_a_commit_on_a_worm_class_forces_through_its_sync(self):
+        """A class stored straight on the write-once media: its commit
+        writes the page to the media and forces the file through
+        ``WormStorageManager.sync``; the row reads back from the media
+        after the pool is emptied.  A missing file's sync raises."""
+        from repro.db import Database
+        from repro.sim.faults import FaultPlan
+        db = Database()
+        db.switch.register("media", lambda: WormStorageManager(db.clock))
+        db.create_class("W", [("k", "int4")], smgr="media")
+        worm = db.storage_manager("media")
+        fileid = db.get_class("W").fileid
+        used = worm.media_blocks_used()
+        trace = db.inject_faults(FaultPlan())   # a pure protocol trace
+        with db.begin() as txn:
+            db.insert(txn, "W", (42,))
+        assert trace.op_count("sync", fileid) == 1
+        assert worm.media_blocks_used() == used + 1
+        db.clear_faults()
+        db.bufmgr.invalidate_all()
+        assert [t.values for t in db.scan("W")] == [(42,)]
+        with pytest.raises(StorageManagerError, match="does not exist"):
+            worm.sync("missing")
+        db.close()
+
+
 class TestCachedWorm:
     def make(self, capacity=4):
         clock = SimClock()

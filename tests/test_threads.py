@@ -506,3 +506,50 @@ def test_readers_verify_while_the_sweep_runs(arena):
     assert db.statistics()["lockdep"]["violations"] == violations
     assert db.class_exists("a_T")
     assert db.check_integrity() == []
+
+
+def test_reader_transactions_see_every_commit_they_waited_for(arena):
+    """Long reader transactions read the counter statement after
+    statement while a writer thread commits increments.  Each keeps its
+    snapshot between statements and races every commit's ``_finish``
+    (the switch interval is shortened to force interleavings); still each
+    statement sees exactly one row, never an older value than the one
+    before, and, once the writer has reported a commit, that value or a
+    later one."""
+    import sys
+    db, _, tid_box = arena
+    rounds, readers = 60, 2
+    reported, failures = [], []
+
+    def writer():
+        try:
+            session = db.session()
+            for value in range(1, rounds + 1):
+                while not _increment_counter(db, session, tid_box):
+                    pass
+                reported.append(value)
+        except BaseException as exc:  # pragma: no cover - diagnostics
+            failures.append(exc)
+
+    def reader():
+        try:
+            session = db.session()
+            session.begin()
+            seen = 0
+            while seen < rounds and not failures:
+                floor = reported[-1] if reported else 0
+                values = [t.values[0] for t in session.scan("counters")]
+                assert len(values) == 1, values
+                assert values[0] >= max(floor, seen), (floor, seen, values)
+                seen = values[0]
+            session.commit()
+        except BaseException as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _run_workers([writer] + [reader] * readers, timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures, failures

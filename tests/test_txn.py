@@ -376,6 +376,136 @@ class TestTransactionManager:
         txn.abort()
 
 
+def _fresh(tm, txn):
+    """What a snapshot built now decides for *txn*: the reference a kept
+    one must match, built from the active set without touching it."""
+    return Snapshot(xid=txn.xid, xid_ceiling=tm.clog.next_xid,
+                    active_xids=frozenset(x for x in tm._active
+                                          if x != txn.xid))
+
+
+def _decisions(snapshot, clog, xids):
+    """Every decision *snapshot* makes over *xids*, as inserter and as
+    deleter of a version the other stamps could not hide."""
+    return [(snapshot.is_visible(x, INVALID_XID, clog),
+             snapshot.sees_deletion(x, clog)) for x in xids]
+
+
+class TestKeptSnapshot:
+    """A transaction's current snapshot is handed back while no
+    transaction has left the active set since it was taken; it must
+    decide every xid as a fresh one would."""
+
+    def test_handed_back_while_no_transaction_ends(self, tm, clog):
+        reader = tm.begin()
+        first = tm.snapshot(reader)
+        assert tm.snapshot(reader) is first
+        late = tm.begin()                       # a begin changes nothing
+        assert tm.snapshot(reader) is first
+        xids = range(reader.xid - 1, clog.next_xid + 2)
+        assert _decisions(first, clog, xids) == \
+            _decisions(_fresh(tm, reader), clog, xids)
+        late.commit()                           # begun since, now ended
+        assert tm.snapshot(reader).is_visible(late.xid, INVALID_XID, clog)
+        reader.commit()
+
+    @pytest.mark.parametrize("outcome", ["commit", "abort"])
+    def test_a_statement_after_another_ends_sees_its_outcome(
+            self, tm, clog, outcome):
+        writer = tm.begin()
+        reader = tm.begin()
+        before = tm.snapshot(reader)
+        assert not before.is_visible(writer.xid, INVALID_XID, clog)
+        getattr(writer, outcome)()
+        after = tm.snapshot(reader)
+        assert after is not before
+        assert after.is_visible(writer.xid, INVALID_XID, clog) \
+            == (outcome == "commit")
+        assert after.sees_deletion(writer.xid, clog) == (outcome == "commit")
+        assert tm.snapshot(reader) is after
+        reader.commit()
+
+    def test_the_readers_own_writes_stay_visible(self, tm, clog):
+        reader = tm.begin()
+        for _ in range(2):
+            kept = tm.snapshot(reader)
+            assert kept.is_visible(reader.xid, INVALID_XID, clog)
+            assert kept.sees_deletion(reader.xid, clog)
+        tm.begin().commit()
+        assert tm.snapshot(reader).is_visible(reader.xid, INVALID_XID, clog)
+        reader.commit()
+
+    def test_the_first_snapshot_sets_the_bound(self, tm):
+        early = tm.begin()
+        reader = tm.begin()
+        tm.snapshot(reader)
+        assert reader.xid_bound == early.xid
+        early.commit()
+        tm.snapshot(reader)
+        assert reader.xid_bound == early.xid    # later ones never lower it
+        reader.commit()
+
+    def test_as_of_and_detached_snapshots_are_never_reused(self, tm):
+        reader = tm.begin()
+        current = tm.snapshot(reader)
+        views = [tm.snapshot(reader, as_of=1.0),
+                 tm.snapshot(reader, as_of=1.0), tm.snapshot(), tm.snapshot()]
+        assert len({id(view) for view in views}) == 4
+        assert all(view is not current for view in views)
+        assert len(tm._views) == 4              # each registers its own view
+        assert tm.snapshot(reader) is current
+        reader.commit()
+
+    def test_a_snapshot_taken_while_a_committer_is_still_active(
+            self, tm, clog, monkeypatch):
+        """Between ``set_committed`` and ``_finish`` the committer is
+        still active: a snapshot then hides it, and the next statement
+        after ``_finish`` must not be handed that one back (the commit
+        log's visibility epoch does not move in between)."""
+        writer = tm.begin()
+        reader = tm.begin()
+        tm.snapshot(reader)
+        finish, between = tm._finish, []
+
+        def finishing(txn, hooks):
+            between.append((clog.visibility_epoch, tm.snapshot(reader)))
+            finish(txn, hooks)
+
+        monkeypatch.setattr(tm, "_finish", finishing)
+        writer.commit()
+        epoch, mid = between[0]
+        assert clog.is_committed(writer.xid)
+        assert not mid.is_visible(writer.xid, INVALID_XID, clog)
+        assert clog.visibility_epoch == epoch
+        after = tm.snapshot(reader)
+        assert after.is_visible(writer.xid, INVALID_XID, clog)
+        reader.commit()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_histories_decide_as_fresh_snapshots(self, tm, clog,
+                                                        seed):
+        import random
+        rng = random.Random(seed)
+        active = []
+        for _ in range(300):
+            action = rng.random()
+            if action < 0.3 or not active:
+                active.append(tm.begin())
+            elif action < 0.5:
+                txn = active.pop(rng.randrange(len(active)))
+                if rng.random() < 0.6:
+                    txn.commit()
+                else:
+                    txn.abort()
+            else:
+                reader = rng.choice(active)
+                xids = range(1, clog.next_xid + 2)
+                assert _decisions(tm.snapshot(reader), clog, xids) == \
+                    _decisions(_fresh(tm, reader), clog, xids)
+        for txn in active:
+            txn.abort()
+
+
 class TestSnapshotCeiling:
     """Transactions that begin after a snapshot must stay invisible."""
 
