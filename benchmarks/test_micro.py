@@ -854,6 +854,77 @@ class TestResidentPointReadPins:
 
 
 @pytest.mark.perf
+class TestDemandMissPins:
+    """A cold point read misses the pool page by page: each page it needs
+    is one ``read_block`` — a run of one through the storage manager's
+    one contract check, one store read and one device charge — and
+    nothing is prefetched.  Counts, never time; the bytecode ceiling is
+    for CPython 3.11 (CI's perf-smoke job)."""
+
+    FRAME = 4000
+    #: The measured read, then one of the same shape whose calls are
+    #: counted (the descriptor keeps the chunk the first one read).
+    OFFSETS = (123_456, 400_000)
+    #: Pool misses of the read: the B-tree's page 0 and leaf (the pool
+    #: was emptied, roots included) and the chunk's heap page.
+    MISSES = 3
+    #: Bytecodes of the measured read when this pin was set, plus 5 %:
+    #: 6,335 on CPython 3.11.7 (6,365 while each manager applied the
+    #: contract itself and walked a node list for the file's length).
+    MAX_BYTECODES = 6_652
+
+    def test_a_cold_point_read_is_one_demand_read_per_page(self, tmp_path,
+                                                           monkeypatch):
+        database = Database(str(tmp_path / "db"), charge_cpu=False)
+        data = bytes(range(256)) * 4096                 # 1 MB
+        with database.begin() as txn:
+            designator = database.lo.create(txn, "fchunk")
+            with database.lo.open(designator, txn, "rw") as obj:
+                obj.write(data)
+        obj = database.lo.open(designator)
+        obj.pread(0, self.FRAME)                  # the size row, once
+        pool, smgr = database.bufmgr, database.storage_manager("disk")
+        database.bufmgr.invalidate_all()
+        measured, counted = self.OFFSETS
+        with _Bytecodes() as executed:
+            got = obj.pread(measured, self.FRAME)
+        assert got == data[measured:measured + self.FRAME]
+
+        database.bufmgr.invalidate_all()
+        demand, runs, charges = [], [], []
+        real_read_block, real_read_run = smgr.read_block, StorageNode.read_run
+        real_charge_run = DevicePort.charge_run
+
+        def read_block(fileid, blockno):
+            demand.append(fileid)
+            return real_read_block(fileid, blockno)
+
+        def read_run(node, fileid, first, count):
+            runs.append(count)
+            return real_read_run(node, fileid, first, count)
+
+        def charge_run(port, *args):
+            charges.append(args)
+            return real_charge_run(port, *args)
+
+        misses, prefetched = pool.stats.misses, pool.stats.prefetched
+        monkeypatch.setattr(smgr, "read_block", read_block)
+        monkeypatch.setattr(StorageNode, "read_run", read_run)
+        monkeypatch.setattr(DevicePort, "charge_run", charge_run)
+        got = obj.pread(counted, self.FRAME)
+        monkeypatch.undo()
+        assert got == data[counted:counted + self.FRAME]
+        assert pool.stats.misses - misses == self.MISSES
+        assert pool.stats.prefetched == prefetched
+        assert len(demand) == self.MISSES, demand
+        assert runs == [1] * self.MISSES, runs
+        assert len(charges) == self.MISSES, charges
+        obj.close()
+        database.close()
+        assert executed.count <= self.MAX_BYTECODES, executed.count
+
+
+@pytest.mark.perf
 class TestSegmentLookupIsFlatInDensity:
     """The v-segment overlap query is a floor probe: a read fetches the
     segment record it returns, however many segments share its 64 KB —

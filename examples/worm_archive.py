@@ -4,17 +4,18 @@
 Demonstrates the storage-manager switch: the same f-chunk large-object
 code runs unchanged on write-once optical media, with a magnetic-disk
 cache staging writes and absorbing read seeks.  Also registers a
-user-defined storage manager at runtime — the paper's §7 extensibility
-claim ("any user can define a new storage manager by writing and
-registering a small set of interface routines").
+user-defined storage manager, written from scratch, at runtime — the
+paper's §7 extensibility claim ("any user can define a new storage
+manager by writing and registering a small set of interface routines").
 
 Run:  python examples/worm_archive.py
 """
 
 from repro.db import Database
-from repro.errors import WriteOnceViolation
+from repro.errors import StorageManagerError, WriteOnceViolation
 from repro.sim.devices import DeviceModel
-from repro.smgr.memory import MemoryStorageManager
+from repro.smgr.base import StorageManager
+from repro.storage.constants import PAGE_SIZE
 
 
 def main() -> None:
@@ -74,8 +75,44 @@ def main() -> None:
                              rotational_s=0.0,
                              transfer_bytes_per_s=0.25e6)
 
-    class TapeManager(MemoryStorageManager):
+    class TapeManager(StorageManager):
+        """Written from scratch: a reel of blocks per file, and only the
+        medium routines (a write is on the reel when it returns, so the
+        default sync does).  The block contract (no holes, whole blocks,
+        no read past the end) and fault injection come with the base."""
+
         name = "tape"
+
+        def __init__(self, clock, model):
+            super().__init__(model, clock)
+            self.reels: dict[str, list[bytes]] = {}
+
+        def create(self, fileid):
+            self.reels.setdefault(fileid, [])
+
+        def exists(self, fileid):
+            return fileid in self.reels
+
+        def unlink(self, fileid):
+            self.reels.pop(fileid, None)
+
+        def nblocks(self, fileid):
+            if fileid not in self.reels:
+                raise StorageManagerError(f"no reel for {fileid!r}")
+            return len(self.reels[fileid])
+
+        def _read_run(self, fileid, first, count):
+            self.port.charge_run(fileid, first * PAGE_SIZE, PAGE_SIZE,
+                                 count, False)
+            return [bytearray(image)
+                    for image in self.reels[fileid][first:first + count]]
+
+        def _write_runs(self, fileid, runs):
+            for first, images in runs:
+                self.port.charge_run(fileid, first * PAGE_SIZE, PAGE_SIZE,
+                                     len(images), True)
+                self.reels[fileid][first:first + len(images)] = \
+                    map(bytes, images)
 
     db.switch.register("tape",
                        lambda: TapeManager(db.clock, model=tape_model))

@@ -499,6 +499,18 @@ DECLARED_SITES = (
         "a kept snapshot is exact while no transaction has left the active "
         "set: the count moves where _active loses one, in _finish"),
     DeclaredSites(
+        "`._inject(...)`", _call("_inject"), {"smgr/base.py": 3},
+        "one fault plan over the storage tier: StorageManager's read, write "
+        "and sync consult it before the medium does anything"),
+    DeclaredSites(
+        "`._check_read(...)`", _call("_check_read"), {"smgr/base.py": 2},
+        "one block contract: StorageManager.read_blocks checks every read "
+        "(a run whole, or block by block under a plan) for every manager"),
+    DeclaredSites(
+        "`._check_write(...)`", _call("_check_write"), {"smgr/base.py": 2},
+        "one block contract: StorageManager.write_runs checks every write "
+        "(the runs whole, or block by block under a plan) for every manager"),
+    DeclaredSites(
         "`db.latch`", _attribute("latch", "db"),
         {"access/scan.py": 8, "access/archive.py": 1,
          "catalog/integrity.py": 2},

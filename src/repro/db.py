@@ -75,19 +75,8 @@ class Database:
 
     def __init__(self, path: str | None = None, pool_size: int = 256,
                  mips: float = 15.0, worm_cache_blocks: int = 1024,
-                 charge_cpu: bool = True, shard_nodes: int = 4,
-                 shard_replication: int = 3,
-                 shard_quorum: int | None = None):
+                 charge_cpu: bool = True):
         self.path = path
-        #: Default ``"sharded"`` topology: N nodes, R-of-N replication
-        #: (quorum defaults to a majority of R), banded range placement.
-        #: Reopening a durable database must use the same topology
-        #: parameters.
-        self._shard_config = {
-            "n_nodes": shard_nodes,
-            "replication": shard_replication,
-            "write_quorum": shard_quorum,
-        }
         self.clock = SimClock()
         self.cpu = CpuModel(mips=mips)
         self.bufmgr = BufferManager(
@@ -148,24 +137,24 @@ class Database:
             self.lo.recover_orphans()
 
     def _register_default_smgrs(self, worm_cache_blocks: int) -> None:
-        # "sharded" is the scale-out backend: blocks striped over N nodes
-        # (each priced as its own magnetic disk), R-of-N quorum replication.
+        # "sharded" is the scale-out backend: blocks striped over 4 nodes
+        # (each priced as its own magnetic disk), 3 replicas, a majority
+        # write quorum.  Another topology is another registration, made
+        # before first use — and made again on every reopen.
         if self.path is not None:
             base = os.path.join(self.path, "base")
             shard_dir = os.path.join(self.path, "shard")
             self.switch.register(
                 "disk", lambda: DiskStorageManager(base, self.clock))
             self.switch.register(
-                "sharded", lambda: sharded_disk_manager(
-                    shard_dir, self.clock, **self._shard_config))
+                "sharded", lambda: sharded_disk_manager(shard_dir, self.clock))
         else:
             # In-memory blocks priced as a magnetic disk: the benchmark mode.
             self.switch.register(
                 "disk", lambda: MemoryStorageManager(
                     self.clock, model=magnetic_disk_device()))
             self.switch.register(
-                "sharded", lambda: sharded_memory_manager(
-                    self.clock, **self._shard_config))
+                "sharded", lambda: sharded_memory_manager(self.clock))
         self.switch.register(
             "memory", lambda: MemoryStorageManager(self.clock))
         self.switch.register(

@@ -65,21 +65,6 @@ class DeviceModel:
     platter_bytes: int | None = None
     platter_switch_s: float = 0.0
 
-    def access_time(
-        self, sequential: bool, nbytes: int, is_write: bool,
-        crossed_platter: bool = False,
-    ) -> tuple[float, float]:
-        """Return ``(positioning_seconds, transfer_seconds)`` for one access."""
-        positioning = 0.0
-        if crossed_platter:
-            positioning += self.platter_switch_s
-        if not sequential:
-            positioning += self.avg_seek_s + self.rotational_s
-        transfer = nbytes / self.transfer_bytes_per_s
-        if is_write:
-            transfer *= self.write_penalty
-        return positioning, transfer
-
 
 class DevicePort:
     """Tracks head position for one device and charges a clock.

@@ -1,10 +1,13 @@
 """User-defined storage managers (the paper's §7).
 
 POSTGRES routes every relation file through a *storage manager switch*
-modelled on the UNIX file-system switch: a small table of interface routines
-(create / read / write / extend / nblocks / unlink / sync).  Any user can
-register a new manager, and — because large objects and Inversion files are
-ordinary relations — every new manager automatically supports them (§10).
+modelled on the UNIX file-system switch: a small table of interface
+routines (create / exists / unlink / nblocks and one read-run, one
+write-runs and one sync routine: the medium; :class:`StorageManager`
+checks the block contract and consults the fault plan for all of them).
+Any user can register a new manager, and — because large objects and
+Inversion files are ordinary relations — every new manager automatically
+supports them (§10).
 
 Managers are built from a node-addressed layer (:mod:`repro.smgr.base`):
 raw :class:`BlockStore` containers behind :class:`StorageNode` instances
@@ -22,8 +25,9 @@ reproduction:
 
 Scripted fault injection is not a manager: the switch holds the armed
 :class:`~repro.sim.faults.FaultPlan` (``Database.inject_faults``) and
-stamps it on every manager it hands out, so — by the same §10 argument —
-a plan reaches every relation, large object and Inversion file.
+stamps it on every manager it hands out, whose inherited block I/O
+consults it, so — by the same §10 argument — a plan reaches every
+relation, large object and Inversion file.
 """
 
 from repro.smgr.base import (BlockStore, DiskBlockStore,

@@ -92,12 +92,6 @@ class BlockStore(ABC):
         page-sized buffers *images* from block *first* (sparse: any
         non-negative *first*), keeping none."""
 
-    def read(self, fileid: str, blockno: int) -> bytearray:
-        return self.read_run(fileid, blockno, 1)[0]
-
-    def write(self, fileid: str, blockno: int, data: bytes) -> None:
-        self.write_runs(fileid, ((blockno, (data,)),))
-
     def discard(self, fileid: str, blockno: int) -> None:
         """Forget one block if the medium supports it (rebalance cleanup)."""
 
@@ -334,70 +328,66 @@ class StorageNode:
         self.state = state
         return changed
 
-    def _gate(self, op: str, fileid: str, blockno: int) -> None:
+    def _gate(self, op: str, fileid: str, first: int, count: int) -> bool:
+        """Count an access to *count* blocks from *first* or refuse it
+        whole (``down``: always; ``flaky``: when it holds the node's every
+        :attr:`flaky_every`-th block access); True if charged as slow."""
         plan = self.fault_plan
         if plan is not None:
             rule = plan.check("node", self.node_id)
             if rule is not None and self.set_state(rule.action):
                 plan.fired.append(f"node {self.node_id}: {rule.action}")
-        if self.state == "down":
+        state = self.state
+        if state == "down":
             self.errors += 1
             raise NodeDownError(
                 f"node {self.node_id!r} is down "
-                f"({op} {fileid!r} block {blockno})")
-        self._ops += 1
-        if self.state == "flaky" and self._ops % self.flaky_every == 0:
+                f"({op} {fileid!r} block {first})")
+        before = self._ops
+        self._ops = before + count
+        if (state == "flaky" and self._ops // self.flaky_every
+                != before // self.flaky_every):
             self.errors += 1
             raise StorageManagerError(
                 f"flaky node {self.node_id!r} dropped {op} of "
-                f"{fileid!r} block {blockno}")
-
-    def read(self, fileid: str, blockno: int) -> bytearray:
-        """Read one block, charging this node's device."""
-        self._gate("read", fileid, blockno)
-        data = self.store.read(fileid, blockno)
-        charged = self.port.charge_read(
-            fileid, blockno * PAGE_SIZE, PAGE_SIZE)
-        if self.state == "slow":
-            self.port.charge_extra(
-                charged * (self.slow_factor - 1.0), "io.read")
-        return data
-
-    def write(self, fileid: str, blockno: int, data: bytes) -> None:
-        """Write one block, charging this node's device."""
-        self._gate("write", fileid, blockno)
-        self.store.write(fileid, blockno, data)
-        charged = self.port.charge_write(
-            fileid, blockno * PAGE_SIZE, PAGE_SIZE)
-        if self.state == "slow":
-            self.port.charge_extra(
-                charged * (self.slow_factor - 1.0), "io.write")
-
-    @property
-    def healthy(self) -> bool:
-        """Up, and no armed plan to change that mid-run: :meth:`_gate`
-        would only count, so a run may go to the store whole."""
-        return self.state == "up" and self.fault_plan is None
+                f"{fileid!r} block {first}")
+        return state == "slow"
 
     def read_run(self, fileid: str, first: int,
                  count: int) -> list[bytearray]:
-        """:meth:`read` of a run on a :attr:`healthy` node: one store
-        operation and one device charge, every block counted."""
+        """Read *count* blocks from *first*: gated, then one store
+        operation and one device charge."""
+        slow = self._gate("read", fileid, first, count)
         blocks = self.store.read_run(fileid, first, count)
-        self._ops += count
-        self.port.charge_run(fileid, first * PAGE_SIZE, PAGE_SIZE, count,
-                             False)
+        charged = self.port.charge_run(fileid, first * PAGE_SIZE, PAGE_SIZE,
+                                       count, False)
+        if slow:
+            self.port.charge_extra(charged * (self.slow_factor - 1.0),
+                                   "io.read")
         return blocks
 
     def write_runs(self, fileid: str, runs) -> None:
-        """:meth:`write` of runs on a :attr:`healthy` node: one store
-        operation, then one device charge per run, every block counted
-        and charged in write order."""
+        """Write each ``(first, images)`` of *runs*: gated as one access
+        per block, then one store operation and one device charge per
+        run, in write order."""
+        slow = self._gate("write", fileid, runs[0][0],
+                          sum(map(len, map(itemgetter(1), runs))))
         self.store.write_runs(fileid, runs)
         charge = self.port.charge_run
         for first, images in runs:
-            self._ops += len(images)
-            charge(fileid, first * PAGE_SIZE, PAGE_SIZE, len(images), True)
+            charged = charge(fileid, first * PAGE_SIZE, PAGE_SIZE,
+                             len(images), True)
+            if slow:
+                self.port.charge_extra(charged * (self.slow_factor - 1.0),
+                                       "io.write")
+
+    def read(self, fileid: str, blockno: int) -> bytearray:
+        """Read one block: the run of one."""
+        return self.read_run(fileid, blockno, 1)[0]
+
+    def write(self, fileid: str, blockno: int, data: bytes) -> None:
+        """Write one block: the run of one."""
+        self.write_runs(fileid, ((blockno, (data,)),))
 
     def stats(self) -> dict:
         """Per-node counters for ``db.statistics()["storage"]``."""
@@ -483,7 +473,15 @@ class RangePlacement(PlacementPolicy):
 # ---------------------------------------------------------------------------
 
 class StorageManager(ABC):
-    """Block-oriented access to named relation files."""
+    """Block-oriented access to named relation files.
+
+    The public block I/O is implemented here, once: the only code that
+    checks the block contract and consults the armed fault plan.  A
+    manager implements its medium — :meth:`create`, :meth:`exists`,
+    :meth:`unlink`, :meth:`nblocks`, :meth:`_read_run`,
+    :meth:`_write_runs` and, unless its writes are stable when they
+    return, :meth:`_sync` — and is handed only requests the contract
+    admits."""
 
     #: Short name used in ``create ... with storage manager "<name>"``.
     name: str = "abstract"
@@ -499,7 +497,7 @@ class StorageManager(ABC):
         #: construction.
         self.smgr_id = f"{type(self).name}#{next(_SMGR_SEQ)}"
         #: The armed fault plan, stamped by the switch like ``smgr_id``;
-        #: ``None`` (the default) makes every guard one attribute test.
+        #: ``None`` (the default) sends every request to the medium whole.
         self.fault_plan: FaultPlan | None = None
 
     # -- fault injection ---------------------------------------------------
@@ -512,12 +510,12 @@ class StorageManager(ABC):
                 data: bytes | None = None) -> None:
         """Consult the armed plan for one logical read/write/sync.
 
-        Every concrete ``read_block``/``write_block``/``sync`` calls this
-        first, behind ``if self.fault_plan is not None``.  A firing rule
-        always raises; a ``torn`` write first persists what stable storage
-        would hold — the new prefix over the block's old bytes (zeros for a
-        fresh block) — through the manager's own path, so a replicated
-        manager tears every replica identically.
+        Called only by the public block I/O below, before each block (or
+        sync) reaches the medium.  A firing rule always raises; a ``torn``
+        write first persists what stable storage would hold — the new
+        prefix over the block's old bytes (zeros for a fresh block) —
+        through the manager's own path, so a replicated manager tears
+        every replica identically.
         """
         plan = self.fault_plan
         rule = plan.check(op, fileid)
@@ -537,7 +535,7 @@ class StorageManager(ABC):
         where = "" if blockno is None else f" block {blockno}"
         plan.fire(rule, f"{op} {fileid!r}{where}")
 
-    # -- file lifecycle ----------------------------------------------------
+    # -- file lifecycle (the medium) ---------------------------------------
 
     @abstractmethod
     def create(self, fileid: str) -> None:
@@ -553,17 +551,34 @@ class StorageManager(ABC):
 
     @abstractmethod
     def nblocks(self, fileid: str) -> int:
-        """Number of blocks currently in the file."""
+        """Number of blocks currently in the file (raises if none)."""
 
-    # -- block I/O -----------------------------------------------------------
+    # -- block I/O (the medium) ---------------------------------------------
 
     @abstractmethod
+    def _read_run(self, fileid: str, first: int,
+                  count: int) -> list[bytearray]:
+        """*count* existing blocks from *first*, read and charged."""
+
+    @abstractmethod
+    def _write_runs(self, fileid: str, runs) -> None:
+        """Store and charge each ``(first, images)`` of *runs*, in order."""
+
+    def _sync(self, fileid: str) -> None:
+        """Force the file's blocks to stable storage.  By default a write
+        is stable when it returns, and only the file's existence is
+        checked."""
+        self.nblocks(fileid)
+
+    # -- block I/O (the contract and the fault plan, applied once) ----------
+
     def read_block(self, fileid: str, blockno: int) -> bytearray:
         """Read block *blockno*; always returns ``PAGE_SIZE`` bytes."""
+        return self.read_blocks(fileid, blockno, 1)[0]
 
-    @abstractmethod
     def write_block(self, fileid: str, blockno: int, data: bytes) -> None:
         """Write block *blockno* (must already exist or be the next block)."""
+        self.write_runs(fileid, ((blockno, (data,)),))
 
     def extend(self, fileid: str, data: bytes) -> int:
         """Append a new block and return its block number."""
@@ -573,22 +588,38 @@ class StorageManager(ABC):
 
     def read_blocks(self, fileid: str, first: int,
                     count: int) -> list[bytearray]:
-        """*count* blocks from *first*, all read and charged.  The default
-        is the per-block loop; a manager overrides it (and
-        :meth:`write_runs`) where one device operation carries a run."""
-        return [self.read_block(fileid, blockno)
-                for blockno in range(first, first + count)]
+        """*count* blocks from *first*; under a plan, block by block."""
+        if self.fault_plan is None:
+            self._check_read(fileid, first, count)
+            return self._read_run(fileid, first, count)
+        blocks = []
+        for blockno in range(first, first + count):
+            self._inject("read", fileid, blockno)
+            self._check_read(fileid, blockno, 1)
+            blocks += self._read_run(fileid, blockno, 1)
+        return blocks
 
     def write_runs(self, fileid: str, runs) -> None:
         """For each ``(first, images)`` of *runs*, in order, write the
-        sequence *images* at *first*, *first* + 1, …."""
+        sequence *images* at *first*, *first* + 1, …; under a plan, block
+        by block, so a rule that fires finds the blocks before it
+        written."""
+        if self.fault_plan is None:
+            self._check_write(fileid, runs)
+            self._write_runs(fileid, runs)
+            return
         for first, images in runs:
             for blockno, image in enumerate(images, first):
-                self.write_block(fileid, blockno, image)
+                run = ((blockno, (image,)),)
+                self._inject("write", fileid, blockno, image)
+                self._check_write(fileid, run)
+                self._write_runs(fileid, run)
 
-    @abstractmethod
     def sync(self, fileid: str) -> None:
         """Force the file's blocks to stable storage."""
+        if self.fault_plan is not None:
+            self._inject("sync", fileid)
+        self._sync(fileid)
 
     # -- placement ----------------------------------------------------------
 
@@ -607,7 +638,7 @@ class StorageManager(ABC):
 
     # -- helpers -------------------------------------------------------------
 
-    def _check_read(self, fileid: str, first: int, count: int = 1) -> None:
+    def _check_read(self, fileid: str, first: int, count: int) -> None:
         total = self.nblocks(fileid)
         if first < 0 or first + count > total:
             raise StorageManagerError(
@@ -641,11 +672,12 @@ class StorageManager(ABC):
 
 
 class NodeAddressedManager(StorageManager):
-    """A storage manager routing block I/O through placed storage nodes.
+    """A storage manager whose medium is placed storage nodes.
 
-    :class:`SingleNodeManager` (``disk``, ``memory``) is the one-node
-    case; :class:`repro.smgr.sharded` overrides the block I/O for quorum
-    replication.
+    It keeps the node list and the placement, and the file lifecycle
+    every node's store shares.  :class:`SingleNodeManager` (``disk``,
+    ``memory``) is the one-node case; :mod:`repro.smgr.sharded` adds
+    quorum replication.
     """
 
     def __init__(self, model: DeviceModel, clock: SimClock,
@@ -682,37 +714,12 @@ class NodeAddressedManager(StorageManager):
             node.store.unlink(fileid)
 
     def nblocks(self, fileid: str) -> int:
-        best = None
-        for node in self.nodes:
-            if node.store.exists(fileid):
-                size = node.store.nblocks(fileid)
-                best = size if best is None else max(best, size)
-        if best is None:
+        sizes = [node.store.nblocks(fileid) for node in self.nodes
+                 if node.store.exists(fileid)]
+        if not sizes:
             raise StorageManagerError(
                 f"relation file {fileid!r} does not exist")
-        return best
-
-    # -- block I/O ----------------------------------------------------------
-
-    def read_block(self, fileid: str, blockno: int) -> bytearray:
-        if self.fault_plan is not None:
-            self._inject("read", fileid, blockno)
-        self._check_read(fileid, blockno)
-        replicas = self.node_replicas(fileid, blockno)
-        return self.nodes[replicas[0]].read(fileid, blockno)
-
-    def write_block(self, fileid: str, blockno: int, data: bytes) -> None:
-        if self.fault_plan is not None:
-            self._inject("write", fileid, blockno, data)
-        self._check_write(fileid, ((blockno, (data,)),))
-        for idx in self.node_replicas(fileid, blockno):
-            self.nodes[idx].write(fileid, blockno, data)
-
-    def sync(self, fileid: str) -> None:
-        if self.fault_plan is not None:
-            self._inject("sync", fileid)
-        for node in self.nodes:
-            node.store.sync(fileid)
+        return max(sizes)
 
     def close(self) -> None:
         for node in self.nodes:
@@ -722,13 +729,8 @@ class NodeAddressedManager(StorageManager):
 class SingleNodeManager(NodeAddressedManager):
     """One store behind one node whose port *is* the manager's port — the
     classic one-device manager (``disk``, ``memory``), with the historical
-    cost accounting.
-
-    On one healthy device a read run (a demand read is a run of one), or
-    all the runs of one write, is one store operation: validated once,
-    counted per logical block and charged once per run, as the per-block
-    loop would.  An armed fault plan or a node that is not ``up`` needs
-    each block gated where it stands, and gets the loop.
+    cost accounting: a read run, or the runs of one write, is one store
+    operation, counted per block and charged once per run.
     """
 
     def __init__(self, node_id: str, store: BlockStore, model: DeviceModel,
@@ -737,24 +739,18 @@ class SingleNodeManager(NodeAddressedManager):
         self.nodes = [StorageNode(node_id, store, model, clock,
                                   port=self.port)]
 
-    def read_block(self, fileid: str, blockno: int) -> bytearray:
-        if self.fault_plan is not None or not self.nodes[0].healthy:
-            return super().read_block(fileid, blockno)
-        self._check_read(fileid, blockno)
-        return self.nodes[0].read_run(fileid, blockno, 1)[0]
+    def nblocks(self, fileid: str) -> int:
+        return self.nodes[0].store.nblocks(fileid)
 
-    def read_blocks(self, fileid: str, first: int,
-                    count: int) -> list[bytearray]:
-        if self.fault_plan is not None or not self.nodes[0].healthy:
-            return super().read_blocks(fileid, first, count)
-        self._check_read(fileid, first, count)
+    def _read_run(self, fileid: str, first: int,
+                  count: int) -> list[bytearray]:
         return self.nodes[0].read_run(fileid, first, count)
 
-    def write_runs(self, fileid: str, runs) -> None:
-        if self.fault_plan is not None or not self.nodes[0].healthy:
-            return super().write_runs(fileid, runs)
-        self._check_write(fileid, runs)
+    def _write_runs(self, fileid: str, runs) -> None:
         self.nodes[0].write_runs(fileid, runs)
+
+    def _sync(self, fileid: str) -> None:
+        self.nodes[0].store.sync(fileid)
 
 
 class StorageManagerSwitch:

@@ -135,17 +135,6 @@ class CachedStorageManager(StorageManager):
             self._nblocks[fileid] = known
         return known
 
-    def sync(self, fileid: str) -> None:
-        """Force-at-commit: satisfied by the (stable) cache disk.
-
-        Data moves to the write-once media only at archive time
-        (:meth:`migrate` / :meth:`sync_all`), as in the POSTGRES jukebox
-        manager.
-        """
-        if self.fault_plan is not None:
-            self._inject("sync", fileid)
-        self.nblocks(fileid)  # validate existence
-
     # -- archival ------------------------------------------------------------------
 
     def migrate(self, fileid: str) -> int:
@@ -183,9 +172,12 @@ class CachedStorageManager(StorageManager):
 
     # -- block I/O -------------------------------------------------------------------
 
-    def read_block(self, fileid: str, blockno: int) -> bytearray:
-        if self.fault_plan is not None:
-            self._inject("read", fileid, blockno)
+    def _read_run(self, fileid: str, first: int,
+                  count: int) -> list[bytearray]:
+        return [self._read_one(fileid, blockno)
+                for blockno in range(first, first + count)]
+
+    def _read_one(self, fileid: str, blockno: int) -> bytearray:
         key = (fileid, blockno)
         block = self._lru.get(key)
         if block is not None:
@@ -204,23 +196,22 @@ class CachedStorageManager(StorageManager):
         self._insert(key, bytes(data), dirty=False)
         return data
 
-    def write_block(self, fileid: str, blockno: int, data: bytes) -> None:
-        if self.fault_plan is not None:
-            self._inject("write", fileid, blockno, data)
-        self._check_write(fileid, ((blockno, (data,)),))
-        current = self.nblocks(fileid)
-        base_blocks = self.base.nblocks(fileid)
-        if blockno < base_blocks:
-            # Already on write-once media: let the base refuse loudly.
-            self.base.write_block(fileid, blockno, data)
-            return
-        key = (fileid, blockno)
-        if key in self._staged:
-            self._staged[key] = bytes(data)
-            self._charge_cache(key, is_write=True)
-        else:
-            self._insert(key, bytes(data), dirty=True)
-        self._nblocks[fileid] = max(current, blockno + 1)
+    def _write_runs(self, fileid: str, runs) -> None:
+        for first, images in runs:
+            for blockno, data in enumerate(images, first):
+                current = self.nblocks(fileid)
+                if blockno < self.base.nblocks(fileid):
+                    # Already on write-once media: let the base refuse
+                    # loudly.
+                    self.base.write_block(fileid, blockno, data)
+                    continue
+                key = (fileid, blockno)
+                if key in self._staged:
+                    self._staged[key] = bytes(data)
+                    self._charge_cache(key, is_write=True)
+                else:
+                    self._insert(key, bytes(data), dirty=True)
+                self._nblocks[fileid] = max(current, blockno + 1)
 
     # -- introspection ---------------------------------------------------------
 

@@ -139,60 +139,66 @@ class ShardedStorageManager(NodeAddressedManager):
                 self._lengths[fileid] = length
             return length
 
-    # -- block I/O -----------------------------------------------------------
+    # -- block I/O (the medium) ----------------------------------------------
 
-    def write_block(self, fileid: str, blockno: int, data: bytes) -> None:
-        if self.fault_plan is not None:
-            self._inject("write", fileid, blockno, data)
+    def _write_runs(self, fileid: str, runs) -> None:
+        """Each block to every replica of its band, in order; a block
+        fails unless ``write_quorum`` replicas take it."""
         with self._lock:
-            self._check_write(fileid, ((blockno, (data,)),))
-            replicas = self._replica_nodes(fileid, blockno)
-            written = 0
-            failures: list[tuple[int, StorageManagerError]] = []
-            for idx in replicas:
-                try:
-                    self.nodes[idx].write(fileid, blockno, data)
-                except StorageManagerError as exc:
-                    failures.append((idx, exc))
-                else:
-                    written += 1
-                    self._stale.discard((fileid, blockno, idx))
-            needed = min(self.write_quorum, len(replicas))
-            if written < needed:
-                self.quorum_failures += 1
-                raise StorageManagerError(
-                    f"quorum write failed for {fileid!r} block {blockno}: "
-                    f"{written}/{len(replicas)} replicas took it "
-                    f"(need {needed}); first error: {failures[0][1]}")
-            for idx, _exc in failures:
-                self._stale.add((fileid, blockno, idx))
-            self._lengths[fileid] = max(self._lengths[fileid], blockno + 1)
+            for first, images in runs:
+                for blockno, data in enumerate(images, first):
+                    self._write_quorum(fileid, blockno, data)
 
-    def read_block(self, fileid: str, blockno: int) -> bytearray:
-        if self.fault_plan is not None:
-            self._inject("read", fileid, blockno)
-        with self._lock:
-            self._check_read(fileid, blockno)
-            replicas = self._replica_nodes(fileid, blockno)
-            fresh = [idx for idx in replicas
-                     if (fileid, blockno, idx) not in self._stale]
-            stale = [idx for idx in replicas
-                     if (fileid, blockno, idx) in self._stale]
-            errors: list[StorageManagerError] = []
-            for idx in fresh:
-                try:
-                    data = self.nodes[idx].read(fileid, blockno)
-                except StorageManagerError as exc:
-                    errors.append(exc)
-                    continue
-                if stale:
-                    self._repair(fileid, blockno, data, stale)
-                return data
-            detail = f"; last error: {errors[-1]}" if errors else ""
+    def _write_quorum(self, fileid: str, blockno: int, data: bytes) -> None:
+        replicas = self._replica_nodes(fileid, blockno)
+        failures: list[tuple[int, StorageManagerError]] = []
+        for idx in replicas:
+            try:
+                self.nodes[idx].write(fileid, blockno, data)
+            except StorageManagerError as exc:
+                failures.append((idx, exc))
+            else:
+                self._stale.discard((fileid, blockno, idx))
+        written = len(replicas) - len(failures)
+        needed = min(self.write_quorum, len(replicas))
+        if written < needed:
+            self.quorum_failures += 1
             raise StorageManagerError(
-                f"no fresh replica of {fileid!r} block {blockno} is "
-                f"readable ({len(fresh)} fresh tried, {len(stale)} stale "
-                f"skipped{detail})")
+                f"quorum write failed for {fileid!r} block {blockno}: "
+                f"{written}/{len(replicas)} replicas took it "
+                f"(need {needed}); first error: {failures[0][1]}")
+        for idx, _exc in failures:
+            self._stale.add((fileid, blockno, idx))
+        self._lengths[fileid] = max(self._lengths[fileid], blockno + 1)
+
+    def _read_run(self, fileid: str, first: int,
+                  count: int) -> list[bytearray]:
+        """Each block from a fresh replica, repairing stale ones."""
+        with self._lock:
+            return [self._read_fresh(fileid, blockno)
+                    for blockno in range(first, first + count)]
+
+    def _read_fresh(self, fileid: str, blockno: int) -> bytearray:
+        replicas = self._replica_nodes(fileid, blockno)
+        fresh = [idx for idx in replicas
+                 if (fileid, blockno, idx) not in self._stale]
+        stale = [idx for idx in replicas
+                 if (fileid, blockno, idx) in self._stale]
+        errors: list[StorageManagerError] = []
+        for idx in fresh:
+            try:
+                data = self.nodes[idx].read(fileid, blockno)
+            except StorageManagerError as exc:
+                errors.append(exc)
+                continue
+            if stale:
+                self._repair(fileid, blockno, data, stale)
+            return data
+        detail = f"; last error: {errors[-1]}" if errors else ""
+        raise StorageManagerError(
+            f"no fresh replica of {fileid!r} block {blockno} is "
+            f"readable ({len(fresh)} fresh tried, {len(stale)} stale "
+            f"skipped{detail})")
 
     def _repair(self, fileid: str, blockno: int, data: bytes,
                 stale_idxs: list[int]) -> None:
@@ -208,9 +214,7 @@ class ShardedStorageManager(NodeAddressedManager):
             self._stale.discard((fileid, blockno, idx))
             self.repairs += 1
 
-    def sync(self, fileid: str) -> None:
-        if self.fault_plan is not None:
-            self._inject("sync", fileid)
+    def _sync(self, fileid: str) -> None:
         for node in self.nodes:
             if node.state == "down":
                 continue

@@ -70,35 +70,30 @@ class WormStorageManager(StorageManager):
 
     # -- block I/O -----------------------------------------------------------
 
-    def read_block(self, fileid: str, blockno: int) -> bytearray:
-        if self.fault_plan is not None:
-            self._inject("read", fileid, blockno)
-        self._check_read(fileid, blockno)
-        media_block = self._placement[(fileid, blockno)]
-        offset = media_block * PAGE_SIZE
-        self.port.charge_read("worm-media", offset, PAGE_SIZE)
-        return bytearray(self._media[media_block])
+    def _read_run(self, fileid: str, first: int,
+                  count: int) -> list[bytearray]:
+        blocks = []
+        for blockno in range(first, first + count):
+            media_block = self._placement[(fileid, blockno)]
+            self.port.charge_read("worm-media", media_block * PAGE_SIZE,
+                                  PAGE_SIZE)
+            blocks.append(bytearray(self._media[media_block]))
+        return blocks
 
-    def write_block(self, fileid: str, blockno: int, data: bytes) -> None:
-        if self.fault_plan is not None:
-            self._inject("write", fileid, blockno, data)
-        self._check_write(fileid, ((blockno, (data,)),))
-        current = self.nblocks(fileid)
-        if (fileid, blockno) in self._placement:
-            raise WriteOnceViolation(
-                f"block {blockno} of {fileid!r} is already written; "
-                f"WORM media cannot be overwritten")
-        media_block = len(self._media)
-        self._media.append(bytes(data))
-        self._placement[(fileid, blockno)] = media_block
-        self._nblocks[fileid] = max(current, blockno + 1)
-        self.port.charge_write("worm-media", media_block * PAGE_SIZE,
-                               PAGE_SIZE)
-
-    def sync(self, fileid: str) -> None:
-        if self.fault_plan is not None:
-            self._inject("sync", fileid)
-        self.nblocks(fileid)  # validate existence; media writes are final
+    def _write_runs(self, fileid: str, runs) -> None:
+        for first, images in runs:
+            for blockno, data in enumerate(images, first):
+                if (fileid, blockno) in self._placement:
+                    raise WriteOnceViolation(
+                        f"block {blockno} of {fileid!r} is already "
+                        f"written; WORM media cannot be overwritten")
+                media_block = len(self._media)
+                self._media.append(bytes(data))
+                self._placement[(fileid, blockno)] = media_block
+                self._nblocks[fileid] = max(self._nblocks[fileid],
+                                            blockno + 1)
+                self.port.charge_write("worm-media",
+                                       media_block * PAGE_SIZE, PAGE_SIZE)
 
     def media_blocks_used(self) -> int:
         """Total blocks consumed on the media (including dead files)."""

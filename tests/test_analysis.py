@@ -387,6 +387,9 @@ ONE_SITE = {
     "`.btree_roots`": "roots = self.bufmgr.btree_roots",
     "`._active`": "active = frozenset(self._active)",
     "`._ended = ...`": "self._ended += 1",
+    "`._inject(...)`": "self._inject('read', fileid, blockno)",
+    "`._check_read(...)`": "self._check_read(fileid, first, count)",
+    "`._check_write(...)`": "self._check_write(fileid, runs)",
 }
 
 
@@ -457,6 +460,9 @@ class TestR010DeclaredSites:
             roots = self._btree_roots
             placing = self._active_nodes
             ended = self._ended
+            self.inject("read", fileid, blockno)
+            node._gate("read", fileid, first, count)
+            check = self._check_read
         """
         path = write_module(tmp_path, "lo/elsewhere.py", source)
         report = analyze_paths([path], [get_rule("R010")])

@@ -243,7 +243,23 @@ class TestRuns:
         with pytest.raises(StorageManagerError):
             smgr.read_blocks("t", -1, 2)
 
-    def test_slow_node_gets_the_per_block_loop(self, kind, tmp_path):
+    def test_a_flaky_node_drops_a_run_whole(self, kind, tmp_path):
+        """A run is one gate: the run holding the node's every third
+        block access is refused before any of it reaches the store."""
+        smgr = make_smgr(kind, tmp_path)
+        smgr.create("t")
+        smgr.nodes[0].set_state("flaky")
+        page = bytes(PAGE_SIZE)
+        smgr.write_runs("t", [(0, [page] * 2)])          # accesses 1, 2
+        with pytest.raises(StorageManagerError, match="flaky"):
+            smgr.write_runs("t", [(2, [page] * 2)])      # 3, 4
+        assert smgr.nblocks("t") == 2
+        assert smgr.nodes[0].errors == 1
+        smgr.write_runs("t", [(2, [page])])              # 5
+        assert smgr.nblocks("t") == 3
+
+    def test_a_slow_node_charges_its_run_slow_factor_times(self, kind,
+                                                           tmp_path):
         fast, slow = (make_smgr(kind, tmp_path / name)
                       for name in ("fast", "slow"))
         slow.nodes[0].set_state("slow")
@@ -276,7 +292,7 @@ def test_a_fault_lands_on_the_same_block_with_the_same_bytes(
             pool.unpin(buf, dirty=True)
         pool.flush_file(smgr, "t")
         store = smgr.nodes[0].store
-        old = [bytes(store.read("t", blockno)) for blockno in range(ON_DEVICE)]
+        old = [bytes(block) for block in store.read_run("t", 0, ON_DEVICE)]
         for blockno in range(DIRTIED):
             buf = (pool.pin(smgr, "t", blockno) if blockno < ON_DEVICE
                    else pool.allocate(smgr, "t"))
@@ -308,8 +324,8 @@ def test_a_fault_lands_on_the_same_block_with_the_same_bytes(
             before = old[after] if after < ON_DEVICE else bytes(PAGE_SIZE)
             expected[after:after + 1] = [new[after][:keep] + before[keep:]]
         assert store.nblocks("t") == len(expected)
-        assert [bytes(store.read("t", blockno))
-                for blockno in range(len(expected))] == expected
+        assert [bytes(block) for block
+                in store.read_run("t", 0, len(expected))] == expected
         smgr.close()
 
 
@@ -353,7 +369,7 @@ def test_a_short_write_leaves_the_file_dirty(short, tmp_path, monkeypatch):
     assert pool.flush_file(smgr, "t") == len(dirtied)
     assert not pool._dirty
     store = smgr.nodes[0].store
-    assert [bytes(store.read("t", blockno)) for blockno in range(12)] == \
+    assert [bytes(block) for block in store.read_run("t", 0, 12)] == \
         [bytes(pool._frames[smgr.smgr_id, "t", blockno].page.buf)
          for blockno in range(12)]
     smgr.close()

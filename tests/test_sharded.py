@@ -9,6 +9,8 @@ The shard-marked stress at the bottom is the CI job's node-loss +
 rebalancing churn.
 """
 
+import os
+
 import pytest
 
 from repro.db import Database
@@ -31,6 +33,21 @@ def page(tag: int, lsn: int = 0) -> bytes:
     p.add_item(bytes([tag % 251 + 1]) * 64)
     p.seal(lsn)
     return bytes(p.buf)
+
+
+def three_node_db(path=None, replication=3, quorum=2):
+    """A database whose ``"sharded"`` manager is 3 nodes, registered
+    before first use (the default registration is 4 nodes, R = 3)."""
+    db = Database(path)
+    if path is None:
+        db.switch.register("sharded", lambda: sharded_memory_manager(
+            db.clock, n_nodes=3, replication=replication,
+            write_quorum=quorum))
+    else:
+        db.switch.register("sharded", lambda: sharded_disk_manager(
+            os.path.join(path, "shard"), db.clock, n_nodes=3,
+            replication=replication, write_quorum=quorum))
+    return db
 
 
 def fill(smgr, fileid: str, nblocks: int) -> None:
@@ -407,11 +424,11 @@ class TestScrub:
         # died with the process, so only scrub can find it).
         replicas = smgr.node_replicas("f", 0)
         rotten = smgr.nodes[replicas[1]]
-        rotten.store.write("f", 0, page(9, lsn=3))
+        rotten.store.write_runs("f", [(0, [page(9, lsn=3)])])
         report = smgr.scrub(["f"])
         assert report["mismatches"] == 1
         assert report["repaired"] == 1
-        assert bytes(rotten.store.read("f", 0)) == page(1, lsn=10)
+        assert bytes(rotten.store.read_run("f", 0, 1)[0]) == page(1, lsn=10)
         assert smgr.scrub(["f"])["mismatches"] == 0
 
     def test_clean_scrub_reports_zero(self):
@@ -532,8 +549,7 @@ class TestZeroByteLoss:
     @pytest.mark.parametrize("victim", ["node0", "node1", "node2"])
     def test_single_node_death_loses_nothing(self, tmp_path, victim):
         path = str(tmp_path / "db")
-        db = Database(path, shard_nodes=3, shard_replication=3,
-                      shard_quorum=2)
+        db = three_node_db(path)
         payloads = []
         designators = []
         # Each commit forces ~3 blocks to every replica, so the plan
@@ -572,8 +588,7 @@ class TestShardStress:
 
     def test_node_loss_and_rebalancing_churn(self, tmp_path):
         path = str(tmp_path / "db")
-        db = Database(path, shard_nodes=3, shard_replication=3,
-                      shard_quorum=2)
+        db = three_node_db(path)
         sharded = db.storage_manager("sharded")
         rng_payload = [bytes([(i * 37 + 11) % 251 + 1]) * (4000 + 977 * i)
                        for i in range(20)]
@@ -621,9 +636,7 @@ class TestShardStress:
 
     def test_filemonkey_on_sharded_los(self):
         from repro.inversion.monkey import FileMonkey
-        monkey = FileMonkey(lambda: Database(shard_nodes=3,
-                                             shard_replication=2,
-                                             shard_quorum=1),
+        monkey = FileMonkey(lambda: three_node_db(replication=2, quorum=1),
                             seed=11, workers=2, ops=220,
                             lo_smgr="sharded")
         report = monkey.run()

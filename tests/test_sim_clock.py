@@ -66,34 +66,49 @@ class TestSimClock:
         assert SimClock().elapsed_in("nope") == 0.0
 
 
+def access(port, offset, is_write=False):
+    """``(positioning, transfer)`` seconds of one 8 KB access at *offset*
+    of file ``f``, as :meth:`DevicePort.charge_run` charges it."""
+    snap = port.clock.snapshot()
+    port.charge_run("f", offset, 8192, 1, is_write)
+    delta = snap.since(port.clock).by_category
+    return (delta.get("io.seek", 0.0),
+            delta["io.write" if is_write else "io.read"])
+
+
 class TestDeviceModels:
     def test_disk_sequential_is_transfer_only(self):
         model = magnetic_disk_device()
-        positioning, transfer = model.access_time(True, 8192, False)
+        port = DevicePort(model, SimClock())
+        access(port, 0)
+        positioning, transfer = access(port, 8192)
         assert positioning == 0.0
         assert transfer == pytest.approx(8192 / model.transfer_bytes_per_s)
 
     def test_disk_random_pays_seek(self):
         model = magnetic_disk_device()
-        positioning, _ = model.access_time(False, 8192, False)
+        positioning, _ = access(DevicePort(model, SimClock()), 0)
         assert positioning == pytest.approx(
             model.avg_seek_s + model.rotational_s)
 
     def test_nvram_has_no_positioning_cost(self):
         model = nvram_device()
-        positioning, _ = model.access_time(False, 8192, False)
+        positioning, _ = access(DevicePort(model, SimClock()), 0)
         assert positioning == 0.0
 
     def test_jukebox_write_penalty(self):
         model = jukebox_device()
-        _, read_t = model.access_time(True, 8192, False)
-        _, write_t = model.access_time(True, 8192, True)
+        port = DevicePort(model, SimClock())
+        access(port, 0)
+        _, read_t = access(port, 8192)
+        _, write_t = access(port, 16384, is_write=True)
         assert write_t == pytest.approx(read_t * model.write_penalty)
 
     def test_jukebox_platter_switch(self):
         model = jukebox_device()
-        positioning, _ = model.access_time(True, 8192, False,
-                                           crossed_platter=True)
+        port = DevicePort(model, SimClock())
+        access(port, model.platter_bytes - 8192)
+        positioning, _ = access(port, model.platter_bytes)
         assert positioning >= model.platter_switch_s
 
 
