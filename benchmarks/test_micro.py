@@ -197,9 +197,12 @@ class TestReadPathMicro:
             reader.seek(0)
             return reader.read(16384)  # 3 chunks, all cache-resident
 
+        work()  # warm: the timed calls re-read what this one cached
+        before = db.statistics()["largeobjects"]
         assert len(benchmark(work)) == 16384
         reader.close()
-        caches = db.statistics()["largeobjects"]
+        caches = {key: value - before[key] for key, value
+                  in db.statistics()["largeobjects"].items()}
         assert caches["read_cache_hits"] > caches["read_cache_misses"]
         benchmark.extra_info.update(caches)
 
@@ -216,9 +219,12 @@ class TestReadPathMicro:
             reader.seek(0)
             return reader.read(16384)
 
+        work()  # warm: the timed calls re-read what this one cached
+        before = db.statistics()["largeobjects"]
         assert len(benchmark(work)) == 16384
         reader.close()
-        caches = db.statistics()["largeobjects"]
+        caches = {key: value - before[key] for key, value
+                  in db.statistics()["largeobjects"].items()}
         assert caches["segment_cache_hits"] > caches["segment_cache_misses"]
         benchmark.extra_info.update(caches)
 

@@ -419,22 +419,16 @@ class BTree:
         key = self._check_key(key)
         return [value for _k, value in self._range_scan(key, key)]
 
-    def search_newest(self, key: Key) -> Iterator[Value]:
-        """The values of :meth:`search`, last-inserted first, lazily.
-
-        Equal keys are inserted after their duplicates, so a row's live
-        version is the *last* entry of its key's run: :meth:`IndexProbe.first
-        <repro.access.scan.IndexProbe.first>` finds it with one descent
-        and, normally, one heap fetch however long the run has grown.
-        """
-        return (value for _key, value in self.range_scan_desc(key, key))
-
     def range_scan_desc(self, hi: Key, lo: Key | None = None
                         ) -> Iterator[tuple[Key, Value]]:
         """:meth:`range_scan` reversed, lazily: entries with ``lo <= key
         <= hi`` in descending key order, equal keys newest-inserted
         first.  The first one out — the floor of *hi* — costs one
-        descent; nothing is read before the first ``next()``.
+        descent; nothing is read before the first ``next()``.  Equal keys
+        are inserted after their duplicates, so over ``[key, key]`` a
+        row's live version comes first: :meth:`IndexProbe.first
+        <repro.access.scan.IndexProbe.first>` finds it with one descent
+        and, normally, one heap fetch however long the run has grown.
         """
         # As in range_scan: the latch check must fire at call time.
         self._assert_latched("range_scan_desc")

@@ -10,9 +10,12 @@ reads) was hand-rolled at eight call sites, and getting the latch wrong
 at any one of them was a silent race.  The descriptors here are the one
 place that pattern lives:
 
-* :class:`IndexProbe` — equality probe: one key, all visible versions;
-* :class:`IndexRangeScan` — leaf-chain walk over ``[lo, hi]`` with
-  batched heap prefetch, or a floor probe walking down from ``hi``;
+* :class:`IndexRangeScan` — the one index scan over ``[lo, hi]``: a
+  leaf-chain walk up from ``lo`` with batched heap prefetch, or a floor
+  walk down from ``hi``, both through one entry filter and one batched
+  heap fetch;
+* :class:`IndexProbe` — that scan over ``[key, key]``, counted as a
+  probe; its ``first`` stops the floor walk at the newest visible version;
 * :class:`SeqScan` — full-relation scan with visibility filtering.
 
 All three take the engine latch (``db.latch``) internally (see
@@ -24,7 +27,8 @@ they did into the shared :class:`AccessStats`, surfaced as
 This layer is also the only reader of a class's **archive** (``a_<class>``,
 filled by the sweep in :mod:`repro.access.archive`).  A travelling snapshot
 merges in its visible versions (:func:`_archived_versions` — one
-sequential filter: the archive is write-once and unindexed), so time
+sequential filter: the archive is write-once and unindexed; every index
+scan merges them through ``IndexRangeScan._with_archive``), so time
 travel reads one history through every descriptor, swept or not; a
 current-state one pays a ``snapshot.as_of is None`` test and nothing else.
 
@@ -39,7 +43,7 @@ The layer is backed by a debug tripwire: when a :class:`~repro.db.Database`
 is constructed while the lockdep validator is armed (``REPRO_LOCKDEP=1``,
 the default under pytest — see ``tests/conftest.py``), the raw access methods
 (``HeapRelation.fetch``/``fetch_many``,
-``BTree.search``/``search_newest``/``range_scan``/``range_scan_desc``)
+``BTree.search``/``range_scan``/``range_scan_desc``)
 verify the engine latch is held, so any future call site that bypasses
 this layer fails loudly in CI instead of racing in production.
 """
@@ -47,6 +51,7 @@ this layer fails loudly in CI instead of racing in production.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import TYPE_CHECKING, Callable
 
 from repro.access.tuples import TID, HeapTuple
@@ -75,12 +80,11 @@ class AccessStats:
     prefetch_batches: int = 0  # range scans that issued heap readahead
 
 
-def _default_anomaly(relation_name: str) -> AnomalyFactory:
-    def build(key: "Key", count: int) -> Exception:
-        return ReproError(
-            f"relation {relation_name!r}: {count} visible versions of "
-            f"key {key} (snapshot anomaly)")
-    return build
+def _outside(key: "Key", lo: "Key | None", hi: "Key | None") -> bool:
+    """Whether the one-attribute *key* is null or outside ``[lo, hi]``
+    (``None`` bounds are open)."""
+    return (key[0] is None or (lo is not None and key < lo)
+            or (hi is not None and key > hi))
 
 
 def _archived_versions(db: "Database", relation: "HeapRelation",
@@ -109,9 +113,8 @@ def _archived_versions(db: "Database", relation: "HeapRelation",
         key = None
         if position is not None:
             key = (tup.values[position],)
-            if (key[0] is None or (lo is not None and key < lo)
-                    or (hi is not None and key > hi)
-                    or (wanted is not None and key not in wanted)):
+            if _outside(key, lo, hi) or (wanted is not None
+                                         and key not in wanted):
                 continue
         identity = (tup.oid, tup.xmin, tup.xmax)
         if identity not in seen and snapshot.is_visible(
@@ -122,107 +125,45 @@ def _archived_versions(db: "Database", relation: "HeapRelation",
     return out
 
 
-class IndexProbe:
-    """Equality probe: all visible versions stored under one key.
-
-    ``recheck_position`` re-verifies the fetched tuple's attribute at
-    that position against the probe key — the defence against index
-    entries that went stale between a deletion and the vacuum that
-    prunes them (a freed slot may be reused by an unrelated tuple).
-
-    ``unique=True`` raises the ``anomaly`` error if more than one
-    version is visible.
-    """
-
-    def __init__(self, db: "Database", index: "BTree",
-                 relation: "HeapRelation", key: "Key", *,
-                 unique: bool = False,
-                 anomaly: AnomalyFactory | None = None,
-                 recheck_position: int | None = None):
-        self.db = db
-        self.index = index
-        self.relation = relation
-        self.key = tuple(key)
-        self.unique = unique
-        self.anomaly = anomaly or _default_anomaly(relation.name)
-        self.recheck_position = recheck_position
-
-    def tuples(self, snapshot: Snapshot) -> list[HeapTuple]:
-        """All visible versions under the key, in index order."""
-        with self.db.latch:
-            self.db.access_stats.probes += 1
-            out = list(self._visible(self.index.search(self.key), snapshot))
-            if snapshot.as_of is not None:
-                out += self._from_archive(snapshot, out)
-        if self.unique and len(out) > 1:
-            raise self.anomaly(self.key, len(out))
-        return out
-
-    def first(self, snapshot: Snapshot) -> HeapTuple | None:
-        """One visible version, stopping at the first hit.
-
-        Meant for keys with exactly one visible version per snapshot
-        (the ``pg_largeobject`` size row — docs/invariants.md), where
-        visiting order cannot change the answer, only how many dead
-        versions are fetched on the way to it.  The run is visited
-        newest entry first, so the current version costs one descent
-        and one heap fetch however many superseded versions share the
-        key; an ``as_of`` snapshot walks back only as far as its own
-        version.  Use :meth:`tuples` when every version matters.
-        """
-        with self.db.latch:
-            self.db.access_stats.probes += 1
-            tup = next(self._visible(self.index.search_newest(self.key),
-                                     snapshot), None)
-            if tup is None and snapshot.as_of is not None:
-                return next(iter(self._from_archive(snapshot, [])), None)
-        return tup
-
-    def _visible(self, entries, snapshot: Snapshot):
-        """The visible versions the index *entries* point at, fetched one
-        at a time and counted (latch held), that pass the recheck."""
-        stats = self.db.access_stats
-        for blockno, slot in entries:
-            if self.relation.known_dead(blockno, slot, snapshot):
-                continue
-            stats.tuples_scanned += 1
-            tup = self.relation.fetch(TID(blockno, slot), snapshot)
-            if tup is not None and (
-                    self.recheck_position is None
-                    or tup.values[self.recheck_position] == self.key[0]):
-                stats.tuples_visible += 1
-                yield tup
-
-    def _from_archive(self, snapshot: Snapshot,
-                      found: list[HeapTuple]) -> list[HeapTuple]:
-        return [tup for _key, tup in _archived_versions(
-            self.db, self.relation, snapshot, found, self.index,
-            self.key, self.key)]
-
-
 class IndexRangeScan:
-    """Leaf-chain scan over ``[lo, hi]`` with batched heap prefetch.
+    """The one index scan: the visible versions under keys in ``[lo, hi]``.
 
-    One root-to-leaf descent finds the first leaf; the scan then walks
-    right-sibling pointers, so a long read costs O(entries / leaf
-    fanout) node reads.  The heap blocks the entries resolve to are read
-    ahead in contiguous runs before the fetch loop pins them.
+    :meth:`visible` walks the leaf chain up from ``lo`` (one descent, then
+    right-sibling pointers: O(entries / leaf fanout) node reads) and reads
+    the entries' heap blocks ahead in contiguous runs;
+    :meth:`visible_from_floor` walks down from ``hi``.  Both pass the
+    entries through one deleter-map filter (:meth:`_live`) and resolve
+    them by one batched heap fetch (:meth:`_fetch`).
 
     ``None`` bounds are open.  ``unique=True`` raises the ``anomaly``
-    error when any single key in the scan has several visible versions.
+    error (a :class:`ReproError` without one) when any single key in the
+    scan has several visible versions.  ``recheck_position`` drops a
+    fetched version whose attribute at that position lies outside
+    ``[lo, hi]`` — the defence against index entries that went stale
+    between a deletion and the vacuum that prunes them (a freed slot may
+    be reused by an unrelated tuple).
     """
+
+    #: Whether the heap blocks of the entries are read ahead.
+    readahead = True
 
     def __init__(self, db: "Database", index: "BTree",
                  relation: "HeapRelation", lo: "Key | None",
                  hi: "Key | None", *, unique: bool = False,
-                 anomaly: AnomalyFactory | None = None):
+                 anomaly: AnomalyFactory | None = None,
+                 recheck_position: int | None = None):
         self.db = db
         self.index = index
         self.relation = relation
         self.lo = None if lo is None else tuple(lo)
         self.hi = None if hi is None else tuple(hi)
         self.unique = unique
-        self.anomaly = anomaly or _default_anomaly(relation.name)
+        self.anomaly = anomaly
+        self.recheck_position = recheck_position
+
+    @staticmethod
+    def _count(stats: AccessStats) -> None:
+        stats.range_scans += 1
 
     def visible(self, snapshot: Snapshot,
                 wanted: "set[Key] | None" = None
@@ -235,14 +176,12 @@ class IndexRangeScan:
         dropped before the readahead.
         """
         stats = self.db.access_stats
-        known_dead = self.relation.known_dead
         with self.db.latch:
-            stats.range_scans += 1
-            pairs = [(key, TID(blockno, slot)) for key, (blockno, slot)
-                     in self.index.range_scan(self.lo, self.hi)
-                     if (wanted is None or key in wanted)
-                     and not known_dead(blockno, slot, snapshot)]
-            if pairs and self.relation.prefetch_tids(list(zip(*pairs))[1]):
+            self._count(stats)
+            pairs = list(self._live(self.index.range_scan(self.lo, self.hi),
+                                    snapshot, wanted))
+            if (self.readahead and pairs
+                    and self.relation.prefetch_tids(list(zip(*pairs))[1])):
                 stats.prefetch_batches += 1
             out = self._fetch(pairs, snapshot)
             if snapshot.as_of is not None:
@@ -255,38 +194,75 @@ class IndexRangeScan:
         """Visible pairs from the *floor* of *pivot* — the greatest key
         at or below it with a visible version — up to ``hi``, in key
         order: all that can intersect ``[pivot, hi]`` when records are
-        disjoint intervals keyed by their start (docs/invariants.md).
-        One descending walk from ``hi``: entries above the pivot are
-        fetched as one batch, those at or below it one by one until one
-        is visible; its key's run is finished (so ``unique`` sees a
-        second version) and the walk ends there, or at ``lo``."""
-        stats = self.db.access_stats
-        known_dead = self.relation.known_dead
+        disjoint intervals keyed by their start (docs/invariants.md)."""
+        return self._floor(snapshot, pivot, first=False)
+
+    def _floor(self, snapshot: Snapshot, pivot: "Key", first: bool
+               ) -> "list[tuple[Key, HeapTuple]]":
+        """The descending floor walk from ``hi``, newest entry first:
+        entries above *pivot* are fetched as one batch; those at or below
+        it one by one until one is visible.  With *first*, the walk ends
+        there and a travelling snapshot reads the archive only if nothing
+        was found; else that key's run is finished (so ``unique`` sees a
+        second version) and the archive is merged in."""
         above: list[tuple["Key", TID]] = []
         found: list[tuple["Key", HeapTuple]] = []
         with self.db.latch:
-            stats.range_scans += 1
-            for key, (blockno, slot) in self.index.range_scan_desc(
-                    self.hi, self.lo):
-                if key > pivot:
-                    if not known_dead(blockno, slot, snapshot):
-                        above.append((key, TID(blockno, slot)))
+            self._count(self.db.access_stats)
+            entries = self.index.range_scan_desc(self.hi, self.lo)
+            for pair in self._live(entries, snapshot):
+                if pair[0] > pivot:
+                    above.append(pair)
                     continue
-                if found and key != found[0][0]:
+                found = self._fetch([pair], snapshot)
+                if found:
                     break
-                if known_dead(blockno, slot, snapshot):
-                    continue
-                stats.tuples_scanned += 1
-                tup = self.relation.fetch(TID(blockno, slot), snapshot)
-                if tup is not None:
-                    found.append((key, tup))
-            stats.tuples_visible += len(found)
-            if above:
-                found += self._fetch(above[::-1], snapshot)
-            if snapshot.as_of is not None:
+            rest = above[::-1]
+            if found and not first:    # the floor key's run, then above
+                floor = found[0][0]
+                rest[:0] = self._live(takewhile(
+                    lambda entry: entry[0] == floor, entries), snapshot)
+            if rest:
+                found += self._fetch(rest, snapshot)
+            if snapshot.as_of is not None and not (first and found):
                 found = self._with_archive(snapshot, found, pivot=pivot)
         self._check_unique(found)
         return found
+
+    def _live(self, entries, snapshot: Snapshot,
+              wanted: "set[Key] | None" = None):
+        """Index *entries* as ``(key, TID)``, lazily, less those outside
+        *wanted* and those whose deleter the snapshot sees (by the
+        relation's deleter map): the scan layer's one entry filter."""
+        known_dead = self.relation.known_dead
+        for key, (blockno, slot) in entries:
+            if ((wanted is None or key in wanted)
+                    and not known_dead(blockno, slot, snapshot)):
+                yield key, TID(blockno, slot)
+
+    def _fetch(self, pairs: "list[tuple[Key, TID]]", snapshot: Snapshot
+               ) -> "list[tuple[Key, HeapTuple]]":
+        """The visible versions *pairs* point at, as pairs in input order
+        (latch held): the one loop that resolves index entries — one
+        batched heap fetch, pins shared across same-block runs, only
+        visible tuples decoded, the recheck applied."""
+        stats = self.db.access_stats
+        stats.tuples_scanned += len(pairs)
+        if not pairs:
+            return []
+        keys, tids = zip(*pairs)
+        found = self.relation.fetch_many(tids, snapshot)
+        if len(found) == len(tids):     # all visible: keys line up
+            out = list(zip(keys, found))
+        else:
+            key_by_tid = dict(zip(tids, keys))
+            out = [(key_by_tid[tup.tid], tup) for tup in found]
+        position = self.recheck_position
+        if position is not None:
+            out = [pair for pair in out if not _outside(
+                (pair[1].values[position],), self.lo, self.hi)]
+        stats.tuples_visible += len(out)
+        return out
 
     def _with_archive(self, snapshot: Snapshot,
                       found: "list[tuple[Key, HeapTuple]]",
@@ -309,31 +285,52 @@ class IndexRangeScan:
             found = [pair for pair in found if pair[0] >= floor]
         return found
 
-    def _fetch(self, pairs: "list[tuple[Key, TID]]", snapshot: Snapshot
-               ) -> "list[tuple[Key, HeapTuple]]":
-        """One batched heap fetch (latch held): pins shared across
-        same-block runs, only visible tuples decoded, input order kept."""
-        stats = self.db.access_stats
-        stats.tuples_scanned += len(pairs)
-        if not pairs:
-            return []
-        keys, tids = zip(*pairs)
-        key_by_tid = dict(zip(tids, keys))
-        out = [(key_by_tid[tup.tid], tup)
-               for tup in self.relation.fetch_many(tids, snapshot)]
-        stats.tuples_visible += len(out)
-        return out
-
     def _check_unique(self, found: "list[tuple[Key, HeapTuple]]") -> None:
         if self.unique and len(found) > 1:
             keys = [key for key, _tup in found]  # key order: runs adjacent
             for key, following in zip(keys, keys[1:]):
                 if key == following:
-                    raise self.anomaly(key, keys.count(key))
+                    count = keys.count(key)
+                    if self.anomaly is not None:
+                        raise self.anomaly(key, count)
+                    raise ReproError(
+                        f"relation {self.relation.name!r}: {count} visible "
+                        f"versions of key {key} (snapshot anomaly)")
 
     def tuples(self, snapshot: Snapshot) -> list[HeapTuple]:
         """Visible tuples in index-key order."""
         return [tup for _key, tup in self.visible(snapshot)]
+
+
+class IndexProbe(IndexRangeScan):
+    """Equality probe: the scan over ``[key, key]``, counted as a probe
+    and reading nothing ahead (one key's versions lie by time, not key)."""
+
+    readahead = False
+
+    def __init__(self, db: "Database", index: "BTree",
+                 relation: "HeapRelation", key: "Key", **options):
+        super().__init__(db, index, relation, key, key, **options)
+
+    @staticmethod
+    def _count(stats: AccessStats) -> None:
+        stats.probes += 1
+
+    def first(self, snapshot: Snapshot) -> HeapTuple | None:
+        """One visible version, stopping at the first hit.
+
+        Meant for keys with exactly one visible version per snapshot
+        (the ``pg_largeobject`` size row — docs/invariants.md), where
+        visiting order cannot change the answer, only how many dead
+        versions are fetched on the way to it.  This is the floor walk,
+        so the run is visited newest entry first: the current version
+        costs one descent and one heap fetch however many superseded
+        versions share the key, and an ``as_of`` snapshot walks back only
+        as far as its own version.  Use :meth:`tuples` when every version
+        matters.
+        """
+        found = self._floor(snapshot, self.hi, first=not self.unique)
+        return found[0][1] if found else None
 
 
 class SeqScan:

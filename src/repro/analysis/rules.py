@@ -64,11 +64,11 @@ class RawAccessRule(Rule):
 
     id = "R001"
     name = "raw-access"
-    summary = ("HeapRelation.fetch/fetch_many and BTree.search/search_newest"
-               "/range_scan/range_scan_desc must go through repro.access.scan")
+    summary = ("HeapRelation.fetch/fetch_many and BTree.search/range_scan"
+               "/range_scan_desc must go through repro.access.scan")
 
-    METHODS = frozenset({"fetch", "fetch_many", "search", "search_newest",
-                         "range_scan", "range_scan_desc"})
+    METHODS = frozenset({"fetch", "fetch_many", "search", "range_scan",
+                         "range_scan_desc"})
     ALLOWED = ("access/scan.py", "access/heap.py", "access/btree.py",
                "catalog/integrity.py", "analysis/")
 
@@ -479,6 +479,11 @@ DECLARED_SITES = (
         "the deleter map holds exactly each version's xmax: nothing "
         "outside the heap touches it"),
     DeclaredSites(
+        "`.known_dead`", _attribute("known_dead"), {"access/scan.py": 2},
+        "one entry filter: IndexRangeScan._live, shared by both walk "
+        "directions, and fetch_visible are the only readers of the "
+        "deleter map"),
+    DeclaredSites(
         "`.visibility_epoch`", _attribute("visibility_epoch"),
         {"lo/chunked.py": 2, "lo/metadata.py": 2, "txn/xlog.py": 4},
         "one epoch gate per descriptor: ChunkedObject._refresh_committed "
@@ -512,7 +517,7 @@ DECLARED_SITES = (
         "(the runs whole, or block by block under a plan) for every manager"),
     DeclaredSites(
         "`db.latch`", _attribute("latch", "db"),
-        {"access/scan.py": 8, "access/archive.py": 1,
+        {"access/scan.py": 6, "access/archive.py": 1,
          "catalog/integrity.py": 2},
         "the engine latch is taken by the scan layer, the sweep and the "
         "integrity check only"),

@@ -595,18 +595,9 @@ class Database:
         return {
             "clock": {"elapsed": self.clock.elapsed,
                       **self.clock.breakdown()},
-            "buffer": {
-                "hits": self.bufmgr.stats.hits,
-                "misses": self.bufmgr.stats.misses,
-                "hit_rate": self.bufmgr.stats.hit_rate(),
-                "evictions": self.bufmgr.stats.evictions,
-                "writebacks": self.bufmgr.stats.writebacks,
-                "prefetched": self.bufmgr.stats.prefetched,
-                "prefetch_hits": self.bufmgr.stats.prefetch_hits,
-                "node_cache_hits": self.bufmgr.stats.node_cache_hits,
-                "node_cache_misses": self.bufmgr.stats.node_cache_misses,
-                "pool_size": self.bufmgr.pool_size,
-            },
+            "buffer": {**asdict(self.bufmgr.stats),
+                       "hit_rate": self.bufmgr.stats.hit_rate(),
+                       "pool_size": self.bufmgr.pool_size},
             "storage": storage,
             "catalog": {
                 "classes": len(self.catalog.relations),

@@ -281,21 +281,19 @@ class Executor:
         ``("probe", index, attribute, key, key)``, ``("range", index,
         attribute, lo, hi)``, or ``None`` for a sequential scan.
 
-        An equality conjunct ``CLASS.attr = <integer literal>`` over an
-        indexed attribute is an index probe, and inequality conjuncts
-        (``>=``/``<=``/``>``/``<``, alone or paired BETWEEN-style) are
-        one index range scan over the leaf chain.  Historical scans
-        always walk the heap, which chains the class's archive
-        (:class:`~repro.access.scan.SeqScan`).
+        Comparison conjuncts ``CLASS.attr <op> <integer literal>`` over an
+        indexed attribute (``=``/``>=``/``<=``/``>``/``<``, alone or
+        paired BETWEEN-style) narrow one key range: one key is an index
+        probe, anything wider one index range scan over the leaf chain.
+        Historical scans always walk the heap, which chains the class's
+        archive (:class:`~repro.access.scan.SeqScan`).
         """
         if class_ref.as_of is not None or qualification is None:
             return None
-        probe = self._find_index_probe(class_ref.name, qualification)
-        if probe is not None:
-            index_name, attribute, key = probe
-            return "probe", index_name, attribute, key, key
-        rng = self._find_index_range(class_ref.name, qualification)
-        return None if rng is None else ("range", *rng)
+        found = self._find_index_range(class_ref.name, qualification)
+        if found is None:
+            return None
+        return ("probe" if found[2] == found[3] else "range", *found)
 
     def _tuple_source(self, class_ref, qualification, relation, snapshot):
         """The tuples of *class_ref* along its :meth:`_access_path`."""
@@ -306,59 +304,27 @@ class Executor:
         kind, index_name, attribute, lo, hi = path
         index = self.db.get_index(index_name)
         position = relation.schema.position(attribute)
+        # The descriptor materializes under the engine latch and drops a
+        # version whose attribute lies outside the bounds (stale entries
+        # must never surface); qualifications are evaluated outside the
+        # latch, so user functions can run DML without lock-before-latch
+        # issues.
         if kind == "probe":
-            # The scan descriptor materializes under the engine latch and
-            # re-checks the key against the fetched tuple (stale entries
-            # must never surface); qualifications are evaluated outside
-            # the latch, so user functions can run DML without
-            # lock-before-latch issues.
-            yield from IndexProbe(
-                self.db, index, relation, (lo,),
-                recheck_position=position).tuples(snapshot)
-            return
-        fetched = IndexRangeScan(
-            self.db, index, relation,
-            None if lo is None else (lo,),
-            None if hi is None else (hi,)).tuples(snapshot)
-        for tup in fetched:
-            # Re-check bounds: stale entries must never surface.
-            value = tup.values[position]
-            if value is None:
-                continue
-            if lo is not None and value < lo:
-                continue
-            if hi is not None and value > hi:
-                continue
-            yield tup
-
-    def _find_index_probe(self, class_name: str,
-                          qualification) -> tuple[str, str, int] | None:
-        """(index, attribute, key) for an indexable equality conjunct."""
-        if isinstance(qualification, ast.BinaryOp):
-            if qualification.op == "and":
-                return (self._find_index_probe(class_name,
-                                               qualification.left)
-                        or self._find_index_probe(class_name,
-                                                  qualification.right))
-            if qualification.op == "=":
-                for ref, lit in ((qualification.left, qualification.right),
-                                 (qualification.right, qualification.left)):
-                    if (isinstance(ref, ast.AttributeRef)
-                            and ref.class_name == class_name
-                            and isinstance(lit, ast.Literal)
-                            and isinstance(lit.value, int)
-                            and not isinstance(lit.value, bool)):
-                        for entry in self.db.catalog.indexes_on(class_name):
-                            if entry.attribute == ref.attribute:
-                                return entry.name, entry.attribute, lit.value
-        return None
+            scan = IndexProbe(self.db, index, relation, (lo,),
+                              recheck_position=position)
+        else:
+            scan = IndexRangeScan(
+                self.db, index, relation, None if lo is None else (lo,),
+                None if hi is None else (hi,), recheck_position=position)
+        yield from scan.tuples(snapshot)
 
     #: How a comparison flips when the literal is on the left.
-    _MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+    _MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
     def _collect_bounds(self, class_name: str, qualification,
                         bounds: dict) -> None:
-        """Accumulate attr -> [(op, int)] from top-level AND conjuncts."""
+        """Narrow attr -> (lo, hi), inclusive and ``None`` when open, by
+        the top-level AND conjuncts."""
         if not isinstance(qualification, ast.BinaryOp):
             return
         if qualification.op == "and":
@@ -377,37 +343,32 @@ class Executor:
                     and not isinstance(lit.value, bool)):
                 op = (self._MIRRORED[qualification.op] if flipped
                       else qualification.op)
-                bounds.setdefault(ref.attribute, []).append((op, lit.value))
+                lo, hi = bounds.get(ref.attribute, (None, None))
+                if op in (">", ">=", "="):
+                    key = lit.value + 1 if op == ">" else lit.value
+                    lo = key if lo is None else max(lo, key)
+                if op in ("<", "<=", "="):
+                    key = lit.value - 1 if op == "<" else lit.value
+                    hi = key if hi is None else min(hi, key)
+                bounds[ref.attribute] = lo, hi
 
     def _find_index_range(self, class_name: str, qualification) -> (
             tuple[str, str, int | None, int | None] | None):
-        """(index, attribute, lo, hi) for an indexable inequality range.
+        """(index, attribute, lo, hi) for indexable comparisons, an equality
+        being the range ``[key, key]``.
 
         Strict bounds are tightened to inclusive integer bounds (the
         indexable attributes are integers), so ``a > 5 and a < 9``
-        becomes the key range ``[6, 8]``.  Either side may be open.
+        becomes the key range ``[6, 8]``.  Either side may be open.  An
+        index narrowed to one key is taken before any other.
         """
-        bounds: dict[str, list[tuple[str, int]]] = {}
+        bounds: dict[str, tuple[int | None, int | None]] = {}
         self._collect_bounds(class_name, qualification, bounds)
-        for entry in self.db.catalog.indexes_on(class_name):
-            constraints = bounds.get(entry.attribute)
-            if not constraints:
-                continue
-            lo: int | None = None
-            hi: int | None = None
-            for op, value in constraints:
-                if op == ">":
-                    value += 1
-                    op = ">="
-                elif op == "<":
-                    value -= 1
-                    op = "<="
-                if op == ">=":
-                    lo = value if lo is None else max(lo, value)
-                else:
-                    hi = value if hi is None else min(hi, value)
-            return entry.name, entry.attribute, lo, hi
-        return None
+        ranges = [(entry.name, entry.attribute, *bounds[entry.attribute])
+                  for entry in self.db.catalog.indexes_on(class_name)
+                  if entry.attribute in bounds]
+        return min(ranges, key=lambda found: found[2] != found[3],
+                   default=None)
 
     def _expand_all_targets(self, statement: ast.Retrieve,
                             class_ref) -> ast.Retrieve:

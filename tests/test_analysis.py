@@ -98,8 +98,8 @@ class TestR001RawAccess:
         source = """\
             def walk(index):
                 return list(index.range_scan(None, None))
-            def newest(index, key):
-                return next(index.search_newest(key), None)
+            def probe(index, key):
+                return index.search(key)
             def floor(index, key):
                 return next(index.range_scan_desc(key), None)
         """
@@ -382,6 +382,7 @@ ONE_SITE = {
     "`patch_item(..., XMAX_OFFSET, ...)`":
         "buf.page.patch_item(slot, XMAX_OFFSET, patch)",
     "`._deleters`": "self._deleters.clear()",
+    "`.known_dead`": "dead = relation.known_dead(blockno, slot, snapshot)",
     "`.visibility_epoch`": "epoch = self.db.clog.visibility_epoch",
     "`db.latch`": "latch = self.db.latch",
     "`.btree_roots`": "roots = self.bufmgr.btree_roots",
@@ -463,6 +464,8 @@ class TestR010DeclaredSites:
             self.inject("read", fileid, blockno)
             node._gate("read", fileid, first, count)
             check = self._check_read
+            dead = known_dead(blockno, slot, snapshot)
+            dead = self.known_deaders
         """
         path = write_module(tmp_path, "lo/elsewhere.py", source)
         report = analyze_paths([path], [get_rule("R010")])

@@ -276,7 +276,8 @@ class TestCachedRoot:
         assert tree.height() == 1
         for i in range(self.N):
             assert tree.search((i,)) == [(i, 0)]
-            assert list(tree.search_newest((i,))) == [(i, 0)]
+            assert [v for _k, v in tree.range_scan_desc((i,), (i,))] \
+                == [(i, 0)]
         assert [k for k, _ in tree.range_scan_desc((self.N,))] \
             == [(i,) for i in reversed(range(self.N))]
         assert pins == [True]
@@ -365,8 +366,15 @@ class TestCachedRoot:
         assert pins == [True]
 
 
+def newest_first(tree, key):
+    """The values under *key*, last-inserted first, lazily: the walk
+    ``IndexProbe.first`` takes."""
+    return (value for _key, value in tree.range_scan_desc(key, key))
+
+
 class TestSearchNewest:
-    """``search_newest`` is ``search`` reversed — always — and lazy."""
+    """``range_scan_desc(k, k)`` is ``search(k)`` reversed — always — and
+    lazy."""
 
     #: Duplicates per key: 2,000 entries span six or more leaves.
     RUNS = (1, 2000, 3, 1, 700, 40, 2, 330, 1)
@@ -374,7 +382,7 @@ class TestSearchNewest:
     @staticmethod
     def assert_reversed(tree, keys):
         for key in keys:
-            assert list(tree.search_newest(key)) == tree.search(key)[::-1]
+            assert list(newest_first(tree, key)) == tree.search(key)[::-1]
 
     @pytest.mark.parametrize("seed", [1993, 2024, 7])
     @pytest.mark.parametrize("arity", [1, 2])
@@ -435,7 +443,7 @@ class TestSearchNewest:
             tree.insert((5,), (serial, 0))
         for serial in range(1999, 999, -1):
             assert tree.delete((5,), (serial, 0)) == 1
-        assert next(tree.search_newest((5,))) == (999, 0)
+        assert next(newest_first(tree, (5,))) == (999, 0)
         self.assert_reversed(tree, [(4,), (5,), (6,)])
 
     def test_first_element_costs_one_descent_however_long_the_run(
@@ -453,11 +461,11 @@ class TestSearchNewest:
         def nodes_read_for_newest(key):
             newest = tree.search(key)[-1]
             del reads[:]
-            assert next(tree.search_newest(key)) == newest
+            assert next(newest_first(tree, key)) == newest
             return len(reads)
 
         monkeypatch.setattr(tree, "_read_node", counted)
-        assert tree.search_newest((2,)) is not None and reads == []  # lazy
+        assert newest_first(tree, (2,)) is not None and reads == []  # lazy
         short = nodes_read_for_newest((1,))
         assert short == tree.height() + 1
         assert nodes_read_for_newest((2,)) == short

@@ -1,9 +1,12 @@
 """Integration tests for the Database façade."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.access.scan import SeqScan
 from repro.db import Database
+from repro.storage.buffer import BufferStats
 from repro.errors import (
     DuplicateRelation,
     LockError,
@@ -223,6 +226,27 @@ class TestStatistics:
         assert list(stats["largeobjects"]) == [
             "read_cache_hits", "read_cache_misses", "segment_cache_hits",
             "segment_cache_misses"]
+
+    def test_buffer_block_lists_every_pool_counter_once(self, db):
+        """``buffer`` is the pool's counters field for field, then the
+        hit rate and the pool size; ``allocations`` moves when a fresh
+        heap page is made and stays put when a row fits on one."""
+        db.create_class("T", [("v", "int4")])
+        assert list(db.statistics()["buffer"]) == [
+            field.name for field in fields(BufferStats)] + [
+            "hit_rate", "pool_size"]
+
+        def allocations():
+            return db.statistics()["buffer"]["allocations"]
+
+        before = allocations()
+        with db.begin() as txn:
+            db.insert(txn, "T", (1,))      # the class's first page
+        made = allocations()
+        assert made == before + 1
+        with db.begin() as txn:
+            db.insert(txn, "T", (2,))      # fits beside the first row
+        assert allocations() == made
 
     def test_clock_advances_with_io(self, db):
         db.create_class("T", [("v", "int4")])

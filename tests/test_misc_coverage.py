@@ -280,3 +280,60 @@ class TestSessionRows:
         assert writer.fetch("T", tid, as_of=before).values == (1,)
         with pytest.raises(NoActiveTransaction):
             writer.delete("T", tid)
+
+
+class TestSmallTypeRoundTrip:
+    def test_create_type_round_trips_a_value_through_a_class(self, db):
+        """``create type``: the input function parses a column's text into
+        a Python object, the output function renders it back."""
+
+        class Point:
+            def __init__(self, x, y):
+                self.x, self.y = x, y
+
+            def __eq__(self, other):
+                return (self.x, self.y) == (other.x, other.y)
+
+        def point_in(text):
+            return Point(*(int(part) for part in text.split(",")))
+
+        definition = db.create_type(
+            "point", point_in, lambda point: f"{point.x},{point.y}")
+        assert db.types.get("point") is definition
+        db.execute('create SPOT (label = text, at = point)')
+        db.execute('append SPOT (label = "a", at = "3,-4")')
+        value = db.execute(
+            'retrieve (SPOT.at) where SPOT.label = "a"').scalar()
+        assert value == Point(3, -4)
+        assert definition.render(value) == "3,-4"
+
+
+class TestContextTemporaries:
+    def test_create_temporary_is_collected_unless_the_result_escapes(
+            self, db):
+        """A context function's temporary is unlinked when the query
+        ends, unless the query returns its designator."""
+        made = []
+
+        def stage(ctx, n):
+            out = ctx.create_temporary("vsegment")
+            with ctx.open(out, "rw") as target:
+                target.write(b"t" * n)
+            made.append(out)
+            return out
+
+        def staged_size(ctx, n):
+            stage(ctx, n)
+            return n
+
+        db.register_function("staged", ("int4",), "text", stage,
+                             needs_context=True)
+        db.register_function("staged_size", ("int4",), "int4", staged_size,
+                             needs_context=True)
+        assert db.execute('retrieve (s = staged_size(5))').scalar() == 5
+        assert not db.lo.exists(made[-1])        # did not escape
+        result = db.execute('retrieve (s = staged(7))')
+        escaped = result.scalar()
+        assert escaped == made[-1] and result.temporaries == {escaped}
+        with db.lo.open(escaped) as obj:
+            assert obj.read() == b"t" * 7

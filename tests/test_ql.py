@@ -654,6 +654,12 @@ class TestExplain:
         ('retrieve (NUM.m) where NUM.n = 5', "index probe", "probes"),
         ('retrieve (NUM.m) where NUM.n >= 5', "index range scan",
          "range_scans"),
+        # An equality is the range [key, key], and any range of one key
+        # is a probe.
+        ('retrieve (NUM.m) where NUM.n >= 5 and NUM.n <= 5', "index probe",
+         "probes"),
+        ('retrieve (NUM.m) where 5 = NUM.n and NUM.n > 2', "index probe",
+         "probes"),
         ('retrieve (NUM.n) where NUM.m = 5', "sequential scan", None),
         ('retrieve (NUM.m) from NUM["{t}"] where NUM.n = 5',
          "sequential scan", None),
@@ -675,6 +681,22 @@ class TestExplain:
         moved = {key for key in ("probes", "range_scans")
                  if after[key] != before[key]}
         assert moved == ({counter} if counter else set())
+
+    def test_an_index_narrowed_to_one_key_is_taken_first(self, db):
+        db.execute('create NUM (n = int4, m = int4)')
+        db.execute('define index num_n on NUM (n)')
+        db.execute('define index num_m on NUM (m)')
+        with db.begin() as txn:
+            for i in range(10):
+                db.insert(txn, "NUM", (i, i))
+        query = 'retrieve (NUM.n) where NUM.n >= 2 and NUM.m = 5'
+        assert db.explain(query).splitlines()[0] == (
+            "index probe num_m on NUM.m = 5")
+        assert db.execute(query).rows == [(5,)]
+        query = 'retrieve (NUM.m) where NUM.n = 5 and NUM.n > 7'
+        assert db.explain(query).splitlines()[0] == (
+            "index range scan num_n on NUM.n in [8, 5]")
+        assert db.execute(query).count == 0
 
     def test_time_travel_plan_never_probes(self, db):
         db.execute('create NUM (n = int4)')

@@ -668,14 +668,14 @@ class TestLatchTripwire:
         # block already exited.
         with pytest.raises(AssertionError, match="engine latch"):
             index.range_scan()
-        # ... and so must the lazy newest-first probe, for the same reason.
+        # ... and so must the lazy newest-first walk, for the same reason.
         with pytest.raises(AssertionError, match="engine latch"):
-            index.search_newest((1,))
+            index.range_scan_desc((1,), (1,))
         with db.begin() as txn:
             newest = db.insert(txn, "T", (1, 999))
         with db.latch:
             assert len(index.search((1,))) == 2
-            assert next(index.search_newest((1,))) == (
+            assert next(index.range_scan_desc((1,), (1,)))[1] == (
                 newest.blockno, newest.slot)
 
     def test_diagnostics_bypass_the_tripwire(self, db):
