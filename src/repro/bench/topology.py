@@ -38,9 +38,9 @@ from typing import TYPE_CHECKING
 
 from repro.bench.report import FigureResult
 from repro.sim.clock import SimClock
-from repro.smgr.base import BAND_BLOCKS, StorageManager
+from repro.smgr.base import StorageManager
 from repro.smgr.disk import DiskStorageManager
-from repro.smgr.sharded import (sharded_disk_manager,
+from repro.smgr.sharded import (BAND_BLOCKS, sharded_disk_manager,
                                 sharded_memory_manager)
 from repro.storage.constants import PAGE_SIZE
 

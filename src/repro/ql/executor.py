@@ -27,7 +27,7 @@ from repro.errors import ExecutionError
 from repro.lo.interface import LargeObject
 from repro.lo.temporary import TemporaryObjects
 from repro.ql import ast
-from repro.ql.parser import parse
+from repro.ql.parser import Parser, parse
 from repro.txn.manager import Transaction
 
 
@@ -115,23 +115,7 @@ class Executor:
 
     def execute(self, query: str,
                 txn: Transaction | None = None) -> QueryResult:
-        statement = parse(query)
-        own_txn = txn is None
-        if own_txn:
-            txn = self.db.begin()
-        temps = TemporaryObjects(self.db, txn)
-        try:
-            result = self._dispatch(statement, txn, temps)
-            for designator in result.temporaries:
-                temps.keep(designator)
-            temps.collect()
-            if own_txn:
-                txn.commit()
-            return result
-        except BaseException:
-            if own_txn and txn.is_active:
-                txn.abort()
-            raise
+        return self._run([parse(query)], txn)[0]
 
     def explain(self, query: str) -> str:
         """A one-paragraph description of how *query* would execute.
@@ -182,8 +166,13 @@ class Executor:
     def execute_script(self, script: str,
                        txn: Transaction | None = None) -> list[QueryResult]:
         """Run `;`-separated statements, all in one transaction."""
-        from repro.ql.parser import Parser
-        statements = Parser(script).parse_script()
+        return self._run(Parser(script).parse_script(), txn)
+
+    def _run(self, statements: list,
+             txn: Transaction | None) -> list[QueryResult]:
+        """Each statement in turn, its temporaries collected as it ends,
+        all in *txn* — or, without one, in a transaction of their own,
+        committed after the last and aborted on any error."""
         own_txn = txn is None
         if own_txn:
             txn = self.db.begin()

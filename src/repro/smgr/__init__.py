@@ -9,19 +9,19 @@ Any user can register a new manager, and — because large objects and
 Inversion files are ordinary relations — every new manager automatically
 supports them (§10).
 
-Managers are built from a node-addressed layer (:mod:`repro.smgr.base`):
-raw :class:`BlockStore` containers behind :class:`StorageNode` instances
-(each with its own device cost model and failure state), routed by a
-:class:`PlacementPolicy`.  The registrations shipped with this
-reproduction:
+Managers keep their blocks in raw :class:`BlockStore` containers behind
+:class:`StorageNode` instances (each with its own device cost model and
+failure state; :mod:`repro.smgr.base`).  The registrations shipped with
+this reproduction:
 
-* ``"disk"``   — local magnetic disk, a single-node veneer over OS files;
-* ``"memory"`` — non-volatile main memory, single-node;
+* ``"disk"``   — local magnetic disk, a :class:`SingleNodeManager` veneer
+  over OS files;
+* ``"memory"`` — non-volatile main memory, a :class:`SingleNodeManager`;
 * ``"worm"``   — a write-once optical-disk jukebox, fronted by a
   magnetic-disk block cache (see :mod:`repro.smgr.cache`);
-* ``"sharded"`` — blocks striped across N simulated nodes by one banded
-  :class:`RangePlacement`, with R-of-N quorum replication, read-repair,
-  and rebalancing (:mod:`repro.smgr.sharded`).
+* ``"sharded"`` — blocks striped in bands across N simulated nodes, with
+  R-of-N quorum replication, read-repair, and rebalancing
+  (:mod:`repro.smgr.sharded`).
 
 Scripted fault injection is not a manager: the switch holds the armed
 :class:`~repro.sim.faults.FaultPlan` (``Database.inject_faults``) and
@@ -30,12 +30,9 @@ consults it, so — by the same §10 argument — a plan reaches every
 relation, large object and Inversion file.
 """
 
-from repro.smgr.base import (BlockStore, DiskBlockStore,
-                             MemoryBlockStore, NodeAddressedManager,
-                             PlacementPolicy, RangePlacement,
-                             SingleNodeManager, SingleNodePlacement,
-                             StorageManager, StorageManagerSwitch,
-                             StorageNode)
+from repro.smgr.base import (BlockStore, DiskBlockStore, MemoryBlockStore,
+                             SingleNodeManager, StorageManager,
+                             StorageManagerSwitch, StorageNode)
 from repro.smgr.cache import CachedStorageManager
 from repro.smgr.disk import DiskStorageManager
 from repro.smgr.memory import MemoryStorageManager
@@ -51,10 +48,6 @@ __all__ = [
     "MemoryBlockStore",
     "DiskBlockStore",
     "StorageNode",
-    "PlacementPolicy",
-    "SingleNodePlacement",
-    "RangePlacement",
-    "NodeAddressedManager",
     "SingleNodeManager",
     "DiskStorageManager",
     "MemoryStorageManager",

@@ -1,27 +1,26 @@
-"""Storage-manager abstraction, the node-addressed layer, and the switch.
+"""Storage-manager abstraction, its block stores and nodes, and the switch.
 
 A storage manager exposes block-oriented access to named relation files.
 Blocks are exactly :data:`~repro.storage.constants.PAGE_SIZE` bytes.  The
 abstraction is deliberately small — the paper calls it "a clean table-driven
 interface … any user can define a new storage manager by writing and
-registering a small set of interface routines."
+registering a small set of interface routines."  :class:`StorageManager`
+checks the block contract and consults the armed fault plan once, for
+every manager; a manager supplies only its medium.
 
-Physical placement is a first-class concern here, split across three
-pieces:
+Physical storage is built from two pieces:
 
 * a :class:`BlockStore` is a raw, *sparse* block container (process memory
   or one directory of OS files) with no cost model and no failure model;
 * a :class:`StorageNode` pairs one store with its own
-  :class:`~repro.sim.devices.DeviceModel`/:class:`~repro.sim.devices.DevicePort`
-  (so each node has an independent disk head and busy-time accumulator)
-  and an independent failure state (``up``/``down``/``slow``/``flaky``);
-* a :class:`PlacementPolicy` maps ``(fileid, blockno)`` to an R-of-N
-  replica set of node positions — single-node, or banded range sharding.
+  :class:`~repro.sim.devices.DevicePort` (so each node has an independent
+  disk head and busy-time accumulator) and an independent failure state
+  (``up``/``down``/``slow``/``flaky``).
 
-:class:`NodeAddressedManager` composes the three into a manager.  The
-classic ``disk`` and ``memory`` managers are trivial single-node instances
-of it; :mod:`repro.smgr.sharded` builds the replicated multi-node manager
-on the same parts.
+The classic ``disk`` and ``memory`` managers are a
+:class:`SingleNodeManager`: one store behind one node.
+:mod:`repro.smgr.sharded` places blocks over many nodes with banded,
+replicated placement of its own.
 
 All managers charge their physical accesses to a shared
 :class:`~repro.sim.clock.SimClock` through their nodes' ports, so benchmark
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import zlib
 from abc import ABC, abstractmethod
 from operator import itemgetter
 from typing import Callable, Iterator
@@ -319,6 +317,13 @@ class StorageNode:
         #: Accesses refused (down) or dropped (flaky) by this node.
         self.errors = 0
 
+    def set_fault_plan(self, plan: FaultPlan | None) -> None:
+        """Stamp *plan* (for its ``node`` rules); disarming also returns
+        the node to healthy."""
+        self.fault_plan = plan
+        if plan is None:
+            self.set_state("up")
+
     def set_state(self, state: str) -> bool:
         """Set the failure state; returns True when it actually changed."""
         if state not in NODE_ACTIONS:
@@ -394,78 +399,6 @@ class StorageNode:
         return {**self.port.stats(),
                 "state": self.state,
                 "errors": self.errors}
-
-
-# ---------------------------------------------------------------------------
-# Placement policies
-# ---------------------------------------------------------------------------
-
-def stable_hash(text: str) -> int:
-    """A placement hash that survives process restarts.
-
-    Python's builtin ``hash`` is salted per process, which would scatter a
-    reopened database's blocks onto different nodes than the ones that
-    hold them — placement must use a deterministic digest.
-    """
-    return zlib.crc32(text.encode("utf-8"))
-
-
-class PlacementPolicy(ABC):
-    """Maps ``(fileid, blockno)`` to an ordered replica set of nodes.
-
-    Replicas are returned as *positions* into the manager's active-node
-    list (position 0 is the primary), so policies stay oblivious to node
-    identity and to retired nodes.
-    """
-
-    #: Copies kept of every block (R in R-of-N).
-    replication = 1
-
-    @abstractmethod
-    def replicas(self, fileid: str, blockno: int,
-                 n_nodes: int) -> tuple[int, ...]:
-        """Ordered, duplicate-free node positions for this block."""
-
-    def describe(self) -> str:
-        return f"{type(self).__name__}(replication={self.replication})"
-
-
-class SingleNodePlacement(PlacementPolicy):
-    """Everything on node 0 — the classic one-device manager."""
-
-    def replicas(self, fileid: str, blockno: int,
-                 n_nodes: int) -> tuple[int, ...]:
-        return (0,)
-
-
-#: Blocks per placement band (128 KB of consecutive blocks on one node).
-BAND_BLOCKS = 16
-
-
-class RangePlacement(PlacementPolicy):
-    """Consecutive bands round-robin across nodes (range sharding).
-
-    Scattering consecutive blocks across nodes round-robin would make
-    every per-node access non-sequential (a seek per page), throwing away
-    exactly the streaming performance sharding is meant to multiply.
-    Banding keeps runs of :data:`BAND_BLOCKS` blocks on one node, so each
-    node sees sequential I/O within a band while bands still spread across
-    the cluster.  A file's bands land on ``start, start+1, …`` mod N,
-    where ``start`` hashes the file id so different files begin on
-    different nodes: a streaming scan visits nodes in long runs, and
-    disjoint-range writers to one big object land on disjoint nodes.
-    """
-
-    def __init__(self, replication: int = 1):
-        if replication < 1:
-            raise ValueError(f"replication must be >= 1, got {replication}")
-        self.replication = replication
-
-    def replicas(self, fileid: str, blockno: int,
-                 n_nodes: int) -> tuple[int, ...]:
-        primary = (stable_hash(fileid) + blockno // BAND_BLOCKS) % n_nodes
-        count = min(self.replication, n_nodes)
-        return tuple((primary + i) % n_nodes for i in range(count))
 
 
 # ---------------------------------------------------------------------------
@@ -671,62 +604,7 @@ class StorageManager(ABC):
         return self.port.stats()
 
 
-class NodeAddressedManager(StorageManager):
-    """A storage manager whose medium is placed storage nodes.
-
-    It keeps the node list and the placement, and the file lifecycle
-    every node's store shares.  :class:`SingleNodeManager` (``disk``,
-    ``memory``) is the one-node case; :mod:`repro.smgr.sharded` adds
-    quorum replication.
-    """
-
-    def __init__(self, model: DeviceModel, clock: SimClock,
-                 nodes: list[StorageNode] | None = None,
-                 placement: PlacementPolicy | None = None):
-        super().__init__(model, clock)
-        self.nodes: list[StorageNode] = list(nodes or [])
-        self.placement = placement or SingleNodePlacement()
-
-    def node_replicas(self, fileid: str, blockno: int) -> tuple[int, ...]:
-        """Indices into :attr:`nodes` holding this block, primary first."""
-        return self.placement.replicas(fileid, blockno, len(self.nodes))
-
-    def set_fault_plan(self, plan: FaultPlan | None) -> None:
-        """Stamp *plan* on the manager and on every node (for ``node``
-        rules); disarming also returns every node to healthy."""
-        super().set_fault_plan(plan)
-        for node in self.nodes:
-            node.fault_plan = plan
-            if plan is None:
-                node.set_state("up")
-
-    # -- file lifecycle (every node's store knows every file) ---------------
-
-    def create(self, fileid: str) -> None:
-        for node in self.nodes:
-            node.store.create(fileid)
-
-    def exists(self, fileid: str) -> bool:
-        return any(node.store.exists(fileid) for node in self.nodes)
-
-    def unlink(self, fileid: str) -> None:
-        for node in self.nodes:
-            node.store.unlink(fileid)
-
-    def nblocks(self, fileid: str) -> int:
-        sizes = [node.store.nblocks(fileid) for node in self.nodes
-                 if node.store.exists(fileid)]
-        if not sizes:
-            raise StorageManagerError(
-                f"relation file {fileid!r} does not exist")
-        return max(sizes)
-
-    def close(self) -> None:
-        for node in self.nodes:
-            node.store.close()
-
-
-class SingleNodeManager(NodeAddressedManager):
+class SingleNodeManager(StorageManager):
     """One store behind one node whose port *is* the manager's port — the
     classic one-device manager (``disk``, ``memory``), with the historical
     cost accounting: a read run, or the runs of one write, is one store
@@ -736,21 +614,38 @@ class SingleNodeManager(NodeAddressedManager):
     def __init__(self, node_id: str, store: BlockStore, model: DeviceModel,
                  clock: SimClock):
         super().__init__(model, clock)
-        self.nodes = [StorageNode(node_id, store, model, clock,
-                                  port=self.port)]
+        self.node = StorageNode(node_id, store, model, clock, port=self.port)
+        #: The one node, listed the way a multi-node manager lists its own.
+        self.nodes = [self.node]
+
+    def set_fault_plan(self, plan: FaultPlan | None) -> None:
+        super().set_fault_plan(plan)
+        self.node.set_fault_plan(plan)
+
+    def create(self, fileid: str) -> None:
+        self.node.store.create(fileid)
+
+    def exists(self, fileid: str) -> bool:
+        return self.node.store.exists(fileid)
+
+    def unlink(self, fileid: str) -> None:
+        self.node.store.unlink(fileid)
 
     def nblocks(self, fileid: str) -> int:
-        return self.nodes[0].store.nblocks(fileid)
+        return self.node.store.nblocks(fileid)
 
     def _read_run(self, fileid: str, first: int,
                   count: int) -> list[bytearray]:
-        return self.nodes[0].read_run(fileid, first, count)
+        return self.node.read_run(fileid, first, count)
 
     def _write_runs(self, fileid: str, runs) -> None:
-        self.nodes[0].write_runs(fileid, runs)
+        self.node.write_runs(fileid, runs)
 
     def _sync(self, fileid: str) -> None:
-        self.nodes[0].store.sync(fileid)
+        self.node.store.sync(fileid)
+
+    def close(self) -> None:
+        self.node.store.close()
 
 
 class StorageManagerSwitch:

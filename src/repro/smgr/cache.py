@@ -28,7 +28,7 @@ from collections import OrderedDict
 
 from repro.errors import StorageManagerError
 from repro.sim.clock import SimClock
-from repro.sim.devices import DevicePort, magnetic_disk_device
+from repro.sim.devices import magnetic_disk_device
 from repro.smgr.base import StorageManager
 from repro.storage.constants import PAGE_SIZE
 
@@ -46,8 +46,8 @@ class CachedStorageManager(StorageManager):
 
     def __init__(self, base: StorageManager, clock: SimClock,
                  capacity_blocks: int = 1024):
-        model = magnetic_disk_device()
-        super().__init__(model, clock)
+        # ``port`` is the cache disk: every cache access is charged to it.
+        super().__init__(magnetic_disk_device(), clock)
         self.name = base.name
         self.base = base
         self.capacity_blocks = capacity_blocks
@@ -56,7 +56,6 @@ class CachedStorageManager(StorageManager):
         self._staged: dict[tuple[str, int], bytes] = {}
         #: Cache-side view of each file's length (>= the base's).
         self._nblocks: dict[str, int] = {}
-        self.cache_port = DevicePort(model, clock)
         self.hits = 0
         self.misses = 0
         self.migrations = 0
@@ -79,9 +78,9 @@ class CachedStorageManager(StorageManager):
     def _charge_cache(self, key: tuple[str, int], is_write: bool) -> None:
         offset = self._cache_offset(key)
         if is_write:
-            self.cache_port.charge_write("worm-cache", offset, PAGE_SIZE)
+            self.port.charge_write("worm-cache", offset, PAGE_SIZE)
         else:
-            self.cache_port.charge_read("worm-cache", offset, PAGE_SIZE)
+            self.port.charge_read("worm-cache", offset, PAGE_SIZE)
 
     def _insert(self, key: tuple[str, int], data: bytes,
                 dirty: bool) -> None:

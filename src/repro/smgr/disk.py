@@ -1,9 +1,8 @@
 """Magnetic-disk storage manager: a thin veneer over the OS file system.
 
 This is the paper's first manager — "storage of classes on local magnetic
-disk … a thin veneer on top of the UNIX file system."  It is a single-node
-instance of the node-addressed layer
-(:class:`~repro.smgr.base.SingleNodeManager`) over one
+disk … a thin veneer on top of the UNIX file system."  It is a
+:class:`~repro.smgr.base.SingleNodeManager` over one
 :class:`~repro.smgr.base.DiskBlockStore` — one real file per relation under
 the database's data directory — so every physical access charges the
 magnetic-disk cost model exactly as the classic one-device manager did.

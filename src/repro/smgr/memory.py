@@ -2,8 +2,7 @@
 
 The paper's second manager "allows relational data to be stored in
 non-volatile random-access memory."  It is the simplest possible
-single-node instance of the node-addressed layer
-(:class:`~repro.smgr.base.SingleNodeManager`) over one
+:class:`~repro.smgr.base.SingleNodeManager`, over one
 :class:`~repro.smgr.base.MemoryBlockStore`, so cost accounting is exactly
 the classic one-device behavior (no positioning cost, memcpy-speed transfer
 by default).

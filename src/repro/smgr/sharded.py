@@ -3,9 +3,11 @@
 ROADMAP item 3 ("scale-out storage").  The manager keeps the ordinary
 block-oriented interface — relations and the buffer pool are oblivious —
 while physically spreading every file over a set of
-:class:`~repro.smgr.base.StorageNode` instances under a
-:class:`~repro.smgr.base.PlacementPolicy`:
+:class:`~repro.smgr.base.StorageNode` instances by banded placement:
 
+* **banded placement** — consecutive runs of :data:`BAND_BLOCKS` blocks
+  sit on one primary node, bands round-robin from a per-file start, and
+  each band's R replicas are the primary and the next R - 1 active nodes;
 * **R-of-N quorum writes** — a block write goes to every replica of its
   band; it succeeds iff at least ``write_quorum`` replicas take it.
   Replicas that missed a successful write (a down or flaky node) are
@@ -39,30 +41,47 @@ benchmark charts against node count and replica factor.
 from __future__ import annotations
 
 import os
+import zlib
 
 from repro.errors import StorageManagerError
 from repro.sim.clock import SimClock
 from repro.sim.devices import magnetic_disk_device
+from repro.sim.faults import FaultPlan
 from repro.smgr.base import (DiskBlockStore, MemoryBlockStore,
-                             NodeAddressedManager, PlacementPolicy,
-                             RangePlacement, StorageNode)
+                             StorageManager, StorageNode)
 from repro.storage.page import SlottedPage
 from repro.txn.lockdep import LockdepMutex
 
+#: Blocks per placement band (128 KB of consecutive blocks on one node).
+BAND_BLOCKS = 16
 
-class ShardedStorageManager(NodeAddressedManager):
+
+def stable_hash(text: str) -> int:
+    """A placement hash that survives process restarts.
+
+    Python's builtin ``hash`` is salted per process, which would scatter a
+    reopened database's blocks onto different nodes than the ones that
+    hold them — placement must use a deterministic digest.
+    """
+    return zlib.crc32(text.encode("utf-8"))
+
+
+class ShardedStorageManager(StorageManager):
     """R-of-N replicated striping over independent storage nodes."""
 
     name = "sharded"
 
     def __init__(self, clock: SimClock, nodes: list[StorageNode],
-                 placement: PlacementPolicy,
-                 write_quorum: int | None = None):
+                 replication: int = 1, write_quorum: int | None = None):
         if not nodes:
             raise StorageManagerError("a sharded manager needs >= 1 node")
-        super().__init__(magnetic_disk_device(), clock, nodes=list(nodes),
-                         placement=placement)
-        replication = placement.replication
+        if replication < 1:
+            raise StorageManagerError(
+                f"replication must be >= 1, got {replication}")
+        super().__init__(magnetic_disk_device(), clock)
+        self.nodes = list(nodes)
+        #: Copies kept of every block (R in R-of-N).
+        self.replication = replication
         if write_quorum is None:
             write_quorum = replication // 2 + 1
         if not 1 <= write_quorum <= replication:
@@ -86,13 +105,33 @@ class ShardedStorageManager(NodeAddressedManager):
         self.repairs = 0
         self.rebalanced = 0
 
+    def set_fault_plan(self, plan: FaultPlan | None) -> None:
+        super().set_fault_plan(plan)
+        for node in self.nodes:
+            node.set_fault_plan(plan)
+
     # -- placement resolution ------------------------------------------------
 
     def _placement_replicas(self, fileid: str,
                             blockno: int) -> tuple[int, ...]:
-        positions = self.placement.replicas(fileid, blockno,
-                                            len(self._placing))
-        return tuple(self._placing[p] for p in positions)
+        """Where placement puts a block: node indices, primary first.
+
+        Scattering consecutive blocks across nodes round-robin would make
+        every per-node access non-sequential (a seek per page), throwing
+        away exactly the streaming performance sharding is meant to
+        multiply.  Banding keeps runs of :data:`BAND_BLOCKS` blocks on one
+        node, so each node sees sequential I/O within a band while bands
+        still spread across the cluster.  A file's bands land on
+        ``start, start+1, …`` over the active nodes, where ``start``
+        hashes the file id so different files begin on different nodes: a
+        streaming scan visits nodes in long runs, and disjoint-range
+        writers to one big object land on disjoint nodes.
+        """
+        placing = self._placing
+        n_nodes = len(placing)
+        primary = stable_hash(fileid) + blockno // BAND_BLOCKS
+        return tuple(placing[(primary + i) % n_nodes]
+                     for i in range(min(self.replication, n_nodes)))
 
     def _replica_nodes(self, fileid: str, blockno: int) -> tuple[int, ...]:
         override = self._locations.get((fileid, blockno))
@@ -101,6 +140,7 @@ class ShardedStorageManager(NodeAddressedManager):
         return self._placement_replicas(fileid, blockno)
 
     def node_replicas(self, fileid: str, blockno: int) -> tuple[int, ...]:
+        """Indices into :attr:`nodes` holding this block, primary first."""
         with self._lock:
             return self._replica_nodes(fileid, blockno)
 
@@ -114,11 +154,19 @@ class ShardedStorageManager(NodeAddressedManager):
                 groups.setdefault(primary, []).append(blockno)
             return [groups[idx] for idx in sorted(groups)]
 
-    # -- file lifecycle ------------------------------------------------------
+    # -- file lifecycle (every node's store knows every file) ---------------
+
+    def create(self, fileid: str) -> None:
+        for node in self.nodes:
+            node.store.create(fileid)
+
+    def exists(self, fileid: str) -> bool:
+        return any(node.store.exists(fileid) for node in self.nodes)
 
     def unlink(self, fileid: str) -> None:
         with self._lock:
-            super().unlink(fileid)
+            for node in self.nodes:
+                node.store.unlink(fileid)
             self._lengths.pop(fileid, None)
             self._locations = {key: val for key, val
                                in self._locations.items()
@@ -135,9 +183,17 @@ class ShardedStorageManager(NodeAddressedManager):
                 # Reopen path: the dense global length is the max over the
                 # nodes' sparse slices (quorum guarantees the tail block
                 # survives on >= write_quorum stores).
-                length = super().nblocks(fileid)
-                self._lengths[fileid] = length
+                sizes = [node.store.nblocks(fileid) for node in self.nodes
+                         if node.store.exists(fileid)]
+                if not sizes:
+                    raise StorageManagerError(
+                        f"relation file {fileid!r} does not exist")
+                length = self._lengths[fileid] = max(sizes)
             return length
+
+    def close(self) -> None:
+        for node in self.nodes:
+            node.store.close()
 
     # -- block I/O (the medium) ----------------------------------------------
 
@@ -360,7 +416,7 @@ class ShardedStorageManager(NodeAddressedManager):
                 self._locations.pop(key, None)
                 self._pending.discard(key)
                 moved += 1
-            self.rebalanced += moved
+                self.rebalanced += 1
             return moved
 
     def _read_for_move(self, fileid: str, blockno: int,
@@ -397,9 +453,9 @@ class ShardedStorageManager(NodeAddressedManager):
             totals.update(
                 nodes=nodes,
                 active_nodes=len(self._placing),
-                replication=self.placement.replication,
+                replication=self.replication,
                 write_quorum=self.write_quorum,
-                placement=self.placement.describe(),
+                placement=f"bands of {BAND_BLOCKS} blocks",
                 replica_lag=len(self._stale),
                 pending_moves=len(self._pending),
                 rebalanced=self.rebalanced,
@@ -421,8 +477,7 @@ def sharded_memory_manager(clock: SimClock, n_nodes: int = 4,
     model = magnetic_disk_device()
     nodes = [StorageNode(f"node{k}", MemoryBlockStore(), model, clock)
              for k in range(n_nodes)]
-    return ShardedStorageManager(clock, nodes, RangePlacement(replication),
-                                 write_quorum=write_quorum)
+    return ShardedStorageManager(clock, nodes, replication, write_quorum)
 
 
 def sharded_disk_manager(directory: str, clock: SimClock, n_nodes: int = 4,
@@ -442,5 +497,4 @@ def sharded_disk_manager(directory: str, clock: SimClock, n_nodes: int = 4,
                                                      f"node{k}")),
                          model, clock)
              for k in range(n_nodes)]
-    return ShardedStorageManager(clock, nodes, RangePlacement(replication),
-                                 write_quorum=write_quorum)
+    return ShardedStorageManager(clock, nodes, replication, write_quorum)

@@ -27,6 +27,7 @@ precisely because it keeps earning its keep:
   had already moved — commit order was not a valid serialization.
 """
 
+import json
 import os
 import pathlib
 
@@ -116,6 +117,21 @@ class TestSmoke:
                             ops=250, crash_every=30, mix=lo_mix)
         report = _run_clean(monkey, tmp_path, min_committed=100)
         assert report.crashes >= 3, report.summary()
+
+    def test_report_dump_and_summary(self, tmp_path):
+        """The replay artifact a failing round leaves behind: the dumped
+        JSON carries the seed, the worker count and the whole op log, and
+        the summary line names the seed."""
+        report = FileMonkey(Database, seed=11, workers=1, ops=40).run()
+        artifact = tmp_path / "report.json"
+        report.dump(str(artifact))
+        dumped = json.loads(artifact.read_text(encoding="utf-8"))
+        assert (dumped["seed"], dumped["workers"], dumped["ops"]) == \
+            (11, 1, 40)
+        assert dumped["oplog"] == json.loads(json.dumps(report.oplog))
+        assert len(dumped["oplog"]) == 40
+        assert dumped["committed"] == report.committed
+        assert report.summary().startswith("FileMonkey(seed=11): ")
 
     def test_determinism_same_seed_same_tree(self):
         digests = []

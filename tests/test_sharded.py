@@ -64,6 +64,31 @@ class TestPlacement:
             assert a.node_replicas("heap_T", blockno) == \
                 b.node_replicas("heap_T", blockno)
 
+    def test_replica_sets_are_pinned(self):
+        """Banded placement is an on-disk format: a sharded directory
+        reopens only if every block is still where it was placed, so
+        these replica sets (4 nodes, R = 3) are literals."""
+        smgr = sharded_memory_manager(SimClock(), n_nodes=4,
+                                      replication=3)
+        pinned = {("heap_T", 0): (1, 2, 3), ("heap_T", 15): (1, 2, 3),
+                  ("heap_T", 16): (2, 3, 0), ("heap_T", 100): (3, 0, 1),
+                  ("lo_7", 0): (2, 3, 0), ("lo_7", 40): (0, 1, 2),
+                  ("btree_x", 1000): (3, 0, 1)}
+        for (fileid, blockno), replicas in pinned.items():
+            assert smgr.node_replicas(fileid, blockno) == replicas
+
+    def test_each_block_is_stored_on_its_replicas_only(self, tmp_path):
+        smgr = sharded_disk_manager(str(tmp_path), SimClock(), n_nodes=4,
+                                    replication=3)
+        fill(smgr, "heap_T", 48)
+        for blockno in range(48):
+            replicas = smgr.node_replicas("heap_T", blockno)
+            for idx, node in enumerate(smgr.nodes):
+                held = bytes(node.store.read_run("heap_T", blockno, 1)[0])
+                assert held == (page(blockno) if idx in replicas
+                                else bytes(len(held)))
+        smgr.close()
+
     def test_replicas_are_distinct_nodes(self):
         smgr = sharded_memory_manager(SimClock(), n_nodes=4,
                                       replication=3)
@@ -335,6 +360,37 @@ class TestRebalancing:
         for blockno in range(48):
             assert 1 not in smgr.node_replicas("f", blockno)
         self.everything_reads_back(smgr)
+
+    def test_a_failed_move_keeps_the_count_of_those_before_it(self):
+        """Each completed move is counted as it completes, so a move that
+        fails part-way through a call leaves the earlier ones counted."""
+
+        class FailingStore(MemoryBlockStore):
+            writes = 0
+
+            def write_runs(self, fileid, runs):
+                self.writes += 1
+                if self.writes == 4:
+                    raise StorageManagerError("device full")
+                super().write_runs(fileid, runs)
+
+        clock, smgr = self.seeded(replication=1, nblocks=96)
+        smgr.add_node(StorageNode("node3", FailingStore(),
+                                  magnetic_disk_device(), clock))
+        pinned = dict(smgr._locations)
+        with pytest.raises(StorageManagerError, match="device full"):
+            smgr.rebalance()
+        moved = [key for key, current in pinned.items()
+                 if key not in smgr._locations
+                 and current != smgr._placement_replicas(*key)]
+        assert len(moved) >= 3
+        assert smgr.stats()["rebalanced"] == len(moved)
+        while smgr.rebalance(max_moves=16):
+            pass
+        assert smgr.stats()["rebalanced"] == sum(
+            current != smgr._placement_replicas(*key)
+            for key, current in pinned.items())
+        self.everything_reads_back(smgr, nblocks=96)
 
     def test_cannot_remove_the_last_active_node(self):
         clock, smgr = self.seeded()
