@@ -13,7 +13,7 @@ Run:  python examples/worm_archive.py
 
 from repro.db import Database
 from repro.errors import StorageManagerError, WriteOnceViolation
-from repro.sim.devices import DeviceModel
+from repro.sim.devices import DeviceModel, DevicePort
 from repro.smgr.base import StorageManager
 from repro.storage.constants import PAGE_SIZE
 
@@ -84,7 +84,8 @@ def main() -> None:
         name = "tape"
 
         def __init__(self, clock, model):
-            super().__init__(model, clock)
+            super().__init__(clock)
+            self.port = DevicePort(model, clock)  # the tape drive it charges
             self.reels: dict[str, list[bytes]] = {}
 
         def create(self, fileid):

@@ -91,7 +91,7 @@ RECEIVER_HINTS: dict[str, tuple[str, ...]] = {
     "server": ("ReproServer",),
     "smgr": ("StorageManager", "BlockStore"),
     "switch": ("StorageManagerSwitch",),
-    "journal": ("CatalogJournal",),
+    "journal": ("AppendLog",),
     "protocol": ("protocol",),
 }
 

@@ -6,12 +6,10 @@ from repro.catalog.catalog import (
     LargeObjectEntry,
     RelationEntry,
 )
-from repro.catalog.journal import CatalogJournal
 
 __all__ = [
     "Catalog",
     "RelationEntry",
     "IndexEntry",
     "LargeObjectEntry",
-    "CatalogJournal",
 ]

@@ -1,22 +1,24 @@
 """The catalog: what classes, indexes, and large objects exist.
 
-Entries are kept in memory and mirrored to the
-:class:`~repro.catalog.journal.CatalogJournal`; reopening a database
-directory replays the journal to rebuild this state.  Mutable large-object
-state (the current byte size) is *not* here — it lives in the
+DDL (create/drop class, create index, create large object) is one JSON
+line per action in the catalog journal, an
+:class:`~repro.smgr.base.AppendLog` replayed when the directory is
+reopened: far less machinery than catalogs kept in classes, at the cost
+that DDL is not transactional (as loose as POSTGRES V4's own).  Replay
+stops at the first torn or unparseable line, where the journal is then
+cut.  Mutable large-object state (the current byte size) lives in the
 ``pg_largeobject`` system class, where no-overwrite versioning makes it
-transactional and time-travel-able.
-
-The catalog also allocates object ids, reserving them from the journal in
-batches so a crash never reissues an oid.
+transactional and time-travel-able.  Object ids are reserved from the
+journal in batches, so a crash never reissues one.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from repro.access.schema import Schema
-from repro.catalog.journal import CatalogJournal
+from repro.smgr.base import AppendLog
 from repro.txn.lockdep import LockdepMutex
 from repro.errors import (
     DuplicateRelation,
@@ -69,7 +71,7 @@ class LargeObjectEntry:
 class Catalog:
     """In-memory catalog state mirrored to a journal."""
 
-    def __init__(self, journal: CatalogJournal):
+    def __init__(self, journal: AppendLog):
         self.journal = journal
         self.relations: dict[str, RelationEntry] = {}
         self.indexes: dict[str, IndexEntry] = {}
@@ -85,7 +87,15 @@ class Catalog:
     # -- replay ---------------------------------------------------------------------
 
     def _replay(self) -> None:
-        for record in self.journal.replay():
+        intact = 0
+        for line in self.journal.read().splitlines(keepends=True):
+            if not line.endswith(b"\n"):
+                break  # torn tail from a crash
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                break  # corrupt tail: stop replaying
+            intact += len(line)
             action = record.get("action")
             if action == "create_class":
                 self.relations[record["name"]] = RelationEntry(
@@ -113,6 +123,11 @@ class Catalog:
             elif action == "oid_hwm":
                 self._oid_reserved = max(self._oid_reserved, record["upto"])
         self._next_oid = max(self._next_oid, self._oid_reserved)
+        self.journal.open(intact)
+
+    def _append(self, record: dict) -> None:
+        self.journal.append(json.dumps(record, sort_keys=True).encode()
+                            + b"\n")
 
     # -- oid allocation ----------------------------------------------------------------
 
@@ -121,9 +136,8 @@ class Catalog:
         with self._oid_mutex:
             oid = self._next_oid
             if oid >= self._oid_reserved:
+                self._append({"action": "oid_hwm", "upto": oid + _OID_BATCH})
                 self._oid_reserved = oid + _OID_BATCH
-                self.journal.append({"action": "oid_hwm",
-                                     "upto": self._oid_reserved})
             self._next_oid += 1
             return oid
 
@@ -136,9 +150,9 @@ class Catalog:
         entry = RelationEntry(name=name, schema=schema,
                               smgr_name=smgr_name, fileid=fileid)
         self.relations[name] = entry
-        self.journal.append({"action": "create_class", "name": name,
-                             "schema": schema.to_dict(),
-                             "smgr": smgr_name, "fileid": fileid})
+        self._append({"action": "create_class", "name": name,
+                      "schema": schema.to_dict(),
+                      "smgr": smgr_name, "fileid": fileid})
         return entry
 
     def get_relation(self, name: str) -> RelationEntry:
@@ -150,7 +164,7 @@ class Catalog:
     def drop_relation(self, name: str) -> RelationEntry:
         entry = self.get_relation(name)
         del self.relations[name]
-        self.journal.append({"action": "drop_class", "name": name})
+        self._append({"action": "drop_class", "name": name})
         return entry
 
     def relation_names(self) -> list[str]:
@@ -165,16 +179,16 @@ class Catalog:
         entry = IndexEntry(name=name, relation=relation,
                            attribute=attribute, fileid=fileid)
         self._set_index(entry)
-        self.journal.append({"action": "create_index", "name": name,
-                             "relation": relation, "attribute": attribute,
-                             "fileid": fileid})
+        self._append({"action": "create_index", "name": name,
+                      "relation": relation, "attribute": attribute,
+                      "fileid": fileid})
         return entry
 
     def drop_index(self, name: str) -> IndexEntry:
         entry = self._pop_index(name)
         if entry is None:
             raise RelationNotFound(f"no index named {name!r}")
-        self.journal.append({"action": "drop_index", "name": name})
+        self._append({"action": "drop_index", "name": name})
         return entry
 
     def indexes_on(self, relation: str) -> list[IndexEntry]:
@@ -200,10 +214,9 @@ class Catalog:
         entry = LargeObjectEntry(oid=oid, impl=impl, smgr_name=smgr_name,
                                  compression=compression, detail=detail)
         self.large_objects[oid] = entry
-        self.journal.append({"action": "create_lo", "oid": oid,
-                             "impl": impl, "smgr": smgr_name,
-                             "compression": compression,
-                             "detail": detail})
+        self._append({"action": "create_lo", "oid": oid, "impl": impl,
+                      "smgr": smgr_name, "compression": compression,
+                      "detail": detail})
         return entry
 
     def get_large_object(self, oid: int) -> LargeObjectEntry:
@@ -215,5 +228,5 @@ class Catalog:
     def drop_large_object(self, oid: int) -> LargeObjectEntry:
         entry = self.get_large_object(oid)
         del self.large_objects[oid]
-        self.journal.append({"action": "drop_lo", "oid": oid})
+        self._append({"action": "drop_lo", "oid": oid})
         return entry

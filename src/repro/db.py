@@ -9,9 +9,10 @@ query-language executor.  Two deployment shapes:
   backed by process memory but charges the magnetic-disk cost model, which
   is what the benchmark harness uses: wall-clock fast, simulated-time
   faithful.
-* ``Database(path)`` — durable.  Relation files, ``pg_log``, and the
-  catalog journal live under *path* and survive reopen; commit forces
-  pages per the POSTGRES no-overwrite design.
+* ``Database(path)`` — durable.  Relation files and the two append-only
+  logs, ``pg_log`` and the catalog journal, live under *path* and survive
+  reopen; commit forces pages per the POSTGRES no-overwrite design, and a
+  reopen cuts each log back to its intact records.
 
 Example
 -------
@@ -39,12 +40,11 @@ from repro.access.tuples import TID, HeapTuple
 from repro.adt.functions import FunctionRegistry
 from repro.adt.types import TypeDefinition, TypeRegistry
 from repro.catalog.catalog import Catalog
-from repro.catalog.journal import CatalogJournal
 from repro.errors import RelationNotFound, SchemaError
 from repro.sim.clock import SimClock
 from repro.sim.devices import CpuModel, magnetic_disk_device
 from repro.sim.faults import FaultPlan, parse_plan
-from repro.smgr.base import StorageManager, StorageManagerSwitch
+from repro.smgr.base import AppendLog, StorageManager, StorageManagerSwitch
 from repro.smgr.cache import CachedStorageManager
 from repro.smgr.disk import DiskStorageManager
 from repro.smgr.memory import MemoryStorageManager
@@ -108,14 +108,11 @@ class Database:
 
         if path is not None:
             os.makedirs(path, exist_ok=True)
-            self.clog = CommitLog(os.path.join(path, "pg_log"))
-            journal = CatalogJournal(os.path.join(path, "catalog.journal"))
-        else:
-            self.clog = CommitLog()
-            journal = CatalogJournal()
+        self.clog = CommitLog(path and os.path.join(path, "pg_log"))
         self.tm = TransactionManager(self.clog, self.bufmgr, self.locks,
                                      self.clock)
-        self.catalog = Catalog(journal)
+        self.catalog = Catalog(
+            AppendLog(path and os.path.join(path, "catalog.journal")))
         self.types = TypeRegistry()
         self.functions = FunctionRegistry()
 
@@ -544,23 +541,27 @@ class Database:
 
     def inject_faults(self, plan) -> "FaultPlan":
         """Arm a fault plan (a :class:`~repro.sim.faults.FaultPlan` or plan
-        DSL text) over the storage-manager switch and ``pg_log``.
+        DSL text) over the storage-manager switch and both append-only
+        logs.
 
         Block-level rules reach every relation on every manager, ``on node
-        <k> [after N]: down|slow|flaky|up`` rules every storage node; no
+        <k> [after N]: down|slow|flaky|up`` rules every storage node, and
+        ``on append pg_log|catalog.journal`` rules each log's records; no
         manager is constructed.  Returns the armed plan so callers can
         inspect ``plan.fired``.
         """
         if isinstance(plan, str):
             plan = parse_plan(plan)
-        self.switch.set_fault_plan(plan)
-        self.clog.set_fault_plan(plan)
+        self._arm(plan)
         return plan
 
     def clear_faults(self) -> None:
         """Disarm any fault plan; every storage node returns to healthy."""
-        self.switch.set_fault_plan(None)
-        self.clog.set_fault_plan(None)
+        self._arm(None)
+
+    def _arm(self, plan: FaultPlan | None) -> None:
+        self.switch.set_fault_plan(plan)
+        self.clog.log.fault_plan = self.catalog.journal.fault_plan = plan
 
     def check_integrity(self) -> list[str]:
         """Read-only consistency sweep over every layer.

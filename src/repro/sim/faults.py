@@ -8,7 +8,8 @@ the armed plan and stamps it on every manager it hands out, so
 ``read``/``write``/``sync`` rules reach every relation on every manager
 (the ``pg_largeobject`` size rows and Inversion system classes included)
 and ``node`` rules every :class:`~repro.smgr.base.StorageNode`;
-:class:`repro.txn.xlog.CommitLog` consults the same plan for ``append``.
+:class:`~repro.smgr.base.AppendLog` files (``pg_log`` and the catalog
+journal) consult the same plan for ``append``.
 
 Plans are built from :class:`FaultRule` objects or parsed from a one-line
 -per-rule DSL::
@@ -19,12 +20,12 @@ Plans are built from :class:`FaultRule` objects or parsed from a one-line
     on append pg_log:                    crash
     on node   node1            after 40: down
 
-* ``op`` is one of ``read`` / ``write`` / ``sync`` (one *logical*
-  storage-manager call, however many replicas it fans out to),
-  ``append`` (a ``pg_log`` record write), or ``node`` (a health transition
-  of one storage node).
+* ``op`` is one of ``read`` / ``write`` (one block) / ``sync`` (one
+  file; either however many replicas it fans out to),
+  ``append`` (one record written to ``pg_log`` or ``catalog.journal``),
+  or ``node`` (a health transition of one storage node).
 * the file pattern is an :mod:`fnmatch` glob over the relation file id
-  (``pg_log`` for appends, the node id for ``node`` rules).
+  (the log's file name for appends, the node id for ``node`` rules).
 * ``after N`` lets the first *N* matching operations through unharmed
   (for ``node`` rules: the node's first *N* block accesses — which is how
   a node gets killed *mid*-workload).

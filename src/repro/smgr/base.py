@@ -20,11 +20,14 @@ Physical storage is built from two pieces:
 The classic ``disk`` and ``memory`` managers are a
 :class:`SingleNodeManager`: one store behind one node.
 :mod:`repro.smgr.sharded` places blocks over many nodes with banded,
-replicated placement of its own.
+replicated placement of its own.  Beside the stores, an
+:class:`AppendLog` is the one append-only metadata file: ``pg_log`` and
+the catalog journal.
 
-All managers charge their physical accesses to a shared
-:class:`~repro.sim.clock.SimClock` through their nodes' ports, so benchmark
-elapsed times reflect each device's cost model.
+Managers charge their physical accesses to a shared
+:class:`~repro.sim.clock.SimClock` through the device ports they build
+(their nodes', a jukebox's, a cache disk's), so benchmark elapsed times
+reflect each device's cost model.
 """
 
 from __future__ import annotations
@@ -276,6 +279,66 @@ class DiskBlockStore(BlockStore):
             os.close(self._open.popitem()[1].fd)
 
 
+class AppendLog:
+    """One append-only metadata file (``pg_log``, ``catalog.journal``)
+    that does not know its record format.
+
+    The owner parses :meth:`read`, names where its intact records end,
+    and :meth:`open` cuts the file back there, so a torn tail left by a
+    crash mid-append is gone before the first new record lands behind
+    it.  Every :meth:`append` is forced before it returns and consults
+    the armed plan's ``append`` rules under the file name.  With no
+    *path*, nothing is kept and the plan is never consulted.
+    """
+
+    def __init__(self, path: str | None = None):
+        self.path = path
+        #: What ``on append <pattern>`` rules match: the file name.
+        self.name = os.path.basename(path) if path is not None else ""
+        #: The armed fault plan, stamped like a storage manager's.
+        self.fault_plan: FaultPlan | None = None
+        self._handle = None
+
+    def read(self) -> bytes:
+        """The file's bytes, or ``b""`` when there is no file."""
+        if self.path is None or not os.path.exists(self.path):
+            return b""
+        with open(self.path, "rb") as fh:
+            return fh.read()
+
+    def open(self, intact: int) -> None:
+        """Cut the file back to its first *intact* bytes and open it for
+        appends."""
+        if self.path is not None:
+            self._handle = open(self.path, "ab")
+            self._handle.truncate(intact)
+
+    def append(self, record: bytes) -> None:
+        """Durably append *record*; a ``torn N`` rule first forces its
+        first *N* bytes, as a crash mid-append leaves them."""
+        if self._handle is None:
+            return
+        plan = self.fault_plan
+        if plan is not None:
+            rule = plan.check("append", self.name)
+            if rule is not None:
+                if rule.action == "torn":
+                    self._force(record[:rule.keep_bytes])
+                plan.fire(rule, f"append to {self.name!r}")
+        self._force(record)
+
+    def _force(self, data: bytes) -> None:
+        self._handle.write(data)
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+
+    def close(self) -> None:
+        """Close the file (records already appended are durable)."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+
 # ---------------------------------------------------------------------------
 # Storage nodes
 # ---------------------------------------------------------------------------
@@ -303,12 +366,12 @@ class StorageNode:
     flaky_every = 3
 
     def __init__(self, node_id: str, store: BlockStore, model: DeviceModel,
-                 clock: SimClock, port: DevicePort | None = None):
+                 clock: SimClock):
         self.node_id = node_id
         self.store = store
         self.model = model
         self.clock = clock
-        self.port = port if port is not None else DevicePort(model, clock)
+        self.port = DevicePort(model, clock)
         self.state = "up"
         #: The armed fault plan, stamped by the owning manager; a firing
         #: ``node`` rule moves :attr:`state` just before an access is gated.
@@ -419,10 +482,8 @@ class StorageManager(ABC):
     #: Short name used in ``create ... with storage manager "<name>"``.
     name: str = "abstract"
 
-    def __init__(self, model: DeviceModel, clock: SimClock):
-        self.model = model
+    def __init__(self, clock: SimClock):
         self.clock = clock
-        self.port = DevicePort(model, clock)
         #: Stable identity for buffer-frame and transaction-touch keys.
         #: Unique per instance and never reused (unlike ``id()``), so a
         #: re-registered manager can never alias a predecessor's frames.
@@ -600,7 +661,8 @@ class StorageManager(ABC):
         return self.nblocks(fileid) * PAGE_SIZE
 
     def stats(self) -> dict:
-        """Physical access counters (reads, writes, seeks, ...)."""
+        """Physical access counters (reads, writes, seeks, ...) of the
+        device a manager that charges one keeps in ``port``."""
         return self.port.stats()
 
 
@@ -613,8 +675,9 @@ class SingleNodeManager(StorageManager):
 
     def __init__(self, node_id: str, store: BlockStore, model: DeviceModel,
                  clock: SimClock):
-        super().__init__(model, clock)
-        self.node = StorageNode(node_id, store, model, clock, port=self.port)
+        super().__init__(clock)
+        self.node = StorageNode(node_id, store, model, clock)
+        self.port = self.node.port
         #: The one node, listed the way a multi-node manager lists its own.
         self.nodes = [self.node]
 

@@ -28,7 +28,7 @@ from collections import OrderedDict
 
 from repro.errors import StorageManagerError
 from repro.sim.clock import SimClock
-from repro.sim.devices import magnetic_disk_device
+from repro.sim.devices import DevicePort, magnetic_disk_device
 from repro.smgr.base import StorageManager
 from repro.storage.constants import PAGE_SIZE
 
@@ -47,7 +47,8 @@ class CachedStorageManager(StorageManager):
     def __init__(self, base: StorageManager, clock: SimClock,
                  capacity_blocks: int = 1024):
         # ``port`` is the cache disk: every cache access is charged to it.
-        super().__init__(magnetic_disk_device(), clock)
+        super().__init__(clock)
+        self.port = DevicePort(magnetic_disk_device(), clock)
         self.name = base.name
         self.base = base
         self.capacity_blocks = capacity_blocks

@@ -78,7 +78,7 @@ class ShardedStorageManager(StorageManager):
         if replication < 1:
             raise StorageManagerError(
                 f"replication must be >= 1, got {replication}")
-        super().__init__(magnetic_disk_device(), clock)
+        super().__init__(clock)
         self.nodes = list(nodes)
         #: Copies kept of every block (R in R-of-N).
         self.replication = replication

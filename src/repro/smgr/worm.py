@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from repro.errors import StorageManagerError, WriteOnceViolation
 from repro.sim.clock import SimClock
-from repro.sim.devices import DeviceModel, jukebox_device
+from repro.sim.devices import DeviceModel, DevicePort, jukebox_device
 from repro.smgr.base import StorageManager
 from repro.storage.constants import PAGE_SIZE
 
@@ -36,7 +36,8 @@ class WormStorageManager(StorageManager):
     name = "worm"
 
     def __init__(self, clock: SimClock, model: DeviceModel | None = None):
-        super().__init__(model or jukebox_device(), clock)
+        super().__init__(clock)
+        self.port = DevicePort(model or jukebox_device(), clock)
         #: (fileid, blockno) -> global media block number.
         self._placement: dict[tuple[str, int], int] = {}
         #: global media block number -> block bytes.

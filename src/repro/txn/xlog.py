@@ -12,11 +12,10 @@ no-overwrite recovery story).
 from __future__ import annotations
 
 import enum
-import os
 import struct
-import threading
 
 from repro.errors import TransactionError
+from repro.smgr.base import AppendLog
 from repro.storage.constants import FIRST_XID, INVALID_XID
 from repro.txn.lockdep import LockdepMutex
 
@@ -50,7 +49,6 @@ class CommitLog:
     """
 
     def __init__(self, path: str | None = None):
-        self.path = path
         #: Serializes xid allocation and record appends across sessions —
         #: concurrent commits must not interleave torn half-records, and an
         #: xid must never be handed to two threads.
@@ -64,38 +62,12 @@ class CommitLog:
         self.visibility_epoch = 0
         self._next_xid = FIRST_XID
         self._reserved_until = FIRST_XID  # exclusive upper bound on disk
-        self._handle = None
-        #: Optional fault plan consulted before each record append (the
-        #: crash harness's torn-tail / die-before-log injection points).
-        self._fault_plan = None
-        if path is not None:
-            self._replay()
-            self._next_xid = max(self._next_xid, self._reserved_until)
-            # repro: allow(R003): pg_log is the durability root — the
-            # commit record must hit the platter before smgr-cached data
-            # counts, so it bypasses the switch by design (fault
-            # injection hooks it via set_fault_plan instead).
-            self._handle = open(path, "ab")
-
-    def set_fault_plan(self, plan) -> None:
-        """Arm (or with ``None`` disarm) a fault plan over record appends."""
-        self._fault_plan = plan
-
-    # -- persistence -----------------------------------------------------------
-
-    def _replay(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        # repro: allow(R003): replaying the raw pg_log file (see above).
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        usable = len(data) - (len(data) % _RECORD.size)  # drop torn tail
-        if usable != len(data):
-            # Physically discard the torn tail: appending behind it would
-            # leave every later record misaligned and unreadable.
-            os.truncate(self.path, usable)
-        for pos in range(0, usable, _RECORD.size):
-            xid, status, commit_time = _RECORD.unpack_from(data, pos)
+        #: The file; its ``append`` rules are the crash harness's torn-tail
+        #: and die-before-log injection points.
+        self.log = AppendLog(path)
+        data = self.log.read()
+        usable = len(data) - len(data) % _RECORD.size  # a torn tail is cut
+        for xid, status, commit_time in _RECORD.iter_unpack(data[:usable]):
             if status == _HWM_RECORD:
                 self._reserved_until = max(self._reserved_until, xid)
                 continue
@@ -103,31 +75,18 @@ class CommitLog:
             if status == TxnStatus.COMMITTED:
                 self._commit_time[xid] = commit_time
             self._next_xid = max(self._next_xid, xid + 1)
+        self._next_xid = max(self._next_xid, self._reserved_until)
+        # Appending behind a torn tail would leave every later record
+        # misaligned and unreadable.
+        self.log.open(usable)
 
-    def _append(self, xid: int, status: TxnStatus, commit_time: float) -> None:
-        if self._handle is None:
-            return
-        record = _RECORD.pack(xid, status, commit_time)
-        if self._fault_plan is not None:
-            rule = self._fault_plan.check("append", "pg_log")
-            if rule is not None:
-                if rule.action == "torn":
-                    # The record made it to disk only partially — exactly
-                    # what a crash mid-append leaves; replay drops it.
-                    self._handle.write(record[:rule.keep_bytes])
-                    self._handle.flush()
-                    os.fsync(self._handle.fileno())
-                self._fault_plan.fire(
-                    rule, f"pg_log append for xid {xid}")
-        self._handle.write(record)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+    def set_fault_plan(self, plan) -> None:
+        """Arm (or with ``None`` disarm) a fault plan over record appends."""
+        self.log.fault_plan = plan
 
     def close(self) -> None:
         """Close the backing file (records already written are durable)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self.log.close()
 
     # -- xid allocation -----------------------------------------------------------
 
@@ -141,12 +100,10 @@ class CommitLog:
         """
         with self._mutex:
             xid = self._next_xid
-            if self._handle is not None and xid >= self._reserved_until:
+            if xid >= self._reserved_until:
+                self.log.append(
+                    _RECORD.pack(xid + _XID_BATCH, _HWM_RECORD, 0.0))
                 self._reserved_until = xid + _XID_BATCH
-                self._handle.write(
-                    _RECORD.pack(self._reserved_until, _HWM_RECORD, 0.0))
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
             self._next_xid += 1
             self._status[xid] = TxnStatus.IN_PROGRESS
             return xid
@@ -161,7 +118,8 @@ class CommitLog:
         """
         with self._mutex:
             self._require_in_progress(xid)
-            self._append(xid, TxnStatus.COMMITTED, commit_time)
+            self.log.append(
+                _RECORD.pack(xid, TxnStatus.COMMITTED, commit_time))
             self._status[xid] = TxnStatus.COMMITTED
             self._commit_time[xid] = commit_time
             self.visibility_epoch += 1
@@ -170,7 +128,7 @@ class CommitLog:
         """Record that *xid* aborted."""
         with self._mutex:
             self._require_in_progress(xid)
-            self._append(xid, TxnStatus.ABORTED, 0.0)
+            self.log.append(_RECORD.pack(xid, TxnStatus.ABORTED, 0.0))
             self._status[xid] = TxnStatus.ABORTED
             self.visibility_epoch += 1
 

@@ -553,12 +553,12 @@ class TestShippedTreeIsClean:
         assert "OK" in result.stdout
 
     def test_every_rule_is_exercised_by_the_tree_or_suppressions(self):
-        # The shipped tree must carry at least one suppression (proof the
-        # checker actually found the intentional exceptions documented in
-        # docs/invariants.md) and zero findings.
+        # The shipped tree carries exactly the suppressions documented in
+        # docs/invariants.md and zero findings: adding an exception and
+        # losing one both fail here.
         report = analyze_paths([REPO_ROOT / "src" / "repro"])
         assert report.findings == []
-        assert report.suppressed >= 10
+        assert report.suppressed == 7
         assert report.files_checked > 80
 
 

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.access.schema import Attribute, Schema
-from repro.catalog import Catalog, CatalogJournal
+from repro.catalog import Catalog
 from repro.errors import (
     DuplicateRelation,
     LargeObjectNotFound,
     RelationNotFound,
 )
+from repro.smgr.base import AppendLog
 
 
 def schema():
@@ -17,7 +18,7 @@ def schema():
 
 @pytest.fixture
 def catalog():
-    return Catalog(CatalogJournal())
+    return Catalog(AppendLog())
 
 
 class TestRelations:
@@ -124,17 +125,17 @@ class TestOids:
 
     def test_never_reused_across_reopen(self, tmp_path):
         path = str(tmp_path / "journal")
-        first = Catalog(CatalogJournal(path))
+        first = Catalog(AppendLog(path))
         used = [first.allocate_oid() for _ in range(5)]
         first.journal.close()
-        second = Catalog(CatalogJournal(path))
+        second = Catalog(AppendLog(path))
         assert second.allocate_oid() > max(used)
 
 
 class TestJournalReplay:
     def test_full_roundtrip(self, tmp_path):
         path = str(tmp_path / "journal")
-        first = Catalog(CatalogJournal(path))
+        first = Catalog(AppendLog(path))
         first.add_relation("EMP", schema(), "worm", "heap_EMP")
         first.add_index("emp_a", "EMP", "a", "btree_emp_a")
         first.add_large_object(1001, "vsegment", "disk", "zero-rle",
@@ -143,7 +144,7 @@ class TestJournalReplay:
         first.drop_relation("DOOMED")
         first.journal.close()
 
-        second = Catalog(CatalogJournal(path))
+        second = Catalog(AppendLog(path))
         assert second.get_relation("EMP").smgr_name == "worm"
         assert second.indexes["emp_a"].attribute == "a"
         assert second.get_large_object(1001).detail == {"store_oid": 1000}
@@ -152,12 +153,12 @@ class TestJournalReplay:
 
     def test_torn_tail_ignored(self, tmp_path):
         path = str(tmp_path / "journal")
-        first = Catalog(CatalogJournal(path))
+        first = Catalog(AppendLog(path))
         first.add_relation("KEEP", schema(), "disk", "k")
         first.journal.close()
         with open(path, "ab") as fh:
             fh.write(b'{"action": "create_class", "name": "TORN"')
-        second = Catalog(CatalogJournal(path))
+        second = Catalog(AppendLog(path))
         assert second.get_relation("KEEP")
         with pytest.raises(RelationNotFound):
             second.get_relation("TORN")
@@ -171,11 +172,12 @@ class TestJournalReplay:
             fh.write(b"not json at all\n")
             fh.write(b'{"action": "create_class", "name": "B", '
                      b'"schema": [], "smgr": "disk", "fileid": "b"}\n')
-        catalog = Catalog(CatalogJournal(path))
+        catalog = Catalog(AppendLog(path))
         assert "A" in catalog.relations
         assert "B" not in catalog.relations  # replay stopped at corruption
 
     def test_memory_journal_replays_nothing(self):
-        journal = CatalogJournal()
-        journal.append({"action": "create_class"})  # no-op without a path
-        assert list(journal.replay()) == []
+        journal = AppendLog()
+        journal.open(0)
+        journal.append(b'{"action": "drop_lo"}\n')  # no-op without a path
+        assert journal.read() == b""

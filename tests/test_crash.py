@@ -189,6 +189,188 @@ def test_crashed_transaction_is_a_single_64k_write(tmp_path, impl, point):
                                   junk=pattern_bytes(65536, 11))
 
 
+def crash_during_commit(db: Database, designator: str, offset: int,
+                        data: bytes, plan: str) -> None:
+    """Write *data* at *offset* of the object, then die committing it
+    where *plan* says."""
+    txn = db.begin()
+    with db.lo.open(designator, txn, "rw") as obj:
+        obj.seek(offset)
+        obj.write(data)
+    armed = db.inject_faults(plan)
+    with pytest.raises(SimulatedCrash):
+        txn.commit()
+    assert armed.fired
+    crash(db)
+
+
+def committed_object(path: str, impl: str, data: bytes,
+                     call: int | None = None):
+    """A durable database holding one committed object of *data*, written
+    in calls of *call* bytes (one call by default)."""
+    db = Database(path)
+    call = call or len(data)
+    with db.begin() as txn:
+        designator = db.lo.create(txn, impl)
+        with db.lo.open(designator, txn, "rw") as obj:
+            for at in range(0, len(data), call):
+                obj.write(data[at:at + call])
+    return db, designator
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("impl", ["fchunk", "vsegment"])
+def test_crash_at_every_catalog_append_of_a_create(tmp_path, impl):
+    """Die at each catalog append of one create, whole or torn: the
+    committed object survives, the create leaves no large object, no oid
+    is handed out twice, and the journal keeps taking records."""
+    db, _ = committed_object(str(tmp_path / "count"), impl, B0)
+    plan = db.inject_faults(FaultPlan())
+    with db.begin() as txn:
+        db.lo.create(txn, impl)
+    db.close()
+    appends = plan.op_count("append", "catalog.journal")
+    assert appends >= 3  # the class, its index, the large object
+    for k in range(appends):
+        for action in ("crash", "torn 12"):
+            path = str(tmp_path / f"{k}-{action.split()[0]}")
+            db, keeper = committed_object(path, impl, B0)
+            kept = set(db.catalog.large_objects)
+            issued = []
+            allocate = db.catalog.allocate_oid
+
+            def recording():
+                issued.append(allocate())
+                return issued[-1]
+
+            db.catalog.allocate_oid = recording
+            plan = db.inject_faults(
+                f"on append catalog.journal after {k}: {action}")
+            with pytest.raises(SimulatedCrash):
+                db.lo.create(db.begin(), impl)
+            assert plan.fired, (k, action)
+            crash(db)
+
+            db = Database(path)
+            with db.lo.open(keeper) as obj:
+                assert obj.read() == B0
+            assert set(db.catalog.large_objects) == kept, (k, action)
+            with db.begin() as txn:
+                fresh = db.lo.create(txn, impl)
+                with db.lo.open(fresh, txn, "rw") as obj:
+                    obj.write(B1)
+            assert designator_oid(fresh) > max(kept | set(issued))
+            crash(db)
+            db = Database(path)
+            with db.lo.open(fresh) as obj:
+                assert obj.read() == B1
+            assert db.check_integrity() == [], (k, action)
+            db.close()
+
+
+@pytest.mark.faults
+class TestCrashLosesCommittedData:
+    """A crash at the wrong write loses committed data today.  Each test
+    asserts the correct outcome and is a strict xfail until the B-tree and
+    shared-page fixes land; a test that starts passing fails the run."""
+
+    @pytest.mark.xfail(strict=True, raises=StorageManagerError, reason=(
+        "a 300-chunk object, a 60-chunk append that splits the index "
+        "root, 'on write btree_lo_1000_seq after 1: crash': reopen reads "
+        "'block 3 of 2' — a rewritten page names a block never written"))
+    def test_root_split(self, tmp_path):
+        path = str(tmp_path / "db")
+        data = pattern_bytes(300 * CHUNK_PAYLOAD, 3)
+        db, designator = committed_object(path, "fchunk", data)
+        crash_during_commit(db, designator, len(data),
+                            pattern_bytes(60 * CHUNK_PAYLOAD, 5),
+                            "on write btree_lo_1000_seq after 1: crash")
+        db = Database(path)
+        with db.lo.open(designator) as obj:
+            assert obj.read() == data
+        assert db.check_integrity() == []
+
+    @pytest.mark.parametrize("after", [2, 3])
+    @pytest.mark.xfail(strict=True, raises=StorageManagerError, reason=(
+        "200 chunks of a 400-chunk object overwritten, the commit killed "
+        "after 2 or 3 index-block writes: reopen reads 'block 4 of 4'"))
+    def test_overwrite_of_400_chunks(self, tmp_path, after):
+        path = str(tmp_path / "db")
+        data = pattern_bytes(400 * CHUNK_PAYLOAD, 3)
+        db, designator = committed_object(path, "fchunk", data)
+        crash_during_commit(
+            db, designator, 100 * CHUNK_PAYLOAD,
+            pattern_bytes(200 * CHUNK_PAYLOAD, 5),
+            f"on write btree_lo_1000_seq after {after}: crash")
+        db = Database(path)
+        with db.lo.open(designator) as obj:
+            assert obj.read() == data
+
+    @pytest.mark.xfail(strict=True, raises=StorageManagerError, reason=(
+        "the first large object's commit killed after 1 write of "
+        "btree_pg_largeobject_loid: its meta page names a root never "
+        "written, and every later lo.create reads 'block 1 of 1'"))
+    def test_first_pg_largeobject_loid_commit(self, tmp_path):
+        path = str(tmp_path / "db")
+        db = Database(path)
+        txn = db.begin()
+        designator = db.lo.create(txn, "fchunk")
+        with db.lo.open(designator, txn, "rw") as obj:
+            obj.write(B0)
+        armed = db.inject_faults(
+            "on write btree_pg_largeobject_loid after 1: crash")
+        with pytest.raises(SimulatedCrash):
+            txn.commit()
+        assert armed.fired
+        crash(db)
+        db = Database(path)
+        with db.begin() as txn:
+            fresh = db.lo.create(txn, "fchunk")
+            with db.lo.open(fresh, txn, "rw") as obj:
+                obj.write(B1)
+        with db.lo.open(fresh) as obj:
+            assert obj.read() == B1
+        assert db.check_integrity() == []
+
+    @pytest.mark.parametrize("keep", [64, 512, 2048, 4096])
+    @pytest.mark.xfail(strict=True, raises=ChecksumError, reason=(
+        "2,500 bytes of a committed 40-segment v-segment object "
+        "overwritten, 'on write heap_lo_*_seg: torn N' for N = 64, 512, "
+        "2048, 4096: block 0 of the segment index, shared with committed "
+        "rows, fails its checksum"))
+    def test_segment_index_tear(self, tmp_path, keep):
+        path = str(tmp_path / "db")
+        data = pattern_bytes(40 * CHUNK_PAYLOAD, 3)
+        db, designator = committed_object(path, "vsegment", data,
+                                          call=CHUNK_PAYLOAD)
+        crash_during_commit(db, designator, 1000, pattern_bytes(2500, 5),
+                            f"on write heap_lo_*_seg: torn {keep}")
+        db = Database(path)
+        with db.lo.open(designator) as obj:
+            assert obj.read() == data
+
+    @pytest.mark.xfail(strict=True, raises=ChecksumError, reason=(
+        "'on write heap_lo_1000 after 3: torn 512' tears a page only the "
+        "crashed transaction wrote: committed reads are right, but "
+        "vacuum() and check_integrity() raise ChecksumError on it"))
+    def test_fresh_page_tear(self, tmp_path):
+        path = str(tmp_path / "db")
+        db, designator, _ = seeded_db(path, "fchunk")
+        crash_during_commit(db, designator, len(B0 + B1), JUNK,
+                            "on write heap_lo_1000 after 3: torn 512")
+        db = Database(path)
+        with db.lo.open(designator) as obj:
+            assert obj.read() == B0 + B1
+        db.vacuum()
+        assert db.check_integrity() == []
+        with db.begin() as txn:
+            with db.lo.open(designator, txn, "rw") as obj:
+                obj.seek(0, 2)
+                obj.write(B1)
+        with db.lo.open(designator) as obj:
+            assert obj.read() == B0 + B1 + B1
+
+
 class TestPlanReachesEveryRelation:
     """The plan is armed on the switch, so it covers relations no test
     ever routed through a special manager: the ``pg_largeobject`` size

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.db import Database
 from repro.errors import (
     StorageManagerError,
     WriteOnceViolation,
 )
 from repro.sim import (SimClock, SimulatedCrash, jukebox_device,
                        nvram_device, parse_plan)
+from repro.sim.devices import DevicePort
 from repro.smgr import (
     CachedStorageManager,
     DiskStorageManager,
@@ -17,6 +19,7 @@ from repro.smgr import (
     StorageManagerSwitch,
     WormStorageManager,
 )
+from repro.smgr.sharded import BAND_BLOCKS
 from repro.storage.constants import PAGE_SIZE
 
 
@@ -33,7 +36,8 @@ class ScratchManager(StorageManager):
     name = "scratch"
 
     def __init__(self, clock):
-        super().__init__(nvram_device(), clock)
+        super().__init__(clock)
+        self.port = DevicePort(nvram_device(), clock)
         self.files: dict[str, list[bytes]] = {}
 
     def create(self, fileid):
@@ -514,3 +518,24 @@ class TestSwitch:
         smgr.create("t")
         smgr.extend("t", block(1))
         assert smgr.nblocks("t") == 1
+
+
+class TestEveryPortIsCharged:
+    def test_every_reachable_port_counts_a_write(self):
+        """A manager builds a device port only if it charges one: after
+        writes through each manager ``Database()`` registers (the WORM
+        cache migrated to its media), every port reachable from it — its
+        own, its nodes', its cache's media — has counted a write."""
+        db = Database()
+        for name in db.switch.names():
+            smgr = db.storage_manager(name)
+            smgr.create("f")
+            # Four bands: every sharded node is some band's primary.
+            smgr.write_runs("f", ((0, [block(7)] * 4 * BAND_BLOCKS),))
+            smgr.sync("f")
+            if isinstance(smgr, CachedStorageManager):
+                smgr.sync_all()
+            reach = [smgr, *getattr(smgr, "nodes", ()),
+                     getattr(smgr, "base", smgr)]
+            ports = [each.port for each in reach if hasattr(each, "port")]
+            assert ports and all(port.writes for port in ports), name
