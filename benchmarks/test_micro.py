@@ -405,19 +405,25 @@ class TestOverwriteCommit:
 
     FRAME = 4000
     FRAMES = 50
+    IMPL, COMPRESSION, ZEROS = "fchunk", "none", 0.0
+    #: The chunk class and its index.
+    FORCED_FILES = 2
     #: Bytecodes of the measured close + commit, plus 5 %: 5,545 on
     #: CPython 3.11.7 since descents start at the handle's root (5,818
     #: before; 6,041 when this pin was set, and the engine before it ran
     #: 7,682 — the size-row probe and a manager call per dirty run).
     MAX_BYTECODES = 5_822
 
+    def _frame(self, frame, generation=0):
+        return frame_bytes(frame, self.ZEROS, frame_size=self.FRAME,
+                           generation=generation)
+
     def _overwrite_two_frames(self, database, designator, generation):
         txn = database.begin()
         obj = database.lo.open(designator, txn, "rw")
         for frame in (7, 31):
             obj.seek(frame * self.FRAME)
-            obj.write(frame_bytes(frame, 0.0, frame_size=self.FRAME,
-                                  generation=generation))
+            obj.write(self._frame(frame, generation))
         return txn, obj
 
     def test_no_size_probe_and_one_call_per_file(self, tmp_path,
@@ -428,11 +434,11 @@ class TestOverwriteCommit:
 
         database = Database(str(tmp_path / "db"), charge_cpu=False)
         with database.begin() as txn:
-            designator = database.lo.create(txn, "fchunk")
+            designator = database.lo.create(txn, self.IMPL,
+                                            compression=self.COMPRESSION)
             with database.lo.open(designator, txn, "rw") as obj:
                 for frame in range(self.FRAMES):
-                    obj.write(frame_bytes(frame, 0.0,
-                                          frame_size=self.FRAME))
+                    obj.write(self._frame(frame))
         for generation in range(1, 4):       # warm: every page resident
             txn, obj = self._overwrite_two_frames(database, designator,
                                                   generation)
@@ -458,7 +464,8 @@ class TestOverwriteCommit:
         txn.commit()
         monkeypatch.undo()
         assert not probes, probes
-        assert forced and set(forced.values()) == {1}, forced
+        assert len(forced) == self.FORCED_FILES, forced
+        assert set(forced.values()) == {1}, forced
 
         txn, obj = self._overwrite_two_frames(database, designator, 5)
         with _Bytecodes() as executed:
@@ -466,18 +473,36 @@ class TestOverwriteCommit:
             txn.commit()
         with database.lo.open(designator) as fresh:
             fresh.seek(31 * self.FRAME)
-            assert fresh.read(self.FRAME) == frame_bytes(
-                31, 0.0, frame_size=self.FRAME, generation=5)
+            assert fresh.read(self.FRAME) == self._frame(31, 5)
         database.close()
         assert executed.count <= self.MAX_BYTECODES, executed.count
 
 
 @pytest.mark.perf
+class TestVSegmentOverwriteCommit(TestOverwriteCommit):
+    """The same commit of a zero-rle v-segment object: the new segments
+    go to the end of the byte store, which keeps no size row, and the
+    object's own row already covers the overwrite — no
+    ``pg_largeobject`` probe, and four forced files, each in one
+    ``write_runs`` call."""
+
+    IMPL, COMPRESSION, ZEROS = "vsegment", "zero-rle", 0.5
+    #: The segment class and its index, the byte store and its index.
+    FORCED_FILES = 4
+    #: Bytecodes of the measured close + commit, plus 5 %: 7,296 on
+    #: CPython 3.11.7 (13,293 while the byte store kept a size row: its
+    #: probe and rewrite, and pg_largeobject's class and index forced
+    #: as a fifth and sixth file).
+    MAX_BYTECODES = 7_661
+
+
+@pytest.mark.perf
 class TestCommitCostIsFlatInHistory:
     """Every commit of a v-segment writer leaves one more dead version
-    of two ``pg_largeobject`` size rows.  Opening the object and
-    committing must not pay for them: counted in bytecodes, so the
-    answer is the same on any host."""
+    of its byte store's tail chunk (and, when it extends the object, of
+    its ``pg_largeobject`` size row).  Opening the object and committing
+    must not pay for them: counted in bytecodes, so the answer is the
+    same on any host."""
 
     TRANSACTIONS = 300
     FRAMES = 200
@@ -521,7 +546,8 @@ class TestCommitCostIsFlatInHistory:
             assert early > 0
             return late / early
 
-        # lo_open reads the size rows and nothing else that ages: flat.
+        # lo_open reads the object's size row and nothing else that
+        # ages (the store's end is the append cursor): flat.
         # (At the parent of the commit that added this test: 14 times.)
         assert growth(opens) <= 1.03, opens
         # A commit also places the byte store's new tail chunk, and

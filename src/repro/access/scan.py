@@ -301,6 +301,26 @@ class IndexRangeScan:
         """Visible tuples in index-key order."""
         return [tup for _key, tup in self.visible(snapshot)]
 
+    def first(self, snapshot: Snapshot) -> HeapTuple | None:
+        """A visible version under the greatest key that has one,
+        stopping at the first hit.
+
+        This is the floor walk from ``hi``, so each key's run is visited
+        newest entry first: the current version costs one descent and
+        one heap fetch however many superseded versions share its key.
+        Meant for keys with exactly one visible version per snapshot —
+        the ``pg_largeobject`` size row over ``[key, key]``, a byte
+        store's last chunk over all seqnos (docs/invariants.md) — where
+        visiting order cannot change the answer, only how many dead
+        versions are fetched on the way to it.  An ``as_of`` snapshot
+        walks back only as far as its own version, and reads the archive
+        only when the relation holds none, so over a range of keys it
+        wants a current snapshot.  Use :meth:`tuples` when every version
+        matters.
+        """
+        found = self._floor(snapshot, self.hi, first=not self.unique)
+        return found[0][1] if found else None
+
 
 class IndexProbe(IndexRangeScan):
     """Equality probe: the scan over ``[key, key]``, counted as a probe
@@ -315,22 +335,6 @@ class IndexProbe(IndexRangeScan):
     @staticmethod
     def _count(stats: AccessStats) -> None:
         stats.probes += 1
-
-    def first(self, snapshot: Snapshot) -> HeapTuple | None:
-        """One visible version, stopping at the first hit.
-
-        Meant for keys with exactly one visible version per snapshot
-        (the ``pg_largeobject`` size row — docs/invariants.md), where
-        visiting order cannot change the answer, only how many dead
-        versions are fetched on the way to it.  This is the floor walk,
-        so the run is visited newest entry first: the current version
-        costs one descent and one heap fetch however many superseded
-        versions share the key, and an ``as_of`` snapshot walks back only
-        as far as its own version.  Use :meth:`tuples` when every version
-        matters.
-        """
-        found = self._floor(snapshot, self.hi, first=not self.unique)
-        return found[0][1] if found else None
 
 
 class SeqScan:

@@ -6,10 +6,12 @@ line per action in the catalog journal, an
 reopened: far less machinery than catalogs kept in classes, at the cost
 that DDL is not transactional (as loose as POSTGRES V4's own).  Replay
 stops at the first torn or unparseable line, where the journal is then
-cut.  Mutable large-object state (the current byte size) lives in the
-``pg_largeobject`` system class, where no-overwrite versioning makes it
-transactional and time-travel-able.  Object ids are reserved from the
-journal in batches, so a crash never reissues one.
+cut.  Every DDL call appends its record first and changes the in-memory
+maps only once the append has returned, so a failed append leaves the
+catalog as it was.  Mutable large-object state (the current byte size)
+lives in the ``pg_largeobject`` system class, where no-overwrite
+versioning makes it transactional and time-travel-able.  Object ids are
+reserved from the journal in batches, so a crash never reissues one.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class LargeObjectEntry:
     the per-chunk compressor fixed at creation.  ``detail`` holds
     implementation-private wiring (v-segment stores the oid of its
     underlying f-chunk byte store).  The object's size is in
-    ``pg_largeobject``, not here.
+    ``pg_largeobject``, not here; a byte store has no size row at all.
     """
 
     oid: int
@@ -78,6 +80,9 @@ class Catalog:
         #: ``indexes`` by relation: what :meth:`indexes_on` answers from.
         self._indexes_on: dict[str, list[IndexEntry]] = {}
         self.large_objects: dict[int, LargeObjectEntry] = {}
+        #: The oids v-segment entries name as their byte stores: what
+        #: :meth:`is_byte_store` answers from.
+        self._byte_stores: set[int] = set()
         self._next_oid = _FIRST_OID
         self._oid_reserved = _FIRST_OID
         #: Guards oid allocation — concurrent sessions get distinct oids.
@@ -112,14 +117,13 @@ class Catalog:
             elif action == "drop_index":
                 self._pop_index(record["name"])
             elif action == "create_lo":
-                entry = LargeObjectEntry(
+                self._set_large_object(LargeObjectEntry(
                     oid=record["oid"], impl=record["impl"],
                     smgr_name=record["smgr"],
                     compression=record["compression"],
-                    detail=record.get("detail"))
-                self.large_objects[entry.oid] = entry
+                    detail=record.get("detail")))
             elif action == "drop_lo":
-                self.large_objects.pop(record["oid"], None)
+                self._pop_large_object(record["oid"])
             elif action == "oid_hwm":
                 self._oid_reserved = max(self._oid_reserved, record["upto"])
         self._next_oid = max(self._next_oid, self._oid_reserved)
@@ -147,12 +151,11 @@ class Catalog:
                      smgr_name: str, fileid: str) -> RelationEntry:
         if name in self.relations:
             raise DuplicateRelation(f"class {name!r} already exists")
-        entry = RelationEntry(name=name, schema=schema,
-                              smgr_name=smgr_name, fileid=fileid)
-        self.relations[name] = entry
         self._append({"action": "create_class", "name": name,
                       "schema": schema.to_dict(),
                       "smgr": smgr_name, "fileid": fileid})
+        entry = self.relations[name] = RelationEntry(
+            name=name, schema=schema, smgr_name=smgr_name, fileid=fileid)
         return entry
 
     def get_relation(self, name: str) -> RelationEntry:
@@ -163,8 +166,8 @@ class Catalog:
 
     def drop_relation(self, name: str) -> RelationEntry:
         entry = self.get_relation(name)
-        del self.relations[name]
         self._append({"action": "drop_class", "name": name})
+        del self.relations[name]
         return entry
 
     def relation_names(self) -> list[str]:
@@ -176,20 +179,19 @@ class Catalog:
                   fileid: str) -> IndexEntry:
         if name in self.indexes:
             raise DuplicateRelation(f"index {name!r} already exists")
-        entry = IndexEntry(name=name, relation=relation,
-                           attribute=attribute, fileid=fileid)
-        self._set_index(entry)
         self._append({"action": "create_index", "name": name,
                       "relation": relation, "attribute": attribute,
                       "fileid": fileid})
+        entry = IndexEntry(name=name, relation=relation,
+                           attribute=attribute, fileid=fileid)
+        self._set_index(entry)
         return entry
 
     def drop_index(self, name: str) -> IndexEntry:
-        entry = self._pop_index(name)
-        if entry is None:
+        if name not in self.indexes:
             raise RelationNotFound(f"no index named {name!r}")
         self._append({"action": "drop_index", "name": name})
-        return entry
+        return self._pop_index(name)
 
     def indexes_on(self, relation: str) -> list[IndexEntry]:
         return list(self._indexes_on.get(relation, ()))
@@ -211,12 +213,12 @@ class Catalog:
     def add_large_object(self, oid: int, impl: str, smgr_name: str,
                          compression: str,
                          detail: dict | None = None) -> LargeObjectEntry:
-        entry = LargeObjectEntry(oid=oid, impl=impl, smgr_name=smgr_name,
-                                 compression=compression, detail=detail)
-        self.large_objects[oid] = entry
         self._append({"action": "create_lo", "oid": oid, "impl": impl,
                       "smgr": smgr_name, "compression": compression,
                       "detail": detail})
+        entry = LargeObjectEntry(oid=oid, impl=impl, smgr_name=smgr_name,
+                                 compression=compression, detail=detail)
+        self._set_large_object(entry)
         return entry
 
     def get_large_object(self, oid: int) -> LargeObjectEntry:
@@ -226,7 +228,22 @@ class Catalog:
         return entry
 
     def drop_large_object(self, oid: int) -> LargeObjectEntry:
-        entry = self.get_large_object(oid)
-        del self.large_objects[oid]
+        self.get_large_object(oid)
         self._append({"action": "drop_lo", "oid": oid})
+        return self._pop_large_object(oid)
+
+    def is_byte_store(self, oid: int) -> bool:
+        """Whether *oid* is a cataloged v-segment's byte store."""
+        return oid in self._byte_stores
+
+    def _set_large_object(self, entry: LargeObjectEntry) -> None:
+        self.large_objects[entry.oid] = entry
+        store_oid = (entry.detail or {}).get("store_oid")
+        if store_oid is not None:
+            self._byte_stores.add(store_oid)
+
+    def _pop_large_object(self, oid: int) -> LargeObjectEntry | None:
+        entry = self.large_objects.pop(oid, None)
+        if entry is not None:
+            self._byte_stores.discard((entry.detail or {}).get("store_oid"))
         return entry

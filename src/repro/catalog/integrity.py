@@ -9,11 +9,12 @@ problem descriptions (empty = healthy):
   its transaction stamps refer to known-fate xids;
 * **B-trees**: key ordering holds, and every index entry's TID points at
   a decodable heap tuple;
-* **large objects**: every cataloged object has its chunk relations, its
-  ``pg_largeobject`` size row, (f-chunk, so every byte store too) one
-  visible version per chunk and none past the size, and (v-segment) a
-  byte store covering every visible segment, the segments disjoint,
-  bounded and inside the object;
+* **large objects**: every cataloged object has its chunk relations and
+  (but a v-segment's byte store, which keeps none) its
+  ``pg_largeobject`` size row; f-chunk objects and byte stores have one
+  visible version per chunk, an f-chunk object none past its size; and
+  (v-segment) every visible segment's store extent lies in visible store
+  chunks, the segments disjoint, bounded and inside the object;
 * **Inversion**: every live DIRECTORY file row has STORAGE and FILESTAT
   rows and its designator resolves; no duplicate directory slots or
   file ids; no orphan FILESTAT/STORAGE rows; every parent id is a live
@@ -152,8 +153,13 @@ class IntegrityChecker:
         snapshot = self.db.snapshot()
         size_rows = {t.values[0]: t.values[1]
                      for t in self._visible(PG_LARGEOBJECT, snapshot)}
-        for oid, entry in sorted(self.db.catalog.large_objects.items()):
-            if oid not in size_rows:
+        catalog = self.db.catalog
+        for oid, entry in sorted(catalog.large_objects.items()):
+            if catalog.is_byte_store(oid):
+                # A byte store keeps no size row; one written before
+                # stores stopped keeping it is stale and not read.
+                size_rows.pop(oid, None)
+            elif oid not in size_rows:
                 self._report(f"large object {oid}: no visible size row "
                              f"in {PG_LARGEOBJECT}")
             expected = (segment_class_name(oid)
@@ -167,12 +173,12 @@ class IntegrityChecker:
                 if store_oid is None:
                     self._report(f"large object {oid}: v-segment without "
                                  f"a recorded byte store")
-                elif store_oid not in self.db.catalog.large_objects:
+                elif store_oid not in catalog.large_objects:
                     self._report(f"large object {oid}: byte store "
                                  f"{store_oid} not cataloged")
                 else:
-                    self._check_segments(oid, store_oid, size_rows,
-                                         snapshot)
+                    self._check_segments(oid, store_oid,
+                                         size_rows.get(oid), snapshot)
             elif self.db.class_exists(expected):
                 self._check_chunks(oid, expected, size_rows.get(oid),
                                    snapshot)
@@ -181,7 +187,8 @@ class IntegrityChecker:
                       snapshot) -> None:
         # What the f-chunk writer's known-TID map and absence baseline
         # rest on (docs/invariants.md): one visible version per chunk,
-        # none at or past the size row (a missing row is reported above).
+        # none at or past the size row (a missing row is reported above;
+        # a byte store's size is where its last chunk ends).
         seen: set[int] = set()
         for tup in self._visible(name, snapshot):
             seqno = tup.values[0]
@@ -193,28 +200,36 @@ class IntegrityChecker:
                 self._report(f"large object {oid}: chunk {seqno} starts "
                              f"past the object's size ({size})")
 
-    def _check_segments(self, oid: int, store_oid: int, size_rows: dict,
+    def _check_segments(self, oid: int, store_oid: int, size: int | None,
                         snapshot) -> None:
+        from repro.lo.fchunk import chunk_class_name
         from repro.lo.vsegment import SEGMENT_MAX, segment_class_name
-        store_size = size_rows.get(store_oid)
-        if store_size is None:
-            self._report(f"large object {oid}: byte store {store_oid} "
-                         f"has no size row")
-            return
         name = segment_class_name(oid)
-        if not self.db.class_exists(name):
-            return
+        store = chunk_class_name(store_oid)
+        if not (self.db.class_exists(name) and self.db.class_exists(store)):
+            return  # reported with the object or its store
+        # What a segment read and the append cursor rest on: each segment's
+        # store bytes are in visible chunks (so the store's size, where
+        # its last chunk ends, is past every extent).
+        stored = {t.values[0]: len(t.values[1])
+                  for t in self._visible(store, snapshot)}
         # What the overlap query's floor probe rests on (docs/invariants.md):
-        # visible segments are bounded, inside the object and disjoint.
-        size = size_rows.get(oid)   # a missing row is reported above
+        # visible segments are bounded, inside the object and disjoint
+        # (*size*: a missing row is reported above).
         previous_end = 0
         for tup in sorted(self._visible(name, snapshot),
                           key=lambda t: t.values[0]):
             locn, length, clen, ptr = tup.values
             where = f"large object {oid}: segment at {locn}"
-            if ptr + clen > store_size:
-                self._report(f"{where} points past the byte store "
-                             f"({ptr}+{clen} > {store_size})")
+            end = ptr + clen
+            for seqno in range(ptr // CHUNK_PAYLOAD,
+                               (end - 1) // CHUNK_PAYLOAD + 1):
+                start = seqno * CHUNK_PAYLOAD
+                if stored.get(seqno, 0) < min(end - start, CHUNK_PAYLOAD):
+                    self._report(f"{where} points past the visible "
+                                 f"chunks of byte store {store_oid} "
+                                 f"([{ptr}, {end}) needs chunk {seqno})")
+                    break
             if not 0 < length <= SEGMENT_MAX:
                 self._report(f"{where} has length {length} "
                              f"(limit {SEGMENT_MAX})")

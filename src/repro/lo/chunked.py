@@ -3,7 +3,11 @@
 Both chunked implementations are ordinary no-overwrite classes plus one
 ``pg_largeobject`` size row, so both get transactions and time travel
 "for free" — and both need the same machinery to stay correct when
-several transactions write one object at once:
+several transactions write one object at once.  (A v-segment's byte
+store, :class:`~repro.lo.vsegment.ByteStore`, is the one chunked object
+without a size row: it overrides :meth:`ChunkedObject._committed_size`
+to read where its last chunk ends, and :meth:`ChunkedObject.flush` to
+write no row.)
 
 * one **epoch gate** (:meth:`ChunkedObject._refresh_committed`): when
   any transaction commits or aborts, every descriptor drops the cached
@@ -122,7 +126,8 @@ class ChunkedObject(LargeObject):
         return self._view
 
     def _committed_size(self) -> int:
-        """The size row's size, read once per :meth:`_refresh_committed`."""
+        """The size row's size, read once per :meth:`_refresh_committed`
+        (a byte store derives it instead)."""
         if self._committed is None:
             self._committed = metadata.read_size(self.db, self.oid,
                                                  self._snapshot())

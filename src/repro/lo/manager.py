@@ -36,9 +36,11 @@ from repro.lo.nativefs import NativeFileSystem
 from repro.lo.pfile import PFILE_PREFIX, PostgresFileObject, is_pfile
 from repro.lo.ufile import UserFileObject
 from repro.lo.vsegment import (
+    ByteStore,
     VSegmentObject,
     segment_class_name,
     segment_index_name,
+    store_size,
 )
 from repro.txn.lockdep import LockdepMutex
 from repro.txn.locks import LockMode
@@ -150,12 +152,24 @@ class LargeObjectManager:
             txn.on_abort.append(lambda: self.nativefs.unlink(name))
         return name
 
+    def _create_chunks(self, txn: Transaction, smgr_name: str,
+                       compression: str) -> int:
+        """Catalog a fresh chunk class, its index and an f-chunk entry
+        (undone if *txn* aborts); returns the oid.  No size row: a
+        v-segment's byte store keeps none, an f-chunk object adds it."""
+        oid = self.db.catalog.allocate_oid()
+        name = chunk_class_name(oid)
+        self.db._create_class(name, [("seqno", "int4"), ("data", "bytea")],
+                              smgr=smgr_name)
+        self.db.create_index(chunk_index_name(oid), name, "seqno")
+        self._register_chunked(txn, oid, "fchunk", smgr_name, compression)
+        return oid
+
     def _register_chunked(self, txn: Transaction, oid: int, impl: str,
                           smgr_name: str, compression: str,
                           detail: dict | None = None) -> None:
         self.db.catalog.add_large_object(oid, impl, smgr_name, compression,
                                          detail=detail)
-        self.db.insert(txn, PG_LARGEOBJECT, (oid, 0))
         txn.on_abort.append(lambda: self._undo_create(oid))
 
     def _undo_create(self, oid: int) -> None:
@@ -194,15 +208,17 @@ class LargeObjectManager:
         Safe because the only path that deletes size rows
         (:meth:`_unlink_chunked`) also drops the catalog entry, so a
         cataloged oid with no visible size row can only be the residue
-        of an uncommitted create.
+        of an uncommitted create.  A v-segment's byte store has no size
+        row: it goes with the v-segment that names it, and one that no
+        v-segment names is the residue of a create that died between the
+        two.
         """
+        catalog = self.db.catalog
         sized = {t.values[0] for t in self.db.scan(PG_LARGEOBJECT)}
         dropped = []
-        for oid in sorted(self.db.catalog.large_objects):
-            if oid in sized:
+        for oid in sorted(catalog.large_objects):
+            if oid in sized or catalog.is_byte_store(oid):
                 continue
-            if self.db.catalog.large_objects.get(oid) is None:
-                continue  # already swept as a v-segment's byte store
             self._undo_create(oid)
             dropped.append(oid)
         return dropped
@@ -211,13 +227,9 @@ class LargeObjectManager:
                        compression: str) -> str:
         txn.require_active()
         get_compressor(compression)  # validate the name early
-        smgr_name = smgr or self.db.default_smgr_name
-        oid = self.db.catalog.allocate_oid()
-        name = chunk_class_name(oid)
-        self.db._create_class(name, [("seqno", "int4"), ("data", "bytea")],
-                              smgr=smgr_name)
-        self.db.create_index(chunk_index_name(oid), name, "seqno")
-        self._register_chunked(txn, oid, "fchunk", smgr_name, compression)
+        oid = self._create_chunks(txn, smgr or self.db.default_smgr_name,
+                                  compression)
+        self.db.insert(txn, PG_LARGEOBJECT, (oid, 0))
         return f"lo:{oid}"
 
     def _create_vsegment(self, txn: Transaction, smgr: str | None,
@@ -225,9 +237,9 @@ class LargeObjectManager:
         txn.require_active()
         get_compressor(compression)
         smgr_name = smgr or self.db.default_smgr_name
-        # The byte store is a plain (uncompressed) f-chunk object.
-        store_designator = self._create_fchunk(txn, smgr_name, "none")
-        store_oid = designator_oid(store_designator)
+        # The byte store is an uncompressed f-chunk object with no size
+        # row (ByteStore).
+        store_oid = self._create_chunks(txn, smgr_name, "none")
         oid = self.db.catalog.allocate_oid()
         name = segment_class_name(oid)
         self.db._create_class(
@@ -238,6 +250,7 @@ class LargeObjectManager:
         self.db.create_index(segment_index_name(oid), name, "locn")
         self._register_chunked(txn, oid, "vsegment", smgr_name, compression,
                                detail={"store_oid": store_oid})
+        self.db.insert(txn, PG_LARGEOBJECT, (oid, 0))
         return f"lo:{oid}"
 
     # -- open -------------------------------------------------------------------------------
@@ -280,7 +293,9 @@ class LargeObjectManager:
         compressor = get_compressor(entry.compression)
         try:
             if entry.impl == "fchunk":
-                obj: LargeObject = FChunkObject(
+                layout = (ByteStore if self.db.catalog.is_byte_store(oid)
+                          else FChunkObject)
+                obj: LargeObject = layout(
                     self.db, oid, compressor, txn, writable, as_of=as_of)
             else:
                 store_oid = (entry.detail or {}).get("store_oid")
@@ -321,14 +336,22 @@ class LargeObjectManager:
         with self._open_mutex:
             return self._open_counts.get(oid, 0)
 
+    def store_cursor(self, store_oid: int) -> int | None:
+        """Where the next extent of a byte store starts, or ``None`` until
+        the first reservation anchors the cursor."""
+        with self._cursor_mutex:
+            return self._append_cursors.get(store_oid)
+
     def reserve_store_extent(self, store_oid: int, length: int, *,
                              eof_hint: int) -> int:
         """Claim ``length`` fresh bytes of a v-segment byte store.
 
         The cursor is lazily anchored at *eof_hint* (the caller's view of
-        the store EOF) and only ever moves forward, so concurrent writers
-        get disjoint extents without a size-row probe; a lone writer gets
-        back exactly its own EOF — the identical layout the plain
+        the store EOF: for the first writer since the database opened,
+        where the store's last visible chunk ends, which is past every
+        committed segment) and only ever moves forward, so concurrent
+        writers get disjoint extents, across crashes too; a lone writer
+        gets back exactly its own EOF — the identical layout the plain
         ``seek(0, SEEK_END)`` append produced.
         """
         with self._cursor_mutex:
@@ -374,10 +397,11 @@ class LargeObjectManager:
                 f"descriptor(s) remain (close them first — the chunk "
                 f"relations would drop under a live reader)")
         entry = self.db.catalog.get_large_object(oid)
-        # Delete the size row (transactional part).  The scan collects
-        # (and releases the engine latch) before the deletes: db.delete
-        # takes a heavyweight relation lock, which must never be acquired
-        # while the latch is held.
+        # Delete the size row (transactional part; a byte store has one
+        # only if it was written before stores kept none).  The scan
+        # collects (and releases the engine latch) before the deletes:
+        # db.delete takes a heavyweight relation lock, which must never be
+        # acquired while the latch is held.
         snapshot = self.db.snapshot(txn)
         for row in metadata.size_rows(self.db, oid, snapshot):
             self.db.delete(txn, PG_LARGEOBJECT, row.tid)
@@ -421,11 +445,18 @@ class LargeObjectManager:
 
         A chunked object's size is one ``pg_largeobject`` row, so asking
         for it needs no descriptor (and no trip through the
-        open-descriptor registry); a native file is asked directly.
+        open-descriptor registry); a v-segment's byte store, which keeps
+        no row, ends where its last visible chunk does; a native file is
+        asked directly.
         """
         if is_chunked(designator):
-            return metadata.read_size(self.db, designator_oid(designator),
-                                      snapshot)
+            oid = designator_oid(designator)
+            if self.db.catalog.is_byte_store(oid):
+                return store_size(self.db,
+                                  self.db.get_index(chunk_index_name(oid)),
+                                  self.db.get_class(chunk_class_name(oid)),
+                                  snapshot)
+            return metadata.read_size(self.db, oid, snapshot)
         with self.open(designator, as_of=snapshot.as_of) as obj:
             return obj.size()
 

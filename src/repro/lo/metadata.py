@@ -7,7 +7,9 @@ versioning makes it roll back on abort and travel in time along with the
 chunks.  f-chunk descriptors, v-segment descriptors, and the manager's
 unlink path all read and update that row; the helpers here are the one
 copy of that logic, built on the scan descriptors of
-:mod:`repro.access.scan` (which own the engine-latch discipline).
+:mod:`repro.access.scan` (which own the engine-latch discipline).  A
+v-segment's byte store keeps no row: its size is where its last chunk
+ends (:func:`repro.lo.vsegment.store_size`).
 """
 
 from __future__ import annotations

@@ -35,7 +35,9 @@ from repro.compress.base import Compressor
 from repro.errors import LargeObjectError
 from repro.lo.chunked import ChunkedObject
 from repro.lo.fchunk import FChunkObject
+from repro.storage.constants import CHUNK_PAYLOAD
 from repro.txn.manager import Transaction
+from repro.txn.snapshot import Snapshot
 
 if TYPE_CHECKING:
     from repro.db import Database
@@ -61,6 +63,30 @@ LOCK_GRAIN_BYTES = 16 * SEGMENT_MAX
 SEGMENT_CACHE_ENTRIES = 4
 
 
+#: Above every chunk seqno (an ``int4``): where a byte store's floor
+#: walk for its last chunk starts.
+_LAST_SEQNO = (2**31 - 1,)
+
+
+def store_size(db: "Database", index, relation,
+               snapshot: Snapshot) -> int:
+    """A byte store's size as of *snapshot*: where its last visible chunk
+    ends.  One newest-first floor walk down the chunk index (``index``
+    over ``relation``) — the walk a size-row probe is — so it costs one
+    descent and one heap fetch however often the tail chunk was
+    replaced.  A travelling snapshot's last chunk may be in the archive,
+    so its walk finishes that key's run and merges the archive in."""
+    scan = IndexRangeScan(db, index, relation, None, _LAST_SEQNO)
+    if snapshot.as_of is None:
+        last = scan.first(snapshot)
+    else:
+        found = scan.visible_from_floor(snapshot, _LAST_SEQNO)
+        last = found[-1][1] if found else None
+    if last is None:
+        return 0
+    return last.values[0] * CHUNK_PAYLOAD + len(last.values[1])
+
+
 def segment_class_name(oid: int) -> str:
     """Name of the per-object segment-index class (``segment_ndx``)."""
     return f"lo_{oid}_seg"
@@ -71,6 +97,42 @@ def segment_index_name(oid: int) -> str:
     return f"lo_{oid}_segidx"
 
 
+class ByteStore(FChunkObject):
+    """A v-segment's byte store: an uncompressed f-chunk object that keeps
+    no ``pg_largeobject`` size row.
+
+    The store only grows, and a segment record is what publishes each
+    write, so a size row would only repeat where the last chunk ends
+    (:func:`store_size`).  Only a writer asks for the size, and only to
+    anchor the manager's append cursor and its own absence baseline, so
+    once the cursor is anchored the writer takes the cursor instead: it
+    is that end plus the extents handed out since, and no chunk at or
+    past it exists.  Every committed segment's extent lies in committed
+    chunks, so an anchor at that end hands no extent out twice, across
+    crashes too.  :meth:`flush` writes the buffered chunk and no row.
+    """
+
+    def _committed_size(self) -> int:
+        if self._committed is None:
+            end = self.db.lo.store_cursor(self.oid)
+            if end is None:   # the first writer since the database opened
+                end = store_size(self.db, self.index, self.relation,
+                                 self._snapshot())
+            self._committed = end
+        return self._committed
+
+    def flush(self) -> None:
+        if self._closed or self._pending_size is None:
+            return
+        self._flush_data()
+        if self._unflushed:
+            # The transaction's other descriptors of this store gate on
+            # the count a size-row rewrite bumps: their tail and absence
+            # baseline are stale now.
+            self._own_writes[0] += 1
+            self._unflushed = False
+
+
 class VSegmentObject(ChunkedObject):
     """An open v-segment large object."""
 
@@ -78,7 +140,7 @@ class VSegmentObject(ChunkedObject):
     _unit = "segment"
 
     def __init__(self, db: "Database", oid: int, compressor: Compressor,
-                 store: FChunkObject, txn: Transaction | None,
+                 store: ByteStore, txn: Transaction | None,
                  writable: bool, as_of: float | None = None):
         super().__init__(db, oid, compressor, txn, writable, as_of,
                          segment_class_name(oid), segment_index_name(oid))

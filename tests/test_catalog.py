@@ -181,3 +181,71 @@ class TestJournalReplay:
         journal.open(0)
         journal.append(b'{"action": "drop_lo"}\n')  # no-op without a path
         assert journal.read() == b""
+
+
+class TestFailedAppendChangesNothing:
+    """DDL journals its record before it touches the in-memory maps, so a
+    journal append that fails leaves the catalog as it was, and the same
+    DDL retried once the device heals is there after a reopen."""
+
+    def test_failed_create_class(self, tmp_path):
+        from repro.db import Database
+        from repro.errors import StorageManagerError
+
+        path = str(tmp_path / "db")
+        db = Database(path)
+        plan = db.inject_faults("on append catalog.journal: error")
+        with pytest.raises(StorageManagerError):
+            db.create_class("T", [("n", "int4")])
+        assert plan.fired
+        assert not db.class_exists("T")
+        db.clear_faults()
+        db.create_class("T", [("n", "int4")])
+        with db.begin() as txn:
+            db.insert(txn, "T", (7,))
+        db.close()
+        db = Database(path)
+        assert [t.values for t in db.scan("T")] == [(7,)]
+        db.close()
+
+    @pytest.mark.parametrize("impl", ["fchunk", "vsegment"])
+    def test_failed_large_object_create(self, tmp_path, impl):
+        """Fail each catalog append of one ``lo.create`` in turn (the
+        class, its index, the large object — twice over for a v-segment
+        and its byte store): no large object is left behind, and the
+        retried create is whole after a reopen."""
+        from repro.db import Database
+        from repro.errors import StorageManagerError
+        from repro.sim.faults import FaultPlan
+
+        path = str(tmp_path / "db")
+        db = Database(path)
+        with db.begin() as txn:
+            db.lo.create(txn, impl)     # reserves the batch of oids
+        plan = db.inject_faults(FaultPlan())
+        with db.begin() as txn:
+            db.lo.create(txn, impl)
+        appends = plan.op_count("append", "catalog.journal")
+        assert appends >= 3
+        db.clear_faults()
+        for k in range(appends):
+            kept = dict(db.catalog.large_objects)
+            plan = db.inject_faults(
+                f"on append catalog.journal after {k}: error")
+            txn = db.begin()
+            with pytest.raises(StorageManagerError):
+                db.lo.create(txn, impl)
+            assert plan.fired, k
+            db.clear_faults()
+            txn.abort()
+            assert db.catalog.large_objects == kept, k
+        with db.begin() as txn:
+            designator = db.lo.create(txn, impl)
+            with db.lo.open(designator, txn, "rw") as obj:
+                obj.write(b"kept" * 3000)
+        db.close()
+        db = Database(path)
+        with db.lo.open(designator) as obj:
+            assert obj.read() == b"kept" * 3000
+        assert db.check_integrity() == []
+        db.close()

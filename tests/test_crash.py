@@ -268,6 +268,91 @@ def test_crash_at_every_catalog_append_of_a_create(tmp_path, impl):
             db.close()
 
 
+def _segments(db: Database, designator: str) -> set[tuple]:
+    """``(locn, length, compressed_len, byte_pointer)`` of every visible
+    segment."""
+    from repro.lo.vsegment import segment_class_name
+    name = segment_class_name(designator_oid(designator))
+    return {t.values for t in db.scan(name)}
+
+
+def _frame(n: int, generation: int = 0) -> bytes:
+    """A 4,000-byte frame whose second half is zeros (zero-rle halves it)."""
+    return pattern_bytes(2_000, n + 7 * generation + 1) + bytes(2_000)
+
+
+@pytest.mark.faults
+def test_crash_at_every_store_write_of_a_vsegment_append(tmp_path):
+    """A byte store keeps no size row: its size, where the append cursor
+    anchors after a reopen, is where its last visible chunk ends.  Die
+    committing a v-segment append at each guarded write of the store's
+    two files and at the ``pg_log`` append, reopen, and write again:
+    every committed frame reads back, no new segment's store extent
+    overlaps a committed one's (the cursor handed nothing out twice),
+    the checker passes and vacuum runs."""
+    frames = 24
+
+    def committed(path):
+        db = Database(path)
+        with db.begin() as txn:
+            designator = db.lo.create(txn, "vsegment",
+                                      compression="zero-rle")
+            with db.lo.open(designator, txn, "rw") as obj:
+                for n in range(frames):
+                    obj.write(_frame(n))
+        return db, designator
+
+    def append(db, designator, first, count, generation=0):
+        with db.lo.open(designator, db.begin(), "rw") as obj:
+            obj.seek(first * 4_000)
+            for n in range(first, first + count):
+                obj.write(_frame(n, generation))
+            return obj.txn
+
+    db, designator = committed(str(tmp_path / "count"))
+    store = db.catalog.get_large_object(
+        designator_oid(designator)).detail["store_oid"]
+    files = (f"heap_lo_{store}", f"btree_lo_{store}_seq")
+    plan = db.inject_faults(FaultPlan())
+    append(db, designator, frames, 6).commit()
+    writes = {fileid: plan.op_count("write", fileid) for fileid in files}
+    db.close()
+    assert all(writes.values()), writes
+    points = [f"on write {fileid} after {k}: crash"
+              for fileid, count in writes.items() for k in range(count)]
+    points.append("on append pg_log: crash")
+    for number, point in enumerate(points):
+        path = str(tmp_path / str(number))
+        db, designator = committed(path)
+        before = _segments(db, designator)
+        txn = append(db, designator, frames, 6)
+        armed = db.inject_faults(point)
+        with pytest.raises(SimulatedCrash):
+            txn.commit()
+        assert armed.fired, point
+        crash(db)
+
+        db = Database(path)
+        with db.lo.open(designator) as obj:
+            assert obj.read() == b"".join(map(_frame, range(frames))), point
+        # Write again: an append past the end and an overwrite inside.
+        append(db, designator, frames, 6, generation=1).commit()
+        append(db, designator, 3, 2, generation=2).commit()
+        fresh = _segments(db, designator) - before
+        assert fresh, point
+        for _locn, _length, clen, ptr in fresh:
+            assert all(ptr + clen <= old or old + old_len <= ptr
+                       for _l, _n, old_len, old in before), (point, ptr)
+        assert db.check_integrity() == [], point
+        db.vacuum()
+        expected = [_frame(n) for n in range(frames)]
+        expected[3:5] = [_frame(3, 2), _frame(4, 2)]
+        expected += [_frame(n, 1) for n in range(frames, frames + 6)]
+        with db.lo.open(designator) as obj:
+            assert obj.read() == b"".join(expected), point
+        db.close()
+
+
 @pytest.mark.faults
 class TestCrashLosesCommittedData:
     """A crash at the wrong write loses committed data today.  Each test

@@ -651,10 +651,9 @@ class TestCommitSkipsACoveredSizeRow:
         probes = size_probes()
         obj.close()
         txn.commit()
-        # f-chunk: none; v-segment: its byte store's, which the new
-        # segment image extends (at the parent: 1 and 2).
-        assert sum(probes.values()) == (impl == "vsegment"), probes
-        assert obj.oid not in probes
+        # None: a v-segment's byte store, which the new segment image
+        # extends, keeps no size row.
+        assert not probes, probes
         assert _committed(db, designator) == (
             b"A" * 1_000 + b"B" * 2_000 + b"A" * 17_000)
 

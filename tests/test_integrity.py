@@ -205,6 +205,25 @@ class TestInjectedCorruption:
         problems = db.check_integrity()
         assert any("points past" in p for p in problems)
 
+    def test_store_chunk_under_a_live_segment_detected(self, db):
+        """A byte store keeps no size row: every visible segment's store
+        extent must lie in visible store chunks — here a chunk below the
+        store's last one is gone, so its size is unchanged."""
+        _fchunk, vseg = populated(db)
+        from repro.lo.fchunk import chunk_class_name
+        from repro.lo.manager import designator_oid
+        oid = designator_oid(vseg)
+        store = db.catalog.get_large_object(oid).detail["store_oid"]
+        assert db.check_integrity() == []
+        chunks = {t.values[0]: t.tid for t in db.scan(chunk_class_name(store))}
+        assert sorted(chunks) == [0, 1]     # 15,000 uncompressed bytes
+        with db.begin() as txn:
+            db.delete(txn, chunk_class_name(store), chunks[0])
+        problems = db.check_integrity()
+        assert (f"large object {oid}: segment at 0 points past the visible "
+                f"chunks of byte store {store} ([0, 15000) needs chunk 0)"
+                in problems), problems
+
     @pytest.mark.parametrize("record, complaint", [
         ((5_000, 100, 1, 0), "segment at 5000 overlaps the one ending "
                              "at 15000"),

@@ -879,3 +879,131 @@ def test_lo_append_on_a_file_object(db, impl):
     with db.lo.open(designator) as obj:
         assert obj.read() == b"abcdefg"
         assert obj.size() == 7
+
+
+def _segment_extents(db, designator):
+    """``(byte_pointer, compressed_len)`` of every visible segment."""
+    from repro.lo.manager import designator_oid
+    from repro.lo.vsegment import segment_class_name
+    return {(t.values[3], t.values[2])
+            for t in db.scan(segment_class_name(designator_oid(designator)))}
+
+
+def _store_oid(db, designator):
+    from repro.lo.manager import designator_oid
+    return db.catalog.get_large_object(
+        designator_oid(designator)).detail["store_oid"]
+
+
+class TestByteStoreKeepsNoSizeRow:
+    """A v-segment's byte store only grows and a segment record publishes
+    each write, so the store keeps no ``pg_largeobject`` row: its size is
+    where its last visible chunk ends."""
+
+    def test_an_overwrite_forces_only_segment_and_store_files(
+            self, db, monkeypatch):
+        from repro.lo.manager import designator_oid
+        with db.begin() as txn:
+            designator = db.lo.create(txn, "vsegment")
+            with db.lo.open(designator, txn, "rw") as obj:
+                obj.write(b"A" * 20_000)
+        oid, store = designator_oid(designator), _store_oid(db, designator)
+        requested = []
+        acquire = db.locks.acquire
+
+        def recording(xid, resource, mode):
+            requested.append(resource)
+            return acquire(xid, resource, mode)
+
+        monkeypatch.setattr(db.locks, "acquire", recording)
+        txn = db.begin()
+        with db.lo.open(designator, txn, "rw") as obj:
+            obj.seek(1_000)
+            obj.write(b"B" * 2_000)
+        txn.commit()
+        assert {fileid for _smgr, fileid in txn.touched} == {
+            f"heap_lo_{oid}_seg", f"btree_lo_{oid}_segidx",
+            f"heap_lo_{store}", f"btree_lo_{store}_seq"}
+        assert ("losize", store) not in requested
+        with db.lo.open(designator) as obj:
+            assert obj.read() == b"A" * 1_000 + b"B" * 2_000 + b"A" * 17_000
+
+    def test_a_store_knows_its_size_without_a_row(self, db):
+        from repro.db import PG_LARGEOBJECT
+        with db.begin() as txn:
+            designator = db.lo.create(txn, "vsegment")
+            with db.lo.open(designator, txn, "rw") as obj:
+                obj.write(b"A" * 20_000)
+        store = _store_oid(db, designator)
+        assert store not in {t.values[0] for t in db.scan(PG_LARGEOBJECT)}
+        end = max(ptr + clen for ptr, clen
+                  in _segment_extents(db, designator))
+        assert db.lo.size(f"lo:{store}", db.snapshot()) == end == 20_000
+
+    def test_a_second_descriptor_sees_the_first_ones_appends(self, db):
+        """Two writers of one object in one transaction: the first one's
+        close puts store chunks the second one's store has not seen (no
+        epoch moves inside a transaction); it must replace them, not
+        insert a second visible version."""
+        with db.begin() as txn:
+            designator = db.lo.create(txn, "vsegment")
+            with db.lo.open(designator, txn, "rw") as obj:
+                obj.write(b"A" * 5_000)
+        with db.begin() as txn:
+            first = db.lo.open(designator, txn, "rw")
+            second = db.lo.open(designator, txn, "rw")
+            first.seek(0, 2)
+            first.write(b"B" * 5_000)
+            first.close()
+            second.seek(0, 2)
+            second.write(b"C" * 5_000)
+            second.close()
+        with db.lo.open(designator) as obj:
+            assert obj.read() == b"A" * 5_000 + b"B" * 5_000 + b"C" * 5_000
+        assert db.check_integrity() == []
+
+    def test_a_store_written_with_a_size_row(self, tmp_path):
+        """Every directory written before stores stopped keeping a row
+        has one per store.  It is never read: the store reads back, new
+        segments land past every committed extent, the checker passes
+        over the row gone stale, and unlink deletes it."""
+        from repro.db import PG_LARGEOBJECT
+        path = str(tmp_path / "db")
+        db = Database(path)
+        with db.begin() as txn:
+            designator = db.lo.create(txn, "vsegment",
+                                      compression="zero-rle")
+            with db.lo.open(designator, txn, "rw") as obj:
+                for n in range(12):
+                    obj.write(bytes([n + 1]) * 2_000 + bytes(2_000))
+        store = _store_oid(db, designator)
+        with db.begin() as txn:
+            db.insert(txn, PG_LARGEOBJECT,
+                      (store, db.lo.size(f"lo:{store}", db.snapshot(txn))))
+        committed = _segment_extents(db, designator)
+        db.close()
+
+        db = Database(path)
+        expected = b"".join(bytes([n + 1]) * 2_000 + bytes(2_000)
+                            for n in range(12))
+        with db.lo.open(designator) as obj:
+            assert obj.read() == expected
+        with db.begin() as txn:
+            with db.lo.open(designator, txn, "rw") as obj:
+                obj.seek(0, 2)
+                obj.write(b"D" * 3_000)
+                obj.seek(8_000)
+                obj.write(b"E" * 500)
+        fresh = _segment_extents(db, designator) - committed
+        assert fresh
+        last_end = max(ptr + clen for ptr, clen in committed)
+        assert all(ptr >= last_end for ptr, _clen in fresh), fresh
+        assert db.check_integrity() == []
+        expected = expected[:8_000] + b"E" * 500 + expected[8_500:]
+        with db.lo.open(designator) as obj:
+            assert obj.read() == expected + b"D" * 3_000
+        with db.begin() as txn:
+            db.lo.unlink(txn, designator)
+        assert store not in {t.values[0] for t in db.scan(PG_LARGEOBJECT)}
+        assert db.check_integrity() == []
+        db.close()
