@@ -15,6 +15,7 @@ from statistics import median
 
 import pytest
 
+from repro.access.tuples import TID
 from repro.bench.datasets import frame_bytes
 from repro.db import Database
 from repro.sim.devices import DevicePort
@@ -57,10 +58,10 @@ class TestBTreeMicro:
             index = db.create_index if False else None  # noqa: F841
             from repro.access.btree import BTree
             tree = BTree(f"micro{run}", db.storage_manager("memory"),
-                         db.bufmgr, key_arity=1)
+                         db.bufmgr)
             tree.create_storage()
             for i in range(1000):
-                tree.insert((i,), (i, 0))
+                tree.insert(i, TID(i, 0))
             return tree
 
         tree = benchmark.pedantic(work, rounds=3, iterations=1)
@@ -69,11 +70,11 @@ class TestBTreeMicro:
     def test_btree_search(self, benchmark, db):
         from repro.access.btree import BTree
         tree = BTree("searchme", db.storage_manager("memory"),
-                     db.bufmgr, key_arity=1)
+                     db.bufmgr)
         tree.create_storage()
         for i in range(5000):
-            tree.insert((i,), (i, 0))
-        result = benchmark(tree.search, (2500,))
+            tree.insert(i, TID(i, 0))
+        result = benchmark(tree.search, 2500)
         assert result == [(2500, 0)]
 
 
@@ -883,6 +884,40 @@ class TestResidentPointReadPins:
                     == data[offset:offset + self.FRAME]
             monkeypatch.undo()
         assert built == []
+
+
+@pytest.mark.perf
+class TestIndexEntryCost:
+    """What an index range scan costs per entry it resolves: 512
+    single-version chunk keys of a chunk-shaped class (``seqno``, a few
+    bytes of ``data``), every page resident, so the count is the scan
+    layer's and the heap's per-entry work and no I/O.  A leaf entry's
+    value is already the heap TID, handed to ``fetch_many`` as it is."""
+
+    KEYS = 512
+    #: Bytecodes of one ``visible`` call when this pin was set (180,061
+    #: on CPython 3.11.7; 186,251 when keys were 1-tuples and each entry
+    #: was rebuilt into a TID), plus 5 %.
+    MAX_BYTECODES = 189_064
+
+    def test_a_range_scan_of_512_keys(self, db):
+        from repro.access.scan import IndexRangeScan
+        db.create_class("chunks", [("seqno", "int4"), ("data", "bytea")])
+        db.create_index("chunks_seqno", "chunks", "seqno")
+        with db.begin() as txn:
+            db.insert_many(txn, "chunks",
+                           [(seqno, bytes(16)) for seqno in range(self.KEYS)])
+        scan = IndexRangeScan(db, db.get_index("chunks_seqno"),
+                              db.get_class("chunks"), 0, self.KEYS - 1,
+                              unique=True)
+        snapshot = db.snapshot()
+        scan.visible(snapshot)                  # warm the node cache
+        misses = db.bufmgr.stats.misses
+        with _Bytecodes() as executed:
+            found = scan.visible(snapshot)
+        assert [key for key, _tup in found] == list(range(self.KEYS))
+        assert db.bufmgr.stats.misses == misses
+        assert executed.count <= self.MAX_BYTECODES, executed.count
 
 
 @pytest.mark.perf

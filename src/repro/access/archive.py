@@ -101,8 +101,7 @@ class Archiver:
                     position = relation.schema.position(entry.attribute)
                     for tup in removed:
                         if tup.values[position] is not None:
-                            index.delete((tup.values[position],),
-                                         (tup.tid.blockno, tup.tid.slot))
+                            index.delete(tup.values[position], tup.tid)
                 db.clog.bump_visibility_epoch()
         return len(removed)
 

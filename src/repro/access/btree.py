@@ -7,18 +7,20 @@ index here is a real disk tree doing real page reads, not a dict.
 
 Layout
 ------
-* Block 0 is the **meta page**: root block number, tree height, key arity.
+* Block 0 is the **meta page**: root block number, tree height, and a
+  key arity that is always 1 (a page recording any other is refused).
 * Every other block is one **node**, serialized as a single page item:
   a small header plus a sorted entry array.
-* Leaf entries map ``key -> (v0, v1)`` — two signed 64-bit payload ints,
-  used as heap TIDs ``(blockno, slot)`` or as plain numbers.
+* Leaf entries map a key to the heap :class:`~repro.access.tuples.TID`
+  of one version, packed as two signed 64-bit ints.
 * Internal entries map separator keys to child block numbers.
 * Leaves are chained through right-sibling pointers for range scans.
 
-Keys are tuples of signed 64-bit integers (arity fixed per tree), compared
-lexicographically.  **Duplicate keys are allowed** — a no-overwrite heap
-stores several versions of a logical record, and the index points at all
-of them; readers filter by visibility.
+A key is one signed 64-bit integer: every index the engine builds is on
+one integer attribute (a chunk's seqno, a segment's ``locn``, an oid).
+**Duplicate keys are allowed** — a no-overwrite heap stores several
+versions of a logical record, and the index points at all of them;
+readers filter by visibility.
 
 Deletion removes entries without rebalancing (as PostgreSQL does); empty
 nodes are left in place and skipped.
@@ -51,9 +53,10 @@ from __future__ import annotations
 import bisect
 import struct
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Iterator
 
+from repro.access.tuples import TID
 from repro.errors import RelationError
 from repro.smgr.base import StorageManager
 from repro.storage.buffer import BufferManager
@@ -62,9 +65,9 @@ from repro.storage.constants import MAX_TUPLE_SIZE, PAGE_SIZE
 _META = struct.Struct("<IHHI")          # root block, arity, height, magic
 _NODE_HEADER = struct.Struct("<BBHi")   # is_leaf, pad, nentries, right sibling
 _MAGIC = 0xB7EE
-
-Key = tuple[int, ...]
-Value = tuple[int, int]
+_ARITY = 1                              # what page 0 records; the only one
+_KEY = struct.Struct("<q")
+_LEAF_VALUE = struct.Struct("<qq")
 
 
 @dataclass
@@ -72,13 +75,13 @@ class _Node:
     """Decoded B-tree node."""
 
     is_leaf: bool
-    keys: list[Key] = field(default_factory=list)
-    #: leaf: payload pairs; internal: child block numbers (as (child, 0)).
-    values: list[Value] = field(default_factory=list)
+    keys: list[int] = field(default_factory=list)
+    #: leaf: heap TIDs; internal: child block numbers.
+    values: list = field(default_factory=list)
     right: int = -1
 
-    def entry_bytes(self, arity: int) -> int:
-        per_entry = 8 * arity + (16 if self.is_leaf else 4)
+    def entry_bytes(self) -> int:
+        per_entry = _KEY.size + (_LEAF_VALUE.size if self.is_leaf else 4)
         extra_child = 0 if self.is_leaf else 4  # nkeys + 1 children
         return _NODE_HEADER.size + per_entry * len(self.keys) + extra_child
 
@@ -92,18 +95,11 @@ class BTree:
     """A B-tree index living in one relation file."""
 
     def __init__(self, name: str, smgr: StorageManager,
-                 bufmgr: BufferManager, key_arity: int = 1,
-                 fileid: str | None = None):
-        if key_arity < 1 or key_arity > 4:
-            raise RelationError(f"unsupported key arity {key_arity}")
+                 bufmgr: BufferManager, fileid: str | None = None):
         self.name = name
         self.smgr = smgr
         self.bufmgr = bufmgr
-        self.key_arity = key_arity
         self.fileid = fileid or f"btree_{name}"
-        self._key_struct = struct.Struct(f"<{key_arity}q")
-        self._leaf_value = struct.Struct("<qq")
-        self._child = struct.Struct("<I")
         # Soft node-size ceiling: leave room for one more max-size entry.
         self._node_limit = MAX_TUPLE_SIZE - 64
         #: Debug tripwire (see :mod:`repro.access.scan`): when the owning
@@ -136,7 +132,7 @@ class BTree:
         try:
             self._write_node(root_buf.page, _Node(is_leaf=True))
             meta_buf.page.add_item(
-                _META.pack(root_buf.blockno, self.key_arity, 0, _MAGIC))
+                _META.pack(root_buf.blockno, _ARITY, 0, _MAGIC))
         finally:
             self.bufmgr.unpin(meta_buf, dirty=True)
             self.bufmgr.unpin(root_buf, dirty=True)
@@ -166,10 +162,10 @@ class BTree:
             root, arity, height, magic = _META.unpack(page.get_item(0))
         if magic != _MAGIC:
             raise RelationError(f"index {self.name!r} meta page corrupt")
-        if arity != self.key_arity:
+        if arity != _ARITY:
             raise RelationError(
-                f"index {self.name!r} has key arity {arity}, "
-                f"opened with {self.key_arity}")
+                f"index {self.name!r} has key arity {arity}; "
+                f"keys are single integers")
         self.bufmgr.btree_roots[self._file] = root, height
         return root, height
 
@@ -180,29 +176,23 @@ class BTree:
         roots.pop(self._file, None)
         with self.bufmgr.page(self.smgr, self.fileid, 0, write=True) as page:
             page.overwrite_item(
-                0, _META.pack(root, self.key_arity, height, _MAGIC))
+                0, _META.pack(root, _ARITY, height, _MAGIC))
         roots[self._file] = root, height
 
     # -- node (de)serialization -------------------------------------------------------
 
     def _write_node(self, page, node: _Node) -> None:
-        arity = self.key_arity
         nkeys = len(node.keys)
         parts = [_NODE_HEADER.pack(1 if node.is_leaf else 0, 0,
-                                   nkeys, node.right)]
-        if nkeys:
-            # chain.from_iterable flattens at C speed; a node is
-            # re-serialized on every insert, so this is hot.
-            parts.append(struct.pack(
-                f"<{nkeys * arity}q", *chain.from_iterable(node.keys)))
+                                   nkeys, node.right),
+                 struct.pack(f"<{nkeys}q", *node.keys)]
         if node.is_leaf:
-            if node.values:
-                parts.append(struct.pack(
-                    f"<{2 * nkeys}q", *chain.from_iterable(node.values)))
+            # chain.from_iterable flattens the TIDs at C speed.
+            parts.append(struct.pack(
+                f"<{2 * nkeys}q", *chain.from_iterable(node.values)))
         else:
             # Internal nodes have nkeys + 1 children.
-            children = [child for child, _ in node.values]
-            parts.append(struct.pack(f"<{len(children)}I", *children))
+            parts.append(struct.pack(f"<{nkeys + 1}I", *node.values))
         image = b"".join(parts)
         if page.slot_count:
             page.overwrite_item(0, image)
@@ -230,26 +220,16 @@ class BTree:
         with self.bufmgr.page(self.smgr, self.fileid, blockno) as page:
             image = page.get_item(0)
         is_leaf, _pad, nentries, right = _NODE_HEADER.unpack_from(image, 0)
-        arity = self.key_arity
         pos = _NODE_HEADER.size
-        if nentries:
-            flat = struct.unpack_from(f"<{nentries * arity}q", image, pos)
-            if arity == 1:
-                keys = [(component,) for component in flat]
-            else:
-                keys = [tuple(flat[i:i + arity])
-                        for i in range(0, len(flat), arity)]
-        else:
-            keys = []
-        pos += nentries * arity * 8
-        values: list[Value]
+        keys = list(struct.unpack_from(f"<{nentries}q", image, pos))
+        pos += nentries * _KEY.size
         if is_leaf:
             flat = struct.unpack_from(f"<{2 * nentries}q", image, pos)
-            values = [(flat[i], flat[i + 1])
-                      for i in range(0, len(flat), 2)]
+            # tuple.__new__ builds each TID in C (TID.__new__ is Python).
+            values = list(map(tuple.__new__, repeat(TID, nentries),
+                              zip(flat[::2], flat[1::2])))
         else:
-            children = struct.unpack_from(f"<{nentries + 1}I", image, pos)
-            values = [(child, 0) for child in children]
+            values = list(struct.unpack_from(f"<{nentries + 1}I", image, pos))
         return _Node(is_leaf=bool(is_leaf), keys=keys, values=values,
                      right=right)
 
@@ -271,30 +251,18 @@ class BTree:
         finally:
             self.bufmgr.unpin(buf, dirty=True)
 
-    # -- key handling --------------------------------------------------------------------
-
-    def _check_key(self, key: Key) -> Key:
-        key = tuple(key)
-        if len(key) != self.key_arity:
-            raise RelationError(
-                f"key {key!r} has arity {len(key)}, index {self.name!r} "
-                f"expects {self.key_arity}")
-        return key
-
     # -- insert ---------------------------------------------------------------------------
 
-    def insert(self, key: Key, value: Value) -> None:
+    def insert(self, key: int, tid: TID) -> None:
         """Insert one entry; duplicate keys are fine."""
-        self.insert_run([(key, value)])
+        self.insert_run([(key, tid)])
 
-    def insert_run(self, entries: list[tuple[Key, Value]]) -> None:
-        """Insert ``(key, value)`` pairs sorted by key: page for page what
+    def insert_run(self, entries: list[tuple[int, TID]]) -> None:
+        """Insert ``(key, tid)`` pairs sorted by key: page for page what
         :meth:`insert` of each in turn leaves, in one descent and one
         image rebuild per leaf touched."""
-        entries = [(self._check_key(key), tuple(value))
-                   for key, value in entries]
         capacity = ((self._node_limit - _NODE_HEADER.size)
-                    // (self._key_struct.size + 16))   # leaf entries
+                    // (_KEY.size + _LEAF_VALUE.size))   # leaf entries
         done = 0
         while done < len(entries):
             root, height = self._read_meta()
@@ -306,7 +274,7 @@ class BTree:
                 if slot < len(node.keys):
                     bound = node.keys[slot]
                 path.append((blockno, node, slot))
-                blockno = node.values[slot][0]
+                blockno = node.values[slot]
                 node = self._read_node(blockno)
             room = capacity - len(node.keys)
             if room > 0:
@@ -327,14 +295,13 @@ class BTree:
                 node = node.copy()
                 node.keys.insert(pos, key)
                 node.values.insert(pos if node.is_leaf else pos + 1, value)
-                if node.entry_bytes(self.key_arity) <= self._node_limit:
+                if node.entry_bytes() <= self._node_limit:
                     self._store_node(blockno, node)
                     break
-                key, right_block = self._split(blockno, node)
-                value = (right_block, 0)
+                key, value = self._split(blockno, node)
                 if not path:
                     new_root = _Node(is_leaf=False, keys=[key],
-                                     values=[(root, 0), value])
+                                     values=[root, value])
                     self._write_meta(self._new_node(new_root), height + 1)
                     break
                 blockno, node, pos = path.pop()
@@ -344,10 +311,11 @@ class BTree:
         after its equals (as ``bisect_right`` places it): bytes identical
         to :meth:`_write_node` of the merged node, but spliced from the
         page's current image (old keys and values are already packed
-        there) instead of re-flattening every tuple — an insert at memcpy
+        there) instead of re-flattening every entry — an insert at memcpy
         cost wherever in the leaf it lands.
         """
-        ksize = self._key_struct.size
+        ksize = _KEY.size
+        vsize = _LEAF_VALUE.size
         voff = _NODE_HEADER.size + len(node.keys) * ksize
         keys, values = node.keys[:], node.values[:]
         with self.bufmgr.page(self.smgr, self.fileid, blockno,
@@ -359,8 +327,8 @@ class BTree:
                 pos = bisect.bisect_right(node.keys, key) + shift
                 keys.insert(pos, key)
                 values.insert(pos, value)
-                kbytes[pos * ksize:pos * ksize] = self._key_struct.pack(*key)
-                vbytes[pos * 16:pos * 16] = self._leaf_value.pack(*value)
+                kbytes[pos * ksize:pos * ksize] = _KEY.pack(key)
+                vbytes[pos * vsize:pos * vsize] = _LEAF_VALUE.pack(*value)
             page.overwrite_item(0, _NODE_HEADER.pack(
                 1, 0, len(keys), node.right) + kbytes + vbytes)
         # Write-through: the cache always mirrors the page just written.
@@ -368,11 +336,11 @@ class BTree:
             is_leaf=True, keys=keys, values=values, right=node.right))
 
     @staticmethod
-    def _descend_index(node: _Node, key: Key) -> int:
+    def _descend_index(node: _Node, key: int) -> int:
         """Child slot to follow for *key* in an internal node."""
         return bisect.bisect_right(node.keys, key)
 
-    def _split(self, blockno: int, node: _Node) -> tuple[Key, int]:
+    def _split(self, blockno: int, node: _Node) -> tuple[int, int]:
         """Split an overfull node; returns (separator, right block)."""
         mid = len(node.keys) // 2
         if node.is_leaf:
@@ -396,7 +364,7 @@ class BTree:
 
     # -- lookup ---------------------------------------------------------------------------
 
-    def _find_leaf(self, key: Key,
+    def _find_leaf(self, key: int,
                    mutable: bool = False) -> tuple[int, _Node]:
         """The leftmost leaf that can contain *key*.
 
@@ -407,20 +375,19 @@ class BTree:
         blockno, _height = self._read_meta()
         node = self._read_node(blockno)
         while not node.is_leaf:
-            blockno = node.values[bisect.bisect_left(node.keys, key)][0]
+            blockno = node.values[bisect.bisect_left(node.keys, key)]
             node = self._read_node(blockno)
         if mutable:
             node = node.copy()
         return blockno, node
 
-    def search(self, key: Key) -> list[Value]:
-        """All values stored under exactly *key* (duplicates preserved)."""
+    def search(self, key: int) -> list[TID]:
+        """All TIDs stored under exactly *key* (duplicates preserved)."""
         self._assert_latched("search")
-        key = self._check_key(key)
-        return [value for _k, value in self._range_scan(key, key)]
+        return [tid for _k, tid in self._range_scan(key, key)]
 
-    def range_scan_desc(self, hi: Key, lo: Key | None = None
-                        ) -> Iterator[tuple[Key, Value]]:
+    def range_scan_desc(self, hi: int, lo: int | None = None
+                        ) -> Iterator[tuple[int, TID]]:
         """:meth:`range_scan` reversed, lazily: entries with ``lo <= key
         <= hi`` in descending key order, equal keys newest-inserted
         first.  The first one out — the floor of *hi* — costs one
@@ -432,11 +399,10 @@ class BTree:
         """
         # As in range_scan: the latch check must fire at call time.
         self._assert_latched("range_scan_desc")
-        return self._range_scan_desc(
-            self._check_key(hi), None if lo is None else self._check_key(lo))
+        return self._range_scan_desc(hi, lo)
 
-    def _range_scan_desc(self, hi: Key,
-                         lo: Key | None) -> Iterator[tuple[Key, Value]]:
+    def _range_scan_desc(self, hi: int,
+                         lo: int | None) -> Iterator[tuple[int, TID]]:
         # Descend as an insert of *hi* would (equal separators send us
         # right): the last leaf that can hold a key <= hi.  Leaves have no
         # left link, so the (node, child slot) path is kept to step back.
@@ -446,7 +412,7 @@ class BTree:
         while not node.is_leaf:
             slot = self._descend_index(node, hi)
             path.append((node, slot))
-            node = self._read_node(node.values[slot][0])
+            node = self._read_node(node.values[slot])
         last = bisect.bisect_right(node.keys, hi) - 1
         while True:
             for i in range(last, -1, -1):
@@ -464,12 +430,12 @@ class BTree:
             while not node.is_leaf:
                 slot -= 1
                 path.append((node, slot))
-                node = self._read_node(node.values[slot][0])
+                node = self._read_node(node.values[slot])
                 slot = len(node.values)
             last = len(node.keys) - 1
 
-    def range_scan(self, lo: Key | None = None,
-                   hi: Key | None = None) -> Iterator[tuple[Key, Value]]:
+    def range_scan(self, lo: int | None = None,
+                   hi: int | None = None) -> Iterator[tuple[int, TID]]:
         """Entries with ``lo <= key <= hi``, in key order.
 
         ``None`` bounds are open.  Follows leaf sibling links, so a scan
@@ -481,17 +447,14 @@ class BTree:
         self._assert_latched("range_scan")
         return self._range_scan(lo, hi)
 
-    def _range_scan(self, lo: Key | None = None,
-                    hi: Key | None = None) -> Iterator[tuple[Key, Value]]:
+    def _range_scan(self, lo: int | None = None,
+                    hi: int | None = None) -> Iterator[tuple[int, TID]]:
         if lo is not None:
-            lo = self._check_key(lo)
             _blockno, node = self._find_leaf(lo)
             start = bisect.bisect_left(node.keys, lo)
         else:
             node = self._leftmost_leaf()
             start = 0
-        if hi is not None:
-            hi = self._check_key(hi)
         while True:
             for i in range(start, len(node.keys)):
                 if hi is not None and node.keys[i] > hi:
@@ -506,25 +469,24 @@ class BTree:
         blockno, _height = self._read_meta()
         node = self._read_node(blockno)
         while not node.is_leaf:
-            node = self._read_node(node.values[0][0])
+            node = self._read_node(node.values[0])
         return node
 
     # -- delete ---------------------------------------------------------------------------
 
-    def delete(self, key: Key, value: Value | None = None) -> int:
-        """Remove entries with *key* (and *value*, if given).
+    def delete(self, key: int, tid: TID | None = None) -> int:
+        """Remove entries with *key* (and *tid*, if given).
 
         Returns the number of entries removed.  Nodes are never merged.
         """
         self._assert_latched("delete")
-        key = self._check_key(key)
         removed = 0
         blockno, node = self._find_leaf(key, mutable=True)
         while True:
             changed = False
             i = bisect.bisect_left(node.keys, key)
             while i < len(node.keys) and node.keys[i] == key:
-                if value is None or node.values[i] == tuple(value):
+                if tid is None or node.values[i] == tid:
                     del node.keys[i]
                     del node.values[i]
                     removed += 1
@@ -564,7 +526,7 @@ class BTree:
         A diagnostic like :meth:`entry_count`; the integrity sweep runs
         it under the latch via :func:`repro.access.scan.check_index`.
         """
-        previous: Key | None = None
+        previous: int | None = None
         for key, _value in self._range_scan():
             if previous is not None and key < previous:
                 raise RelationError(

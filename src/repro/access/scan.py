@@ -59,13 +59,13 @@ from repro.errors import ReproError
 from repro.txn.snapshot import Snapshot
 
 if TYPE_CHECKING:
-    from repro.access.btree import BTree, Key
+    from repro.access.btree import BTree
     from repro.access.heap import HeapRelation
     from repro.db import Database
 
 #: Builds the error raised when ``unique=True`` finds several visible
 #: versions of one key: ``(key, visible_count) -> Exception``.
-AnomalyFactory = Callable[["Key", int], Exception]
+AnomalyFactory = Callable[[int, int], Exception]
 
 
 @dataclass
@@ -80,19 +80,19 @@ class AccessStats:
     prefetch_batches: int = 0  # range scans that issued heap readahead
 
 
-def _outside(key: "Key", lo: "Key | None", hi: "Key | None") -> bool:
-    """Whether the one-attribute *key* is null or outside ``[lo, hi]``
-    (``None`` bounds are open)."""
-    return (key[0] is None or (lo is not None and key < lo)
+def _outside(key: int | None, lo: int | None, hi: int | None) -> bool:
+    """Whether *key* is null or outside ``[lo, hi]`` (``None`` bounds
+    are open)."""
+    return (key is None or (lo is not None and key < lo)
             or (hi is not None and key > hi))
 
 
 def _archived_versions(db: "Database", relation: "HeapRelation",
                        snapshot: Snapshot, found: "list[HeapTuple]",
                        index: "BTree | None" = None,
-                       lo: "Key | None" = None, hi: "Key | None" = None,
-                       wanted: "set[Key] | None" = None
-                       ) -> "list[tuple[Key | None, HeapTuple]]":
+                       lo: int | None = None, hi: int | None = None,
+                       wanted: set[int] | None = None
+                       ) -> list[tuple[int | None, HeapTuple]]:
     """``(key, version)`` for each version of *relation* in its archive
     that the travelling *snapshot* sees (latch held; ``[]`` without an
     archive).  With *index*, ``key`` is the version's key under it and must
@@ -112,7 +112,7 @@ def _archived_versions(db: "Database", relation: "HeapRelation",
         db.access_stats.tuples_scanned += 1
         key = None
         if position is not None:
-            key = (tup.values[position],)
+            key = tup.values[position]
             if _outside(key, lo, hi) or (wanted is not None
                                          and key not in wanted):
                 continue
@@ -148,15 +148,15 @@ class IndexRangeScan:
     readahead = True
 
     def __init__(self, db: "Database", index: "BTree",
-                 relation: "HeapRelation", lo: "Key | None",
-                 hi: "Key | None", *, unique: bool = False,
+                 relation: "HeapRelation", lo: int | None,
+                 hi: int | None, *, unique: bool = False,
                  anomaly: AnomalyFactory | None = None,
                  recheck_position: int | None = None):
         self.db = db
         self.index = index
         self.relation = relation
-        self.lo = None if lo is None else tuple(lo)
-        self.hi = None if hi is None else tuple(hi)
+        self.lo = lo
+        self.hi = hi
         self.unique = unique
         self.anomaly = anomaly
         self.recheck_position = recheck_position
@@ -166,8 +166,8 @@ class IndexRangeScan:
         stats.range_scans += 1
 
     def visible(self, snapshot: Snapshot,
-                wanted: "set[Key] | None" = None
-                ) -> "list[tuple[Key, HeapTuple]]":
+                wanted: set[int] | None = None
+                ) -> list[tuple[int, HeapTuple]]:
         """Visible ``(key, tuple)`` pairs in index-key order.
 
         *wanted* restricts the scan to those keys (the f-chunk read path
@@ -189,24 +189,24 @@ class IndexRangeScan:
         self._check_unique(out)
         return out
 
-    def visible_from_floor(self, snapshot: Snapshot, pivot: "Key"
-                           ) -> "list[tuple[Key, HeapTuple]]":
+    def visible_from_floor(self, snapshot: Snapshot, pivot: int
+                           ) -> list[tuple[int, HeapTuple]]:
         """Visible pairs from the *floor* of *pivot* — the greatest key
         at or below it with a visible version — up to ``hi``, in key
         order: all that can intersect ``[pivot, hi]`` when records are
         disjoint intervals keyed by their start (docs/invariants.md)."""
         return self._floor(snapshot, pivot, first=False)
 
-    def _floor(self, snapshot: Snapshot, pivot: "Key", first: bool
-               ) -> "list[tuple[Key, HeapTuple]]":
+    def _floor(self, snapshot: Snapshot, pivot: int, first: bool
+               ) -> list[tuple[int, HeapTuple]]:
         """The descending floor walk from ``hi``, newest entry first:
         entries above *pivot* are fetched as one batch; those at or below
         it one by one until one is visible.  With *first*, the walk ends
         there and a travelling snapshot reads the archive only if nothing
         was found; else that key's run is finished (so ``unique`` sees a
         second version) and the archive is merged in."""
-        above: list[tuple["Key", TID]] = []
-        found: list[tuple["Key", HeapTuple]] = []
+        above: list[tuple[int, TID]] = []
+        found: list[tuple[int, HeapTuple]] = []
         with self.db.latch:
             self._count(self.db.access_stats)
             entries = self.index.range_scan_desc(self.hi, self.lo)
@@ -230,18 +230,19 @@ class IndexRangeScan:
         return found
 
     def _live(self, entries, snapshot: Snapshot,
-              wanted: "set[Key] | None" = None):
-        """Index *entries* as ``(key, TID)``, lazily, less those outside
-        *wanted* and those whose deleter the snapshot sees (by the
+              wanted: set[int] | None = None):
+        """Index *entries* (``(key, TID)`` pairs), lazily, less those
+        outside *wanted* and those whose deleter the snapshot sees (by the
         relation's deleter map): the scan layer's one entry filter."""
         known_dead = self.relation.known_dead
-        for key, (blockno, slot) in entries:
+        for entry in entries:
+            key, tid = entry
             if ((wanted is None or key in wanted)
-                    and not known_dead(blockno, slot, snapshot)):
-                yield key, TID(blockno, slot)
+                    and not known_dead(tid.blockno, tid.slot, snapshot)):
+                yield entry
 
-    def _fetch(self, pairs: "list[tuple[Key, TID]]", snapshot: Snapshot
-               ) -> "list[tuple[Key, HeapTuple]]":
+    def _fetch(self, pairs: list[tuple[int, TID]], snapshot: Snapshot
+               ) -> list[tuple[int, HeapTuple]]:
         """The visible versions *pairs* point at, as pairs in input order
         (latch held): the one loop that resolves index entries — one
         batched heap fetch, pins shared across same-block runs, only
@@ -260,15 +261,15 @@ class IndexRangeScan:
         position = self.recheck_position
         if position is not None:
             out = [pair for pair in out if not _outside(
-                (pair[1].values[position],), self.lo, self.hi)]
+                pair[1].values[position], self.lo, self.hi)]
         stats.tuples_visible += len(out)
         return out
 
     def _with_archive(self, snapshot: Snapshot,
-                      found: "list[tuple[Key, HeapTuple]]",
-                      wanted: "set[Key] | None" = None,
-                      pivot: "Key | None" = None
-                      ) -> "list[tuple[Key, HeapTuple]]":
+                      found: list[tuple[int, HeapTuple]],
+                      wanted: set[int] | None = None,
+                      pivot: int | None = None
+                      ) -> list[tuple[int, HeapTuple]]:
         """*found* plus the archive's visible pairs inside the bounds, in
         key order (latch held) — from the floor of *pivot*, if given."""
         extra = _archived_versions(
@@ -285,7 +286,7 @@ class IndexRangeScan:
             found = [pair for pair in found if pair[0] >= floor]
         return found
 
-    def _check_unique(self, found: "list[tuple[Key, HeapTuple]]") -> None:
+    def _check_unique(self, found: list[tuple[int, HeapTuple]]) -> None:
         if self.unique and len(found) > 1:
             keys = [key for key, _tup in found]  # key order: runs adjacent
             for key, following in zip(keys, keys[1:]):
@@ -329,7 +330,7 @@ class IndexProbe(IndexRangeScan):
     readahead = False
 
     def __init__(self, db: "Database", index: "BTree",
-                 relation: "HeapRelation", key: "Key", **options):
+                 relation: "HeapRelation", key: int, **options):
         super().__init__(db, index, relation, key, key, **options)
 
     @staticmethod
@@ -398,15 +399,14 @@ def check_index(db: "Database", index: "BTree") -> None:
 
 def dangling_index_entries(db: "Database", index: "BTree",
                            relation: "HeapRelation"
-                           ) -> "list[tuple[Key, TID]]":
+                           ) -> list[tuple[int, TID]]:
     """Index entries whose TID no longer resolves to a decodable tuple."""
     out = []
     with db.latch:
         db.access_stats.range_scans += 1
-        for key, (blockno, slot) in index.range_scan():
-            tid = TID(blockno, slot)
+        for entry in index.range_scan():
             try:
-                relation.fetch_any_version(tid)
+                relation.fetch_any_version(entry[1])
             except ReproError:
-                out.append((key, tid))
+                out.append(entry)
     return out

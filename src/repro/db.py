@@ -313,7 +313,7 @@ class Database:
             for tup in relation.scan_versions():
                 key = tup.values[position]
                 if key is not None:
-                    index.insert((key,), (tup.tid.blockno, tup.tid.slot))
+                    index.insert(key, tup.tid)
             return index
 
     def get_index(self, name: str) -> BTree:
@@ -326,7 +326,7 @@ class Database:
                 relation_entry = self.catalog.get_relation(entry.relation)
                 index = BTree(name,
                               self.storage_manager(relation_entry.smgr_name),
-                              self.bufmgr, key_arity=1, fileid=entry.fileid)
+                              self.bufmgr, fileid=entry.fileid)
                 index.latch_probe = self._latch_probe
                 index.create_storage()
                 self._indexes[name] = index
@@ -368,8 +368,7 @@ class Database:
                       tids: list[TID], txn: Transaction) -> None:
         for entry in self.catalog.indexes_on(relation.name):
             position = relation.schema.position(entry.attribute)
-            run = [((row[position],), (tid.blockno, tid.slot))
-                   for row, tid in zip(rows, tids)
+            run = [(row[position], tid) for row, tid in zip(rows, tids)
                    if row[position] is not None]
             if run:
                 if len(run) > 1:   # stable: equal keys keep row order
@@ -472,7 +471,7 @@ class Database:
         entry = self.catalog.indexes[index_name]
         relation = self.get_class(entry.relation)
         position = relation.schema.position(entry.attribute)
-        return IndexProbe(self, index, relation, (key,),
+        return IndexProbe(self, index, relation, key,
                           recheck_position=position).tuples(snapshot)
 
     # -- ADT registration -------------------------------------------------------------------------

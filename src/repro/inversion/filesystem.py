@@ -193,8 +193,7 @@ class InversionFileSystem:
         index = self.db.get_index(index_name)
         entry = self.db.catalog.indexes[index_name]
         relation = self.db.get_class(entry.relation)
-        return IndexProbe(self.db, index, relation,
-                          (key,)).tuples(snapshot)
+        return IndexProbe(self.db, index, relation, key).tuples(snapshot)
 
     def _children(self, parent_id: int,
                   snapshot: Snapshot) -> list[DirEntry]:

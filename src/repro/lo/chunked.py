@@ -133,13 +133,13 @@ class ChunkedObject(LargeObject):
                                                  self._snapshot())
         return self._committed
 
-    def _anomaly(self, key, count: int) -> LargeObjectError:
+    def _anomaly(self, key: int, count: int) -> LargeObjectError:
         """Diagnostic for the scan layer's ``unique`` mode: two visible
         versions under one key would let whichever sorts later silently
         overwrite the other's bytes."""
         return LargeObjectError(
             f"large object {self.oid}: {count} visible versions of "
-            f"{self._unit} {key[0]} (snapshot anomaly)")
+            f"{self._unit} {key} (snapshot anomaly)")
 
     # -- range locking / concurrent-commit refresh ---------------------------------
 

@@ -176,7 +176,7 @@ class FChunkObject(ChunkedObject):
                 return tup
             # Defensive: fall through to a real probe.
         candidates = IndexProbe(
-            self.db, self.index, self.relation, (seqno,),
+            self.db, self.index, self.relation, seqno,
             unique=True, anomaly=self._anomaly).tuples(snapshot)
         tup = candidates[0] if candidates else None
         self._known_tids[seqno] = None if tup is None else tup.tid
@@ -195,11 +195,9 @@ class FChunkObject(ChunkedObject):
         """
         scan = IndexRangeScan(
             self.db, self.index, self.relation,
-            (min(seqnos),), (max(seqnos),),
+            min(seqnos), max(seqnos),
             unique=True, anomaly=self._anomaly)
-        wanted = {(seqno,) for seqno in seqnos}
-        return {key[0]: tup
-                for key, tup in scan.visible(snapshot, wanted=wanted)}
+        return dict(scan.visible(snapshot, wanted=set(seqnos)))
 
     # -- write buffer ------------------------------------------------------------------
 

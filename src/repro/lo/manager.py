@@ -154,20 +154,25 @@ class LargeObjectManager:
 
     def _create_chunks(self, txn: Transaction, smgr_name: str,
                        compression: str) -> int:
-        """Catalog a fresh chunk class, its index and an f-chunk entry
-        (undone if *txn* aborts); returns the oid.  No size row: a
+        """Catalog an f-chunk entry, then a fresh chunk class and its
+        index (undone if *txn* aborts); returns the oid.  No size row: a
         v-segment's byte store keeps none, an f-chunk object adds it."""
         oid = self.db.catalog.allocate_oid()
+        self._register_chunked(txn, oid, "fchunk", smgr_name, compression)
         name = chunk_class_name(oid)
         self.db._create_class(name, [("seqno", "int4"), ("data", "bytea")],
                               smgr=smgr_name)
         self.db.create_index(chunk_index_name(oid), name, "seqno")
-        self._register_chunked(txn, oid, "fchunk", smgr_name, compression)
         return oid
 
     def _register_chunked(self, txn: Transaction, oid: int, impl: str,
                           smgr_name: str, compression: str,
                           detail: dict | None = None) -> None:
+        """Journal the entry and install its undo before any relation
+        of the object exists: a create that fails or crashes at a later
+        catalog append leaves an entry for the abort hook or
+        :meth:`recover_orphans` to drop, classes and all (:meth:`_drop`
+        skips a class that was never made)."""
         self.db.catalog.add_large_object(oid, impl, smgr_name, compression,
                                          detail=detail)
         txn.on_abort.append(lambda: self._undo_create(oid))
@@ -241,6 +246,8 @@ class LargeObjectManager:
         # row (ByteStore).
         store_oid = self._create_chunks(txn, smgr_name, "none")
         oid = self.db.catalog.allocate_oid()
+        self._register_chunked(txn, oid, "vsegment", smgr_name, compression,
+                               detail={"store_oid": store_oid})
         name = segment_class_name(oid)
         self.db._create_class(
             name,
@@ -248,8 +255,6 @@ class LargeObjectManager:
              ("compressed_len", "int4"), ("byte_pointer", "int8")],
             smgr=smgr_name)
         self.db.create_index(segment_index_name(oid), name, "locn")
-        self._register_chunked(txn, oid, "vsegment", smgr_name, compression,
-                               detail={"store_oid": store_oid})
         self.db.insert(txn, PG_LARGEOBJECT, (oid, 0))
         return f"lo:{oid}"
 

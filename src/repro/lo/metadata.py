@@ -50,7 +50,7 @@ class LargeObjectCacheStats:
 
 def _probe(db: "Database", oid: int) -> IndexProbe:
     return IndexProbe(db, db.get_index(SIZE_INDEX),
-                      db.get_class(PG_LARGEOBJECT), (oid,))
+                      db.get_class(PG_LARGEOBJECT), oid)
 
 
 def size_row(db: "Database", oid: int, snapshot: Snapshot) -> HeapTuple:

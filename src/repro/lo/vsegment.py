@@ -65,7 +65,7 @@ SEGMENT_CACHE_ENTRIES = 4
 
 #: Above every chunk seqno (an ``int4``): where a byte store's floor
 #: walk for its last chunk starts.
-_LAST_SEQNO = (2**31 - 1,)
+_LAST_SEQNO = 2**31 - 1
 
 
 def store_size(db: "Database", index, relation,
@@ -172,10 +172,10 @@ class VSegmentObject(ChunkedObject):
         starting inside the window — visible segments of one snapshot
         are pairwise disjoint (docs/invariants.md)."""
         scan = IndexRangeScan(self.db, self.index, self.relation,
-                              (max(0, start - SEGMENT_MAX),), (end - 1,),
+                              max(0, start - SEGMENT_MAX), end - 1,
                               unique=True, anomaly=self._anomaly)
         found = [tup for _key, tup
-                 in scan.visible_from_floor(self._snapshot(), (start,))]
+                 in scan.visible_from_floor(self._snapshot(), start)]
         if found and found[0].values[0] + found[0].values[1] <= start:
             del found[0]  # the floor ends in a hole before the window
         return found

@@ -299,12 +299,11 @@ class Executor:
         # latch, so user functions can run DML without lock-before-latch
         # issues.
         if kind == "probe":
-            scan = IndexProbe(self.db, index, relation, (lo,),
+            scan = IndexProbe(self.db, index, relation, lo,
                               recheck_position=position)
         else:
-            scan = IndexRangeScan(
-                self.db, index, relation, None if lo is None else (lo,),
-                None if hi is None else (hi,), recheck_position=position)
+            scan = IndexRangeScan(self.db, index, relation, lo, hi,
+                                  recheck_position=position)
         yield from scan.tuples(snapshot)
 
     #: How a comparison flips when the literal is on the left.

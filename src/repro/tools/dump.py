@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 
 from repro.db import PG_LARGEOBJECT, SYSTEM_PREFIXES
 from repro.errors import ReproError
+from repro.lo.manager import designator_oid, is_chunked
 
 if TYPE_CHECKING:
     from repro.db import Database
@@ -119,9 +120,13 @@ def _dump_object(db: "Database", designator: str, objects_dir: str,
             data = obj.read()
     with open(os.path.join(objects_dir, filename), "wb") as fh:
         fh.write(data)
-    info = db.lo.stat(designator)
-    manifest[designator] = {"file": filename, "impl": info["impl"],
-                            "compression": info["compression"]}
+    impl = db.lo.implementation(designator)
+    compression = "none"            # a native file is stored as is
+    if is_chunked(designator):
+        compression = db.catalog.get_large_object(
+            designator_oid(designator)).compression
+    manifest[designator] = {"file": filename, "impl": impl,
+                            "compression": compression}
 
 
 def restore_database(db: "Database", source_dir: str) -> dict:

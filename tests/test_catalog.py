@@ -211,12 +211,18 @@ class TestFailedAppendChangesNothing:
     @pytest.mark.parametrize("impl", ["fchunk", "vsegment"])
     def test_failed_large_object_create(self, tmp_path, impl):
         """Fail each catalog append of one ``lo.create`` in turn (the
-        class, its index, the large object — twice over for a v-segment
-        and its byte store): no large object is left behind, and the
-        retried create is whole after a reopen."""
+        large object, its class, its index — twice over for a v-segment
+        and its byte store): no large object, class or index is left
+        behind, before or after a reopen, and the retried create is whole
+        after a reopen."""
         from repro.db import Database
         from repro.errors import StorageManagerError
         from repro.sim.faults import FaultPlan
+
+        def state(db):
+            catalog = db.catalog
+            return (dict(catalog.large_objects), dict(catalog.relations),
+                    dict(catalog.indexes))
 
         path = str(tmp_path / "db")
         db = Database(path)
@@ -228,8 +234,8 @@ class TestFailedAppendChangesNothing:
         appends = plan.op_count("append", "catalog.journal")
         assert appends >= 3
         db.clear_faults()
+        kept = state(db)
         for k in range(appends):
-            kept = dict(db.catalog.large_objects)
             plan = db.inject_faults(
                 f"on append catalog.journal after {k}: error")
             txn = db.begin()
@@ -238,7 +244,10 @@ class TestFailedAppendChangesNothing:
             assert plan.fired, k
             db.clear_faults()
             txn.abort()
-            assert db.catalog.large_objects == kept, k
+            assert state(db) == kept, k
+        db.close()
+        db = Database(path)
+        assert state(db) == kept
         with db.begin() as txn:
             designator = db.lo.create(txn, impl)
             with db.lo.open(designator, txn, "rw") as obj:

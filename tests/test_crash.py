@@ -218,23 +218,32 @@ def committed_object(path: str, impl: str, data: bytes,
     return db, designator
 
 
+def catalog_names(db: Database) -> tuple[set, set, set]:
+    """The cataloged large objects, classes and indexes."""
+    catalog = db.catalog
+    return (set(catalog.large_objects), set(catalog.relations),
+            set(catalog.indexes))
+
+
 @pytest.mark.faults
 @pytest.mark.parametrize("impl", ["fchunk", "vsegment"])
 def test_crash_at_every_catalog_append_of_a_create(tmp_path, impl):
     """Die at each catalog append of one create, whole or torn: the
-    committed object survives, the create leaves no large object, no oid
-    is handed out twice, and the journal keeps taking records."""
+    committed object survives, the create leaves no large object, class
+    or index behind (nor after a second reopen), no oid is handed out
+    twice, and the journal keeps taking records."""
     db, _ = committed_object(str(tmp_path / "count"), impl, B0)
     plan = db.inject_faults(FaultPlan())
     with db.begin() as txn:
         db.lo.create(txn, impl)
     db.close()
     appends = plan.op_count("append", "catalog.journal")
-    assert appends >= 3  # the class, its index, the large object
+    assert appends >= 3  # the large object, its class, its index
     for k in range(appends):
         for action in ("crash", "torn 12"):
             path = str(tmp_path / f"{k}-{action.split()[0]}")
             db, keeper = committed_object(path, impl, B0)
+            before = catalog_names(db)
             kept = set(db.catalog.large_objects)
             issued = []
             allocate = db.catalog.allocate_oid
@@ -254,7 +263,10 @@ def test_crash_at_every_catalog_append_of_a_create(tmp_path, impl):
             db = Database(path)
             with db.lo.open(keeper) as obj:
                 assert obj.read() == B0
-            assert set(db.catalog.large_objects) == kept, (k, action)
+            assert catalog_names(db) == before, (k, action)
+            db.close()
+            db = Database(path)         # recovery's drops are durable
+            assert catalog_names(db) == before, (k, action)
             with db.begin() as txn:
                 fresh = db.lo.create(txn, impl)
                 with db.lo.open(fresh, txn, "rw") as obj:

@@ -265,11 +265,11 @@ class TestVacuumIndexMaintenance:
             db.replace(txn, "T", tid, (2,))
         index = db.get_index("t_v")
         with db.latch:  # raw index reads outside the scan layer
-            assert len(index.search((1,))) == 1  # dead version indexed
+            assert len(index.search(1)) == 1  # dead version indexed
         db.vacuum()
         with db.latch:
-            assert index.search((1,)) == []      # pruned with the version
-            assert len(index.search((2,))) == 1  # live version kept
+            assert index.search(1) == []      # pruned with the version
+            assert len(index.search(2)) == 1  # live version kept
 
     def test_stale_entry_never_surfaces_after_slot_reuse(self, db):
         """The hazard the recheck guards: a freed slot reused by an
@@ -297,7 +297,7 @@ class TestVacuumIndexMaintenance:
             db.replace(txn, "T", tid, (2,))
         db.archive_class("T")
         with db.latch:  # raw index read outside the scan layer
-            assert db.get_index("t_v").search((1,)) == []
+            assert db.get_index("t_v").search(1) == []
 
 
 class TestHistoryApi:

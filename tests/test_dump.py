@@ -1,5 +1,7 @@
 """Tests for logical dump/restore and the `.all` projection."""
 
+import json
+
 import pytest
 
 from repro.db import Database
@@ -86,6 +88,53 @@ class TestDumpRestore:
             schema = json.load(fh)
         names = {c["name"] for c in schema["classes"]}
         assert names == {"EMP", "PLAIN"}  # no lo_* / pg_* classes
+
+
+def build_every_kind(db):
+    """A class holding one object of each stored kind: f-chunk and
+    v-segment (compressed) and a native p-file."""
+    db.execute('create large type fimg '
+               '(storage = f-chunk, compression = "zero-rle")')
+    db.execute('create large type vimg '
+               '(storage = v-segment, compression = "zero-rle")')
+    db.execute('create large type pimg (storage = p-file)')
+    db.execute('create KINDS (f = fimg, v = vimg, p = pimg)')
+    with db.begin() as txn:
+        designators = []
+        for n, type_name in enumerate(("fimg", "vimg", "pimg")):
+            designator = db.lo.create_for_type(txn, type_name)
+            with db.lo.open(designator, txn, "rw") as obj:
+                obj.write(bytes([n + 1]) * 3000 + bytes(3000))
+            designators.append(designator)
+        db.insert(txn, "KINDS", tuple(designators))
+
+
+class TestDumpReadsNoSize:
+    def test_manifest_is_the_same_without_a_size(self, db, tmp_path,
+                                                 monkeypatch):
+        """The dump reads each object's bytes and its catalog entry;
+        asking for a size (a size-row probe, a native file open) would
+        only be thrown away."""
+        from repro.lo.manager import LargeObjectManager
+
+        build_every_kind(db)
+        dump_database(db, str(tmp_path / "sized"))
+
+        def no_size(self, designator, snapshot):
+            raise AssertionError(f"size of {designator} asked for")
+
+        monkeypatch.setattr(LargeObjectManager, "size", no_size)
+        summary = dump_database(db, str(tmp_path / "unsized"))
+        assert summary["objects"] == 3
+        for name in ("objects.json", "data.jsonl", "schema.json"):
+            assert ((tmp_path / "unsized" / name).read_bytes()
+                    == (tmp_path / "sized" / name).read_bytes())
+        manifest = json.loads(
+            (tmp_path / "unsized" / "objects.json").read_text())
+        assert sorted((entry["impl"], entry["compression"])
+                      for entry in manifest.values()) == [
+            ("fchunk", "zero-rle"), ("pfile", "none"),
+            ("vsegment", "zero-rle")]
 
 
 class TestAllProjection:

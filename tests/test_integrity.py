@@ -3,6 +3,7 @@
 import pytest
 
 from repro.access.scan import SeqScan
+from repro.access.tuples import TID
 from repro.db import Database
 
 
@@ -143,9 +144,10 @@ class TestInjectedCorruption:
         db.create_class("T", [("v", "int4")])
         db.create_index("t_v", "T", "v")
         index = db.get_index("t_v")
-        index.insert((42,), (999, 7))  # no such heap block
+        index.insert(42, TID(999, 7))  # no such heap block
         problems = db.check_integrity()
         assert any("dangling" in p for p in problems)
+        assert any("entry 42: dangling TID (999,7)" in p for p in problems)
 
     def test_btree_disorder_detected(self, db):
         db.create_class("T", [("v", "int4")])
@@ -153,8 +155,8 @@ class TestInjectedCorruption:
         index = db.get_index("t_v")
         # Corrupt the tree by writing an unordered node directly.
         from repro.access.btree import _Node
-        node = _Node(is_leaf=True, keys=[(5,), (1,)],
-                     values=[(0, 0), (0, 0)])
+        node = _Node(is_leaf=True, keys=[5, 1],
+                     values=[TID(0, 0), TID(0, 0)])
         root, _height = index._read_meta()
         index._store_node(root, node)
         problems = db.check_integrity()

@@ -11,7 +11,6 @@ from repro.access.scan import (
     SeqScan,
     fetch_visible,
 )
-from repro.access.tuples import TID
 from repro.db import PG_LARGEOBJECT, Database
 from repro.errors import LargeObjectError, ReproError
 from repro.lo import metadata
@@ -81,14 +80,14 @@ class TestIndexProbe:
     def test_probe_returns_visible_versions(self, db):
         _fill(db)
         probe = IndexProbe(db, db.get_index("t_k"), db.get_class("T"),
-                           (4,))
+                           4)
         [tup] = probe.tuples(db.snapshot())
         assert tup.values == (4, 400)
 
     def test_first_stops_at_first_visible(self, db):
         _fill(db)
         probe = IndexProbe(db, db.get_index("t_k"), db.get_class("T"),
-                           (4,))
+                           4)
         assert probe.first(db.snapshot()).values == (4, 400)
         assert probe.first(db.snapshot(as_of=0.0)) is None
 
@@ -99,9 +98,9 @@ class TestIndexProbe:
         index, relation = db.get_index("t_k"), db.get_class("T")
         # Non-unique: both versions surface.
         assert len(IndexProbe(db, index, relation,
-                              (4,)).tuples(db.snapshot())) == 2
+                              4).tuples(db.snapshot())) == 2
         with pytest.raises(ReproError, match="snapshot anomaly"):
-            IndexProbe(db, index, relation, (4,),
+            IndexProbe(db, index, relation, 4,
                        unique=True).tuples(db.snapshot())
 
     def test_unique_mode_uses_caller_anomaly(self, db):
@@ -109,10 +108,10 @@ class TestIndexProbe:
         with db.begin() as txn:
             db.insert(txn, "T", (4, 999))
         probe = IndexProbe(
-            db, db.get_index("t_k"), db.get_class("T"), (4,),
+            db, db.get_index("t_k"), db.get_class("T"), 4,
             unique=True,
             anomaly=lambda key, count: LargeObjectError(
-                f"dup {key[0]} x{count}"))
+                f"dup {key} x{count}"))
         with pytest.raises(LargeObjectError, match="dup 4 x2"):
             probe.tuples(db.snapshot())
 
@@ -130,7 +129,7 @@ class TestIndexProbe:
         with db.begin() as txn:
             db.insert(txn, "T", (222,))  # reuses the freed slot
         probe = IndexProbe(db, db.get_index("t_k"), db.get_class("T"),
-                           (111,), recheck_position=0)
+                           111, recheck_position=0)
         assert probe.tuples(db.snapshot()) == []
 
 
@@ -138,7 +137,7 @@ class TestIndexRangeScan:
     def test_bounds_and_order(self, db):
         _fill(db)
         scan = IndexRangeScan(db, db.get_index("t_k"), db.get_class("T"),
-                              (3,), (7,))
+                              3, 7)
         assert [t.values[0] for t in scan.tuples(db.snapshot())] == [
             3, 4, 5, 6, 7]
 
@@ -151,16 +150,16 @@ class TestIndexRangeScan:
     def test_wanted_filters_keys(self, db):
         _fill(db)
         scan = IndexRangeScan(db, db.get_index("t_k"), db.get_class("T"),
-                              (0,), (9,))
-        pairs = scan.visible(db.snapshot(), wanted={(2,), (5,)})
-        assert [key for key, _tup in pairs] == [(2,), (5,)]
+                              0, 9)
+        pairs = scan.visible(db.snapshot(), wanted={2, 5})
+        assert [key for key, _tup in pairs] == [2, 5]
 
     def test_unique_mode_raises_on_duplicates(self, db):
         _fill(db)
         with db.begin() as txn:
             db.insert(txn, "T", (6, 999))
         scan = IndexRangeScan(db, db.get_index("t_k"), db.get_class("T"),
-                              (0,), (9,), unique=True)
+                              0, 9, unique=True)
         with pytest.raises(ReproError, match="snapshot anomaly"):
             scan.visible(db.snapshot())
 
@@ -189,31 +188,31 @@ class TestIndexRangeScan:
             pairs = IndexRangeScan(db, index, relation, lo, hi,
                                    unique=unique).visible_from_floor(
                                        db.snapshot(), pivot)
-            return ([key[0] for key, _tup in pairs],
+            return ([key for key, _tup in pairs],
                     stats.tuples_scanned - before)
 
         for warm in (True, False):    # warm: the deletes above fill it
             dead = 0 if warm else 1
-            assert floor((0,), (69,), (55,), warm=warm) == ([50, 60], 2)
-            assert floor((0,), (69,), (50,), warm=warm) == ([50, 60], 2)
+            assert floor(0, 69, 55, warm=warm) == ([50, 60], 2)
+            assert floor(0, 69, 50, warm=warm) == ([50, 60], 2)
             # The live version of 40 is the newest entry of its run; the
             # run is finished so ``unique`` sees every version of the key.
-            assert floor((0,), (45,), (45,), warm=warm) == (
+            assert floor(0, 45, 45, warm=warm) == (
                 [40], 1 + 3 * dead)
-            assert floor((0,), (45,), (45,), unique=False, warm=warm) == (
+            assert floor(0, 45, 45, unique=False, warm=warm) == (
                 [40], 1 + 3 * dead)
-            assert floor((0,), (39,), (35,), warm=warm) == (
+            assert floor(0, 39, 35, warm=warm) == (
                 [20], 1 + dead)                             # past dead 30
-            assert floor((25,), (39,), (35,), warm=warm) == (
+            assert floor(25, 39, 35, warm=warm) == (
                 [], dead)                                   # stops at lo
-            assert floor(None, (5,), (-1,), warm=warm) == ([0], 1)
-        assert floor(None, (95,), (-1,))[0] == [0, 10, 20, 40, 50, 60,
+            assert floor(None, 5, -1, warm=warm) == ([0], 1)
+        assert floor(None, 95, -1)[0] == [0, 10, 20, 40, 50, 60,
                                                 70, 80, 90]
         with db.begin() as txn:
             db.insert(txn, "T", (40, 99))   # a second visible version
-        for pivot in ((45,), (15,)):        # at the floor; above it
+        for pivot in (45, 15):        # at the floor; above it
             with pytest.raises(ReproError, match="snapshot anomaly"):
-                floor((0,), (49,), pivot)
+                floor(0, 49, pivot)
 
 
 class TestSeqScan:
@@ -280,21 +279,21 @@ class TestScansAcrossTheArchive:
                 key = rng.randrange(self.KEYS)
                 assert sorted(
                     t.values for t in IndexProbe(
-                        db, index, relation, (key,)).tuples(snapshot)
+                        db, index, relation, key).tuples(snapshot)
                 ) == [row for row in rows if row[0] == key]
                 lo, hi = sorted(rng.sample(range(-1, self.KEYS + 1), 2))
                 inside = [row for row in rows if lo <= row[0] <= hi]
-                scan = IndexRangeScan(db, index, relation, (lo,), (hi,))
+                scan = IndexRangeScan(db, index, relation, lo, hi)
                 found = scan.visible(snapshot)
                 assert [key for key, _tup in found] == [
-                    (row[0],) for row in inside]
+                    row[0] for row in inside]
                 assert sorted(t.values for _key, t in found) == inside
                 pivot = rng.randint(lo, hi)
                 floor = max((row[0] for row in inside if row[0] <= pivot),
                             default=pivot)
                 assert sorted(
                     t.values for _key, t in scan.visible_from_floor(
-                        snapshot, (pivot,))
+                        snapshot, pivot)
                 ) == [row for row in inside if row[0] >= floor]
         assert db.check_integrity() == []
 
@@ -336,16 +335,16 @@ class TestDeleterMapNeverChangesAnAnswer:
         lo, hi = sorted(rng.sample(range(-1, self.KEYS + 1), 2))
         key, pivot = rng.randrange(self.KEYS), rng.randint(lo, hi)
         calls = [
-            lambda: IndexRangeScan(db, index, relation, (lo,),
-                                   (hi,)).visible(snapshot),
+            lambda: IndexRangeScan(db, index, relation, lo,
+                                   hi).visible(snapshot),
             lambda: IndexRangeScan(db, index, relation, None, None,
                                    unique=True).visible(snapshot),
-            lambda: IndexRangeScan(db, index, relation, (lo,), (hi,)
-                                   ).visible_from_floor(snapshot, (pivot,)),
-            lambda: IndexProbe(db, index, relation, (key,)).tuples(snapshot),
-            lambda: IndexProbe(db, index, relation, (key,),
+            lambda: IndexRangeScan(db, index, relation, lo, hi
+                                   ).visible_from_floor(snapshot, pivot),
+            lambda: IndexProbe(db, index, relation, key).tuples(snapshot),
+            lambda: IndexProbe(db, index, relation, key,
                                unique=True).tuples(snapshot),
-            lambda: IndexProbe(db, index, relation, (key,)).first(snapshot),
+            lambda: IndexProbe(db, index, relation, key).first(snapshot),
         ]
         calls += [lambda tid=tid: fetch_visible(db, relation, tid, snapshot)
                   for tid in tids]
@@ -365,7 +364,7 @@ class TestDeleterMapNeverChangesAnAnswer:
         its stamped ``xmax`` alone (brute force over the stored pages)."""
         with db.latch:
             stamps = {t.tid: t.xmax for t in relation.scan_versions()}
-            entries = [TID(*where) for _key, where in index.range_scan()]
+            entries = [tid for _key, tid in index.range_scan()]
         return sum(1 for tid in entries
                    if not (stamps[tid] and snapshot.sees_deletion(
                        stamps[tid], relation.clog)))
@@ -579,7 +578,7 @@ class TestSizeRowProbeInBothModes:
                 oid = designator_oid(db.lo.create(txn, "fchunk"))
             index = db.get_index(metadata.SIZE_INDEX)
             probe = IndexProbe(db, index, db.get_class(PG_LARGEOBJECT),
-                               (oid,))
+                               oid)
 
             def first_matches_tuples(snapshot, size):
                 """Returns (versions fetched by first, run length)."""
@@ -590,8 +589,8 @@ class TestSizeRowProbeInBothModes:
                 scanned = db.access_stats.tuples_scanned - before
                 assert (first.tid, first.values) == (only.tid, only.values)
                 with db.latch:
-                    run = index.search((oid,))
-                position = run.index((only.tid.blockno, only.tid.slot))
+                    run = index.search(oid)
+                position = run.index(only.tid)
                 # It stops at the visible version, from the newest end.
                 assert scanned == len(run) - position
                 return scanned, len(run)
@@ -629,7 +628,7 @@ class TestSizeRowProbeInBothModes:
     def test_absent_key_is_none(self, charge_cpu):
         with Database(charge_cpu=charge_cpu) as db:
             probe = IndexProbe(db, db.get_index(metadata.SIZE_INDEX),
-                               db.get_class(PG_LARGEOBJECT), (424242,))
+                               db.get_class(PG_LARGEOBJECT), 424242)
             assert probe.first(db.snapshot()) is None
 
 
@@ -662,7 +661,7 @@ class TestLatchTripwire:
         _fill(db)
         index = db.get_index("t_k")
         with pytest.raises(AssertionError, match="engine latch"):
-            index.search((1,))
+            index.search(1)
         # range_scan must trip at call time, not at first next(): the
         # generator body would otherwise run after the caller's latch
         # block already exited.
@@ -670,13 +669,12 @@ class TestLatchTripwire:
             index.range_scan()
         # ... and so must the lazy newest-first walk, for the same reason.
         with pytest.raises(AssertionError, match="engine latch"):
-            index.range_scan_desc((1,), (1,))
+            index.range_scan_desc(1, 1)
         with db.begin() as txn:
             newest = db.insert(txn, "T", (1, 999))
         with db.latch:
-            assert len(index.search((1,))) == 2
-            assert next(index.range_scan_desc((1,), (1,)))[1] == (
-                newest.blockno, newest.slot)
+            assert len(index.search(1)) == 2
+            assert next(index.range_scan_desc(1, 1))[1] == newest
 
     def test_diagnostics_bypass_the_tripwire(self, db):
         _fill(db)
@@ -701,7 +699,7 @@ class TestLatchTripwire:
     def test_scan_layer_satisfies_the_tripwire(self, db):
         _fill(db)
         probe = IndexProbe(db, db.get_index("t_k"), db.get_class("T"),
-                           (3,))
+                           3)
         assert len(probe.tuples(db.snapshot())) == 1
 
     def test_integrity_sweep_runs_clean_with_tripwire(self, db):

@@ -15,6 +15,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.access.tuples import TID
 from repro.db import Database
 
 NAMES = st.sampled_from(["alpha", "beta", "gamma", "delta", "data.bin"])
@@ -192,37 +193,37 @@ class BTreeModel(RuleBasedStateMachine):
         from repro.storage import BufferManager
         self.smgr = MemoryStorageManager(SimClock())
         self.bufmgr = BufferManager(pool_size=16)
-        self.tree = BTree("model", self.smgr, self.bufmgr, key_arity=1)
+        self.tree = BTree("model", self.smgr, self.bufmgr)
         self.tree.create_storage()
-        self.reference: list[tuple[int, tuple[int, int]]] = []
+        self.reference: list[tuple[int, TID]] = []
         self.counter = 0
 
     @rule(key=keys)
     def insert(self, key):
-        value = (self.counter, 0)
+        value = TID(self.counter, 0)
         self.counter += 1
-        self.tree.insert((key,), value)
+        self.tree.insert(key, value)
         self.reference.append((key, value))
 
     @rule(key=keys)
     def insert_burst(self, key):
         """Many duplicates at once drives leaf splits on one key."""
         for _ in range(40):
-            value = (self.counter, 0)
+            value = TID(self.counter, 0)
             self.counter += 1
-            self.tree.insert((key,), value)
+            self.tree.insert(key, value)
             self.reference.append((key, value))
 
     @rule(key=keys)
     def delete_key(self, key):
-        removed = self.tree.delete((key,))
+        removed = self.tree.delete(key)
         expected = sum(1 for k, _v in self.reference if k == key)
         assert removed == expected
         self.reference = [(k, v) for k, v in self.reference if k != key]
 
     @rule(key=keys)
     def search(self, key):
-        got = sorted(self.tree.search((key,)))
+        got = sorted(self.tree.search(key))
         expected = sorted(v for k, v in self.reference if k == key)
         assert got == expected
 
@@ -230,7 +231,7 @@ class BTreeModel(RuleBasedStateMachine):
     def range_scan(self, lo, hi):
         if lo > hi:
             lo, hi = hi, lo
-        got = [(k[0], v) for k, v in self.tree.range_scan((lo,), (hi,))]
+        got = list(self.tree.range_scan(lo, hi))
         expected = sorted(
             ((k, v) for k, v in self.reference if lo <= k <= hi),
             key=lambda kv: kv[0])
