@@ -992,6 +992,73 @@ class TestDemandMissPins:
 
 
 @pytest.mark.perf
+class TestPoolPassCounts:
+    """The pool does each page's work once: forcing a file seals each
+    dirty page and appends it to its run in one pass, and the clock sweep
+    visits the ring's frames themselves, no key looked up per visit.
+    Counts, never time; the bytecode ceilings are for CPython 3.11 (CI's
+    perf-smoke job)."""
+
+    PAGES = 64
+    #: Bytecodes of forcing 64 dirty pages, one run the device holds,
+    #: when this pin was set (5,223 on CPython 3.11.7; 6,844 with a
+    #: run pre-pass and a page-by-page flattening of the one-device
+    #: group), plus 5 %.
+    MAX_FORCE_BYTECODES = 5_485
+    #: Bytecodes of the pin whose miss evicts one frame from a full
+    #: 64-frame pool whose frames have usage 2 — a sweep of 129 visits —
+    #: when this pin was set (2,941 on CPython 3.11.7; 5,880 when each
+    #: visit looked its key up in the frame table), plus 5 %.
+    MAX_SWEEP_BYTECODES = 3_089
+
+    def _device_file(self, smgr, fileid):
+        from repro.storage.page import SlottedPage
+        smgr.create(fileid)
+        smgr.write_runs(fileid, [(0, [bytes(SlottedPage().buf)]
+                                  * self.PAGES)])
+
+    def test_forcing_64_dirty_pages_is_one_pass(self):
+        from repro.sim import SimClock
+        from repro.smgr import MemoryStorageManager
+        from repro.storage import BufferManager
+        smgr = MemoryStorageManager(SimClock())
+        self._device_file(smgr, "t")
+        pool = BufferManager(pool_size=2 * self.PAGES)
+        for blockno in range(self.PAGES):
+            pool.unpin(pool.pin(smgr, "t", blockno), dirty=True)
+        runs, write_runs = [], smgr.write_runs
+
+        def recording(fileid, batch):
+            runs.extend(first for first, _images in batch)
+            return write_runs(fileid, batch)
+
+        smgr.write_runs = recording
+        with _Bytecodes() as executed:
+            written = pool.flush_file(smgr, "t")
+        assert written == self.PAGES and runs == [0]
+        assert executed.count <= self.MAX_FORCE_BYTECODES, executed.count
+
+    def test_one_eviction_from_a_full_pool_at_usage_2(self):
+        from repro.sim import SimClock
+        from repro.smgr import MemoryStorageManager
+        from repro.storage import BufferManager
+        smgr = MemoryStorageManager(SimClock())
+        self._device_file(smgr, "t")
+        self._device_file(smgr, "u")
+        pool = BufferManager(pool_size=self.PAGES)
+        for _usage in range(2):
+            for blockno in range(self.PAGES):
+                pool.unpin(pool.pin(smgr, "t", blockno))
+        evictions = pool.stats.evictions
+        with _Bytecodes() as executed:
+            buf = pool.pin(smgr, "u", 0)
+        pool.unpin(buf)
+        assert pool.stats.evictions == evictions + 1
+        assert (smgr.smgr_id, "t", 0) not in pool._frames
+        assert executed.count <= self.MAX_SWEEP_BYTECODES, executed.count
+
+
+@pytest.mark.perf
 class TestSegmentLookupIsFlatInDensity:
     """The v-segment overlap query is a floor probe: a read fetches the
     segment record it returns, however many segments share its 64 KB —

@@ -109,6 +109,7 @@ class Database:
         if path is not None:
             os.makedirs(path, exist_ok=True)
         self.clog = CommitLog(path and os.path.join(path, "pg_log"))
+        self.clock.resume_after(self.clog.last_commit_time)   # time travel
         self.tm = TransactionManager(self.clog, self.bufmgr, self.locks,
                                      self.clock)
         self.catalog = Catalog(

@@ -36,6 +36,8 @@ class SimClock:
         self._elapsed = 0.0
         self._by_category: dict[str, float] = defaultdict(float)
         self._now_calls = 0
+        #: Where :meth:`now` starts counting from (:meth:`resume_after`).
+        self._origin = 0.0
         #: Concurrent sessions share one clock; charges must not be lost
         #: and two commits must never draw the same timestamp.  Innermost
         #: lock in the engine: devices charge it under the buffer and
@@ -73,7 +75,13 @@ class SimClock:
         """Current simulated time in seconds, strictly monotone."""
         with self._mutex:
             self._now_calls += 1
-            return self._elapsed + self._now_calls * _TICK
+            return self._origin + self._elapsed + self._now_calls * _TICK
+
+    def resume_after(self, instant: float) -> None:
+        """Make every later :meth:`now` exceed *instant* (a reopened
+        database's last commit time), charging no category."""
+        with self._mutex:
+            self._origin = max(self._origin, instant)
 
     @property
     def elapsed(self) -> float:

@@ -39,6 +39,7 @@ from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import BufferError_, ChecksumError
@@ -160,7 +161,8 @@ class BufferManager:
         #: :meth:`_writeback_batch`) and the two that discard frames
         #: unwritten; the only source of a force set.
         self._dirty: dict[tuple[str, str], dict[int, Buffer]] = {}
-        self._sweep_order: list[tuple[str, str, int]] = []
+        #: The clock: every frame, in install order, and the sweep's hand.
+        self._ring: list[Buffer] = []
         self._hand = 0
         #: Pool-side view of each file's length, >= the device's nblocks.
         self._virtual_nblocks: dict[tuple[str, str], int] = {}
@@ -223,7 +225,8 @@ class BufferManager:
             self._make_room()
             page = _verified(smgr.read_block(fileid, blockno), fileid, blockno)
             buf = Buffer(smgr, fileid, blockno, page, pin_count=1)
-            self._install(buf)
+            self._frames[key] = buf
+            self._ring.append(buf)
             return buf
 
     def rehit(self, buf: Buffer) -> Buffer:
@@ -266,7 +269,7 @@ class BufferManager:
         to the plain ascending order.
         """
         with self._latch:
-            frames, order, stats = self._frames, self._sweep_order, self.stats
+            frames, ring, stats = self._frames, self._ring, self.stats
             charge, make_room = self._charge, self._make_room
             limit = min(blockno + count, smgr.nblocks(fileid))
             wanted = [block for block in range(max(0, blockno), limit)
@@ -285,8 +288,8 @@ class BufferManager:
                         buf = Buffer(smgr, fileid, block,
                                      _verified(raw, fileid, block),
                                      prefetched=True)
-                        frames[buf.key] = buf       # _install, inlined
-                        order.append(buf.key)
+                        frames[buf.key] = buf
+                        ring.append(buf)
                         stats.prefetched += 1
                         block += 1
             return stats.prefetched - before
@@ -313,15 +316,15 @@ class BufferManager:
         with self._latch:
             key = (smgr.smgr_id, fileid)
             blockno = self.nblocks(smgr, fileid)
-            stats, frames, order = self.stats, self._frames, self._sweep_order
+            stats, frames, ring = self.stats, self._frames, self._ring
             try:
                 for page in pages:
                     stats.allocations += 1
                     self._charge(_MISS_INSTRUCTIONS)
                     self._make_room()
                     buf = Buffer(smgr, fileid, blockno, page, dirty=True)
-                    frames[buf.key] = buf       # _install, inlined
-                    order.append(buf.key)
+                    frames[buf.key] = buf
+                    ring.append(buf)
                     # Not hoisted: the room just made may have written
                     # this file back, which deletes its entry.
                     self._dirty.setdefault(key, {})[blockno] = buf
@@ -401,41 +404,28 @@ class BufferManager:
 
     # -- replacement -------------------------------------------------------------
 
-    def _install(self, buf: Buffer) -> None:
-        self._frames[buf.key] = buf
-        self._sweep_order.append(buf.key)
-
     def _make_room(self) -> None:
-        """If the pool is full, evict the frame the clock sweep finds:
-        usage counts are decremented until a (0, unpinned) frame.  A dirty
-        victim's whole file is written back first, in block order (the
-        elevator-style batching any real buffer manager does); those
-        pages stay cached, clean, so later evictions are free."""
-        frames = self._frames
-        if len(frames) < self.pool_size:
+        """If the pool is full, evict the first unpinned frame at usage 0
+        the clock sweep meets round the ring from the hand, decrementing
+        each unpinned frame it passes.  A dirty victim's whole file is
+        written back first, in block order; those pages stay cached."""
+        ring = self._ring
+        if len(ring) < self.pool_size:
             return
-        order = self._sweep_order
         hand = self._hand
-        for _ in range(len(order) * (_MAX_USAGE + 1)):
-            if hand >= len(order):
-                hand = 0
-            buf = frames.get(order[hand])
-            if buf is None:
-                # Stale entry left by drop_file; compact lazily.
-                order.pop(hand)
-                continue
-            if buf.pin_count == 0:
-                if buf.usage == 0:
-                    order.pop(hand)
-                    self._hand = hand
-                    self.stats.evictions += 1
-                    if buf.dirty:
-                        self._writeback_batch(buf.smgr, buf.fileid)
-                    del frames[buf.key]
-                    return
-                buf.usage -= 1
-            hand += 1
-        self._hand = hand
+        for _ in range(_MAX_USAGE + 2):  # lap's rest, then _MAX_USAGE + 1 laps
+            for hand, buf in enumerate(islice(ring, hand, None), hand):
+                if not buf.pin_count:
+                    if not buf.usage:
+                        del ring[hand]
+                        self._hand = hand
+                        self.stats.evictions += 1
+                        if buf.dirty:
+                            self._writeback_batch(buf.smgr, buf.fileid)
+                        del self._frames[buf.key]
+                        return
+                    buf.usage -= 1
+            hand = 0
         raise BufferError_(
             f"buffer pool exhausted: all {self.pool_size} pages pinned")
 
@@ -445,14 +435,12 @@ class BufferManager:
         how many there were.
 
         Blocks the device already holds go first, ascending — in per-node
-        batches (``smgr.placement_groups``) when *per_device*.  Everything
-        from the device's tail up to the highest dirty block follows as
-        one run, holes as zeros, because a manager never takes a write
-        that would leave a gap.  Each run of consecutive blocks in that
-        order is one request; for a single-device manager the order is
-        the plain ascending one.  The pages are sealed in write order
-        (nonzero LSN, then checksum) and turn clean only once the manager
-        has taken every run.
+        batches (``smgr.placement_groups``) when *per_device* — then, as
+        one run, everything from the device's end up to the highest dirty
+        block, holes as zeros: a manager never takes a write that would
+        leave a gap.  One pass seals each page in that order (nonzero
+        LSN, then checksum) and appends it to its run of consecutive
+        blocks; the pages turn clean only once the manager has taken them.
         """
         key = (smgr.smgr_id, fileid)
         dirty = self._dirty.get(key)
@@ -460,32 +448,26 @@ class BufferManager:
             return 0
         order = sorted(dirty)
         device_end = smgr.nblocks(fileid)
-        cut = bisect_left(order, device_end)
-        top = order[-1]
-        del order[cut:]
         if per_device:
-            order = [blockno
-                     for group in smgr.placement_groups(fileid, order)
-                     for blockno in group]
-        runs = block_runs(order)
-        if top >= device_end:
-            if runs and runs[-1][1] == device_end - 1:
-                runs[-1][1] = top
-            else:
-                runs.append([device_end, top])
-        get, lsn, batch = dirty.get, self._next_lsn, []
-        for first, last in runs:
-            images = []
-            for blockno in range(first, last + 1):
-                buf = get(blockno)
-                if buf is None:
-                    images.append(_ZERO_PAGE)
-                else:
-                    buf.page.seal(lsn)
-                    lsn += 1
-                    images.append(buf.page.buf)
-            batch.append((first, images))
-        self._next_lsn = lsn
+            cut = bisect_left(order, device_end)
+            order[:cut] = chain.from_iterable(
+                smgr.placement_groups(fileid, order[:cut]))
+        batch, end = [], -1
+        for lsn, blockno in enumerate(order, self._next_lsn):
+            if blockno != end:
+                if blockno < device_end:
+                    images = []
+                    batch.append((blockno, images))
+                else:       # in the tail: from the device's end, holes zero
+                    if end < device_end:
+                        images, end = [], device_end
+                        batch.append((end, images))
+                    images += [_ZERO_PAGE] * (blockno - end)
+            page = dirty[blockno].page
+            page.seal(lsn)
+            images.append(page.buf)
+            end = blockno + 1
+        self._next_lsn += len(order)
         smgr.write_runs(fileid, batch)
         for buf in dirty.values():
             buf.dirty = False
@@ -520,12 +502,16 @@ class BufferManager:
             return written
 
     def drop_file(self, smgr: "StorageManager", fileid: str) -> None:
-        """Discard (without writing) all buffered pages of a dropped file."""
+        """Discard (without writing) all buffered pages of a dropped file;
+        the hand moves back by those of its frames it had passed."""
         with self._latch:
-            stale = [key for key, buf in self._frames.items()
-                     if buf.smgr is smgr and buf.fileid == fileid]
-            for key in stale:
-                del self._frames[key]
+            ring = self._ring
+            gone = [at for at, buf in enumerate(ring)
+                    if buf.smgr is smgr and buf.fileid == fileid]
+            for at in gone:
+                del self._frames[ring[at].key]
+            ring[:] = [buf for buf in ring if buf.key in self._frames]
+            self._hand -= bisect_left(gone, self._hand)
             self._dirty.pop((smgr.smgr_id, fileid), None)
             self._virtual_nblocks.pop((smgr.smgr_id, fileid), None)
             self.btree_roots.pop((smgr.smgr_id, fileid), None)
@@ -545,7 +531,7 @@ class BufferManager:
             self.flush_all()
             self._frames.clear()
             self._dirty.clear()
-            self._sweep_order.clear()
+            self._ring.clear()
             self._decoded.clear()
             self.btree_roots.clear()
             self._hand = 0

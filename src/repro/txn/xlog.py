@@ -163,6 +163,11 @@ class CommitLog:
     def is_committed(self, xid: int) -> bool:
         return self.status(xid) == TxnStatus.COMMITTED
 
+    @property
+    def last_commit_time(self) -> float:
+        """The latest commit time recorded (0.0 when nothing committed)."""
+        return max(self._commit_time.values(), default=0.0)
+
     def commit_time(self, xid: int) -> float:
         """Commit timestamp of a committed *xid*."""
         if xid not in self._commit_time:

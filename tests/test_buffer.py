@@ -333,8 +333,9 @@ class _Frame:
 
 class _ReferencePool:
     """The clock sweep as specified, over plain records: a list of keys in
-    install order (entries of dropped frames stay until the hand meets
-    them), a hand, and one eviction per frame installed into a full pool."""
+    install order (a dropped file's keys leave it at once, the hand moving
+    back by those before it), a hand, and one eviction per frame installed
+    into a full pool."""
 
     def __init__(self, size, device_blocks):
         self.size = size
@@ -359,10 +360,8 @@ class _ReferencePool:
             if self.hand >= len(self.order):
                 self.hand = 0
             key = self.order[self.hand]
-            frame = self.frames.get(key)
-            if frame is None:
-                del self.order[self.hand]
-            elif frame.pin:
+            frame = self.frames[key]
+            if frame.pin:
                 self.hand += 1
             elif frame.usage:
                 frame.usage -= 1
@@ -425,6 +424,8 @@ class _ReferencePool:
         dropped = [key for key in self.frames if key[0] == fid]
         for key in dropped:
             del self.frames[key]
+        self.hand -= sum(key[0] == fid for key in self.order[:self.hand])
+        self.order = [key for key in self.order if key[0] != fid]
         self.virtual.pop(fid, None)
         return dropped
 
@@ -496,6 +497,44 @@ class TestReplacementOrder:
         for buf, _frame in held:
             pool.unpin(buf)
         assert pool.pinned_count() == 0
+
+
+    def test_a_frame_recreated_after_drop_file_is_swept_once(self):
+        """A dropped file's frames leave the ring at once: a block read
+        back under the same key is visited once per revolution, so the
+        sweep decrements each frame once and evicts the first frame to
+        reach 0 — here the survivor installed before it."""
+        smgr = MemoryStorageManager(SimClock())
+        for fid in ("f", "g", "h"):
+            device_file(smgr, fid, 1)
+        pool = BufferManager(pool_size=2)
+        for fid in ("f", "g"):
+            pool.unpin(pool.pin(smgr, fid, 0))
+        pool.drop_file(smgr, "f")
+        pool.unpin(pool.pin(smgr, "f", 0))          # the same key again
+        pool.unpin(pool.pin(smgr, "h", 0))
+        assert sorted(key[1] for key in pool._frames) == ["f", "h"]
+        assert pool._frames[(smgr.smgr_id, "f", 0)].usage == 0
+        assert pool.stats.evictions == 1
+
+
+    def test_drop_file_moves_the_hand_back_over_its_frames(self):
+        """The hand keeps pointing at the frame it pointed at when a
+        dropped file's frames before it leave the ring."""
+        smgr = MemoryStorageManager(SimClock())
+        for fid, nblocks in (("f", 1), ("g", 3), ("h", 1), ("k", 1),
+                             ("m", 1)):
+            device_file(smgr, fid, nblocks)
+        pool = BufferManager(pool_size=4)
+        for fid, blockno in (("f", 0), ("g", 0), ("g", 1), ("g", 2),
+                             ("f", 0)):
+            pool.unpin(pool.pin(smgr, fid, blockno))
+        pool.unpin(pool.pin(smgr, "h", 0))      # evicts g0: the hand at 1
+        pool.drop_file(smgr, "f")               # ... and back to g1
+        pool.unpin(pool.pin(smgr, "k", 0))      # a free frame
+        pool.unpin(pool.pin(smgr, "m", 0))
+        assert sorted(key[1:] for key in pool._frames) == \
+            [("g", 2), ("h", 0), ("k", 0), ("m", 0)]
 
 
 @pytest.mark.parametrize("kind", ["disk", "memory"])

@@ -333,7 +333,7 @@ def _pool_state(rel):
                    for key, buf in pool._frames.items()},
         "dirty": {key[1]: sorted(frames) for key, frames in
                   pool._dirty.items()},
-        "order": [key[1:] for key in pool._sweep_order],
+        "ring": [buf.key[1:] for buf in pool._ring],
         "hand": pool._hand,
         "stats": pool.stats,
         "length": rel.nblocks(),
@@ -413,7 +413,7 @@ def test_property_run_placement_is_the_per_row_placement(steps):
     """Runs of mixed rows (committed or aborted) and deletes followed by
     a vacuum, which leave free-space holes: the run placement returns
     the per-row reference's TIDs and leaves its pages, free-space map,
-    pool (frames, dirty index, sweep order and hand, counters) and
+    pool (frames, dirty index, the ring and its hand, counters) and
     simulated clock exactly."""
     (rel, tm), (ref, ref_tm) = _twin(HeapRelation), _twin(_PerRowHeap)
     live = []

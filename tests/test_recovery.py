@@ -210,3 +210,31 @@ class TestTornCatalogTail:
                                            designator_oid(designator))
         assert db.check_integrity() == []
         db.close()
+
+
+class TestTimeAfterReopen:
+    def test_a_commit_after_a_reopen_is_later_than_the_log(self, tmp_path):
+        """The clock resumes above the replayed log: a commit after a
+        reopen is stamped later than every commit before it, so a read as
+        of any earlier commit still finds one version of each chunk and
+        the bytes committed at that instant."""
+        path = str(tmp_path / "db")
+        db = Database(path)
+        with db.begin() as txn:
+            designator = db.lo.create(txn, "fchunk")
+        committed = []                      # (commit time, byte written)
+        for generation in range(20):
+            with db.begin() as txn:
+                with db.lo.open(designator, txn, "rw") as obj:
+                    obj.write(bytes([generation]) * 80_000)
+            committed.append((db.clog.commit_time(txn.xid), generation))
+        db.close()
+        db = Database(path)
+        with db.begin() as txn:             # short: the clock barely moves
+            with db.lo.open(designator, txn, "rw") as obj:
+                obj.write(bytes([99]) * 100)
+        assert db.clog.commit_time(txn.xid) > max(committed)[0]
+        for instant, generation in committed:
+            with db.lo.open(designator, as_of=instant) as obj:
+                assert obj.read(80_000) == bytes([generation]) * 80_000
+        db.close()
