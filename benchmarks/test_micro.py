@@ -1247,6 +1247,66 @@ class TestInversionMicro:
         assert info["size"] == 1
 
 
+@pytest.mark.perf
+class TestInversionMetadataCounts:
+    """Inversion does each metadata step once: a path operation reads
+    each directory it names once, and a truncate stamps its chunks
+    without decoding them.  Counts, never time; the bytecode ceilings are
+    for CPython 3.11 (CI's perf-smoke job)."""
+
+    #: Bytecodes of a cross-directory rename in a 40-file tree with
+    #: history when this pin was set (20,550 on CPython 3.11.7; 50,515
+    #: when every slot look re-read each directory and the operation
+    #: probed the source and destination slots again), plus 5 %.
+    MAX_RENAME_BYTECODES = 21_578
+    #: Bytecodes of truncate(0) of a committed 256 KB Inversion file when
+    #: this pin was set (21,912 on CPython 3.11.7; 33,901 when it decoded
+    #: all 32 chunk versions and pinned each page again to stamp it),
+    #: plus 5 %.
+    MAX_TRUNCATE_BYTECODES = 23_008
+
+    @staticmethod
+    def _tree(db):
+        """Eight directories, 40 files, and history: every directory has
+        seen renames in and out and an unlink."""
+        fs = db.inversion
+        with db.begin() as txn:
+            for index in range(8):
+                fs.mkdir(txn, f"/d{index}")
+            for index in range(40):
+                fs.write_file(txn, f"/d{index % 8}/f{index:02d}", b"x")
+        for index in range(16):
+            with db.begin() as txn:
+                fs.rename(txn, f"/d{index % 8}/f{index:02d}",
+                          f"/d{(index + 3) % 8}/r{index:02d}")
+            with db.begin() as txn:
+                fs.unlink(txn, f"/d{index % 8}/f{index + 16:02d}")
+        return fs
+
+    def test_cross_directory_rename_in_a_tree_with_history(self, db):
+        fs = self._tree(db)
+        txn = db.begin()
+        with _Bytecodes() as executed:
+            fs.rename(txn, "/d1/f33", "/d6/moved")
+        txn.commit()
+        assert fs.read_file("/d6/moved") == b"x"
+        assert not fs.exists("/d1/f33")
+        assert executed.count <= self.MAX_RENAME_BYTECODES, executed.count
+
+    def test_truncate_of_a_256k_file(self, db):
+        fs = db.inversion
+        with db.begin() as txn:
+            fs.write_file(txn, "/f", bytes(range(256)) * 1024)
+        txn = db.begin()
+        handle = fs.open("/f", txn, "rw")
+        with _Bytecodes() as executed:
+            handle.truncate(0)
+        handle.close()
+        txn.commit()
+        assert fs.read_file("/f") == b""
+        assert executed.count <= self.MAX_TRUNCATE_BYTECODES, executed.count
+
+
 class TestQueryMicro:
     def test_retrieve_with_qual(self, benchmark, db):
         db.execute("create EMP (name = text, age = int4)")

@@ -18,6 +18,7 @@ so commit can force it to stable storage.
 from __future__ import annotations
 
 import operator
+from itertools import groupby
 from typing import Callable, Iterator
 
 from repro.access.schema import Schema
@@ -297,10 +298,13 @@ class HeapRelation:
 
     # -- delete / replace ------------------------------------------------------------------
 
-    def delete(self, txn: Transaction, tid: TID,
-               fetch: bool = False) -> int:
-        """Stamp ``xmax = txn.xid`` on the version at *tid*; returns the
-        version's oid (*fetch*: price reading it as a pin of its own).
+    def delete(self, txn: Transaction, tids,
+               snapshot: Snapshot | None = None,
+               fetch: bool = False) -> list[int | None]:
+        """Stamp ``xmax = txn.xid`` on the versions at *tids* (with
+        *snapshot*, those it sees); returns their oids in order, ``None``
+        where none was stamped.  A same-block run shares one pin (*fetch*:
+        price a read of each as a pin of its own); nothing is decoded.
 
         Rejects tuples already deleted by a live or committed transaction
         (a write-write conflict under no-wait 2PL); a stamp left by an
@@ -308,35 +312,45 @@ class HeapRelation:
         """
         txn.require_active()
         self._assert_latched("delete")
-        buf = self.bufmgr.pin(self.smgr, self.fileid, tid.blockno)
-        try:
-            if fetch:
-                self.bufmgr.rehit(buf)
+        bufmgr, xid = self.bufmgr, txn.xid
+        stamp = xmax_patch(xid)
+        oids: list[int | None] = []
+        for blockno, run in groupby(tids, _BLOCKNO):
+            buf = bufmgr.pin(self.smgr, self.fileid, blockno)
+            dirty = False
             try:
-                view = buf.page.item_view(tid.slot)
-            except Exception as exc:
-                raise TupleNotFound(
-                    f"no tuple at {tid} in {self.name!r}") from exc
-            _xmin, xmax, oid = read_stamps(view)
-            if xmax != INVALID_XID and xmax != txn.xid:
-                if self.clog.status(xmax) != TxnStatus.ABORTED:
-                    raise TransactionError(
-                        f"tuple {tid} in {self.name!r} already deleted "
-                        f"by transaction {xmax}")
-            view.release()
-            # Stamp the 8-byte xmax field in place — no image copy; the
-            # rest of the version is immutable by the no-overwrite rule.
-            buf.page.patch_item(tid.slot, XMAX_OFFSET, xmax_patch(txn.xid))
-            self._remember(tid.blockno << 16 | tid.slot, txn.xid)
-        finally:
-            self.bufmgr.unpin(buf, dirty=True)
+                for _blockno, slot in run:
+                    if fetch:
+                        bufmgr.rehit(buf)
+                    try:
+                        view = buf.page.item_view(slot)
+                    except Exception as exc:
+                        raise TupleNotFound(f"no tuple at {TID(blockno, slot)}"
+                                            f" in {self.name!r}") from exc
+                    xmin, xmax, oid = read_stamps(view)
+                    if snapshot is not None and not snapshot.is_visible(
+                            xmin, xmax, self.clog):
+                        oids.append(None)
+                        continue
+                    if xmax != INVALID_XID and xmax != xid \
+                            and self.clog.status(xmax) != TxnStatus.ABORTED:
+                        raise TransactionError(
+                            f"tuple {TID(blockno, slot)} in {self.name!r} "
+                            f"already deleted by transaction {xmax}")
+                    # In place: the rest of a version never changes.
+                    buf.page.patch_item(slot, XMAX_OFFSET, stamp)
+                    dirty = True
+                    self._remember(blockno << 16 | slot, xid)
+                    oids.append(oid)
+            finally:
+                bufmgr.unpin(buf, dirty=dirty)
         txn.touch(self.smgr, self.fileid)
-        return oid
+        return oids
 
     def replace(self, txn: Transaction, tid: TID, values: tuple) -> TID:
         """Write a new version of the tuple at *tid* (same oid)."""
-        return self.insert(txn, values,
-                           oid=self.delete(txn, tid, fetch=True))
+        return self.insert_many(
+            txn, [values], self.delete(txn, (tid,), fetch=True)[0])[0]
 
     # -- scans ------------------------------------------------------------------------------
 

@@ -56,12 +56,14 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.access.tuples import TID, HeapTuple
 from repro.errors import ReproError
+from repro.txn.locks import LockMode
 from repro.txn.snapshot import Snapshot
 
 if TYPE_CHECKING:
     from repro.access.btree import BTree
     from repro.access.heap import HeapRelation
     from repro.db import Database
+    from repro.txn.manager import Transaction
 
 #: Builds the error raised when ``unique=True`` finds several visible
 #: versions of one key: ``(key, visible_count) -> Exception``.
@@ -189,6 +191,28 @@ class IndexRangeScan:
         self._check_unique(out)
         return out
 
+    def delete(self, txn: "Transaction", snapshot: Snapshot) -> list[int]:
+        """Stamp *txn*'s deletion on the versions under keys in ``[lo,
+        hi]`` the current *snapshot* sees, and return their keys: one
+        latch hold, one ``HeapRelation.delete`` over the live entries'
+        TIDs, no version decoded.  The relation lock comes first."""
+        self.db.locks.acquire(txn.xid, ("relation", self.relation.name),
+                              LockMode.SHARED)
+        stats = self.db.access_stats
+        with self.db.latch:
+            self._count(stats)
+            pairs = list(self._live(self.index.range_scan(self.lo, self.hi),
+                                    snapshot))
+            tids = [tid for _key, tid in pairs]
+            if self.readahead and self.relation.prefetch_tids(tids):
+                stats.prefetch_batches += 1
+            oids = self.relation.delete(txn, tids, snapshot)
+        stamped = [pair for pair, oid in zip(pairs, oids) if oid is not None]
+        stats.tuples_scanned += len(pairs)
+        stats.tuples_visible += len(stamped)
+        self._check_unique(stamped)
+        return [key for key, _tid in stamped]
+
     def visible_from_floor(self, snapshot: Snapshot, pivot: int
                            ) -> list[tuple[int, HeapTuple]]:
         """Visible pairs from the *floor* of *pivot* — the greatest key
@@ -286,7 +310,7 @@ class IndexRangeScan:
             found = [pair for pair in found if pair[0] >= floor]
         return found
 
-    def _check_unique(self, found: list[tuple[int, HeapTuple]]) -> None:
+    def _check_unique(self, found: list[tuple[int, object]]) -> None:
         if self.unique and len(found) > 1:
             keys = [key for key, _tup in found]  # key order: runs adjacent
             for key, following in zip(keys, keys[1:]):

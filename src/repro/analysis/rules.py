@@ -517,10 +517,10 @@ DECLARED_SITES = (
         "(the runs whole, or block by block under a plan) for every manager"),
     DeclaredSites(
         "`db.latch`", _attribute("latch", "db"),
-        {"access/scan.py": 6, "access/archive.py": 1,
+        {"access/scan.py": 7, "access/archive.py": 1,
          "catalog/integrity.py": 2},
-        "the engine latch is taken by the scan layer, the sweep and the "
-        "integrity check only"),
+        "the engine latch is taken by the scan layer (its reads and "
+        "IndexRangeScan.delete), the sweep and the integrity check only"),
 )
 
 

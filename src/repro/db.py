@@ -393,9 +393,7 @@ class Database:
         self.locks.acquire(txn.xid, ("relation", class_name),
                            LockMode.SHARED)
         with self._latch:
-            relation = self.get_class(class_name)
-            for tid in tids:
-                relation.delete(txn, tid)
+            self.get_class(class_name).delete(txn, tids)
 
     def replace(self, txn: Transaction, class_name: str, tid: TID,
                 values: tuple) -> TID:

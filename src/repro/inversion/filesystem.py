@@ -50,9 +50,11 @@ alone executes, before it reports success:
    never named.  With them, the mover's EXCLUSIVE on its own subtree
    root collides with the SHARED held by anything operating below it
    (``rmdir`` takes the same EXCLUSIVE key on the directory it removes);
-5. lock keys are file ids, known only *before* the grant — so re-resolve
-   under a fresh snapshot and start over (bounded) if any chain id, or
-   the moved entry's id or kind, changed while waiting.
+5. lock keys are file ids, known only *before* the grant — so if a
+   transaction ended meanwhile (the snapshot changed: ``_finish`` counts
+   an end before it releases locks), re-resolve and start over (bounded)
+   if any chain id, or the id of a directory being moved, changed.  A look
+   reads each directory once and hands back every slot's entry.
 
 ``("inv_stat", file_id)`` EXCLUSIVE surrounds every FILESTAT update
 (chmod/chown/utime and the atime/mtime maintenance), so concurrent
@@ -67,10 +69,10 @@ caller retries or reports, exactly like any other POSTGRES transaction.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from repro.access.scan import IndexProbe
-from repro.access.tuples import HeapTuple
+from repro.access.tuples import TID, HeapTuple
 from repro.errors import (
     DirectoryLoop,
     DirectoryNotEmpty,
@@ -107,6 +109,11 @@ DEFAULT_DIR_MODE = 0o755
 _LOCK_RETRIES = 16
 
 
+def _names_dir(path: str) -> bool:
+    """Whether *path* ends in ``/`` (or ``/.``): it names a directory."""
+    return path.endswith(("/", "/."))
+
+
 def split_path(path: str) -> list[str]:
     """Normalized components of an absolute path ('/' -> []).
 
@@ -128,19 +135,22 @@ def split_path(path: str) -> list[str]:
     return parts
 
 
-class DirEntry:
+class DirEntry(NamedTuple):
     """One resolved directory entry."""
 
-    __slots__ = ("name", "file_id", "parent_id", "kind", "tid")
-
-    def __init__(self, name, file_id, parent_id, kind, tid):
-        self.name, self.file_id, self.parent_id = name, file_id, parent_id
-        self.kind, self.tid = kind, tid
+    name: str
+    file_id: int
+    parent_id: int
+    kind: str
+    tid: TID | None
 
     @property
     def is_dir(self) -> bool:
         return self.kind == _KIND_DIR
 
+
+#: A resolved path: parent chain ids, name, entry (``None``: empty slot).
+Slot = tuple[list[int], str, DirEntry | None]
 
 #: The root directory.  It has no DIRECTORY tuple (and no FILESTAT row),
 #: but as an entry it heads every resolved chain, so no path code
@@ -196,37 +206,39 @@ class InversionFileSystem:
         return IndexProbe(self.db, index, relation, key).tuples(snapshot)
 
     def _children(self, parent_id: int,
-                  snapshot: Snapshot) -> list[DirEntry]:
-        return [DirEntry(*t.values, t.tid) for t in
-                self._rows_by_index("inv_dir_parent", parent_id, snapshot)]
+                  snapshot: Snapshot) -> dict[str, HeapTuple]:
+        """One read of a directory: its ``DIRECTORY`` rows by name."""
+        return {t.values[0]: t for t in
+                self._rows_by_index("inv_dir_parent", parent_id, snapshot)}
 
-    def _child(self, parent_id: int, name: str,
-               snapshot: Snapshot) -> DirEntry | None:
-        for entry in self._children(parent_id, snapshot):
-            if entry.name == name:
-                return entry
-        return None
-
-    def _chain(self, parts: list[str],
-               snapshot: Snapshot) -> list[DirEntry] | None:
-        """``[ROOT, ..., leaf]`` for the components *parts* — the one walk
-        over path components — or ``None`` if one is missing (raises
-        :class:`NotADirectory` if a non-leaf component is a plain file)."""
-        chain = [ROOT]
+    def _lookup(self, path: str, snapshot: Snapshot,
+                listed: dict[int, dict[str, HeapTuple]]) -> Slot:
+        """The one resolver: *path*'s slot (the root's ``([], "", ROOT)``),
+        reading each directory not in *listed* once; raises if a parent is
+        missing or a file, or a file is named as a directory."""
+        parts = split_path(path)
+        ids, entry = [], ROOT
         for i, name in enumerate(parts):
-            if not chain[-1].is_dir:
+            if not entry.is_dir:
                 raise NotADirectory(
                     f"{'/' + '/'.join(parts[:i])!r} is not a directory")
-            entry = self._child(chain[-1].file_id, name, snapshot)
-            if entry is None:
-                return None
-            chain.append(entry)
-        return chain
+            ids.append(entry.file_id)
+            if entry.file_id not in listed:
+                listed[entry.file_id] = self._children(entry.file_id, snapshot)
+            row = listed[entry.file_id].get(name)
+            if row is None:
+                if i + 1 < len(parts):
+                    raise FileNotFound(f"no Inversion directory "
+                                       f"{'/' + '/'.join(parts[:i + 1])!r}")
+                return ids, name, None
+            entry = DirEntry(*row.values, row.tid)
+        if not entry.is_dir and _names_dir(path):
+            raise NotADirectory(f"{path!r} is not a directory")
+        return ids, entry.name, entry
 
     def _resolve(self, path: str, snapshot: Snapshot) -> DirEntry | None:
         """The entry at *path* (:data:`ROOT` for the root), or ``None``."""
-        chain = self._chain(split_path(path), snapshot)
-        return chain[-1] if chain else None
+        return self._lookup(path, snapshot, {})[2]
 
     def _require(self, path: str, snapshot: Snapshot) -> DirEntry:
         entry = self._resolve(path, snapshot)
@@ -253,91 +265,70 @@ class InversionFileSystem:
         self.db.locks.acquire(txn.xid, ("inv_stat", file_id),
                               LockMode.EXCLUSIVE)
 
-    def _lock_slots(self, txn: Transaction, label: str,
-                    slots: list[list[str]], mover: bool = False
-                    ) -> tuple[list[list[int]], Snapshot]:
-        """Run the slot protocol (module docstring) over the component
-        lists *slots*; with *mover*, whatever the first slot holds is
-        about to move.
-
-        Returns (``[ROOT_ID, ..., parent_id]`` per slot, post-lock
-        snapshot): the paths the caller named still mean the same inodes
-        when its transaction commits.  Raises :class:`FileNotFound` /
-        :class:`NotADirectory` if a parent path is (or becomes) invalid.
-        """
-        if not all(slots):
-            raise InversionError("operation not valid on the root")
-
-        def look(snapshot: Snapshot) -> tuple:
-            """Every slot's parent-chain ids, and (id, kind) of the mover."""
-            ids = []
-            for parts in slots:
-                parent = "/" + "/".join(parts[:-1])
-                chain = self._chain(parts[:-1], snapshot)
-                if chain is None:
-                    raise FileNotFound(f"no Inversion directory {parent!r}")
-                if not chain[-1].is_dir:
-                    raise NotADirectory(f"{parent!r} is not a directory")
-                ids.append([entry.file_id for entry in chain])
-            moving = self._child(ids[0][-1], slots[0][-1], snapshot) \
-                if mover else None
-            return ids, moving and (moving.file_id, moving.kind)
+    def _lock_slots(self, txn: Transaction, label: str, paths: list[str],
+                    vet: Callable[[list[Slot]], int | None]
+                    = lambda slots: None) -> list[Slot]:
+        """Run the slot protocol (module docstring) over *paths*; returns
+        their slots as of a look current after the last lock, so the
+        paths still mean the same inodes when the transaction commits.
+        *vet* checks each look before its locks and returns the id of the
+        directory about to move, if any."""
+        def look(snapshot: Snapshot) -> tuple[list[Slot], tuple]:
+            """The slots, and what the locks depend on."""
+            listed: dict[int, dict[str, HeapTuple]] = {}
+            slots = [self._lookup(path, snapshot, listed) for path in paths]
+            if not all(ids for ids, _name, _entry in slots):
+                raise InversionError("operation not valid on the root")
+            return slots, ([ids for ids, _name, _entry in slots], vet(slots))
 
         snapshot = self._snapshot(txn, None)
-        seen = look(snapshot)
+        slots, seen = look(snapshot)
         for _ in range(_LOCK_RETRIES):
             # One lockdep operation scope per locking *attempt*: a retry
             # legitimately starts the dirmove -> entry -> tree sequence
             # over while 2PL still holds the previous attempt's locks.
             with lockdep.VALIDATOR.operation(f"path-lock {label}"):
-                ids, moving = seen
-                moves_dir = moving is not None and moving[1] == _KIND_DIR
-                if moves_dir:
+                chains, moving = seen
+                if moving is not None:
                     self.db.locks.acquire(txn.xid, ("inv_dirmove",),
                                           LockMode.EXCLUSIVE)
                 for parent_id, name in sorted(
-                        {(chain[-1], parts[-1])
-                         for chain, parts in zip(ids, slots)}):
+                        {(ids[-1], name) for ids, name, _entry in slots}):
                     self.db.locks.acquire(
                         txn.xid, ("inv_entry", parent_id, name),
                         LockMode.EXCLUSIVE)
-                for dir_id in sorted({d for chain in ids for d in chain}):
+                for dir_id in sorted({d for ids in chains for d in ids}):
                     self._lock_tree(txn, dir_id, LockMode.SHARED)
-                if moves_dir:
-                    self._lock_tree(txn, moving[0], LockMode.EXCLUSIVE)
-            snapshot = self._snapshot(txn, None)
-            seen = look(snapshot)
-            if seen == (ids, moving):
-                return ids, snapshot
+                if moving is not None:
+                    self._lock_tree(txn, moving, LockMode.EXCLUSIVE)
+            snapshot, before = self._snapshot(txn, None), snapshot
+            if snapshot is before:   # no transaction ended: nothing moved
+                return slots
+            slots, again = look(snapshot)
+            if again == seen:
+                return slots
+            seen = again
         raise InversionError(
             f"directory chain for {label} kept moving; giving up")
 
-    def _locked_parent(self, txn: Transaction,
-                       path: str) -> tuple[int, str, Snapshot]:
-        """(parent_id, leaf name, post-lock snapshot) of *path*'s slot."""
-        parts = split_path(path)
-        (ids,), snapshot = self._lock_slots(txn, repr(path), [parts])
-        return ids[-1], parts[-1], snapshot
-
-    def _locked_entry(self, txn: Transaction,
-                      path: str) -> tuple[DirEntry, Snapshot]:
-        """Resolve *path* and hold its directory-slot lock; the returned
-        entry (and TID) is current as of the post-lock snapshot."""
-        parent_id, name, snapshot = self._locked_parent(txn, path)
-        entry = self._child(parent_id, name, snapshot)
+    def _locked_entry(self, txn: Transaction, path: str) -> DirEntry:
+        """The entry at *path*, its slot locked (:meth:`_lock_slots`)."""
+        [(_ids, _name, entry)] = self._lock_slots(txn, repr(path), [path])
         if entry is None:
             raise FileNotFound(f"no Inversion file {path!r}")
-        return entry, snapshot
+        return entry
 
     # -- creation ------------------------------------------------------------------
 
     def _new_entry(self, txn: Transaction, path: str, kind: str,
                    mode: int) -> int:
-        parent_id, name, snapshot = self._locked_parent(txn, path)
-        if self._child(parent_id, name, snapshot) is not None:
+        if kind == _KIND_FILE and _names_dir(path):
+            raise InversionError(f"{path!r} is a directory")
+        [(ids, name, entry)] = self._lock_slots(txn, repr(path), [path])
+        if entry is not None:
             raise FileExists(f"Inversion path {path!r} already exists")
         file_id = self.db.catalog.allocate_oid()
-        self.db.insert(txn, DIRECTORY, (name, file_id, parent_id, kind))
+        self.db.insert(txn, DIRECTORY, (name, file_id, ids[-1], kind))
         now = self.db.clock.now()
         self.db.insert(txn, FILESTAT,
                        (file_id, self.owner, mode & 0o7777, now, now, now))
@@ -409,12 +400,15 @@ class InversionFileSystem:
 
     def exists(self, path: str, txn: Transaction | None = None,
                as_of: float | None = None) -> bool:
-        return self._resolve(path, self._snapshot(txn, as_of)) is not None
+        """Whether *path* names an entry (not through a plain file)."""
+        try:
+            return self._resolve(path, self._snapshot(txn, as_of)) is not None
+        except (FileNotFound, NotADirectory):
+            return False
 
     def is_dir(self, path: str, txn: Transaction | None = None,
                as_of: float | None = None) -> bool:
-        entry = self._resolve(path, self._snapshot(txn, as_of))
-        return entry is not None and entry.is_dir
+        return self.exists(path.rstrip("/") + "/", txn, as_of)
 
     def listdir(self, path: str = "/", txn: Transaction | None = None,
                 as_of: float | None = None) -> list[str]:
@@ -423,8 +417,7 @@ class InversionFileSystem:
         entry = self._require(path, snapshot)
         if not entry.is_dir:
             raise NotADirectory(f"{path!r} is not a directory")
-        return sorted(e.name
-                      for e in self._children(entry.file_id, snapshot))
+        return sorted(self._children(entry.file_id, snapshot))
 
     def stat(self, path: str, txn: Transaction | None = None,
              as_of: float | None = None) -> dict:
@@ -457,18 +450,13 @@ class InversionFileSystem:
         rows = self._rows_by_index("inv_stat_fid", file_id, snapshot)
         if not rows:
             return False
-        values = list(rows[0].values)
-        if owner is not None:
-            values[1] = owner
-        if mode is not None:
-            values[2] = mode & 0o7777
-        if atime is not None:
-            values[3] = atime
-        if mtime is not None:
-            values[4] = mtime
-        if touch_ctime:
-            values[5] = self.db.clock.now()
-        self.db.replace(txn, FILESTAT, rows[0].tid, tuple(values))
+        _fid, old_owner, old_mode, old_atime, old_mtime, ctime = rows[0].values
+        self.db.replace(txn, FILESTAT, rows[0].tid, (
+            file_id, old_owner if owner is None else owner,
+            old_mode if mode is None else mode & 0o7777,
+            old_atime if atime is None else atime,
+            old_mtime if mtime is None else mtime,
+            self.db.clock.now() if touch_ctime else ctime))
         return True
 
     def _set_stat(self, txn: Transaction, path: str, **changes) -> int:
@@ -516,7 +504,7 @@ class InversionFileSystem:
     def unlink(self, txn: Transaction, path: str) -> None:
         """Remove a file (its historical versions stay time-travellable
         through the old DIRECTORY tuple versions)."""
-        entry, snapshot = self._locked_entry(txn, path)
+        entry = self._locked_entry(txn, path)
         if entry.is_dir:
             raise InversionError(f"{path!r} is a directory; use rmdir")
         self._lock_stat(txn, entry.file_id)
@@ -531,7 +519,7 @@ class InversionFileSystem:
 
     def rmdir(self, txn: Transaction, path: str) -> None:
         """Remove an empty directory."""
-        entry, snapshot = self._locked_entry(txn, path)
+        entry = self._locked_entry(txn, path)
         if not entry.is_dir:
             raise NotADirectory(f"{path!r} is not a directory")
         # EXCLUSIVE on the directory's tree key: in-flight creates inside
@@ -557,40 +545,31 @@ class InversionFileSystem:
         raises :class:`DirectoryLoop` (POSIX ``EINVAL``) — before this
         check existed, such a rename committed an unreachable cycle.
         """
-        src_parts, dst_parts = split_path(src), split_path(dst)
-        if not src_parts:
-            raise InversionError("cannot rename the root")
-        if not dst_parts:
+        same = split_path(src) == split_path(dst)
+        if not split_path(dst) and not same:
             raise FileExists("Inversion path '/' already exists")
-        same = src_parts == dst_parts
-        entry = self._require(src, self._snapshot(txn, None))
-        if entry.is_dir and not same \
-                and dst_parts[:len(src_parts)] == src_parts:
-            raise DirectoryLoop(
-                f"cannot rename {src!r} into its own subtree ({dst!r})")
-        # A same-path rename moves nothing — no dirmove, no EXCLUSIVE
-        # tree key — but holds its slot like every other path operation,
-        # so it cannot report success on a path a concurrent unlink has
-        # committed away.
-        (src_ids, dst_ids), snapshot = self._lock_slots(
-            txn, f"{src!r} -> {dst!r}", [src_parts, dst_parts],
-            mover=not same)
-        src_name, dst_name = src_parts[-1], dst_parts[-1]
-        entry = self._child(src_ids[-1], src_name, snapshot)
-        if entry is None:
-            raise FileNotFound(f"no Inversion file {src!r}")
-        if same:
-            return  # POSIX: rename to the same path is a no-op success.
-        if self._child(dst_ids[-1], dst_name, snapshot) is not None:
-            raise FileExists(f"Inversion path {dst!r} already exists")
-        if entry.is_dir:
-            # Re-check ancestry by file id under the locks: the lexical
-            # check above ran on a pre-lock snapshot, and the slot names
-            # prove nothing about where the ids now live.
+
+        def vet(slots: list[Slot]) -> int | None:
+            """The source exists (checked before any lock) and goes neither
+            into its own subtree nor, as a file, to a directory's name; a
+            same-path rename moves nothing, but holds its slot."""
+            (_ids, _name, entry), (dst_ids, _name, _taken) = slots
+            if entry is None:
+                raise FileNotFound(f"no Inversion file {src!r}")
             if entry.file_id in dst_ids:
                 raise DirectoryLoop(
-                    f"cannot rename {src!r} into its own subtree "
-                    f"({dst!r})")
+                    f"cannot rename {src!r} into its own subtree ({dst!r})")
+            if not entry.is_dir and _names_dir(dst):
+                raise NotADirectory(f"{dst!r} names a directory, "
+                                    f"{src!r} is not one")
+            return entry.file_id if entry.is_dir and not same else None
+
+        (_ids, _name, entry), (dst_ids, dst_name, taken) = \
+            self._lock_slots(txn, f"{src!r} -> {dst!r}", [src, dst], vet)
+        if same:
+            return  # POSIX: rename to the same path is a no-op success.
+        if taken is not None:
+            raise FileExists(f"Inversion path {dst!r} already exists")
         self.db.replace(txn, DIRECTORY, entry.tid,
                         (dst_name, entry.file_id, dst_ids[-1],
                          entry.kind))
@@ -686,7 +665,8 @@ class InversionFileSystem:
         stack = [("/" + "/".join(split_path(path)), start.file_id)]
         while stack:
             current_path, file_id = stack.pop()
-            children = self._children(file_id, snapshot)
+            children = [DirEntry(*t.values, t.tid) for t in
+                        self._children(file_id, snapshot).values()]
             dirs = sorted(c.name for c in children if c.is_dir)
             files = sorted(c.name for c in children if not c.is_dir)
             yield current_path, dirs, files

@@ -663,10 +663,10 @@ class FileMonkey:
         self.db = self.db_factory()
         self.fs = self.db.inversion
         if self._points:
-            # The reopened simulated clock restarts near zero; push it
-            # past every timestamp already handed out so commit order
-            # and as_of replay stay monotone across the crash.
-            self.db.clock.advance(self._points[-1][0] + 1.0, "other")
+            # Past every timestamp already handed out (the reopen resumes
+            # only past the last commit), so commit order and as_of
+            # replay stay monotone across the crash.
+            self.db.clock.resume_after(self._points[-1][0])
         without = self.oracle.digest()
         attempt = self.oracle.copy()
         saved, self.oracle = self.oracle, attempt

@@ -182,23 +182,6 @@ class FChunkObject(ChunkedObject):
         self._known_tids[seqno] = None if tup is None else tup.tid
         return tup
 
-    def _visible_chunk_tuples(self, seqnos: list[int] | range,
-                              snapshot: Snapshot) -> dict[int, HeapTuple]:
-        """Visible chunk versions for *seqnos* via one index range scan.
-
-        This is the streaming read path: instead of one full root-to-leaf
-        descent per chunk, a single descent finds the first leaf and the
-        scan walks right-sibling pointers across ``[min, max]``, so a
-        long read costs O(chunks / leaf fanout) node reads.  The heap
-        blocks the scan resolved to are read ahead before the fetch loop
-        pins them.
-        """
-        scan = IndexRangeScan(
-            self.db, self.index, self.relation,
-            min(seqnos), max(seqnos),
-            unique=True, anomaly=self._anomaly)
-        return dict(scan.visible(snapshot, wanted=set(seqnos)))
-
     # -- write buffer ------------------------------------------------------------------
 
     def _flush_data(self) -> None:
@@ -291,7 +274,11 @@ class FChunkObject(ChunkedObject):
         stats = self._cache_stats
         if missing:
             stats.read_cache_misses += len(missing)
-            fetched = self._visible_chunk_tuples(missing, self._snapshot())
+            # One range scan over the window, its heap blocks read ahead.
+            fetched = dict(IndexRangeScan(
+                self.db, self.index, self.relation, missing[0], missing[-1],
+                unique=True, anomaly=self._anomaly).visible(
+                    self._snapshot(), wanted=set(missing)))
             decompress = self.compressor.decompress
             for seqno in missing:
                 tup = fetched.get(seqno)
@@ -375,17 +362,15 @@ class FChunkObject(ChunkedObject):
             first_doomed = boundary + 1
         else:
             first_doomed = size // payload
-        # Physically delete whole chunks past the cut (their old versions
-        # remain reachable through time travel): one scan, one delete run.
+        # Delete whole chunks past the cut (their old versions remain
+        # reachable through time travel): one scan that stamps them.
         if self._buf_seqno is not None and self._buf_seqno >= first_doomed:
             self._drop_buffer()
         last = (current - 1) // payload
         if first_doomed <= last:
-            doomed = self._visible_chunk_tuples(
-                range(first_doomed, last + 1), snapshot)
-            if doomed:
-                self.db.delete_many(self.txn, self.relation.name,
-                                    [tup.tid for tup in doomed.values()])
-                self._known_tids.update(dict.fromkeys(doomed))
+            self._known_tids.update(dict.fromkeys(IndexRangeScan(
+                self.db, self.index, self.relation, first_doomed, last,
+                unique=True, anomaly=self._anomaly).delete(self.txn,
+                                                           snapshot)))
         self._read_cache.clear()
         self._note_truncate(size)

@@ -351,20 +351,18 @@ class SlottedPage:
 
     def patch_item(self, slot: int, offset_in_item: int,
                    patch: bytes) -> None:
-        """Overwrite *patch* bytes inside the item at *offset_in_item*.
+        """Overwrite *patch* bytes inside the item at *offset_in_item*,
+        through its :meth:`item_view`.
 
         In-place header updates (stamping ``xmax``) go through this instead
         of copying the whole image through :meth:`overwrite_item`.
         """
-        item = self.item_id(slot)
-        if not item.is_live:
-            raise PageError(f"slot {slot} is not live")
-        if offset_in_item < 0 or offset_in_item + len(patch) > item.length:
-            raise PageError(
-                f"patch [{offset_in_item}:{offset_in_item + len(patch)}] "
-                f"outside item of {item.length} bytes")
-        start = item.offset + offset_in_item
-        self.buf[start:start + len(patch)] = patch
+        item = self.item_view(slot)
+        end = offset_in_item + len(patch)
+        if offset_in_item < 0 or end > len(item):
+            raise PageError(f"patch [{offset_in_item}:{end}] outside item "
+                            f"of {len(item)} bytes")
+        item[offset_in_item:end] = patch
 
     def live_slots(self) -> list[int]:
         """Slot numbers of all live items, in slot order."""

@@ -191,7 +191,7 @@ class TransactionManager:
     def _finish(self, txn: Transaction, hooks: list[Callable[[], None]]) -> None:
         with self._mutex:
             self._active.pop(txn.xid, None)
-            self._ended += 1
+            self._ended += 1    # before the release: a woken waiter re-looks
         self.locks.release_all(txn.xid)
         failures = []
         for hook in hooks:

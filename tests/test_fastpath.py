@@ -508,6 +508,60 @@ def test_tripwire_survives_a_warm_deleter_map(db, impl):
     assert db.check_integrity()          # the integrity sweep agrees
 
 
+class TestTruncateStampsWithoutDecoding:
+    """A truncate finds and stamps its doomed chunk versions in one scan:
+    it learns their TIDs from the index, decodes none of them, and pins
+    each heap page it stamps once (docs/performance.md)."""
+
+    CHUNK = 8000
+
+    def test_truncate_to_zero_decodes_no_chunk_and_pins_each_page_once(
+            self, db, monkeypatch):
+        from repro.access import heap
+        designator = make_object(db, "fchunk", b"\x5a" * (32 * self.CHUNK))
+        txn = db.begin()
+        obj = db.lo.open(designator, txn, "rw")
+        relation = obj.relation
+        decoded, pinned = [], []
+        decode, pin = heap.deserialize_tuple, db.bufmgr.pin
+
+        def counting_decode(schema, view, tid):
+            if schema is relation.schema:
+                decoded.append(tid)
+            return decode(schema, view, tid)
+
+        def counting_pin(smgr, fileid, blockno, *args, **kwargs):
+            if fileid == relation.fileid:
+                pinned.append(blockno)
+            return pin(smgr, fileid, blockno, *args, **kwargs)
+
+        monkeypatch.setattr(heap, "deserialize_tuple", counting_decode)
+        monkeypatch.setattr(db.bufmgr, "pin", counting_pin)
+        obj.truncate(0)
+        monkeypatch.undo()
+        assert decoded == []
+        assert len(pinned) == len(set(pinned)) == 32, pinned
+        obj.close()
+        txn.commit()
+        assert _committed(db, designator) == b""
+        assert db.check_integrity() == []
+
+    def test_a_second_visible_version_still_trips_the_truncate(self, db):
+        """The stamping scan keeps ``unique``: a chunk planted twice
+        behind the writer's back raises the snapshot-anomaly error."""
+        designator = make_object(db, "fchunk", b"a" * 20_000)
+        name = chunk_class_name(int(designator[3:]))
+        [chunk] = [t for t in db.scan(name) if t.values[0] == 1]
+        with db.begin() as txn:
+            db.insert(txn, name, chunk.values)
+        txn = db.begin()
+        obj = db.lo.open(designator, txn, "rw")
+        with pytest.raises(LargeObjectError, match="2 visible versions of "
+                                                   r"chunk 1 \(snapshot"):
+            obj.truncate(0)
+        txn.abort()
+
+
 # -- the size gate: a read-only descriptor keeps its size row ---------------------
 
 

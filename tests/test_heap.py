@@ -77,7 +77,7 @@ class TestBatchFetch:
         tids = [committed_insert(stack, emp, (f"e{i}", i))
                 for i in range(30)]
         txn = stack.tm.begin()
-        emp.delete(txn, tids[5])
+        emp.delete(txn, [tids[5]])
         txn.commit()
         snap = stack.tm.snapshot()
         got = emp.fetch_many(tids, snap)
@@ -108,32 +108,32 @@ class TestDeleteReplace:
     def test_delete_hides_tuple(self, stack, emp):
         tid = committed_insert(stack, emp, ("Joe", 30))
         with stack.tm.begin() as txn:
-            emp.delete(txn, tid)
+            emp.delete(txn, [tid])
         assert emp.fetch(tid, stack.tm.snapshot()) is None
 
     def test_aborted_delete_leaves_tuple(self, stack, emp):
         tid = committed_insert(stack, emp, ("Joe", 30))
         txn = stack.tm.begin()
-        emp.delete(txn, tid)
+        emp.delete(txn, [tid])
         txn.abort()
         assert emp.fetch(tid, stack.tm.snapshot()) is not None
 
     def test_delete_after_aborted_delete(self, stack, emp):
         tid = committed_insert(stack, emp, ("Joe", 30))
         txn = stack.tm.begin()
-        emp.delete(txn, tid)
+        emp.delete(txn, [tid])
         txn.abort()
         with stack.tm.begin() as txn2:
-            emp.delete(txn2, tid)
+            emp.delete(txn2, [tid])
         assert emp.fetch(tid, stack.tm.snapshot()) is None
 
     def test_write_write_conflict(self, stack, emp):
         tid = committed_insert(stack, emp, ("Joe", 30))
         a = stack.tm.begin()
         b = stack.tm.begin()
-        emp.delete(a, tid)
+        emp.delete(a, [tid])
         with pytest.raises(TransactionError):
-            emp.delete(b, tid)
+            emp.delete(b, [tid])
         a.commit()
         b.abort()
 
@@ -200,7 +200,7 @@ class TestTimeTravelOnHeap:
         tid = committed_insert(stack, emp, ("Joe", 30))
         t_alive = stack.clock.now()
         with stack.tm.begin() as txn:
-            emp.delete(txn, tid)
+            emp.delete(txn, [tid])
         assert visible(emp, stack.tm.snapshot()) == []
         historic = visible(emp, stack.tm.snapshot(as_of=t_alive))
         assert [t.values for t in historic] == [("Joe", 30)]
@@ -235,7 +235,7 @@ class TestVacuum:
     def test_vacuum_keeps_uncommitted_delete(self, stack, emp):
         tid = committed_insert(stack, emp, ("Joe", 30))
         txn = stack.tm.begin()
-        emp.delete(txn, tid)
+        emp.delete(txn, [tid])
         assert emp.vacuum() == 0
         txn.abort()
 
@@ -244,7 +244,7 @@ class TestVacuum:
                 for i in range(50)]
         with stack.tm.begin() as txn:
             for tid in tids:
-                emp.delete(txn, tid)
+                emp.delete(txn, [tid])
         emp.vacuum()
         blocks_before = emp.nblocks()
         for i in range(50):
@@ -283,7 +283,7 @@ class TestDeadPointerRoom:
             first, second = rel.insert_many(txn, [(payload,), (payload,)])
         assert (first.blockno, second.blockno) == (0, 0)
         with stack.tm.begin() as txn:
-            rel.delete(txn, first)
+            rel.delete(txn, [first])
         assert rel.vacuum() == 1
         rel.fsm.forget()    # a restart: the tail page is all it knows
         from repro.access.tuples import serialize_tuple
@@ -432,7 +432,7 @@ def test_property_run_placement_is_the_per_row_placement(steps):
             for relation, manager in ((rel, tm), (ref, ref_tm)):
                 with manager.begin() as txn:
                     for tid in doomed:
-                        relation.delete(txn, tid)
+                        relation.delete(txn, [tid])
             live = [tid for tid in live if tid not in doomed]
             if commit:
                 assert rel.vacuum() == ref.vacuum()

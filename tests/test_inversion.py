@@ -335,6 +335,87 @@ class TestTransactions:
         assert fs.exists("/a") == (outcome == "abort")
 
 
+    @pytest.mark.parametrize("outcome", ["commit", "abort"])
+    def test_create_waits_for_the_create_it_races(self, db, fs, monkeypatch,
+                                                  outcome):
+        """A second ``create("/a")`` queues behind an in-flight create of
+        ``/a``: it raises :class:`FileExists` once the holder commits, and
+        creates the file if the holder aborts.  The holder's lock release
+        is held open until the waiter is done, so a waiter that kept the
+        look it took before its lock — or woke before the holder's end was
+        counted — would create a second ``/a``."""
+        holder = db.begin()
+        fs.create(holder, "/a").close()
+        result = []
+
+        def creator():
+            txn = db.begin()
+            try:
+                fs.create(txn, "/a").close()
+                txn.commit()
+                result.append("created")
+            except FileExists:
+                txn.abort()
+                result.append("exists")
+
+        thread = threading.Thread(target=creator, daemon=True)
+        release_all = db.locks.release_all
+
+        def release_then_wait(xid):
+            release_all(xid)
+            if xid == holder.xid:
+                thread.join(timeout=10)
+
+        monkeypatch.setattr(db.locks, "release_all", release_then_wait)
+        thread.start()
+        deadline = time.monotonic() + 10
+        while thread.is_alive() and not db.locks.stats.waits \
+                and time.monotonic() < deadline:
+            thread.join(timeout=0.01)
+        assert db.locks.stats.waits == 1 and not result  # parked on the slot
+        getattr(holder, outcome)()
+        thread.join(timeout=10)
+        assert result == ["exists" if outcome == "commit" else "created"]
+        assert fs.listdir("/") == ["a"]
+        assert db.check_integrity() == []
+
+
+class TestDirectoryReads:
+    """A path operation reads each directory it names once: one look
+    resolves every slot, and it stands when no transaction ended while
+    the locks were granted (docs/performance.md)."""
+
+    OPS = {
+        "create": (lambda fs, txn: fs.create(txn, "/d/g").close(), 2),
+        "unlink": (lambda fs, txn: fs.unlink(txn, "/d/f"), 2),
+        "rename-same-dir": (lambda fs, txn: fs.rename(txn, "/d/f", "/d/g"),
+                            2),
+        "rename-cross-dir": (lambda fs, txn: fs.rename(txn, "/d/f", "/e/f"),
+                             3),
+    }
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_each_directory_is_read_once(self, db, fs, monkeypatch, op):
+        with db.begin() as txn:
+            fs.mkdir(txn, "/d")
+            fs.mkdir(txn, "/e")
+            fs.write_file(txn, "/d/f", b"x")
+        run, reads = self.OPS[op]
+        read = []
+        children = fs._children
+
+        def counting(parent_id, snapshot):
+            read.append(parent_id)
+            return children(parent_id, snapshot)
+
+        monkeypatch.setattr(fs, "_children", counting)
+        with db.begin() as txn:
+            run(fs, txn)
+        assert len(read) == len(set(read)) == reads, read
+        monkeypatch.undo()
+        assert db.check_integrity() == []
+
+
 class TestTimeTravel:
     """§8: time travel over whole file-system states."""
 

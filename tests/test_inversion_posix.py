@@ -189,6 +189,31 @@ case("rename-unlinked-recreated",
 case("path-double-slash", given=(("mkdir", "/a"),), do=("mkdir", "/a//b"),
      then=(("isdir", "/a/b"),))
 case("path-trailing-slash", do=("mkdir", "/d/"), then=(("isdir", "/d"),))
+# POSIX: a trailing slash resolves only to a directory (ENOTDIR for a
+# plain file; creating a plain file there is EISDIR, as opening a
+# directory is).
+_FILE_IN_D = (("mkdir", "/d"), ("file", "/d/f", b"x"))
+case("path-trailing-slash-read-file", given=_FILE_IN_D,
+     do=("read", "/d/f/"), raises=NotADirectory)
+case("path-trailing-slash-stat-file", given=_FILE_IN_D,
+     do=("stat", "/d/f/"), raises=NotADirectory)
+case("path-trailing-slash-unlink-file", given=_FILE_IN_D,
+     do=("unlink", "/d/f/"), raises=NotADirectory,
+     then=(("data", "/d/f", b"x"),))
+case("path-trailing-slash-rename-src-file", given=_FILE_IN_D,
+     do=("rename", "/d/f/", "/d/g"), raises=NotADirectory,
+     then=(("data", "/d/f", b"x"), ("absent", "/d/g")))
+case("path-trailing-slash-rename-file-to-dst", given=_FILE_IN_D,
+     do=("rename", "/d/f", "/d/g/"), raises=NotADirectory,
+     then=(("data", "/d/f", b"x"), ("absent", "/d/g")))
+case("path-trailing-slash-create", given=(("mkdir", "/d"),),
+     do=("create", "/d/g/"), raises=InversionError,
+     then=(("absent", "/d/g"),))
+case("path-trailing-slash-file-absent", given=_FILE_IN_D,
+     do=("stat", "/d/f"), then=(("absent", "/d/f/"), ("isfile", "/d/f")))
+case("path-trailing-slash-dir-ops", given=(("mkdir", "/d"),),
+     do=("rename", "/d/", "/e/"),
+     then=(("isdir", "/e/"), ("absent", "/d"), ("names", "/e/.", [])))
 case("path-dot-component", given=(("mkdir", "/a"),),
      do=("create", "/a/./c"), then=(("isfile", "/a/c"),))
 case("path-dotdot-component", given=(("mkdir", "/a"), ("mkdir", "/b")),
