@@ -1010,12 +1010,16 @@ class TestPoolPassCounts:
     #: when this pin was set (2,941 on CPython 3.11.7; 5,880 when each
     #: visit looked its key up in the frame table), plus 5 %.
     MAX_SWEEP_BYTECODES = 3_089
+    #: Bytecodes of forcing a 32-page file of a 4-node, R = 3 sharded
+    #: manager, up to the manager's ``write_runs``, when this pin was set
+    #: (2,505 on CPython 3.11.7; 6,778 when a force grouped its blocks
+    #: by primary node), plus 5 %.
+    MAX_SHARDED_FORCE_BYTECODES = 2_630
 
-    def _device_file(self, smgr, fileid):
+    def _device_file(self, smgr, fileid, pages=PAGES):
         from repro.storage.page import SlottedPage
         smgr.create(fileid)
-        smgr.write_runs(fileid, [(0, [bytes(SlottedPage().buf)]
-                                  * self.PAGES)])
+        smgr.write_runs(fileid, [(0, [bytes(SlottedPage().buf)] * pages)])
 
     def test_forcing_64_dirty_pages_is_one_pass(self):
         from repro.sim import SimClock
@@ -1037,6 +1041,25 @@ class TestPoolPassCounts:
             written = pool.flush_file(smgr, "t")
         assert written == self.PAGES and runs == [0]
         assert executed.count <= self.MAX_FORCE_BYTECODES, executed.count
+
+    def test_forcing_a_32_page_sharded_file_is_one_ascending_run(self):
+        from repro.sim import SimClock
+        from repro.smgr.sharded import sharded_memory_manager
+        from repro.storage import BufferManager
+        smgr = sharded_memory_manager(SimClock())
+        self._device_file(smgr, "t", 32)
+        pool = BufferManager(pool_size=64)
+        for blockno in range(32):
+            pool.unpin(pool.pin(smgr, "t", blockno), dirty=True)
+        batches = []
+        smgr.write_runs = lambda fileid, batch: batches.append(batch)
+        with _Bytecodes() as executed:
+            written = pool.flush_file(smgr, "t")
+        assert written == 32
+        assert [[(first, len(images)) for first, images in batch]
+                for batch in batches] == [[(0, 32)]]
+        assert executed.count <= self.MAX_SHARDED_FORCE_BYTECODES, \
+            executed.count
 
     def test_one_eviction_from_a_full_pool_at_usage_2(self):
         from repro.sim import SimClock

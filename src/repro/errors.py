@@ -90,10 +90,6 @@ class NoActiveTransaction(TransactionError):
     """An operation that requires a transaction ran outside of one."""
 
 
-class TransactionAborted(TransactionError):
-    """The current transaction has been aborted and must be rolled back."""
-
-
 class LockError(TransactionError):
     """A lock could not be acquired."""
 

@@ -82,18 +82,18 @@ class LargeObjectManager:
         #: Aggregated hit/miss counters for every descriptor's
         #: decompressed-data cache; ``db.statistics()["largeobjects"]``.
         self.cache_stats = metadata.LargeObjectCacheStats()
+        #: Guards both registries below; neither is read under the other.
+        self._registry_mutex = LockdepMutex("mutex:lo_registry")
         #: oid -> count of open chunked descriptors (any mode, any
         #: session).  Readers take no heavyweight locks, so this registry
         #: is how unlink — whose relation drop is non-transactional DDL —
         #: refuses to pull a class out from under a live scan.
-        self._open_mutex = LockdepMutex("mutex:lo_registry")
         self._open_counts: dict[int, int] = {}
         #: Per-store append cursors for v-segment byte stores.  The store
         #: "only grows"; under concurrency each writer reserves a
         #: disjoint extent here instead of trusting its descriptor's
         #: (possibly stale) EOF.  Extents reserved by transactions that
         #: later abort are simply never written — holes read as zeros.
-        self._cursor_mutex = LockdepMutex("mutex:lo_registry")
         self._append_cursors: dict[int, int] = {}
 
     # -- creation --------------------------------------------------------------------
@@ -195,7 +195,7 @@ class LargeObjectManager:
         if store_oid is not None:
             drop_store(store_oid)
         self.db.catalog.drop_large_object(oid)
-        with self._cursor_mutex:
+        with self._registry_mutex:
             self._append_cursors.pop(oid, None)
 
     def recover_orphans(self) -> list[int]:
@@ -325,11 +325,11 @@ class LargeObjectManager:
     # -- open-descriptor registry / store append cursors -------------------------------------
 
     def _register_open(self, oid: int) -> None:
-        with self._open_mutex:
+        with self._registry_mutex:
             self._open_counts[oid] = self._open_counts.get(oid, 0) + 1
 
     def _release_open(self, oid: int) -> None:
-        with self._open_mutex:
+        with self._registry_mutex:
             count = self._open_counts.get(oid, 0) - 1
             if count > 0:
                 self._open_counts[oid] = count
@@ -338,13 +338,13 @@ class LargeObjectManager:
 
     def open_descriptors(self, oid: int) -> int:
         """How many chunked descriptors are currently open on *oid*."""
-        with self._open_mutex:
+        with self._registry_mutex:
             return self._open_counts.get(oid, 0)
 
     def store_cursor(self, store_oid: int) -> int | None:
         """Where the next extent of a byte store starts, or ``None`` until
         the first reservation anchors the cursor."""
-        with self._cursor_mutex:
+        with self._registry_mutex:
             return self._append_cursors.get(store_oid)
 
     def reserve_store_extent(self, store_oid: int, length: int, *,
@@ -359,7 +359,7 @@ class LargeObjectManager:
         gets back exactly its own EOF — the identical layout the plain
         ``seek(0, SEEK_END)`` append produced.
         """
-        with self._cursor_mutex:
+        with self._registry_mutex:
             start = max(self._append_cursors.get(store_oid, 0), eof_hint)
             self._append_cursors[store_oid] = start + length
             return start

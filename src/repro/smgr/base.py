@@ -615,21 +615,6 @@ class StorageManager(ABC):
             self._inject("sync", fileid)
         self._sync(fileid)
 
-    # -- placement ----------------------------------------------------------
-
-    def placement_groups(self, fileid: str,
-                         blocknos: list[int]) -> list[list[int]]:
-        """Partition *blocknos* into per-device batches, each in block
-        order.
-
-        Batched callers (commit-time flush, prefetch) issue each returned
-        group contiguously so that every physical device sees its blocks
-        sequentially.  The default — one group, sorted — is exactly the
-        historical single-device order; multi-node managers override it to
-        group by primary node.
-        """
-        return [sorted(blocknos)] if blocknos else []
-
     # -- helpers -------------------------------------------------------------
 
     def _check_read(self, fileid: str, first: int, count: int) -> None:

@@ -144,16 +144,6 @@ class ShardedStorageManager(StorageManager):
         with self._lock:
             return self._replica_nodes(fileid, blockno)
 
-    def placement_groups(self, fileid: str,
-                         blocknos: list[int]) -> list[list[int]]:
-        """Group blocks by primary node so each device writes in order."""
-        with self._lock:
-            groups: dict[int, list[int]] = {}
-            for blockno in sorted(blocknos):
-                primary = self._replica_nodes(fileid, blockno)[0]
-                groups.setdefault(primary, []).append(blockno)
-            return [groups[idx] for idx in sorted(groups)]
-
     # -- file lifecycle (every node's store knows every file) ---------------
 
     def create(self, fileid: str) -> None:

@@ -15,10 +15,9 @@ system:
   storage-system design;
 * **lazy file extension**: :meth:`allocate` creates a page in the pool
   (:meth:`extend` installs a run of filled ones) without a device write;
-  the device file grows when the page is first
-  flushed.  A block below a flushed page that the device lacks and the
-  pool no longer holds dirty is zero-filled, so the storage manager never
-  sees a gap.
+  the device file grows when the page is first flushed.  Such a frame is
+  dirty until a write-back takes it, so a file's dirty tail always runs
+  unbroken from the device's end and a force never leaves a gap.
 * **checksums**: pages are stamped before a device write and verified on
   read.
 
@@ -39,13 +38,12 @@ from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import BufferError_, ChecksumError
 from repro.sim.clock import SimClock
 from repro.sim.devices import CpuModel
-from repro.storage.constants import PAGE_SIZE
 from repro.storage.page import SlottedPage
 from repro.txn.lockdep import LockdepMutex
 
@@ -60,8 +58,6 @@ _DECODED_HIT_INSTRUCTIONS = 200
 
 #: Usage count ceiling for the clock sweep (as in PostgreSQL).
 _MAX_USAGE = 5
-
-_ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 def block_runs(blocknos: list[int]) -> list[list[int]]:
@@ -260,13 +256,9 @@ class BufferManager:
         they are cheap to evict if the guess was wrong, but a streaming
         reader finds them resident.  Returns how many were actually read.
 
-        Reads are batched per physical device (``smgr.placement_groups``)
-        so that a sharded file's readahead visits each node's blocks
-        contiguously, and each run of consecutive blocks is one
-        ``read_blocks`` request, read and charged whole; its frames are
-        then installed (and counted) one at a time, each after the room
-        made for it.  For a single-device manager the grouping degenerates
-        to the plain ascending order.
+        Each run of consecutive blocks is one ``read_blocks`` request,
+        read and charged whole; its frames are then installed (and
+        counted) one at a time, each after the room made for it.
         """
         with self._latch:
             frames, ring, stats = self._frames, self._ring, self.stats
@@ -274,25 +266,25 @@ class BufferManager:
             limit = min(blockno + count, smgr.nblocks(fileid))
             wanted = [block for block in range(max(0, blockno), limit)
                       if (smgr.smgr_id, fileid, block) not in frames]
-            before = stats.prefetched
-            for group in smgr.placement_groups(fileid, wanted):
-                # An ascending group no wider than its length is one run.
-                for first, last in ([(group[0], group[-1])]
-                                    if group[-1] - group[0] < len(group)
-                                    else block_runs(group)):
-                    block = first
-                    for raw in smgr.read_blocks(fileid, first,
-                                                last - first + 1):
-                        charge(_MISS_INSTRUCTIONS)
-                        make_room()
-                        buf = Buffer(smgr, fileid, block,
-                                     _verified(raw, fileid, block),
-                                     prefetched=True)
-                        frames[buf.key] = buf
-                        ring.append(buf)
-                        stats.prefetched += 1
-                        block += 1
-            return stats.prefetched - before
+            if not wanted:
+                return 0
+            # An ascending list no wider than its length is one run.
+            for first, last in ([(wanted[0], wanted[-1])]
+                                if wanted[-1] - wanted[0] < len(wanted)
+                                else block_runs(wanted)):
+                block = first
+                for raw in smgr.read_blocks(fileid, first,
+                                            last - first + 1):
+                    charge(_MISS_INSTRUCTIONS)
+                    make_room()
+                    buf = Buffer(smgr, fileid, block,
+                                 _verified(raw, fileid, block),
+                                 prefetched=True)
+                    frames[buf.key] = buf
+                    ring.append(buf)
+                    stats.prefetched += 1
+                    block += 1
+            return len(wanted)
 
     def allocate(self, smgr: "StorageManager", fileid: str) -> Buffer:
         """Append a fresh, pinned, dirty page to the file (no device I/O):
@@ -429,45 +421,32 @@ class BufferManager:
         raise BufferError_(
             f"buffer pool exhausted: all {self.pool_size} pages pinned")
 
-    def _writeback_batch(self, smgr: "StorageManager", fileid: str,
-                         per_device: bool = False) -> int:
+    def _writeback_batch(self, smgr: "StorageManager", fileid: str) -> int:
         """Write every dirty page of one file in one manager call; returns
         how many there were.
 
-        Blocks the device already holds go first, ascending — in per-node
-        batches (``smgr.placement_groups``) when *per_device* — then, as
-        one run, everything from the device's end up to the highest dirty
-        block, holes as zeros: a manager never takes a write that would
-        leave a gap.  One pass seals each page in that order (nonzero
-        LSN, then checksum) and appends it to its run of consecutive
-        blocks; the pages turn clean only once the manager has taken them.
+        One pass over the dirty blocks in ascending order seals each page
+        (nonzero LSN, then checksum) and appends it to its run of
+        consecutive blocks; the pages turn clean only once the manager has
+        taken them.  Nothing fills a gap: only :meth:`extend` puts a frame
+        past the device's end, dirty, and only this cleans one, so the
+        dirty blocks at or past the device's end run unbroken from it (a
+        manager refuses a write that would leave a hole).
         """
         key = (smgr.smgr_id, fileid)
         dirty = self._dirty.get(key)
         if not dirty:
             return 0
-        order = sorted(dirty)
-        device_end = smgr.nblocks(fileid)
-        if per_device:
-            cut = bisect_left(order, device_end)
-            order[:cut] = chain.from_iterable(
-                smgr.placement_groups(fileid, order[:cut]))
         batch, end = [], -1
-        for lsn, blockno in enumerate(order, self._next_lsn):
+        for lsn, blockno in enumerate(sorted(dirty), self._next_lsn):
             if blockno != end:
-                if blockno < device_end:
-                    images = []
-                    batch.append((blockno, images))
-                else:       # in the tail: from the device's end, holes zero
-                    if end < device_end:
-                        images, end = [], device_end
-                        batch.append((end, images))
-                    images += [_ZERO_PAGE] * (blockno - end)
+                images = []
+                batch.append((blockno, images))
             page = dirty[blockno].page
             page.seal(lsn)
             images.append(page.buf)
             end = blockno + 1
-        self._next_lsn += len(order)
+        self._next_lsn += len(dirty)
         smgr.write_runs(fileid, batch)
         for buf in dirty.values():
             buf.dirty = False
@@ -487,7 +466,7 @@ class BufferManager:
         transaction's pages in the OS cache.
         """
         with self._latch:
-            written = self._writeback_batch(smgr, fileid, per_device=True)
+            written = self._writeback_batch(smgr, fileid)
             smgr.sync(fileid)
             return written
 

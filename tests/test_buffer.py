@@ -122,22 +122,24 @@ class TestEviction:
             with pool.page(smgr, fid, blockno) as page:
                 assert page.get_item(slot) == data
 
-    def test_out_of_order_eviction_fills_holes(self, smgr):
-        """Flushing block 3 before 0-2 must zero-fill, not corrupt."""
+    def test_a_gap_below_the_dirty_tail_is_refused(self, smgr):
+        """Blocks 0-2 cleaned by hand (nothing in the pool cleans a frame
+        but a write-back) leave dirty block 3 above blocks the device
+        lacks: the force raises instead of writing zeros there, writes
+        nothing, and block 3 stays dirty."""
         pool = BufferManager(pool_size=8)
         fid = new_file(smgr)
         bufs = [pool.allocate(smgr, fid) for _ in range(4)]
-        for i, buf in enumerate(bufs):
-            buf.page.add_item(bytes([i + 1]) * 8)
+        for buf in bufs:
             pool.unpin(buf, dirty=True)
-        # Only the last block is still dirty; the device lacks 0-2.
         for blockno in range(3):
             pool._dirty[smgr.smgr_id, fid].pop(blockno).dirty = False
-        pool.flush_file(smgr, fid)
-        assert smgr.nblocks(fid) == 4
-        assert all(smgr.read_block(fid, hole) == bytes(PAGE_SIZE)
-                   for hole in range(3))
-        assert SlottedPage(smgr.read_block(fid, 3)).get_item(0) == b"\x04" * 8
+        with pytest.raises(StorageManagerError, match="hole"):
+            pool.flush_file(smgr, fid)
+        assert smgr.nblocks(fid) == 0
+        assert smgr.stats()["writes"] == 0
+        assert bufs[3].dirty
+        assert list(pool._dirty[smgr.smgr_id, fid]) == [3]
 
 
 class TestFlush:

@@ -276,29 +276,6 @@ class TestRuns:
             fast.clock.elapsed * slow.nodes[0].slow_factor)
 
 
-def two_pass_batch(smgr, fileid, dirty, per_device):
-    """The force batch as two passes built it: the dirty blocks the device
-    holds (per node when *per_device*) cut into runs, then the tail up to
-    the top dirty block as one run, joined to the last run if that ends
-    at the device's end; then every page, in run order, blockno for a
-    page sealed, ``None`` for a hole written as zeros."""
-    order = sorted(dirty)
-    device_end, top = smgr.nblocks(fileid), order[-1]
-    order = [blockno for blockno in order if blockno < device_end]
-    if per_device:
-        order = [blockno for group in smgr.placement_groups(fileid, order)
-                 for blockno in group]
-    runs = block_runs(order)
-    if top >= device_end:
-        if runs and runs[-1][1] == device_end - 1:
-            runs[-1][1] = top
-        else:
-            runs.append([device_end, top])
-    return [(first, [blockno if blockno in dirty else None
-                     for blockno in range(first, last + 1)])
-            for first, last in runs]
-
-
 @pytest.fixture(scope="module", params=["disk", "sharded"])
 def force_smgr(request, tmp_path_factory):
     """One manager per kind for every example; each example has a file of
@@ -310,19 +287,20 @@ def force_smgr(request, tmp_path_factory):
 
 
 class TestOnePassBatch:
-    """``_writeback_batch`` builds its runs and seals its pages in one pass
-    over the sorted dirty blocks: the same ``(first, images)`` batch and
-    the same LSN order as the two passes before it, on one device and on
-    a sharded manager whose per-node groups interleave the runs."""
+    """``_writeback_batch`` seals each dirty page and appends it to its
+    run in one pass over the sorted dirty blocks: the batch is
+    ``block_runs(sorted(dirty))``, each run the pages of its blocks, and
+    the LSNs ascend in block order, on one device and on a sharded
+    manager.  The tail past the device's end is all dirty, as only
+    ``extend`` puts a frame there."""
 
     _fileids = itertools.count()
 
     @settings(max_examples=150, deadline=None)
     @given(device=st.integers(0, 40), tail=st.integers(0, 40),
-           dirtied=st.sets(st.integers(0, 79), min_size=1),
-           per_device=st.booleans())
-    def test_batch_and_lsn_order_equal_the_two_passes(
-            self, force_smgr, device, tail, dirtied, per_device):
+           dirtied=st.sets(st.integers(0, 79), min_size=1))
+    def test_batch_is_the_runs_of_the_dirty_blocks_in_lsn_order(
+            self, force_smgr, device, tail, dirtied):
         assume(device + tail)
         smgr, fileid = force_smgr, f"f{next(self._fileids)}"
         smgr.create(fileid)
@@ -334,32 +312,23 @@ class TestOnePassBatch:
         for blockno in range(device):
             if blockno in dirtied:
                 pool.unpin(pool.pin(smgr, fileid, blockno), dirty=True)
-        dirty = pool._dirty[(smgr.smgr_id, fileid)]
-        for blockno in range(device, device + tail):
-            if blockno not in dirtied:        # a hole past the device's end
-                dirty.pop(blockno).dirty = False
-        expected = two_pass_batch(smgr, fileid, dirty, per_device)
-        pages = dict(dirty)
+        pages = dict(pool._dirty[(smgr.smgr_id, fileid)])
         block_of = {id(buf.page.buf): blockno
                     for blockno, buf in pages.items()}
         written = []
         smgr.write_runs = lambda fid, runs: written.extend(runs)
         try:
             first_lsn = pool._next_lsn
-            assert pool._writeback_batch(smgr, fileid, per_device) == \
-                len(pages)
+            assert pool._writeback_batch(smgr, fileid) == len(pages)
         finally:
             del smgr.write_runs
             smgr.unlink(fileid)
-        assert [(first, [block_of.get(id(image)) for image in images])
-                for first, images in written] == expected
-        sealed = [blockno for _first, blocks in expected
-                  for blockno in blocks if blockno is not None]
-        assert [pages[blockno].page.lsn for blockno in sealed] == \
-            list(range(first_lsn, first_lsn + len(sealed)))
-        assert all(bytes(image) == bytes(PAGE_SIZE)
-                   for _first, images in written for image in images
-                   if id(image) not in block_of)
+        assert [(first, [block_of[id(image)] for image in images])
+                for first, images in written] == \
+            [(first, list(range(first, last + 1)))
+             for first, last in block_runs(sorted(pages))]
+        assert [pages[blockno].page.lsn for blockno in sorted(pages)] == \
+            list(range(first_lsn, first_lsn + len(pages)))
 
 
 #: 16 blocks the device already holds are overwritten, 16 appended.
