@@ -1330,6 +1330,67 @@ class TestInversionMetadataCounts:
         assert executed.count <= self.MAX_TRUNCATE_BYTECODES, executed.count
 
 
+@pytest.mark.perf
+class TestLockPathCounts:
+    """A lock nobody contends costs only its own bookkeeping: a range
+    acquire decides covered, conflicting and extending in one walk of
+    its object's granted ranges, and ``release_all`` walks only the
+    releaser's own grants, however many other transactions hold locks.
+    Lock-manager calls only, no threads, the order validator disarmed.
+    Counts, never time; the ceilings are for CPython 3.11 (CI's
+    perf-smoke job)."""
+
+    #: Bytecodes of building one range and acquiring it EXCLUSIVE while
+    #: the transaction holds two other ranges of the object, when this pin
+    #: was set (280 on CPython 3.11.7; 764 with a dataclass
+    #: resource and three walks of the group), plus 5 %.
+    MAX_RANGE_ACQUIRE_BYTECODES = 294
+    #: Bytecodes of ``release_all`` of a transaction's three locks when
+    #: this pin was set (160 on CPython 3.11.7 beside 200 or 2,000
+    #: other holders; 3,204 and 28,404 when a release walked the
+    #: whole grant table), plus 5 %.
+    MAX_RELEASE_BYTECODES = 168
+
+    @pytest.fixture(autouse=True)
+    def _disarmed(self, monkeypatch):
+        from repro.txn import lockdep
+        monkeypatch.setattr(lockdep.VALIDATOR, "armed", False)
+
+    def test_an_uncontended_range_acquire_beside_two_own_ranges(self):
+        from repro.txn.locks import LockManager, LockMode
+        from repro.txn.rangelock import lo_range
+        locks = LockManager()
+        locks.acquire(7, lo_range(1, 0, 8192), LockMode.EXCLUSIVE)
+        locks.acquire(7, lo_range(1, 16384, 24576), LockMode.EXCLUSIVE)
+        with _Bytecodes() as executed:
+            locks.acquire(7, lo_range(1, 32768, 40960), LockMode.EXCLUSIVE)
+        assert locks.holds(7, lo_range(1, 32768, 40960), LockMode.EXCLUSIVE)
+        assert locks.stats.waits == 0
+        assert executed.count <= self.MAX_RANGE_ACQUIRE_BYTECODES, \
+            executed.count
+
+    @staticmethod
+    def _release_beside(others: int) -> int:
+        from repro.txn.locks import LockManager, LockMode
+        from repro.txn.rangelock import lo_range
+        locks = LockManager()
+        for xid in range(100, 100 + others):
+            locks.acquire(xid, ("relation", f"r{xid}"), LockMode.SHARED)
+        locks.acquire(7, ("relation", "t"), LockMode.SHARED)
+        locks.acquire(7, ("losize", 1), LockMode.EXCLUSIVE)
+        locks.acquire(7, lo_range(1, 0, 8192), LockMode.EXCLUSIVE)
+        with _Bytecodes() as executed:
+            released = locks.release_all(7)
+        assert released == 3
+        assert len(locks.holders(("relation", "r100"))) == 1
+        return executed.count
+
+    def test_release_all_costs_the_same_beside_200_or_2000_holders(self):
+        beside_200 = self._release_beside(200)
+        assert self._release_beside(2000) == beside_200
+        assert beside_200 <= self.MAX_RELEASE_BYTECODES, beside_200
+
+
 class TestQueryMicro:
     def test_retrieve_with_qual(self, benchmark, db):
         db.execute("create EMP (name = text, age = int4)")

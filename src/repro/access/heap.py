@@ -128,9 +128,10 @@ class HeapRelation:
                     f"{MAX_TUPLE_SIZE} for relation {self.name!r} "
                     f"(store big values as large objects)")
             images.append(image)
-        tids = self._store(images)
+        # Recorded before the first page changes: a commit after a caught
+        # error must still force what was placed.
         txn.touch(self.smgr, self.fileid)
-        return tids
+        return self._store(images)
 
     def insert_raw(self, image: bytes) -> TID:
         """Place a pre-serialized tuple image, preserving its stamps.
@@ -315,6 +316,9 @@ class HeapRelation:
         bufmgr, xid = self.bufmgr, txn.xid
         stamp = xmax_patch(xid)
         oids: list[int | None] = []
+        # Before the first stamp, as in insert_many: a conflict raised
+        # after earlier stamps must not keep them out of the commit's force.
+        txn.touch(self.smgr, self.fileid)
         for blockno, run in groupby(tids, _BLOCKNO):
             buf = bufmgr.pin(self.smgr, self.fileid, blockno)
             dirty = False
@@ -344,7 +348,6 @@ class HeapRelation:
                     oids.append(oid)
             finally:
                 bufmgr.unpin(buf, dirty=dirty)
-        txn.touch(self.smgr, self.fileid)
         return oids
 
     def replace(self, txn: Transaction, tid: TID, values: tuple) -> TID:

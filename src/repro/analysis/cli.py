@@ -4,6 +4,7 @@
 installed as the ``repro-lint`` console script.  Exits 0 when the tree
 is clean, 1 when there are findings or a selected rule's
 ``# repro: allow(...)`` comment suppressed nothing, 2 on usage errors.
+``--doc`` prints the two tables docs/invariants.md embeds instead.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 from repro.analysis.core import Report, all_rules, analyze_paths
+from repro.analysis.rules import DECLARED_SITES
+from repro.txn.lockdep import HIERARCHY
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,6 +34,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit")
+    parser.add_argument(
+        "--doc", action="store_true",
+        help="print docs/invariants.md's lock-hierarchy and R010 tables "
+             "and exit")
     return parser
 
 
@@ -79,9 +86,28 @@ def render_text(report: Report) -> str:
     return "\n".join(lines)
 
 
+def render_doc_tables() -> str:
+    """The lock-hierarchy table (from ``txn/lockdep.py::HIERARCHY``) and
+    the R010 table (from ``DECLARED_SITES``), one row per entry, as
+    docs/invariants.md embeds them; a blank line between the two."""
+    lines = ["| Rank | Domain | Class | What it protects |",
+             "| ---: | --- | --- | --- |"]
+    lines += [f"| {lock.rank} | {lock.domain} | `{lock.name}` | "
+              f"{lock.summary} |" for lock in HIERARCHY.values()]
+    lines += ["", "| Pattern | Declared sites | Why |", "| --- | --- | --- |"]
+    lines += [f"| {row.pattern} | "
+              + ", ".join(f"`{module}` ({count})"
+                          for module, count in row.sites.items())
+              + f" | {row.why} |" for row in DECLARED_SITES]
+    return "\n".join(lines)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
+    if args.doc:
+        print(render_doc_tables())
+        return 0
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.id}  {rule.name}: {rule.summary}")

@@ -23,10 +23,11 @@ where blocking would hang the only thread, and every conflict between
 transactions of one thread is rejected at once.
 
 Locks are held until end of transaction (strict 2PL) and released in bulk
-by the transaction manager.  Grant order is FIFO with two exceptions that
-match classic lock managers: a SHARED→EXCLUSIVE *upgrade* depends only on
-the other holders (it never queues behind fresh requests, which would
-self-deadlock), and compatible re-acquisition is a no-op.
+by the transaction manager, in a walk of the releaser's own grants only.
+Grant order is FIFO with two exceptions that match classic lock
+managers: a SHARED→EXCLUSIVE *upgrade* depends only on the other holders
+(it never queues behind fresh requests, which would self-deadlock), and
+compatible re-acquisition is a no-op.
 
 Resources are identified by arbitrary hashable keys; the conventional keys
 are ``("relation", name)`` and ``("losize", oid)``.  A resource may also
@@ -134,8 +135,11 @@ class LockManager:
     def __init__(self) -> None:
         self.stats = LockStats()
         self._cond = threading.Condition(threading.Lock())
-        #: resource -> {xid: mode}
-        self._grants: dict[Hashable, dict[int, LockMode]] = defaultdict(dict)
+        #: resource -> {xid: mode}; a key is present only while held
+        self._grants: dict[Hashable, dict[int, LockMode]] = {}
+        #: xid -> {resource: mode}: the same grants by holder, so a
+        #: release walks only the releaser's own locks
+        self._held: dict[int, dict[Hashable, LockMode]] = {}
         #: range group -> granted RangeResources of that object (the
         #: conflict scan for a range walks its group, not the whole table)
         self._groups: dict[Hashable, set[RangeResource]] = {}
@@ -249,25 +253,10 @@ class LockManager:
         return any(xid in self._grants.get(res, {})
                    for res in self._conflictable_resources(resource))
 
-    def _already_covered(self, xid: int, resource: Hashable,
-                         mode: LockMode) -> bool:
-        """Whether an existing grant of *xid* subsumes this request."""
-        held = self._grants.get(resource, {}).get(xid)
-        if held is LockMode.EXCLUSIVE or held is mode:
-            return True
-        if not isinstance(resource, RangeResource):
-            return False
-        for res in self._groups.get(resource.group, ()):
-            m = self._grants.get(res, {}).get(xid)
-            if m is None or (m is not LockMode.EXCLUSIVE and m is not mode):
-                continue
-            if res.contains(resource):
-                return True
-        return False
-
     def _record_grant(self, xid: int, resource: Hashable,
                       mode: LockMode) -> None:
-        self._grants[resource][xid] = mode
+        self._grants.setdefault(resource, {})[xid] = mode
+        self._held.setdefault(xid, {})[resource] = mode
         if isinstance(resource, RangeResource):
             self._groups.setdefault(resource.group, set()).add(resource)
 
@@ -280,13 +269,32 @@ class LockManager:
 
     def _try_grant(self, xid: int, resource: Hashable,
                    mode: LockMode) -> bool:
-        """Grant immediately if compatible with holders and queue fairness."""
-        if self._already_covered(xid, resource, mode):
-            return True
-        if self._conflicting_holders(xid, resource, mode):
-            return False
-        holders = self._grants[resource]
-        if xid not in holders and not self._holds_conflictable(xid, resource):
+        """Grant immediately if compatible with holders and queue fairness.
+
+        One walk of the granted keys that can conflict with *resource*
+        finds whether a grant of *xid* already subsumes the request, whether
+        another holder conflicts, and whether *xid* is extending its own
+        coverage (and, holding the very key SHARED, upgrading it).  The
+        table never holds two conflicting grants, so a conflicting holder
+        and a covering grant of *xid* never meet: the first one found
+        decides.
+        """
+        extending = upgrade = False
+        for res in self._conflictable_resources(resource):
+            holders = self._grants[res]
+            held = holders.get(xid)
+            if held is not None:
+                if (held is LockMode.EXCLUSIVE or held is mode) and (
+                        res is resource or res.contains(resource)):
+                    return True
+                extending = True
+                upgrade = upgrade or res == resource
+            if len(holders) > (held is not None) and (
+                    mode is LockMode.EXCLUSIVE or any(
+                        m is LockMode.EXCLUSIVE
+                        for x, m in holders.items() if x != xid)):
+                return False
+        if not extending and self._waiters:
             # Fairness: a fresh request never overtakes a conflicting
             # waiter (victims are leaving, not waiting — they don't
             # count).  A holder extending its coverage skips the queue,
@@ -297,7 +305,7 @@ class LockManager:
                     continue
                 if self._queue_blocks(resource, mode, earlier):
                     return False
-        if holders.get(xid) is LockMode.SHARED and mode is LockMode.EXCLUSIVE:
+        if upgrade:
             self.stats.upgrades += 1
         self._record_grant(xid, resource, mode)
         return True
@@ -339,13 +347,11 @@ class LockManager:
                     continue
                 if not self._grantable_queued(waiter):
                     continue
-                holders = self._grants[waiter.resource]
-                if waiter.xid in holders:
+                mode = waiter.mode
+                if waiter.xid in self._grants.get(waiter.resource, ()):
                     self.stats.upgrades += 1
-                    holders[waiter.xid] = LockMode.EXCLUSIVE
-                else:
-                    self._record_grant(waiter.xid, waiter.resource,
-                                       waiter.mode)
+                    mode = LockMode.EXCLUSIVE
+                self._record_grant(waiter.xid, waiter.resource, mode)
                 queue.remove(waiter)
                 waiter.granted = True
                 waiter.grant_count += 1
@@ -461,45 +467,44 @@ class LockManager:
     # -- release -----------------------------------------------------------------------
 
     def release_all(self, xid: int) -> int:
-        """Drop every lock held by *xid* (end of transaction) and grant
-        any waiters that become eligible.  Each blocked waiter is woken
-        (granted) at most once.  Returns the number of locks released."""
+        """Drop every lock held by *xid* (end of transaction), walking
+        only its own grants, and grant any waiters that become eligible.
+        Each blocked waiter is woken (granted) at most once.  Returns the
+        number of locks released."""
         if lockdep.VALIDATOR.armed:
             lockdep.VALIDATOR.heavy_released_all(xid)
         with self._cond:
             self._xid_threads.pop(xid, None)
-            released = 0
-            touched = []
-            for resource, holders in list(self._grants.items()):
-                if holders.pop(xid, None) is not None:
-                    released += 1
-                    touched.append(_queue_key(resource))
+            held = self._held.pop(xid, {})
+            for resource in held:
+                holders = self._grants[resource]
+                del holders[xid]
                 if not holders:
+                    del self._grants[resource]
                     if isinstance(resource, RangeResource):
-                        group = self._groups.get(resource.group)
-                        if group is not None:
-                            group.discard(resource)
-                            if not group:
-                                del self._groups[resource.group]
-                        del self._grants[resource]
-                    elif resource not in self._waiters:
-                        del self._grants[resource]
-            # A txn aborted from outside acquire() may still have a parked
-            # waiter (e.g. a victimized thread racing its own cleanup).
-            for queue_key, queue in list(self._waiters.items()):
-                kept = [w for w in queue if w.xid != xid]
-                if len(kept) != len(queue):
-                    self._waiters[queue_key] = kept
-                    if not kept:
-                        del self._waiters[queue_key]
-                    touched.append(queue_key)
-            woke = False
-            for queue_key in touched:
-                woke |= self._grant_waiters(queue_key)
-            if woke or released:
-                self._cond.notify_all()
-            self.stats.released += released
-            return released
+                        group = self._groups[resource.group]
+                        group.discard(resource)
+                        if not group:
+                            del self._groups[resource.group]
+            if self._waiters:
+                touched = [_queue_key(resource) for resource in held]
+                # A txn aborted from outside acquire() may still have a
+                # parked waiter (e.g. a victimized thread racing its own
+                # cleanup).
+                for queue_key, queue in list(self._waiters.items()):
+                    kept = [w for w in queue if w.xid != xid]
+                    if len(kept) != len(queue):
+                        self._waiters[queue_key] = kept
+                        if not kept:
+                            del self._waiters[queue_key]
+                        touched.append(queue_key)
+                woke = False
+                for queue_key in touched:
+                    woke |= self._grant_waiters(queue_key)
+                if woke or held:
+                    self._cond.notify_all()
+            self.stats.released += len(held)
+            return len(held)
 
     # -- introspection --------------------------------------------------------------------
 
@@ -542,5 +547,4 @@ class LockManager:
     def grant_table_empty(self) -> bool:
         """Whether no locks are held and no waiters are parked."""
         with self._cond:
-            return (not self._waiters
-                    and not any(self._grants.values()))
+            return not self._waiters and not self._grants

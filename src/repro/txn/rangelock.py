@@ -20,34 +20,39 @@ arithmetic descriptors use to remember which spans they already locked
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Hashable
 
 
-@dataclass(frozen=True, slots=True)
-class RangeResource:
+class RangeResource(tuple):
     """A lockable half-open byte interval ``[start, stop)`` of one object.
 
     ``stop=None`` is the unbounded range end (truncate/unlink take
-    ``[0, None)`` to conflict with every concurrent writer).
+    ``[0, None)`` to conflict with every concurrent writer).  The fields
+    are a tuple's ``(namespace, key, start, stop)``, so a resource hashes
+    and compares in C: the grant table looks one up on every acquire.
     """
 
-    namespace: str
-    key: Hashable
-    start: int
-    stop: int | None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"range start {self.start} < 0")
-        if self.stop is not None and self.stop <= self.start:
-            raise ValueError(
-                f"empty lock range [{self.start}, {self.stop})")
+    def __new__(cls, namespace: str, key: Hashable, start: int,
+                stop: int | None) -> "RangeResource":
+        if start < 0:
+            raise ValueError(f"range start {start} < 0")
+        if stop is not None and stop <= start:
+            raise ValueError(f"empty lock range [{start}, {stop})")
+        return tuple.__new__(cls, (namespace, key, start, stop))
 
-    @property
-    def group(self) -> tuple:
-        """The wait-queue / conflict-scan key shared by an object's ranges."""
-        return (self.namespace, self.key)
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    namespace = property(itemgetter(0))
+    key = property(itemgetter(1))
+    start = property(itemgetter(2))
+    stop = property(itemgetter(3))
+    #: ``(namespace, key)``: the wait-queue / conflict-scan key shared by
+    #: an object's ranges.
+    group = property(itemgetter(slice(0, 2)))
 
     def overlaps(self, other: "RangeResource") -> bool:
         """Whether the two intervals share at least one byte."""

@@ -1,48 +1,53 @@
-"""docs/invariants.md's two hand-kept tables say what the code says.
+"""docs/invariants.md embeds the two tables ``python -m repro.analysis
+--doc`` prints.
 
-The lock-hierarchy table restates ``txn/lockdep.py::HIERARCHY`` and the
-R010 table's "Declared sites" column restates the module counts of
-``analysis/rules.py::DECLARED_SITES``.  A PR that moves a rank or a site
-must edit the table too; this test names the first row that differs.
+The lock-hierarchy table is printed from ``txn/lockdep.py::HIERARCHY``
+and the R010 table from ``analysis/rules.py::DECLARED_SITES``.  A PR
+that moves a rank or a site edits the declaration and pastes the
+printed table; these tests name the first line that differs.
 """
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
-from repro.analysis.rules import DECLARED_SITES
-from repro.txn.lockdep import HIERARCHY
+from repro.analysis.cli import main, render_doc_tables
 
 INVARIANTS = Path(__file__).resolve().parent.parent / "docs" / "invariants.md"
-_SITE = re.compile(r"`([\w/]+\.py)` \((\d+)\)")
 
 
-def table_rows(header: str) -> list[list[str]]:
-    """The cells of each body row of the table whose header row starts
-    with *header*."""
+def printed_table(header: str) -> list[str]:
+    """The lines of the printed table whose header row starts with
+    *header*."""
+    return next(table.splitlines()
+                for table in render_doc_tables().split("\n\n")
+                if table.startswith(header))
+
+
+def documented_table(header: str) -> list[str]:
+    """The lines of the doc's table whose header row starts with *header*,
+    up to the first line that is not a table row."""
     lines = INVARIANTS.read_text().splitlines()
     start = next(at for at, line in enumerate(lines)
                  if line.startswith(header))
-    rows = []
-    for line in lines[start + 2:]:
-        if not line.startswith("|"):
-            break
-        rows.append([cell.strip() for cell in line.strip("|").split(" | ")])
-    return rows
+    end = start
+    while end < len(lines) and lines[end].startswith("|"):
+        end += 1
+    return lines[start:end]
 
 
 def test_the_lock_hierarchy_table_is_hierarchy():
-    documented = [(int(rank), domain, name.strip("`"))
-                  for rank, domain, name, _what
-                  in table_rows("| Rank | Domain | Class |")]
-    assert documented == [(lock.rank, lock.domain, lock.name)
-                          for lock in HIERARCHY.values()]
+    header = "| Rank | Domain | Class |"
+    assert documented_table(header) == printed_table(header)
 
 
 def test_the_r010_declared_sites_are_declared_sites():
-    documented = [{module: int(count)
-                   for module, count in _SITE.findall(sites)}
-                  for _pattern, sites, _why
-                  in table_rows("| Pattern | Declared sites | Why |")]
-    assert documented == [dict(row.sites) for row in DECLARED_SITES]
+    header = "| Pattern | Declared sites | Why |"
+    assert documented_table(header) == printed_table(header)
+
+
+def test_the_doc_option_prints_both_tables(capsys):
+    assert main(["--doc"]) == 0
+    printed = capsys.readouterr().out
+    assert printed == render_doc_tables() + "\n"
+    assert len(printed.split("\n\n")) == 2

@@ -137,6 +137,22 @@ class TestDeleteReplace:
         a.commit()
         b.abort()
 
+    def test_a_caught_conflict_leaves_the_earlier_stamp_to_the_force(
+            self, stack, emp):
+        """The file is in the touched set before the first stamp, so a
+        commit after a caught conflict forces the stamps already made."""
+        first = committed_insert(stack, emp, ("Joe", 30))
+        second = committed_insert(stack, emp, ("Ann", 41))
+        holder = stack.tm.begin()
+        emp.delete(holder, [second])
+        txn = stack.tm.begin()
+        with pytest.raises(TransactionError, match="already deleted"):
+            emp.delete(txn, [first, second])
+        assert (stack.smgr, emp.fileid) in txn.touched
+        txn.commit()
+        holder.abort()
+        assert emp.fetch(first, stack.tm.snapshot()) is None
+
     def test_replace_preserves_oid(self, stack, emp):
         tid = committed_insert(stack, emp, ("Joe", 30))
         oid = emp.fetch_any_version(tid).oid
