@@ -56,7 +56,6 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.access.tuples import TID, HeapTuple
 from repro.errors import ReproError
-from repro.txn.locks import LockMode
 from repro.txn.snapshot import Snapshot
 
 if TYPE_CHECKING:
@@ -196,8 +195,7 @@ class IndexRangeScan:
         hi]`` the current *snapshot* sees, and return their keys: one
         latch hold, one ``HeapRelation.delete`` over the live entries'
         TIDs, no version decoded.  The relation lock comes first."""
-        self.db.locks.acquire(txn.xid, ("relation", self.relation.name),
-                              LockMode.SHARED)
+        self.db.share_relation(txn, self.relation.name)
         stats = self.db.access_stats
         with self.db.latch:
             self._count(stats)

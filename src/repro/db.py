@@ -342,6 +342,13 @@ class Database:
 
     # -- DML (index-maintaining) --------------------------------------------------------------
 
+    def share_relation(self, txn: Transaction, class_name: str) -> None:
+        """Lock *class_name* SHARED for *txn* unless it holds the relation
+        lock already; before the engine latch, as it may block."""
+        if ("relation", class_name) not in self.locks.held(txn.xid):
+            self.locks.acquire(txn.xid, ("relation", class_name),
+                               LockMode.SHARED)
+
     def insert(self, txn: Transaction, class_name: str,
                values: tuple) -> TID:
         """Insert *values* into *class_name*, maintaining its indexes."""
@@ -357,8 +364,7 @@ class Database:
         respect to every other session.
         """
         self.tm.require_transaction(txn)
-        self.locks.acquire(txn.xid, ("relation", class_name),
-                           LockMode.SHARED)
+        self.share_relation(txn, class_name)
         with self._latch:
             relation = self.get_class(class_name)
             tids = relation.insert_many(txn, rows)
@@ -390,8 +396,7 @@ class Database:
         time travel); scans filter by visibility, and vacuum reconciles.
         """
         self.tm.require_transaction(txn)
-        self.locks.acquire(txn.xid, ("relation", class_name),
-                           LockMode.SHARED)
+        self.share_relation(txn, class_name)
         with self._latch:
             self.get_class(class_name).delete(txn, tids)
 
@@ -399,8 +404,7 @@ class Database:
                 values: tuple) -> TID:
         """Write a new version of the tuple at *tid*."""
         self.tm.require_transaction(txn)
-        self.locks.acquire(txn.xid, ("relation", class_name),
-                           LockMode.SHARED)
+        self.share_relation(txn, class_name)
         with self._latch:
             relation = self.get_class(class_name)
             new_tid = relation.replace(txn, tid, values)

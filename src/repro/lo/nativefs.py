@@ -13,6 +13,7 @@ memory (benchmark databases); the cost accounting is identical.
 from __future__ import annotations
 
 import os
+from functools import cached_property
 
 from repro.errors import FileNotFound, StorageManagerError
 from repro.sim.clock import SimClock
@@ -26,10 +27,15 @@ class NativeFileSystem:
                  model: DeviceModel | None = None):
         self.clock = clock
         self.root = root
-        self.port = DevicePort(model or magnetic_disk_device(), clock)
+        self.model = model or magnetic_disk_device()
         self._memory: dict[str, bytearray] = {}
         if root is not None:
             os.makedirs(root, exist_ok=True)
+
+    @cached_property
+    def port(self) -> DevicePort:
+        """The device, built (and so counted by the clock) at first use."""
+        return DevicePort(self.model, self.clock)
 
     # -- path mapping ------------------------------------------------------------
 
@@ -87,7 +93,7 @@ class NativeFileSystem:
         else:
             data = bytes(self._memory[name][offset:offset + nbytes])
         if data:
-            self.port.charge_read(name, offset, len(data))
+            self.port.charge_run(name, offset, len(data), 1, False)
         return data
 
     def write_at(self, name: str, offset: int, data: bytes) -> None:
@@ -108,7 +114,7 @@ class NativeFileSystem:
                 buf.extend(bytes(offset - len(buf)))
             buf[offset:offset + len(data)] = data
         if data:
-            self.port.charge_write(name, offset, len(data))
+            self.port.charge_run(name, offset, len(data), 1, True)
 
     def truncate_at(self, name: str, size: int) -> None:
         """Resize a file: cut the tail or zero-extend."""
@@ -125,8 +131,8 @@ class NativeFileSystem:
                 del buf[size:]
             else:
                 buf.extend(bytes(size - current))
-        self.port.charge_write(name, min(size, current),
-                               max(1, abs(size - current)))
+        self.port.charge_run(name, min(size, current),
+                             max(1, abs(size - current)), 1, True)
 
     def stats(self) -> dict[str, int]:
         return self.port.stats()

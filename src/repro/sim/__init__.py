@@ -3,10 +3,10 @@
 The paper's evaluation (Figures 2 and 3) reports *elapsed seconds* on 1992
 hardware — magnetic disks and a Sony WORM optical jukebox attached to a
 Sequent Symmetry.  That hardware is unavailable, so every storage manager in
-this reproduction charges its I/O to a :class:`~repro.sim.clock.SimClock`
-through a :class:`~repro.sim.devices.DeviceModel`, and compression charges
-instructions-per-byte through a :class:`~repro.sim.devices.CpuModel`.  The
-benchmark harness reads the clock to produce the paper-style tables.
+this reproduction counts its I/O on a :class:`~repro.sim.clock.SimClock`
+priced by a :class:`~repro.sim.devices.DeviceModel`, and compression counts
+instructions-per-byte priced by a :class:`~repro.sim.devices.CpuModel`.  The
+harness reads the clock (counts × costs) to produce the paper-style tables.
 """
 
 from repro.sim.clock import SimClock

@@ -1,10 +1,13 @@
 """Simulated elapsed-time clock.
 
-A :class:`SimClock` is a monotone accumulator of simulated seconds, split by
-named category so benchmark reports can break elapsed time into I/O versus
-CPU.  Storage managers and the compression layer share one clock per
-:class:`~repro.db.Database`; the benchmark harness snapshots it around each
-operation.
+A :class:`SimClock`, one per :class:`~repro.db.Database`, derives
+simulated seconds per category (I/O versus CPU) from counts: each
+:class:`~repro.sim.devices.DevicePort` built on it counts accesses, bytes,
+seeks and platter switches, and CPU work is counted in instructions.
+Seconds are counts × model costs when the clock is read, added with ``+``
+in a fixed order (never a float ``sum``, which Python 3.12 compensates),
+so the same accesses give the same bits in any order.  :meth:`advance`
+keeps the explicit float charges (a slow node's penalty, think time).
 
 The clock also doubles as the *logical* time source for time travel:
 transaction commit times are drawn from :meth:`SimClock.now`, which always
@@ -14,68 +17,82 @@ two successive commits never share a timestamp.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from functools import reduce
-from itertools import repeat
-from operator import add
+from typing import TYPE_CHECKING
 
 from repro.txn.lockdep import LockdepMutex
+
+if TYPE_CHECKING:
+    from repro.sim.devices import CpuModel, DevicePort
 
 #: Minimum advance per ``now()`` call, so timestamps are strictly monotone.
 _TICK = 1e-9
 
 
 class SimClock:
-    """Accumulates simulated seconds, broken down by category.
-
-    Categories are free-form strings; the conventional ones are
-    ``"io.read"``, ``"io.write"``, ``"io.seek"``, and ``"cpu"``.
-    """
+    """Derives simulated seconds per category: ``"io.read"``,
+    ``"io.write"``, ``"io.seek"``, ``"cpu"`` and :meth:`advance`'s own."""
 
     def __init__(self) -> None:
-        self._elapsed = 0.0
-        self._by_category: dict[str, float] = defaultdict(float)
+        #: Every device port built on this clock, in construction order.
+        self.ports: list[DevicePort] = []
+        #: Instructions counted per CPU model.
+        self._instructions: dict[CpuModel, float] = {}
+        #: Explicit float charges per category, in first-charge order.
+        self._charged: dict[str, float] = {}
         self._now_calls = 0
         #: Where :meth:`now` starts counting from (:meth:`resume_after`).
         self._origin = 0.0
-        #: Concurrent sessions share one clock; charges must not be lost
-        #: and two commits must never draw the same timestamp.  Innermost
-        #: lock in the engine: devices charge it under the buffer and
-        #: smgr locks, so nothing may be acquired while holding it.
+        #: Guards the CPU counts, the charges and the ``now`` ticks; the
+        #: engine's innermost lock (taken under the buffer lock).
         self._mutex = LockdepMutex("mutex:clock")
 
     def advance(self, seconds: float, category: str = "other") -> None:
-        """Charge *seconds* of simulated time to *category*.
-
-        Negative charges are rejected: simulated time only moves forward.
-        """
-        self.advance_run(seconds, category)
-
-    def advance_run(self, seconds: float, category: str, count: int = 1,
-                    seek: float | None = None) -> None:
-        """Charge *seek* to ``"io.seek"`` (if given), then *seconds* to
-        *category* *count* times: the float additions of that many
-        :meth:`advance` calls, in order, under one mutex hold.  (A fold,
-        not ``sum``: since Python 3.12 a float ``sum`` compensates its
-        rounding, and the figures pin these additions bit for bit.)"""
-        if seconds < 0 or (seek is not None and seek < 0):
-            raise ValueError(f"cannot advance clock by "
-                             f"{min(seconds, seek or 0.0)!r} seconds")
+        """Charge *seconds* (never negative) to *category*."""
+        if seconds < 0:
+            raise ValueError(f"cannot advance clock by {seconds!r} seconds")
         with self._mutex:
-            by_category = self._by_category
-            elapsed = self._elapsed
-            if seek is not None:
-                elapsed += seek
-                by_category["io.seek"] += seek
-            self._elapsed = reduce(add, repeat(seconds, count), elapsed)
-            by_category[category] = reduce(add, repeat(seconds, count),
-                                           by_category[category])
+            charged = self._charged
+            charged[category] = charged.get(category, 0.0) + seconds
+
+    def count_instructions(self, cpu: CpuModel, instructions: float) -> None:
+        """Count *instructions* retired by *cpu*."""
+        with self._mutex:
+            counts = self._instructions
+            counts[cpu] = counts.get(cpu, 0) + instructions
+
+    def _breakdown(self) -> dict[str, float]:
+        derived: dict[str, float] = {}
+        for port in self.ports:
+            read, write, seek = port.costs()
+            for category, counted, seconds in (
+                    ("io.read", port.reads, read),
+                    ("io.write", port.writes, write),
+                    ("io.seek", port.seeks or port.platter_switches, seek)):
+                if counted:
+                    derived[category] = derived.get(category, 0.0) + seconds
+        for cpu, instructions in self._instructions.items():
+            derived["cpu"] = (derived.get("cpu", 0.0)
+                              + cpu.seconds_for(instructions))
+        for category, seconds in self._charged.items():
+            derived[category] = derived.get(category, 0.0) + seconds
+        return derived
+
+    def _elapsed(self) -> float:
+        total = 0.0
+        for port in self.ports:
+            read, write, seek = port.costs()
+            total += read + write + seek
+        for cpu, instructions in self._instructions.items():
+            total += cpu.seconds_for(instructions)
+        for seconds in self._charged.values():
+            total += seconds
+        return total
 
     def now(self) -> float:
         """Current simulated time in seconds, strictly monotone."""
         with self._mutex:
             self._now_calls += 1
-            return self._origin + self._elapsed + self._now_calls * _TICK
+            return self._origin + self._elapsed() + self._now_calls * _TICK
 
     def resume_after(self, instant: float) -> None:
         """Make every later :meth:`now` exceed *instant* (a reopened
@@ -85,32 +102,23 @@ class SimClock:
 
     @property
     def elapsed(self) -> float:
-        """Total simulated seconds accumulated so far."""
-        return self._elapsed
+        """Total simulated seconds so far."""
+        with self._mutex:
+            return self._elapsed()
 
     def elapsed_in(self, category: str) -> float:
         """Simulated seconds charged to *category* (0.0 if never charged)."""
-        return self._by_category.get(category, 0.0)
+        return self.breakdown().get(category, 0.0)
 
     def breakdown(self) -> dict[str, float]:
-        """A copy of the per-category accumulator."""
-        return dict(self._by_category)
+        """Simulated seconds per category charged so far."""
+        with self._mutex:
+            return self._breakdown()
 
     def snapshot(self) -> "ClockSnapshot":
         """Capture the current totals; subtract later with ``since``."""
-        return ClockSnapshot(self._elapsed, dict(self._by_category))
-
-    def reset(self) -> None:
-        """Zero the clock.  Timestamps handed out earlier stay valid only
-        relative to each other, so reset between independent benchmark runs,
-        never mid-database-lifetime when time travel matters."""
         with self._mutex:
-            self._elapsed = 0.0
-            self._by_category.clear()
-            self._now_calls = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimClock(elapsed={self._elapsed:.6f}s)"
+            return ClockSnapshot(self._elapsed(), self._breakdown())
 
 
 class ClockSnapshot:
@@ -124,8 +132,8 @@ class ClockSnapshot:
 
     def since(self, clock: SimClock) -> "ClockSnapshot":
         """Delta between this snapshot and *clock*'s current state."""
-        delta = {
-            cat: clock.elapsed_in(cat) - self.by_category.get(cat, 0.0)
-            for cat in set(clock.breakdown()) | set(self.by_category)
-        }
-        return ClockSnapshot(clock.elapsed - self.elapsed, delta)
+        now = clock.snapshot()
+        after, before = now.by_category, self.by_category
+        delta = {cat: after.get(cat, 0.0) - before.get(cat, 0.0)
+                 for cat in after.keys() | before.keys()}
+        return ClockSnapshot(now.elapsed - self.elapsed, delta)

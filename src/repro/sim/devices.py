@@ -3,7 +3,8 @@
 These models substitute for the paper's 1992 hardware (magnetic disks and a
 Sony WORM optical jukebox on a Sequent Symmetry).  Each model converts a
 physical access pattern — which block, how many bytes, sequential or not —
-into simulated seconds charged to a shared :class:`~repro.sim.clock.SimClock`.
+into simulated seconds, derived from a port's counts when its shared
+:class:`~repro.sim.clock.SimClock` is read.
 
 The defaults are calibrated to early-1990s hardware so the benchmark tables
 land in the same order of magnitude as the paper:
@@ -25,9 +26,6 @@ constants; the constants only set the scale of the reported seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import repeat
-from operator import add
 
 from repro.sim.clock import SimClock
 
@@ -67,12 +65,12 @@ class DeviceModel:
 
 
 class DevicePort:
-    """Tracks head position for one device and charges a clock.
+    """Tracks head position for one device and counts its accesses.
 
     A port is shared by every relation file living on the same device, which
     is what makes interleaved access to two files non-sequential — the same
     effect that makes the f-chunk B-tree traversals cost real seeks in the
-    paper's random-access rows.
+    paper's random-access rows.  Its clock derives seconds from its counts.
     """
 
     def __init__(self, model: DeviceModel, clock: SimClock):
@@ -82,93 +80,72 @@ class DevicePort:
         self._platter: int | None = None
         self.reads = 0
         self.writes = 0
+        self.read_bytes = 0
+        self.write_bytes = 0
         self.seeks = 0
         self.platter_switches = 0
-        #: Simulated seconds this device spent servicing its own accesses.
-        #: The shared clock sums every device; ``busy_s`` is what lets a
-        #: multi-node topology report its critical path (the busiest
-        #: device), which is the number parallel clients actually wait on.
-        self.busy_s = 0.0
+        #: Degraded-mode penalties (:meth:`charge_extra`), in seconds.
+        self.extra_s = 0.0
+        clock.ports.append(self)
 
     def charge_run(self, fileid: str, offset: int, nbytes: int,
-                   count: int, is_write: bool) -> float:
-        """Charge *count* consecutive accesses of *nbytes* from *offset*
-        in file *fileid*: bit for bit the float additions of *count*
-        single accesses, in order — a platter exchange at the access that
-        crosses (the arm moves even for a sequential stream), a seek
-        first unless the head is there, a transfer each — the seek and
-        the transfers under one clock hold.  Returns the seconds charged,
-        so a degraded device (a slow storage node) can scale its penalty
-        off the real cost."""
+                   count: int, is_write: bool) -> None:
+        """Count *count* consecutive accesses of *nbytes* from *offset* of
+        *fileid*: a seek unless the head is there, a platter exchange per
+        platter crossed (no access spans a platter), accesses and bytes."""
         if not count:
-            return 0.0
-        model = self.model
-        if model.platter_bytes and count > 1:
-            # A jukebox run may cross platters: charge it access by access.
-            total = 0.0
-            for i in range(count):
-                total += self.charge_run(fileid, offset + i * nbytes, nbytes,
-                                         1, is_write)
-            return total
-        transfer = nbytes / model.transfer_bytes_per_s
-        if is_write:
-            transfer *= model.write_penalty
-            self.writes += count
-            category = "io.write"
-        else:
-            self.reads += count
-            category = "io.read"
-        charged = 0.0  # what the first access costs
-        if model.platter_bytes:
-            platter = offset // model.platter_bytes
-            if self._platter is not None and platter != self._platter:
-                self.platter_switches += 1
-                self.clock.advance(model.platter_switch_s, "io.seek")
-                charged += model.platter_switch_s
-            self._platter = platter
-        seek = None
+            return
+        platter_bytes = self.model.platter_bytes
+        if platter_bytes:
+            first = offset // platter_bytes
+            last = (offset + (count - 1) * nbytes) // platter_bytes
+            self.platter_switches += last - first + (
+                self._platter is not None and first != self._platter)
+            self._platter = last
         if self._head != (fileid, offset):
             self.seeks += 1
-            seek = model.avg_seek_s + model.rotational_s
-            charged += seek
-        self.clock.advance_run(transfer, category, count, seek)
-        charged += transfer
-        self.busy_s += charged
         self._head = (fileid, offset + count * nbytes)
-        if count == 1:
-            return charged
-        # The rest follow on sequentially (a fold, as in advance_run).
-        rest = count - 1
-        self.busy_s = reduce(add, repeat(transfer, rest), self.busy_s)
-        return reduce(add, repeat(transfer, rest), charged)
-
-    def charge_read(self, fileid: str, offset: int, nbytes: int) -> float:
-        """Charge one read of *nbytes* at *offset* within file *fileid*."""
-        return self.charge_run(fileid, offset, nbytes, 1, False)
-
-    def charge_write(self, fileid: str, offset: int, nbytes: int) -> float:
-        """Charge one write of *nbytes* at *offset* within file *fileid*."""
-        return self.charge_run(fileid, offset, nbytes, 1, True)
+        if is_write:
+            self.writes += count
+            self.write_bytes += count * nbytes
+        else:
+            self.reads += count
+            self.read_bytes += count * nbytes
 
     def charge_extra(self, seconds: float, category: str) -> None:
         """Charge extra service time (degraded-mode penalties)."""
         self.clock.advance(seconds, category)
-        self.busy_s += seconds
+        self.extra_s += seconds
+
+    def costs(self) -> tuple[float, float, float]:
+        """Read, write and positioning seconds: counts × model costs."""
+        model = self.model
+        rate = model.transfer_bytes_per_s
+        return (self.read_bytes / rate,
+                self.write_bytes / rate * model.write_penalty,
+                self.seeks * (model.avg_seek_s + model.rotational_s)
+                + self.platter_switches * model.platter_switch_s)
+
+    @property
+    def busy_s(self) -> float:
+        """Simulated seconds this device spent servicing its own accesses.
+        The shared clock sums every device; ``busy_s`` is what lets a
+        multi-node topology report its critical path (the busiest
+        device), which is the number parallel clients actually wait on."""
+        read, write, seek = self.costs()
+        return read + write + seek + self.extra_s
 
     def stats(self) -> dict[str, int | float]:
         """Access counters for benchmark breakdowns."""
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "seeks": self.seeks,
-            "platter_switches": self.platter_switches,
-            "busy_s": self.busy_s,
-        }
+        return {"reads": self.reads, "writes": self.writes,
+                "seeks": self.seeks, "platter_switches": self.platter_switches,
+                "busy_s": self.busy_s}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CpuModel:
-    """Prices CPU work in instructions, as the paper does for compression."""
+    """Prices CPU work in instructions, as the paper does for compression
+    (a clock counts each model's instructions apart: identity hashing)."""
 
     mips: float = 15.0
 
@@ -177,8 +154,8 @@ class CpuModel:
         return instructions / (self.mips * 1e6)
 
     def charge(self, clock: SimClock, instructions: float) -> None:
-        """Charge *instructions* of CPU work to *clock*."""
-        clock.advance(self.seconds_for(instructions), "cpu")
+        """Count *instructions* of CPU work on *clock*."""
+        clock.count_instructions(self, instructions)
 
 
 def magnetic_disk_device() -> DeviceModel:

@@ -396,10 +396,12 @@ class StorageNode:
         self.state = state
         return changed
 
-    def _gate(self, op: str, fileid: str, first: int, count: int) -> bool:
+    def _gate(self, op: str, fileid: str, first: int,
+              count: int) -> float | None:
         """Count an access to *count* blocks from *first* or refuse it
         whole (``down``: always; ``flaky``: when it holds the node's every
-        :attr:`flaky_every`-th block access); True if charged as slow."""
+        :attr:`flaky_every`-th block access); a ``slow`` node returns its
+        device's busy time so far, the base of its penalty."""
         plan = self.fault_plan
         if plan is not None:
             rule = plan.check("node", self.node_id)
@@ -419,35 +421,39 @@ class StorageNode:
             raise StorageManagerError(
                 f"flaky node {self.node_id!r} dropped {op} of "
                 f"{fileid!r} block {first}")
-        return state == "slow"
+        return self.port.busy_s if state == "slow" else None
 
     def read_run(self, fileid: str, first: int,
                  count: int) -> list[bytearray]:
         """Read *count* blocks from *first*: gated, then one store
         operation and one device charge."""
-        slow = self._gate("read", fileid, first, count)
+        slow_from = self._gate("read", fileid, first, count)
         blocks = self.store.read_run(fileid, first, count)
-        charged = self.port.charge_run(fileid, first * PAGE_SIZE, PAGE_SIZE,
-                                       count, False)
-        if slow:
-            self.port.charge_extra(charged * (self.slow_factor - 1.0),
-                                   "io.read")
+        self.port.charge_run(fileid, first * PAGE_SIZE, PAGE_SIZE, count,
+                             False)
+        if slow_from is not None:
+            self._slow_penalty(slow_from, "io.read")
         return blocks
 
     def write_runs(self, fileid: str, runs) -> None:
         """Write each ``(first, images)`` of *runs*: gated as one access
         per block, then one store operation and one device charge per
         run, in write order."""
-        slow = self._gate("write", fileid, runs[0][0],
-                          sum(map(len, map(itemgetter(1), runs))))
+        slow_from = self._gate("write", fileid, runs[0][0],
+                               sum(map(len, map(itemgetter(1), runs))))
         self.store.write_runs(fileid, runs)
-        charge = self.port.charge_run
+        port = self.port
         for first, images in runs:
-            charged = charge(fileid, first * PAGE_SIZE, PAGE_SIZE,
-                             len(images), True)
-            if slow:
-                self.port.charge_extra(charged * (self.slow_factor - 1.0),
-                                       "io.write")
+            port.charge_run(fileid, first * PAGE_SIZE, PAGE_SIZE,
+                            len(images), True)
+        if slow_from is not None:
+            self._slow_penalty(slow_from, "io.write")
+
+    def _slow_penalty(self, busy_before: float, category: str) -> None:
+        """Charge ``slow_factor - 1`` times the busy time since then."""
+        port = self.port
+        port.charge_extra((port.busy_s - busy_before)
+                          * (self.slow_factor - 1.0), category)
 
     def read(self, fileid: str, blockno: int) -> bytearray:
         """Read one block: the run of one."""

@@ -77,11 +77,8 @@ class CachedStorageManager(StorageManager):
         return slot * PAGE_SIZE
 
     def _charge_cache(self, key: tuple[str, int], is_write: bool) -> None:
-        offset = self._cache_offset(key)
-        if is_write:
-            self.port.charge_write("worm-cache", offset, PAGE_SIZE)
-        else:
-            self.port.charge_read("worm-cache", offset, PAGE_SIZE)
+        self.port.charge_run("worm-cache", self._cache_offset(key), PAGE_SIZE,
+                             1, is_write)
 
     def _insert(self, key: tuple[str, int], data: bytes,
                 dirty: bool) -> None:

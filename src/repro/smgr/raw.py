@@ -39,7 +39,7 @@ class RawWormDevice:
             raise ReadOnlyObject("raw WORM media has been sealed")
         offset = len(self._data)
         self._data.extend(data)
-        self.port.charge_write("raw-worm", offset, len(data))
+        self.port.charge_run("raw-worm", offset, len(data), 1, True)
         return offset
 
     def seal(self) -> None:
@@ -52,5 +52,5 @@ class RawWormDevice:
             raise StorageManagerError(
                 f"raw read [{offset}, {offset + nbytes}) outside media "
                 f"of {len(self._data)} bytes")
-        self.port.charge_read("raw-worm", offset, nbytes)
+        self.port.charge_run("raw-worm", offset, nbytes, 1, False)
         return bytes(self._data[offset:offset + nbytes])

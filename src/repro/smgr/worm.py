@@ -76,8 +76,8 @@ class WormStorageManager(StorageManager):
         blocks = []
         for blockno in range(first, first + count):
             media_block = self._placement[(fileid, blockno)]
-            self.port.charge_read("worm-media", media_block * PAGE_SIZE,
-                                  PAGE_SIZE)
+            self.port.charge_run("worm-media", media_block * PAGE_SIZE,
+                                 PAGE_SIZE, 1, False)
             blocks.append(bytearray(self._media[media_block]))
         return blocks
 
@@ -93,8 +93,8 @@ class WormStorageManager(StorageManager):
                 self._placement[(fileid, blockno)] = media_block
                 self._nblocks[fileid] = max(self._nblocks[fileid],
                                             blockno + 1)
-                self.port.charge_write("worm-media",
-                                       media_block * PAGE_SIZE, PAGE_SIZE)
+                self.port.charge_run("worm-media", media_block * PAGE_SIZE,
+                                     PAGE_SIZE, 1, True)
 
     def media_blocks_used(self) -> int:
         """Total blocks consumed on the media (including dead files)."""

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Iterator
 from repro.errors import BufferError_, ChecksumError
 from repro.sim.clock import SimClock
 from repro.sim.devices import CpuModel
-from repro.storage.page import SlottedPage
+from repro.storage.page import SlottedPage, seal
 from repro.txn.lockdep import LockdepMutex
 
 if TYPE_CHECKING:  # avoid a circular import with repro.smgr.base
@@ -442,9 +442,7 @@ class BufferManager:
             if blockno != end:
                 images = []
                 batch.append((blockno, images))
-            page = dirty[blockno].page
-            page.seal(lsn)
-            images.append(page.buf)
+            images.append(seal(dirty[blockno].page.buf, lsn))
             end = blockno + 1
         self._next_lsn += len(dirty)
         smgr.write_runs(fileid, batch)

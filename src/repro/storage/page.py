@@ -85,6 +85,16 @@ _FRESH = struct.Struct("<14xHHH4xHH")
 _DEAD_ITEMID = _ITEMID.pack(0, LP_DEAD)
 
 
+def seal(buf: bytearray, lsn: int) -> bytearray:
+    """Set a page image's LSN and stamp its checksum (before a device
+    write), in one pass: the checksum field and the reserved bytes are
+    zeroed, then the whole page is hashed.  Returns *buf*."""
+    _LSN_CHECKSUM.pack_into(buf, 0, lsn, 0)
+    buf[20:PAGE_HEADER_SIZE] = _ZERO4
+    _CHECKSUM.pack_into(buf, 8, zlib.crc32(buf))
+    return buf
+
+
 @dataclass(frozen=True)
 class ItemId:
     """Decoded line pointer: where an item lives and whether it is live."""
@@ -401,18 +411,9 @@ class SlottedPage:
 
     # -- checksums ----------------------------------------------------------
 
-    def seal(self, lsn: int) -> None:
-        """Set the LSN and stamp the checksum (before a device write), in
-        one pass over the page: the checksum field and the reserved bytes
-        are zeroed, then the whole page is hashed."""
-        buf = self.buf
-        _LSN_CHECKSUM.pack_into(buf, 0, lsn, 0)
-        buf[20:PAGE_HEADER_SIZE] = _ZERO4
-        _CHECKSUM.pack_into(buf, 8, zlib.crc32(self._view))
-
     def intact(self) -> bool:
         """Whether a page just read from a device is never written (LSN 0)
-        or matches its checksum: one pass, as :meth:`seal` — which rewrites
+        or matches its checksum: one pass, as :func:`seal` — which rewrites
         the checksum field and reserved bytes this zeroes in place."""
         buf = self.buf
         lsn, stored = _LSN_CHECKSUM.unpack_from(buf)

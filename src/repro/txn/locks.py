@@ -508,6 +508,11 @@ class LockManager:
 
     # -- introspection --------------------------------------------------------------------
 
+    def held(self, xid: int) -> dict[Hashable, LockMode]:
+        """*xid*'s grants (resource → mode), live, read unlocked: only
+        *xid*'s thread adds to them (or grants it while it is parked)."""
+        return self._held.get(xid, {})
+
     def holds(self, xid: int, resource: Hashable,
               mode: LockMode | None = None) -> bool:
         """Whether *xid* holds a lock (of *mode*, if given) on *resource*."""

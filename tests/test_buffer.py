@@ -10,7 +10,7 @@ from repro.sim.faults import parse_plan
 from repro.smgr import DiskStorageManager, MemoryStorageManager
 from repro.storage import BufferManager
 from repro.storage.constants import PAGE_SIZE
-from repro.storage.page import SlottedPage
+from repro.storage.page import SlottedPage, seal
 
 
 @pytest.fixture
@@ -268,7 +268,7 @@ class TestChecksums:
     def test_corrupt_block_detected(self, pool, smgr):
         fid = new_file(smgr)
         buf = pool.allocate(smgr, fid)
-        buf.page.seal(1)  # nonzero lsn enables verification
+        seal(buf.page.buf, 1)  # nonzero lsn enables verification
         buf.page.add_item(b"data")
         pool.unpin(buf, dirty=True)
         pool.flush_file(smgr, fid)
@@ -295,7 +295,7 @@ def device_file(smgr, fid, nblocks, sealed=False):
         page = SlottedPage()
         if sealed:
             page.add_item(bytes([blockno + 1]) * 16)
-            page.seal(blockno + 1)
+            seal(page.buf, blockno + 1)
         images.append(bytes(page.buf))
     smgr.write_runs(fid, [(0, images)])
     return images

@@ -14,6 +14,7 @@ from repro.errors import (
     LockError,
     NotADirectory,
 )
+from repro.txn.locks import LockMode
 
 
 @pytest.fixture
@@ -414,6 +415,59 @@ class TestDirectoryReads:
         assert len(read) == len(set(read)) == reads, read
         monkeypatch.undo()
         assert db.check_integrity() == []
+
+
+class TestRelationLockOnce:
+    """A transaction takes each relation's SHARED lock once: the heap
+    verbs skip a relation lock their transaction already holds."""
+
+    def test_four_64k_writes_make_six_lock_requests(self, db, fs,
+                                                      monkeypatch):
+        with db.begin() as txn:
+            fs.create(txn, "/f")
+        requests = []
+        real = db.locks.acquire
+
+        def acquire(xid, resource, mode):
+            requests.append((resource, mode))
+            return real(xid, resource, mode)
+
+        monkeypatch.setattr(db.locks, "acquire", acquire)
+        with db.begin() as txn:
+            with fs.open("/f", txn, "w") as handle:
+                for i in range(4):
+                    handle.write(bytes([i]) * 65536)
+        monkeypatch.undo()
+        relations = [resource for resource, _mode in requests
+                     if resource[0] == "relation"]
+        # The object's class, pg_largeobject and FILESTAT, once each.
+        assert len(relations) == len(set(relations)) == 3, requests
+        assert len(requests) == 6, requests
+        assert fs.read_file("/f") == b"".join(bytes([i]) * 65536
+                                              for i in range(4))
+
+    def test_an_exclusive_request_still_reaches_the_lock_manager(
+            self, db, monkeypatch):
+        db.create_class("T", [("k", "int4")])
+        requests = []
+        real = db.locks.acquire
+
+        def acquire(xid, resource, mode):
+            requests.append((resource, mode))
+            return real(xid, resource, mode)
+
+        monkeypatch.setattr(db.locks, "acquire", acquire)
+        with db.begin() as txn:
+            db.insert(txn, "T", (1,))
+            db.insert(txn, "T", (2,))
+            db.locks.acquire(txn.xid, ("relation", "T"), LockMode.EXCLUSIVE)
+            assert db.locks.holds(txn.xid, ("relation", "T"),
+                                  LockMode.EXCLUSIVE)
+            db.insert(txn, "T", (3,))
+        monkeypatch.undo()
+        assert [mode for resource, mode in requests
+                if resource == ("relation", "T")] == [LockMode.SHARED,
+                                                      LockMode.EXCLUSIVE]
 
 
 class TestTimeTravel:

@@ -24,14 +24,14 @@ from repro.smgr.memory import MemoryStorageManager
 from repro.smgr.sharded import (sharded_disk_manager,
                                 sharded_memory_manager)
 from repro.storage.buffer import BufferManager
-from repro.storage.page import SlottedPage
+from repro.storage.page import SlottedPage, seal
 
 
 def page(tag: int, lsn: int = 0) -> bytes:
     """A valid slotted page carrying a recognizable payload byte."""
     p = SlottedPage()
     p.add_item(bytes([tag % 251 + 1]) * 64)
-    p.seal(lsn)
+    seal(p.buf, lsn)
     return bytes(p.buf)
 
 
