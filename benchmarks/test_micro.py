@@ -45,7 +45,7 @@ class TestPageMicro:
         from repro.storage.page import SlottedPage, seal
         page = SlottedPage()
         page.add_item(b"payload" * 500)
-        seal(page.buf, 1)
+        seal([page.buf], 1)
         image = bytes(page.buf)
         assert benchmark(lambda: SlottedPage(bytearray(image)).intact())
 
@@ -421,13 +421,14 @@ class TestOverwriteCommit:
     IMPL, COMPRESSION, ZEROS = "fchunk", "none", 0.0
     #: The chunk class and its index.
     FORCED_FILES = 2
-    #: Bytecodes of the measured close + commit, plus 5 %: 4,596 on
-    #: CPython 3.11.7 since the clock counts (4,902 while each device
-    #: charge folded floats into it; 5,818 before descents started at
-    #: the handle's root, 6,041 when this pin was set, and the engine
-    #: before it ran 7,682 — the size-row probe and a manager call per
-    #: dirty run).
-    MAX_BYTECODES = 4_826
+    #: Bytecodes of the measured close + commit, plus 5 %: 4,372 on
+    #: CPython 3.11.7 since a force seals and cleans its batch in C-level
+    #: passes (4,596 while it sealed page by page; 4,902 while each
+    #: device charge folded floats into the clock; 5,818 before descents
+    #: started at the handle's root, 6,041 when this pin was set, and the
+    #: engine before it ran 7,682 — the size-row probe and a manager call
+    #: per dirty run).
+    MAX_BYTECODES = 4_591
 
     def _frame(self, frame, generation=0):
         return frame_bytes(frame, self.ZEROS, frame_size=self.FRAME,
@@ -504,12 +505,13 @@ class TestVSegmentOverwriteCommit(TestOverwriteCommit):
     IMPL, COMPRESSION, ZEROS = "vsegment", "zero-rle", 0.5
     #: The segment class and its index, the byte store and its index.
     FORCED_FILES = 4
-    #: Bytecodes of the measured close + commit, plus 5 %: 5,728 on
-    #: CPython 3.11.7 since the clock counts (6,389 before; 13,293 while
-    #: the byte store kept a size row: its probe and rewrite, and
-    #: pg_largeobject's class and index forced as a fifth and sixth
-    #: file).
-    MAX_BYTECODES = 6_014
+    #: Bytecodes of the measured close + commit, plus 5 %: 5,618 on
+    #: CPython 3.11.7 since a force seals and cleans its batch in C-level
+    #: passes (5,728 while it sealed page by page; 6,389 before the clock
+    #: counted; 13,293 while the byte store kept a size row: its probe
+    #: and rewrite, and pg_largeobject's class and index forced as a
+    #: fifth and sixth file).
+    MAX_BYTECODES = 5_899
 
 
 @pytest.mark.perf
@@ -1014,29 +1016,36 @@ class TestDemandMissPins:
 
 @pytest.mark.perf
 class TestPoolPassCounts:
-    """The pool does each page's work once: forcing a file seals each
-    dirty page and appends it to its run in one pass, and the clock sweep
-    visits the ring's frames themselves, no key looked up per visit.
-    Counts, never time; the bytecode ceilings are for CPython 3.11 (CI's
-    perf-smoke job)."""
+    """The pool does each page's work once, and a force none of it in
+    the interpreter: forcing a file gathers, seals and cleans its dirty
+    pages in C-level passes and hands a contiguous batch over as one run,
+    and the clock sweep visits the ring's frames themselves, no key
+    looked up per visit.  Counts, never time; the bytecode ceilings are
+    for CPython 3.11 (CI's perf-smoke job)."""
 
     PAGES = 64
     #: Bytecodes of forcing 64 dirty pages, one run the device holds,
-    #: plus 5 %: 4,499 on CPython 3.11.7 since a page is sealed by a
-    #: module-level function and the clock counts (5,151 before; 5,223
-    #: when this pin was set, 6,844 with a run pre-pass and a
-    #: page-by-page flattening of the one-device group).
-    MAX_FORCE_BYTECODES = 4_724
+    #: plus 5 %: 576 on CPython 3.11.7 since a batch is sealed and
+    #: cleaned in C-level passes (4,499 while each page was sealed in
+    #: the force's loop; 5,151 before the clock counted; 5,223 when this
+    #: pin was set, 6,844 with a run pre-pass and a page-by-page
+    #: flattening of the one-device group).
+    MAX_FORCE_BYTECODES = 605
+    #: Most bytecodes a one-run force of 64 pages may run beyond one of a
+    #: single page: none on CPython 3.11.7, where every per-page step is
+    #: a C-level pass (62 a page while the force sealed page by page).
+    MAX_FORCE_GROWTH_BYTECODES = 36
     #: Bytecodes of the pin whose miss evicts one frame from a full
     #: 64-frame pool whose frames have usage 2 — a sweep of 129 visits —
     #: when this pin was set (2,941 on CPython 3.11.7; 5,880 when each
     #: visit looked its key up in the frame table), plus 5 %.
     MAX_SWEEP_BYTECODES = 3_089
     #: Bytecodes of forcing a 32-page file of a 4-node, R = 3 sharded
-    #: manager, up to the manager's ``write_runs``, when this pin was set
-    #: (2,505 on CPython 3.11.7; 6,778 when a force grouped its blocks
-    #: by primary node), plus 5 %.
-    MAX_SHARDED_FORCE_BYTECODES = 2_630
+    #: manager, up to the manager's ``write_runs``, plus 5 %: 335 on
+    #: CPython 3.11.7 since a batch is sealed in C-level passes (2,505
+    #: while each page was sealed in the force's loop; 6,778 when a force
+    #: grouped its blocks by primary node).
+    MAX_SHARDED_FORCE_BYTECODES = 352
 
     def _device_file(self, smgr, fileid, pages=PAGES):
         from repro.storage.page import SlottedPage
@@ -1063,6 +1072,24 @@ class TestPoolPassCounts:
             written = pool.flush_file(smgr, "t")
         assert written == self.PAGES and runs == [0]
         assert executed.count <= self.MAX_FORCE_BYTECODES, executed.count
+
+    def test_a_one_run_force_costs_the_same_at_1_and_64_pages(self):
+        from repro.sim import SimClock
+        from repro.smgr import MemoryStorageManager
+        from repro.storage import BufferManager
+        counts = []
+        for pages in (1, self.PAGES):
+            smgr = MemoryStorageManager(SimClock())
+            self._device_file(smgr, "t", pages)
+            pool = BufferManager(pool_size=2 * self.PAGES)
+            for blockno in range(pages):
+                pool.unpin(pool.pin(smgr, "t", blockno), dirty=True)
+            with _Bytecodes() as executed:
+                written = pool.flush_file(smgr, "t")
+            assert written == pages
+            counts.append(executed.count)
+        assert counts[1] - counts[0] <= self.MAX_FORCE_GROWTH_BYTECODES, \
+            counts
 
     def test_forcing_a_32_page_sharded_file_is_one_ascending_run(self):
         from repro.sim import SimClock

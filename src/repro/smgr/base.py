@@ -32,9 +32,9 @@ reflect each device's cost model.
 
 from __future__ import annotations
 
-import itertools
 import os
 from abc import ABC, abstractmethod
+from itertools import chain, count
 from operator import itemgetter
 from typing import Callable, Iterator
 
@@ -46,8 +46,9 @@ from repro.storage.constants import PAGE_SIZE
 
 #: Monotone source for per-instance manager identities (never reused, so a
 #: replaced manager can never alias a live one the way ``id()`` could).
-_SMGR_SEQ = itertools.count()
+_SMGR_SEQ = count()
 
+_IMAGES = itemgetter(1)   # of a ``(first, images)`` run
 
 # ---------------------------------------------------------------------------
 # Raw block containers
@@ -440,7 +441,7 @@ class StorageNode:
         per block, then one store operation and one device charge per
         run, in write order."""
         slow_from = self._gate("write", fileid, runs[0][0],
-                               sum(map(len, map(itemgetter(1), runs))))
+                               sum(map(len, map(_IMAGES, runs))))
         self.store.write_runs(fileid, runs)
         port = self.port
         for first, images in runs:
@@ -633,12 +634,10 @@ class StorageManager(ABC):
     def _check_write(self, fileid: str, runs) -> None:
         """Refuse *runs* (``(first, images)`` pairs, written in order)
         whole if an image is not one block or a run would leave a hole."""
-        odd = set(map(len, itertools.chain.from_iterable(
-            map(itemgetter(1), runs))))
-        odd.discard(PAGE_SIZE)
-        if odd:
+        sizes = {*map(len, chain.from_iterable(map(_IMAGES, runs)))}
+        if not sizes <= {PAGE_SIZE}:
             raise StorageManagerError(
-                f"block must be {PAGE_SIZE} bytes, got {odd.pop()}")
+                f"block must be {PAGE_SIZE} bytes, got {min(sizes - {PAGE_SIZE})}")
         current = self.nblocks(fileid)
         for first, images in runs:
             if first < 0 or first > current:

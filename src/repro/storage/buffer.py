@@ -18,8 +18,8 @@ system:
   the device file grows when the page is first flushed.  Such a frame is
   dirty until a write-back takes it, so a file's dirty tail always runs
   unbroken from the device's end and a force never leaves a gap.
-* **checksums**: pages are stamped before a device write and verified on
-  read.
+* **checksums**: a force seals its batch in C-level passes before the
+  device write (a cost per file, not per page); reads verify.
 
 The pool charges a small CPU cost per lookup so simulated elapsed times
 include buffer-management overhead (the paper's "special purpose program"
@@ -38,7 +38,8 @@ from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import BufferError_, ChecksumError
@@ -58,6 +59,9 @@ _DECODED_HIT_INSTRUCTIONS = 200
 
 #: Usage count ceiling for the clock sweep (as in PostgreSQL).
 _MAX_USAGE = 5
+
+#: A frame's page image; the endless arguments that turn a batch clean.
+_PAGE_BUF, _DIRTY, _FALSE = attrgetter("page.buf"), repeat("dirty"), repeat(False)
 
 
 def block_runs(blocknos: list[int]) -> list[list[int]]:
@@ -154,8 +158,8 @@ class BufferManager:
         #: ``(smgr_id, fileid) -> {blockno: Buffer}``, no empty entries.
         #: Kept at the three places the flag changes (:meth:`unpin`,
         #: :meth:`extend` — :meth:`allocate` among its callers —
-        #: :meth:`_writeback_batch`) and the two that discard frames
-        #: unwritten; the only source of a force set.
+        #: :meth:`_writeback_batch`) and :meth:`drop_file`, which discards
+        #: frames unwritten; the only source of a force set.
         self._dirty: dict[tuple[str, str], dict[int, Buffer]] = {}
         #: The clock: every frame, in install order, and the sweep's hand.
         self._ring: list[Buffer] = []
@@ -409,11 +413,11 @@ class BufferManager:
             for hand, buf in enumerate(islice(ring, hand, None), hand):
                 if not buf.pin_count:
                     if not buf.usage:
+                        if buf.dirty:  # a refused write evicts nothing
+                            self._writeback_batch(buf.smgr, buf.fileid)
                         del ring[hand]
                         self._hand = hand
                         self.stats.evictions += 1
-                        if buf.dirty:
-                            self._writeback_batch(buf.smgr, buf.fileid)
                         del self._frames[buf.key]
                         return
                     buf.usage -= 1
@@ -425,32 +429,34 @@ class BufferManager:
         """Write every dirty page of one file in one manager call; returns
         how many there were.
 
-        One pass over the dirty blocks in ascending order seals each page
-        (nonzero LSN, then checksum) and appends it to its run of
-        consecutive blocks; the pages turn clean only once the manager has
-        taken them.  Nothing fills a gap: only :meth:`extend` puts a frame
-        past the device's end, dirty, and only this cleans one, so the
-        dirty blocks at or past the device's end run unbroken from it (a
-        manager refuses a write that would leave a hole).
+        Per file, not per page: C-level passes gather the pages of the
+        sorted dirty blocks, :func:`seal` them (LSNs ascend in block order)
+        and turn them clean once the manager has taken them; only a gapped
+        batch is walked, to cut its runs.  No gap is filled: a file's dirty
+        tail is dense from the device's end (docs/invariants.md).
         """
         key = (smgr.smgr_id, fileid)
         dirty = self._dirty.get(key)
         if not dirty:
             return 0
-        batch, end = [], -1
-        for lsn, blockno in enumerate(sorted(dirty), self._next_lsn):
-            if blockno != end:
-                images = []
-                batch.append((blockno, images))
-            images.append(seal(dirty[blockno].page.buf, lsn))
-            end = blockno + 1
-        self._next_lsn += len(dirty)
+        blocks = sorted(dirty)
+        images = seal([*map(_PAGE_BUF, map(dirty.__getitem__, blocks))], self._next_lsn)
+        written = len(blocks)
+        self._next_lsn += written
+        if blocks[-1] - blocks[0] < written:  # one run
+            batch = [(blocks[0], images)]
+        else:  # a run starts at each block that does not follow the last
+            batch, end = [], -1
+            for blockno, image in zip(blocks, images):
+                if blockno != end:
+                    run = []
+                    batch.append((blockno, run))
+                run.append(image)
+                end = blockno + 1
         smgr.write_runs(fileid, batch)
-        for buf in dirty.values():
-            buf.dirty = False
-        del self._dirty[key]
-        self.stats.writebacks += len(dirty)
-        return len(dirty)
+        any(map(setattr, self._dirty.pop(key).values(), _DIRTY, _FALSE))
+        self.stats.writebacks += written
+        return written
 
     # -- flushing ---------------------------------------------------------------
 
@@ -505,9 +511,8 @@ class BufferManager:
         with self._latch:
             if self.pinned_count():
                 raise BufferError_("cannot invalidate while pages are pinned")
-            self.flush_all()
+            self.flush_all()    # which empties the dirty index
             self._frames.clear()
-            self._dirty.clear()
             self._ring.clear()
             self._decoded.clear()
             self.btree_roots.clear()

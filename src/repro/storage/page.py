@@ -35,6 +35,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import count, repeat
 
 from repro.errors import PageError, PageFullError
 from repro.storage.constants import (
@@ -49,10 +50,11 @@ _HEADER = struct.Struct("<QIHHHH4x")
 assert _HEADER.size == PAGE_HEADER_SIZE
 
 # The checksum (bytes 8:12) covers the page with itself and the reserved
-# bytes (20:24) read as zeros; seal writes the LSN and zeroes both first.
-_LSN_CHECKSUM = struct.Struct("<QI")
-_CHECKSUM = struct.Struct("<I")
+# bytes (20:24) read as zeros; seal writes the LSN and zeroes both first,
+# each step one ``map`` over the pages (which ends it: the rest repeat).
+_LSN_CHECKSUM, _PACK_WORD = struct.Struct("<QI"), struct.Struct("<I").pack_into
 _ZERO4 = bytes(4)
+_ZEROS, _EIGHTS, _TWENTIES = repeat(0), repeat(8), repeat(20)
 
 # The (lower, upper, special) trio lives at byte 14 of the header; the hot
 # paths read it directly instead of unpacking the whole header.
@@ -85,14 +87,14 @@ _FRESH = struct.Struct("<14xHHH4xHH")
 _DEAD_ITEMID = _ITEMID.pack(0, LP_DEAD)
 
 
-def seal(buf: bytearray, lsn: int) -> bytearray:
-    """Set a page image's LSN and stamp its checksum (before a device
-    write), in one pass: the checksum field and the reserved bytes are
-    zeroed, then the whole page is hashed.  Returns *buf*."""
-    _LSN_CHECKSUM.pack_into(buf, 0, lsn, 0)
-    buf[20:PAGE_HEADER_SIZE] = _ZERO4
-    _CHECKSUM.pack_into(buf, 8, zlib.crc32(buf))
-    return buf
+def seal(bufs: list[bytearray], lsn: int) -> list[bytearray]:
+    """Seal page images for a device write, each step one C-level ``map``
+    pass: LSNs from *lsn* up in list order, the checksum field and the
+    reserved bytes zeroed, then each page's checksum.  Returns *bufs*."""
+    any(map(_LSN_CHECKSUM.pack_into, bufs, _ZEROS, count(lsn), _ZEROS))
+    any(map(_PACK_WORD, bufs, _TWENTIES, _ZEROS))
+    any(map(_PACK_WORD, bufs, _EIGHTS, map(zlib.crc32, bufs)))
+    return bufs
 
 
 @dataclass(frozen=True)

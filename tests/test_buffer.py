@@ -122,6 +122,40 @@ class TestEviction:
             with pool.page(smgr, fid, blockno) as page:
                 assert page.get_item(slot) == data
 
+    def test_a_refused_eviction_write_back_evicts_nothing(self, smgr):
+        """A full pool of dirty frames of ``a`` whose write-back fails:
+        the miss that needed the room raises, and the victim is still
+        resident, dirty, indexed and in the ring, the ring is the frame
+        table, and no eviction is counted.  Disarmed, the next miss
+        writes ``a`` back and evicts one frame."""
+        pool = BufferManager(pool_size=4)
+        new_file(smgr, "a")
+        device_file(smgr, "b", 2)
+        for n in range(4):
+            buf = pool.allocate(smgr, "a")
+            buf.page.add_item(bytes([n + 1]) * 16)
+            pool.unpin(buf, dirty=True)
+        victim = pool._ring[0]
+        smgr.set_fault_plan(parse_plan("on write a: error"))
+        for blockno in range(2):
+            with pytest.raises(StorageManagerError, match="injected"):
+                pool.pin(smgr, "b", blockno)
+            assert len(pool._ring) == len(pool._frames) <= pool.pool_size
+            assert {id(buf) for buf in pool._ring} == \
+                {id(buf) for buf in pool._frames.values()}
+            assert pool.stats.evictions == 0
+            assert pool._frames[victim.key] is victim and victim.dirty
+            assert victim.blockno in pool._dirty[smgr.smgr_id, "a"]
+        assert smgr.nblocks("a") == 0
+
+        smgr.set_fault_plan(None)
+        pool.unpin(pool.pin(smgr, "b", 0))
+        assert pool.stats.evictions == 1
+        assert len(pool._ring) == len(pool._frames) == pool.pool_size
+        assert victim.key not in pool._frames and not victim.dirty
+        assert not pool._dirty and smgr.nblocks("a") == 4
+        assert (smgr.smgr_id, "b", 0) in pool._frames
+
     def test_a_gap_below_the_dirty_tail_is_refused(self, smgr):
         """Blocks 0-2 cleaned by hand (nothing in the pool cleans a frame
         but a write-back) leave dirty block 3 above blocks the device
@@ -268,7 +302,7 @@ class TestChecksums:
     def test_corrupt_block_detected(self, pool, smgr):
         fid = new_file(smgr)
         buf = pool.allocate(smgr, fid)
-        seal(buf.page.buf, 1)  # nonzero lsn enables verification
+        seal([buf.page.buf], 1)  # nonzero lsn enables verification
         buf.page.add_item(b"data")
         pool.unpin(buf, dirty=True)
         pool.flush_file(smgr, fid)
@@ -295,7 +329,7 @@ def device_file(smgr, fid, nblocks, sealed=False):
         page = SlottedPage()
         if sealed:
             page.add_item(bytes([blockno + 1]) * 16)
-            seal(page.buf, blockno + 1)
+            seal([page.buf], blockno + 1)
         images.append(bytes(page.buf))
     smgr.write_runs(fid, [(0, images)])
     return images

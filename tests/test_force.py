@@ -6,6 +6,7 @@ import itertools
 import os
 import random
 import sys
+import zlib
 
 import pytest
 from hypothesis import assume, given, settings
@@ -287,8 +288,8 @@ def force_smgr(request, tmp_path_factory):
 
 
 class TestOnePassBatch:
-    """``_writeback_batch`` seals each dirty page and appends it to its
-    run in one pass over the sorted dirty blocks: the batch is
+    """``_writeback_batch`` seals the pages of the sorted dirty blocks as
+    one batch and cuts it into runs: the batch is
     ``block_runs(sorted(dirty))``, each run the pages of its blocks, and
     the LSNs ascend in block order, on one device and on a sharded
     manager.  The tail past the device's end is all dirty, as only
@@ -329,6 +330,93 @@ class TestOnePassBatch:
              for first, last in block_runs(sorted(pages))]
         assert [pages[blockno].page.lsn for blockno in sorted(pages)] == \
             list(range(first_lsn, first_lsn + len(pages)))
+
+
+def seal_one(image, lsn):
+    """The per-page seal, step by step: LSN, zero checksum and reserved
+    bytes, then the CRC of the whole page into the checksum field."""
+    buf = bytearray(image)
+    buf[0:8] = lsn.to_bytes(8, "little")
+    buf[8:12] = buf[20:24] = bytes(4)
+    buf[8:12] = zlib.crc32(buf).to_bytes(4, "little")
+    return bytes(buf)
+
+
+def batch_smgr(kind, tmp_path):
+    if kind == "sharded":
+        return sharded_memory_manager(SimClock(), n_nodes=3)
+    return make_smgr(kind, tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["memory", "disk", "sharded"])
+class TestBatchSeal:
+    """A force seals its whole batch in C-level passes: over seeded
+    random dirty sets, contiguous and gapped, partly past the device's
+    end, each written image is the per-page reference seal of the page
+    as it was dirtied (garbage in its checksum and reserved bytes
+    included), LSNs ascend in block order from the pool's next LSN,
+    every image verifies, and the runs are ``block_runs`` of the sorted
+    dirty blocks."""
+
+    def test_the_batch_equals_the_per_page_seal(self, kind, tmp_path):
+        rng = random.Random(1993)
+        smgr = batch_smgr(kind, tmp_path)
+        pool = BufferManager(pool_size=128)
+        for round_ in range(40):
+            fileid = f"f{round_}"
+            device, tail = rng.randint(1, 48), rng.randint(0, 8)
+            smgr.create(fileid)
+            smgr.write_runs(fileid, [(0, [bytes(SlottedPage().buf)]
+                                      * device)])
+            pool.extend(smgr, fileid, [SlottedPage.holding(rng.randbytes(
+                rng.randint(1, 4000))) for _ in range(tail)])
+            if round_ % 2:      # contiguous
+                first = rng.randrange(device)
+                dirtied = range(first, device if tail
+                                else rng.randint(first + 1, device))
+            else:               # gapped
+                dirtied = rng.sample(range(device), rng.randint(1, device))
+            for blockno in dirtied:
+                buf = pool.pin(smgr, fileid, blockno)
+                buf.page.add_item(rng.randbytes(rng.randint(1, 4000)))
+                buf.page.buf[8:12] = rng.randbytes(4)
+                buf.page.buf[20:24] = rng.randbytes(4)
+                pool.unpin(buf, dirty=True)
+            dirty = sorted(pool._dirty[smgr.smgr_id, fileid])
+            before = [bytes(pool._frames[smgr.smgr_id, fileid, blockno]
+                            .page.buf) for blockno in dirty]
+            first_lsn = pool._next_lsn
+            written, write_runs = [], smgr.write_runs
+
+            def recording(fid, runs, write_runs=write_runs):
+                written.extend((first, [bytes(image) for image in images])
+                               for first, images in runs)
+                return write_runs(fid, runs)
+
+            smgr.write_runs = recording
+            try:
+                assert pool.flush_file(smgr, fileid) == len(dirty)
+            finally:
+                del smgr.write_runs
+            assert [(first, first + len(images) - 1)
+                    for first, images in written] == \
+                [tuple(run) for run in block_runs(dirty)]
+            images = [image for _first, images in written
+                      for image in images]
+            assert images == [seal_one(image, lsn) for lsn, image in
+                              enumerate(before, first_lsn)]
+            assert [SlottedPage(bytearray(image)).lsn
+                    for image in images] == \
+                list(range(first_lsn, first_lsn + len(dirty)))
+            assert all(SlottedPage(bytearray(image)).intact()
+                       for image in images)
+            assert [bytes(block) for block in smgr.read_blocks(
+                fileid, dirty[0], dirty[-1] - dirty[0] + 1)
+                if block[:8] != bytes(8)] == images
+            assert (smgr.smgr_id, fileid) not in pool._dirty
+            pool.invalidate_all()   # no eviction writes the next file
+        if kind == "disk":
+            smgr.close()
 
 
 #: 16 blocks the device already holds are overwritten, 16 appended.

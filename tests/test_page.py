@@ -238,26 +238,26 @@ class TestChecksum:
     def test_fresh_page_verifies_after_stamp(self):
         page = SlottedPage()
         page.add_item(b"data")
-        seal(page.buf, 1)
+        seal([page.buf], 1)
         assert page.intact()
 
     def test_corruption_detected(self):
         page = SlottedPage()
         page.add_item(b"data")
-        seal(page.buf, 1)
+        seal([page.buf], 1)
         page.buf[5000] ^= 0xFF
         assert not page.intact()
 
     def test_checksum_stable_under_reload(self):
         page = SlottedPage()
         page.add_item(b"data")
-        seal(page.buf, 1)
+        seal([page.buf], 1)
         reloaded = SlottedPage(bytearray(page.buf))
         assert reloaded.intact()
 
     def test_lsn_roundtrip(self):
         page = SlottedPage()
-        seal(page.buf, 12345)
+        seal([page.buf], 12345)
         assert page.lsn == 12345
 
     @settings(max_examples=60)
@@ -274,14 +274,14 @@ class TestChecksum:
         written = _HEADER.unpack_from(raw)[0] != 0
         assert SlottedPage(stamped).intact() is not written
         page = SlottedPage(bytearray(raw))
-        seal(page.buf, lsn)
+        seal([page.buf], lsn)
         assert bytes(page.buf) == _seal_reference(raw, lsn)
         assert SlottedPage(bytearray(page.buf)).intact()
 
     def test_damage_confined_to_the_reserved_bytes_still_verifies(self):
         page = SlottedPage()
         page.add_item(b"data")
-        seal(page.buf, 7)
+        seal([page.buf], 7)
         page.buf[20:24] = b"\xde\xad\xbe\xef"
         assert SlottedPage(bytearray(page.buf)).intact()
         page.buf[24] ^= 0xFF
@@ -293,7 +293,7 @@ class TestChecksum:
     def test_seal_is_lsn_then_stamp_bit_for_bit(self, seed, lsn):
         raw = random.Random(seed).randbytes(PAGE_SIZE)
         sealed = SlottedPage(bytearray(raw))
-        seal(sealed.buf, lsn)
+        seal([sealed.buf], lsn)
         # Set the LSN by repacking the header (which zeroes the reserved
         # bytes), then store the checksum of the result.
         stamped = bytearray(raw)

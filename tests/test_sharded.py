@@ -31,7 +31,7 @@ def page(tag: int, lsn: int = 0) -> bytes:
     """A valid slotted page carrying a recognizable payload byte."""
     p = SlottedPage()
     p.add_item(bytes([tag % 251 + 1]) * 64)
-    seal(p.buf, lsn)
+    seal([p.buf], lsn)
     return bytes(p.buf)
 
 
