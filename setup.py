@@ -1,13 +1,7 @@
 """Legacy setup shim so `python setup.py develop` works offline
 (environments without the `wheel` package cannot do PEP-660 editable
 installs; `pip install -e .` uses the pyproject metadata when wheel is
-available).  The console script is declared here too because old
-setuptools does not always materialize [project.scripts] on the legacy
-path."""
+available)."""
 from setuptools import setup
 
-setup(
-    entry_points={
-        "console_scripts": ["repro-bench = repro.bench.cli:main"],
-    },
-)
+setup()

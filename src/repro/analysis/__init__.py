@@ -1,11 +1,12 @@
 """Invariant linter: AST-based static checks for the engine's discipline.
 
-Heavyweight locks before the engine latch, raw heap/index access only in
-the scan layer, block I/O only through the storage-manager switch, time
-only from the simulated clock, and the single sites of the no-overwrite
-store (one xmax writer, one sweep, one archive reader, ...).  The
-runtime tripwire (``REPRO_LOCKDEP=1``) sees these only on paths a test
-executes; this package checks every path, in tier-1 and in CI.
+Raw heap/index access only in the scan layer, block I/O only through the
+storage-manager switch, time only from the simulated clock, and the
+single sites of the no-overwrite store and of the heavy-lock protocol
+(one xmax writer, one sweep, one archive reader, the declared
+``locks.acquire`` calls, ...).  These hold on every path, so this package
+checks every path, in tier-1 and in CI.  Lock *order* is the runtime
+validator's (``repro.txn.lockdep``, armed by ``REPRO_LOCKDEP=1``).
 
 Usage::
 
@@ -35,9 +36,8 @@ from repro.analysis.core import (
 )
 from repro.analysis.cli import render_text
 
-# Importing the rules modules populates the registry.
+# Importing the rules module populates the registry.
 import repro.analysis.rules  # noqa: F401  (registration side effect)
-import repro.analysis.lockdep  # noqa: F401  (R008/R009 registration)
 
 __all__ = [
     "Finding",

@@ -22,9 +22,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=("AST-based invariant checks for the repro engine "
-                     "(latch ordering, scan-layer discipline, smgr-only "
-                     "I/O, simulated clock, transaction scope, declared "
-                     "single sites)"))
+                     "(scan-layer discipline, smgr-only I/O, simulated "
+                     "clock, transaction scope, declared single sites)"))
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
         help="files or directories to check (default: src/repro)")

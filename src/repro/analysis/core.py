@@ -63,26 +63,6 @@ class Rule:
                        line=node.lineno, col=node.col_offset, message=message)
 
 
-class ProjectRule(Rule):
-    """A rule that judges the *whole* analyzed tree at once.
-
-    Per-module rules cannot see lock acquisitions reached through a
-    call in another file; interprocedural checks (R008/R009) subclass
-    this instead and implement :meth:`check_project` over every parsed
-    module.  The driver applies suppressions per finding exactly as for
-    module rules (a finding lands on a concrete line in a concrete
-    module).
-    """
-
-    def check(self, module: "ModuleInfo") -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self,
-                      modules: list["ModuleInfo"]) -> Iterator[Finding]:
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-
 #: Registry of rule instances by id, populated by :func:`register`.
 _RULES: dict[str, Rule] = {}
 
@@ -271,49 +251,28 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
 
 def analyze_paths(paths: Iterable[Path | str],
                   rules: Iterable[Rule] | None = None) -> Report:
-    """The driver: parse every file under *paths*, run module then
-    project rules (default: every registered rule), apply suppressions,
-    and report the selected-but-unused ones."""
+    """Parse every file under *paths*, run the rules (default: every
+    registered rule) over each, apply suppressions, and report the
+    selected-but-unused ones."""
     chosen = list(rules) if rules is not None else all_rules()
-    module_rules = [r for r in chosen if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in chosen if isinstance(r, ProjectRule)]
     selected_ids = {r.id for r in chosen}
     report = Report()
-    modules: list[ModuleInfo] = []
-    by_display: dict[str, ModuleInfo] = {}
-    used: dict[int, set[tuple[int, str]]] = {}
-
-    def apply(module: ModuleInfo, found: Finding) -> None:
-        if found.rule in module.suppressions.get(found.line, ()):
-            report.suppressed += 1
-            used[id(module)].add((found.line, found.rule))
-        else:
-            report.findings.append(found)
-
     for path in iter_python_files(Path(p) for p in paths):
         report.files_checked += 1
         module = _load_module(path, report)
         if module is None:
             continue
-        modules.append(module)
-        by_display[module.display_path] = module
-        used[id(module)] = set()
-        for rule in module_rules:
+        used: set[tuple[int, str]] = set()
+        for rule in chosen:
             for found in rule.check(module):
-                apply(module, found)
-    for rule in project_rules:
-        for found in rule.check_project(modules):
-            module = by_display.get(found.path)
-            if module is not None:
-                apply(module, found)
-            else:  # pragma: no cover - rule reported a foreign path
-                report.findings.append(found)
-    for module in modules:
-        module_used = used[id(module)]
+                if found.rule in module.suppressions.get(found.line, ()):
+                    report.suppressed += 1
+                    used.add((found.line, found.rule))
+                else:
+                    report.findings.append(found)
         for line, rule_ids in module.suppressions.items():
             for rule_id in rule_ids:
-                if (rule_id in selected_ids
-                        and (line, rule_id) not in module_used):
+                if rule_id in selected_ids and (line, rule_id) not in used:
                     report.unused_suppressions.append(UnusedSuppression(
                         path=module.display_path, line=line,
                         rule=rule_id))

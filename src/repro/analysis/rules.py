@@ -454,7 +454,15 @@ DECLARED_SITES = (
         "`VALIDATOR.operation(...)`", _call("operation", "VALIDATOR"),
         {"inversion/filesystem.py": 2},
         "one slot protocol: _lock_slots and rmdir's tree + stat are "
-        "Inversion's only locking attempts"),
+        "Inversion's only locking attempts, the scopes in which the "
+        "runtime validator checks the inv_* order"),
+    DeclaredSites(
+        "`locks.acquire(...)`", _call("acquire", "locks"),
+        {"inversion/filesystem.py": 4, "lo/chunked.py": 2,
+         "lo/manager.py": 1, "lo/metadata.py": 1, "db.py": 1},
+        "every heavy-lock site is known: a new one is declared here and "
+        "driven armed by a tier-1 test, which is where its order is "
+        "checked"),
     DeclaredSites(
         "`delete_item(...)`", _call("delete_item"), {"access/heap.py": 1},
         "one vacuum cleaner: HeapRelation.vacuum is the only page walk "

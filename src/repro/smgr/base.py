@@ -439,7 +439,9 @@ class StorageNode:
     def write_runs(self, fileid: str, runs) -> None:
         """Write each ``(first, images)`` of *runs*: gated as one access
         per block, then one store operation and one device charge per
-        run, in write order."""
+        run, in write order; an empty batch is no access at all."""
+        if not runs:
+            return
         slow_from = self._gate("write", fileid, runs[0][0],
                                sum(map(len, map(_IMAGES, runs))))
         self.store.write_runs(fileid, runs)

@@ -7,12 +7,12 @@ ordering rules used to live only as prose in DESIGN.md §"Locking
 discipline".  This module turns them into data:
 
 * :data:`HIERARCHY` declares every lock *class* with a rank and a
-  domain.  Lower rank = acquired earlier (outermost).  The static
-  analyzer (``repro/analysis/lockdep.py``, rules R008/R009) and the
-  runtime validator both read this one table, so the checked order and
-  the documented order cannot drift apart.
+  domain.  Lower rank = acquired earlier (outermost).  The runtime
+  validator checks against this one table and ``python -m
+  repro.analysis --doc`` prints it into docs/invariants.md, so the
+  checked order and the documented order cannot drift apart.
 
-* :class:`LockdepValidator` is the runtime half.  When armed
+* :class:`LockdepValidator` is the lock-order check.  When armed
   (``REPRO_LOCKDEP=1``, set suite-wide by ``tests/conftest.py``) every
   instrumented acquisition records ``(lock class, thread, held set)``
   into a global order graph and is checked *before it can block*:
@@ -23,7 +23,7 @@ discipline".  This module turns them into data:
   - acquiring a *heavyweight* lock (``LockManager``) while the thread
     holds any scoped lock raises — heavy waits can park a thread for a
     whole transaction, which must never happen under a mutex or the
-    engine latch (runtime analogue of rule R009);
+    engine latch;
   - inside an *operation scope* (pushed by the Inversion path-locking
     helpers), the ``inv_*`` heavyweight family must be acquired in its
     declared protocol order.  The scope is per locking attempt: strict
@@ -35,9 +35,9 @@ discipline".  This module turns them into data:
   its lock-class name as a constructor literal, e.g.
   ``self._mutex = LockdepMutex("mutex:xlog")``; the engine latch is
   ``LockdepMutex("latch", reentrant=True)``.  That one string is
-  read by three consumers: the runtime checks here, the static
-  analyzer's classifier, and the hierarchy table in docs.  Built while
-  the validator is disarmed, it is the bare lock.
+  read by two consumers: the runtime checks here and the hierarchy
+  table in docs.  Built while the validator is disarmed, it is the bare
+  lock.
 
 Observed edges are exported through ``db.statistics()["lockdep"]`` so
 stress tests can assert the runtime graph stays inside the declared
@@ -97,8 +97,8 @@ def _table(*rows: tuple[str, int, str, str]) -> dict[str, LockClass]:
 
 
 #: Every lock class in the engine, outermost first.  This is the single
-#: source of truth for both the static analyzer and the runtime
-#: validator; docs/invariants.md renders the same table as prose.
+#: source of truth for the runtime validator; docs/invariants.md embeds
+#: the same table (``python -m repro.analysis --doc``).
 HIERARCHY: dict[str, LockClass] = _table(
     # -- heavyweight (LockManager) classes: per-xid, strict 2PL --------
     ("lock:inv_dirmove", 10, "heavy",
@@ -116,7 +116,7 @@ HIERARCHY: dict[str, LockClass] = _table(
      "byte-range LO write lock (rangelock.py); whole-object for "
      "truncate/unlink"),
     ("lock:losize", 21, "heavy",
-     "one LO's size row in lo_sizes"),
+     "one LO's size row in pg_largeobject"),
     ("lock:relation", 22, "heavy",
      "table-level DML lock taken by db.insert/delete/replace"),
     ("lock:other", 29, "heavy",
@@ -493,9 +493,7 @@ class LockdepMutex:
     """A ``threading.Lock``/``RLock`` that declares its lock class.
 
     The constructor literal — ``LockdepMutex("mutex:xlog")`` — is the
-    contract: the runtime validator checks it on every acquisition and
-    the static analyzer reads the assignment to classify ``with
-    self._mutex:`` sites without type inference.
+    contract: the runtime validator checks it on every acquisition.
 
     The armed state is read once, at construction.  Built while the
     validator is disarmed, ``LockdepMutex(...)`` *is* the plain

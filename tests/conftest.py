@@ -22,18 +22,21 @@ from repro.sim import SimClock
 from repro.smgr import MemoryStorageManager
 from repro.storage import BufferManager
 from repro.txn import CommitLog, LockManager, TransactionManager
+from repro.txn.lockdep import VALIDATOR
 
 
 def pytest_collection_modifyitems(config, items):
-    """Keep ``monkey``/``shard``-marked rounds out of the default run.
+    """Keep ``monkey``/``shard``/``mutation``-marked tests out of the
+    default run.
 
-    Unlike the other markers, which select *extra* CI jobs, these tiers
-    are strictly larger versions of smoke tests that already run
-    unmarked — so under a plain ``pytest`` they are skipped unless the
-    ``-m`` expression mentions the marker explicitly.
+    Unlike the other markers, which select *extra* CI jobs, the first two
+    tiers are strictly larger versions of smoke tests that already run
+    unmarked, and ``mutation`` re-runs tier-1 tests against planted bugs
+    — so under a plain ``pytest`` they are skipped unless the ``-m``
+    expression mentions the marker explicitly.
     """
     markexpr = config.getoption("-m", default="") or ""
-    for marker in ("monkey", "shard"):
+    for marker in ("monkey", "shard", "mutation"):
         if marker in markexpr:
             continue
         skip = pytest.mark.skip(reason=f"needs -m {marker}")
@@ -59,6 +62,26 @@ def fail_on_leaked_threads():
     if leaked:
         names = ", ".join(t.name for t in leaked)
         pytest.fail(f"test leaked non-daemon thread(s): {names}")
+
+
+@pytest.fixture(autouse=True)
+def fail_on_lock_order_violations(request):
+    """Fail a test during which the validator raised LockOrderError.
+
+    The validator raises at the offending acquisition, but the error can
+    die where nobody looks: in a worker or server-connection thread, in
+    an ``except`` that turns engine errors into replies or reports, in a
+    ``finally`` after the test's own checks.  The violation count still
+    moved, so the test that caused it fails here.  Tests of the
+    validator itself provoke violations on purpose and reset the graph
+    (the ``clean_graph`` fixture of tests/test_lockdep.py).
+    """
+    before = VALIDATOR.as_dict()["violations"]
+    yield
+    raised = VALIDATOR.as_dict()["violations"] - before
+    if raised > 0 and "clean_graph" not in request.fixturenames:
+        pytest.fail(f"the lock-order validator raised {raised} "
+                    f"LockOrderError(s) during this test")
 
 
 class Stack:

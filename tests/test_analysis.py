@@ -6,8 +6,12 @@ and clean code (nothing to suppress).  Location-scoped rules are
 exercised by writing fixtures under a directory literally named
 ``repro`` so the module-relative path comes out right.
 
-The meta-test at the bottom runs the real CLI over the shipped tree and
-asserts it exits 0 — the tree must stay lint-clean.
+The meta-test runs the real CLI over the shipped tree and asserts it
+exits 0 — the tree must stay lint-clean.
+
+Lock order (the former R008/R009) is not a static rule: the armed
+runtime validator checks it.  Their fixture classes stay, but execute
+each fixture and expect :class:`LockOrderError` (or a clean run).
 """
 
 import subprocess
@@ -25,6 +29,10 @@ from repro.analysis import (
 )
 from repro.analysis.cli import main
 from repro.analysis.rules import DECLARED_SITES, DeclaredSitesRule
+from repro.db import Database
+from repro.errors import LockOrderError
+from repro.txn.lockdep import VALIDATOR, check_edges
+from repro.txn.locks import LockManager
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,7 +54,7 @@ class TestRegistry:
     def test_all_rules_registered(self):
         ids = [rule.id for rule in all_rules()]
         for expected in ("R001", "R003", "R004", "R005", "R006", "R007",
-                         "R008", "R009", "R010"):
+                         "R010"):
             assert expected in ids
 
     def test_unknown_rule_raises(self):
@@ -376,6 +384,8 @@ class TestR007HotPathBytesCopy:
 ONE_SITE = {
     "`.cpu is [not] None`": "charged = self.cpu is not None",
     "`VALIDATOR.operation(...)`": "scope = lockdep.VALIDATOR.operation('x')",
+    "`locks.acquire(...)`":
+        "self.db.locks.acquire(txn.xid, ('relation', name), mode)",
     "`delete_item(...)`": "buf.page.delete_item(slot)",
     "`archive_relation(...)` without create=True":
         "archive = db.archiver.archive_relation(name)",
@@ -525,7 +535,7 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R001", "R003", "R004", "R005", "R006", "R009"):
+        for rule_id in ("R001", "R003", "R004", "R005", "R006", "R010"):
             assert rule_id in out
 
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
@@ -562,13 +572,33 @@ class TestShippedTreeIsClean:
         assert report.files_checked > 80
 
 
-class TestR008LockOrderInversion:
-    """Seeded-inversion fixtures: the analyzer must catch a deliberate
-    A->B / B->A pattern, interprocedural chains, and inv_* protocol
-    violations inside operation scopes."""
+def run_fixture(source: str) -> dict:
+    """Execute *source* and return its namespace, so a fixture's lock
+    pattern runs against the armed runtime validator."""
+    namespace: dict = {}
+    exec(compile(textwrap.dedent(source), "<fixture>", "exec"), namespace)
+    return namespace
 
-    def test_scoped_inversion_fires(self, tmp_path):
-        source = """\
+
+@pytest.fixture
+def clean_graph():
+    """Reset the validator's observed-edge graph around the test: a
+    deliberate violation records its bad edge before raising."""
+    VALIDATOR.reset()
+    yield
+    VALIDATOR.reset()
+
+
+@pytest.mark.armed
+@pytest.mark.usefixtures("clean_graph")
+class TestR008LockOrderInversion:
+    """Seeded-inversion fixtures for lock order.  R008 is no longer a
+    static rule: the armed runtime validator is the lock-order check, so
+    each fixture is executed and must raise :class:`LockOrderError` at
+    the inverted acquisition (or run clean)."""
+
+    def test_scoped_inversion_fires(self):
+        engine = run_fixture("""\
             from repro.txn.lockdep import LockdepMutex
 
             class Engine:
@@ -585,15 +615,15 @@ class TestR008LockOrderInversion:
                     with self._clk:
                         with self._pool:
                             return 2
-        """
-        report = lint(tmp_path, "storage/seeded.py", source, "R008")
-        assert [f.rule for f in report.findings] == ["R008"]
-        finding = report.findings[0]
-        assert "mutex:buffer" in finding.message
-        assert "mutex:clock" in finding.message
+        """)["Engine"]()
+        assert engine.forward() == 1
+        with pytest.raises(LockOrderError) as exc:
+            engine.backward()
+        assert "mutex:buffer" in str(exc.value)
+        assert "mutex:clock" in str(exc.value)
 
-    def test_interprocedural_inversion_fires(self, tmp_path):
-        source = """\
+    def test_interprocedural_inversion_fires(self):
+        engine = run_fixture("""\
             from repro.txn.lockdep import LockdepMutex
 
             class Engine:
@@ -608,13 +638,15 @@ class TestR008LockOrderInversion:
                 def outer(self):
                     with self._pool:
                         return self._begin()
-        """
-        report = lint(tmp_path, "storage/seeded.py", source, "R008")
-        assert [f.rule for f in report.findings] == ["R008"]
-        assert "via" in report.findings[0].message
+        """)["Engine"]()
+        with pytest.raises(LockOrderError) as exc:
+            engine.outer()
+        # The acquirer's stack names the call the lock was reached through.
+        assert "in _begin" in str(exc.value)
+        assert "in outer" in str(exc.value)
 
-    def test_correct_order_is_clean(self, tmp_path):
-        source = """\
+    def test_correct_order_is_clean(self):
+        engine = run_fixture("""\
             from repro.txn.lockdep import LockdepMutex
 
             class Engine:
@@ -626,94 +658,100 @@ class TestR008LockOrderInversion:
                     with self._tm:
                         with self._pool:
                             return 1
-        """
-        report = lint(tmp_path, "storage/seeded.py", source, "R008")
-        assert report.findings == []
+        """)["Engine"]()
+        assert engine.ok() == 1
+        assert VALIDATOR.edges().get("mutex:txn -> mutex:buffer", 0) >= 1
+        assert check_edges(VALIDATOR.edges()) == []
 
-    def test_inv_protocol_violation_in_operation_scope(self, tmp_path):
-        source = """\
+    def test_inv_protocol_violation_in_operation_scope(self):
+        bad_rename = run_fixture("""\
             from repro.txn.lockdep import VALIDATOR
+            from repro.txn.locks import LockMode
 
             def bad_rename(locks, txn, a, b):
                 with VALIDATOR.operation("seeded"):
-                    locks.acquire(txn, ("inv_tree", a), "EXCLUSIVE")
-                    locks.acquire(txn, ("inv_entry", b), "EXCLUSIVE")
-        """
-        report = lint(tmp_path, "inversion/seeded.py", source, "R008")
-        assert [f.rule for f in report.findings] == ["R008"]
-        assert "inv_entry" in report.findings[0].message
-        assert "protocol order" in report.findings[0].message
+                    locks.acquire(txn, ("inv_tree", a), LockMode.EXCLUSIVE)
+                    locks.acquire(txn, ("inv_entry", b), LockMode.EXCLUSIVE)
+        """)["bad_rename"]
+        locks = LockManager()
+        with pytest.raises(LockOrderError) as exc:
+            bad_rename(locks, 7, 1, 2)
+        assert "inv_entry" in str(exc.value)
+        assert "path-locking protocol" in str(exc.value)
+        locks.release_all(7)
 
-    def test_inv_order_not_checked_across_operations(self, tmp_path):
+    def test_inv_order_not_checked_across_operations(self):
         # Two separate operations (strict 2PL: nothing held across the
         # boundary) may touch the family in any order.
-        source = """\
+        two_operations = run_fixture("""\
             from repro.txn.lockdep import VALIDATOR
+            from repro.txn.locks import LockMode
 
             def two_operations(locks, txn, a, b):
                 with VALIDATOR.operation("first"):
-                    locks.acquire(txn, ("inv_tree", a), "SHARED")
+                    locks.acquire(txn, ("inv_tree", a), LockMode.SHARED)
                 with VALIDATOR.operation("second"):
-                    locks.acquire(txn, ("inv_entry", b), "EXCLUSIVE")
-        """
-        report = lint(tmp_path, "inversion/seeded.py", source, "R008")
-        assert report.findings == []
+                    locks.acquire(txn, ("inv_entry", b), LockMode.EXCLUSIVE)
+        """)["two_operations"]
+        locks = LockManager()
+        two_operations(locks, 8, 1, 2)
+        locks.release_all(8)
+        assert VALIDATOR.as_dict()["violations"] == 0
 
 
+@pytest.fixture
+def latched_db():
+    """A database with one class ``T`` and an open transaction."""
+    db = Database(charge_cpu=False)
+    try:
+        db.create_class("T", [("n", "int4")])
+        txn = db.begin()
+        yield db, txn
+        txn.abort()
+    finally:
+        db.close()
+
+
+@pytest.mark.armed
+@pytest.mark.usefixtures("clean_graph")
 class TestR009BlockingUnderMutex:
-    # Lexical case: `with <latch>:` and `*.locks.acquire` in one function.
+    """A heavyweight lock wait under the latch or a mutex.  R009 is no
+    longer a static rule: each fixture is executed against the armed
+    runtime validator, which raises at the blocking acquisition."""
+
     LATCH_VIOLATION = """\
+        from repro.txn.locks import LockMode
+
         def insert(db, txn, name):
             with db.latch:
-                db.locks.acquire(txn.xid, ("relation", name), "shared")
+                db.locks.acquire(txn.xid, ("relation", name), LockMode.SHARED)
     """
 
-    def test_fires_inside_latch_block(self, tmp_path):
-        report = lint(tmp_path, "db.py", self.LATCH_VIOLATION, "R009")
-        assert [f.rule for f in report.findings] == ["R009"]
-        assert "holds latch" in report.findings[0].message
+    def test_fires_inside_latch_block(self, latched_db):
+        db, txn = latched_db
+        insert = run_fixture(self.LATCH_VIOLATION)["insert"]
+        with pytest.raises(LockOrderError) as exc:
+            insert(db, txn, "T")
+        assert "blocking-under-mutex" in str(exc.value)
+        assert "scoped lock latch" in str(exc.value)
 
-    def test_suppressed(self, tmp_path):
-        source = self.LATCH_VIOLATION.replace(
-            '"shared")', '"shared")  # repro: allow(R009)')
-        report = lint(tmp_path, "db.py", source, "R009")
-        assert report.findings == []
-        assert report.suppressed == 1
+    def test_lock_before_latch_is_clean(self, latched_db):
+        db, txn = latched_db
+        insert = run_fixture("""\
+            from repro.txn.locks import LockMode
 
-    def test_lock_before_latch_is_clean(self, tmp_path):
-        source = """\
             def insert(db, txn, name):
-                db.locks.acquire(txn.xid, ("relation", name), "shared")
+                db.locks.acquire(txn.xid, ("relation", name), LockMode.SHARED)
                 with db.latch:
-                    db.get_class(name).insert(txn, ())
-        """
-        report = lint(tmp_path, "db.py", source, "R009")
-        assert report.findings == []
+                    return db.get_class(name).insert(txn, (1,))
+        """)["insert"]
+        insert(db, txn, "T")
+        assert VALIDATOR.as_dict()["violations"] == 0
 
-    def test_private_latch_spelling_and_engine_latch_call(self, tmp_path):
-        source = """\
-            def bad(self, txn):
-                with self._latch:
-                    self.lock_manager.acquire(txn.xid, "r", "x")
-            def also_bad(db, txn):
-                with LockdepMutex("latch", reentrant=True):
-                    db.locks.acquire(txn.xid, "r", "x")
-        """
-        report = lint(tmp_path, "db.py", source, "R009")
-        assert [f.rule for f in report.findings] == ["R009", "R009"]
-
-    def test_unrelated_acquire_inside_latch_is_clean(self, tmp_path):
-        source = """\
-            def fine(self):
-                with self._latch:
-                    self._mutex.acquire()
-        """
-        report = lint(tmp_path, "storage/buffer.py", source, "R009")
-        assert report.findings == []
-
-    def test_heavy_acquire_under_mutex_fires(self, tmp_path):
-        source = """\
+    def test_heavy_acquire_under_mutex_fires(self):
+        engine = run_fixture("""\
             from repro.txn.lockdep import LockdepMutex
+            from repro.txn.locks import LockMode
 
             class Engine:
                 def __init__(self):
@@ -721,41 +759,51 @@ class TestR009BlockingUnderMutex:
 
                 def bad(self, locks, txn, oid):
                     with self._mutex:
-                        locks.acquire(txn, ("relation", oid), "SHARED")
-        """
-        report = lint(tmp_path, "txn/seeded.py", source, "R009")
-        assert [f.rule for f in report.findings] == ["R009"]
-        assert "mutex:txn" in report.findings[0].message
+                        locks.acquire(txn, ("relation", oid), LockMode.SHARED)
+        """)["Engine"]()
+        locks = LockManager()
+        with pytest.raises(LockOrderError) as exc:
+            engine.bad(locks, 1, "T")
+        assert "mutex:txn" in str(exc.value)
+        locks.release_all(1)
 
-    def test_heavy_acquire_under_latch_via_call_fires(self, tmp_path):
-        source = """\
+    def test_heavy_acquire_under_latch_via_call_fires(self, latched_db):
+        db, txn = latched_db
+        scan = run_fixture("""\
+            from repro.txn.locks import LockMode
+
             class Scan:
                 def _lock_row(self, locks, txn, oid):
-                    locks.acquire(txn, ("relation", oid), "SHARED")
+                    locks.acquire(txn, ("relation", oid), LockMode.SHARED)
 
                 def read(self, db, locks, txn, oid):
                     with db.latch:
                         self._lock_row(locks, txn, oid)
-        """
-        report = lint(tmp_path, "access/seeded.py", source, "R009")
-        assert [f.rule for f in report.findings] == ["R009"]
-        assert "via" in report.findings[0].message
+        """)["Scan"]()
+        with pytest.raises(LockOrderError) as exc:
+            scan.read(db, db.locks, txn.xid, "T")
+        # The acquirer's stack names the call the lock was reached through.
+        assert "in _lock_row" in str(exc.value)
+        assert "in read" in str(exc.value)
 
-    def test_heavy_before_mutex_is_clean(self, tmp_path):
-        source = """\
+    def test_heavy_before_mutex_is_clean(self):
+        engine = run_fixture("""\
             from repro.txn.lockdep import LockdepMutex
+            from repro.txn.locks import LockMode
 
             class Engine:
                 def __init__(self):
                     self._mutex = LockdepMutex("mutex:txn")
 
                 def good(self, locks, txn, oid):
-                    locks.acquire(txn, ("relation", oid), "SHARED")
+                    locks.acquire(txn, ("relation", oid), LockMode.SHARED)
                     with self._mutex:
                         return 1
-        """
-        report = lint(tmp_path, "txn/seeded.py", source, "R009")
-        assert report.findings == []
+        """)["Engine"]()
+        locks = LockManager()
+        assert engine.good(locks, 1, "T") == 1
+        locks.release_all(1)
+        assert VALIDATOR.as_dict()["violations"] == 0
 
 
 class TestUnusedSuppressions:
@@ -827,12 +875,12 @@ class TestCLISelectValidation:
         assert main(["--select", ",", str(path)]) == 2
         err = capsys.readouterr().err
         assert "selected no rules" in err
-        assert "R001" in err and "R008" in err              # known-rule list
+        assert "R001" in err and "R010" in err              # known-rule list
 
     def test_all_unknown_ids_reported_together(self, tmp_path, capsys):
         path = write_module(tmp_path, "txn/a.py", "x = 1\n")
         assert main(["--select", "R008,RXXX,RYYY", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "RXXX" in err and "RYYY" in err
-        assert "R009" in err                                # known-rule list
+        assert "R008" in err and "RXXX" in err and "RYYY" in err
+        assert "R010" in err                                # known-rule list
 

@@ -380,6 +380,36 @@ class TestTransactions:
         assert fs.listdir("/") == ["a"]
         assert db.check_integrity() == []
 
+    def test_write_file_that_loses_the_create_race_replaces(self, db, fs):
+        """``write_file`` on a path another transaction is creating parks
+        on the slot, loses the create once the holder commits, and
+        replaces the holder's contents instead (its ``except
+        FileExists`` branch)."""
+        holder = db.begin()
+        fs.write_file(holder, "/a", b"first")
+        errors = []
+
+        def writer():
+            try:
+                with db.begin() as txn:
+                    fs.write_file(txn, "/a", b"second")
+            except Exception as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 10
+        while thread.is_alive() and not db.locks.stats.waits \
+                and time.monotonic() < deadline:
+            thread.join(timeout=0.01)
+        assert db.locks.stats.waits == 1, errors  # parked on the slot
+        holder.commit()
+        thread.join(timeout=10)
+        assert not thread.is_alive() and errors == []
+        assert fs.read_file("/a") == b"second"
+        assert fs.listdir("/") == ["a"]
+        assert db.check_integrity() == []
+
 
 class TestDirectoryReads:
     """A path operation reads each directory it names once: one look

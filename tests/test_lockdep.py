@@ -4,14 +4,22 @@ The suite runs with ``REPRO_LOCKDEP=1`` (tests/conftest.py), so every
 instrumented acquisition in every other test already flows through the
 validator; these tests exercise the validator *itself* — the declared
 hierarchy, deliberate inversions raising with both stacks, and the
-observed-edge graph surfaced through ``db.statistics()["lockdep"]``.
+observed-edge graph surfaced through ``db.statistics()["lockdep"]`` —
+and, under ``-m mutation``, the planted-bug table that shows armed
+tier-1 catches an ordering bug at every ordering-relevant site.
 
 Deliberate violations record their (bad) edge before raising, so each
 such test resets the global graph afterwards — otherwise a later test
 asserting ``check_edges(...) == []`` would trip over the seeded edge.
 """
 
+import os
+import shutil
+import subprocess
+import sys
 import threading
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -333,3 +341,202 @@ class TestConstructionTimeRule:
                 assert first.get_class("T").latch_probe is None
                 assert first.get_class("T").fetch(
                     tid, first.snapshot()).values == (1,)
+
+
+# ---------------------------------------------------------------------------
+# Planted ordering bugs: the runtime validator is the lock-order check
+# ---------------------------------------------------------------------------
+
+class PlantedBug(NamedTuple):
+    """One one-line ordering bug at a real site, and the tier-1 test that
+    fails on it armed (docs/invariants.md, "Lock order")."""
+
+    name: str
+    module: str      #: path under src/repro
+    original: str    #: the exact line, which must occur once in *module*
+    mutated: str
+    test: str        #: node id of the catching tier-1 test
+
+
+PLANTED = [
+    PlantedBug(
+        "db-relation-under-latch", "db.py",
+        '            self.locks.acquire(txn.xid, ("relation", class_name),',
+        '            with self._latch: self.locks.acquire(txn.xid, '
+        '("relation", class_name),',
+        "tests/test_archive.py::TestSweep::test_moves_dead_versions"),
+    PlantedBug(
+        "access-delete-under-latch", "access/scan.py",
+        "        self.db.share_relation(txn, self.relation.name)",
+        "        with self.db.latch: "
+        "self.db.share_relation(txn, self.relation.name)",
+        "tests/test_fastpath.py::TestFastModeSemantics::"
+        "test_truncate_then_reextend[fchunk]"),
+    PlantedBug(
+        "lo-range-under-latch", "lo/chunked.py",
+        "        self.db.locks.acquire(self.txn.xid, "
+        "lo_range(self.oid, lo, hi),",
+        "        with self.db.latch: self.db.locks.acquire(self.txn.xid, "
+        "lo_range(self.oid, lo, hi),",
+        "tests/test_archive.py::TestSweepKeepsWhatLiveReadersSee::"
+        "test_descriptor_reading_the_past[fchunk]"),
+    PlantedBug(
+        "lo-whole-under-latch", "lo/chunked.py",
+        "        self.db.locks.acquire(self.txn.xid, lo_whole(self.oid),",
+        "        with self.db.latch: self.db.locks.acquire(self.txn.xid, "
+        "lo_whole(self.oid),",
+        "tests/test_fastpath.py::TestFastModeSemantics::"
+        "test_truncate_then_reextend[fchunk]"),
+    PlantedBug(
+        "lo-eof-retry-under-latch", "lo/chunked.py",
+        "            self._lock_span(start, at + length)",
+        "            with self.db.latch: self._lock_span(start, at + length)",
+        "tests/test_archive.py::TestSweepKeepsWhatLiveReadersSee::"
+        "test_descriptor_reading_the_past[vsegment]"),
+    PlantedBug(
+        "lo-unlink-under-registry", "lo/manager.py",
+        "        self.db.locks.acquire(txn.xid, lo_whole(oid), "
+        "LockMode.EXCLUSIVE)",
+        "        with self._registry_mutex: self.db.locks.acquire(txn.xid, "
+        "lo_whole(oid), LockMode.EXCLUSIVE)",
+        "tests/test_client.py::TestLifecycle::test_unlink"),
+    PlantedBug(
+        "lo-latch-under-registry", "lo/manager.py",
+        "            start = max(self._append_cursors.get(store_oid, 0), "
+        "eof_hint)",
+        "            with self.db.latch: start = max("
+        "self._append_cursors.get(store_oid, 0), eof_hint)",
+        "tests/test_archive.py::TestSweepKeepsWhatLiveReadersSee::"
+        "test_descriptor_reading_the_past[vsegment]"),
+    PlantedBug(
+        "lo-txn-mutex-under-registry", "lo/manager.py",
+        "            self._open_counts[oid] = self._open_counts.get(oid, 0) "
+        "+ 1",
+        "            self._open_counts[oid] = self._open_counts.get(oid, 0) "
+        "+ 1; self.db.tm.active_count()",
+        "tests/test_archive.py::TestSweepKeepsWhatLiveReadersSee::"
+        "test_descriptor_reading_the_past[fchunk]"),
+    PlantedBug(
+        "lo-losize-under-latch", "lo/metadata.py",
+        '    db.locks.acquire(txn.xid, ("losize", oid), LockMode.EXCLUSIVE)',
+        '    with db.latch: db.locks.acquire(txn.xid, ("losize", oid), '
+        'LockMode.EXCLUSIVE)',
+        "tests/test_archive.py::TestSweepKeepsWhatLiveReadersSee::"
+        "test_descriptor_reading_the_past[fchunk]"),
+    PlantedBug(
+        "lo-losize-reread-under-latch", "lo/metadata.py",
+        "        row = size_row(db, oid, db.snapshot(txn))",
+        "        with db.latch: row = size_row(db, oid, db.snapshot(txn)); "
+        'db.locks.acquire(txn.xid, ("losize", oid), LockMode.EXCLUSIVE)',
+        "tests/test_rangelock.py::TestSizeRowWait::"
+        "test_a_size_writer_that_waited_rereads_the_row"),
+    PlantedBug(
+        "inv-tree-under-latch", "inversion/filesystem.py",
+        '        self.db.locks.acquire(txn.xid, ("inv_tree", dir_id), mode)',
+        '        with self.db.latch: self.db.locks.acquire(txn.xid, '
+        '("inv_tree", dir_id), mode)',
+        "tests/test_bench.py::TestCli::test_all_then_claims_runs_the_claims"),
+    PlantedBug(
+        "inv-stat-under-latch", "inversion/filesystem.py",
+        "        self._lock_stat(txn, file_id)",
+        "        with self.db.latch: self._lock_stat(txn, file_id)",
+        "tests/test_bench.py::TestCli::test_all_then_claims_runs_the_claims"),
+    PlantedBug(
+        "inv-tree-before-entry", "inversion/filesystem.py",
+        "                chains, moving = seen",
+        "                chains, moving = seen; "
+        "self._lock_tree(txn, ROOT_ID, LockMode.SHARED)",
+        "tests/test_bench.py::TestCli::test_all_then_claims_runs_the_claims"),
+    PlantedBug(
+        "inv-dirmove-after-tree", "inversion/filesystem.py",
+        "                    self._lock_tree(txn, moving, LockMode.EXCLUSIVE)",
+        "                    self._lock_tree(txn, moving, LockMode.EXCLUSIVE); "
+        'self.db.locks.acquire(txn.xid, ("inv_dirmove",), '
+        "LockMode.EXCLUSIVE)",
+        "tests/test_inversion.py::TestTimeTravelChains::"
+        "test_rename_chain_of_directory_with_contents"),
+    PlantedBug(
+        "inv-stat-before-tree-rmdir", "inversion/filesystem.py",
+        "            self._lock_tree(txn, entry.file_id, LockMode.EXCLUSIVE)",
+        "            self._lock_stat(txn, entry.file_id); "
+        "self._lock_tree(txn, entry.file_id, LockMode.EXCLUSIVE)",
+        "tests/test_inversion.py::TestRemoveRename::test_rmdir"),
+    PlantedBug(
+        "inv-relook-under-latch", "inversion/filesystem.py",
+        "            slots, again = look(snapshot)",
+        "            with self.db.latch: slots, again = look(snapshot); "
+        "self._lock_tree(txn, ROOT_ID, LockMode.SHARED)",
+        "tests/test_inversion.py::TestTransactions::"
+        "test_same_path_rename_waits_for_the_unlink_it_races[abort]"),
+    PlantedBug(
+        "inv-except-create-race", "inversion/filesystem.py",
+        "                exists = True",
+        "                with self.db.latch: exists = True; "
+        "self._lock_tree(txn, ROOT_ID, LockMode.SHARED)",
+        "tests/test_inversion.py::TestTransactions::"
+        "test_write_file_that_loses_the_create_race_replaces"),
+    PlantedBug(
+        "txn-heavy-under-txn-mutex", "txn/manager.py",
+        "            self._active[xid] = txn",
+        "            self._active[xid] = txn; "
+        "from repro.txn.locks import LockMode; "
+        'self.locks.acquire(xid, ("relation", "pg_class"), LockMode.SHARED)',
+        "tests/test_archive.py::TestSweep::test_moves_dead_versions"),
+    PlantedBug(
+        "server-latch-under-conn-lock", "server/server.py",
+        "            live = list(self._connections.values())",
+        "            with self.db.latch: "
+        "live = list(self._connections.values())",
+        "tests/test_doctests.py::"
+        "test_docstring_examples_run[repro.server.client]"),
+    PlantedBug(
+        "server-finally-latch-under-conn-lock", "server/server.py",
+        "                self._connections.pop(conn_id, None)",
+        "                with self.db.latch: "
+        "self._connections.pop(conn_id, None)",
+        "tests/test_doctests.py::"
+        "test_docstring_examples_run[repro.server.client]"),
+    PlantedBug(
+        "smgr-buffer-under-topology", "smgr/sharded.py",
+        "                    self._write_quorum(fileid, blockno, data)",
+        '                    with LockdepMutex("mutex:buffer"): '
+        "self._write_quorum(fileid, blockno, data)",
+        "tests/test_bench.py::TestCli::test_all_then_claims_runs_the_claims"),
+    PlantedBug(
+        "catalog-registry-under-oid", "catalog/catalog.py",
+        "            oid = self._next_oid",
+        '            with LockdepMutex("mutex:lo_registry"): '
+        "oid = self._next_oid",
+        "tests/test_archive.py::TestSweep::test_moves_dead_versions"),
+]
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.mutation
+class TestPlantedOrderBugs:
+    """Each planted bug makes its catching tier-1 test fail armed with
+    ``LockOrderError``.  The bug goes into a copy of ``src/repro``, and
+    the test runs in a subprocess against that copy."""
+
+    @pytest.mark.parametrize("bug", PLANTED, ids=[b.name for b in PLANTED])
+    def test_armed_tier1_catches_the_planted_bug(self, bug, tmp_path):
+        tree = tmp_path / "src" / "repro"
+        shutil.copytree(REPO_ROOT / "src" / "repro", tree,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        path = tree / bug.module
+        lines = path.read_text().split("\n")
+        assert lines.count(bug.original) == 1, (
+            f"{bug.module}: the planted site moved; update the row")
+        lines[lines.index(bug.original)] = bug.mutated
+        path.write_text("\n".join(lines))
+        env = dict(os.environ, REPRO_LOCKDEP="1",
+                   PYTHONPATH=str(tmp_path / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-p", "no:cacheprovider",
+             bug.test],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+            timeout=600)
+        output = result.stdout + result.stderr
+        assert result.returncode == 1, output[-3000:]
+        assert "LockOrderError" in output, output[-3000:]

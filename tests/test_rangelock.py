@@ -13,7 +13,11 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.db import Database
 from repro.errors import DeadlockError, LockError
+from repro.lo.fchunk import LOCK_GRAIN_CHUNKS
+from repro.lo.manager import designator_oid
+from repro.storage.constants import CHUNK_PAYLOAD
 from repro.txn.locks import LockManager, LockMode
 from repro.txn.rangelock import IntervalSet, RangeResource, lo_range, lo_whole
 
@@ -206,3 +210,45 @@ class TestRangeLocking:
         assert stats["range_locks"] == 1
         assert stats["range_waits"] == 0
         lm.release_all(1)
+
+
+class TestSizeRowWait:
+    """``metadata.write_size``'s wait path, driven armed: a writer whose
+    ``("losize", oid)`` request parks behind a neighbour's uncommitted
+    size row re-reads the row once the neighbour commits, and merges."""
+
+    def test_a_size_writer_that_waited_rereads_the_row(self):
+        db = Database(charge_cpu=False)
+        try:
+            with db.begin() as txn:
+                designator = db.lo.create(txn, "fchunk")
+            size_lock = ("losize", designator_oid(designator))
+            grain = CHUNK_PAYLOAD * LOCK_GRAIN_CHUNKS
+            first = db.begin()
+            with db.lo.open(designator, first, "rw") as obj:
+                obj.write(b"a" * 10)          # holds the size lock now
+            errors = []
+
+            def second_writer():
+                try:
+                    with db.begin() as txn:
+                        with db.lo.open(designator, txn, "rw") as obj:
+                            obj.pwrite(grain, b"b" * 10)  # parks at close
+                except Exception as exc:
+                    errors.append(exc)
+
+            thread = threading.Thread(target=second_writer, daemon=True)
+            thread.start()
+            for _ in range(1000):
+                if db.locks.waiting(size_lock) or not thread.is_alive():
+                    break
+                threading.Event().wait(0.01)
+            assert db.locks.waiting(size_lock), errors
+            first.commit()
+            thread.join(10.0)
+            assert not thread.is_alive()
+            assert errors == []
+            assert db.lo.size(designator, db.snapshot()) == grain + 10
+            assert db.check_integrity() == []
+        finally:
+            db.close()

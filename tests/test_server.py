@@ -6,11 +6,18 @@ four-plus concurrent clients through one shared object — the
 acceptance-criteria scenario for the server plus range-lock PR.
 """
 
+import os
 import random
+import re
+import select
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +33,7 @@ from repro.server import ReproServer, ServerClient
 from repro.server import protocol
 from repro.server import server as server_module
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 RECORD = "T{:02d}S{:04d};"
 RECORD_LEN = len(RECORD.format(0, 0))
 
@@ -537,6 +545,46 @@ def test_stop_of_idle_server_is_prompt(served):
     assert time.monotonic() - started < 1.0
     assert not [t.name for t in threading.enumerate()
                 if t.name.startswith("repro-server")]
+
+
+def test_repro_server_command_serves_armed_and_stops_on_sigterm():
+    """``python -m repro.server.cli --port 0`` (the ``repro-server``
+    script) with the validator armed: it prints the port it listens on,
+    serves a write and a read-back through ``ServerClient`` with no
+    lock-order violation, and exits 0 within 10 s of SIGTERM."""
+    env = dict(os.environ, REPRO_LOCKDEP="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(REPO_ROOT / "src"),
+                                 os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.server.cli", "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 30.0)
+        assert ready, "repro-server printed nothing within 30 s"
+        line = proc.stdout.readline()
+        match = re.match(r"repro-server listening on (\S+):(\d+)$",
+                         line.strip())
+        assert match, f"unexpected first line {line!r}"
+        with ServerClient(match.group(1), int(match.group(2))) as client:
+            client.begin()
+            designator = client.lo_create("fchunk")
+            fd = client.lo_open(designator, "rw")
+            assert client.lo_write(fd, b"served" * 1000) == 6000
+            client.lo_seek(fd, 0)
+            assert client.lo_read(fd, 6000) == b"served" * 1000
+            client.commit()
+            lockdep = client.stats()["lockdep"]
+        assert lockdep["armed"] is True
+        assert lockdep["violations"] == 0
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def test_finished_connection_threads_are_forgotten(served):

@@ -520,6 +520,25 @@ class TestSwitch:
         assert smgr.nblocks("t") == 1
 
 
+class TestEmptyWriteBatch:
+    @pytest.mark.parametrize("armed", [False, True], ids=["no-plan", "plan"])
+    def test_empty_batch_is_a_no_op_on_every_manager(self, armed):
+        """``write_runs(fileid, [])`` writes nothing and raises nothing on
+        every manager ``Database()`` registers, with or without an armed
+        fault plan (``disk`` and ``memory`` used to raise IndexError)."""
+        db = Database()
+        if armed:
+            db.inject_faults(parse_plan("on write nothing_matches: error"))
+        for name in db.switch.names():
+            smgr = db.storage_manager(name)
+            assert (smgr.fault_plan is not None) == armed, name
+            smgr.create("f")
+            smgr.write_runs("f", [(0, [block(3)])])
+            smgr.write_runs("f", [])
+            assert smgr.nblocks("f") == 1, name
+            assert smgr.read_block("f", 0) == block(3), name
+
+
 class TestEveryPortIsCharged:
     def test_every_reachable_port_counts_a_write(self):
         """A manager builds a device port only if it charges one: after
