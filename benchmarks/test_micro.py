@@ -42,12 +42,12 @@ class TestPageMicro:
         assert benchmark(work) == 5000
 
     def test_page_checksum(self, benchmark):
-        from repro.storage.page import SlottedPage, seal
+        from repro.storage.page import SlottedPage, intact_prefix, seal
         page = SlottedPage()
         page.add_item(b"payload" * 500)
         seal([page.buf], 1)
         image = bytes(page.buf)
-        assert benchmark(lambda: SlottedPage(bytearray(image)).intact())
+        assert benchmark(lambda: intact_prefix([bytearray(image)])) == 1
 
 
 class TestBTreeMicro:
@@ -818,6 +818,105 @@ class TestStreamedReadCounts:
         assert got == data[2 * self.READ:3 * self.READ]
         assert executed.count <= self.MAX_BYTECODES, executed.count
         obj.close()
+
+
+def _rewritten_fchunk(db, size: int) -> tuple[int, bytes]:
+    """An f-chunk object of *size* bytes written, then rewritten whole by
+    a second transaction: every chunk has a dead index entry beside its
+    live one, and the heap's deleter map names each dead version."""
+    data = bytes(range(256)) * (size // 256)
+    with db.begin() as txn:
+        designator = db.lo.create(txn, "fchunk")
+        with db.lo.open(designator, txn, "rw") as obj:
+            obj.write(data)
+    with db.begin() as txn, db.lo.open(designator, txn, "rw") as obj:
+        obj.write(data[::-1])
+    return designator, data[::-1]
+
+
+@pytest.mark.perf
+class TestRewrittenWindowRead:
+    """A 64 KB read of an f-chunk object rewritten once, on a cold pool,
+    pays per batch, not per index entry (docs/performance.md): the scan
+    hands the deleter filter two entries per chunk, the snapshot is asked
+    once about their one deleter, and each readahead run is checksummed
+    in one pass.  Counts, never time; the bytecode ceilings are for
+    CPython 3.11 (CI's perf-smoke job)."""
+
+    FILE = 256 * 1024
+    READ = 64 * 1024
+    #: Bytecodes of the measured read, plus 5 %: 6,419 on CPython 3.11.7
+    #: (8,202 while the scan, the deleter map and the checksum walked
+    #: entry by entry and page by page).
+    MAX_BYTECODES = 6_740
+    #: A resident one-chunk read of the same kind of object (the
+    #: ``frames_f`` shape), plus 5 %: 2,159 on CPython 3.11.7 (2,391
+    #: entry by entry) — a batch of one must not cost more than the walk.
+    MAX_ONE_CHUNK_BYTECODES = 2_267
+
+    def test_a_cold_64k_window_is_one_deleter_question_and_one_hash_pass(
+            self, db, monkeypatch):
+        from repro.access.heap import HeapRelation
+        from repro.storage import buffer
+        from repro.txn.snapshot import Snapshot
+
+        designator, data = _rewritten_fchunk(db, self.FILE)
+        db.bufmgr.invalidate_all()
+        pool = db.bufmgr.stats
+        obj = db.lo.open(designator)
+        assert obj.read(self.READ) == data[:self.READ]
+        asked, filtered, passes = [], [], []
+        sees_deletion, known_dead = Snapshot.sees_deletion, \
+            HeapRelation.known_dead
+        intact_prefix = buffer.intact_prefix
+
+        def asking(snapshot, xmax, clog):
+            asked.append(xmax)
+            return sees_deletion(snapshot, xmax, clog)
+
+        def filtering(relation, entries, snapshot):
+            filtered.append([key for key, _tid in entries])
+            return known_dead(relation, entries, snapshot)
+
+        def verifying(bufs):
+            passes.append(len(bufs))
+            return intact_prefix(bufs)
+
+        scans, misses = db.access_stats.range_scans, pool.misses
+        prefetched = pool.prefetched
+        monkeypatch.setattr(Snapshot, "sees_deletion", asking)
+        monkeypatch.setattr(HeapRelation, "known_dead", filtering)
+        monkeypatch.setattr(buffer, "intact_prefix", verifying)
+        got = obj.read(self.READ)
+        monkeypatch.undo()
+        assert got == data[self.READ:2 * self.READ]
+        assert db.access_stats.range_scans - scans == 1
+        (keys,) = filtered                          # one batch
+        assert len(keys) == 2 * len(set(keys)) >= 16, keys
+        assert len(asked) == 1, asked               # one deleter, once
+        run = pool.prefetched - prefetched
+        assert run >= 8 and passes == [run] + [1] * (pool.misses - misses), \
+            passes
+        with _Bytecodes() as executed:
+            got = obj.read(self.READ)
+        assert got == data[2 * self.READ:3 * self.READ]
+        assert executed.count <= self.MAX_BYTECODES, executed.count
+        obj.close()
+
+    def test_a_resident_one_chunk_read_costs_no_more_than_the_walk(self, db):
+        designator, data = _rewritten_fchunk(db, 1024 * 1024)
+        rng = random.Random(7)
+        offsets = [rng.randrange(len(data) - 4000) for _ in range(20)]
+        with db.lo.open(designator) as obj:
+            for offset in offsets:                  # all resident
+                obj.pread(offset, 4000)
+            misses = db.bufmgr.stats.misses
+            offset = offsets[3]
+            with _Bytecodes() as executed:
+                got = obj.pread(offset, 4000)
+        assert got == data[offset:offset + 4000]
+        assert db.bufmgr.stats.misses == misses
+        assert executed.count <= self.MAX_ONE_CHUNK_BYTECODES, executed.count
 
 
 @pytest.mark.perf

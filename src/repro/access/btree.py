@@ -384,7 +384,7 @@ class BTree:
     def search(self, key: int) -> list[TID]:
         """All TIDs stored under exactly *key* (duplicates preserved)."""
         self._assert_latched("search")
-        return [tid for _k, tid in self._range_scan(key, key)]
+        return [tid for _k, tid in self.range_scan(key, key)]
 
     def range_scan_desc(self, hi: int, lo: int | None = None
                         ) -> Iterator[tuple[int, TID]]:
@@ -439,16 +439,18 @@ class BTree:
         """Entries with ``lo <= key <= hi``, in key order.
 
         ``None`` bounds are open.  Follows leaf sibling links, so a scan
-        costs one page read per leaf touched.
+        costs one page read per leaf touched, and hands on each leaf's
+        entries as one slice (consumed whole, per entry in C).
         """
         # The latch check must fire at call time, not at first next():
         # a generator body only runs lazily, by which point the caller's
         # latch block may already have exited.
         self._assert_latched("range_scan")
-        return self._range_scan(lo, hi)
+        return chain.from_iterable(self._leaf_slices(lo, hi))
 
-    def _range_scan(self, lo: int | None = None,
-                    hi: int | None = None) -> Iterator[tuple[int, TID]]:
+    def _leaf_slices(self, lo: int | None = None, hi: int | None = None
+                     ) -> Iterator[Iterator[tuple[int, TID]]]:
+        """Each leaf's entries inside ``[lo, hi]``, bisected and zipped."""
         if lo is not None:
             _blockno, node = self._find_leaf(lo)
             start = bisect.bisect_left(node.keys, lo)
@@ -456,11 +458,10 @@ class BTree:
             node = self._leftmost_leaf()
             start = 0
         while True:
-            for i in range(start, len(node.keys)):
-                if hi is not None and node.keys[i] > hi:
-                    return
-                yield node.keys[i], node.values[i]
-            if node.right < 0:
+            keys = node.keys
+            end = len(keys) if hi is None else bisect.bisect_right(keys, hi)
+            yield zip(keys[start:end], node.values[start:end])
+            if end < len(keys) or node.right < 0:
                 return
             node = self._read_node(node.right)
             start = 0
@@ -518,7 +519,7 @@ class BTree:
         A diagnostic, so it bypasses the latch tripwire; callers that
         need a consistent count under concurrency should latch anyway.
         """
-        return sum(1 for _ in self._range_scan())
+        return sum(1 for leaf in self._leaf_slices() for _ in leaf)
 
     def check_invariants(self) -> None:
         """Verify ordering and structure; raises on violation (tests).
@@ -527,7 +528,7 @@ class BTree:
         it under the latch via :func:`repro.access.scan.check_index`.
         """
         previous: int | None = None
-        for key, _value in self._range_scan():
+        for key, _value in chain.from_iterable(self._leaf_slices()):
             if previous is not None and key < previous:
                 raise RelationError(
                     f"index {self.name!r} keys out of order: "

@@ -18,7 +18,7 @@ so commit can force it to stable storage.
 from __future__ import annotations
 
 import operator
-from itertools import groupby
+from itertools import compress, groupby
 from typing import Callable, Iterator
 
 from repro.access.schema import Schema
@@ -34,7 +34,7 @@ from repro.access.tuples import (
 from repro.errors import RelationError, TransactionError, TupleNotFound
 from repro.smgr.base import StorageManager
 from repro.storage.buffer import BufferManager, block_runs
-from repro.storage.constants import INVALID_XID, MAX_TUPLE_SIZE
+from repro.storage.constants import INVALID_XID, MAX_TUPLE_SIZE, PAGE_SIZE
 from repro.storage.fsm import FreeSpaceMap
 from repro.storage.page import FRESH_FREE, SlottedPage
 from repro.txn.manager import Transaction
@@ -42,6 +42,7 @@ from repro.txn.snapshot import Snapshot
 from repro.txn.xlog import CommitLog, TxnStatus
 
 _BLOCKNO = operator.itemgetter(0)   # of a TID
+_TID = operator.itemgetter(1)       # of a (key, TID) index entry
 
 #: Readahead window (blocks) for sequential scans: far enough ahead to
 #: batch device reads, small enough not to wash streams out of the pool.
@@ -68,11 +69,11 @@ class HeapRelation:
         #: latch is taken.  ``None`` (standalone use, tests over a raw
         #: stack) disables the check.
         self.latch_probe: Callable[[], bool] | None = None
-        #: Deleter map, ``blockno << 16 | slot`` -> stamped ``xmax``: set by
-        #: :meth:`delete` and every read of a nonzero one, pruned by the
-        #: sweep that frees the slot; as long as the pool (at least 256),
-        #: oldest out first — forgetting costs a read (docs/invariants.md).
-        self._deleters: dict[int, int] = {}
+        #: Deleter map, ``TID`` -> stamped ``xmax``: set by :meth:`delete`
+        #: and every read of a nonzero one, pruned by the sweep that frees
+        #: the slot; as long as the pool (at least 256), oldest out first —
+        #: forgetting costs a read (docs/invariants.md).
+        self._deleters: dict[TID, int] = {}
         self._deleters_limit = max(256, bufmgr.pool_size)
 
     def _assert_latched(self, operation: str) -> None:
@@ -100,7 +101,6 @@ class HeapRelation:
 
     def byte_size(self) -> int:
         """Bytes the relation occupies (buffered tail included)."""
-        from repro.storage.constants import PAGE_SIZE
         return self.nblocks() * PAGE_SIZE
 
     # -- insert ---------------------------------------------------------------------
@@ -213,17 +213,23 @@ class HeapRelation:
         found = self._read((tid,), snapshot)
         return found[0] if found else None
 
-    def known_dead(self, blockno: int, slot: int,
-                   snapshot: Snapshot) -> bool:
-        """Whether the deleter map says *snapshot* sees the version at
-        ``(blockno, slot)`` deleted: invisible, so no fetch is needed."""
-        xmax = self._deleters.get(blockno << 16 | slot)
-        return xmax is not None and snapshot.sees_deletion(xmax, self.clog)
+    def known_dead(self, entries: list, snapshot: Snapshot) -> list:
+        """*entries* (``(key, TID)`` pairs) less those the deleter map
+        shows *snapshot* as deleted, so invisible: C-level passes per
+        entry, ``sees_deletion`` once per distinct ``xmax``."""
+        xmaxes = [*map(self._deleters.get, map(_TID, entries))]
+        if not any(xmaxes):
+            return entries
+        live = dict.fromkeys(xmaxes, True)
+        for xmax in live:
+            if xmax is not None:
+                live[xmax] = not snapshot.sees_deletion(xmax, self.clog)
+        return [*compress(entries, map(live.__getitem__, xmaxes))]
 
-    def _remember(self, key: int, xmax: int) -> None:
+    def _remember(self, tid: TID, xmax: int) -> None:
         deleters = self._deleters
-        if deleters.get(key) != xmax:   # an equal re-store only churns memory
-            deleters[key] = xmax
+        if deleters.get(tid) != xmax:   # an equal re-store only churns memory
+            deleters[tid] = xmax
             if len(deleters) > self._deleters_limit:
                 del deleters[next(iter(deleters))]
 
@@ -259,31 +265,26 @@ class HeapRelation:
         visibility is decided once per distinct ``(xmin, xmax)`` stamp
         (a chunk run shares one), which only the snapshot settles."""
         out = []
-        bufmgr = self.bufmgr
-        clog = self.clog
-        schema = self.schema
+        bufmgr, clog, schema = self.bufmgr, self.clog, self.schema
         visible: dict[tuple[int, int], bool] = {}
         buf = None
-        cur_block = None
         try:
             for tid in tids:
-                blockno, slot = tid.blockno, tid.slot
-                if blockno != cur_block:
+                if buf is not None and buf.blockno == tid[0]:
+                    bufmgr.rehit(buf)
+                else:
                     if buf is not None:
                         bufmgr.unpin(buf)
                         buf = None
-                    buf = bufmgr.pin(self.smgr, self.fileid, blockno)
-                    cur_block = blockno
-                else:
-                    bufmgr.rehit(buf)
+                    buf = bufmgr.pin(self.smgr, self.fileid, tid[0])
                 try:
-                    view = buf.page.item_view(slot)
+                    view = buf.page.item_view(tid[1])
                 except Exception as exc:
                     raise TupleNotFound(
                         f"no tuple at {tid} in {self.name!r}") from exc
                 xmin, xmax, _oid = read_stamps(view)
                 if xmax:
-                    self._remember(blockno << 16 | slot, xmax)
+                    self._remember(tid, xmax)
                 if snapshot is not None:
                     seen = visible.get((xmin, xmax))
                     if seen is None:
@@ -323,13 +324,13 @@ class HeapRelation:
             buf = bufmgr.pin(self.smgr, self.fileid, blockno)
             dirty = False
             try:
-                for _blockno, slot in run:
+                for tid in run:
                     if fetch:
                         bufmgr.rehit(buf)
                     try:
-                        view = buf.page.item_view(slot)
+                        view = buf.page.item_view(slot := tid[1])
                     except Exception as exc:
-                        raise TupleNotFound(f"no tuple at {TID(blockno, slot)}"
+                        raise TupleNotFound(f"no tuple at {TID(*tid)}"
                                             f" in {self.name!r}") from exc
                     xmin, xmax, oid = read_stamps(view)
                     if snapshot is not None and not snapshot.is_visible(
@@ -339,12 +340,12 @@ class HeapRelation:
                     if xmax != INVALID_XID and xmax != xid \
                             and self.clog.status(xmax) != TxnStatus.ABORTED:
                         raise TransactionError(
-                            f"tuple {TID(blockno, slot)} in {self.name!r} "
+                            f"tuple {TID(*tid)} in {self.name!r} "
                             f"already deleted by transaction {xmax}")
                     # In place: the rest of a version never changes.
                     buf.page.patch_item(slot, XMAX_OFFSET, stamp)
                     dirty = True
-                    self._remember(blockno << 16 | slot, xid)
+                    self._remember(tid, xid)
                     oids.append(oid)
             finally:
                 bufmgr.unpin(buf, dirty=dirty)
@@ -421,7 +422,7 @@ class HeapRelation:
                             self.schema, view, TID(blockno, slot)))
                     view.release()
                     buf.page.delete_item(slot)
-                    self._deleters.pop(blockno << 16 | slot, None)
+                    self._deleters.pop((blockno, slot), None)
                     removed += 1
                     dirty = True
                 if dirty:

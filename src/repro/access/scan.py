@@ -51,7 +51,8 @@ this layer fails loudly in CI instead of racing in production.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import compress, takewhile
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
 
 from repro.access.tuples import TID, HeapTuple
@@ -67,6 +68,8 @@ if TYPE_CHECKING:
 #: Builds the error raised when ``unique=True`` finds several visible
 #: versions of one key: ``(key, visible_count) -> Exception``.
 AnomalyFactory = Callable[[int, int], Exception]
+
+_KEY, _TID = itemgetter(0), itemgetter(1)    # of a (key, TID) index entry
 
 
 @dataclass
@@ -173,18 +176,10 @@ class IndexRangeScan:
 
         *wanted* restricts the scan to those keys (the f-chunk read path
         scans ``[min, max]`` of a chunk window but only needs the chunks
-        the caller is missing).  Entries the deleter map rules out are
-        dropped before the readahead.
+        the caller is missing, and passes none when it needs them all).
         """
-        stats = self.db.access_stats
         with self.db.latch:
-            self._count(stats)
-            pairs = list(self._live(self.index.range_scan(self.lo, self.hi),
-                                    snapshot, wanted))
-            if (self.readahead and pairs
-                    and self.relation.prefetch_tids(list(zip(*pairs))[1])):
-                stats.prefetch_batches += 1
-            out = self._fetch(pairs, snapshot)
+            out = self._fetch(self._read_ahead(snapshot, wanted), snapshot)
             if snapshot.as_of is not None:
                 out = self._with_archive(snapshot, out, wanted)
         self._check_unique(out)
@@ -196,20 +191,27 @@ class IndexRangeScan:
         latch hold, one ``HeapRelation.delete`` over the live entries'
         TIDs, no version decoded.  The relation lock comes first."""
         self.db.share_relation(txn, self.relation.name)
-        stats = self.db.access_stats
         with self.db.latch:
-            self._count(stats)
-            pairs = list(self._live(self.index.range_scan(self.lo, self.hi),
-                                    snapshot))
-            tids = [tid for _key, tid in pairs]
-            if self.readahead and self.relation.prefetch_tids(tids):
-                stats.prefetch_batches += 1
-            oids = self.relation.delete(txn, tids, snapshot)
+            pairs = self._read_ahead(snapshot)
+            oids = self.relation.delete(txn, [*map(_TID, pairs)], snapshot)
         stamped = [pair for pair, oid in zip(pairs, oids) if oid is not None]
+        stats = self.db.access_stats
         stats.tuples_scanned += len(pairs)
         stats.tuples_visible += len(stamped)
         self._check_unique(stamped)
         return [key for key, _tid in stamped]
+
+    def _read_ahead(self, snapshot: Snapshot, wanted: set[int] | None = None
+                    ) -> list[tuple[int, TID]]:
+        """The ascending walk: ``[lo, hi]``'s entries as one batch through
+        :meth:`_live`, then the survivors' heap blocks read ahead."""
+        stats = self.db.access_stats
+        self._count(stats)
+        pairs = self._live([*self.index.range_scan(self.lo, self.hi)],
+                           snapshot, wanted)
+        if self.readahead and self.relation.prefetch_tids(map(_TID, pairs)):
+            stats.prefetch_batches += 1
+        return pairs
 
     def visible_from_floor(self, snapshot: Snapshot, pivot: int
                            ) -> list[tuple[int, HeapTuple]]:
@@ -232,36 +234,34 @@ class IndexRangeScan:
         with self.db.latch:
             self._count(self.db.access_stats)
             entries = self.index.range_scan_desc(self.hi, self.lo)
-            for pair in self._live(entries, snapshot):
+            for pair in entries:
                 if pair[0] > pivot:
                     above.append(pair)
-                    continue
-                found = self._fetch([pair], snapshot)
-                if found:
-                    break
+                elif self._live([pair], snapshot):
+                    found = self._fetch([pair], snapshot)
+                    if found:
+                        break
             rest = above[::-1]
             if found and not first:    # the floor key's run, then above
                 floor = found[0][0]
-                rest[:0] = self._live(takewhile(
-                    lambda entry: entry[0] == floor, entries), snapshot)
+                rest[:0] = takewhile(lambda entry: entry[0] == floor, entries)
             if rest:
-                found += self._fetch(rest, snapshot)
+                found += self._fetch(self._live(rest, snapshot), snapshot)
             if snapshot.as_of is not None and not (first and found):
                 found = self._with_archive(snapshot, found, pivot=pivot)
         self._check_unique(found)
         return found
 
-    def _live(self, entries, snapshot: Snapshot,
-              wanted: set[int] | None = None):
-        """Index *entries* (``(key, TID)`` pairs), lazily, less those
-        outside *wanted* and those whose deleter the snapshot sees (by the
-        relation's deleter map): the scan layer's one entry filter."""
-        known_dead = self.relation.known_dead
-        for entry in entries:
-            key, tid = entry
-            if ((wanted is None or key in wanted)
-                    and not known_dead(tid.blockno, tid.slot, snapshot)):
-                yield entry
+    def _live(self, entries: list[tuple[int, TID]], snapshot: Snapshot,
+              wanted: set[int] | None = None) -> list[tuple[int, TID]]:
+        """Index *entries* (``(key, TID)`` pairs) less those outside
+        *wanted* and those whose deleter the snapshot sees (by the
+        relation's deleter map): the scan layer's one entry filter, a
+        batch of C-level passes."""
+        if wanted is not None:
+            entries = [*compress(entries, map(wanted.__contains__,
+                                              map(_KEY, entries)))]
+        return self.relation.known_dead(entries, snapshot)
 
     def _fetch(self, pairs: list[tuple[int, TID]], snapshot: Snapshot
                ) -> list[tuple[int, HeapTuple]]:
@@ -402,7 +402,7 @@ def fetch_visible(db: "Database", relation: "HeapRelation", tid: TID,
     """
     with db.latch:
         db.access_stats.probes += 1
-        if relation.known_dead(tid.blockno, tid.slot, snapshot):
+        if not relation.known_dead([(None, tid)], snapshot):
             return None
         db.access_stats.tuples_scanned += 1
         tup = relation.fetch(tid, snapshot)

@@ -488,9 +488,9 @@ DECLARED_SITES = (
         "outside the heap touches it"),
     DeclaredSites(
         "`.known_dead`", _attribute("known_dead"), {"access/scan.py": 2},
-        "one entry filter: IndexRangeScan._live, shared by both walk "
-        "directions, and fetch_visible are the only readers of the "
-        "deleter map"),
+        "one entry filter: IndexRangeScan._live's batches, for both walk "
+        "directions, and fetch_visible's one-entry list are the only "
+        "readers of the deleter map"),
     DeclaredSites(
         "`.visibility_epoch`", _attribute("visibility_epoch"),
         {"lo/chunked.py": 2, "lo/metadata.py": 2, "txn/xlog.py": 4},

@@ -275,10 +275,11 @@ class FChunkObject(ChunkedObject):
         if missing:
             stats.read_cache_misses += len(missing)
             # One range scan over the window, its heap blocks read ahead.
+            lo, hi = missing[0], missing[-1]
             fetched = dict(IndexRangeScan(
-                self.db, self.index, self.relation, missing[0], missing[-1],
-                unique=True, anomaly=self._anomaly).visible(
-                    self._snapshot(), wanted=set(missing)))
+                self.db, self.index, self.relation, lo, hi, unique=True,
+                anomaly=self._anomaly).visible(self._snapshot(), wanted=(
+                    None if hi - lo < len(missing) else set(missing))))
             decompress = self.compressor.decompress
             for seqno in missing:
                 tup = fetched.get(seqno)

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Iterator
 from repro.errors import BufferError_, ChecksumError
 from repro.sim.clock import SimClock
 from repro.sim.devices import CpuModel
-from repro.storage.page import SlottedPage, seal
+from repro.storage.page import SlottedPage, intact_prefix, seal
 from repro.txn.lockdep import LockdepMutex
 
 if TYPE_CHECKING:  # avoid a circular import with repro.smgr.base
@@ -66,7 +66,10 @@ _PAGE_BUF, _DIRTY, _FALSE = attrgetter("page.buf"), repeat("dirty"), repeat(Fals
 
 def block_runs(blocknos: list[int]) -> list[list[int]]:
     """``(first, last)`` of each maximal run of consecutive block numbers
-    in *blocknos*, in list order."""
+    in the ascending list *blocknos*, in order: one no wider than its
+    length is one run, found without a walk."""
+    if blocknos and blocknos[-1] - blocknos[0] < len(blocknos):
+        return [[blocknos[0], blocknos[-1]]]
     runs: list = []
     for blockno in blocknos:
         if runs and runs[-1][1] == blockno - 1:
@@ -117,16 +120,6 @@ class Buffer:
         self.usage = usage
         #: True until the first demand pin when prefetch read this block in.
         self.prefetched = prefetched
-
-
-def _verified(raw: bytearray, fileid: str, blockno: int) -> SlottedPage:
-    """The page read from the device as *raw*, its checksum verified (a
-    page never written, LSN 0, carries none)."""
-    page = SlottedPage(raw)
-    if not page.intact():
-        raise ChecksumError(
-            f"checksum mismatch reading block {blockno} of {fileid!r}")
-    return page
 
 
 class BufferManager:
@@ -223,8 +216,11 @@ class BufferManager:
             self.stats.misses += 1
             self._charge(_MISS_INSTRUCTIONS)
             self._make_room()
-            page = _verified(smgr.read_block(fileid, blockno), fileid, blockno)
-            buf = Buffer(smgr, fileid, blockno, page, pin_count=1)
+            raw = smgr.read_block(fileid, blockno)
+            if not intact_prefix([raw]):
+                raise ChecksumError(f"checksum mismatch reading block "
+                                    f"{blockno} of {fileid!r}")
+            buf = Buffer(smgr, fileid, blockno, SlottedPage(raw), pin_count=1)
             self._frames[key] = buf
             self._ring.append(buf)
             return buf
@@ -261,8 +257,9 @@ class BufferManager:
         reader finds them resident.  Returns how many were actually read.
 
         Each run of consecutive blocks is one ``read_blocks`` request,
-        read and charged whole; its frames are then installed (and
-        counted) one at a time, each after the room made for it.
+        read, charged and checksummed whole; its frames are then installed
+        (and counted) one at a time, each after the room made for it, up
+        to the first torn block, which raises.
         """
         with self._latch:
             frames, ring, stats = self._frames, self._ring, self.stats
@@ -270,24 +267,20 @@ class BufferManager:
             limit = min(blockno + count, smgr.nblocks(fileid))
             wanted = [block for block in range(max(0, blockno), limit)
                       if (smgr.smgr_id, fileid, block) not in frames]
-            if not wanted:
-                return 0
-            # An ascending list no wider than its length is one run.
-            for first, last in ([(wanted[0], wanted[-1])]
-                                if wanted[-1] - wanted[0] < len(wanted)
-                                else block_runs(wanted)):
-                block = first
-                for raw in smgr.read_blocks(fileid, first,
-                                            last - first + 1):
+            for first, last in block_runs(wanted):
+                raws = smgr.read_blocks(fileid, first, last - first + 1)
+                torn = first + intact_prefix(raws)
+                for block, raw in enumerate(raws, first):
                     charge(_MISS_INSTRUCTIONS)
                     make_room()
-                    buf = Buffer(smgr, fileid, block,
-                                 _verified(raw, fileid, block),
+                    if block == torn:
+                        raise ChecksumError(f"checksum mismatch reading "
+                                            f"block {block} of {fileid!r}")
+                    buf = Buffer(smgr, fileid, block, SlottedPage(raw),
                                  prefetched=True)
                     frames[buf.key] = buf
                     ring.append(buf)
                     stats.prefetched += 1
-                    block += 1
             return len(wanted)
 
     def allocate(self, smgr: "StorageManager", fileid: str) -> Buffer:

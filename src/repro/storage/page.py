@@ -53,7 +53,8 @@ assert _HEADER.size == PAGE_HEADER_SIZE
 # bytes (20:24) read as zeros; seal writes the LSN and zeroes both first,
 # each step one ``map`` over the pages (which ends it: the rest repeat).
 _LSN_CHECKSUM, _PACK_WORD = struct.Struct("<QI"), struct.Struct("<I").pack_into
-_ZERO4 = bytes(4)
+#: From byte 8: the checksum, the four header words it covers, reserved.
+_CHECKED = struct.Struct("<I8sI")
 _ZEROS, _EIGHTS, _TWENTIES = repeat(0), repeat(8), repeat(20)
 
 # The (lower, upper, special) trio lives at byte 14 of the header; the hot
@@ -97,17 +98,27 @@ def seal(bufs: list[bytearray], lsn: int) -> list[bytearray]:
     return bufs
 
 
+def intact_prefix(bufs: list[bytearray]) -> int:
+    """How many of *bufs* (a nonempty run read from a device), from the
+    first, are never written (LSN 0) or match their checksum: C-level
+    passes that zero in place what :func:`seal` rewrites before hashing."""
+    stored, words, _reserved = zip(*map(_CHECKED.unpack_from, bufs, _EIGHTS))
+    any(map(_CHECKED.pack_into, bufs, _EIGHTS, _ZEROS, words, _ZEROS))
+    found = tuple(map(zlib.crc32, bufs))
+    if found != stored:     # a page never written, or the first torn one
+        for at, buf in enumerate(bufs):
+            if found[at] != stored[at] and _LSN_CHECKSUM.unpack_from(buf)[0]:
+                return at
+    return len(bufs)
+
+
 @dataclass(frozen=True)
 class ItemId:
-    """Decoded line pointer: where an item lives and whether it is live."""
+    """Decoded line pointer: where an item lives and its state."""
 
     offset: int
     length: int
     state: int
-
-    @property
-    def is_live(self) -> bool:
-        return self.state == LP_NORMAL
 
 
 class SlottedPage:
@@ -312,7 +323,7 @@ class SlottedPage:
     def delete_item(self, slot: int) -> None:
         """Mark *slot* dead.  Space is reclaimed later by :meth:`compact`."""
         item = self.item_id(slot)
-        if not item.is_live:
+        if item.state != LP_NORMAL:
             raise PageError(f"slot {slot} already dead or unused")
         self._set_item_id(slot, 0, 0, LP_DEAD)
 
@@ -326,7 +337,7 @@ class SlottedPage:
         which POSTGRES also updated in place.
         """
         item = self.item_id(slot)
-        if not item.is_live:
+        if item.state != LP_NORMAL:
             raise PageError(f"slot {slot} is not live")
         if len(data) == item.length:
             self.buf[item.offset:item.offset + item.length] = data
@@ -379,7 +390,7 @@ class SlottedPage:
     def live_slots(self) -> list[int]:
         """Slot numbers of all live items, in slot order."""
         return [s for s in range(self.slot_count)
-                if self.item_id(s).is_live]
+                if self.item_id(s).state == LP_NORMAL]
 
     def compact(self) -> int:
         """Slide live items together, reclaiming dead space.
@@ -397,7 +408,7 @@ class SlottedPage:
         items = []
         for slot in range(self.slot_count):
             item = self.item_id(slot)
-            if item.is_live:
+            if item.state == LP_NORMAL:
                 items.append(
                     (slot, snapshot[item.offset:item.offset + item.length]))
         # Rewrite from the top of the data area down.
@@ -410,19 +421,6 @@ class SlottedPage:
             raise PageError("page corrupted: live data overlaps pointers")
         self._write_header(lsn, checksum, flags, lower, upper, special)
         return upper - lower
-
-    # -- checksums ----------------------------------------------------------
-
-    def intact(self) -> bool:
-        """Whether a page just read from a device is never written (LSN 0)
-        or matches its checksum: one pass, as :func:`seal` — which rewrites
-        the checksum field and reserved bytes this zeroes in place."""
-        buf = self.buf
-        lsn, stored = _LSN_CHECKSUM.unpack_from(buf)
-        if lsn == 0:
-            return True
-        buf[8:12] = buf[20:PAGE_HEADER_SIZE] = _ZERO4
-        return zlib.crc32(self._view) == stored
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SlottedPage(slots={self.slot_count}, "

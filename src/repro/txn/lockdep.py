@@ -333,19 +333,24 @@ class LockdepValidator:
 
     # -- scoped (latch / mutex) hooks ----------------------------------
 
-    def scoped_check(self, name: str, instance: int) -> None:
+    def scoped_check(self, name: str, instance: int, reentrant: bool) -> None:
         """Validate taking scoped lock ``name`` *before* blocking on it.
 
         Raises :class:`LockOrderError` if the calling thread already
-        holds a scoped lock of higher rank.  Re-entrant acquisition of
-        the *same instance* is always allowed (it cannot block).
+        holds a scoped lock of higher rank, or this instance unless it is
+        *reentrant* (a reentrant one cannot block: always allowed).
         """
         stack = self._scoped()
         if not stack:
             return
         for held in stack:
             if held.instance == instance:
-                return  # re-entrant: cannot deadlock
+                if reentrant:
+                    return  # cannot deadlock
+                self._violations += 1
+                raise LockOrderError(f"self-deadlock: {name} is not reentrant"
+                                     f" and already held, acquired at:\n"
+                                     f"{_render_site(held.site)}")
         rank = HIERARCHY[name].rank
         for held in stack:
             self._record_edge(held.name, name)
@@ -503,7 +508,7 @@ class LockdepMutex:
     with the validator's per-thread held stack.
     """
 
-    __slots__ = ("_lock", "name")
+    __slots__ = ("_lock", "name", "reentrant")
 
     def __new__(cls, name: str, *, reentrant: bool = False):
         if name not in HIERARCHY or HIERARCHY[name].domain != "scoped":
@@ -515,10 +520,11 @@ class LockdepMutex:
         self = super().__new__(cls)
         self.name = name
         self._lock = lock
+        self.reentrant = reentrant
         return self
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        VALIDATOR.scoped_check(self.name, id(self))
+        VALIDATOR.scoped_check(self.name, id(self), self.reentrant)
         acquired = self._lock.acquire(blocking, timeout)
         if acquired:
             VALIDATOR.scoped_acquired(self.name, id(self))

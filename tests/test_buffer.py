@@ -653,6 +653,25 @@ class TestPrefetchFailsMidRun:
         smgr.write_block("heap_t", 3, images[3])
         assert_items(pool, smgr, "heap_t")
 
+    def test_a_never_written_page_inside_the_run_is_accepted(self, kind,
+                                                             tmp_path):
+        # A page with LSN 0 carries no checksum (it was never sealed):
+        # the run's one checksum pass must pass it and go on to the
+        # torn page after it, which still stops the run there.
+        smgr = make_smgr(kind, tmp_path)
+        images = device_file(smgr, "heap_t", 6, sealed=True)
+        smgr.write_block("heap_t", 2, bytes(SlottedPage().buf))
+        bad = bytearray(images[4])
+        bad[4000] ^= 0xFF
+        smgr.write_block("heap_t", 4, bytes(bad))
+        pool = BufferManager(pool_size=8)
+        with pytest.raises(ChecksumError, match="block 4 "):
+            pool.prefetch(smgr, "heap_t", 0, 6)
+        assert self._frames_of(pool, "heap_t") == [0, 1, 2, 3]
+        with pool.page(smgr, "heap_t", 2) as page:
+            assert page.lsn == 0 and page.slot_count == 0
+        assert pool.pinned_count() == 0
+
     def test_an_injected_error_installs_nothing(self, kind, tmp_path):
         smgr = make_smgr(kind, tmp_path)
         device_file(smgr, "heap_t", 6, sealed=True)

@@ -10,10 +10,13 @@ EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
 
 
 def run_example(name: str) -> str:
+    """The example's stdout.  It must exit 0 and write nothing to stderr:
+    an exception in a worker thread (a ``LockOrderError``, a deadlock)
+    leaves the exit status alone and lands only there."""
     result = subprocess.run(
         [sys.executable, os.path.join(EXAMPLES_DIR, name)],
         capture_output=True, text=True, timeout=300)
-    assert result.returncode == 0, result.stderr
+    assert result.returncode == 0 and not result.stderr, result.stderr
     return result.stdout
 
 

@@ -20,7 +20,7 @@ from repro.smgr.sharded import sharded_memory_manager
 from repro.storage import BufferManager
 from repro.storage.buffer import block_runs
 from repro.storage.constants import PAGE_SIZE
-from repro.storage.page import SlottedPage
+from repro.storage.page import SlottedPage, intact_prefix
 
 
 def make_smgr(kind, tmp_path):
@@ -408,8 +408,8 @@ class TestBatchSeal:
             assert [SlottedPage(bytearray(image)).lsn
                     for image in images] == \
                 list(range(first_lsn, first_lsn + len(dirty)))
-            assert all(SlottedPage(bytearray(image)).intact()
-                       for image in images)
+            assert intact_prefix([bytearray(image) for image in images]) \
+                == len(images)
             assert [bytes(block) for block in smgr.read_blocks(
                 fileid, dirty[0], dirty[-1] - dirty[0] + 1)
                 if block[:8] != bytes(8)] == images

@@ -146,6 +146,21 @@ class TestScopedInversion:
                 assert "mutex:smgr" in VALIDATOR.scoped_held()
         assert "mutex:smgr" not in VALIDATOR.scoped_held()
 
+    def test_second_acquire_of_a_non_reentrant_mutex_raises(
+            self, clean_graph):
+        """The thread would wait for itself: raise before blocking, where
+        a reentrant instance is let through."""
+        mutex = LockdepMutex("mutex:txn")
+        with mutex:
+            with pytest.raises(LockOrderError) as exc:
+                mutex.acquire(True, 0.5)
+        message = str(exc.value)
+        assert "self-deadlock" in message and "mutex:txn" in message
+        assert "acquired at" in message             # the holder's stack
+        assert "mutex:txn" not in VALIDATOR.scoped_held()
+        with mutex:         # nothing was taken: it is free again
+            pass
+
     def test_correct_order_records_edges(self, clean_graph):
         outer = LockdepMutex("mutex:txn")
         inner = LockdepMutex("mutex:buffer")
@@ -481,6 +496,12 @@ PLANTED = [
         "            self._active[xid] = txn; "
         "from repro.txn.locks import LockMode; "
         'self.locks.acquire(xid, ("relation", "pg_class"), LockMode.SHARED)',
+        "tests/test_archive.py::TestSweep::test_moves_dead_versions"),
+    PlantedBug(
+        "txn-mutex-under-itself", "txn/manager.py",
+        "            self._ended += 1    # before the release: a woken "
+        "waiter re-looks",
+        "            self._ended += 1; self._mutex.acquire(True, 0.5)",
         "tests/test_archive.py::TestSweep::test_moves_dead_versions"),
     PlantedBug(
         "server-latch-under-conn-lock", "server/server.py",

@@ -15,7 +15,13 @@ from repro.storage.constants import (
     PAGE_HEADER_SIZE,
     PAGE_SIZE,
 )
-from repro.storage.page import FRESH_FREE, LP_DEAD, SlottedPage, seal
+from repro.storage.page import (
+    FRESH_FREE,
+    LP_DEAD,
+    SlottedPage,
+    intact_prefix,
+    seal,
+)
 
 
 class TestEmptyPage:
@@ -230,30 +236,35 @@ def _seal_reference(raw: bytes, lsn: int) -> bytes:
     return bytes(buf)
 
 
+def intact(buf: bytearray) -> bool:
+    """Whether the pool would serve *buf* as read: a run of one page."""
+    return intact_prefix([buf]) == 1
+
+
 class TestChecksum:
-    # ``intact`` is what the pool asks of a page it read: a sealed page
-    # (nonzero LSN) must match its checksum; it zeroes the checksum field
-    # in place, so every check below is made on a fresh copy.
+    # ``intact_prefix`` is what the pool asks of a run it read: a sealed
+    # page (nonzero LSN) must match its checksum; it zeroes the checksum
+    # field in place, so every check below is made on a fresh copy.
 
     def test_fresh_page_verifies_after_stamp(self):
         page = SlottedPage()
         page.add_item(b"data")
         seal([page.buf], 1)
-        assert page.intact()
+        assert intact(page.buf)
 
     def test_corruption_detected(self):
         page = SlottedPage()
         page.add_item(b"data")
         seal([page.buf], 1)
         page.buf[5000] ^= 0xFF
-        assert not page.intact()
+        assert not intact(page.buf)
 
     def test_checksum_stable_under_reload(self):
         page = SlottedPage()
         page.add_item(b"data")
         seal([page.buf], 1)
         reloaded = SlottedPage(bytearray(page.buf))
-        assert reloaded.intact()
+        assert intact(reloaded.buf)
 
     def test_lsn_roundtrip(self):
         page = SlottedPage()
@@ -269,23 +280,46 @@ class TestChecksum:
         raw = random.Random(seed).randbytes(PAGE_SIZE)
         stamped = bytearray(raw)
         stamped[8:12] = _checksum_reference(raw).to_bytes(4, "little")
-        assert SlottedPage(bytearray(stamped)).intact()
+        assert intact(bytearray(stamped))
         stamped[8] ^= 0xFF
         written = _HEADER.unpack_from(raw)[0] != 0
-        assert SlottedPage(stamped).intact() is not written
+        assert intact(stamped) is not written
         page = SlottedPage(bytearray(raw))
         seal([page.buf], lsn)
         assert bytes(page.buf) == _seal_reference(raw, lsn)
-        assert SlottedPage(bytearray(page.buf)).intact()
+        assert intact(bytearray(page.buf))
 
     def test_damage_confined_to_the_reserved_bytes_still_verifies(self):
         page = SlottedPage()
         page.add_item(b"data")
         seal([page.buf], 7)
         page.buf[20:24] = b"\xde\xad\xbe\xef"
-        assert SlottedPage(bytearray(page.buf)).intact()
+        assert intact(bytearray(page.buf))
         page.buf[24] ^= 0xFF
-        assert not SlottedPage(bytearray(page.buf)).intact()
+        assert not intact(bytearray(page.buf))
+
+    @settings(max_examples=60)
+    @given(st.lists(st.sampled_from(["sealed", "torn", "zeros", "fresh"]),
+                    min_size=1, max_size=8))
+    def test_a_run_is_intact_up_to_its_first_torn_page(self, kinds):
+        # A never-written page (LSN 0: a hole of zeros, or a fresh page
+        # image) carries no checksum and passes wherever it sits.
+        bufs = []
+        for lsn, kind in enumerate(kinds, 1):
+            page = SlottedPage()
+            if kind == "zeros":
+                page = SlottedPage(bytearray(PAGE_SIZE))
+            elif kind != "fresh":
+                page.add_item(bytes([lsn]) * 40)
+                seal([page.buf], lsn)
+                page.buf[4000] ^= 0xFF if kind == "torn" else 0
+            bufs.append(page.buf)
+        one_by_one = [intact(bytearray(buf)) for buf in bufs]
+        expected = one_by_one.index(False) if False in one_by_one \
+            else len(bufs)
+        assert expected == (kinds.index("torn") if "torn" in kinds
+                            else len(kinds))
+        assert intact_prefix(bufs) == expected
 
     @settings(max_examples=60)
     @given(st.integers(min_value=0), st.integers(min_value=0,
@@ -301,7 +335,7 @@ class TestChecksum:
         checksum = _checksum_reference(bytes(stamped))
         stamped[8:12] = checksum.to_bytes(4, "little")
         assert sealed.buf == stamped
-        assert sealed.lsn == lsn and sealed.intact()
+        assert sealed.lsn == lsn and intact(sealed.buf)
 
 
 # Line-pointer halves drawn so that the dead image (00 00 02 00) often

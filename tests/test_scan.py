@@ -4,13 +4,17 @@ the ``unique`` visible-version invariant, and the latch tripwire."""
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.access.heap import HeapRelation
 from repro.access.scan import (
     IndexProbe,
     IndexRangeScan,
     SeqScan,
     fetch_visible,
 )
+from repro.access.tuples import TID
 from repro.db import PG_LARGEOBJECT, Database
 from repro.errors import LargeObjectError, ReproError
 from repro.lo import metadata
@@ -18,6 +22,8 @@ from repro.lo.fchunk import chunk_class_name
 from repro.lo.manager import designator_oid
 from repro.lo.vsegment import segment_class_name
 from repro.txn.lockdep import VALIDATOR, LockdepMutex
+from repro.txn.snapshot import Snapshot
+from repro.txn.xlog import CommitLog
 
 
 @pytest.fixture
@@ -443,6 +449,83 @@ class TestDeleterMapNeverChangesAnAnswer:
         if own is not None:
             own.abort()
         assert db.check_integrity() == []
+
+
+class _CountingSnapshot(Snapshot):
+    """A snapshot that logs each ``sees_deletion`` question."""
+
+    asked: list = []
+
+    def sees_deletion(self, xmax, clog):
+        self.asked.append(xmax)
+        return super().sees_deletion(xmax, clog)
+
+
+class TestBatchEntryFilter:
+    """``IndexRangeScan._live`` — the *wanted* keys, then the deleter
+    map's verdicts, each a C-level pass — keeps exactly the entries the
+    per-entry rule keeps, and asks the snapshot once per distinct
+    deleter.  Deleters committed (at known instants), aborted or still in
+    flight; snapshots current, own-xid or travelling."""
+
+    XIDS = 8
+
+    @staticmethod
+    def _per_entry(entries, deleters, wanted, snapshot, clog):
+        kept = []
+        for key, tid in entries:
+            if wanted is not None and key not in wanted:
+                continue
+            xmax = deleters.get(tid)
+            if xmax is None or not snapshot.sees_deletion(xmax, clog):
+                kept.append((key, tid))
+        return kept
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_the_batch_filter_is_the_per_entry_rule(self, data):
+        clog = CommitLog()
+        xids = [clog.allocate_xid() for _ in range(self.XIDS)]
+        fates = data.draw(st.lists(st.sampled_from(
+            ["committed", "aborted", "active"]), min_size=self.XIDS,
+            max_size=self.XIDS))
+        for instant, (xid, fate) in enumerate(zip(xids, fates), 1):
+            if fate == "committed":
+                clog.set_committed(xid, float(instant))
+            elif fate == "aborted":
+                clog.set_aborted(xid)
+        lo = data.draw(st.integers(0, 5))
+        hi = lo + data.draw(st.integers(0, 5))
+        tids = st.builds(TID, st.integers(0, 3), st.integers(0, 3))
+        entries = sorted(data.draw(st.lists(st.tuples(
+            st.integers(lo, hi), tids), max_size=12)),
+            key=lambda entry: entry[0])
+        deleters = data.draw(st.dictionaries(
+            tids, st.sampled_from(xids), max_size=10))
+        wanted = data.draw(st.none() | st.sets(st.integers(lo - 2, hi + 2))
+                           | st.just(set(range(lo, hi + 1))))
+        kind = data.draw(st.sampled_from(["current", "own", "as_of"]))
+        active = frozenset(x for x, f in zip(xids, fates) if f == "active")
+        if kind == "as_of":
+            fields = dict(xid=0, as_of=data.draw(st.floats(0, self.XIDS + 1)))
+        else:
+            own = data.draw(st.sampled_from(sorted(active) or [0])) \
+                if kind == "own" else 0
+            fields = dict(xid=own, active_xids=active - {own},
+                          xid_ceiling=data.draw(st.integers(1, 2 * self.XIDS)))
+        snapshot = _CountingSnapshot(**fields)
+        relation = HeapRelation.__new__(HeapRelation)
+        relation.clog, relation._deleters = clog, dict(deleters)
+        scan = IndexRangeScan(None, None, relation, lo, hi)
+        expected = self._per_entry(entries, deleters, wanted,
+                                   Snapshot(**fields), clog)
+        _CountingSnapshot.asked = []
+        assert scan._live(list(entries), snapshot, wanted) == expected
+        asked = _CountingSnapshot.asked
+        assert len(asked) == len(set(asked))
+        assert set(asked) == {deleters[tid] for key, tid in entries
+                              if tid in deleters and (
+                                  wanted is None or key in wanted)}
 
 
 class TestAccessStatistics:

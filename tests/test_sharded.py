@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro.db import Database
-from repro.errors import NodeDownError, StorageManagerError
+from repro.errors import NodeDownError, ReproError, StorageManagerError
 from repro.sim.clock import SimClock
 from repro.sim.devices import magnetic_disk_device
 from repro.sim.faults import parse_plan
@@ -672,6 +672,65 @@ class TestZeroByteLoss:
         sharded.scrub()
         assert sharded.stats()["replica_lag"] == 0
         db.close()
+
+
+_RESTART_LOSS = pytest.mark.xfail(strict=True, reason=(
+    "a restart forgets which replicas are stale, and the pool's LSNs "
+    "start again at 1, so a read serves, and scrub() keeps, a copy "
+    "older than the commit"))
+
+
+class TestRestartAfterANodeWasDown:
+    """A committed overwrite made while one node was down survives a clean
+    restart with every node up: read before and after ``scrub()``, it is
+    the new bytes, and the integrity check is clean.  The object is first
+    written *rewrites* times and vacuumed, which moves where the overwrite
+    lands; where that is a band the down node leads, the restart loses
+    it today (pinned as strict xfails)."""
+
+    SIZE = 40_000
+
+    @staticmethod
+    def _read(db, designator):
+        try:
+            with db.lo.open(designator) as obj:
+                return obj.read()
+        except ReproError as exc:
+            return repr(exc)
+
+    @pytest.mark.parametrize("rewrites", [
+        pytest.param(0, marks=_RESTART_LOSS),
+        pytest.param(1, marks=_RESTART_LOSS),
+        5,
+        pytest.param(20, marks=_RESTART_LOSS),
+    ])
+    def test_an_overwrite_while_a_node_was_down_survives_a_restart(
+            self, tmp_path, rewrites):
+        path = str(tmp_path / "db")
+        db = three_node_db(path)
+        with db.begin() as txn:
+            designator = db.lo.create(txn, smgr="sharded")
+        for k in range(rewrites):
+            with db.begin() as txn, \
+                    db.lo.open(designator, txn, "rw") as obj:
+                obj.write(bytes([65 + k]) * self.SIZE)
+        db.vacuum()
+        db.close()
+        db = three_node_db(path)
+        db.inject_faults("on node node0: down")
+        with db.begin() as txn, db.lo.open(designator, txn, "rw") as obj:
+            obj.write(b"Z" * self.SIZE)
+        db.close()
+        db = three_node_db(path)            # every node up
+        try:
+            reads = [self._read(db, designator)]
+            db.storage_manager("sharded").scrub()
+            reads.append(self._read(db, designator))
+            problems = db.check_integrity()
+        finally:
+            db.close()
+        assert reads == [b"Z" * self.SIZE] * 2
+        assert problems == []
 
 
 @pytest.mark.shard
