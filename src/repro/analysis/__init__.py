@@ -1,27 +1,26 @@
 """Invariant linter: AST-based static checks for the engine's discipline.
 
-Raw heap/index access only in the scan layer, block I/O only through the
-storage-manager switch, time only from the simulated clock, and the
-single sites of the no-overwrite store and of the heavy-lock protocol
-(one xmax writer, one sweep, one archive reader, the declared
-``locks.acquire`` calls, ...).  These hold on every path, so this package
-checks every path, in tier-1 and in CI.  Lock *order* is the runtime
-validator's (``repro.txn.lockdep``, armed by ``REPRO_LOCKDEP=1``).
+Two rules.  R010 reads one table, ``rules.DECLARED_SITES``: where raw
+heap/index reads, file opens, wall-clock reads, broad swallowed
+exceptions and buffer-slice copies may occur, and the single sites of
+the no-overwrite store and of the heavy-lock protocol (one xmax writer,
+one sweep, one archive reader, the declared ``locks.acquire`` calls,
+...), each with an exact count per module.  R005 checks that a function
+which begins a transaction ends it on its error path.  These hold on
+every path, so this package checks every path, in tier-1 and in CI.
+Lock *order* is the runtime validator's (``repro.txn.lockdep``, armed by
+``REPRO_LOCKDEP=1``).
 
 Usage::
 
-    python -m repro.analysis [--select RULES] [paths...]
+    python -m repro.analysis [paths...]
+    python -m repro.analysis --doc
     repro-lint src/repro
 
-Each finding carries a rule id (``R001``..).  Intentional exceptions are
-annotated in source with a suppression comment on (or directly above)
-the offending line; one that suppresses nothing fails the run::
-
-    handle = open(self.path, "ab")  # repro: allow(R003): own fsync discipline
-
-The catalogue of rules, the invariant each encodes, and the reasoning
-behind them live in ``docs/invariants.md`` (and DESIGN.md §5c for the
-locking discipline itself).
+A new site of a declared pattern is a change to its row, made with the
+reason it is needed.  The rules, the invariant each encodes, and the
+reasoning behind them live in ``docs/invariants.md`` (and DESIGN.md
+§5c for the locking discipline itself).
 """
 
 from repro.analysis.core import (

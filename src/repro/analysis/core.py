@@ -1,29 +1,22 @@
-"""Driver for the invariant linter: modules, rules, suppressions.
+"""Driver for the invariant linter: modules, rules, reports.
 
 A :class:`ModuleInfo` is one parsed source file plus everything a rule
-needs to judge it: the AST (with parent links), the module path
-*relative to the package root* (so location-scoped rules like "only
-``smgr/`` may open files" work no matter where the tree is checked
-out), and the per-line suppression table parsed from
-``# repro: allow(<rule>[, <rule>...])`` comments.
+needs to judge it: the AST (with parent links) and the module path
+*relative to the package root*, so a declared site such as
+``access/scan.py`` matches wherever the tree is checked out.
 
 Rules are small classes registered with :func:`register`; the driver
 instantiates each once and feeds it every module.  A rule yields
-:class:`Finding` objects; the driver drops findings whose line carries
-a matching suppression and returns the rest in a :class:`Report`.
+:class:`Finding` objects, and the driver returns them in a
+:class:`Report`.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
-
-#: Matches ``repro: allow(R001)`` / ``repro: allow(R001, R004): reason``
-#: comments (written with a leading ``#`` in source).
-_ALLOW_RE = re.compile(r"#\s*repro:\s*allow\(\s*([A-Za-z0-9_,\s]+?)\s*\)")
 
 #: Rule id for files the parser rejects (mirrors ruff's E999).
 SYNTAX_ERROR_RULE = "E999"
@@ -43,15 +36,12 @@ class Finding:
 class Rule:
     """Base class for one invariant check.
 
-    Subclasses set ``id`` / ``name`` / ``summary`` and implement
-    :meth:`check`, yielding findings (suppressions are the driver's
-    job, not the rule's).  Use :meth:`finding` to build them so the
-    location bookkeeping stays in one place.
+    Subclasses set ``id`` and implement :meth:`check`, yielding
+    findings.  Use :meth:`finding` to build them so the location
+    bookkeeping stays in one place.
     """
 
     id: str = ""
-    name: str = ""
-    summary: str = ""
 
     def check(self, module: "ModuleInfo") -> Iterator[Finding]:
         raise NotImplementedError
@@ -100,26 +90,6 @@ class ModuleInfo:
         for parent in ast.walk(self.tree):
             for child in ast.iter_child_nodes(parent):
                 child._repro_parent = parent  # type: ignore[attr-defined]
-        #: line number → rule ids a ``# repro: allow(...)`` names there
-        self.suppressions = _parse_suppressions(
-            source.splitlines(), _docstring_lines(self.tree))
-
-    # -- location helpers ----------------------------------------------------------
-
-    def in_package(self, *prefixes: str) -> bool:
-        """Whether this module lives under any of the given rel prefixes.
-
-        A prefix ending in ``/`` matches a package directory; otherwise
-        it must equal the module path exactly (``"smgr/"`` vs
-        ``"lo/ufile.py"``).
-        """
-        for prefix in prefixes:
-            if prefix.endswith("/"):
-                if self.rel.startswith(prefix):
-                    return True
-            elif self.rel == prefix:
-                return True
-        return False
 
     def parent(self, node: ast.AST) -> ast.AST | None:
         return getattr(node, "_repro_parent", None)
@@ -139,7 +109,7 @@ def _package_relative(path: Path) -> str:
 
     ``src/repro/txn/locks.py`` → ``txn/locks.py``.  Fixture trees used
     by the test suite place files under a directory literally named
-    ``repro`` to exercise location-scoped rules; files outside any
+    ``repro`` so declared sites apply; files outside any
     ``repro`` directory fall back to their bare filename.
     """
     parts = path.parts
@@ -149,69 +119,7 @@ def _package_relative(path: Path) -> str:
     return path.name
 
 
-def _docstring_lines(tree: ast.AST) -> set[int]:
-    """Line numbers covered by docstring-position string literals.
-
-    The rule catalogue documents the suppression syntax *inside*
-    docstrings; those examples are prose, not suppressions, and must
-    not be parsed as (inevitably unused) allow-comments.
-    """
-    covered: set[int] = set()
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Expr)
-                and isinstance(node.value, ast.Constant)
-                and isinstance(node.value.value, str)):
-            end = node.value.end_lineno or node.value.lineno
-            covered.update(range(node.value.lineno, end + 1))
-    return covered
-
-
-def _parse_suppressions(lines: list[str],
-                        skip: set[int] | None = None
-                        ) -> dict[int, set[str]]:
-    """Map line number → rule ids allowed there.
-
-    A suppression comment on a code line covers that line.  A comment
-    on a line of its own covers the next non-blank, non-comment line
-    (so long justifications can sit above the statement they excuse).
-    Lines in *skip* (docstrings) are never suppressions.
-    """
-    table: dict[int, set[str]] = {}
-    for lineno, text in enumerate(lines, start=1):
-        if skip and lineno in skip:
-            continue
-        match = _ALLOW_RE.search(text)
-        if match is None:
-            continue
-        rules = {part.strip() for part in match.group(1).split(",")
-                 if part.strip()}
-        stripped = text.strip()
-        target = lineno
-        if stripped.startswith("#"):
-            for later in range(lineno + 1, len(lines) + 1):
-                later_text = lines[later - 1].strip()
-                if later_text and not later_text.startswith("#"):
-                    target = later
-                    break
-        table.setdefault(target, set()).update(rules)
-    return table
-
-
 # -- driver -------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, order=True)
-class UnusedSuppression:
-    """A ``# repro: allow(...)`` that suppressed nothing this run.
-
-    Only suppressions naming a rule that was actually *selected* are
-    judged: running ``--select R001`` must not flag every R004
-    suppression in the tree as stale.
-    """
-
-    path: str
-    line: int
-    rule: str
 
 
 @dataclass
@@ -220,9 +128,6 @@ class Report:
 
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
-    suppressed: int = 0
-    unused_suppressions: list[UnusedSuppression] = field(
-        default_factory=list)
 
 
 def _load_module(path: Path, report: Report) -> ModuleInfo | None:
@@ -251,31 +156,15 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
 
 def analyze_paths(paths: Iterable[Path | str],
                   rules: Iterable[Rule] | None = None) -> Report:
-    """Parse every file under *paths*, run the rules (default: every
-    registered rule) over each, apply suppressions, and report the
-    selected-but-unused ones."""
+    """Parse every file under *paths* and run the rules (default: every
+    registered rule) over each."""
     chosen = list(rules) if rules is not None else all_rules()
-    selected_ids = {r.id for r in chosen}
     report = Report()
     for path in iter_python_files(Path(p) for p in paths):
         report.files_checked += 1
         module = _load_module(path, report)
-        if module is None:
-            continue
-        used: set[tuple[int, str]] = set()
-        for rule in chosen:
-            for found in rule.check(module):
-                if found.rule in module.suppressions.get(found.line, ()):
-                    report.suppressed += 1
-                    used.add((found.line, found.rule))
-                else:
-                    report.findings.append(found)
-        for line, rule_ids in module.suppressions.items():
-            for rule_id in rule_ids:
-                if rule_id in selected_ids and (line, rule_id) not in used:
-                    report.unused_suppressions.append(UnusedSuppression(
-                        path=module.display_path, line=line,
-                        rule=rule_id))
+        if module is not None:
+            for rule in chosen:
+                report.findings.extend(rule.check(module))
     report.findings.sort()
-    report.unused_suppressions.sort()
     return report

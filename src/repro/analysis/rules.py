@@ -1,12 +1,13 @@
-"""The project-specific invariant rules (R001, R003–R007, R010).
+"""The invariant rules: R005 (transaction scope) and R010 (declared sites).
 
-Each rule encodes one discipline the engine's correctness rests on; the
-prose catalogue (with the reasoning and the suppression policy) is
-``docs/invariants.md``, and the locking rules specifically are
-DESIGN.md §5c.  Rules work on lexical structure only — no type
-inference — so each one documents the heuristics it uses to avoid
-false positives, and intentional exceptions are annotated in source
-with ``# repro: allow(<rule>): <why>``.
+R010 reads one table, :data:`DECLARED_SITES`: per row an AST matcher,
+the exact number of sites each module may hold (zero elsewhere) and the
+reason.  Raw heap/index reads, file opens, wall-clock reads, broad
+swallowed exceptions and buffer-slice copies are rows, beside the
+single-site rules (one xmax writer, one sweep, ...).  R005 is the one
+structural rule: it judges a function's error path, not where a site
+is.  Matching is lexical (no type inference), so each matcher documents
+the lookalikes it skips.  docs/invariants.md has the long form.
 """
 
 from __future__ import annotations
@@ -43,182 +44,6 @@ def _references_any(nodes: list[ast.stmt], names: set[str]) -> bool:
     return False
 
 
-# -- R001: raw heap/index access stays in the scan layer ----------------------------
-
-
-@register
-class RawAccessRule(Rule):
-    """Raw ``HeapRelation.fetch``/``BTree.search`` only in the scan layer.
-
-    DESIGN.md §5c: all index/heap reads go through the scan descriptors
-    in ``access/scan.py``, which take the engine latch internally.  A
-    raw call anywhere else bypasses latching and visibility and is a
-    silent race.  Allowed locations: the scan layer itself, the
-    defining modules (``access/heap.py``/``access/btree.py`` call their
-    own methods internally), and ``catalog/integrity.py`` diagnostics.
-
-    Heuristics: receivers named ``db`` / ``*.db`` are the ``Database``
-    facade (its ``fetch`` latches internally) and are skipped, as are
-    regex-ish receivers (``re``, ``*_re``, ``*pattern``) for ``search``.
-    """
-
-    id = "R001"
-    name = "raw-access"
-    summary = ("HeapRelation.fetch/fetch_many and BTree.search/range_scan"
-               "/range_scan_desc must go through repro.access.scan")
-
-    METHODS = frozenset({"fetch", "fetch_many", "search", "range_scan",
-                         "range_scan_desc"})
-    ALLOWED = ("access/scan.py", "access/heap.py", "access/btree.py",
-               "catalog/integrity.py", "analysis/")
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if module.in_package(*self.ALLOWED):
-            return
-        for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in self.METHODS):
-                continue
-            receiver = dotted(node.func.value)
-            if receiver is not None:
-                last = receiver.rsplit(".", 1)[-1]
-                if last == "db" or last == "database":
-                    continue  # Database facade, latches internally
-                if node.func.attr == "search" and (
-                        receiver == "re"
-                        or last.endswith(("_re", "_rx", "pattern", "regex"))):
-                    continue  # regular expression, not a B-tree
-            yield self.finding(
-                module, node,
-                f"raw access-method call `{dotted(node.func) or node.func.attr}`"
-                f" outside the scan layer — use the descriptors in "
-                f"repro.access.scan (IndexProbe/IndexRangeScan/SeqScan), "
-                f"which own latching and visibility")
-
-
-# -- R003: block I/O flows through the storage-manager switch -----------------------
-
-
-@register
-class SmgrOnlyIORule(Rule):
-    """Direct file I/O only in the storage managers.
-
-    All engine data flows through the storage-manager switch
-    (``smgr/``) so that caching, WORM simulation, and fault injection
-    see every block; the external large-object implementations
-    (``lo/ufile.py``, ``lo/nativefs.py``) are the paper-sanctioned
-    exception (§6.1: the u-file lives outside the database).  Flags
-    builtin ``open(...)``, ``os.open`` / ``os.fdopen`` / ``io.open``,
-    and ``Path(...).open(...)`` elsewhere.
-
-    ``bench/`` and ``tools/`` are exempt: they read and write *host*
-    files (reports, dump/restore archives), not engine data paths.
-    """
-
-    id = "R003"
-    name = "smgr-only-io"
-    summary = ("direct open()/os.open outside smgr/ and the external-file "
-               "LO implementations — block I/O goes through the smgr switch")
-
-    ALLOWED = ("smgr/", "lo/ufile.py", "lo/nativefs.py")
-    EXEMPT = ("bench/", "tools/", "analysis/")
-    OS_OPENERS = frozenset({"os.open", "os.fdopen", "io.open"})
-
-    def _is_direct_open(self, call: ast.Call) -> bool:
-        func = call.func
-        if isinstance(func, ast.Name) and func.id == "open":
-            return True
-        chain = dotted(func)
-        if chain in self.OS_OPENERS:
-            return True
-        # Path("...").open(...) — only the direct-call form is
-        # recognisable without type inference.
-        if (isinstance(func, ast.Attribute) and func.attr == "open"
-                and isinstance(func.value, ast.Call)):
-            ctor = dotted(func.value.func)
-            if ctor is not None and ctor.rsplit(".", 1)[-1] == "Path":
-                return True
-        return False
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if module.in_package(*self.ALLOWED) or module.in_package(*self.EXEMPT):
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call) and self._is_direct_open(node):
-                yield self.finding(
-                    module, node,
-                    "direct file open outside the storage-manager layer — "
-                    "route block I/O through the smgr switch (smgr/) so "
-                    "caching, WORM accounting, and fault injection see it")
-
-
-# -- R004: wall-clock time comes from the simulated clock ---------------------------
-
-
-@register
-class SimClockRule(Rule):
-    """Wall-clock reads only in ``sim/clock.py``.
-
-    Commit timestamps drive time travel, and benchmarks charge
-    simulated seconds; a stray ``time.time()`` smuggles real time into
-    either and breaks reproducibility.  Flags ``time.time`` /
-    ``monotonic`` / ``perf_counter`` (+ ``_ns`` variants, ``localtime``,
-    ``gmtime``), ``datetime.now`` / ``utcnow`` / ``today``, and
-    ``date.today`` — whether called via the module or imported directly
-    (``from time import time``).
-    """
-
-    id = "R004"
-    name = "sim-clock"
-    summary = ("wall-clock access outside sim/clock.py — timestamps come "
-               "from SimClock.now()")
-
-    ALLOWED = ("sim/clock.py", "analysis/")
-    BANNED = {
-        "time": frozenset({"time", "time_ns", "monotonic", "monotonic_ns",
-                           "perf_counter", "perf_counter_ns", "localtime",
-                           "gmtime"}),
-        "datetime": frozenset({"now", "utcnow", "today"}),
-        "date": frozenset({"today"}),
-    }
-
-    def _direct_imports(self, module: ModuleInfo) -> set[str]:
-        """Local names bound by ``from time/datetime import <banned>``."""
-        bound: set[str] = set()
-        for node in ast.walk(module.tree):
-            if (isinstance(node, ast.ImportFrom)
-                    and node.module in ("time", "datetime")):
-                for alias in node.names:
-                    if alias.name in self.BANNED.get(node.module, frozenset()):
-                        bound.add(alias.asname or alias.name)
-        return bound
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if module.in_package(*self.ALLOWED):
-            return
-        direct = self._direct_imports(module)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = dotted(node.func)
-            if chain is not None and "." in chain:
-                base, attr = chain.rsplit(".", 1)
-                base_last = base.rsplit(".", 1)[-1]
-                if attr in self.BANNED.get(base_last, frozenset()):
-                    yield self.finding(
-                        module, node,
-                        f"`{chain}` reads the wall clock — simulated and "
-                        f"logical time come from sim/clock.py (SimClock)")
-                    continue
-            if (isinstance(node.func, ast.Name)
-                    and node.func.id in direct):
-                yield self.finding(
-                    module, node,
-                    f"`{node.func.id}()` (imported from time/datetime) reads "
-                    f"the wall clock — use sim/clock.py (SimClock)")
-
-
 # -- R005: every begin() has a commit/abort on the error path -----------------------
 
 
@@ -237,10 +62,7 @@ class TxnScopeRule(Rule):
     ``rollback`` inside an ``except`` handler or ``finally`` block.
     """
 
-    id = "R005"
-    name = "txn-scope"
-    summary = ("begin() without commit/abort on a finally/except path "
-               "leaks an ACTIVE transaction on error")
+    id = "R005"  # txn-scope
 
     CLOSERS = frozenset({"commit", "abort", "rollback"})
 
@@ -281,121 +103,7 @@ class TxnScopeRule(Rule):
                 f"try/except that aborts)")
 
 
-# -- R006: no swallowed exceptions in the engine core -------------------------------
-
-
-@register
-class BareExceptRule(Rule):
-    """No bare ``except:`` or ``except Exception: pass`` in the core.
-
-    In ``txn/``, ``smgr/``, ``storage/``, and ``access/`` a swallowed
-    exception converts a detectable failure into silent corruption
-    (a page half-written, a lock never released).  Bare ``except:`` is
-    flagged unconditionally; ``except Exception`` / ``BaseException``
-    is flagged when its body does nothing but ``pass``.  Narrow
-    handlers (``except ValueError: pass``) are fine.
-    """
-
-    id = "R006"
-    name = "bare-except-swallows"
-    summary = ("bare `except:` or `except Exception: pass` in the engine "
-               "core swallows failures that must propagate")
-
-    PACKAGES = ("txn/", "smgr/", "storage/", "access/")
-    BROAD = frozenset({"Exception", "BaseException"})
-
-    def _is_noop(self, body: list[ast.stmt]) -> bool:
-        for stmt in body:
-            if isinstance(stmt, ast.Pass):
-                continue
-            if (isinstance(stmt, ast.Expr)
-                    and isinstance(stmt.value, ast.Constant)):
-                continue  # docstring or `...`
-            return False
-        return True
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if not module.in_package(*self.PACKAGES):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            if node.type is None:
-                yield self.finding(
-                    module, node,
-                    "bare `except:` in the engine core — catch the "
-                    "specific exception, or at least re-raise")
-                continue
-            type_name = dotted(node.type)
-            if (type_name is not None
-                    and type_name.rsplit(".", 1)[-1] in self.BROAD
-                    and self._is_noop(node.body)):
-                yield self.finding(
-                    module, node,
-                    f"`except {type_name}: pass` swallows every failure — "
-                    f"narrow the exception type or handle it")
-
-
-# -- R007: no bytes() copies of buffer slices on the hot path -----------------------
-
-
-@register
-class HotPathBytesCopyRule(Rule):
-    """``bytes(buf[a:b])`` is a copy; hot paths hand out memoryviews.
-
-    The zero-copy discipline (docs/performance.md): the slotted page and
-    the access layer expose buffer contents as memoryview slices of the
-    pinned frame, and the ONE sanctioned copying accessor is
-    ``SlottedPage.get_item``.  A ``bytes(...)`` call over a subscript
-    slice anywhere else in ``storage/page.py`` or ``access/`` is a
-    back-slide into per-item copies — take ``item_view`` (and copy at
-    the boundary if the bytes must outlive the pin), or annotate the
-    line with ``# repro: allow(R007): <why>`` if the copy is the point.
-
-    Heuristic: lexical only — flags ``bytes(<expr>[<slice>])`` calls;
-    copies of whole objects (``bytes(x)``) and constructor calls
-    (``bytes(n)``) are not flagged.
-    """
-
-    id = "R007"
-    name = "no-hot-path-bytes-copy"
-    summary = ("bytes() over a buffer slice in storage/page.py or access/ "
-               "copies on the hot path — use memoryviews (get_item is the "
-               "sanctioned accessor)")
-
-    PACKAGES = ("storage/page.py", "access/")
-    SANCTIONED = frozenset({"get_item"})
-
-    def _sanctioned_spans(self, module: ModuleInfo) -> list[tuple[int, int]]:
-        spans = []
-        for node in ast.walk(module.tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name in self.SANCTIONED):
-                spans.append((node.lineno, node.end_lineno or node.lineno))
-        return spans
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if not module.in_package(*self.PACKAGES):
-            return
-        spans = self._sanctioned_spans(module)
-        for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "bytes"
-                    and len(node.args) == 1
-                    and isinstance(node.args[0], ast.Subscript)
-                    and isinstance(node.args[0].slice, ast.Slice)):
-                continue
-            if any(lo <= node.lineno <= hi for lo, hi in spans):
-                continue
-            yield self.finding(
-                module, node,
-                "bytes() over a buffer slice copies on the hot path — "
-                "return a memoryview (page.item_view) and copy only at "
-                "the boundary (page.get_item is the sanctioned accessor)")
-
-
-# -- R010: "this happens in exactly one place", declared in one table ---------------
+# -- R010: where each located pattern may occur, declared in one table --------------
 
 
 def _on(node: ast.AST, receiver: str | None) -> bool:
@@ -436,6 +144,92 @@ def _cpu_none_test(node: ast.AST) -> bool:
             and node.comparators[0].value is None)
 
 
+_RAW_READS = frozenset({"fetch", "fetch_many", "search", "range_scan",
+                        "range_scan_desc"})
+
+
+def _raw_access(node: ast.AST) -> bool:
+    """Matcher: a raw heap or B-tree read.  A ``db``/``database``
+    receiver is the Database facade (its ``fetch`` goes through the
+    scan layer), and ``search`` on ``re``, ``*_re``, ``*_rx``,
+    ``*pattern`` or ``*regex`` is a regular expression."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _RAW_READS):
+        return False
+    receiver = dotted(node.func.value)
+    if receiver is None:
+        return True
+    last = receiver.rsplit(".", 1)[-1]
+    if last in ("db", "database"):
+        return False
+    return not (node.func.attr == "search" and (
+        receiver == "re" or last.endswith(("_re", "_rx", "pattern", "regex"))))
+
+
+def _file_open(node: ast.AST) -> bool:
+    """Matcher: builtin ``open``, ``os.open``/``os.fdopen``/``io.open``,
+    and ``Path(...).open`` (the one form recognisable without types; a
+    method named ``open`` on anything else is not a file open)."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == "open"
+    if dotted(func) in ("os.open", "os.fdopen", "io.open"):
+        return True
+    return (isinstance(func, ast.Attribute) and func.attr == "open"
+            and isinstance(func.value, ast.Call)
+            and (dotted(func.value.func) or "").rsplit(".", 1)[-1] == "Path")
+
+
+_CLOCK_READERS = {
+    "time": frozenset({"time", "time_ns", "monotonic", "monotonic_ns",
+                       "perf_counter", "perf_counter_ns", "localtime",
+                       "gmtime"}),
+    "datetime": frozenset({"now", "utcnow", "today"}),
+    "date": frozenset({"today"}),
+}
+
+
+def _wall_clock(node: ast.AST) -> bool:
+    """Matcher: ``time.time()``-style calls through the module, and
+    ``from time import monotonic``-style imports of a reader (the import
+    is the site, so every call through the bare name is covered)."""
+    if isinstance(node, ast.ImportFrom):
+        readers = _CLOCK_READERS.get(node.module or "", frozenset())
+        return any(alias.name in readers for alias in node.names)
+    chain = dotted(node.func) if isinstance(node, ast.Call) else None
+    if chain is None or "." not in chain:
+        return False
+    base, attr = chain.rsplit(".", 1)
+    return attr in _CLOCK_READERS.get(base.rsplit(".", 1)[-1], frozenset())
+
+
+def _swallow(node: ast.AST) -> bool:
+    """Matcher: a bare ``except:`` (any body), or ``except Exception`` /
+    ``BaseException`` whose body only passes.  A narrow handler that
+    passes (``except ValueError: pass``) is a decision, not a swallow."""
+    if not isinstance(node, ast.ExceptHandler):
+        return False
+    if node.type is None:
+        return True
+    return ((dotted(node.type) or "").rsplit(".", 1)[-1]
+            in ("Exception", "BaseException")
+            and all(isinstance(stmt, ast.Pass)
+                    or (isinstance(stmt, ast.Expr)
+                        and isinstance(stmt.value, ast.Constant))
+                    for stmt in node.body))
+
+
+def _slice_copy(node: ast.AST) -> bool:
+    """Matcher: ``bytes(<expr>[a:b])``; ``bytes(x)`` and ``bytes(n)``
+    are not slice copies."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "bytes" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Subscript)
+            and isinstance(node.args[0].slice, ast.Slice))
+
+
 class DeclaredSites(NamedTuple):
     """One R010 row: what a site looks like, where it may occur, and why."""
 
@@ -446,6 +240,40 @@ class DeclaredSites(NamedTuple):
 
 
 DECLARED_SITES = (
+    DeclaredSites(
+        "`.fetch`/`.fetch_many`/`.search`/`.range_scan[_desc](...)`",
+        _raw_access, {"access/scan.py": 5, "access/btree.py": 1},
+        "the scan descriptors own the latch and visibility: a raw heap or "
+        "B-tree read is theirs (and search's own range_scan); db.fetch "
+        "and regex search are not raw reads"),
+    DeclaredSites(
+        "`open(...)`, `os.open`/`os.fdopen`/`io.open`, `Path(...).open(...)`",
+        _file_open,
+        {"tools/dump.py": 8, "lo/nativefs.py": 4, "smgr/base.py": 3,
+         "client.py": 2, "inversion/filesystem.py": 2,
+         "inversion/monkey.py": 1, "bench/cli.py": 1},
+        "block I/O goes through the smgr switch, where costs and fault "
+        "plans see it (smgr/base.py's block files and append logs); the "
+        "rest are host files: dump archives, lo_import/lo_export, "
+        "import_tree/export_tree, the FileMonkey failure artifact, the "
+        "bench report and nativefs's external objects"),
+    DeclaredSites(
+        "`time.time()`, `time.monotonic()`, `datetime.now()`, ... "
+        "(called or imported)", _wall_clock, {"txn/locks.py": 2},
+        "time comes from SimClock; the lock manager's two are a lock "
+        "wait's real duration, since a blocked thread sleeps in real time "
+        "while the simulated clock stands still"),
+    DeclaredSites(
+        "bare `except:`, or `except Exception: pass`", _swallow, {},
+        "a swallowed failure is silent corruption (a page half-written, a "
+        "lock never released): narrow the type or re-raise"),
+    DeclaredSites(
+        "`bytes(<buffer>[a:b])`", _slice_copy,
+        {"compress/rle.py": 2, "compress/fast.py": 1, "compress/lzrw.py": 1,
+         "lo/nativefs.py": 1, "smgr/raw.py": 1},
+        "pages and the read path hand out memoryviews; a slice copy is "
+        "where bytes leave a buffer for good (a compressor's payload, a "
+        "raw medium's block, an external object's bytes)"),
     DeclaredSites(
         "`.cpu is [not] None`", _cpu_none_test, {"storage/buffer.py": 1},
         "one engine under both clocks: the pool's charge is the only test "
@@ -537,16 +365,11 @@ class DeclaredSitesRule(Rule):
     """Each pattern of :data:`DECLARED_SITES` occurs exactly where declared.
 
     A finding lands on each site beyond its module's count, in source
-    order (an intended extra site carries ``# repro: allow(R010): why``),
-    and at line 1 of a module holding fewer sites than declared: the
-    site moved, and the table must say where to.
+    order, and at line 1 of a module holding fewer sites than declared:
+    the site moved, and the table must say where to.
     """
 
-    id = "R010"
-    name = "declared-sites"
-    summary = ("a single-site invariant (one xmax writer, one sweep, one "
-               "archive reader, ...) occurs exactly where DECLARED_SITES "
-               "says")
+    id = "R010"  # declared-sites
 
     def __init__(self, table: tuple[DeclaredSites, ...] = DECLARED_SITES):
         self.table = table
@@ -557,8 +380,8 @@ class DeclaredSitesRule(Rule):
             found = sorted((n for n in nodes if entry.matches(n)),
                            key=lambda n: (n.lineno, n.col_offset))
             allowed = entry.sites.get(module.rel, 0)
-            declared = ", ".join(f"{rel} ({n})"
-                                 for rel, n in entry.sites.items())
+            declared = ", ".join(f"{rel} ({n})" for rel, n
+                                 in entry.sites.items()) or "none"
             for node in found[allowed:]:
                 yield self.finding(
                     module, node,

@@ -106,8 +106,8 @@ class LargeObjectApi(ServerClient):
         oid = self.lo_creat(impl)
         fd = self.lo_open(oid, self.INV_WRITE)
         try:
-            # repro: allow(R003): lo_import reads a *host* file into the
-            # database (paper §3) — not an engine data path.
+            # lo_import reads a *host* file into the database (paper §3)
+            # — not an engine data path.
             with open(path, "rb") as source:
                 for piece in iter(lambda: source.read(1 << 16), b""):
                     self.lo_write(fd, piece)
@@ -120,8 +120,7 @@ class LargeObjectApi(ServerClient):
         fd = self.lo_open(oid, self.INV_READ)
         total = 0
         try:
-            # repro: allow(R003): lo_export writes a *host* file — not an
-            # engine data path.
+            # lo_export writes a *host* file — not an engine data path.
             with open(path, "wb") as target:
                 for piece in iter(lambda: self.lo_read(fd, 1 << 16), b""):
                     total += target.write(piece)

@@ -28,7 +28,7 @@ _U32 = struct.Struct("<I")
 #: Zero runs shorter than this are left as literals (token overhead).
 _MIN_ZERO_RUN = 16
 
-#: Where a zero run ends (``*_re``: how lint rule R001 knows a regex).
+#: Where a zero run ends (``*_re``: how R010's raw-read row knows a regex).
 _nonzero_re = re.compile(rb"[^\x00]")
 
 

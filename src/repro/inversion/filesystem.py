@@ -604,8 +604,8 @@ class InversionFileSystem:
             dirnames.sort()
             for filename in sorted(filenames):
                 host = os.path.join(dirpath, filename)
-                # repro: allow(R003): import_tree copies *host* files
-                # into Inversion — not an engine data path.
+                # import_tree copies *host* files into Inversion — not
+                # an engine data path.
                 with open(host, "rb") as fh:
                     data = fh.read()
                 target = f"{target_dir}/{filename}"
@@ -643,8 +643,8 @@ class InversionFileSystem:
                 source = f"{current.rstrip('/')}/{name}"
                 data = self.read_file(source, txn, as_of=as_of)
                 target = os.path.join(target_dir, name)
-                # repro: allow(R003): export_tree writes *host* files —
-                # not an engine data path.
+                # export_tree writes *host* files — not an engine data
+                # path.
                 with open(target, "wb") as fh:
                     fh.write(data)
                 os.chmod(target, self.stat(source, txn,

@@ -315,8 +315,8 @@ class MonkeyReport:
 
     def dump(self, path: str) -> None:
         """Write the seed + op log as JSON, for exact replay."""
-        # repro: allow(R003): the failure artifact is a *host* file for
-        # the test harness / CI upload — not engine block I/O.
+        # The failure artifact is a *host* file for the test harness /
+        # CI upload — not engine block I/O.
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"seed": self.seed, "workers": self.workers,
                        "ops": self.ops, "committed": self.committed,

@@ -26,8 +26,8 @@ image first.  A view aliases the live page: any mutation (``add_item``,
 ``overwrite_item``, ``compact``) may rewrite the bytes under it.  The
 contract is therefore *views do not survive page modification* — callers
 that retain data past the current latched read use :meth:`get_item`, the
-one sanctioned ``bytes``-returning accessor (linter rule R007 enforces
-that no other hot-path code copies buffer slices).
+one sanctioned ``bytes``-returning accessor (the analyzer's
+``bytes(<buffer>[a:b])`` row, R010, declares every slice copy; none is here).
 """
 
 from __future__ import annotations

@@ -197,9 +197,9 @@ class LockManager:
         self.stats.waits += 1
         if isinstance(resource, RangeResource):
             self.stats.range_waits += 1
-        # repro: allow(R004): lock waits block real threads, and the
-        # simulated clock does not advance while a thread sleeps —
-        # ``wait_time`` must measure real elapsed (monotonic) time.
+        # Lock waits block real threads, and the simulated clock does
+        # not advance while a thread sleeps — ``wait_time`` must
+        # measure real elapsed (monotonic) time.
         started = time.monotonic()
         # One new wait edge can close several cycles; victimize one
         # transaction per cycle until none remains through us.  Each pass
@@ -211,7 +211,7 @@ class LockManager:
             while not waiter.granted and not waiter.victim:
                 self._cond.wait()
         finally:
-            # repro: allow(R004): real blocked-thread time, see above.
+            # Real blocked-thread time, see above.
             self.stats.wait_time += time.monotonic() - started
             if not waiter.granted:
                 self._remove_waiter(waiter)

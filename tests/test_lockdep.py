@@ -6,7 +6,9 @@ validator; these tests exercise the validator *itself* — the declared
 hierarchy, deliberate inversions raising with both stacks, and the
 observed-edge graph surfaced through ``db.statistics()["lockdep"]`` —
 and, under ``-m mutation``, the planted-bug table that shows armed
-tier-1 catches an ordering bug at every ordering-relevant site.
+tier-1 catches an ordering bug at every ordering-relevant site, a raw
+read outside the latch at six sites, and a leaked autocommit
+transaction.
 
 Deliberate violations record their (bad) edge before raising, so each
 such test resets the global graph afterwards — otherwise a later test
@@ -359,19 +361,25 @@ class TestConstructionTimeRule:
 
 
 # ---------------------------------------------------------------------------
-# Planted ordering bugs: the runtime validator is the lock-order check
+# Planted bugs: armed tier-1 fails on each (lock order, the latch
+# tripwire, R005's runtime witness)
 # ---------------------------------------------------------------------------
 
 class PlantedBug(NamedTuple):
-    """One one-line ordering bug at a real site, and the tier-1 test that
-    fails on it armed (docs/invariants.md, "Lock order")."""
+    """One one-line bug at a real site, the tier-1 test that fails on it
+    armed, and what the failing run shows (docs/invariants.md, "Lock
+    order", R005 and R010's raw-read row)."""
 
     name: str
     module: str      #: path under src/repro
     original: str    #: the exact line, which must occur once in *module*
     mutated: str
     test: str        #: node id of the catching tier-1 test
+    shows: str = "LockOrderError"   #: text the failing run must print
 
+
+#: What the armed latch tripwire says about a raw read outside it.
+TRIPWIRE = "without the engine latch"
 
 PLANTED = [
     PlantedBug(
@@ -529,16 +537,86 @@ PLANTED = [
         '            with LockdepMutex("mutex:lo_registry"): '
         "oid = self._next_oid",
         "tests/test_archive.py::TestSweep::test_moves_dead_versions"),
+    # Raw heap/B-tree reads outside the scan layer: the armed latch
+    # tripwire fails each.  One inside Database's own ``with
+    # self._latch:`` blocks would pass it; only R010's raw-read row sees
+    # that one.
+    PlantedBug(
+        "raw-fetch-in-fchunk", "lo/fchunk.py",
+        "            tup = fetch_visible(self.db, self.relation, tid, snapshot)",
+        "            tup = self.relation.fetch(tid, snapshot)",
+        "tests/test_fastpath.py::TestWriterHeldAcrossAnEpochMove::"
+        "test_epoch_moves_in_the_middle_of_one_write[True-fchunk]",
+        TRIPWIRE),
+    PlantedBug(
+        "raw-fetch-in-db-fetch", "db.py",
+        "        return fetch_visible(self, self.get_class(class_name), tid, "
+        "snapshot)",
+        "        return self.get_class(class_name).fetch(tid, snapshot)",
+        "tests/test_misc_coverage.py::TestSessionRows::"
+        "test_delete_and_fetch_run_in_the_sessions_transaction",
+        TRIPWIRE),
+    PlantedBug(
+        "raw-search-in-index-lookup", "db.py",
+        "        return IndexProbe(self, index, relation, key,",
+        "        return [t for t in (relation.fetch(tid, snapshot) for tid in "
+        "index.search(key)) if t is not None] or IndexProbe(self, index, "
+        "relation, key,",
+        "tests/test_archive.py::"
+        "test_every_surface_reads_the_same_past[False-index_lookup]",
+        TRIPWIRE),
+    PlantedBug(
+        "raw-range-scan-in-store-size", "lo/vsegment.py",
+        "    scan = IndexRangeScan(db, index, relation, None, _LAST_SEQNO)",
+        "    list(index.range_scan(None, _LAST_SEQNO)); "
+        "scan = IndexRangeScan(db, index, relation, None, _LAST_SEQNO)",
+        "tests/test_archive.py::TestSweepKeepsWhatLiveReadersSee::"
+        "test_descriptor_reading_the_past[vsegment]",
+        TRIPWIRE),
+    PlantedBug(
+        "raw-search-in-ql-probe", "ql/executor.py",
+        "            scan = IndexProbe(self.db, index, relation, lo,",
+        "            index.search(lo); "
+        "scan = IndexProbe(self.db, index, relation, lo,",
+        "tests/test_ql.py::TestDefineIndex::test_define_and_probe",
+        TRIPWIRE),
+    PlantedBug(
+        "raw-search-in-inversion-lookup", "inversion/filesystem.py",
+        "        return IndexProbe(self.db, index, relation, key)"
+        ".tuples(snapshot)",
+        "        return [t for t in (relation.fetch(tid, snapshot) for tid in "
+        "index.search(key)) if t is not None]",
+        "tests/test_inversion.py::TestBasics::test_root_exists",
+        TRIPWIRE),
+    # The autocommit path stops aborting its transaction on error.  R005
+    # flags the first plant in the source, but reads only whether a
+    # handler names abort, so the second (the guard inverted) passes it;
+    # the runtime witness fails on both.
+    PlantedBug(
+        "ql-autocommit-leaks-its-transaction", "ql/executor.py",
+        "                txn.abort()",
+        "                pass",
+        "tests/test_ql.py::TestTransactionsInQl::"
+        "test_a_failed_statement_ends_its_own_transaction",
+        "leaked its transaction"),
+    PlantedBug(
+        "ql-autocommit-abort-guard-inverted", "ql/executor.py",
+        "            if own_txn and txn.is_active:",
+        "            if own_txn and not txn.is_active:",
+        "tests/test_ql.py::TestTransactionsInQl::"
+        "test_a_failed_statement_ends_its_own_transaction",
+        "leaked its transaction"),
 ]
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.mutation
-class TestPlantedOrderBugs:
-    """Each planted bug makes its catching tier-1 test fail armed with
-    ``LockOrderError``.  The bug goes into a copy of ``src/repro``, and
-    the test runs in a subprocess against that copy."""
+class TestPlantedBugs:
+    """Each planted bug makes its catching tier-1 test fail armed, and
+    the failing run shows the row's text (``LockOrderError`` for an
+    ordering bug).  The bug goes into a copy of ``src/repro``, and the
+    test runs in a subprocess against that copy."""
 
     @pytest.mark.parametrize("bug", PLANTED, ids=[b.name for b in PLANTED])
     def test_armed_tier1_catches_the_planted_bug(self, bug, tmp_path):
@@ -560,4 +638,4 @@ class TestPlantedOrderBugs:
             timeout=600)
         output = result.stdout + result.stderr
         assert result.returncode == 1, output[-3000:]
-        assert "LockOrderError" in output, output[-3000:]
+        assert bug.shows in output, output[-3000:]

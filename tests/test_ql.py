@@ -149,6 +149,21 @@ class TestTransactionsInQl:
         assert emp.execute(
             'retrieve (EMP.salary) where EMP.name = "Joe"').scalar() == 1000.0
 
+    def test_a_failed_statement_ends_its_own_transaction(self, emp):
+        """A statement run without a transaction gets one of its own, and
+        its error aborts it: nothing stays active and no lock stays held.
+        This is R005's runtime witness (``Executor._run``'s abort)."""
+        from repro.errors import CastError, RelationNotFound
+        for statement, error in (
+                ('append NOPE (name = "x")', RelationNotFound),
+                ('replace EMP (salary = EMP.name) where EMP.age = 30',
+                 (ExecutionError, CastError))):
+            with pytest.raises(error):
+                emp.execute(statement)
+            assert emp.tm.active_count() == 0, (
+                f"{statement!r} leaked its transaction")
+            assert emp.locks.grant_table_empty(), statement
+
     def test_explicit_transaction_spans_statements(self, emp):
         txn = emp.begin()
         emp.execute('append EMP (name = "Tmp", salary = 1.0, age = 1)', txn)
