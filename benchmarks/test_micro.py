@@ -412,23 +412,26 @@ class TestOverwriteCommit:
     """A commit that only overwrote bytes inside an f-chunk object pays
     for what it wrote (docs/performance.md "Commit pays for what it
     wrote"): no ``pg_largeobject`` probe — the descriptor's size gate
-    already proves the row covers the write — and one storage-manager
-    call per forced file.  Counts, never time; the bytecode ceiling is
-    for CPython 3.11 (CI's perf-smoke job)."""
+    already proves the row covers the write — and one
+    ``StorageManager.force`` call carrying each forced file once.  Counts,
+    never time; the bytecode ceiling is for CPython 3.11 (CI's
+    perf-smoke job)."""
 
     FRAME = 4000
     FRAMES = 50
     IMPL, COMPRESSION, ZEROS = "fchunk", "none", 0.0
     #: The chunk class and its index.
     FORCED_FILES = 2
-    #: Bytecodes of the measured close + commit, plus 5 %: 4,372 on
-    #: CPython 3.11.7 since a force seals and cleans its batch in C-level
-    #: passes (4,596 while it sealed page by page; 4,902 while each
+    #: Bytecodes of the measured close + commit, plus 5 %: 4,060 on
+    #: CPython 3.11.7 since a commit is one force call per manager and a
+    #: leaf insert one splice under an explicit pin (4,379 with a flush
+    #: per file; 4,372 when a force first sealed and cleaned its batch in
+    #: C-level passes, 4,596 while it sealed page by page; 4,902 while each
     #: device charge folded floats into the clock; 5,818 before descents
     #: started at the handle's root, 6,041 when this pin was set, and the
     #: engine before it ran 7,682 — the size-row probe and a manager call
     #: per dirty run).
-    MAX_BYTECODES = 4_591
+    MAX_BYTECODES = 4_263
 
     def _frame(self, frame, generation=0):
         return frame_bytes(frame, self.ZEROS, frame_size=self.FRAME,
@@ -462,24 +465,26 @@ class TestOverwriteCommit:
             txn.commit()
 
         smgr = database.storage_manager("disk")
-        probes, forced = Counter(), Counter()
-        real_size_row, real_write_runs = metadata.size_row, smgr.write_runs
+        probes, forced, syncing = Counter(), Counter(), []
+        real_size_row, real_force = metadata.size_row, smgr.force
 
         def size_row(db, oid, snapshot):
             probes[oid] += 1
             return real_size_row(db, oid, snapshot)
 
-        def write_runs(fileid, runs):
-            forced[fileid] += 1
-            return real_write_runs(fileid, runs)
+        def force(batch, written=None):
+            syncing.append(written is not None)
+            forced.update(fileid for fileid, runs in batch if runs)
+            return real_force(batch, written)
 
         txn, obj = self._overwrite_two_frames(database, designator, 4)
         monkeypatch.setattr(metadata, "size_row", size_row)
-        monkeypatch.setattr(smgr, "write_runs", write_runs)
+        monkeypatch.setattr(smgr, "force", force)
         obj.close()
         txn.commit()
         monkeypatch.undo()
         assert not probes, probes
+        assert syncing == [True], syncing   # one call, no write-back
         assert len(forced) == self.FORCED_FILES, forced
         assert set(forced.values()) == {1}, forced
 
@@ -499,19 +504,21 @@ class TestVSegmentOverwriteCommit(TestOverwriteCommit):
     """The same commit of a zero-rle v-segment object: the new segments
     go to the end of the byte store, which keeps no size row, and the
     object's own row already covers the overwrite — no
-    ``pg_largeobject`` probe, and four forced files, each in one
-    ``write_runs`` call."""
+    ``pg_largeobject`` probe, and four forced files, all in one
+    ``force`` call."""
 
     IMPL, COMPRESSION, ZEROS = "vsegment", "zero-rle", 0.5
     #: The segment class and its index, the byte store and its index.
     FORCED_FILES = 4
-    #: Bytecodes of the measured close + commit, plus 5 %: 5,618 on
-    #: CPython 3.11.7 since a force seals and cleans its batch in C-level
-    #: passes (5,728 while it sealed page by page; 6,389 before the clock
+    #: Bytecodes of the measured close + commit, plus 5 %: 5,078 on
+    #: CPython 3.11.7 since a commit is one force call per manager (5,631
+    #: with a flush per file; 5,618 when a force first sealed and cleaned
+    #: its batch in C-level passes, 5,728 while it sealed page by page;
+    #: 6,389 before the clock
     #: counted; 13,293 while the byte store kept a size row: its probe
     #: and rewrite, and pg_largeobject's class and index forced as a
     #: fifth and sixth file).
-    MAX_BYTECODES = 5_899
+    MAX_BYTECODES = 5_332
 
 
 @pytest.mark.perf
@@ -1124,12 +1131,17 @@ class TestPoolPassCounts:
 
     PAGES = 64
     #: Bytecodes of forcing 64 dirty pages, one run the device holds,
-    #: plus 5 %: 576 on CPython 3.11.7 since a batch is sealed and
-    #: cleaned in C-level passes (4,499 while each page was sealed in
-    #: the force's loop; 5,151 before the clock counted; 5,223 when this
-    #: pin was set, 6,844 with a run pre-pass and a page-by-page
-    #: flattening of the one-device group).
-    MAX_FORCE_BYTECODES = 605
+    #: with the recorder of the manager's batch: 584 on CPython 3.11.7,
+    #: 571 of them the force (one ``StorageManager.force`` call) and 13
+    #: the recorder.  The ceiling was 605 (576 plus 5 % when set, since a
+    #: batch is sealed and cleaned in C-level passes; 586 with the per-file
+    #: flush just before this one, 30 of them a recorder of ``write_runs``
+    #: extending a run list), less the 17 bytecodes the recorder no longer
+    #: costs.  (4,499
+    #: while each page was sealed in the force's loop; 5,151 before the
+    #: clock counted; 5,223 when this pin was set, 6,844 with a run
+    #: pre-pass and a page-by-page flattening of the one-device group.)
+    MAX_FORCE_BYTECODES = 588
     #: Most bytecodes a one-run force of 64 pages may run beyond one of a
     #: single page: none on CPython 3.11.7, where every per-page step is
     #: a C-level pass (62 a page while the force sealed page by page).
@@ -1140,11 +1152,12 @@ class TestPoolPassCounts:
     #: visit looked its key up in the frame table), plus 5 %.
     MAX_SWEEP_BYTECODES = 3_089
     #: Bytecodes of forcing a 32-page file of a 4-node, R = 3 sharded
-    #: manager, up to the manager's ``write_runs``, plus 5 %: 335 on
-    #: CPython 3.11.7 since a batch is sealed in C-level passes (2,505
+    #: manager, up to the manager's ``force``, plus 5 %: 264 on CPython
+    #: 3.11.7 since the sync is the manager's (343 while the pool synced
+    #: after its ``write_runs``, 335 when first measured; 2,505
     #: while each page was sealed in the force's loop; 6,778 when a force
     #: grouped its blocks by primary node).
-    MAX_SHARDED_FORCE_BYTECODES = 352
+    MAX_SHARDED_FORCE_BYTECODES = 277
 
     def _device_file(self, smgr, fileid, pages=PAGES):
         from repro.storage.page import SlottedPage
@@ -1160,16 +1173,19 @@ class TestPoolPassCounts:
         pool = BufferManager(pool_size=2 * self.PAGES)
         for blockno in range(self.PAGES):
             pool.unpin(pool.pin(smgr, "t", blockno), dirty=True)
-        runs, write_runs = [], smgr.write_runs
+        batches, force = [], smgr.force
 
-        def recording(fileid, batch):
-            runs.extend(first for first, _images in batch)
-            return write_runs(fileid, batch)
+        def recording(batch, written):
+            batches.append(batch)
+            return force(batch, written)
 
-        smgr.write_runs = recording
+        smgr.force = recording
         with _Bytecodes() as executed:
-            written = pool.flush_file(smgr, "t")
-        assert written == self.PAGES and runs == [0]
+            written = pool.force([(smgr, "t")])
+        assert written == self.PAGES
+        assert [(fileid, [first for first, _images in runs])
+                for batch in batches for fileid, runs in batch] == \
+            [("t", [0])]
         assert executed.count <= self.MAX_FORCE_BYTECODES, executed.count
 
     def test_a_one_run_force_costs_the_same_at_1_and_64_pages(self):
@@ -1184,7 +1200,7 @@ class TestPoolPassCounts:
             for blockno in range(pages):
                 pool.unpin(pool.pin(smgr, "t", blockno), dirty=True)
             with _Bytecodes() as executed:
-                written = pool.flush_file(smgr, "t")
+                written = pool.force([(smgr, "t")])
             assert written == pages
             counts.append(executed.count)
         assert counts[1] - counts[0] <= self.MAX_FORCE_GROWTH_BYTECODES, \
@@ -1200,9 +1216,15 @@ class TestPoolPassCounts:
         for blockno in range(32):
             pool.unpin(pool.pin(smgr, "t", blockno), dirty=True)
         batches = []
-        smgr.write_runs = lambda fileid, batch: batches.append(batch)
+
+        def recording(batch, written):
+            for fileid, runs in batch:
+                batches.append(runs)
+                written(smgr, fileid)
+
+        smgr.force = recording
         with _Bytecodes() as executed:
-            written = pool.flush_file(smgr, "t")
+            written = pool.force([(smgr, "t")])
         assert written == 32
         assert [[(first, len(images)) for first, images in batch]
                 for batch in batches] == [[(0, 32)]]

@@ -130,7 +130,7 @@ class Archiver:
             # Make the copies durable *before* the deletions can reach the
             # device: a crash in between leaves harmless duplicates, never
             # a hole in history.
-            relation.bufmgr.flush_file(archive.smgr, archive.fileid)
+            relation.bufmgr.force([(archive.smgr, archive.fileid)])
         if removed:
-            relation.bufmgr.flush_file(relation.smgr, relation.fileid)
+            relation.bufmgr.force([(relation.smgr, relation.fileid)])
         return {"archived": archived, "discarded": removed - archived}

@@ -318,9 +318,10 @@ class BTree:
         vsize = _LEAF_VALUE.size
         voff = _NODE_HEADER.size + len(node.keys) * ksize
         keys, values = node.keys[:], node.values[:]
-        with self.bufmgr.page(self.smgr, self.fileid, blockno,
-                              write=True) as page:
-            image = page.item_view(0)
+        bufmgr = self.bufmgr
+        buf = bufmgr.pin(self.smgr, self.fileid, blockno)
+        try:
+            image = buf.page.item_view(0)
             kbytes = bytearray(image[_NODE_HEADER.size:voff])
             vbytes = bytearray(image[voff:])
             for shift, (key, value) in enumerate(run):
@@ -329,10 +330,12 @@ class BTree:
                 values.insert(pos, value)
                 kbytes[pos * ksize:pos * ksize] = _KEY.pack(key)
                 vbytes[pos * vsize:pos * vsize] = _LEAF_VALUE.pack(*value)
-            page.overwrite_item(0, _NODE_HEADER.pack(
+            buf.page.overwrite_item(0, _NODE_HEADER.pack(
                 1, 0, len(keys), node.right) + kbytes + vbytes)
+        finally:
+            bufmgr.unpin(buf, dirty=True)
         # Write-through: the cache always mirrors the page just written.
-        self.bufmgr.put_decoded(self.smgr, self.fileid, blockno, _Node(
+        bufmgr.put_decoded(self.smgr, self.fileid, blockno, _Node(
             is_leaf=True, keys=keys, values=values, right=node.right))
 
     @staticmethod

@@ -244,11 +244,11 @@ class HeapRelation:
         a string of single-block demand reads); isolated blocks are left
         to demand paging.  Returns how many blocks were read ahead.
         """
-        fetched = 0
-        for first, last in block_runs(sorted(set(map(_BLOCKNO, tids)))):
-            if last > first:
+        fetched, blocks = 0, sorted(set(map(_BLOCKNO, tids)))
+        for first, run in block_runs(blocks, blocks):
+            if len(run) > 1:
                 fetched += self.bufmgr.prefetch(
-                    self.smgr, self.fileid, first, last - first + 1)
+                    self.smgr, self.fileid, first, len(run))
         return fetched
 
     def fetch_many(self, tids: list[TID],

@@ -349,8 +349,8 @@ DECLARED_SITES = (
         "(a run whole, or block by block under a plan) for every manager"),
     DeclaredSites(
         "`._check_write(...)`", _call("_check_write"), {"smgr/base.py": 2},
-        "one block contract: StorageManager.write_runs checks every write "
-        "(the runs whole, or block by block under a plan) for every manager"),
+        "one block contract: StorageManager.force, which every write goes "
+        "through, checks it (the runs whole, or block by block under a plan)"),
     DeclaredSites(
         "`db.latch`", _attribute("latch", "db"),
         {"access/scan.py": 7, "access/archive.py": 1,

@@ -17,6 +17,7 @@ two successive commits never share a timestamp.
 
 from __future__ import annotations
 
+from operator import attrgetter, is_
 from typing import TYPE_CHECKING
 
 from repro.txn.lockdep import LockdepMutex
@@ -26,6 +27,9 @@ if TYPE_CHECKING:
 
 #: Minimum advance per ``now()`` call, so timestamps are strictly monotone.
 _TICK = 1e-9
+
+#: A port's head, a new tuple at each of its charges.
+_HEAD = attrgetter("_head")
 
 
 class SimClock:
@@ -40,6 +44,9 @@ class SimClock:
         #: Explicit float charges per category, in first-charge order.
         self._charged: dict[str, float] = {}
         self._now_calls = 0
+        #: ``(heads, seconds)`` of :meth:`now`'s last derivation, until a
+        #: port's head is another object or another count moves (``None``).
+        self._derived: tuple[list, float] | None = None
         #: Where :meth:`now` starts counting from (:meth:`resume_after`).
         self._origin = 0.0
         #: Guards the CPU counts, the charges and the ``now`` ticks; the
@@ -53,12 +60,14 @@ class SimClock:
         with self._mutex:
             charged = self._charged
             charged[category] = charged.get(category, 0.0) + seconds
+            self._derived = None
 
     def count_instructions(self, cpu: CpuModel, instructions: float) -> None:
         """Count *instructions* retired by *cpu*."""
         with self._mutex:
             counts = self._instructions
             counts[cpu] = counts.get(cpu, 0) + instructions
+            self._derived = None
 
     def _breakdown(self) -> dict[str, float]:
         derived: dict[str, float] = {}
@@ -92,7 +101,11 @@ class SimClock:
         """Current simulated time in seconds, strictly monotone."""
         with self._mutex:
             self._now_calls += 1
-            return self._origin + self._elapsed() + self._now_calls * _TICK
+            heads, derived = [*map(_HEAD, self.ports)], self._derived
+            if (derived is None or len(heads) != len(derived[0])
+                    or not all(map(is_, heads, derived[0]))):
+                derived = self._derived = heads, self._elapsed()
+            return self._origin + derived[1] + self._now_calls * _TICK
 
     def resume_after(self, instant: float) -> None:
         """Make every later :meth:`now` exceed *instant* (a reopened

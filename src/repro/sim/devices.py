@@ -104,13 +104,14 @@ class DevicePort:
             self._platter = last
         if self._head != (fileid, offset):
             self.seeks += 1
-        self._head = (fileid, offset + count * nbytes)
         if is_write:
             self.writes += count
             self.write_bytes += count * nbytes
         else:
             self.reads += count
             self.read_bytes += count * nbytes
+        # Last, a new tuple: the clock's sign that the counts moved.
+        self._head = (fileid, offset + count * nbytes)
 
     def charge_extra(self, seconds: float, category: str) -> None:
         """Charge extra service time (degraded-mode penalties)."""

@@ -108,20 +108,21 @@ class BlockStore(ABC):
         """Release OS resources (file handles)."""
 
 
+class _Files(dict):
+    """Per-file values keyed by file id: a missing key is a missing file."""
+
+    def __missing__(self, fileid: str):
+        raise StorageManagerError(f"relation file {fileid!r} does not exist")
+
+
 class MemoryBlockStore(BlockStore):
     """Blocks in process memory: ``{fileid: {blockno: bytearray}}``."""
 
     def __init__(self) -> None:
-        self._files: dict[str, dict[int, bytearray]] = {}
+        self._files: dict[str, dict[int, bytearray]] = _Files()
         #: Per-file :meth:`nblocks`, kept as a high-water mark so the
         #: once-per-block callers never pay a pass over the whole file.
-        self._nblocks: dict[str, int] = {}
-
-    def _blocks(self, fileid: str) -> dict[int, bytearray]:
-        if fileid not in self._files:
-            raise StorageManagerError(
-                f"relation file {fileid!r} does not exist")
-        return self._files[fileid]
+        self._nblocks: dict[str, int] = _Files()
 
     def create(self, fileid: str) -> None:
         self._files.setdefault(fileid, {})
@@ -135,18 +136,16 @@ class MemoryBlockStore(BlockStore):
         self._nblocks.pop(fileid, None)
 
     def nblocks(self, fileid: str) -> int:
-        self._blocks(fileid)  # validate existence
         return self._nblocks[fileid]
 
     def read_run(self, fileid: str, first: int,
                  count: int) -> list[bytearray]:
-        blocks = self._blocks(fileid)  # a copy each; of an int: zeros
+        blocks = self._files[fileid]  # a copy each; of an int: zeros
         return [bytearray(blocks.get(blockno, PAGE_SIZE))
                 for blockno in range(first, first + count)]
 
     def write_runs(self, fileid: str, runs) -> None:
-        blocks = self._blocks(fileid)
-        end = self._nblocks[fileid]
+        blocks, end = self._files[fileid], self._nblocks[fileid]
         for first, images in runs:
             blocks.update(zip(range(first, first + len(images)),
                               map(bytearray, images)))
@@ -157,7 +156,7 @@ class MemoryBlockStore(BlockStore):
         self._files.get(fileid, {}).pop(blockno, None)
 
     def sync(self, fileid: str) -> None:
-        self._blocks(fileid)  # validate existence; memory is always durable
+        self._files[fileid]  # validate existence; memory is always durable
 
     def files(self) -> list[str]:
         return sorted(self._files)
@@ -248,7 +247,7 @@ class DiskBlockStore(BlockStore):
         return blocks
 
     def write_runs(self, fileid: str, runs) -> None:
-        entry = self._file(fileid)
+        entry = self._open.get(fileid) or self._file(fileid)
         for first, images in runs:
             for at in range(0, len(images), _IOV_MAX):
                 part = images[at:at + _IOV_MAX]
@@ -409,6 +408,9 @@ class StorageNode:
             if rule is not None and self.set_state(rule.action):
                 plan.fired.append(f"node {self.node_id}: {rule.action}")
         state = self.state
+        if state == "up":
+            self._ops += count
+            return None
         if state == "down":
             self.errors += 1
             raise NodeDownError(
@@ -437,11 +439,9 @@ class StorageNode:
         return blocks
 
     def write_runs(self, fileid: str, runs) -> None:
-        """Write each ``(first, images)`` of *runs*: gated as one access
-        per block, then one store operation and one device charge per
-        run, in write order; an empty batch is no access at all."""
-        if not runs:
-            return
+        """Write each ``(first, images)`` of *runs* (one at least): gated
+        as one access per block, then one store operation and one device
+        charge per run, in write order."""
         slow_from = self._gate("write", fileid, runs[0][0],
                                sum(map(len, map(_IMAGES, runs))))
         self.store.write_runs(fileid, runs)
@@ -604,25 +604,39 @@ class StorageManager(ABC):
 
     def write_runs(self, fileid: str, runs) -> None:
         """For each ``(first, images)`` of *runs*, in order, write the
-        sequence *images* at *first*, *first* + 1, …; under a plan, block
-        by block, so a rule that fires finds the blocks before it
-        written."""
-        if self.fault_plan is None:
-            self._check_write(fileid, runs)
-            self._write_runs(fileid, runs)
-            return
-        for first, images in runs:
-            for blockno, image in enumerate(images, first):
-                run = ((blockno, (image,)),)
-                self._inject("write", fileid, blockno, image)
-                self._check_write(fileid, run)
-                self._write_runs(fileid, run)
+        sequence *images* at *first*, *first* + 1, …, syncing nothing:
+        :meth:`force` of the one file, less the sync."""
+        self.force(((fileid, runs),))
 
     def sync(self, fileid: str) -> None:
         """Force the file's blocks to stable storage."""
         if self.fault_plan is not None:
             self._inject("sync", fileid)
         self._sync(fileid)
+
+    def force(self, batch, written: Callable[["StorageManager", str],
+                                             object] | None = None) -> None:
+        """For each ``(fileid, runs)`` of *batch*, in order, write *runs* —
+        whole, or under a plan block by block, so a rule that fires finds
+        the blocks before it written — then, given *written*, report the
+        file (``written(self, fileid)``) and :meth:`sync` it, runs or no
+        runs.  The one body that writes; a failure ends it at its file."""
+        plan = self.fault_plan
+        for fileid, runs in batch:
+            if runs:
+                if plan is None:
+                    self._check_write(fileid, runs)
+                    self._write_runs(fileid, runs)
+                else:
+                    for first, images in runs:
+                        for blockno, image in enumerate(images, first):
+                            run = ((blockno, (image,)),)
+                            self._inject("write", fileid, blockno, image)
+                            self._check_write(fileid, run)
+                            self._write_runs(fileid, run)
+            if written is not None:
+                written(self, fileid)
+                self.sync(fileid)
 
     # -- helpers -------------------------------------------------------------
 
@@ -665,11 +679,18 @@ class SingleNodeManager(StorageManager):
     operation, counted per block and charged once per run.
     """
 
+    #: The medium's routines are its store's and its node's own, bound per
+    #: instance: a call goes there with no forwarding hop.
+    create = exists = unlink = _write_runs = _sync = None
+
     def __init__(self, node_id: str, store: BlockStore, model: DeviceModel,
                  clock: SimClock):
         super().__init__(clock)
         self.node = StorageNode(node_id, store, model, clock)
         self.port = self.node.port
+        self.create, self.exists, self.unlink, self.close = (
+            store.create, store.exists, store.unlink, store.close)
+        self._write_runs, self._sync = self.node.write_runs, store.sync
         #: The one node, listed the way a multi-node manager lists its own.
         self.nodes = [self.node]
 
@@ -677,30 +698,12 @@ class SingleNodeManager(StorageManager):
         super().set_fault_plan(plan)
         self.node.set_fault_plan(plan)
 
-    def create(self, fileid: str) -> None:
-        self.node.store.create(fileid)
-
-    def exists(self, fileid: str) -> bool:
-        return self.node.store.exists(fileid)
-
-    def unlink(self, fileid: str) -> None:
-        self.node.store.unlink(fileid)
-
     def nblocks(self, fileid: str) -> int:
         return self.node.store.nblocks(fileid)
 
     def _read_run(self, fileid: str, first: int,
                   count: int) -> list[bytearray]:
         return self.node.read_run(fileid, first, count)
-
-    def _write_runs(self, fileid: str, runs) -> None:
-        self.node.write_runs(fileid, runs)
-
-    def _sync(self, fileid: str) -> None:
-        self.node.store.sync(fileid)
-
-    def close(self) -> None:
-        self.node.store.close()
 
 
 class StorageManagerSwitch:

@@ -8,10 +8,11 @@ system:
 * **dirty tracking with write-back on eviction**: an index of the dirty
   frames per file, so forcing a file costs what it dirtied, not a walk of
   the pool;
-* **force-at-commit**: :meth:`BufferManager.flush_file` writes a relation's
-  dirty pages (in block order, a run of consecutive blocks as one device
-  request, so device writes stay sequential) — the transaction manager
-  calls this at commit instead of keeping a WAL, per the POSTGRES
+* **force-at-commit**: :meth:`BufferManager.force` writes the dirty pages
+  of the files a transaction touched (in block order, a run of consecutive
+  blocks as one device request, so device writes stay sequential) and
+  syncs each file, one storage-manager call per manager — the transaction
+  manager calls this at commit instead of keeping a WAL, per the POSTGRES
   storage-system design;
 * **lazy file extension**: :meth:`allocate` creates a page in the pool
   (:meth:`extend` installs a run of filled ones) without a device write;
@@ -39,7 +40,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice, repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import BufferError_, ChecksumError
@@ -64,18 +65,20 @@ _MAX_USAGE = 5
 _PAGE_BUF, _DIRTY, _FALSE = attrgetter("page.buf"), repeat("dirty"), repeat(False)
 
 
-def block_runs(blocknos: list[int]) -> list[list[int]]:
-    """``(first, last)`` of each maximal run of consecutive block numbers
-    in the ascending list *blocknos*, in order: one no wider than its
-    length is one run, found without a walk."""
+def block_runs(blocknos: list[int], items: list) -> list:
+    """``(first, run)`` of each maximal run of consecutive block numbers
+    in the ascending list *blocknos*, *run* the run's share of *items*
+    (parallel to *blocknos*): one no wider than its length is one run,
+    *items* whole, found without a walk."""
     if blocknos and blocknos[-1] - blocknos[0] < len(blocknos):
-        return [[blocknos[0], blocknos[-1]]]
-    runs: list = []
-    for blockno in blocknos:
-        if runs and runs[-1][1] == blockno - 1:
-            runs[-1][1] = blockno
-        else:
-            runs.append([blockno, blockno])
+        return [(blocknos[0], items)]
+    runs, end = [], None
+    for blockno, item in zip(blocknos, items):
+        if blockno != end:
+            run: list = []
+            runs.append((blockno, run))
+        run.append(item)
+        end = blockno + 1
     return runs
 
 
@@ -137,7 +140,7 @@ class BufferManager:
         #: Pool latch: page lookup/pin, eviction, write-back, and the
         #: decoded-object cache are shared by every session, so each pool
         #: operation runs atomically.  Re-entrant because flush paths nest
-        #: (flush_all → flush_file) and one thread may pin while holding
+        #: (flush_all → force) and one thread may pin while holding
         #: the latch through a ``page()`` block's nested pins.  Despite
         #: the attribute name this is the *pool* mutex (lock class
         #: ``mutex:buffer``), not the engine latch.
@@ -151,7 +154,7 @@ class BufferManager:
         #: ``(smgr_id, fileid) -> {blockno: Buffer}``, no empty entries.
         #: Kept at the three places the flag changes (:meth:`unpin`,
         #: :meth:`extend` — :meth:`allocate` among its callers —
-        #: :meth:`_writeback_batch`) and :meth:`drop_file`, which discards
+        #: :meth:`_written`) and :meth:`drop_file`, which discards
         #: frames unwritten; the only source of a force set.
         self._dirty: dict[tuple[str, str], dict[int, Buffer]] = {}
         #: The clock: every frame, in install order, and the sweep's hand.
@@ -267,8 +270,8 @@ class BufferManager:
             limit = min(blockno + count, smgr.nblocks(fileid))
             wanted = [block for block in range(max(0, blockno), limit)
                       if (smgr.smgr_id, fileid, block) not in frames]
-            for first, last in block_runs(wanted):
-                raws = smgr.read_blocks(fileid, first, last - first + 1)
+            for first, run in block_runs(wanted, wanted):
+                raws = smgr.read_blocks(fileid, first, len(run))
                 torn = first + intact_prefix(raws)
                 for block, raw in enumerate(raws, first):
                     charge(_MISS_INSTRUCTIONS)
@@ -419,63 +422,56 @@ class BufferManager:
             f"buffer pool exhausted: all {self.pool_size} pages pinned")
 
     def _writeback_batch(self, smgr: "StorageManager", fileid: str) -> int:
-        """Write every dirty page of one file in one manager call; returns
-        how many there were.
-
-        Per file, not per page: C-level passes gather the pages of the
-        sorted dirty blocks, :func:`seal` them (LSNs ascend in block order)
-        and turn them clean once the manager has taken them; only a gapped
-        batch is walked, to cut its runs.  No gap is filled: a file's dirty
-        tail is dense from the device's end (docs/invariants.md).
-        """
-        key = (smgr.smgr_id, fileid)
-        dirty = self._dirty.get(key)
-        if not dirty:
-            return 0
+        """Write every dirty page of an eviction victim's file, unsynced
+        (the one-file :meth:`force`, less the sync); returns how many."""
+        dirty = self._dirty[smgr.smgr_id, fileid]
         blocks = sorted(dirty)
-        images = seal([*map(_PAGE_BUF, map(dirty.__getitem__, blocks))], self._next_lsn)
-        written = len(blocks)
-        self._next_lsn += written
-        if blocks[-1] - blocks[0] < written:  # one run
-            batch = [(blocks[0], images)]
-        else:  # a run starts at each block that does not follow the last
-            batch, end = [], -1
-            for blockno, image in zip(blocks, images):
-                if blockno != end:
-                    run = []
-                    batch.append((blockno, run))
-                run.append(image)
-                end = blockno + 1
-        smgr.write_runs(fileid, batch)
-        any(map(setattr, self._dirty.pop(key).values(), _DIRTY, _FALSE))
-        self.stats.writebacks += written
-        return written
+        pages = [*map(_PAGE_BUF, map(dirty.__getitem__, blocks))]
+        seal(pages, self._next_lsn)
+        self._next_lsn += len(pages)
+        smgr.write_runs(fileid, block_runs(blocks, pages))
+        self._written(smgr, fileid)
+        return len(pages)
 
     # -- flushing ---------------------------------------------------------------
 
-    def flush_file(self, smgr: "StorageManager", fileid: str) -> int:
-        """Write all dirty pages of one file, then sync it.
-
-        This is the force-at-commit path.  Returns the number of pages
-        written.  The sync is unconditional: a file with no dirty pages
-        left may still have unsynced device writes from eviction
-        write-backs, and skipping the sync for it would leave a committed
-        transaction's pages in the OS cache.
-        """
+    def force(self, files) -> int:
+        """Force-at-commit: write each ``(smgr, fileid)`` of *files* and
+        sync it, every page sealed first in one pass and each manager's
+        files in one :meth:`~repro.smgr.base.StorageManager.force` call,
+        in the order given (docs/invariants.md, "Force"); returns the
+        pages written."""
         with self._latch:
-            written = self._writeback_batch(smgr, fileid)
-            smgr.sync(fileid)
-            return written
+            index, forces, images = self._dirty, {}, []
+            for smgr, fileid in files:
+                dirty, runs = index.get((smgr.smgr_id, fileid)), []
+                if dirty:
+                    blocks = sorted(dirty)
+                    pages = [*map(_PAGE_BUF, map(dirty.__getitem__, blocks))]
+                    images += pages
+                    runs = block_runs(blocks, pages)
+                elif not smgr.exists(fileid):
+                    continue
+                forces.setdefault(smgr, []).append((fileid, runs))
+            seal(images, self._next_lsn)
+            self._next_lsn += len(images)
+            for smgr, batch in forces.items():
+                smgr.force(batch, self._written)
+            return len(images)
+
+    def _written(self, smgr: "StorageManager", fileid: str) -> None:
+        """The write of *fileid* on *smgr* returned: its pages turn clean."""
+        frames = self._dirty.pop((smgr.smgr_id, fileid), {})
+        any(map(setattr, frames.values(), _DIRTY, _FALSE))
+        self.stats.writebacks += len(frames)
 
     def flush_all(self) -> int:
-        """Write every dirty page in the pool (checkpoint)."""
+        """Force every file with dirty pages (checkpoint), by file id."""
         with self._latch:
-            written = 0
-            for (_smgr_id, fileid), frames in sorted(
-                    self._dirty.items(), key=lambda kv: kv[0][1]):
-                smgr = next(iter(frames.values())).smgr
-                written += self.flush_file(smgr, fileid)
-            return written
+            return self.force(sorted(
+                ((next(iter(frames.values())).smgr, fileid)
+                 for (_smgr_id, fileid), frames in self._dirty.items()),
+                key=itemgetter(1)))
 
     def drop_file(self, smgr: "StorageManager", fileid: str) -> None:
         """Discard (without writing) all buffered pages of a dropped file;

@@ -336,38 +336,41 @@ class SlottedPage:
         it exists for index pages and tuple-header updates (setting xmax),
         which POSTGRES also updated in place.
         """
-        item = self.item_id(slot)
-        if item.state != LP_NORMAL:
+        buf = self.buf
+        lower, upper, special = _LUS.unpack_from(buf, _LUS_OFFSET)
+        if not 0 <= slot < (lower - PAGE_HEADER_SIZE) // ITEM_ID_SIZE:
+            raise PageError(
+                f"slot {slot} out of range (page has {self.slot_count})")
+        pos = PAGE_HEADER_SIZE + slot * ITEM_ID_SIZE
+        offset, lenstate = _ITEMID.unpack_from(buf, pos)
+        if lenstate & _LP_STATE_MASK != LP_NORMAL:
             raise PageError(f"slot {slot} is not live")
-        if len(data) == item.length:
-            self.buf[item.offset:item.offset + item.length] = data
+        length = lenstate >> _LP_LEN_SHIFT
+        if len(data) == length:
+            buf[offset:offset + length] = data
             return
-        delta = len(data) - item.length
-        if item.offset == self.upper and delta <= self.upper - self.lower:
+        replacement = data
+        if offset == upper and len(data) - length <= upper - lower:
             # The bottom-most item resizes by sliding its start — no
             # delete/re-add, no compaction.  B-tree node pages (one item
             # that grows a little on every insert) live on this path.
-            lsn, checksum, flags, lower, upper, special = self._read_header()
-            new_offset = upper - delta
-            self.buf[new_offset:new_offset + len(data)] = data
-            self._write_header(lsn, checksum, flags, lower,
-                               new_offset, special)
-            self._set_item_id(slot, new_offset, len(data), LP_NORMAL)
-            return
-        old_data = self.get_item(slot)  # survives the compaction below
-        self._set_item_id(slot, 0, 0, LP_DEAD)
-        if len(data) > self.upper - self.lower:
-            self.compact()
-        replacement = data
-        lsn, checksum, flags, lower, upper, special = self._read_header()
-        if len(data) > upper - lower:
-            # Put the original item back (compaction may have moved
-            # everything, so re-insert rather than restore the old offset).
-            replacement = old_data
-        new_upper = upper - len(replacement)
-        self.buf[new_upper:new_upper + len(replacement)] = replacement
-        self._write_header(lsn, checksum, flags, lower, new_upper, special)
-        self._set_item_id(slot, new_upper, len(replacement), LP_NORMAL)
+            upper += length
+        else:
+            old_data = self.get_item(slot)  # survives the compaction
+            buf[pos:pos + ITEM_ID_SIZE] = _DEAD_ITEMID
+            if len(data) > upper - lower:
+                self.compact()
+                lower, upper, special = _LUS.unpack_from(buf, _LUS_OFFSET)
+                if len(data) > upper - lower:
+                    # Put the original item back (compaction may have
+                    # moved everything, so re-insert, not restore).
+                    replacement = old_data
+        # One struct call each for ``upper`` and the line pointer.
+        upper -= len(replacement)
+        buf[upper:upper + len(replacement)] = replacement
+        _LUS.pack_into(buf, _LUS_OFFSET, lower, upper, special)
+        _ITEMID.pack_into(buf, pos, upper,
+                          (len(replacement) << _LP_LEN_SHIFT) | LP_NORMAL)
         if replacement is not data:
             raise PageFullError(
                 f"replacement item of {len(data)} bytes does not fit")

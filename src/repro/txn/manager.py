@@ -2,8 +2,9 @@
 
 Commit follows the POSTGRES storage-system recipe (no WAL):
 
-1. flush every relation file the transaction dirtied, in block order
-   (:meth:`~repro.storage.buffer.BufferManager.flush_file`);
+1. force every relation file the transaction dirtied, in block order
+   (:meth:`~repro.storage.buffer.BufferManager.force`: each file's dirty
+   pages written, then the file synced);
 2. append the commit record — with the commit *timestamp* used by time
    travel — to ``pg_log``.
 
@@ -166,9 +167,7 @@ class TransactionManager:
         try:
             for hook in txn.before_commit:
                 hook()
-            for smgr, fileid in txn.touched:
-                if smgr.exists(fileid):  # file may have been dropped again
-                    self.bufmgr.flush_file(smgr, fileid)
+            self.bufmgr.force(txn.touched)
         except SimulatedCrash:
             raise
         except BaseException:

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import (
     all_rules,
     analyze_paths,
@@ -40,6 +41,9 @@ from repro.txn.lockdep import VALIDATOR, check_edges
 from repro.txn.locks import LockManager
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+#: The source tree under test: the checkout's, or a planted copy on
+#: ``PYTHONPATH`` (``tests/test_lockdep.py::TestPlantedBugs``).
+TREE = Path(repro.__file__).resolve().parent
 
 
 def write_module(tmp_path: Path, rel: str, source: str) -> Path:
@@ -468,7 +472,7 @@ class TestR010DeclaredSites:
         # renamed or deleted module would pass silently.
         missing = [(entry.pattern, rel) for entry in DECLARED_SITES
                    for rel in entry.sites
-                   if not (REPO_ROOT / "src" / "repro" / rel).is_file()]
+                   if not (TREE / rel).is_file()]
         assert missing == []
 
     @ENTRIES
@@ -609,12 +613,12 @@ class TestCLI:
 
 
 class TestShippedTreeIsClean:
-    """The acceptance gate: the linter passes over the real source tree."""
+    """The acceptance gate: the linter passes over the source tree under
+    test (a planted copy, when one is on ``PYTHONPATH``)."""
 
     def test_python_dash_m_exits_zero_on_src_repro(self):
         result = subprocess.run(
-            [sys.executable, "-m", "repro.analysis",
-             str(REPO_ROOT / "src" / "repro")],
+            [sys.executable, "-m", "repro.analysis", str(TREE)],
             capture_output=True, text=True, cwd=REPO_ROOT)
         assert result.returncode == 0, result.stdout + result.stderr
         assert "OK" in result.stdout
@@ -622,7 +626,7 @@ class TestShippedTreeIsClean:
     def test_every_rule_is_exercised_by_the_tree_or_suppressions(self):
         # Zero findings with every declared count met exactly: a new
         # site and a lost one both fail here.
-        report = analyze_paths([REPO_ROOT / "src" / "repro"])
+        report = analyze_paths([TREE])
         assert report.findings == []
         assert report.files_checked > 80
 
@@ -631,7 +635,7 @@ class TestUnusedSuppressions:
     """The allow comment is gone: none is left to go stale."""
 
     def test_shipped_tree_has_no_stale_suppressions(self):
-        comments = [path for path in (REPO_ROOT / "src").rglob("*.py")
+        comments = [path for path in TREE.rglob("*.py")
                     if "repro: allow" in path.read_text()]
         assert comments == []
 

@@ -555,6 +555,15 @@ class TestPersistence:
         assert tree.search(3777) == [(3777, 0)]
         tree.check_invariants()
 
+    def test_a_spliced_leaf_reaches_the_device(self, stack, tree):
+        """An insert spliced into a leaf the device already holds marks
+        its page dirty, so the next force writes it."""
+        tree.insert(1, TID(1, 0))
+        stack.bufmgr.flush_all()          # the leaf is clean on the device
+        tree.insert(2, TID(2, 0))
+        stack.bufmgr.invalidate_all()     # forces what is dirty, drops all
+        assert tree.search(2) == [(2, 0)]
+
     def test_index_has_real_size(self, tree):
         for i in range(5000):
             tree.insert(i, TID(i, 0))

@@ -42,7 +42,7 @@ class TestAllocate:
         buf = pool.allocate(smgr, fid)
         buf.page.add_item(b"hello")
         pool.unpin(buf, dirty=True)
-        written = pool.flush_file(smgr, fid)
+        written = pool.force([(smgr, fid)])
         assert written == 1
         assert smgr.nblocks(fid) == 1
 
@@ -58,7 +58,7 @@ class TestPinUnpin:
         buf = pool.allocate(smgr, fid)
         slot = buf.page.add_item(b"persisted")
         pool.unpin(buf, dirty=True)
-        pool.flush_file(smgr, fid)
+        pool.force([(smgr, fid)])
         pool.drop_file(smgr, fid)  # force a device read
         with pool.page(smgr, fid, 0) as page:
             assert page.get_item(slot) == b"persisted"
@@ -81,10 +81,10 @@ class TestPinUnpin:
         fid = new_file(smgr)
         buf = pool.allocate(smgr, fid)
         pool.unpin(buf, dirty=True)
-        pool.flush_file(smgr, fid)
+        pool.force([(smgr, fid)])
         with pool.page(smgr, fid, 0, write=True) as page:
             page.add_item(b"mutation")
-        assert pool.flush_file(smgr, fid) == 1
+        assert pool.force([(smgr, fid)]) == 1
 
 
 class TestEviction:
@@ -169,7 +169,7 @@ class TestEviction:
         for blockno in range(3):
             pool._dirty[smgr.smgr_id, fid].pop(blockno).dirty = False
         with pytest.raises(StorageManagerError, match="hole"):
-            pool.flush_file(smgr, fid)
+            pool.force([(smgr, fid)])
         assert smgr.nblocks(fid) == 0
         assert smgr.stats()["writes"] == 0
         assert bufs[3].dirty
@@ -186,8 +186,8 @@ class TestFlush:
     def test_flush_clean_pages_is_noop(self, pool, smgr):
         fid = new_file(smgr)
         pool.unpin(pool.allocate(smgr, fid), dirty=True)
-        pool.flush_file(smgr, fid)
-        assert pool.flush_file(smgr, fid) == 0
+        pool.force([(smgr, fid)])
+        assert pool.force([(smgr, fid)]) == 0
 
     def test_drop_file_discards_dirty(self, pool, smgr):
         fid = new_file(smgr)
@@ -205,7 +205,7 @@ def materialized_file(pool, smgr, nblocks, name="pf"):
         buf = pool.allocate(smgr, fid)
         buf.page.add_item(bytes([i + 1]) * 16)
         pool.unpin(buf, dirty=True)
-    pool.flush_file(smgr, fid)
+    pool.force([(smgr, fid)])
     pool.drop_file(smgr, fid)
     return fid
 
@@ -305,7 +305,7 @@ class TestChecksums:
         seal([buf.page.buf], 1)  # nonzero lsn enables verification
         buf.page.add_item(b"data")
         pool.unpin(buf, dirty=True)
-        pool.flush_file(smgr, fid)
+        pool.force([(smgr, fid)])
         pool.drop_file(smgr, fid)
         # Corrupt the stored block behind the pool's back.
         raw = smgr.read_block(fid, 0)

@@ -661,10 +661,10 @@ class TestFaultPlanOnManager:
 class TestDurabilityBugfixes:
     """Each test here fails on the seed code this PR fixed."""
 
-    def test_flush_file_syncs_even_with_no_dirty_pages(self):
+    def test_force_syncs_even_with_no_dirty_pages(self):
         """Eviction write-backs leave device writes that only a later
-        flush_file can sync; skipping the sync on an empty dirty list
-        left committed pages unforced."""
+        force can sync; skipping the sync on an empty dirty list left
+        committed pages unforced."""
         clock = SimClock()
         smgr = MemoryStorageManager(clock)
         trace = FaultPlan()  # no rules: a pure protocol trace
@@ -678,7 +678,7 @@ class TestDurabilityBugfixes:
         bm.unpin(other, dirty=True)
         assert trace.op_count("write", "f") == 1
         assert trace.op_count("sync", "f") == 0
-        flushed = bm.flush_file(smgr, "f")  # force-at-commit for file f
+        flushed = bm.force([(smgr, "f")])  # force-at-commit for file f
         assert flushed == 0  # nothing dirty in the pool...
         assert trace.op_count("sync", "f") == 1  # ...but the sync must happen
 

@@ -3,10 +3,12 @@ that land where the per-block loop put them."""
 
 import gc
 import itertools
+import json
 import os
 import random
 import sys
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -60,7 +62,7 @@ class TestDirtyIndex:
             fileid = rng.choice(files)
             length = pool.nblocks(smgr, fileid)
             op = rng.choice(("pin", "pin", "pin", "allocate", "allocate",
-                             "extend", "hold", "prefetch", "flush_file",
+                             "extend", "hold", "prefetch", "force",
                              "flush_all", "drop_file", "invalidate_all"))
             if op == "allocate" and length < 24:
                 buf = pool.allocate(smgr, fileid)
@@ -92,8 +94,8 @@ class TestDirtyIndex:
                     pool.unpin(buf)
             elif op == "prefetch":
                 pool.prefetch(smgr, fileid, rng.randrange(24), 4)
-            elif op == "flush_file":
-                pool.flush_file(smgr, fileid)
+            elif op == "force":
+                pool.force([(smgr, fileid)])
                 assert (smgr.smgr_id, fileid) not in pool._dirty
             elif op == "flush_all":
                 pool.flush_all()
@@ -148,7 +150,7 @@ class TestDirtyIndex:
         pool = BufferManager(pool_size=4)
         smgr.create("t")
         pool.unpin(pool.allocate(smgr, "t"), dirty=True)
-        pool.flush_file(smgr, "t")
+        pool.force([(smgr, "t")])
         buf = pool.pin(smgr, "t", 0)
         pool.drop_file(smgr, "t")
         pool.unpin(buf, dirty=True)
@@ -165,7 +167,7 @@ class TestDirtyIndex:
             smgr.create("t")
             for _ in range(pool_size):
                 pool.unpin(pool.allocate(smgr, "t"), dirty=True)
-            pool.flush_file(smgr, "t")
+            pool.force([(smgr, "t")])
             for blockno in (5, 6, 40):
                 pool.unpin(pool.pin(smgr, "t", blockno), dirty=True)
             executed = 0
@@ -188,7 +190,7 @@ class TestDirtyIndex:
             previous = sys.gettrace()
             sys.settrace(on_call)
             try:
-                written = pool.flush_file(smgr, "t")
+                written = pool.force([(smgr, "t")])
             finally:
                 sys.settrace(previous)
                 gc.enable()
@@ -324,10 +326,9 @@ class TestOnePassBatch:
         finally:
             del smgr.write_runs
             smgr.unlink(fileid)
+        blocks = sorted(pages)
         assert [(first, [block_of[id(image)] for image in images])
-                for first, images in written] == \
-            [(first, list(range(first, last + 1)))
-             for first, last in block_runs(sorted(pages))]
+                for first, images in written] == block_runs(blocks, blocks)
         assert [pages[blockno].page.lsn for blockno in sorted(pages)] == \
             list(range(first_lsn, first_lsn + len(pages)))
 
@@ -386,21 +387,23 @@ class TestBatchSeal:
             before = [bytes(pool._frames[smgr.smgr_id, fileid, blockno]
                             .page.buf) for blockno in dirty]
             first_lsn = pool._next_lsn
-            written, write_runs = [], smgr.write_runs
+            written, force = [], smgr.force
 
-            def recording(fid, runs, write_runs=write_runs):
+            def recording(batch, done, force=force):
                 written.extend((first, [bytes(image) for image in images])
+                               for _fid, runs in batch
                                for first, images in runs)
-                return write_runs(fid, runs)
+                return force(batch, done)
 
-            smgr.write_runs = recording
+            smgr.force = recording
             try:
-                assert pool.flush_file(smgr, fileid) == len(dirty)
+                assert pool.force([(smgr, fileid)]) == len(dirty)
             finally:
-                del smgr.write_runs
+                del smgr.force
             assert [(first, first + len(images) - 1)
                     for first, images in written] == \
-                [tuple(run) for run in block_runs(dirty)]
+                [(first, first + len(run) - 1)
+                 for first, run in block_runs(dirty, dirty)]
             images = [image for _first, images in written
                       for image in images]
             assert images == [seal_one(image, lsn) for lsn, image in
@@ -438,7 +441,7 @@ def test_a_fault_lands_on_the_same_block_with_the_same_bytes(
             buf = pool.allocate(smgr, "t")
             buf.page.add_item(b"old" * 40)
             pool.unpin(buf, dirty=True)
-        pool.flush_file(smgr, "t")
+        pool.force([(smgr, "t")])
         store = smgr.nodes[0].store
         old = [bytes(block) for block in store.read_run("t", 0, ON_DEVICE)]
         for blockno in range(DIRTIED):
@@ -450,11 +453,11 @@ def test_a_fault_lands_on_the_same_block_with_the_same_bytes(
         plan = parse_plan(f"on write t after {after}: {action}")
         smgr.set_fault_plan(plan)
         if after >= DIRTIED:
-            assert pool.flush_file(smgr, "t") == DIRTIED
+            assert pool.force([(smgr, "t")]) == DIRTIED
             assert plan.fired == []
         else:
             with pytest.raises(SimulatedCrash):
-                pool.flush_file(smgr, "t")
+                pool.force([(smgr, "t")])
             assert plan.fired == [
                 f"{action.split()[0]}: write 't' block {after}"]
         assert plan.op_count("write", "t") == min(after + 1, DIRTIED)
@@ -489,7 +492,7 @@ def test_a_short_write_leaves_the_file_dirty(short, tmp_path, monkeypatch):
         buf = pool.allocate(smgr, "t")
         buf.page.add_item(b"old" * 40)
         pool.unpin(buf, dirty=True)
-    pool.flush_file(smgr, "t")
+    pool.force([(smgr, "t")])
     dirtied = (1, 2, 5, 6, 9, 10)
     for blockno in dirtied:
         buf = pool.pin(smgr, "t", blockno)
@@ -506,7 +509,7 @@ def test_a_short_write_leaves_the_file_dirty(short, tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "pwritev", pwritev)
     with pytest.raises(StorageManagerError, match="short write"):
-        pool.flush_file(smgr, "t")
+        pool.force([(smgr, "t")])
     monkeypatch.undo()
     assert calls == [1, 5, 9][:short + 1]
     assert sorted(pool._dirty[smgr.smgr_id, "t"]) == list(dirtied)
@@ -514,7 +517,7 @@ def test_a_short_write_leaves_the_file_dirty(short, tmp_path, monkeypatch):
                for blockno in dirtied)
     assert_dirty_index_is_the_dirty_set(pool)
 
-    assert pool.flush_file(smgr, "t") == len(dirtied)
+    assert pool.force([(smgr, "t")]) == len(dirtied)
     assert not pool._dirty
     store = smgr.nodes[0].store
     assert [bytes(block) for block in store.read_run("t", 0, 12)] == \
@@ -561,3 +564,147 @@ def test_commit_does_not_scan_more_versions_as_history_grows():
         assert max(opened[5:]) == opened[5], opened
         # The object's row covers an overwrite; its store keeps none.
         assert set(scanned) == {0}, scanned
+
+
+#: The device trace of :func:`commit_workload` as the per-file force gave
+#: it (``flush_file`` per touched file), before forces were batched per
+#: manager: the batch must keep every write, sync and append in place.
+TRACE_GOLDEN = Path(__file__).parent / "golden" / "force_trace.json"
+
+
+def commit_workload(path) -> list[tuple[str, str]]:
+    """A fixed f-chunk, v-segment and Inversion workload on a disk
+    database at *path*, every operation traced by an empty fault plan:
+    creates, two overwrite commits of each object, a directory, a file
+    written, renamed and unlinked, and the close's checkpoint."""
+    from repro.db import Database
+    from repro.sim.faults import FaultPlan
+
+    db = Database(str(path), pool_size=16, charge_cpu=False)
+    plan = db.inject_faults(FaultPlan())
+    frame = bytes(range(1, 251)) * 16 + bytes(4000)
+    with db.begin() as txn:
+        objects = [db.lo.create(txn, "fchunk"),
+                   db.lo.create(txn, "vsegment", compression="zero-rle")]
+        for designator in objects:
+            with db.lo.open(designator, txn, "rw") as obj:
+                obj.write(frame * 4)
+    for generation in (1, 2):
+        with db.begin() as txn:
+            for designator in objects:
+                with db.lo.open(designator, txn, "rw") as obj:
+                    obj.seek(3000 * generation)
+                    obj.write(bytes([generation]) * 9000)
+    fs = db.inversion
+    with db.begin() as txn:
+        fs.mkdir(txn, "/d")
+        fs.create(txn, "/d/a")
+        fs.write_file(txn, "/d/a", frame * 3)
+    with db.begin() as txn:
+        fs.rename(txn, "/d/a", "/d/b")
+    with db.begin() as txn:
+        fs.unlink(txn, "/d/b")
+    db.close()
+    return plan.trace
+
+
+def overwrite_commit(path):
+    """A disk database holding a 50-frame zero-rle v-segment object, and
+    an open transaction with the descriptor that overwrote frames 7 and
+    31, still open (the ``frames_v`` commit shape): ``(db, txn, obj)``."""
+    from repro.bench.datasets import frame_bytes
+    from repro.db import Database
+
+    db = Database(str(path), charge_cpu=False)
+    with db.begin() as txn:
+        designator = db.lo.create(txn, "vsegment", compression="zero-rle")
+        with db.lo.open(designator, txn, "rw") as obj:
+            for frame in range(50):
+                obj.write(frame_bytes(frame, 0.5, frame_size=4000))
+    for generation in (1, 2, 3):
+        txn = db.begin()
+        obj = db.lo.open(designator, txn, "rw")
+        for frame in (7, 31):
+            obj.seek(frame * 4000)
+            obj.write(frame_bytes(frame, 0.5, frame_size=4000,
+                                  generation=generation))
+        if generation < 3:
+            obj.close()
+            txn.commit()
+    return db, txn, obj
+
+
+class TestCommitForce:
+    """A commit is one :meth:`BufferManager.force` of its touched files:
+    one ``StorageManager.force`` call per manager, and per file its
+    writes, then its sync, in touched order."""
+
+    def test_the_device_trace_is_the_per_file_force(self, tmp_path):
+        golden = json.loads(TRACE_GOLDEN.read_text())
+        assert [list(op) for op in commit_workload(tmp_path / "db")] \
+            == golden
+
+    def test_a_vsegment_overwrite_commit_is_one_call(self, tmp_path,
+                                                     monkeypatch):
+        """Exact counts of the ``frames_v`` commit shape: one force call
+        for four files, each file's runs those of its dirty blocks, four
+        syncs, and one leaf splice per index insert."""
+        from repro.access.btree import BTree
+
+        db, txn, obj = overwrite_commit(tmp_path / "db")
+        smgr, pool = db.storage_manager("disk"), db.bufmgr
+        forces, expected, syncs, inserts, splices = [], [], [], [], []
+        real_force, real_sync = smgr.force, smgr.sync
+        real_insert, real_splice = BTree.insert_run, BTree._store_leaf
+
+        def force(batch, written=None):
+            forces.append([(fileid, [(first, len(images))
+                                     for first, images in runs])
+                           for fileid, runs in batch])
+            for fileid, _runs in batch:
+                blocks = sorted(pool._dirty[smgr.smgr_id, fileid])
+                expected.append((fileid, [(first, len(run)) for first, run
+                                          in block_runs(blocks, blocks)]))
+            return real_force(batch, written)
+
+        def insert_run(tree, entries):
+            inserts.extend(entries)
+            return real_insert(tree, entries)
+
+        def store_leaf(tree, blockno, node, run):
+            splices.append(len(run))
+            return real_splice(tree, blockno, node, run)
+
+        monkeypatch.setattr(smgr, "force", force)
+        monkeypatch.setattr(smgr, "sync", lambda fileid: (
+            syncs.append(fileid), real_sync(fileid)))
+        monkeypatch.setattr(BTree, "insert_run", insert_run)
+        monkeypatch.setattr(BTree, "_store_leaf", store_leaf)
+        obj.close()
+        txn.commit()
+        monkeypatch.undo()
+        assert forces == [expected]
+        assert [fileid for fileid, _runs in expected] == \
+            [fileid for _smgr, fileid in txn.touched]
+        assert len(expected) == 4
+        assert syncs == [fileid for fileid, _runs in expected]
+        assert inserts and splices == [1] * len(inserts)
+        db.close()
+
+    def test_a_failed_second_file_leaves_the_first_clean_and_synced(
+            self, tmp_path):
+        db, txn, obj = overwrite_commit(tmp_path / "db")
+        obj.close()
+        smgr, pool = db.storage_manager("disk"), db.bufmgr
+        files = [fileid for _smgr, fileid in txn.touched]
+        assert len(files) == 4
+        plan = db.inject_faults(f"on write {files[1]}: error")
+        with pytest.raises(StorageManagerError):
+            txn.commit()
+        assert (smgr.smgr_id, files[0]) not in pool._dirty
+        assert plan.op_count("sync", files[0]) == 1
+        assert (smgr.smgr_id, files[1]) in pool._dirty
+        assert plan.op_count("sync", files[1]) == 0
+        assert not [op for op in plan.trace if op[1] in files[2:]]
+        db.clear_faults()
+        db.close()

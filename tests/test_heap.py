@@ -88,7 +88,7 @@ class TestBatchFetch:
         # Enough fat tuples to span several pages on the device.
         tids = [committed_insert(stack, emp, ("x" * 600, i))
                 for i in range(60)]
-        stack.bufmgr.flush_file(stack.smgr, emp.fileid)
+        stack.bufmgr.force([(stack.smgr, emp.fileid)])
         stack.bufmgr.drop_file(stack.smgr, emp.fileid)
         fetched = emp.prefetch_tids(tids)
         assert fetched >= 2  # contiguous block run was read ahead
@@ -97,7 +97,7 @@ class TestBatchFetch:
     def test_prefetch_tids_skips_isolated_blocks(self, stack, emp):
         tids = [committed_insert(stack, emp, ("x" * 600, i))
                 for i in range(60)]
-        stack.bufmgr.flush_file(stack.smgr, emp.fileid)
+        stack.bufmgr.force([(stack.smgr, emp.fileid)])
         stack.bufmgr.drop_file(stack.smgr, emp.fileid)
         # A single isolated block is not worth a readahead call.
         lone = [t for t in tids if t.blockno == tids[-1].blockno][:1]

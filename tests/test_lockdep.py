@@ -606,6 +606,41 @@ PLANTED = [
         "tests/test_ql.py::TestTransactionsInQl::"
         "test_a_failed_statement_ends_its_own_transaction",
         "leaked its transaction"),
+    # The crash path (docs/invariants.md, "Force"): a force that skips a
+    # clean file's sync, a pool that turns a file clean before its write
+    # returns, and a leaf splice that unpins its page clean each lose
+    # committed bytes without a lock-order error.
+    PlantedBug(
+        "force-skips-the-sync-of-a-clean-file", "smgr/base.py",
+        "            if written is not None:",
+        "            if written is not None and runs:",
+        "tests/test_crash.py::TestDurabilityBugfixes::"
+        "test_force_syncs_even_with_no_dirty_pages",
+        'op_count("sync", "f")'),
+    PlantedBug(
+        "pool-cleans-before-the-write", "storage/buffer.py",
+        "                smgr.force(batch, self._written)",
+        "                any(self._written(smgr, fileid) for fileid, _ in "
+        "batch); smgr.force(batch, self._written)",
+        "tests/test_force.py::test_a_short_write_leaves_the_file_dirty",
+        "KeyError"),
+    PlantedBug(
+        "store-leaf-unpins-clean", "access/btree.py",
+        "            bufmgr.unpin(buf, dirty=True)",
+        "            bufmgr.unpin(buf)",
+        "tests/test_btree.py::TestPersistence::"
+        "test_a_spliced_leaf_reaches_the_device",
+        "assert [] == [(2, 0)]"),
+    # A static row: a second write check beside the one body's own trips
+    # R010 on the planted copy, which the analyzer's tier-1 test reads.
+    PlantedBug(
+        "second-write-check-site", "smgr/base.py",
+        "                    self._check_write(fileid, runs)",
+        "                    self._check_write(fileid, runs); "
+        "self._check_write(fileid, runs)",
+        "tests/test_analysis.py::TestShippedTreeIsClean::"
+        "test_every_rule_is_exercised_by_the_tree_or_suppressions",
+        "R010"),
 ]
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -117,10 +117,12 @@ class TestPlacement:
 
 
 class TestForceOrder:
-    """A force writes its file's dirty blocks in block order and nothing
+    """A force writes each file's dirty blocks in block order and nothing
     else: every node has its own device, so each node taking its blocks
     in ascending order is the fewest seeks, and a replica node is never
-    sent back to low addresses once per primary's group."""
+    sent back to low addresses once per primary's group.  Recorded at
+    ``StorageManager.force``, which commits and eviction write-backs
+    (``write_runs``) both go through."""
 
     SIZE = 900_000
     #: Total seeks over the load and three overwrite commits of the
@@ -133,11 +135,11 @@ class TestForceOrder:
         smgr = db.storage_manager("sharded")
         assert (len(smgr.nodes), smgr.replication) == (4, 3)
         forces: list[dict] = []
-        write_runs = smgr.write_runs
+        force = smgr.force
 
-        def one_force(fileid, runs):
+        def one_force(batch, written=None):
             forces.append({})
-            return write_runs(fileid, runs)
+            return force(batch, written)
 
         def recording(node, write):
             def write_block(fileid, blockno, data):
@@ -146,7 +148,7 @@ class TestForceOrder:
                 return write(fileid, blockno, data)
             return write_block
 
-        smgr.write_runs = one_force
+        smgr.force = one_force
         for node in smgr.nodes:
             node.write = recording(node, node.write)
         with db.begin() as txn:

@@ -420,3 +420,81 @@ class TestCpuModel:
         clock = SimClock()
         CpuModel(mips=1.0).charge(clock, 2e6)
         assert clock.elapsed_in("cpu") == pytest.approx(2.0)
+
+
+def _bytecodes(call) -> int:
+    """Bytecodes this thread runs in *call* (the ``sys.settrace`` idiom
+    of ``tests/test_force.py``)."""
+    executed = 0
+
+    def on_call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return on_event
+
+    def on_event(frame, event, arg):
+        nonlocal executed
+        executed += event == "opcode"
+        return on_event
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return executed
+
+
+class TestNowIsCached:
+    """:meth:`SimClock.now` keeps what it derived until something is
+    charged: a ``now`` with nothing charged since the last costs the same
+    however many ports the clock has, and every ``now`` is the instant a
+    fresh derivation gives, to the bit."""
+
+    def test_now_costs_the_same_at_1_and_6_ports(self):
+        from repro.db import Database
+
+        counts = []
+        for managers in ((), ("sharded", "worm")):
+            db = Database(charge_cpu=False)
+            for name in managers:
+                db.storage_manager(name)
+            with db.begin() as txn:        # a charge on the one port used
+                designator = db.lo.create(txn, "fchunk")
+                with db.lo.open(designator, txn, "rw") as obj:
+                    obj.write(b"x" * 20000)
+            db.clock.now()
+            _bytecodes(db.clock.now)    # CPython 3.12's first trace counts 0
+            counts.append((len(db.clock.ports), _bytecodes(db.clock.now)))
+            db.close()
+        (few, one), (many, other) = counts
+        assert (few, many >= 6) == (1, True), counts
+        assert one == other > 0, counts
+
+    def test_every_now_is_the_derived_instant(self):
+        """2,000 seeded steps of charges, advances, instruction counts,
+        new ports and ``now`` calls: each ``now`` equals the origin plus
+        a fresh ``_elapsed()`` plus the ticks."""
+        from repro.sim.clock import _TICK
+
+        rng = random.Random(1993)
+        clock, cpu = SimClock(), CpuModel()
+        ports = [DevicePort(magnetic_disk_device(), clock)]
+        for step in range(2000):
+            op = rng.choice(("charge", "charge", "charge", "advance",
+                             "count", "port", "now", "now", "now"))
+            if op == "charge":
+                rng.choice(ports).charge_run(
+                    rng.choice("fg"), rng.randrange(8) * 8192, 8192,
+                    rng.randint(1, 4), rng.random() < 0.5)
+            elif op == "advance":
+                clock.advance(rng.random() * 1e-3, "other")
+            elif op == "count":
+                clock.count_instructions(cpu, rng.randrange(1, 10**4))
+            elif op == "port" and len(ports) < 6:
+                ports.append(DevicePort(jukebox_device(), clock))
+            elif op == "now":
+                now = clock.now()
+                assert now == (clock._origin + clock._elapsed()
+                               + clock._now_calls * _TICK), step
