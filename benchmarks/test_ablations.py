@@ -10,9 +10,8 @@ from repro.bench.figures import (
 from repro.bench.report import render_table
 
 
-def test_chunk_size_ablation(benchmark, config, capsys):
-    figure = benchmark.pedantic(run_ablation_chunk_size, args=(config,),
-                                rounds=1, iterations=1)
+def test_chunk_size_ablation(config, capsys):
+    figure = run_ablation_chunk_size(config)
     with capsys.disabled():
         print()
         print(render_table(figure))
@@ -21,9 +20,8 @@ def test_chunk_size_ablation(benchmark, config, capsys):
         < figure.get("data bytes", "2000B chunks")
 
 
-def test_buffer_pool_ablation(benchmark, config, capsys):
-    figure = benchmark.pedantic(run_ablation_buffer_pool, args=(config,),
-                                rounds=1, iterations=1)
+def test_buffer_pool_ablation(config, capsys):
+    figure = run_ablation_buffer_pool(config)
     with capsys.disabled():
         print()
         print(render_table(figure))
@@ -32,9 +30,8 @@ def test_buffer_pool_ablation(benchmark, config, capsys):
         <= figure.get("1MB 80/20 read seconds", "32 pages") * 1.1
 
 
-def test_worm_cache_ablation(benchmark, config, capsys):
-    figure = benchmark.pedantic(run_ablation_worm_cache, args=(config,),
-                                rounds=1, iterations=1)
+def test_worm_cache_ablation(config, capsys):
+    figure = run_ablation_worm_cache(config)
     with capsys.disabled():
         print()
         print(render_table(figure))
@@ -43,9 +40,8 @@ def test_worm_cache_ablation(benchmark, config, capsys):
         >= figure.get("cache hit rate", "64 blocks")
 
 
-def test_compression_cost_ablation(benchmark, config, capsys):
-    figure = benchmark.pedantic(run_ablation_compression_cost,
-                                args=(config,), rounds=1, iterations=1)
+def test_compression_cost_ablation(config, capsys):
+    figure = run_ablation_compression_cost(config)
     with capsys.disabled():
         print()
         print(render_table(figure))
@@ -58,10 +54,9 @@ def test_compression_cost_ablation(benchmark, config, capsys):
         == figure.get("data bytes", "60 instr/byte")
 
 
-def test_inversion_overhead_ablation(benchmark, config, capsys):
+def test_inversion_overhead_ablation(config, capsys):
     from repro.bench.figures import run_ablation_inversion_overhead
-    figure = benchmark.pedantic(run_ablation_inversion_overhead,
-                                args=(config,), rounds=1, iterations=1)
+    figure = run_ablation_inversion_overhead(config)
     with capsys.disabled():
         print()
         print(render_table(figure))

@@ -1,6 +1,6 @@
 """Regenerates paper Figure 1: storage used by each implementation.
 
-Run with ``pytest benchmarks/ --benchmark-only -s`` to see the table.
+``pytest benchmarks/test_fig1_storage.py`` prints the table.
 """
 
 import pytest
@@ -14,12 +14,10 @@ def figure1(config):
     return run_figure1(config)
 
 
-def test_figure1_regenerates(benchmark, config, capsys):
-    figure = benchmark.pedantic(run_figure1, args=(config,),
-                                rounds=1, iterations=1)
+def test_figure1_regenerates(figure1, capsys):
     with capsys.disabled():
         print()
-        print(render_table(figure))
+        print(render_table(figure1))
 
 
 class TestFigure1Shape:

@@ -12,12 +12,10 @@ def figure2(config):
     return run_figure2(config)
 
 
-def test_figure2_regenerates(benchmark, config, capsys):
-    figure = benchmark.pedantic(run_figure2, args=(config,),
-                                rounds=1, iterations=1)
+def test_figure2_regenerates(figure2, capsys):
     with capsys.disabled():
         print()
-        print(render_table(figure))
+        print(render_table(figure2))
 
 
 class TestFigure2Shape:

@@ -12,12 +12,10 @@ def figure3(config):
     return run_figure3(config)
 
 
-def test_figure3_regenerates(benchmark, config, capsys):
-    figure = benchmark.pedantic(run_figure3, args=(config,),
-                                rounds=1, iterations=1)
+def test_figure3_regenerates(figure3, capsys):
     with capsys.disabled():
         print()
-        print(render_table(figure))
+        print(render_table(figure3))
 
 
 class TestFigure3Shape:

@@ -269,8 +269,8 @@ DECLARED_SITES = (
         "lock never released): narrow the type or re-raise"),
     DeclaredSites(
         "`bytes(<buffer>[a:b])`", _slice_copy,
-        {"compress/rle.py": 2, "compress/fast.py": 1, "compress/lzrw.py": 1,
-         "lo/nativefs.py": 1, "smgr/raw.py": 1},
+        {"compress/rle.py": 1, "compress/lzrw.py": 1, "lo/nativefs.py": 1,
+         "smgr/raw.py": 1},
         "pages and the read path hand out memoryviews; a slice copy is "
         "where bytes leave a buffer for good (a compressor's payload, a "
         "raw medium's block, an external object's bytes)"),

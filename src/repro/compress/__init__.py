@@ -22,19 +22,15 @@ from repro.compress.base import (
     register_compressor,
 )
 from repro.compress.costed import CostedCompressor
-from repro.compress.fast import FastCompressor, lz4_available
 from repro.compress.null import NullCompressor
-from repro.compress.rle import ByteRunCompressor, ZeroRunCompressor
+from repro.compress.rle import ZeroRunCompressor
 from repro.compress.lzrw import ZlibCompressor
 
 __all__ = [
     "Compressor",
     "NullCompressor",
     "ZeroRunCompressor",
-    "ByteRunCompressor",
     "ZlibCompressor",
-    "FastCompressor",
-    "lz4_available",
     "CostedCompressor",
     "register_compressor",
     "get_compressor",

@@ -22,14 +22,9 @@ class ZlibCompressor(Compressor):
 
     name = "zlib"
 
-    def __init__(self, level: int = 6):
-        if not 1 <= level <= 9:
-            raise CompressionError(f"zlib level {level} out of range 1..9")
-        self.level = level
-
     def compress(self, data: bytes) -> bytes:
         data = bytes(data)
-        packed = zlib.compress(data, self.level)
+        packed = zlib.compress(data)
         if len(packed) + 1 >= len(data) + 1:
             return bytes([_RAW]) + data
         return bytes([_DEFLATE]) + packed

@@ -1,4 +1,4 @@
-"""Run-length compressors.
+"""Run-length compression of zero runs.
 
 :class:`ZeroRunCompressor` squeezes runs of zero bytes — the dominant
 redundancy in the benchmark's synthetic media frames (and in real sparse
@@ -6,10 +6,7 @@ data: zero padding, silence in audio, black borders in images).  It is
 written around :meth:`bytes.find` and a compiled pattern, so a run's two
 ends are found at C speed and it is usable on multi-megabyte transfers.
 
-:class:`ByteRunCompressor` is a classic generic RLE over runs of *any*
-byte; simpler and slower, it exists for tests and small data.
-
-Both produce self-describing images with a store-raw fallback, so any
+It produces self-describing images with a store-raw fallback, so any
 input round-trips and incompressible data costs at most a 1-byte header.
 """
 
@@ -97,47 +94,4 @@ class ZeroRunCompressor(Compressor):
         return bytes(out)
 
 
-class ByteRunCompressor(Compressor):
-    """Generic RLE: ``(count u8, byte)`` pairs, runs capped at 255.
-
-    Quadratically slower than :class:`ZeroRunCompressor` on large inputs;
-    intended for small data and for exercising a second real algorithm in
-    tests.
-    """
-
-    name = "byte-rle"
-
-    def compress(self, data: bytes) -> bytes:
-        data = bytes(data)
-        out = bytearray([_PACKED])
-        pos = 0
-        n = len(data)
-        while pos < n:
-            byte = data[pos]
-            run = 1
-            while run < 255 and pos + run < n and data[pos + run] == byte:
-                run += 1
-            out.append(run)
-            out.append(byte)
-            pos += run
-        if len(out) >= n + 1:
-            return bytes([_RAW]) + data
-        return bytes(out)
-
-    def decompress(self, data: bytes) -> bytes:
-        if not data:
-            raise CompressionError("empty byte-rle image")
-        if data[0] == _RAW:
-            return bytes(data[1:])
-        if data[0] != _PACKED:
-            raise CompressionError(f"bad byte-rle method byte {data[0]:#x}")
-        if (len(data) - 1) % 2:
-            raise CompressionError("odd byte-rle body length")
-        out = bytearray()
-        for i in range(1, len(data), 2):
-            out += bytes([data[i + 1]]) * data[i]
-        return bytes(out)
-
-
 register_compressor("zero-rle", ZeroRunCompressor)
-register_compressor("byte-rle", ByteRunCompressor)

@@ -681,29 +681,24 @@ class SingleNodeManager(StorageManager):
 
     #: The medium's routines are its store's and its node's own, bound per
     #: instance: a call goes there with no forwarding hop.
-    create = exists = unlink = _write_runs = _sync = None
+    create = exists = unlink = nblocks = _read_run = _write_runs = _sync = None
 
     def __init__(self, node_id: str, store: BlockStore, model: DeviceModel,
                  clock: SimClock):
         super().__init__(clock)
         self.node = StorageNode(node_id, store, model, clock)
         self.port = self.node.port
-        self.create, self.exists, self.unlink, self.close = (
-            store.create, store.exists, store.unlink, store.close)
-        self._write_runs, self._sync = self.node.write_runs, store.sync
+        self.create, self.exists, self.unlink, self.nblocks, self.close = (
+            store.create, store.exists, store.unlink, store.nblocks,
+            store.close)
+        self._read_run, self._write_runs, self._sync = (
+            self.node.read_run, self.node.write_runs, store.sync)
         #: The one node, listed the way a multi-node manager lists its own.
         self.nodes = [self.node]
 
     def set_fault_plan(self, plan: FaultPlan | None) -> None:
         super().set_fault_plan(plan)
         self.node.set_fault_plan(plan)
-
-    def nblocks(self, fileid: str) -> int:
-        return self.node.store.nblocks(fileid)
-
-    def _read_run(self, fileid: str, first: int,
-                  count: int) -> list[bytearray]:
-        return self.node.read_run(fileid, first, count)
 
 
 class StorageManagerSwitch:

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.compress import (
-    ByteRunCompressor,
     CostedCompressor,
     NullCompressor,
     ZeroRunCompressor,
@@ -18,7 +17,7 @@ from repro.compress import (
 from repro.errors import CompressionError
 from repro.sim import CpuModel, SimClock
 
-ALL = [NullCompressor, ZeroRunCompressor, ByteRunCompressor, ZlibCompressor]
+ALL = [NullCompressor, ZeroRunCompressor, ZlibCompressor]
 
 
 @pytest.mark.parametrize("cls", ALL)
@@ -87,24 +86,7 @@ class TestZeroRun:
             compressor.decompress(image[:1] + b"X" + image[2:])
 
 
-class TestByteRun:
-    def test_long_runs(self):
-        compressor = ByteRunCompressor()
-        data = b"\xff" * 1000 + b"\x01" * 300
-        image = compressor.compress(data)
-        assert len(image) < 30
-        assert compressor.decompress(image) == data
-
-    def test_odd_body_rejected(self):
-        with pytest.raises(CompressionError):
-            ByteRunCompressor().decompress(b"\x01\x02")
-
-
 class TestZlib:
-    def test_bad_level(self):
-        with pytest.raises(CompressionError):
-            ZlibCompressor(level=0)
-
     def test_corrupt_deflate_rejected(self):
         with pytest.raises(CompressionError):
             ZlibCompressor().decompress(b"\x02notdeflate")
@@ -147,7 +129,7 @@ class TestCosted:
 class TestRegistry:
     def test_builtins_available(self):
         names = available_compressors()
-        for expected in ("none", "zero-rle", "byte-rle", "zlib"):
+        for expected in ("none", "zero-rle", "zlib"):
             assert expected in names
 
     def test_get(self):
@@ -275,59 +257,3 @@ class TestCostedRetry:
         costed.decompress(image)
         assert clock.elapsed_in("cpu") == pytest.approx(5.0)
         assert costed.bytes_decompressed == len(image)
-
-
-class TestFastCompressor:
-    def make(self):
-        from repro.compress import FastCompressor
-        return FastCompressor()
-
-    @pytest.mark.parametrize("data", [
-        b"", b"a", bytes(10_000), b"ab" * 5_000,
-        bytes(range(256)) * 64,  # incompressible-ish
-    ])
-    def test_roundtrip(self, data):
-        compressor = self.make()
-        assert compressor.decompress(compressor.compress(data)) == data
-
-    @given(st.binary(max_size=5_000))
-    @settings(max_examples=50)
-    def test_roundtrip_property(self, data):
-        compressor = self.make()
-        assert compressor.decompress(compressor.compress(data)) == data
-
-    def test_never_expands_past_header(self):
-        compressor = self.make()
-        data = bytes(range(256))
-        assert len(compressor.compress(data)) <= len(data) + 1
-
-    def test_empty_image_rejected(self):
-        with pytest.raises(CompressionError):
-            self.make().decompress(b"")
-
-    def test_bad_method_byte_rejected(self):
-        with pytest.raises(CompressionError):
-            self.make().decompress(b"\x7fjunk")
-
-    def test_foreign_codec_image_rejected_without_lz4(self):
-        from repro.compress import lz4_available
-        if lz4_available():
-            pytest.skip("real lz4 present: the method byte is decodable")
-        with pytest.raises(CompressionError):
-            self.make().decompress(b"\x03pretend-lz4-payload")
-
-    def test_registered_with_level_variants(self):
-        names = available_compressors()
-        for expected in ("lz4", "zlib-fast", "zlib-best"):
-            assert expected in names
-        fast = get_compressor("zlib-fast")
-        best = get_compressor("zlib-best")
-        assert (fast.level, best.level) == (1, 9)
-
-    def test_costed_wrapping(self):
-        clock = SimClock()
-        costed = CostedCompressor(self.make(), 8.0,
-                                  CpuModel(mips=1.0), clock)
-        data = bytes(100_000)
-        assert costed.decompress(costed.compress(data)) == data
-        assert clock.elapsed_in("cpu") == pytest.approx(1.6)

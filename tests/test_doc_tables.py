@@ -1,19 +1,22 @@
-"""docs/invariants.md embeds the two tables ``python -m repro.analysis
---doc`` prints.
+"""The docs embed tables printed from the declarations they describe.
 
-The lock-hierarchy table is printed from ``txn/lockdep.py::HIERARCHY``
-and the R010 table from ``analysis/rules.py::DECLARED_SITES``.  A PR
-that moves a rank or a site edits the declaration and pastes the
-printed table; these tests name the first line that differs.
+docs/invariants.md embeds the two tables ``python -m repro.analysis
+--doc`` prints: the lock hierarchy from ``txn/lockdep.py::HIERARCHY``
+and the R010 table from ``analysis/rules.py::DECLARED_SITES``.
+docs/performance.md embeds the pin table ``python benchmarks/pins.py``
+prints from ``benchmarks/pins.py::PINS``.  A PR that moves a rank, a
+site or a pin edits the declaration and pastes the printed table; these
+tests name the first line that differs.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+from benchmarks.pins import render_table
 from repro.analysis.cli import main, render_doc_tables
 
-INVARIANTS = Path(__file__).resolve().parent.parent / "docs" / "invariants.md"
+DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
 def printed_table(header: str) -> list[str]:
@@ -24,10 +27,10 @@ def printed_table(header: str) -> list[str]:
                 if table.startswith(header))
 
 
-def documented_table(header: str) -> list[str]:
-    """The lines of the doc's table whose header row starts with *header*,
+def documented_table(header: str, doc: str = "invariants.md") -> list[str]:
+    """The lines of *doc*'s table whose header row starts with *header*,
     up to the first line that is not a table row."""
-    lines = INVARIANTS.read_text().splitlines()
+    lines = (DOCS / doc).read_text().splitlines()
     start = next(at for at, line in enumerate(lines)
                  if line.startswith(header))
     end = start
@@ -44,6 +47,12 @@ def test_the_lock_hierarchy_table_is_hierarchy():
 def test_the_r010_declared_sites_are_declared_sites():
     header = "| Pattern | Declared sites | Why |"
     assert documented_table(header) == printed_table(header)
+
+
+def test_the_pin_table_is_pins():
+    printed = render_table().splitlines()
+    documented = documented_table(printed[0], "performance.md")
+    assert documented == printed
 
 
 def test_the_doc_option_prints_both_tables(capsys):

@@ -401,7 +401,7 @@ class TestCompression:
     """§6.3/§6.4: per-chunk vs per-segment compression."""
 
     @pytest.mark.parametrize("impl", CHUNKED)
-    @pytest.mark.parametrize("compression", ["zero-rle", "zlib", "byte-rle"])
+    @pytest.mark.parametrize("compression", ["zero-rle", "zlib"])
     def test_roundtrip_compressed(self, db, impl, compression):
         payload = (b"A" * 3000 + bytes(5000)) * 3
         with db.begin() as txn:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.pins import Bytecodes
 from repro.sim import (
     CpuModel,
     DeviceModel,
@@ -422,30 +423,6 @@ class TestCpuModel:
         assert clock.elapsed_in("cpu") == pytest.approx(2.0)
 
 
-def _bytecodes(call) -> int:
-    """Bytecodes this thread runs in *call* (the ``sys.settrace`` idiom
-    of ``tests/test_force.py``)."""
-    executed = 0
-
-    def on_call(frame, event, arg):
-        frame.f_trace_opcodes = True
-        frame.f_trace_lines = False
-        return on_event
-
-    def on_event(frame, event, arg):
-        nonlocal executed
-        executed += event == "opcode"
-        return on_event
-
-    previous = sys.gettrace()
-    sys.settrace(on_call)
-    try:
-        call()
-    finally:
-        sys.settrace(previous)
-    return executed
-
-
 class TestNowIsCached:
     """:meth:`SimClock.now` keeps what it derived until something is
     charged: a ``now`` with nothing charged since the last costs the same
@@ -465,8 +442,9 @@ class TestNowIsCached:
                 with db.lo.open(designator, txn, "rw") as obj:
                     obj.write(b"x" * 20000)
             db.clock.now()
-            _bytecodes(db.clock.now)    # CPython 3.12's first trace counts 0
-            counts.append((len(db.clock.ports), _bytecodes(db.clock.now)))
+            with Bytecodes() as executed:
+                db.clock.now()
+            counts.append((len(db.clock.ports), executed.count))
             db.close()
         (few, one), (many, other) = counts
         assert (few, many >= 6) == (1, True), counts
