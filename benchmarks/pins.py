@@ -78,7 +78,7 @@ PINS: dict[str, Pin] = {
         "a write that wholly covers chunks reaches the chunk class as one "
         "run: one lock, one descent",
         {"relation locks": 1, "meta reads": 1, "leaf stores": 1},
-        {"run / eight chunk writes": 0.6}, 22),
+        {"run / eight chunk writes": 0.485}, 22),
     "truncate-scan": Pin(
         "truncate_scan",
         "`truncate(0)` finds the doomed chunks in one range scan under "
@@ -109,7 +109,7 @@ PINS: dict[str, Pin] = {
         {"size-row probes, first read": 1, "size-row probes, next read": 0,
          "range scans": 1, "cold pages": 8, "checksums": 8, "store reads": 1,
          "device charges": 1},
-        {"bytecodes": 8_957}, 31),
+        {"bytecodes": 6_567}, 31),
     "overwrite-commit-fchunk": Pin(
         "overwrite_commit_fchunk",
         "a commit that only overwrote f-chunk bytes probes no size row "
@@ -121,18 +121,18 @@ PINS: dict[str, Pin] = {
         "fresh_run",
         "a write of fresh chunks reaches the pool as one `extend`",
         {"extend calls": 1, "allocate calls": 0},
-        {"bytecodes": 9_768}, 35),
+        {"bytecodes": 8_825}, 35),
     "resident-read-fchunk": Pin(
         "resident_read_fchunk",
         "a resident f-chunk point read pins no index page: descents start "
         "at the pool's root",
         {"page pins": 1, "index page pins": 0, "pool misses": 0},
-        {"bytecodes": 1_515}, 36),
+        {"bytecodes": 1_396}, 36),
     "resident-read-vsegment": Pin(
         "resident_read_vsegment",
         "the same for a v-segment point read",
         {"page pins": 11, "index page pins": 0, "pool misses": 0},
-        {"bytecodes": 8_462}, 36),
+        {"bytecodes": 7_159}, 36),
     "kept-snapshot": Pin(
         "kept_snapshot",
         "a transaction's later reads reuse the snapshot its first one took",
@@ -144,7 +144,7 @@ PINS: dict[str, Pin] = {
         "device charge each",
         {"pool misses": 3, "pages prefetched": 0, "demand reads": 3,
          "store reads": 3, "device charges": 3},
-        {"bytecodes": 3_556, "device bytecodes": 153}, 38),
+        {"bytecodes": 3_394, "device bytecodes": 153}, 38),
     "overwrite-commit-vsegment": Pin(
         "overwrite_commit_vsegment",
         "the same commit of a zero-rle v-segment object: its byte store "
@@ -157,7 +157,7 @@ PINS: dict[str, Pin] = {
         "a resident range scan of 512 keys hands each leaf entry's TID to "
         "`fetch_many` as it is",
         {"versions read": 512, "pool misses": 0},
-        {"bytecodes": 189_064}, 43),
+        {"bytecodes": 157_331}, 43),
     "pool-force": Pin(
         "pool_force",
         "forcing 64 dirty pages seals and cleans them in C-level passes "
@@ -174,13 +174,13 @@ PINS: dict[str, Pin] = {
         "inversion_rename",
         "a cross-directory rename reads each directory it names once",
         {"directory reads": 3},
-        {"bytecodes": 21_578}, 45),
+        {"bytecodes": 18_969}, 45),
     "inversion-truncate": Pin(
         "inversion_truncate",
         "`truncate(0)` of a 256 KB file stamps its chunks without "
         "decoding them, one pin a page",
         {"chunk versions decoded": 0, "heap pins": 33},
-        {"bytecodes": 23_008}, 45),
+        {"bytecodes": 19_548}, 45),
     "sharded-force": Pin(
         "sharded_force",
         "a 32-page file of a 4-node R = 3 manager is forced as one "

@@ -21,8 +21,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=("AST-based invariant checks for the repro engine "
-                     "(transaction scope, and where each declared pattern "
-                     "may occur)"))
+                     "(where each declared pattern may occur)"))
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
         help="files or directories to check (default: src/repro)")

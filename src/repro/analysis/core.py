@@ -1,13 +1,13 @@
-"""Driver for the invariant linter: modules, rules, reports.
+"""Driver for the invariant linter: modules, the R010 check, reports.
 
-A :class:`ModuleInfo` is one parsed source file plus everything a rule
-needs to judge it: the AST (with parent links) and the module path
-*relative to the package root*, so a declared site such as
+A :class:`ModuleInfo` is one parsed source file: the AST (with parent
+links, which a matcher may read as ``node._repro_parent``) and the
+module path *relative to the package root*, so a declared site such as
 ``access/scan.py`` matches wherever the tree is checked out.
 
-Rules are small classes registered with :func:`register`; the driver
-instantiates each once and feeds it every module.  A rule yields
-:class:`Finding` objects, and the driver returns them in a
+:func:`check` judges one module against the table of declared sites
+(``rules.DECLARED_SITES``), and :func:`analyze_paths` runs it over every
+file under the paths it is given, returning the findings in a
 :class:`Report`.
 """
 
@@ -18,8 +18,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from repro.analysis.rules import DECLARED_SITES, DeclaredSites
+
 #: Rule id for files the parser rejects (mirrors ruff's E999).
 SYNTAX_ERROR_RULE = "E999"
+
+#: Rule id of the declared-sites check.
+RULE = "R010"
 
 
 @dataclass(frozen=True, order=True)
@@ -33,55 +38,8 @@ class Finding:
     message: str
 
 
-class Rule:
-    """Base class for one invariant check.
-
-    Subclasses set ``id`` and implement :meth:`check`, yielding
-    findings.  Use :meth:`finding` to build them so the location
-    bookkeeping stays in one place.
-    """
-
-    id: str = ""
-
-    def check(self, module: "ModuleInfo") -> Iterator[Finding]:
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def finding(self, module: "ModuleInfo", node: ast.AST,
-                message: str) -> Finding:
-        return Finding(rule=self.id, path=module.display_path,
-                       line=node.lineno, col=node.col_offset, message=message)
-
-
-#: Registry of rule instances by id, populated by :func:`register`.
-_RULES: dict[str, Rule] = {}
-
-
-def register(cls: type[Rule]) -> type[Rule]:
-    """Class decorator: instantiate and register a :class:`Rule`."""
-    if not cls.id:
-        raise ValueError(f"rule {cls.__name__} has no id")
-    if cls.id in _RULES:
-        raise ValueError(f"duplicate rule id {cls.id}")
-    _RULES[cls.id] = cls()
-    return cls
-
-
-def all_rules() -> list[Rule]:
-    """Every registered rule, in id order."""
-    return [_RULES[key] for key in sorted(_RULES)]
-
-
-def get_rule(rule_id: str) -> Rule:
-    try:
-        return _RULES[rule_id]
-    except KeyError:
-        known = ", ".join(sorted(_RULES)) or "none registered"
-        raise KeyError(f"unknown rule {rule_id!r} (known: {known})") from None
-
-
 class ModuleInfo:
-    """One parsed module plus the context rules need to judge it."""
+    """One parsed module plus the context the check needs to judge it."""
 
     def __init__(self, path: Path, source: str):
         self.display_path = str(path)
@@ -90,18 +48,6 @@ class ModuleInfo:
         for parent in ast.walk(self.tree):
             for child in ast.iter_child_nodes(parent):
                 child._repro_parent = parent  # type: ignore[attr-defined]
-
-    def parent(self, node: ast.AST) -> ast.AST | None:
-        return getattr(node, "_repro_parent", None)
-
-    def enclosing_function(self, node: ast.AST) -> ast.AST | None:
-        """The innermost function definition lexically containing *node*."""
-        current = self.parent(node)
-        while current is not None:
-            if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return current
-            current = self.parent(current)
-        return None
 
 
 def _package_relative(path: Path) -> str:
@@ -117,6 +63,36 @@ def _package_relative(path: Path) -> str:
         if parts[i] == "repro" and i < len(parts) - 1:
             return "/".join(parts[i + 1:])
     return path.name
+
+
+def check(module: ModuleInfo,
+          table: tuple[DeclaredSites, ...]) -> Iterator[Finding]:
+    """Each pattern of *table* occurs exactly where declared.
+
+    A finding lands on each site beyond its module's count, in source
+    order, and at line 1 of a module holding fewer sites than declared:
+    the site moved, and the table must say where to.
+    """
+    nodes = list(ast.walk(module.tree))
+    for entry in table:
+        found = sorted((n for n in nodes if entry.matches(n)),
+                       key=lambda n: (n.lineno, n.col_offset))
+        allowed = entry.sites.get(module.rel, 0)
+        declared = ", ".join(f"{rel} ({n})" for rel, n
+                             in entry.sites.items()) or "none"
+        for node in found[allowed:]:
+            yield Finding(
+                rule=RULE, path=module.display_path, line=node.lineno,
+                col=node.col_offset,
+                message=f"{entry.pattern} beyond its declared sites "
+                        f"[{declared}] — {entry.why} (docs/invariants.md, "
+                        f"R010)")
+        if len(found) < allowed:
+            yield Finding(
+                rule=RULE, path=module.display_path, line=1, col=0,
+                message=f"{entry.pattern}: {len(found)} of the {allowed} "
+                        f"declared site(s) here — {entry.why}; if the "
+                        f"site moved, update DECLARED_SITES")
 
 
 # -- driver -------------------------------------------------------------------------
@@ -155,16 +131,15 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
 
 
 def analyze_paths(paths: Iterable[Path | str],
-                  rules: Iterable[Rule] | None = None) -> Report:
-    """Parse every file under *paths* and run the rules (default: every
-    registered rule) over each."""
-    chosen = list(rules) if rules is not None else all_rules()
+                  table: tuple[DeclaredSites, ...] = DECLARED_SITES
+                  ) -> Report:
+    """Parse every file under *paths* and :func:`check` each against
+    *table* (default: every row)."""
     report = Report()
     for path in iter_python_files(Path(p) for p in paths):
         report.files_checked += 1
         module = _load_module(path, report)
         if module is not None:
-            for rule in chosen:
-                report.findings.extend(rule.check(module))
+            report.findings.extend(check(module, table))
     report.findings.sort()
     return report

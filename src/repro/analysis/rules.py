@@ -1,24 +1,18 @@
-"""The invariant rules: R005 (transaction scope) and R010 (declared sites).
+"""R010's one table, :data:`DECLARED_SITES`: where each pattern may occur.
 
-R010 reads one table, :data:`DECLARED_SITES`: per row an AST matcher,
-the exact number of sites each module may hold (zero elsewhere) and the
-reason.  Raw heap/index reads, file opens, wall-clock reads, broad
-swallowed exceptions and buffer-slice copies are rows, beside the
-single-site rules (one xmax writer, one sweep, ...).  R005 is the one
-structural rule: it judges a function's error path, not where a site
-is.  Matching is lexical (no type inference), so each matcher documents
-the lookalikes it skips.  docs/invariants.md has the long form.
+Per row an AST matcher, the exact number of sites each module may hold
+(zero elsewhere) and the reason.  Raw heap/index reads, file opens,
+wall-clock reads, broad swallowed exceptions, buffer-slice copies and
+``.begin()`` outside a ``with`` item are rows, beside the single-site
+rules (one xmax writer, one sweep, ...).  Matching is lexical (no type
+inference), so each matcher documents the lookalikes it skips.
+docs/invariants.md has the long form.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Callable, Iterator, NamedTuple
-
-from repro.analysis.core import Finding, ModuleInfo, Rule, register
-
-
-# -- shared AST helpers -------------------------------------------------------------
+from typing import Callable, NamedTuple
 
 
 def dotted(node: ast.AST) -> str | None:
@@ -31,79 +25,6 @@ def dotted(node: ast.AST) -> str | None:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def _references_any(nodes: list[ast.stmt], names: set[str]) -> bool:
-    """Whether any Name or attribute access in *nodes* hits *names*."""
-    for stmt in nodes:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and node.id in names:
-                return True
-            if isinstance(node, ast.Attribute) and node.attr in names:
-                return True
-    return False
-
-
-# -- R005: every begin() has a commit/abort on the error path -----------------------
-
-
-@register
-class TxnScopeRule(Rule):
-    """A function that begins a transaction must end it on failure.
-
-    An exception between ``begin()`` and ``commit()`` with no guard
-    leaks an ACTIVE transaction: its locks stay held and every later
-    snapshot treats its xid as in-progress forever.  A ``begin()`` call
-    is fine when it is (a) used as a context manager (``with
-    db.begin() as txn:`` — ``Transaction.__exit__`` aborts on error),
-    (b) directly returned (the caller owns the scope), or (c) inside a
-    function itself named ``begin*`` (a delegation wrapper).  Otherwise
-    the enclosing function must reference ``commit``/``abort``/
-    ``rollback`` inside an ``except`` handler or ``finally`` block.
-    """
-
-    id = "R005"  # txn-scope
-
-    CLOSERS = frozenset({"commit", "abort", "rollback"})
-
-    def _is_guarded(self, func: ast.AST) -> bool:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Try):
-                for handler in node.handlers:
-                    if _references_any(handler.body, self.CLOSERS):
-                        return True
-                if _references_any(node.finalbody, self.CLOSERS):
-                    return True
-        return False
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "begin"):
-                continue
-            parent = module.parent(node)
-            if isinstance(parent, ast.withitem):
-                continue  # with db.begin() as txn: — __exit__ cleans up
-            if isinstance(parent, ast.Return):
-                continue  # delegation: caller owns the transaction scope
-            enclosing = module.enclosing_function(node)
-            if enclosing is None:
-                continue  # module-level script code is out of scope
-            if enclosing.name.startswith("begin"):
-                continue  # begin() wrappers delegate scope to their caller
-            if self._is_guarded(enclosing):
-                continue
-            yield self.finding(
-                module, node,
-                f"`{dotted(node.func) or 'begin'}()` in "
-                f"`{enclosing.name}` has no commit/abort on a "
-                f"finally/except path — an exception leaks an ACTIVE "
-                f"transaction (use `with ... .begin() as txn:` or a "
-                f"try/except that aborts)")
-
-
-# -- R010: where each located pattern may occur, declared in one table --------------
 
 
 def _on(node: ast.AST, receiver: str | None) -> bool:
@@ -268,6 +189,18 @@ DECLARED_SITES = (
         "a swallowed failure is silent corruption (a page half-written, a "
         "lock never released): narrow the type or re-raise"),
     DeclaredSites(
+        "`.begin()` outside a `with` item",
+        _call("begin", where=lambda call: not isinstance(
+            getattr(call, "_repro_parent", None), ast.withitem)),
+        {"db.py": 1, "session.py": 1, "client.py": 1, "server/server.py": 1,
+         "ql/executor.py": 1, "inversion/monkey.py": 1},
+        "an exception after a bare begin leaks an ACTIVE transaction (its "
+        "locks held, its xid in progress forever); `with db.begin() as "
+        "txn:` aborts on error.  The declared sites hand the transaction "
+        "to their caller (Database, Session and LargeObjectApi begin, the "
+        "server's begin verb) or end it in a handler (the QL autocommit "
+        "path, the FileMonkey worker)"),
+    DeclaredSites(
         "`bytes(<buffer>[a:b])`", _slice_copy,
         {"compress/rle.py": 1, "compress/lzrw.py": 1, "lo/nativefs.py": 1,
          "smgr/raw.py": 1},
@@ -358,38 +291,3 @@ DECLARED_SITES = (
         "the engine latch is taken by the scan layer (its reads and "
         "IndexRangeScan.delete), the sweep and the integrity check only"),
 )
-
-
-@register
-class DeclaredSitesRule(Rule):
-    """Each pattern of :data:`DECLARED_SITES` occurs exactly where declared.
-
-    A finding lands on each site beyond its module's count, in source
-    order, and at line 1 of a module holding fewer sites than declared:
-    the site moved, and the table must say where to.
-    """
-
-    id = "R010"  # declared-sites
-
-    def __init__(self, table: tuple[DeclaredSites, ...] = DECLARED_SITES):
-        self.table = table
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        nodes = list(ast.walk(module.tree))
-        for entry in self.table:
-            found = sorted((n for n in nodes if entry.matches(n)),
-                           key=lambda n: (n.lineno, n.col_offset))
-            allowed = entry.sites.get(module.rel, 0)
-            declared = ", ".join(f"{rel} ({n})" for rel, n
-                                 in entry.sites.items()) or "none"
-            for node in found[allowed:]:
-                yield self.finding(
-                    module, node,
-                    f"{entry.pattern} beyond its declared sites "
-                    f"[{declared}] — {entry.why} (docs/invariants.md, R010)")
-            if len(found) < allowed:
-                yield Finding(
-                    rule=self.id, path=module.display_path, line=1, col=0,
-                    message=f"{entry.pattern}: {len(found)} of the {allowed} "
-                            f"declared site(s) here — {entry.why}; if the "
-                            f"site moved, update DECLARED_SITES")

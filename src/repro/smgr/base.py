@@ -235,11 +235,11 @@ class DiskBlockStore(BlockStore):
             os.remove(entry.path)
 
     def nblocks(self, fileid: str) -> int:
-        return self._file(fileid).nblocks
+        return (self._open.get(fileid) or self._file(fileid)).nblocks
 
     def read_run(self, fileid: str, first: int,
                  count: int) -> list[bytearray]:
-        fd = self._file(fileid).fd
+        fd = (self._open.get(fileid) or self._file(fileid)).fd
         # Zeros up front: what a read past a sparse tail leaves untouched.
         blocks = [bytearray(PAGE_SIZE) for _ in range(count)]
         for at in range(0, count, _IOV_MAX):

@@ -1,4 +1,4 @@
-"""The invariant linter (repro.analysis): R005, R010's rows, the CLI.
+"""The invariant linter (repro.analysis): R010's rows, the CLI.
 
 R010 reads one table, ``DECLARED_SITES``.  Every row gets the same
 parametrised fixtures: one site beyond its count fires, the declared
@@ -13,10 +13,6 @@ module-relative path comes out right.
 
 The meta-test runs the real CLI over the shipped tree and asserts it
 exits 0 — the tree must stay lint-clean.
-
-Lock order (the former R008/R009) is not a static rule: the armed
-runtime validator checks it.  Their fixture classes stay, but execute
-each fixture and expect :class:`LockOrderError` (or a clean run).
 """
 
 import subprocess
@@ -27,18 +23,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis import (
-    all_rules,
-    analyze_paths,
-    get_rule,
-    render_text,
-)
+from repro.analysis import analyze_paths, render_text
 from repro.analysis.cli import main
-from repro.analysis.rules import DECLARED_SITES, DeclaredSitesRule
-from repro.db import Database
-from repro.errors import LockOrderError
-from repro.txn.lockdep import VALIDATOR, check_edges
-from repro.txn.locks import LockManager
+from repro.analysis.rules import DECLARED_SITES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: The source tree under test: the checkout's, or a planted copy on
@@ -54,16 +41,16 @@ def write_module(tmp_path: Path, rel: str, source: str) -> Path:
     return path
 
 
-def lint(tmp_path: Path, rel: str, source: str, rule=None):
-    """Lint one fixture module with *rule* (default: R010, every row)."""
+def lint(tmp_path: Path, rel: str, source: str, table=DECLARED_SITES):
+    """Lint one fixture module against *table* (default: every row)."""
     path = write_module(tmp_path, rel, source)
-    return analyze_paths([path], [rule or get_rule("R010")])
+    return analyze_paths([path], table)
 
 
-def row(prefix: str) -> DeclaredSitesRule:
-    """R010 with only the row whose pattern starts with *prefix*."""
-    return DeclaredSitesRule(tuple(
-        entry for entry in DECLARED_SITES if entry.pattern.startswith(prefix)))
+def row(prefix: str) -> tuple:
+    """The table of the one row whose pattern starts with *prefix*."""
+    return tuple(
+        entry for entry in DECLARED_SITES if entry.pattern.startswith(prefix))
 
 
 RAW_READS, FILE_OPENS, CLOCK_READS, SWALLOWS, SLICE_COPIES = (
@@ -83,46 +70,28 @@ def rules_fired(report) -> list[str]:
 
 
 class RowFixtures:
-    """Fixtures of one R010 row, linted with that row alone.  The rule it
-    was (``OLD_ID``) is kept only to build the allow comment that once
-    suppressed ``VIOLATION`` in module ``REL``."""
+    """Fixtures of one R010 row (``TABLE``), linted with that row alone;
+    ``VIOLATION`` is a site that fires in module ``REL``."""
 
-    RULE: DeclaredSitesRule
-    OLD_ID: str
+    TABLE: tuple
     REL: str
     VIOLATION: str
 
     def fired(self, tmp_path, rel, source) -> list[str]:
-        return rules_fired(lint(tmp_path, rel, source, self.RULE))
-
-    def test_suppressed(self, tmp_path):
-        """The allow comment is plain text now: the fixture fires."""
-        comment = f"  # repro: allow({self.OLD_ID})"
-        source = "\n".join(line + comment for line in
-                           textwrap.dedent(self.VIOLATION).splitlines())
-        assert self.fired(tmp_path, self.REL, source) == ["R010"]
-
-
-class TestRegistry:
-    def test_all_rules_registered(self):
-        assert [rule.id for rule in all_rules()] == ["R005", "R010"]
-
-    def test_unknown_rule_raises(self):
-        with pytest.raises(KeyError):
-            get_rule("R001")
+        return rules_fired(lint(tmp_path, rel, source, self.TABLE))
 
 
 class TestR001RawAccess(RowFixtures):
     """The raw heap/index read row."""
 
-    RULE, OLD_ID, REL = RAW_READS, "R001", "lo/somefile.py"
+    TABLE, REL = RAW_READS, "lo/somefile.py"
     VIOLATION = """\
         def lookup(relation, tid, snapshot):
             return relation.fetch(tid, snapshot)
     """
 
     def test_fires_outside_scan_layer(self, tmp_path):
-        report = lint(tmp_path, self.REL, self.VIOLATION, self.RULE)
+        report = lint(tmp_path, self.REL, self.VIOLATION, self.TABLE)
         assert rules_fired(report) == ["R010"]
         assert "scan" in report.findings[0].message
 
@@ -161,7 +130,7 @@ class TestR001RawAccess(RowFixtures):
 class TestR003SmgrOnlyIO(RowFixtures):
     """The file-open row."""
 
-    RULE, OLD_ID, REL = FILE_OPENS, "R003", "storage/page.py"
+    TABLE, REL = FILE_OPENS, "storage/page.py"
     VIOLATION = """\
         def slurp(path):
             with open(path, "rb") as fh:
@@ -171,18 +140,8 @@ class TestR003SmgrOnlyIO(RowFixtures):
     def test_fires_outside_smgr(self, tmp_path):
         assert self.fired(tmp_path, self.REL, self.VIOLATION) == ["R010"]
 
-    def test_suppressed_by_comment_above(self, tmp_path):
-        """The allow comment is plain text now: the fixture fires."""
-        source = """\
-            def slurp(path):
-                # repro: allow(R003): test fixture justification
-                with open(path, "rb") as fh:
-                    return fh.read()
-        """
-        assert self.fired(tmp_path, self.REL, source) == ["R010"]
-
     def test_allowed_in_smgr_and_external_file_los(self, tmp_path):
-        for rel, count in self.RULE.table[0].sites.items():
+        for rel, count in self.TABLE[0].sites.items():
             source = repeated(self.VIOLATION, count)
             assert self.fired(tmp_path, rel, source) == [], rel
 
@@ -209,7 +168,7 @@ class TestR003SmgrOnlyIO(RowFixtures):
 class TestR004SimClock(RowFixtures):
     """The wall-clock row."""
 
-    RULE, OLD_ID, REL = CLOCK_READS, "R004", "txn/manager.py"
+    TABLE, REL = CLOCK_READS, "txn/manager.py"
     VIOLATION = """\
         import time
         def stamp():
@@ -228,7 +187,7 @@ class TestR004SimClock(RowFixtures):
             def t2():
                 return datetime.datetime.now()
         """
-        report = lint(tmp_path, "bench/figures.py", source, self.RULE)
+        report = lint(tmp_path, "bench/figures.py", source, self.TABLE)
         # The import is the site of every call through the bare name.
         assert [(f.rule, f.line) for f in report.findings] \
             == [("R010", 1), ("R010", 6)]
@@ -241,66 +200,10 @@ class TestR004SimClock(RowFixtures):
         assert self.fired(tmp_path, self.REL, source) == []
 
 
-class TestR005TxnScope:
-    VIOLATION = """\
-        def load(db):
-            txn = db.begin()
-            do_work(db, txn)
-            txn.commit()
-    """
-
-    @staticmethod
-    def lint(tmp_path, rel, source):
-        return lint(tmp_path, rel, source, get_rule("R005"))
-
-    def test_fires_without_guard(self, tmp_path):
-        report = self.lint(tmp_path, "tools/loader.py", self.VIOLATION)
-        assert rules_fired(report) == ["R005"]
-        assert "leaks an ACTIVE transaction" in report.findings[0].message
-
-    def test_suppressed(self, tmp_path):
-        """The allow comment is plain text now: the fixture fires."""
-        source = self.VIOLATION.replace(
-            "txn = db.begin()", "txn = db.begin()  # repro: allow(R005)")
-        report = self.lint(tmp_path, "tools/loader.py", source)
-        assert rules_fired(report) == ["R005"]
-
-    def test_with_block_is_clean(self, tmp_path):
-        source = """\
-            def load(db):
-                with db.begin() as txn:
-                    do_work(db, txn)
-        """
-        assert self.lint(tmp_path, "tools/loader.py", source).findings == []
-
-    def test_except_abort_guard_is_clean(self, tmp_path):
-        source = """\
-            def load(db):
-                txn = db.begin()
-                try:
-                    do_work(db, txn)
-                    txn.commit()
-                except BaseException:
-                    txn.abort()
-                    raise
-        """
-        assert self.lint(tmp_path, "ql/executor.py", source).findings == []
-
-    def test_delegation_forms_are_clean(self, tmp_path):
-        source = """\
-            def begin(self):
-                self.txn = self.db.begin()
-                return self.txn
-            def make(manager):
-                return manager.begin()
-        """
-        assert self.lint(tmp_path, "session.py", source).findings == []
-
-
 class TestR006BareExcept(RowFixtures):
     """The swallowed-exception row."""
 
-    RULE, OLD_ID, REL = SWALLOWS, "R006", "storage/buffer.py"
+    TABLE, REL = SWALLOWS, "storage/buffer.py"
     VIOLATION = """\
         def unpin(bufmgr, buf):
             try:
@@ -333,40 +236,17 @@ class TestR006BareExcept(RowFixtures):
         assert self.fired(tmp_path, "access/heap.py", source) == []
 
 
-class TestSuppressionMechanics:
-    """The comment syntax that once suppressed findings is plain text:
-    every finding under it stands."""
-
-    def test_multiple_rules_in_one_comment(self, tmp_path):
-        source = """\
-            import time
-            def f(relation, tid, snap):
-                # repro: allow(R001, R004): fixture
-                return relation.fetch(tid, snap) or time.time()
-        """
-        assert rules_fired(lint(tmp_path, "lo/x.py", source)) \
-            == ["R010", "R010"]
-
-    def test_wrong_rule_id_does_not_suppress(self, tmp_path):
-        source = """\
-            import time
-            def f():
-                return time.time()  # repro: allow(R001)
-        """
-        assert rules_fired(lint(tmp_path, "lo/x.py", source)) == ["R010"]
-
-
 class TestR007HotPathBytesCopy(RowFixtures):
     """The buffer-slice copy row."""
 
-    RULE, OLD_ID, REL = SLICE_COPIES, "R007", "storage/page.py"
+    TABLE, REL = SLICE_COPIES, "storage/page.py"
     VIOLATION = """\
         def read_item(self, start, end):
             return bytes(self.buf[start:end])
     """
 
     def test_fires_in_page(self, tmp_path):
-        report = lint(tmp_path, self.REL, self.VIOLATION, self.RULE)
+        report = lint(tmp_path, self.REL, self.VIOLATION, self.TABLE)
         assert rules_fired(report) == ["R010"]
         assert "memoryview" in report.findings[0].message
 
@@ -419,6 +299,7 @@ ONE_SITE = {
     "bare `except:`, or `except Exception: pass`":
         "try: unpin(buf)\nexcept Exception: pass",
     "`bytes(<buffer>[a:b])`": "data = bytes(view[1:])",
+    "`.begin()` outside a `with` item": "txn = db.begin()",
     "`.cpu is [not] None`": "charged = self.cpu is not None",
     "`VALIDATOR.operation(...)`": "scope = lockdep.VALIDATOR.operation('x')",
     "`locks.acquire(...)`":
@@ -462,7 +343,7 @@ class TestR010DeclaredSites:
     def _lint(tmp_path, entry, rel, n, suffix=""):
         source = "\n".join([ONE_SITE[entry.pattern]] * n) + suffix + "\n"
         path = write_module(tmp_path, rel, source)
-        return analyze_paths([path], [DeclaredSitesRule((entry,))])
+        return analyze_paths([path], (entry,))
 
     def test_every_entry_has_a_fixture(self):
         assert set(ONE_SITE) == {entry.pattern for entry in DECLARED_SITES}
@@ -540,9 +421,11 @@ class TestR010DeclaredSites:
             except ValueError:
                 pass
             data = bytes(view) + bytes(8)
+            with db.begin() as txn, self.db.begin():
+                begin = db.begin
         """
         path = write_module(tmp_path, "lo/elsewhere.py", source)
-        assert analyze_paths([path], [get_rule("R010")]).findings == []
+        assert analyze_paths([path]).findings == []
 
 
 class TestDriverAndReporters:
@@ -582,23 +465,6 @@ class TestCLI:
         assert main([str(path)]) == 0
         assert "OK" in capsys.readouterr().out
 
-    @staticmethod
-    def usage_error(argv, capsys) -> str:
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        return capsys.readouterr().err
-
-    def test_select_unknown_rule_is_usage_error(self, tmp_path, capsys):
-        # The CLI takes paths and --doc only: --select is gone.
-        path = write_module(tmp_path, "txn/a.py", "x = 1\n")
-        assert "unrecognized arguments" in self.usage_error(
-            ["--select", "R010", str(path)], capsys)
-
-    def test_list_rules(self, capsys):
-        assert "unrecognized arguments" in self.usage_error(
-            ["--list-rules"], capsys)
-
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
         assert main([str(tmp_path / "does" / "not" / "exist.py")]) == 2
         assert "no such file" in capsys.readouterr().err
@@ -629,253 +495,3 @@ class TestShippedTreeIsClean:
         report = analyze_paths([TREE])
         assert report.findings == []
         assert report.files_checked > 80
-
-
-class TestUnusedSuppressions:
-    """The allow comment is gone: none is left to go stale."""
-
-    def test_shipped_tree_has_no_stale_suppressions(self):
-        comments = [path for path in TREE.rglob("*.py")
-                    if "repro: allow" in path.read_text()]
-        assert comments == []
-
-
-class TestCLISelectValidation:
-    def test_empty_selection_is_usage_error(self, tmp_path, capsys):
-        path = write_module(tmp_path, "txn/a.py", "x = 1\n")
-        assert "unrecognized arguments" in TestCLI.usage_error(
-            ["--select", ",", str(path)], capsys)
-
-
-def run_fixture(source: str) -> dict:
-    """Execute *source* and return its namespace, so a fixture's lock
-    pattern runs against the armed runtime validator."""
-    namespace: dict = {}
-    exec(compile(textwrap.dedent(source), "<fixture>", "exec"), namespace)
-    return namespace
-
-
-@pytest.fixture
-def clean_graph():
-    """Reset the validator's observed-edge graph around the test: a
-    deliberate violation records its bad edge before raising."""
-    VALIDATOR.reset()
-    yield
-    VALIDATOR.reset()
-
-
-@pytest.mark.armed
-@pytest.mark.usefixtures("clean_graph")
-class TestR008LockOrderInversion:
-    """Seeded-inversion fixtures for lock order.  R008 is no longer a
-    static rule: the armed runtime validator is the lock-order check, so
-    each fixture is executed and must raise :class:`LockOrderError` at
-    the inverted acquisition (or run clean)."""
-
-    def test_scoped_inversion_fires(self):
-        engine = run_fixture("""\
-            from repro.txn.lockdep import LockdepMutex
-
-            class Engine:
-                def __init__(self):
-                    self._pool = LockdepMutex("mutex:buffer")
-                    self._clk = LockdepMutex("mutex:clock")
-
-                def forward(self):            # buffer(65) -> clock(90): fine
-                    with self._pool:
-                        with self._clk:
-                            return 1
-
-                def backward(self):           # clock(90) -> buffer(65): inverted
-                    with self._clk:
-                        with self._pool:
-                            return 2
-        """)["Engine"]()
-        assert engine.forward() == 1
-        with pytest.raises(LockOrderError) as exc:
-            engine.backward()
-        assert "mutex:buffer" in str(exc.value)
-        assert "mutex:clock" in str(exc.value)
-
-    def test_interprocedural_inversion_fires(self):
-        engine = run_fixture("""\
-            from repro.txn.lockdep import LockdepMutex
-
-            class Engine:
-                def __init__(self):
-                    self._pool = LockdepMutex("mutex:buffer")
-                    self._tm = LockdepMutex("mutex:txn")
-
-                def _begin(self):
-                    with self._tm:            # txn(45) under buffer(65)
-                        return 1
-
-                def outer(self):
-                    with self._pool:
-                        return self._begin()
-        """)["Engine"]()
-        with pytest.raises(LockOrderError) as exc:
-            engine.outer()
-        # The acquirer's stack names the call the lock was reached through.
-        assert "in _begin" in str(exc.value)
-        assert "in outer" in str(exc.value)
-
-    def test_correct_order_is_clean(self):
-        engine = run_fixture("""\
-            from repro.txn.lockdep import LockdepMutex
-
-            class Engine:
-                def __init__(self):
-                    self._tm = LockdepMutex("mutex:txn")
-                    self._pool = LockdepMutex("mutex:buffer")
-
-                def ok(self):
-                    with self._tm:
-                        with self._pool:
-                            return 1
-        """)["Engine"]()
-        assert engine.ok() == 1
-        assert VALIDATOR.edges().get("mutex:txn -> mutex:buffer", 0) >= 1
-        assert check_edges(VALIDATOR.edges()) == []
-
-    def test_inv_protocol_violation_in_operation_scope(self):
-        bad_rename = run_fixture("""\
-            from repro.txn.lockdep import VALIDATOR
-            from repro.txn.locks import LockMode
-
-            def bad_rename(locks, txn, a, b):
-                with VALIDATOR.operation("seeded"):
-                    locks.acquire(txn, ("inv_tree", a), LockMode.EXCLUSIVE)
-                    locks.acquire(txn, ("inv_entry", b), LockMode.EXCLUSIVE)
-        """)["bad_rename"]
-        locks = LockManager()
-        with pytest.raises(LockOrderError) as exc:
-            bad_rename(locks, 7, 1, 2)
-        assert "inv_entry" in str(exc.value)
-        assert "path-locking protocol" in str(exc.value)
-        locks.release_all(7)
-
-    def test_inv_order_not_checked_across_operations(self):
-        # Two separate operations (strict 2PL: nothing held across the
-        # boundary) may touch the family in any order.
-        two_operations = run_fixture("""\
-            from repro.txn.lockdep import VALIDATOR
-            from repro.txn.locks import LockMode
-
-            def two_operations(locks, txn, a, b):
-                with VALIDATOR.operation("first"):
-                    locks.acquire(txn, ("inv_tree", a), LockMode.SHARED)
-                with VALIDATOR.operation("second"):
-                    locks.acquire(txn, ("inv_entry", b), LockMode.EXCLUSIVE)
-        """)["two_operations"]
-        locks = LockManager()
-        two_operations(locks, 8, 1, 2)
-        locks.release_all(8)
-        assert VALIDATOR.as_dict()["violations"] == 0
-
-
-@pytest.fixture
-def latched_db():
-    """A database with one class ``T`` and an open transaction."""
-    db = Database(charge_cpu=False)
-    try:
-        db.create_class("T", [("n", "int4")])
-        txn = db.begin()
-        yield db, txn
-        txn.abort()
-    finally:
-        db.close()
-
-
-@pytest.mark.armed
-@pytest.mark.usefixtures("clean_graph")
-class TestR009BlockingUnderMutex:
-    """A heavyweight lock wait under the latch or a mutex.  R009 is no
-    longer a static rule: each fixture is executed against the armed
-    runtime validator, which raises at the blocking acquisition."""
-
-    LATCH_VIOLATION = """\
-        from repro.txn.locks import LockMode
-
-        def insert(db, txn, name):
-            with db.latch:
-                db.locks.acquire(txn.xid, ("relation", name), LockMode.SHARED)
-    """
-
-    def test_fires_inside_latch_block(self, latched_db):
-        db, txn = latched_db
-        insert = run_fixture(self.LATCH_VIOLATION)["insert"]
-        with pytest.raises(LockOrderError) as exc:
-            insert(db, txn, "T")
-        assert "blocking-under-mutex" in str(exc.value)
-        assert "scoped lock latch" in str(exc.value)
-
-    def test_lock_before_latch_is_clean(self, latched_db):
-        db, txn = latched_db
-        insert = run_fixture("""\
-            from repro.txn.locks import LockMode
-
-            def insert(db, txn, name):
-                db.locks.acquire(txn.xid, ("relation", name), LockMode.SHARED)
-                with db.latch:
-                    return db.get_class(name).insert(txn, (1,))
-        """)["insert"]
-        insert(db, txn, "T")
-        assert VALIDATOR.as_dict()["violations"] == 0
-
-    def test_heavy_acquire_under_mutex_fires(self):
-        engine = run_fixture("""\
-            from repro.txn.lockdep import LockdepMutex
-            from repro.txn.locks import LockMode
-
-            class Engine:
-                def __init__(self):
-                    self._mutex = LockdepMutex("mutex:txn")
-
-                def bad(self, locks, txn, oid):
-                    with self._mutex:
-                        locks.acquire(txn, ("relation", oid), LockMode.SHARED)
-        """)["Engine"]()
-        locks = LockManager()
-        with pytest.raises(LockOrderError) as exc:
-            engine.bad(locks, 1, "T")
-        assert "mutex:txn" in str(exc.value)
-        locks.release_all(1)
-
-    def test_heavy_acquire_under_latch_via_call_fires(self, latched_db):
-        db, txn = latched_db
-        scan = run_fixture("""\
-            from repro.txn.locks import LockMode
-
-            class Scan:
-                def _lock_row(self, locks, txn, oid):
-                    locks.acquire(txn, ("relation", oid), LockMode.SHARED)
-
-                def read(self, db, locks, txn, oid):
-                    with db.latch:
-                        self._lock_row(locks, txn, oid)
-        """)["Scan"]()
-        with pytest.raises(LockOrderError) as exc:
-            scan.read(db, db.locks, txn.xid, "T")
-        # The acquirer's stack names the call the lock was reached through.
-        assert "in _lock_row" in str(exc.value)
-        assert "in read" in str(exc.value)
-
-    def test_heavy_before_mutex_is_clean(self):
-        engine = run_fixture("""\
-            from repro.txn.lockdep import LockdepMutex
-            from repro.txn.locks import LockMode
-
-            class Engine:
-                def __init__(self):
-                    self._mutex = LockdepMutex("mutex:txn")
-
-                def good(self, locks, txn, oid):
-                    locks.acquire(txn, ("relation", oid), LockMode.SHARED)
-                    with self._mutex:
-                        return 1
-        """)["Engine"]()
-        locks = LockManager()
-        assert engine.good(locks, 1, "T") == 1
-        locks.release_all(1)
-        assert VALIDATOR.as_dict()["violations"] == 0

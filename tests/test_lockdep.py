@@ -48,6 +48,19 @@ def clean_graph():
     VALIDATOR.reset()
 
 
+@pytest.fixture
+def latched_db():
+    """A database with one class ``T`` and an open transaction."""
+    db = Database(charge_cpu=False)
+    try:
+        db.create_class("T", [("n", "int4")])
+        txn = db.begin()
+        yield db, txn
+        txn.abort()
+    finally:
+        db.close()
+
+
 class TestHierarchyTable:
     @pytest.mark.armed
     def test_suite_runs_armed(self):
@@ -172,6 +185,24 @@ class TestScopedInversion:
         assert VALIDATOR.edges().get("mutex:txn -> mutex:buffer", 0) >= 1
         assert check_edges(VALIDATOR.edges()) == []
 
+    def test_interprocedural_inversion_fires(self, clean_graph):
+        pool = LockdepMutex("mutex:buffer")    # rank 65
+        tm = LockdepMutex("mutex:txn")         # rank 45: reached under pool
+
+        def _begin():
+            with tm:
+                return 1
+
+        def outer():
+            with pool:
+                return _begin()
+
+        with pytest.raises(LockOrderError) as exc:
+            outer()
+        # The acquirer's stack names the call the lock was reached through.
+        assert "in _begin" in str(exc.value)
+        assert "in outer" in str(exc.value)
+
 
 @pytest.mark.armed
 class TestBlockingUnderMutex:
@@ -189,6 +220,15 @@ class TestBlockingUnderMutex:
         locks.acquire(1, ("relation", "T"), LockMode.SHARED)
         locks.release_all(1)
 
+    def test_heavy_before_mutex_is_clean(self, clean_graph):
+        locks = LockManager()
+        mutex = LockdepMutex("mutex:txn")
+        locks.acquire(1, ("relation", "T"), LockMode.SHARED)
+        with mutex:
+            pass
+        locks.release_all(1)
+        assert VALIDATOR.as_dict()["violations"] == 0
+
     def test_latched_heavy_wait_raises(self, clean_graph):
         """The end-to-end shape the validator exists for: a thread
         holding the engine latch must not park on a heavy lock."""
@@ -198,13 +238,39 @@ class TestBlockingUnderMutex:
             with db.begin() as txn:
                 db.insert(txn, "T", (1,))
             txn = db.begin()
-            with pytest.raises(LockOrderError):
+            with pytest.raises(LockOrderError) as exc:
                 with db.latch:
                     db.locks.acquire(txn.xid, ("relation", "T"),
                                      LockMode.EXCLUSIVE)
+            assert "blocking-under-mutex" in str(exc.value)
+            assert "scoped lock latch" in str(exc.value)
             txn.abort()
         finally:
             db.close()
+
+    def test_heavy_acquire_under_latch_via_call_fires(self, clean_graph,
+                                                       latched_db):
+        db, txn = latched_db
+
+        def _lock_row():
+            db.locks.acquire(txn.xid, ("relation", "T"), LockMode.SHARED)
+
+        def read():
+            with db.latch:
+                _lock_row()
+
+        with pytest.raises(LockOrderError) as exc:
+            read()
+        # The acquirer's stack names the call the lock was reached through.
+        assert "in _lock_row" in str(exc.value)
+        assert "in read" in str(exc.value)
+
+    def test_lock_before_latch_is_clean(self, clean_graph, latched_db):
+        db, txn = latched_db
+        db.locks.acquire(txn.xid, ("relation", "T"), LockMode.SHARED)
+        with db.latch:
+            db.get_class("T").insert(txn, (1,))
+        assert VALIDATOR.as_dict()["violations"] == 0
 
 
 class TestOperationScopes:
@@ -218,6 +284,7 @@ class TestOperationScopes:
         message = str(exc.value)
         assert "seeded-attempt" in message
         assert "lock:inv_entry" in message and "lock:inv_tree" in message
+        assert "path-locking protocol" in message
         locks.release_all(7)
 
     def test_order_free_across_scopes(self, clean_graph):
@@ -362,13 +429,13 @@ class TestConstructionTimeRule:
 
 # ---------------------------------------------------------------------------
 # Planted bugs: armed tier-1 fails on each (lock order, the latch
-# tripwire, R005's runtime witness)
+# tripwire, the autocommit path's abort, the force path, R010's rows)
 # ---------------------------------------------------------------------------
 
 class PlantedBug(NamedTuple):
     """One one-line bug at a real site, the tier-1 test that fails on it
     armed, and what the failing run shows (docs/invariants.md, "Lock
-    order", R005 and R010's raw-read row)."""
+    order", "Force" and R010's rows)."""
 
     name: str
     module: str      #: path under src/repro
@@ -588,10 +655,9 @@ PLANTED = [
         "index.search(key)) if t is not None]",
         "tests/test_inversion.py::TestBasics::test_root_exists",
         TRIPWIRE),
-    # The autocommit path stops aborting its transaction on error.  R005
-    # flags the first plant in the source, but reads only whether a
-    # handler names abort, so the second (the guard inverted) passes it;
-    # the runtime witness fails on both.
+    # The autocommit path stops aborting its transaction on error: the
+    # runtime witness of the `.begin()` row's ql/executor.py site fails
+    # on both plants.
     PlantedBug(
         "ql-autocommit-leaks-its-transaction", "ql/executor.py",
         "                txn.abort()",
@@ -638,6 +704,15 @@ PLANTED = [
         "                    self._check_write(fileid, runs)",
         "                    self._check_write(fileid, runs); "
         "self._check_write(fileid, runs)",
+        "tests/test_analysis.py::TestShippedTreeIsClean::"
+        "test_every_rule_is_exercised_by_the_tree_or_suppressions",
+        "R010"),
+    # A static row: a transaction begun outside a `with` item at a site
+    # the `.begin()` row does not declare (the block it opened stays one).
+    PlantedBug(
+        "unguarded-begin-in-restore", "tools/dump.py",
+        "    with db.begin() as txn:",
+        "    txn = db.begin()\n    if txn.is_active:",
         "tests/test_analysis.py::TestShippedTreeIsClean::"
         "test_every_rule_is_exercised_by_the_tree_or_suppressions",
         "R010"),

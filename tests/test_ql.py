@@ -152,7 +152,8 @@ class TestTransactionsInQl:
     def test_a_failed_statement_ends_its_own_transaction(self, emp):
         """A statement run without a transaction gets one of its own, and
         its error aborts it: nothing stays active and no lock stays held.
-        This is R005's runtime witness (``Executor._run``'s abort)."""
+        This is the runtime witness of the ``.begin()`` row's
+        ``ql/executor.py`` site (``Executor._run``'s abort)."""
         from repro.errors import CastError, RelationNotFound
         for statement, error in (
                 ('append NOPE (name = "x")', RelationNotFound),
